@@ -7,7 +7,7 @@ the nonmanipulable families, and verifies the quantitative
 Gibbard-Satterthwaite lower bounds against brute force.
 """
 
-from .errors import CapExceededError, VerificationFailure
+from .errors import CapExceededError
 from .rankings import (
     AdjacentTransposition,
     Profile,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import engine, fibers, graphs, manip, metrics, scf, verify
-from .errors import CapExceededError, VerificationFailure
+from .errors import CapExceededError
 from .metrics import frac_str, parse_frac
 from .rankings import AdjacentTransposition
 
@@ -254,6 +254,9 @@ def _cmd_isoperimetry(args) -> int:
 
 
 def _cmd_hypercontractivity(args) -> int:
+    if not 1 <= args.bits <= verify.MAX_CUBE_BITS:
+        raise CapExceededError(f"--bits {args.bits} outside the supported range "
+                               f"[1, {verify.MAX_CUBE_BITS}]")
     rho = parse_frac(args.rho)
     size = 1 << args.bits
     if args.b1 or args.b2:
@@ -453,9 +456,6 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Exact counts over profile-index ranges are split into contiguous chunks and
 reduced in chunk order, so results are identical for every task count. When
-``tasks > 1`` chunks run in a process pool; if no pool can be created the
-chunks run sequentially, which produces the same output by construction.
+``tasks > 1`` chunks run in a process pool of at most one worker per chunk and
+per CPU; if no pool can be created the chunks run sequentially, which produces
+the same output by construction.
 """
 from __future__ import annotations
 
@@ -48,10 +49,11 @@ def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 
 def map_chunks(worker, chunk_args: list, tasks: int = 1) -> list:
     """Apply ``worker`` to each args tuple, returning results in input order."""
-    if tasks <= 1 or len(chunk_args) <= 1:
+    workers = min(tasks, len(chunk_args), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*args) for args in chunk_args]
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=tasks) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, *args) for args in chunk_args]
             return [fut.result() for fut in futures]
     except (OSError, PermissionError) as exc:  # no pool available in this env

@@ -4,11 +4,3 @@
 class CapExceededError(Exception):
     """An exact enumeration would exceed the configured size cap."""
 
-
-class VerificationFailure(Exception):
-    """A bound verification reported holds=False; carries the report."""
-
-    def __init__(self, report, bundle_path=None):
-        self.report = report
-        self.bundle_path = bundle_path
-        super().__init__(f"verification failed for statement {report.statement}")

@@ -20,10 +20,14 @@ from .rankings import (
     Profile,
     Ranking,
     all_rankings,
+    coordinate_lines,
     decode_profile,
+    profile_digits,
+    profile_strides,
     ranking_orders,
     ranking_positions,
     ranking_rank_of,
+    top_h_by_rank,
 )
 from .scf import DEFAULT_TABLE_CAP, SCF
 
@@ -158,9 +162,9 @@ def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
     table = f.table(cap)
     n, k = f.n, f.k
     fact = factorial(k)
-    stride = fact ** (n - 1 - i)
     choices = _coordinate_choices(n, k, pair, tuple(key), variant, i)
-    strides = tuple(fact ** (n - 1 - c) for c in range(n))
+    strides = profile_strides(n, k)
+    stride = strides[i]
 
     members = 0
     on_boundary = 0
@@ -226,7 +230,6 @@ def refined_topset_membership_key(f: SCF, i: int, a: int, b: int,
                                   cap: int = DEFAULT_TABLE_CAP) -> bool:
     table = f.table(cap)
     n, k = f.n, f.k
-    fact = factorial(k)
     plus = ranks_preferring(k, a, b)
     minus = ranks_preferring(k, b, a)
     if len(key) != n - 1:
@@ -235,11 +238,11 @@ def refined_topset_membership_key(f: SCF, i: int, a: int, b: int,
     kit = iter(key)
     for c in range(n):
         if c == i:
-            choices.append(tuple(range(fact)))
+            choices.append(tuple(range(factorial(k))))
         else:
             bit = next(kit)
             choices.append(plus if bit > 0 else minus)
-    strides = tuple(fact ** (n - 1 - c) for c in range(n))
+    strides = profile_strides(n, k)
     pos = ranking_positions(k)
     members = 0
     agree = 0
@@ -287,7 +290,6 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
     table = f.table(cap)
     n, k = f.n, f.k
     fact = factorial(k)
-    stride = fact ** (n - 1 - i)
     rank_of = ranking_rank_of(k)
     orders = ranking_orders(k)
     pos = ranking_positions(k)
@@ -311,20 +313,19 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
                 for block in permutations(subset)
             ]
 
+    stride = profile_strides(n, k)[i]
     found: set[Profile] = set()
-    size = len(table)
-    for p in range(size):
-        rho = (p // stride) % fact
-        base = p - rho * stride
-        for c in range(k):
-            if c in (a, b):
-                continue
-            plan = probes[(rho, c)]
-            if plan is None:
-                continue
-            if all(table[base + dest * stride] == winner for dest, winner in plan):
-                found.add(decode_profile(n, k, p))
-                break
+    for base, line in coordinate_lines(table, n, k, i):
+        for rho in range(fact):
+            for c in range(k):
+                if c in (a, b):
+                    continue
+                plan = probes[(rho, c)]
+                if plan is None:
+                    continue
+                if all(line[dest] == winner for dest, winner in plan):
+                    found.add(decode_profile(n, k, base + rho * stride))
+                    break
     return found
 
 
@@ -332,21 +333,11 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
 # Dictator fibers (rest-profiles whose induced one-voter SCF is a top_H rule).
 
 
-def _induced_outcomes(table, n: int, k: int, i: int, rest_digits: tuple[int, ...]) -> tuple[int, ...]:
-    fact = factorial(k)
-    digits = rest_digits[:i] + (0,) + rest_digits[i:]
-    strides = tuple(fact ** (n - 1 - c) for c in range(n))
-    base = sum(d * s for d, s in zip(digits, strides))
-    stride = strides[i]
-    return tuple(table[base + r * stride] for r in range(fact))
-
-
-@lru_cache(maxsize=None)
-def _top_h_vector(k: int, H: frozenset) -> tuple[int, ...]:
-    out = []
-    for order in ranking_orders(k):
-        out.append(next(x for x in order if x in H))
-    return tuple(out)
+def _rest_lines(table, n: int, k: int, i: int):
+    """(rest-profile, outcomes of coordinate i's rankings) per assignment of the others."""
+    rankings = all_rankings(k)
+    for rest, (_base, line) in zip(profile_digits(n - 1, k), coordinate_lines(table, n, k, i)):
+        yield tuple(rankings[d] for d in rest), tuple(line)
 
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
@@ -354,16 +345,9 @@ def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[t
     subset = frozenset(H)
     if not subset:
         raise ValueError("H must be nonempty")
-    table = f.table(cap)
-    n, k = f.n, f.k
-    target = _top_h_vector(k, subset)
-    rankings = all_rankings(k)
-    fact = factorial(k)
-    out = set()
-    for rest_digits in product(range(fact), repeat=n - 1):
-        if _induced_outcomes(table, n, k, i, rest_digits) == target:
-            out.add(tuple(rankings[d] for d in rest_digits))
-    return out
+    target = top_h_by_rank(f.k, subset)
+    return {rest for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i)
+            if outcomes == target}
 
 
 def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
@@ -374,18 +358,13 @@ def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
     image), so a single scan per rest-profile suffices.
     """
     a, b = pair
-    table = f.table(cap)
-    n, k = f.n, f.k
-    rankings = all_rankings(k)
-    fact = factorial(k)
     out = set()
-    for rest_digits in product(range(fact), repeat=n - 1):
-        outcomes = _induced_outcomes(table, n, k, i, rest_digits)
+    for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i):
         image = frozenset(outcomes)
         if len(image) < 3 or a not in image or b not in image:
             continue
-        if outcomes == _top_h_vector(k, image):
-            out.add(tuple(rankings[d] for d in rest_digits))
+        if outcomes == top_h_by_rank(f.k, image):
+            out.add(rest)
     return out
 
 

@@ -8,11 +8,14 @@ order.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import engine
@@ -22,9 +25,12 @@ from .rankings import (
     Profile,
     adjacent_swap_neighbors,
     all_rankings,
+    coordinate_lines,
     decode_profile,
-    encode_profile,
+    digits_index,
+    encode_ranking,
     profile_space_size,
+    profile_strides,
     ranking_rank_of,
 )
 from .scf import DEFAULT_TABLE_CAP, SCF
@@ -93,36 +99,43 @@ class BoundarySpec:
         return d
 
 
-def _boundary_chunk_count(table, n, k, spec_i, spec_a, spec_b, z_pair, refined, start, stop):
-    fact = factorial(k)
-    stride = fact ** (n - 1 - spec_i)
-    count = 0
-    if refined:
-        swaps = adjacent_swap_neighbors(k)
-        for p in range(start, stop):
-            if table[p] != spec_a:
-                continue
-            rho = (p // stride) % fact
-            base = p - rho * stride
-            for dest, a, b in swaps[rho]:
-                if z_pair is not None and (a, b) != z_pair:
-                    continue
-                out = table[base + dest * stride]
-                if (spec_b is None and out != spec_a) or out == spec_b:
-                    count += 1
-    else:
-        for p in range(start, stop):
-            if table[p] != spec_a:
-                continue
-            rho = (p // stride) % fact
-            base = p - rho * stride
-            for rho2 in range(fact):
-                if rho2 == rho:
-                    continue
-                out = table[base + rho2 * stride]
-                if (spec_b is None and out != spec_a) or out == spec_b:
-                    count += 1
-    return count
+@lru_cache(maxsize=None)
+def _edge_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition]):
+    """Per ranking rank, the ranks one edge of the graph (restricted to z) reaches."""
+    if kind is GraphKind.COARSE:
+        return tuple(tuple(r for r in range(factorial(k)) if r != rho)
+                     for rho in range(factorial(k)))
+    pair = None if z is None else (min(z.a, z.b), max(z.a, z.b))
+    return tuple(tuple(dest for dest, a, b in moves if pair is None or (a, b) == pair)
+                 for moves in adjacent_swap_neighbors(k))
+
+
+def _line_pairs(base: int, stride: int, line, moves, a: int,
+                b: Optional[int]) -> Iterator[tuple[int, int]]:
+    """Boundary pairs (p, q) on one coordinate line, in index order of p.
+
+    ``line`` is a :func:`coordinate_lines` entry and ``moves[r]`` lists the
+    ranks an edge of the graph reaches from rank r. An edge is on the
+    boundary when it leaves outcome a (for b, when b is set).
+    """
+    for rho, out in enumerate(line):
+        if out == a:
+            for dest in moves[rho]:
+                other = line[dest]
+                if other != a and (b is None or other == b):
+                    yield base + rho * stride, base + dest * stride
+
+
+def _spec_pairs(table, n, k, spec, start=0, stop=None):
+    """Per line of coordinate spec.i in [start, stop), its boundary pair generator."""
+    stride = profile_strides(n, k)[spec.i]
+    moves = _edge_moves(k, spec.kind, spec.z)
+    for base, line in coordinate_lines(table, n, k, spec.i, start, stop):
+        yield _line_pairs(base, stride, line, moves, spec.a, spec.b)
+
+
+def _boundary_chunk_count(table, n, k, spec, start, stop) -> int:
+    return sum(1 for pairs in _spec_pairs(table, n, k, spec, start, stop) for _pair in pairs)
 
 
 def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec,
@@ -130,36 +143,8 @@ def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec,
     """Ordered boundary pairs as profile indices, streamed in index order."""
     if not 0 <= spec.i < f.n:
         raise ValueError("coordinate out of range")
-    table = f.table(cap)
-    n, k = f.n, f.k
-    fact = factorial(k)
-    stride = fact ** (n - 1 - spec.i)
-    z_pair = None
-    if spec.z is not None:
-        z_pair = (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
-    refined = spec.kind is GraphKind.REFINED
-    swaps = adjacent_swap_neighbors(k) if refined else None
-    for p in range(len(table)):
-        if table[p] != spec.a:
-            continue
-        rho = (p // stride) % fact
-        base = p - rho * stride
-        if refined:
-            for dest, a, b in swaps[rho]:
-                if z_pair is not None and (a, b) != z_pair:
-                    continue
-                q = base + dest * stride
-                out = table[q]
-                if (spec.b is None and out != spec.a) or out == spec.b:
-                    yield (p, q)
-        else:
-            for rho2 in range(fact):
-                if rho2 == rho:
-                    continue
-                q = base + rho2 * stride
-                out = table[q]
-                if (spec.b is None and out != spec.a) or out == spec.b:
-                    yield (p, q)
+    # Merging the lines on the first index keeps a profile's partners in edge order.
+    return heapq.merge(*_spec_pairs(f.table(cap), f.n, f.k, spec), key=itemgetter(0))
 
 
 def boundary(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[Profile, Profile]]:
@@ -176,13 +161,9 @@ def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
     if not 0 <= spec.i < f.n:
         raise ValueError("coordinate out of range")
     table = f.table(cap)
-    z_pair = None
-    if spec.z is not None:
-        z_pair = (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
-    refined = spec.kind is GraphKind.REFINED
     chunks = [
-        (table, f.n, f.k, spec.i, spec.a, spec.b, z_pair, refined, start, stop)
-        for start, stop in engine.split_ranges(len(table), tasks)
+        (table, f.n, f.k, spec, start, stop)
+        for start, stop in engine.split_ranges(profile_space_size(f.n - 1, f.k), tasks)
     ]
     return sum(engine.map_chunks(_boundary_chunk_count, chunks, tasks))
 
@@ -221,33 +202,11 @@ def boundary_report(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec,
                    cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Whether the profile has at least one boundary partner under the spec."""
-    p = encode_profile(profile)
-    table = f.table(cap)
-    if table[p] != spec.a:
-        return False
-    n, k = f.n, f.k
-    fact = factorial(k)
-    stride = fact ** (n - 1 - spec.i)
-    rho = (p // stride) % fact
-    base = p - rho * stride
-    if spec.kind is GraphKind.REFINED:
-        z_pair = None
-        if spec.z is not None:
-            z_pair = (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
-        for dest, a, b in adjacent_swap_neighbors(k)[rho]:
-            if z_pair is not None and (a, b) != z_pair:
-                continue
-            out = table[base + dest * stride]
-            if (spec.b is None and out != spec.a) or out == spec.b:
-                return True
-        return False
-    for rho2 in range(fact):
-        if rho2 == rho:
-            continue
-        out = table[base + rho2 * stride]
-        if (spec.b is None and out != spec.a) or out == spec.b:
-            return True
-    return False
+    digits = [encode_ranking(r) for r in profile]
+    rest = digits_index(f.k, digits[:spec.i] + digits[spec.i + 1:])
+    [pairs] = _spec_pairs(f.table(cap), f.n, f.k, spec, rest, rest + 1)
+    p = digits_index(f.k, digits)
+    return any(pair[0] == p for pair in pairs)
 
 
 # ---------------------------------------------------------------------------

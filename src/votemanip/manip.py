@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import Optional
 
@@ -19,12 +18,18 @@ from . import engine
 from .rankings import (
     Profile,
     Ranking,
+    coordinate_lines,
     decode_profile,
+    index_digits,
+    preference_masks,
+    profile_digits,
     profile_space_size,
+    profile_strides,
     ranking_orders,
     ranking_positions,
-    ranking_rank_of,
+    top_h_by_rank,
     window_destinations_new,
+    window_moves,
     window_permutations,
 )
 from .scf import (
@@ -124,52 +129,38 @@ class ManipulationCensus:
         }
 
 
-def _census_chunk(table, n, k, widths, start, stop):
-    """Count, per requested width, profiles in [start, stop) manipulable within it."""
-    fact = factorial(k)
-    strides = [fact ** (n - 1 - i) for i in range(n)]
+def _manipulable_widths(table, n, k, max_width, start, stop):
+    """Yield (p, w) for each profile p in [start, stop), in index order, that some
+    voter manipulates within one window of width w <= max_width, w minimal."""
+    strides = profile_strides(n, k)
     positions = ranking_positions(k)
-    max_w = max(widths)
-    fresh = {w: window_destinations_new(k, w) for w in range(2, max_w + 1)}
-    counts = [0] * len(widths)
-
-    digits = []
-    rem = start
-    for i in range(n):
-        d, rem = divmod(rem, strides[i])
-        digits.append(d)
-
-    for p in range(start, stop):
+    scans = [(w, window_destinations_new(k, w)) for w in range(2, max_width + 1)]
+    for p, digits in enumerate(profile_digits(n, k, start, stop), start):
         a = table[p]
         wmin = 0
-        for w in range(2, max_w + 1):
-            news = fresh[w]
-            for i in range(n):
-                rho = digits[i]
+        for w, fresh in scans:
+            for st, rho in zip(strides, digits):
                 pos = positions[rho]
                 pa = pos[a]
-                st = strides[i]
                 base = p - rho * st
-                for dest in news[rho]:
+                for dest in fresh[rho]:
                     if pos[table[base + dest * st]] < pa:
                         wmin = w
                         break
                 if wmin:
                     break
             if wmin:
+                yield p, wmin
                 break
-        if wmin:
-            for j, w in enumerate(widths):
-                if wmin <= w:
-                    counts[j] += 1
-        i = n - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] == fact:
-                digits[i] = 0
-                i -= 1
-            else:
-                break
+
+
+def _census_chunk(table, n, k, widths, start, stop):
+    """Count, per requested width, profiles in [start, stop) manipulable within it."""
+    counts = [0] * len(widths)
+    for _p, wmin in _manipulable_widths(table, n, k, max(widths), start, stop):
+        for j, w in enumerate(widths):
+            if wmin <= w:
+                counts[j] += 1
     return counts
 
 
@@ -212,14 +203,7 @@ class ManipulationSample:
 
 def _draw(rng: random.Random, f: SCF, width: int, size: int, orders, positions):
     k = f.k
-    fact = factorial(k)
-    index = rng.randrange(size)
-    digits = []
-    rem = index
-    for _ in range(f.n):
-        rem, d = divmod(rem, fact)
-        digits.append(d)
-    digits.reverse()
+    digits = index_digits(f.n, k, rng.randrange(size))
     i = rng.randrange(f.n)
     start = rng.randrange(k - width + 1)
     order = orders[digits[i]]
@@ -234,12 +218,16 @@ def _draw(rng: random.Random, f: SCF, width: int, size: int, orders, positions):
     return profile_orders, altered_orders, i, pos[b] < pos[a]
 
 
-def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample:
-    """One seeded draw: uniform profile, voter, window start, window shuffle."""
+def _check_window(k: int, width: int) -> None:
     if width < 2:
         raise ValueError("window width must be >= 2")
-    if f.k < width:
+    if k < width:
         raise ValueError(f"need k >= {width} for a width-{width} window")
+
+
+def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample:
+    """One seeded draw: uniform profile, voter, window start, window shuffle."""
+    _check_window(f.k, width)
     rng = random.Random(seed)
     size = profile_space_size(f.n, f.k)
     orders = ranking_orders(f.k)
@@ -302,8 +290,7 @@ def sample_success(f: SCF, samples: int, seed: int, width: int = 4,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if f.k < width:
-        raise ValueError(f"need k >= {width} for a width-{width} window")
+    _check_window(f.k, width)
     blocks = (samples + engine.SAMPLE_BLOCK - 1) // engine.SAMPLE_BLOCK
     chunk_ranges = engine.split_ranges(blocks, tasks)
     chunks = [(f, width, seed, lo, hi, samples) for lo, hi in chunk_ranges]
@@ -312,46 +299,19 @@ def sample_success(f: SCF, samples: int, seed: int, width: int = 4,
 
 
 def _pair_probability_chunk(table, n, k, width, start, stop):
-    fact = factorial(k)
-    strides = [fact ** (n - 1 - i) for i in range(n)]
+    strides = profile_strides(n, k)
     positions = ranking_positions(k)
-    orders = ranking_orders(k)
-    rank_of = ranking_rank_of(k)
-    starts = k - width + 1
-    dests = []  # per rank: tuple over window starts of tuples of destination ranks
-    for order in orders:
-        per_start = []
-        for s in range(starts):
-            head, window, tail = order[:s], order[s:s + width], order[s + width:]
-            per_start.append(tuple(rank_of[head + perm + tail] for perm in permutations(window)))
-        dests.append(tuple(per_start))
-
+    moves = window_moves(k, width)
     successes = 0
-    digits = []
-    rem = start
-    for i in range(n):
-        d, rem = divmod(rem, strides[i])
-        digits.append(d)
-    for p in range(start, stop):
+    for p, digits in enumerate(profile_digits(n, k, start, stop), start):
         a = table[p]
-        for i in range(n):
-            rho = digits[i]
+        for st, rho in zip(strides, digits):
             pos = positions[rho]
             pa = pos[a]
-            st = strides[i]
             base = p - rho * st
-            for per_start in dests[rho]:
-                for dest in per_start:
-                    if pos[table[base + dest * st]] < pa:
-                        successes += 1
-        i = n - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] == fact:
-                digits[i] = 0
-                i -= 1
-            else:
-                break
+            for dest in moves[rho]:
+                if pos[table[base + dest * st]] < pa:
+                    successes += 1
     return successes
 
 
@@ -362,8 +322,7 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP,
     Full enumeration over (profile, coordinate, window start, window
     permutation); the denominator is (k!)^n * n * (k-width+1) * width!.
     """
-    if f.k < width:
-        raise ValueError(f"need k >= {width} for a width-{width} window")
+    _check_window(f.k, width)
     table = f.table(cap)
     size = len(table)
     chunks = [
@@ -384,48 +343,27 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
     or None when f lies outside the family."""
     table = f.table(cap)
     n, k = f.n, f.k
-    fact = factorial(k)
-    size = len(table)
 
-    # Dictator branch: f must depend on one coordinate alone and agree with
-    # the top_H rule for H = its own image.
-    orders = ranking_orders(k)
+    # Dictator branch: f must depend on one coordinate alone (every line of
+    # that coordinate equal) and agree with the top_H rule for H = its image.
     for i in range(n):
-        stride = fact ** (n - 1 - i)
-        by_rank = [None] * fact
-        ok = True
-        for p in range(size):
-            rho = (p // stride) % fact
-            if by_rank[rho] is None:
-                by_rank[rho] = table[p]
-            elif by_rank[rho] != table[p]:
-                ok = False
-                break
-        if not ok:
-            continue
-        image = frozenset(by_rank)
-        target = [next(x for x in order if x in image) for order in orders]
-        if by_rank == target:
-            return TopHDictator(n, k, i, image)
+        lines = coordinate_lines(table, n, k, i)
+        _base, first = next(lines)
+        if all(line == first for _base, line in lines):
+            image = frozenset(first)
+            if tuple(first) == top_h_by_rank(k, image):
+                return TopHDictator(n, k, i, image)
 
     # Monotone two-valued branch: constant on every preference fiber of its
     # two-element range, with a monotone fiber table.
     image = sorted(set(table))
     if len(image) == 2:
         a, b = image
-        positions = ranking_positions(k)
-        strides = [fact ** (n - 1 - c) for c in range(n)]
         fiber = [None] * (1 << n)
-        for p in range(size):
-            mask = 0
-            rem = p
-            for c in range(n):
-                d, rem = divmod(rem, strides[c])
-                if positions[d][a] < positions[d][b]:
-                    mask |= 1 << c
+        for mask, out in zip(preference_masks(n, k, a, b), table):
             if fiber[mask] is None:
-                fiber[mask] = table[p]
-            elif fiber[mask] != table[p]:
+                fiber[mask] = out
+            elif fiber[mask] != out:
                 return None
         if is_monotone_pair_table(n, (a, b), fiber):
             return MonotoneTwoValued(n, k, (a, b), fiber)
@@ -448,31 +386,11 @@ def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
     """Either the first manipulation pair, or an exact nonmanipulable twin."""
     table = f.table(cap)
     n, k = f.n, f.k
-    fact = factorial(k)
-    positions = ranking_positions(k)
-    scan = {w: window_destinations_new(k, w) for w in range(2, k + 1)}
-    strides = [fact ** (n - 1 - i) for i in range(n)]
-    for p in range(len(table)):
-        a = table[p]
-        hit = False
-        for w in range(2, k + 1):
-            news = scan[w]
-            for i in range(n):
-                rho = (p // strides[i]) % fact
-                pos = positions[rho]
-                pa = pos[a]
-                st = strides[i]
-                base = p - rho * st
-                if any(pos[table[base + dest * st]] < pa for dest in news[rho]):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            profile = decode_profile(n, k, p)
-            witness = is_r_manipulation_point(f, profile, k)
-            assert witness is not None
-            return GSClassification(True, witness, None)
+    hit = next(_manipulable_widths(table, n, k, k, 0, len(table)), None)
+    if hit is not None:
+        witness = is_r_manipulation_point(f, decode_profile(n, k, hit[0]), k)
+        assert witness is not None
+        return GSClassification(True, witness, None)
     member = nonmanip_membership(f, cap)
     if member is None:
         raise AssertionError(

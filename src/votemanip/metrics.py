@@ -14,7 +14,12 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError
 from .graphs import BoundarySpec, GraphKind, boundary_count
-from .rankings import AdjacentTransposition, ranking_orders, ranking_positions
+from .rankings import (
+    AdjacentTransposition,
+    coordinate_lines,
+    preference_masks,
+    top_h_by_rank,
+)
 from .scf import (
     DEFAULT_TABLE_CAP,
     SCF,
@@ -48,22 +53,16 @@ def distance(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
 # Influences.
 
 
-def _rest_histograms(table, n: int, k: int, i: int) -> list[list[int]]:
-    """Outcome histograms grouped by all coordinates except i."""
-    fact = factorial(k)
-    stride = fact ** (n - 1 - i)
-    hist = [[0] * k for _ in range(len(table) // fact)]
-    block = stride * fact
-    for p, a in enumerate(table):
-        hi, rem = divmod(p, block)
-        hist[hi * stride + rem % stride][a] += 1
-    return hist
+def _line_counts(table, n: int, k: int, i: int) -> list[list[int]]:
+    """Outcome counts of each line of coordinate i (the other voters fixed)."""
+    return [[line.count(a) for a in range(k)]
+            for _base, line in coordinate_lines(table, n, k, i)]
 
 
 def influence_total(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability that rerandomizing coordinate i changes the outcome."""
     fact = factorial(f.k)
-    hist = _rest_histograms(f.table(cap), f.n, f.k, i)
+    hist = _line_counts(f.table(cap), f.n, f.k, i)
     num = sum(fact * fact - sum(h * h for h in row) for row in hist)
     return Fraction(num, len(f.table(cap)) * fact)
 
@@ -71,7 +70,7 @@ def influence_total(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
 def influence_target(f: SCF, i: int, a: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability the outcome is a and leaves a when coordinate i rerandomizes."""
     fact = factorial(f.k)
-    hist = _rest_histograms(f.table(cap), f.n, f.k, i)
+    hist = _line_counts(f.table(cap), f.n, f.k, i)
     num = sum(row[a] * (fact - row[a]) for row in hist)
     return Fraction(num, len(f.table(cap)) * fact)
 
@@ -81,7 +80,7 @@ def influence_pair(f: SCF, i: int, a: int, b: int, cap: int = DEFAULT_TABLE_CAP)
     if a == b:
         raise ValueError("need two distinct alternatives")
     fact = factorial(f.k)
-    hist = _rest_histograms(f.table(cap), f.n, f.k, i)
+    hist = _line_counts(f.table(cap), f.n, f.k, i)
     num = sum(row[a] * row[b] for row in hist)
     return Fraction(num, len(f.table(cap)) * fact)
 
@@ -137,14 +136,13 @@ class DistanceReport:
         }
 
 
-def _coordinate_histograms(table, n: int, k: int, i: int) -> list[list[int]]:
-    """Outcome histograms grouped by the rank of coordinate i."""
-    fact = factorial(k)
-    stride = fact ** (n - 1 - i)
-    hist = [[0] * k for _ in range(fact)]
-    for p, a in enumerate(table):
-        hist[(p // stride) % fact][a] += 1
-    return hist
+def _column_counts(table, n: int, k: int, i: int) -> list[list[int]]:
+    """Outcome counts per ranking rank of coordinate i."""
+    counts = [[0] * k for _ in range(factorial(k))]
+    for _base, line in coordinate_lines(table, n, k, i):
+        for row, a in zip(counts, line):
+            row[a] += 1
+    return counts
 
 
 def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport:
@@ -157,20 +155,18 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
     table = f.table(cap)
     n, k = f.n, f.k
     size = len(table)
-    best_value: Optional[Fraction] = None
+    best_agree = -1
     best_witness: Optional[SCF] = None
 
     for i in range(n):
-        hist = _coordinate_histograms(table, n, k, i)
         completion = []
         agree = 0
-        for row in hist:
+        for row in _column_counts(table, n, k, i):
             winner = max(range(k), key=lambda x: (row[x], -x))
             completion.append(winner)
             agree += row[winner]
-        value = Fraction(size - agree, size)
-        if best_value is None or value < best_value:
-            best_value = value
+        if agree > best_agree:
+            best_agree = agree
             best_witness = OneCoordinate(n, k, i, completion)
 
     mass = [0] * k
@@ -179,17 +175,12 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
     keep = ranked[:2] if k >= 2 else ranked[:1]
     fallback = min(keep)
-    value = Fraction(size - sum(mass[a] for a in keep), size)
-    if value < best_value:
-        best_value = value
+    agree = sum(mass[a] for a in keep)
+    if agree > best_agree:
+        best_agree = agree
         best_witness = TableSCF(n, k, [a if a in keep else fallback for a in table])
 
-    return DistanceReport("nonmanip-bar", best_value, best_witness)
-
-
-def _top_h_by_rank(k: int, members: tuple[int, ...]) -> list[int]:
-    subset = set(members)
-    return [next(x for x in order if x in subset) for order in ranking_orders(k)]
+    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
 
 
 def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport:
@@ -202,47 +193,36 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
     table = f.table(cap)
     n, k = f.n, f.k
     size = len(table)
-    fact = factorial(k)
-    best_value: Optional[Fraction] = None
+    best_agree = -1
     best_witness: Optional[SCF] = None
 
     for i in range(n):
-        hist = _coordinate_histograms(table, n, k, i)
+        counts = _column_counts(table, n, k, i)
         for mask in range(1, 1 << k):
-            members = tuple(x for x in range(k) if mask >> x & 1)
-            tops = _top_h_by_rank(k, members)
-            agree = sum(hist[rho][tops[rho]] for rho in range(fact))
-            value = Fraction(size - agree, size)
-            if best_value is None or value < best_value:
-                best_value = value
+            members = frozenset(x for x in range(k) if mask >> x & 1)
+            tops = top_h_by_rank(k, members)
+            agree = sum(row[top] for row, top in zip(counts, tops))
+            if agree > best_agree:
+                best_agree = agree
                 best_witness = TopHDictator(n, k, i, members)
 
-    positions = ranking_positions(k)
-    strides = [fact ** (n - 1 - c) for c in range(n)]
     for a in range(k):
         for b in range(a + 1, k):
             cost_a = [0] * (1 << n)
             cost_b = [0] * (1 << n)
-            for p, out in enumerate(table):
-                mask = 0
-                rem = p
-                for c in range(n):
-                    d, rem = divmod(rem, strides[c])
-                    if positions[d][a] < positions[d][b]:
-                        mask |= 1 << c
+            for mask, out in zip(preference_masks(n, k, a, b), table):
                 if out != a:
                     cost_a[mask] += 1
                 if out != b:
                     cost_b[mask] += 1
             labels, cost = nearest_monotone_boolean(cost_a, cost_b)
-            value = Fraction(cost, size)
-            if value < best_value:
-                best_value = value
+            if size - cost > best_agree:
+                best_agree = size - cost
                 best_witness = MonotoneTwoValued(
                     n, k, (a, b), [a if lab else b for lab in labels]
                 )
 
-    return DistanceReport("nonmanip", best_value, best_witness)
+    return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ bottom. Rankings and profiles are indexed by their Lehmer (factorial-base)
 rank, which coincides with lexicographic order of the order tuple, so index 0
 is the identity ranking. Profile indices pack coordinate ranks mixed-radix
 with voter 0 most significant.
+
+This module is the only code that knows that layout. Everything else walks
+the ``(k!)^n`` profile table through :func:`profile_strides`,
+:func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
+:func:`coordinate_lines` and :func:`preference_masks`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations, product
 from math import factorial
 
 Profile = tuple["Ranking", ...]
@@ -151,23 +156,70 @@ def profile_space_size(n: int, k: int) -> int:
 
 def encode_profile(profile: Profile) -> int:
     """Mixed-radix pack of per-coordinate ranks, voter 0 most significant."""
-    fact = factorial(profile[0].k)
-    index = 0
-    for r in profile:
-        index = index * fact + encode_ranking(r)
-    return index
+    return digits_index(profile[0].k, [encode_ranking(r) for r in profile])
 
 
 def decode_profile(n: int, k: int, index: int) -> Profile:
     """Inverse of :func:`encode_profile`."""
     if not 0 <= index < profile_space_size(n, k):
         raise ValueError(f"profile index {index} out of range for n={n}, k={k}")
+    return tuple(decode_ranking(k, d) for d in index_digits(n, k, index))
+
+
+def digits_index(k: int, digits) -> int:
+    """Profile index of per-voter ranking ranks (voter 0 first)."""
+    fact = factorial(k)
+    index = 0
+    for d in digits:
+        index = index * fact + d
+    return index
+
+
+def index_digits(n: int, k: int, index: int) -> tuple[int, ...]:
+    """Per-voter ranking ranks of one profile index; inverse of :func:`digits_index`."""
     fact = factorial(k)
     digits = []
     for _ in range(n):
         index, d = divmod(index, fact)
         digits.append(d)
-    return tuple(decode_ranking(k, d) for d in reversed(digits))
+    return tuple(reversed(digits))
+
+
+def profile_strides(n: int, k: int) -> tuple[int, ...]:
+    """Index increment per unit change of each coordinate's rank."""
+    fact = factorial(k)
+    return tuple(fact ** (n - 1 - i) for i in range(n))
+
+
+def profile_digits(n: int, k: int, start: int = 0, stop=None):
+    """Per-voter ranking ranks of profile indices ``start .. stop - 1``, in index order."""
+    return islice(product(range(factorial(k)), repeat=n), start, stop)
+
+
+def coordinate_lines(table, n: int, k: int, i: int, start: int = 0, stop=None):
+    """Lines ``start .. stop - 1`` of coordinate i, one per assignment of the other voters.
+
+    Line L fixes the other voters at the L-th rank tuple in their index order.
+    Yields ``(base, outcomes)`` where ``outcomes[r]`` is the table entry at
+    ``base + r * profile_strides(n, k)[i]``: voter i holds the ranking of rank r.
+    """
+    stride = profile_strides(n, k)[i]
+    block = stride * factorial(k)
+    count = len(table) // factorial(k)
+    for line in range(start, count if stop is None else min(stop, count)):
+        head, tail = divmod(line, stride)
+        base = head * block + tail
+        yield base, table[base:base + block:stride]
+
+
+def preference_masks(n: int, k: int, a: int, b: int) -> list[int]:
+    """Per profile index, the bitmask of voters ranking a above b (bit c for voter c)."""
+    prefers = [pos[a] < pos[b] for pos in ranking_positions(k)]
+    masks = [0]
+    for c in range(n):
+        bits = [1 << c if p else 0 for p in prefers]
+        masks = [m | bit for m in masks for bit in bits]
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +256,35 @@ def all_rankings(k: int) -> tuple[Ranking, ...]:
 
 
 @lru_cache(maxsize=None)
+def window_moves(k: int, width: int) -> tuple[tuple[int, ...], ...]:
+    """Per-rank destination of every (window start, window permutation) draw.
+
+    Entry ``r`` lists one destination rank per draw, ordered by window start
+    and then permutation index, the rank itself and repeats included.
+    """
+    w = min(width, k)
+    rank_of = ranking_rank_of(k)
+    return tuple(
+        tuple(
+            rank_of[order[:start] + perm + order[start + w:]]
+            for start in range(k - w + 1)
+            for perm in permutations(order[start:start + w])
+        )
+        for order in ranking_orders(k)
+    )
+
+
+@lru_cache(maxsize=None)
 def window_destinations(k: int, width: int) -> tuple[tuple[int, ...], ...]:
     """Per-rank targets reachable by permuting one width-``width`` window.
 
     Entry ``r`` lists destination ranks (the rank itself excluded), ordered by
     (window start, permutation index), first occurrence kept on duplicates.
     """
-    w = min(width, k)
-    rank_of = ranking_rank_of(k)
-    out = []
-    for order in ranking_orders(k):
-        seen = {rank_of[order]}
-        dests = []
-        for start in range(k - w + 1):
-            head, window, tail = order[:start], order[start:start + w], order[start + w:]
-            for perm in permutations(window):
-                dest = rank_of[head + perm + tail]
-                if dest not in seen:
-                    seen.add(dest)
-                    dests.append(dest)
-        out.append(tuple(dests))
-    return tuple(out)
+    return tuple(
+        tuple(d for d in dict.fromkeys(moves) if d != r)
+        for r, moves in enumerate(window_moves(k, width))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +320,7 @@ def adjacent_swap_neighbors(k: int) -> tuple[tuple[tuple[int, int, int], ...], .
     return tuple(out)
 
 
-def profile_strides(n: int, k: int) -> tuple[int, ...]:
-    """Index increment per unit change of each coordinate's rank."""
-    fact = factorial(k)
-    return tuple(fact ** (n - 1 - i) for i in range(n))
+@lru_cache(maxsize=None)
+def top_h_by_rank(k: int, H: frozenset) -> tuple[int, ...]:
+    """Per ranking rank, the highest-ranked member of H: a top_H dictator's outcomes."""
+    return tuple(next(x for x in order if x in H) for order in ranking_orders(k))

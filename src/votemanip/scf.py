@@ -16,9 +16,11 @@ from .errors import CapExceededError
 from .rankings import (
     Profile,
     Ranking,
+    digits_index,
+    preference_masks,
+    profile_digits,
     profile_space_size,
     ranking_orders,
-    ranking_positions,
     ranking_rank_of,
 )
 
@@ -86,18 +88,14 @@ class TableSCF(SCF):
         size = profile_space_size(n, k)
         if len(outcomes) != size:
             raise ValueError(f"table has {len(outcomes)} entries, expected {size}")
-        bad = [x for x in outcomes if not 0 <= x < k]
+        bad = [x for x in outcomes if type(x) is not int or not 0 <= x < k]
         if bad:
-            raise ValueError(f"table outcome {bad[0]} outside [0, {k})")
+            raise ValueError(f"table outcome {bad[0]!r} is not an alternative in [0, {k})")
         self._table_cache = outcomes
 
     def evaluate_orders(self, orders):
         rank_of = ranking_rank_of(self.k)
-        index = 0
-        fact = factorial(self.k)
-        for o in orders:
-            index = index * fact + rank_of[o]
-        return self._table_cache[index]
+        return self._table_cache[digits_index(self.k, [rank_of[o] for o in orders])]
 
     @staticmethod
     def from_scf(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> "TableSCF":
@@ -315,19 +313,10 @@ def is_anonymous(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
     if f.n == 1:
         return True
     table = f.table(cap)
-    fact = factorial(f.k)
-    n = f.n
-    for i in range(n - 1):
-        for digits in product(range(fact), repeat=n):
-            index = 0
-            for d in digits:
-                index = index * fact + d
-            swapped = list(digits)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            jndex = 0
-            for d in swapped:
-                jndex = jndex * fact + d
-            if table[index] != table[jndex]:
+    for i in range(f.n - 1):
+        for index, digits in enumerate(profile_digits(f.n, f.k)):
+            swapped = digits[:i] + (digits[i + 1], digits[i]) + digits[i + 2:]
+            if table[index] != table[digits_index(f.k, swapped)]:
                 return False
     return True
 
@@ -338,22 +327,14 @@ def is_neutral(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
     Adjacent alternative transpositions generate all relabelings.
     """
     table = f.table(cap)
-    k, n = f.k, f.n
-    fact = factorial(k)
+    k = f.k
     rank_of = ranking_rank_of(k)
-    orders = ranking_orders(k)
     for c in range(k - 1):
         relabel = list(range(k))
         relabel[c], relabel[c + 1] = relabel[c + 1], relabel[c]
-        rank_map = [rank_of[tuple(relabel[x] for x in order)] for order in orders]
-        for digits in product(range(fact), repeat=n):
-            index = 0
-            for d in digits:
-                index = index * fact + d
-            jndex = 0
-            for d in digits:
-                jndex = jndex * fact + rank_map[d]
-            if table[jndex] != relabel[table[index]]:
+        rank_map = [rank_of[tuple(relabel[x] for x in order)] for order in ranking_orders(k)]
+        for index, digits in enumerate(profile_digits(f.n, k)):
+            if table[digits_index(k, [rank_map[d] for d in digits])] != relabel[table[index]]:
                 return False
     return True
 
@@ -386,24 +367,16 @@ def majority_projection(g: SCF, pair: tuple[int, int], cap: int = DEFAULT_TABLE_
     rng = g.range(cap)
     if not rng <= {a, b}:
         raise ValueError(f"range {sorted(rng)} not within pair {pair}")
-    table = g.table(cap)
-    n, k = g.n, g.k
+    n = g.n
     counts_a = [0] * (1 << n)
     counts_b = [0] * (1 << n)
-    pos = ranking_positions(k)
-    index = 0
-    for digits in product(range(factorial(k)), repeat=n):
-        mask = 0
-        for i, d in enumerate(digits):
-            if pos[d][a] < pos[d][b]:
-                mask |= 1 << i
-        if table[index] == a:
+    for mask, out in zip(preference_masks(n, g.k, a, b), g.table(cap)):
+        if out == a:
             counts_a[mask] += 1
-        elif table[index] == b:
+        elif out == b:
             counts_b[mask] += 1
-        index += 1
     boolean = tuple(a if counts_a[m] >= counts_b[m] else b for m in range(1 << n))
-    return PairBooleanSCF(n, k, pair, boolean)
+    return PairBooleanSCF(n, g.k, pair, boolean)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +428,15 @@ def load_scf_table(path, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
         doc = json.load(fh)
     if doc.get("encoding") != SCF_TABLE_ENCODING:
         raise ValueError(f"unsupported table encoding {doc.get('encoding')!r}")
-    n, k = doc["n"], doc["k"]
+    n, k, outcomes = doc.get("n"), doc.get("k"), doc.get("outcomes")
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"table file needs integer n and k, got n={n!r}, k={k!r}")
     size = profile_space_size(n, k)
     if size > cap:
         raise CapExceededError(f"(k!)^n = {size} exceeds load cap {cap}")
-    outcomes = [x - 1 for x in doc["outcomes"]]
-    return TableSCF(n, k, outcomes)
+    if not isinstance(outcomes, list) or any(type(x) is not int for x in outcomes):
+        raise ValueError("table file outcomes must be a list of integers")
+    return TableSCF(n, k, [x - 1 for x in outcomes])
 
 
 def scfs_equal(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:

@@ -49,6 +49,9 @@ from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
 
 RHO_PREFERENCE_PAIRS = Fraction(1, 3)
 
+# Largest cube dimension the reverse hypercontractivity check enumerates.
+MAX_CUBE_BITS = 10
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -192,19 +195,40 @@ def verify_main_theorems(f: SCF, which=MAIN_THEOREMS, cap: int = DEFAULT_TABLE_C
     return reports
 
 
-def _combine_witnesses(qualifying):
-    """First pair of (coordinate, {a,b}) entries with distinct coordinates and
-    a third alternative outside the first pair."""
+def _influence_entry(i: int, pair: tuple[int, int], value: Fraction) -> dict:
+    a, b = pair
+    return {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(value)}
+
+
+def _qualifying_influences(f: SCF, threshold: Fraction, influence, witnesses: dict) -> list:
+    """(i, (a, b), value) for each a < b whose influence(i, a, b) reaches the
+    threshold, recorded with the threshold in ``witnesses``."""
+    qualifying = []
+    for i in range(f.n):
+        for a in range(f.k):
+            for b in range(a + 1, f.k):
+                value = influence(i, a, b)
+                if value >= threshold:
+                    qualifying.append((i, (a, b), value))
+    witnesses["threshold"] = frac_str(threshold)
+    witnesses["qualifying"] = [_influence_entry(*q) for q in qualifying]
+    return qualifying
+
+
+def _two_coordinate_witness(qualifying, witnesses: dict) -> bool:
+    """Record the first two qualifying entries in distinct coordinates whose
+    pairs differ, the second's first alternative outside the first pair."""
     for first in qualifying:
-        i, (a, b), _v1 = first
-        for second in qualifying:
-            j, (c, d), _v2 = second
+        i, (a, b), _value = first
+        for j, (c, d), value in qualifying:
             if j == i or {c, d} == {a, b}:
                 continue
             if c in (a, b):
                 c, d = d, c
-            return first, (j, (c, d), _v2)
-    return None
+            witnesses["witness"] = {"first": _influence_entry(*first),
+                                    "second": _influence_entry(j, (c, d), value)}
+            return True
+    return False
 
 
 def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
@@ -245,26 +269,9 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
 
     if statement == "2.1":
         threshold = bound_value("2.1", params)
-        qualifying = []
-        for i in range(f.n):
-            for a in range(f.k):
-                for b in range(a + 1, f.k):
-                    value = influence_pair(f, i, a, b, cap)
-                    if value >= threshold:
-                        qualifying.append((i, (a, b), value))
-        combo = _combine_witnesses(qualifying)
-        witnesses["threshold"] = frac_str(threshold)
-        witnesses["qualifying"] = [
-            {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(v)}
-            for i, (a, b), v in qualifying
-        ]
-        holds = combo is not None
-        if combo:
-            (i, (a, b), v1), (j, (c, d), v2) = combo
-            witnesses["witness"] = {
-                "first": {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(v1)},
-                "second": {"coordinate": j + 1, "pair": [c + 1, d + 1], "influence": frac_str(v2)},
-            }
+        qualifying = _qualifying_influences(
+            f, threshold, lambda i, a, b: influence_pair(f, i, a, b, cap), witnesses)
+        holds = _two_coordinate_witness(qualifying, witnesses)
         return VerificationReport(
             statement=statement, lhs=None, rhs=threshold, holds=holds,
             comparison="two qualifying influences in distinct coordinates",
@@ -285,31 +292,16 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
         )
 
     threshold = bound_value(inf_id, params)
-    qualifying = []
-    for i in range(f.n):
-        for a in range(f.k):
-            for b in range(a + 1, f.k):
-                value = influence_refined(f, i, a, b, AdjacentTransposition(a, b), cap)
-                if value >= threshold:
-                    qualifying.append((i, (a, b), value))
-    witnesses["threshold"] = frac_str(threshold)
-    witnesses["qualifying"] = [
-        {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(v)}
-        for i, (a, b), v in qualifying
-    ]
+    qualifying = _qualifying_influences(
+        f, threshold,
+        lambda i, a, b: influence_refined(f, i, a, b, AdjacentTransposition(a, b), cap),
+        witnesses)
     if statement == "6.1":
         holds = bool(qualifying)
         comparison = "2-manipulation branch or one qualifying influence"
     else:
-        combo = _combine_witnesses(qualifying)
-        holds = combo is not None
+        holds = _two_coordinate_witness(qualifying, witnesses)
         comparison = "2-manipulation branch or two qualifying influences"
-        if combo:
-            (i, (a, b), v1), (j, (c, d), v2) = combo
-            witnesses["witness"] = {
-                "first": {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(v1)},
-                "second": {"coordinate": j + 1, "pair": [c + 1, d + 1], "influence": frac_str(v2)},
-            }
     return VerificationReport(
         statement=statement, lhs=None, rhs=threshold, holds=holds,
         comparison=comparison, witnesses=witnesses, notes=notes,
@@ -361,7 +353,7 @@ def verify_thm_1_5(f: SCF, alpha: Optional[Fraction] = None,
 
 
 def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2,
-                                      max_bits: int = 10) -> VerificationReport:
+                                      max_bits: int = MAX_CUBE_BITS) -> VerificationReport:
     """Exact check that correlated cubes overlap: P(x in B1, y in B2) >= eps^(2/(1-rho)).
 
     Coordinates are independent with uniform +-1 marginals and correlation

@@ -6,7 +6,7 @@ solver, so a disagreement points at a real defect rather than a shared bug.
 """
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def all_profiles(n, k):
@@ -147,3 +147,163 @@ def pair_probability(evaluate, n, k, width):
                     if pos[new] < pos[out]:
                         successes += 1
     return Fraction(successes, total)
+
+
+def transition_counts(evaluate, n, k, i):
+    """counts[(x, y)]: (profile, replacement of coordinate i) pairs moving x to y."""
+    perms = list(permutations(range(k)))
+    counts = {}
+    for prof in all_profiles(n, k):
+        x = evaluate(prof)
+        for replacement in perms:
+            y = evaluate(prof[:i] + (replacement,) + prof[i + 1:])
+            counts[(x, y)] = counts.get((x, y), 0) + 1
+    return counts
+
+
+def refined_edge_counts(evaluate, n, k, i):
+    """counts[(x, y, (c, d))]: profiles with outcome x whose swap of the adjacent
+    alternatives c < d in coordinate i yields outcome y."""
+    counts = {}
+    for prof in all_profiles(n, k):
+        x = evaluate(prof)
+        order = prof[i]
+        for p in range(k - 1):
+            swapped = order[:p] + (order[p + 1], order[p]) + order[p + 2:]
+            y = evaluate(prof[:i] + (swapped,) + prof[i + 1:])
+            key = (x, y, (min(order[p], order[p + 1]), max(order[p], order[p + 1])))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def first_manipulable_profile(evaluate, n, k):
+    """The first profile in lexicographic order some voter can manipulate."""
+    perms = list(permutations(range(k)))
+    for prof in all_profiles(n, k):
+        out = evaluate(prof)
+        for i in range(n):
+            pos = {a: p for p, a in enumerate(prof[i])}
+            for cand in perms:
+                if pos[evaluate(prof[:i] + (cand,) + prof[i + 1:])] < pos[out]:
+                    return prof
+    return None
+
+
+def top_of(order, H):
+    return next(x for x in order if x in H)
+
+
+def pair_mask(prof, a, b):
+    """Bit c set when voter c ranks a above b."""
+    return sum(1 << c for c, order in enumerate(prof) if order.index(a) < order.index(b))
+
+
+def is_nonmanipulable_member(evaluate, n, k):
+    """Whether f is a top_H dictator or a monotone two-valued function."""
+    profs = all_profiles(n, k)
+    outs = [evaluate(p) for p in profs]
+    for i in range(n):
+        for size in range(1, k + 1):
+            for H in combinations(range(k), size):
+                if all(top_of(p[i], H) == o for p, o in zip(profs, outs)):
+                    return True
+    image = sorted(set(outs))
+    if len(image) != 2:
+        return False
+    a, b = image
+    by_mask = {}
+    for p, o in zip(profs, outs):
+        if by_mask.setdefault(pair_mask(p, a, b), o) != o:
+            return False
+    return any(
+        tuple(a if bit else b for bit in table) == tuple(by_mask[z] for z in range(1 << n))
+        for table in monotone_family(n)
+    )
+
+
+def distance_to_nonmanip_fraction(evaluate, n, k):
+    """Minimum disagreement over every top_H dictator and monotone two-valued function."""
+    profs = all_profiles(n, k)
+    outs = [evaluate(p) for p in profs]
+    best = len(profs)
+    for i in range(n):
+        for size in range(1, k + 1):
+            for H in combinations(range(k), size):
+                best = min(best, sum(1 for p, o in zip(profs, outs) if top_of(p[i], H) != o))
+    for a, b in combinations(range(k), 2):
+        masks = [pair_mask(p, a, b) for p in profs]
+        for table in monotone_family(n):
+            best = min(best, sum(
+                1 for z, o in zip(masks, outs) if (a if table[z] else b) != o
+            ))
+    return Fraction(best, len(profs))
+
+
+def distance_to_nonmanip_bar_fraction(evaluate, n, k):
+    """Minimum disagreement over one-coordinate functions and functions of at most two values."""
+    profs = all_profiles(n, k)
+    outs = [evaluate(p) for p in profs]
+    best_agree = 0
+    for i in range(n):
+        groups = {}
+        for p, o in zip(profs, outs):
+            groups.setdefault(p[i], []).append(o)
+        best_agree = max(best_agree, sum(
+            max(g.count(x) for x in range(k)) for g in groups.values()
+        ))
+    for H in combinations(range(k), min(2, k)):
+        best_agree = max(best_agree, sum(1 for o in outs if o in H))
+    return Fraction(len(profs) - best_agree, len(profs))
+
+
+def dictator_fiber_rests(evaluate, n, k, i, H):
+    """Rest-profiles freezing which makes coordinate i a top_H rule."""
+    perms = list(permutations(range(k)))
+    return {
+        rest for rest in product(perms, repeat=n - 1)
+        if all(evaluate(rest[:i] + (r,) + rest[i:]) == top_of(r, H) for r in perms)
+    }
+
+
+def local_dictator_profiles(evaluate, n, k, i, a, b):
+    """Profiles where {a, b, c} is an adjacent block in coordinate i for some third c
+    and every rearrangement of the block elects its top."""
+    found = set()
+    for prof in all_profiles(n, k):
+        order = prof[i]
+        for c in range(k):
+            if c in (a, b):
+                continue
+            spots = sorted(order.index(x) for x in (a, b, c))
+            if spots[2] - spots[0] != 2:
+                continue
+            lo = spots[0]
+            if all(
+                evaluate(prof[:i] + (order[:lo] + block + order[lo + 3:],) + prof[i + 1:])
+                == block[0]
+                for block in permutations((a, b, c))
+            ):
+                found.add(prof)
+                break
+    return found
+
+
+def boundary_pairs(evaluate, n, k, i, a, refined):
+    """(profile, neighbour) pairs leaving outcome a through coordinate i, in
+    lexicographic profile order; a profile's neighbours in replacement order
+    (coarse) or swap-position order (refined)."""
+    perms = list(permutations(range(k)))
+    pairs = []
+    for prof in all_profiles(n, k):
+        if evaluate(prof) != a:
+            continue
+        order = prof[i]
+        if refined:
+            moves = [order[:p] + (order[p + 1], order[p]) + order[p + 2:] for p in range(k - 1)]
+        else:
+            moves = [r for r in perms if r != order]
+        for r in moves:
+            other = prof[:i] + (r,) + prof[i + 1:]
+            if evaluate(other) != a:
+                pairs.append((prof, other))
+    return pairs

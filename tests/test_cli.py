@@ -166,6 +166,16 @@ def test_isoperimetry_and_hypercontractivity():
     assert code == 0 and doc["result"]["holds"]
 
 
+def test_hypercontractivity_rejects_64_bits_before_allocating():
+    code, _ = run_cli(["hypercontractivity", "--bits", "64", "--pairs", "1"])
+    assert code == 2
+
+
+def test_hypercontractivity_rejects_0_bits():
+    code, _ = run_cli(["hypercontractivity", "--bits", "0", "--pairs", "1"])
+    assert code == 2
+
+
 def test_table_file_source(tmp_path):
     path = tmp_path / "plur.json"
     dump_scf_table(Plurality(2, 3), path)

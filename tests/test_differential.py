@@ -1,0 +1,141 @@
+"""Differential tests: the package against the order-tuple oracles in ``oracles``.
+
+Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
+a wrong stride for a first, middle or last voter shows up as a mismatch.
+"""
+import random
+from itertools import combinations, permutations
+
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from votemanip.fibers import dictator_fiber_set, local_dictator_sets
+from votemanip.graphs import BoundarySpec, GraphKind, boundary, boundary_count
+from votemanip.manip import census, gs_classify, nonmanip_membership
+from votemanip.metrics import (
+    distance_to_nonmanip,
+    distance_to_nonmanip_bar,
+    influence_pair,
+    influence_target,
+    influence_total,
+)
+from votemanip.rankings import AdjacentTransposition
+from votemanip.scf import (
+    Borda,
+    Plurality,
+    TableSCF,
+    TopHDictator,
+    random_monotone_two_valued,
+)
+
+SHAPES = [(1, 3), (2, 3), (3, 3), (2, 4)]
+KINDS = ["random", "plurality", "borda", "top", "monotone"]
+
+
+@st.composite
+def subjects(draw):
+    """(package SCF, order-tuple evaluator) pairs over the supported shapes."""
+    n, k = draw(st.sampled_from(SHAPES))
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "random":
+        rng = random.Random(draw(st.integers(0, 10 ** 6)))
+        outcomes = [rng.randrange(k) for _ in oracles.all_profiles(n, k)]
+        lookup = dict(zip(oracles.all_profiles(n, k), outcomes))
+        return TableSCF(n, k, outcomes), lookup.__getitem__
+    if kind == "plurality":
+        return Plurality(n, k), oracles.plurality_tuple
+    if kind == "borda":
+        return Borda(n, k), oracles.borda_tuple
+    if kind == "top":
+        i = draw(st.integers(0, n - 1))
+        H = draw(st.sets(st.integers(0, k - 1), min_size=1))
+        return TopHDictator(n, k, i, H), lambda prof: oracles.top_of(prof[i], H)
+    f = random_monotone_two_valued(n, k, draw(st.integers(0, 10 ** 6)))
+    a, b = f.pair
+    return f, lambda prof: f.bool_table[oracles.pair_mask(prof, a, b)]
+
+
+def _orders(profiles):
+    return {tuple(r.order for r in prof) for prof in profiles}
+
+
+@settings(max_examples=25, deadline=None)
+@given(subjects())
+def test_census_and_classification_match_oracle(subject):
+    f, evaluate = subject
+    rs = sorted({2, 3, 4, f.k})
+    total, counts = oracles.census_counts(evaluate, f.n, f.k, rs)
+    cen = census(f, rs)
+    assert cen.total_profiles == total
+    assert {r: cen.count(r) for r in rs} == counts
+    verdict = gs_classify(f)
+    first = oracles.first_manipulable_profile(evaluate, f.n, f.k)
+    assert verdict.manipulable == (first is not None) == (counts[f.k] > 0)
+    if first is not None:
+        assert tuple(r.order for r in verdict.witness_pair.profile) == first
+    member = nonmanip_membership(f)
+    assert (member is not None) == oracles.is_nonmanipulable_member(evaluate, f.n, f.k)
+    if member is not None:
+        assert member.table() == f.table()
+
+
+@settings(max_examples=25, deadline=None)
+@given(subjects())
+def test_distances_match_oracle(subject):
+    f, evaluate = subject
+    assert distance_to_nonmanip(f).value == oracles.distance_to_nonmanip_fraction(
+        evaluate, f.n, f.k)
+    assert distance_to_nonmanip_bar(f).value == oracles.distance_to_nonmanip_bar_fraction(
+        evaluate, f.n, f.k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(subjects())
+def test_influences_and_boundaries_match_oracle(subject):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    size = len(oracles.all_profiles(n, k))
+    fact = len(list(permutations(range(k))))
+    for i in range(n):
+        moves = oracles.transition_counts(evaluate, n, k, i)
+        edges = oracles.refined_edge_counts(evaluate, n, k, i)
+
+        changed = sum(c for (x, y), c in moves.items() if x != y)
+        assert influence_total(f, i) * size * fact == changed
+        for a in range(k):
+            leaving = sum(c for (x, y), c in moves.items() if x == a and y != a)
+            assert influence_target(f, i, a) * size * fact == leaving
+            assert boundary_count(f, BoundarySpec(i=i, a=a)) == leaving
+            refined_leaving = sum(c for (x, y, _z), c in edges.items() if x == a and y != a)
+            assert boundary_count(
+                f, BoundarySpec(i=i, a=a, kind=GraphKind.REFINED)) == refined_leaving
+            for b in range(k):
+                if b == a:
+                    continue
+                assert influence_pair(f, i, a, b) * size * fact == moves.get((a, b), 0)
+                assert boundary_count(f, BoundarySpec(i=i, a=a, b=b)) == moves.get((a, b), 0)
+                for z in combinations(range(k), 2):
+                    spec = BoundarySpec(i=i, a=a, b=b, z=AdjacentTransposition(*z),
+                                        kind=GraphKind.REFINED)
+                    assert boundary_count(f, spec) == edges.get((a, b, z), 0)
+            for kind in GraphKind:
+                listed = [
+                    tuple(tuple(r.order for r in prof) for prof in pair)
+                    for pair in boundary(f, BoundarySpec(i=i, a=a, kind=kind))
+                ]
+                assert listed == oracles.boundary_pairs(
+                    evaluate, n, k, i, a, kind is GraphKind.REFINED)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subjects(), st.data())
+def test_fiber_sets_match_oracle(subject, data):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    H = frozenset(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    a, b = data.draw(st.sampled_from(list(permutations(range(k), 2))))
+    for i in range(n):
+        assert _orders(dictator_fiber_set(f, i, H)) == oracles.dictator_fiber_rests(
+            evaluate, n, k, i, H)
+        assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
+            evaluate, n, k, i, a, b)

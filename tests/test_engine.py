@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 
 from votemanip import engine
@@ -29,3 +32,37 @@ def test_effective_tasks_env_override(monkeypatch):
 def test_stream_seed_disjoint():
     seeds = {engine.derive_stream_seed(s, t) for s in range(3) for t in range(100)}
     assert len(seeds) == 300
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_map_chunks_caps_workers(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _InlineExecutor.started = []
+    chunks = [(x,) for x in range(5)]
+    assert engine.map_chunks(abs, chunks, tasks=64) == list(range(5))
+    assert engine.map_chunks(abs, chunks[:1], tasks=64) == [0]
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert engine.map_chunks(abs, chunks[:3], tasks=64) == [0, 1, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert engine.map_chunks(abs, chunks, tasks=8) == list(range(5))
+    assert _InlineExecutor.started == [2, 3]

@@ -174,6 +174,11 @@ def test_sampler_rejects_narrow_rankings():
         sample_manipulation(Plurality(2, 3), seed=0, width=4)
 
 
+def test_sample_success_rejects_width_one():
+    with pytest.raises(ValueError):
+        sample_success(Plurality(2, 3), 100, seed=0, width=1)
+
+
 def test_exact_pair_probability_pinned_and_oracle():
     f = Plurality(3, 4)
     value = exact_pair_probability(f, width=4)

@@ -9,12 +9,20 @@ from votemanip.rankings import (
     Ranking,
     all_adjacent_transpositions,
     apply_adjacent_transposition,
+    coordinate_lines,
     decode_profile,
     decode_ranking,
+    digits_index,
     encode_profile,
     encode_ranking,
+    index_digits,
+    preference_masks,
+    profile_digits,
+    profile_space_size,
+    top_h_by_rank,
     top_restricted,
     window_destinations,
+    window_moves,
     window_permutations,
 )
 
@@ -146,3 +154,44 @@ def test_window_destinations_cover_window_permutations():
 def test_ranking_validation():
     with pytest.raises(ValueError):
         Ranking((0, 0, 2))
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (3, 3), (2, 4)])
+def test_layout_helpers_agree_with_profile_decoding(n, k):
+    size = profile_space_size(n, k)
+    profiles = [decode_profile(n, k, p) for p in range(size)]
+    ranks = [tuple(encode_ranking(r) for r in prof) for prof in profiles]
+    assert list(profile_digits(n, k)) == ranks
+    assert list(profile_digits(n, k, 5, 9)) == ranks[5:9]
+    assert [index_digits(n, k, p) for p in range(size)] == ranks
+    assert [digits_index(k, d) for d in ranks] == list(range(size))
+    table = list(range(size))  # each entry is its own index
+    for i in range(n):
+        lines = list(coordinate_lines(table, n, k, i))
+        assert len(lines) == size // factorial(k)
+        rests = [d[:i] + d[i + 1:] for d in ranks]
+        for line_no, (base, line) in enumerate(lines):
+            assert base == line[0]
+            assert [ranks[p][i] for p in line] == list(range(factorial(k)))
+            assert {rests[p] for p in line} == {rests[base]}
+            assert digits_index(k, rests[base]) == line_no
+        assert list(coordinate_lines(table, n, k, i, 1, 3)) == lines[1:3]
+    for a, b in permutations(range(k), 2):
+        assert preference_masks(n, k, a, b) == [
+            sum(1 << c for c, r in enumerate(prof) if r.prefers(a, b)) for prof in profiles
+        ]
+
+
+def test_top_h_by_rank_and_window_moves():
+    for k in (3, 4):
+        for H in ({0}, {1, 2}, set(range(k))):
+            assert top_h_by_rank(k, frozenset(H)) == tuple(
+                top_restricted(decode_ranking(k, r), H) for r in range(factorial(k))
+            )
+        for width in (2, 3):
+            for rank, moves in enumerate(window_moves(k, width)):
+                r = decode_ranking(k, rank)
+                assert [decode_ranking(k, d) for d in moves] == [
+                    w for start in range(k - width + 1)
+                    for w in window_permutations(r, start, width)
+                ]

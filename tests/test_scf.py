@@ -211,3 +211,25 @@ def test_monotone_two_valued_is_monotone(seed):
             bit = 1 << i
             if not mask & bit and table[mask] == a:
                 assert table[mask | bit] == a
+
+
+def _write_table(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_load_table_rejects_string_n(tmp_path):
+    doc = {"n": "2", "k": 3, "encoding": "lehmer-mixed-radix", "outcomes": [1] * 36}
+    with pytest.raises(ValueError):
+        load_scf_table(_write_table(tmp_path / "t.json", doc))
+
+
+def test_load_table_rejects_missing_n(tmp_path):
+    doc = {"k": 3, "encoding": "lehmer-mixed-radix", "outcomes": [1] * 36}
+    with pytest.raises(ValueError):
+        load_scf_table(_write_table(tmp_path / "t.json", doc))
+
+
+def test_table_scf_rejects_bool_outcomes():
+    with pytest.raises(ValueError):
+        TableSCF(1, 3, [True] * 6)
