@@ -14,14 +14,15 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 from . import engine, fibers, graphs, manip, metrics, scf, verify
 from .errors import CapExceededError
 from .metrics import frac_str, parse_frac
-from .rankings import AdjacentTransposition
 
 SCHEMA_VERSION = 1
 
@@ -157,33 +158,37 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_influences(args) -> int:
+    """One transition-count pass per coordinate, plus one refined-edge pass with --refined."""
     f = _build_scf(args)
+    k = f.k
+    size = len(f.table(args.cap))
+    coarse = size * factorial(k)
     table = {}
     for i in range(f.n):
+        moves = metrics.transition_counts(f, i, args.cap)
+        leaving = metrics.leaving_counts(moves)
         row = {
-            "total": frac_str(metrics.influence_total(f, i, args.cap)),
-            "target": {
-                str(a + 1): frac_str(metrics.influence_target(f, i, a, args.cap))
-                for a in range(f.k)
+            "total": frac_str(Fraction(sum(leaving), coarse)),
+            "target": {str(a + 1): frac_str(Fraction(leaving[a], coarse)) for a in range(k)},
+            "pairs": {
+                f"{a + 1}-{b + 1}": frac_str(Fraction(moves[a][b], coarse))
+                for a in range(k) for b in range(k) if a != b
             },
-            "pairs": {},
         }
-        for a in range(f.k):
-            for b in range(f.k):
-                if a != b:
-                    row["pairs"][f"{a + 1}-{b + 1}"] = frac_str(
-                        metrics.influence_pair(f, i, a, b, args.cap)
-                    )
         if args.refined:
-            row["refined_same_pair"] = {}
-            row["refined_all_transpositions"] = {}
-            for a in range(f.k):
-                for b in range(a + 1, f.k):
-                    key = f"{a + 1}-{b + 1}"
-                    row["refined_same_pair"][key] = frac_str(metrics.influence_refined(
-                        f, i, a, b, AdjacentTransposition(a, b), args.cap))
-                    row["refined_all_transpositions"][key] = frac_str(
-                        metrics.influence_refined_total(f, i, a, b, args.cap))
+            edges = graphs.refined_edge_counts(f, i, args.cap)
+            totals = Counter()
+            for (a, b, _z), count in edges.items():
+                totals[a, b] += count
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            row["refined_same_pair"] = {
+                f"{a + 1}-{b + 1}": frac_str(Fraction(edges.get((a, b, (a, b)), 0), 2 * size))
+                for a, b in pairs
+            }
+            row["refined_all_transpositions"] = {
+                f"{a + 1}-{b + 1}": frac_str(Fraction(totals[a, b], 2 * size))
+                for a, b in pairs
+            }
         table[str(i + 1)] = row
     _emit(args, _config_from(args, "influences"), {"coordinates": table})
     return 0

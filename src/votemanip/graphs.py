@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -168,6 +169,27 @@ def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
     return sum(engine.map_chunks(_boundary_chunk_count, chunks, tasks))
 
 
+def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
+    """Refined-graph edges of coordinate i that change the outcome, in one pass.
+
+    Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
+    swapping the adjacent alternatives c and d in voter i's ranking gives
+    outcome b != a. Equal lines are counted once, weighted by their number.
+    """
+    if not 0 <= i < f.n:
+        raise ValueError("coordinate out of range")
+    swaps = adjacent_swap_neighbors(f.k)
+    lines = Counter(tuple(line) for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i))
+    counts: dict = defaultdict(int)
+    for line, weight in lines.items():
+        for moves, a in zip(swaps, line):
+            for dest, c, d in moves:
+                b = line[dest]
+                if b != a:
+                    counts[a, b, (c, d)] += weight
+    return dict(counts)
+
+
 def boundary_fraction(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
                       tasks: int = 1) -> Fraction:
     """Boundary mass normalized as the matching influence value."""
@@ -244,6 +266,12 @@ def vertex_boundary(A, sizes: tuple[int, ...]) -> set:
     }
 
 
+# Largest K_k^n a lexicographic sweep builds: it holds a k^n-bit neighbour
+# mask per vertex, and its time grows with the cube of k^n (4,096 vertices
+# took about 30 s, 1,024 under a second).
+MAX_LEX_VERTICES = 1024
+
+
 @dataclass
 class LindseyReport:
     """Outcome of an edge-isoperimetry sweep on K_k^n."""
@@ -283,8 +311,22 @@ def verify_lindsey(k_complete: int, n_copies: int, exhaustive: bool = True,
 
     The inequality is required for |A| <= (1 - 1/k) k^n. Exhaustive mode runs
     every subset (feasible only for tiny graphs); otherwise only lexicographic
-    initial segments, which are extremal for this problem, are checked.
+    initial segments, which are extremal for this problem, are checked. The
+    vertex count is checked against the mode's cap before anything is built.
     """
+    if k_complete < 2:
+        raise ValueError(f"K_k needs k >= 2, got k={k_complete}")
+    if n_copies < 1:
+        raise ValueError(f"need at least one copy of K_k, got {n_copies}")
+    vertex_cap = max_exhaustive_vertices if exhaustive else MAX_LEX_VERTICES
+    # k >= 2 gives k^n >= 2^n, which passes the cap once n reaches its bit
+    # length, so an oversized n is refused without forming k^n.
+    if n_copies >= vertex_cap.bit_length() or k_complete ** n_copies > vertex_cap:
+        sets = ("exhaustive subsets; use exhaustive=False" if exhaustive
+                else "lexicographic segments")
+        raise CapExceededError(
+            f"K_{k_complete}^{n_copies} has more than {vertex_cap} vertices, the cap for {sets}"
+        )
     sizes = (k_complete,) * n_copies
     m = k_complete ** n_copies
     limit = m - k_complete ** (n_copies - 1)
@@ -324,10 +366,6 @@ def verify_lindsey(k_complete: int, n_copies: int, exhaustive: bool = True,
             min_set = tuple(vertices[i] for i in range(m) if mask >> i & 1)
 
     if exhaustive:
-        if m > max_exhaustive_vertices:
-            raise CapExceededError(
-                f"{m} vertices too many for exhaustive subsets; use exhaustive=False"
-            )
         for mask in range(1 << m):
             consider(mask)
         mode = "exhaustive"

@@ -6,14 +6,14 @@ resolution, so no floating point is allowed anywhere in this module.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .graphs import BoundarySpec, GraphKind, boundary_count
+from .graphs import refined_edge_counts
 from .rankings import (
     AdjacentTransposition,
     coordinate_lines,
@@ -53,50 +53,72 @@ def distance(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
 # Influences.
 
 
-def _line_counts(table, n: int, k: int, i: int) -> list[list[int]]:
-    """Outcome counts of each line of coordinate i (the other voters fixed)."""
-    return [[line.count(a) for a in range(k)]
-            for _base, line in coordinate_lines(table, n, k, i)]
+def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list[int]]:
+    """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
+    moves the outcome from a to b, in one pass over the lines of coordinate i.
+
+    A line with outcome counts ``row`` holds ``row[a] * row[b]`` such pairs;
+    lines with equal counts are summed once, weighted by their number.
+    """
+    if not 0 <= i < f.n:
+        raise ValueError("coordinate out of range")
+    k = f.k
+    rows = Counter(tuple(map(line.count, range(k)))
+                   for _base, line in coordinate_lines(f.table(cap), f.n, k, i))
+    moves = [[0] * k for _ in range(k)]
+    for row, weight in rows.items():
+        for a, x in enumerate(row):
+            if x:
+                out = moves[a]
+                for b, y in enumerate(row):
+                    out[b] += weight * x * y
+    return moves
+
+
+def leaving_counts(moves: list[list[int]]) -> list[int]:
+    """Per outcome a, the :func:`transition_counts` pairs that move away from a."""
+    return [sum(row) - row[a] for a, row in enumerate(moves)]
+
+
+def _per_pair(f: SCF, count: int, cap: int) -> Fraction:
+    """A count of (profile, ranking) pairs as a probability."""
+    return Fraction(count, len(f.table(cap)) * factorial(f.k))
 
 
 def influence_total(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability that rerandomizing coordinate i changes the outcome."""
-    fact = factorial(f.k)
-    hist = _line_counts(f.table(cap), f.n, f.k, i)
-    num = sum(fact * fact - sum(h * h for h in row) for row in hist)
-    return Fraction(num, len(f.table(cap)) * fact)
+    return _per_pair(f, sum(leaving_counts(transition_counts(f, i, cap))), cap)
 
 
 def influence_target(f: SCF, i: int, a: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability the outcome is a and leaves a when coordinate i rerandomizes."""
-    fact = factorial(f.k)
-    hist = _line_counts(f.table(cap), f.n, f.k, i)
-    num = sum(row[a] * (fact - row[a]) for row in hist)
-    return Fraction(num, len(f.table(cap)) * fact)
+    return _per_pair(f, leaving_counts(transition_counts(f, i, cap))[a], cap)
 
 
 def influence_pair(f: SCF, i: int, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability the outcome moves from a to b under rerandomizing coordinate i."""
     if a == b:
         raise ValueError("need two distinct alternatives")
-    fact = factorial(f.k)
-    hist = _line_counts(f.table(cap), f.n, f.k, i)
-    num = sum(row[a] * row[b] for row in hist)
-    return Fraction(num, len(f.table(cap)) * fact)
+    return _per_pair(f, transition_counts(f, i, cap)[a][b], cap)
 
 
 def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition,
                       cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Half the mass of profiles where applying z in coordinate i moves a to b."""
-    spec = BoundarySpec(i=i, a=a, b=b, z=z, kind=GraphKind.REFINED)
-    return Fraction(boundary_count(f, spec, cap), 2 * len(f.table(cap)))
+    if a == b:
+        raise ValueError("need two distinct alternatives")
+    key = (a, b, (min(z.a, z.b), max(z.a, z.b)))
+    return Fraction(refined_edge_counts(f, i, cap).get(key, 0), 2 * len(f.table(cap)))
 
 
 def influence_refined_total(f: SCF, i: int, a: int, b: int,
                             cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Sum of the refined influence over all adjacent transpositions."""
-    spec = BoundarySpec(i=i, a=a, b=b, kind=GraphKind.REFINED)
-    return Fraction(boundary_count(f, spec, cap), 2 * len(f.table(cap)))
+    if a == b:
+        raise ValueError("need two distinct alternatives")
+    edges = refined_edge_counts(f, i, cap)
+    return Fraction(sum(c for (x, y, _z), c in edges.items() if (x, y) == (a, b)),
+                    2 * len(f.table(cap)))
 
 
 def influence(f: SCF, i: int, selector: str = "total", a: Optional[int] = None,

@@ -21,6 +21,7 @@ from .rankings import (
     profile_digits,
     profile_space_size,
     ranking_orders,
+    ranking_positions,
     ranking_rank_of,
 )
 
@@ -63,12 +64,13 @@ class SCF:
                 raise CapExceededError(
                     f"(k!)^n = {size} exceeds table cap {cap} for n={self.n}, k={self.k}"
                 )
-            evaluate = self.evaluate_orders
-            self._table_cache = [
-                evaluate(orders)
-                for orders in product(ranking_orders(self.k), repeat=self.n)
-            ]
+            self._table_cache = self._build_table()
         return self._table_cache
+
+    def _build_table(self) -> list[int]:
+        """Every profile's outcome in index order; rules with a faster build override this."""
+        evaluate = self.evaluate_orders
+        return [evaluate(orders) for orders in product(ranking_orders(self.k), repeat=self.n)]
 
     def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
         """Exact image over all profiles."""
@@ -124,6 +126,45 @@ class Constant(SCF):
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
 
 
+def score_table(n: int, k: int, rank_scores) -> list[int]:
+    """Table of the score rule giving ``rank_scores[r][a]`` points to alternative a
+    from each voter whose ranking has rank r; ties go to the lowest id.
+
+    Each rank's score vector is packed into one int, alternative a's score as
+    digit a in base ``n * top + 1`` (``top`` the largest score). A digit of a
+    sum of n packed vectors is at most ``n * top`` and never carries, so the
+    sum is the packed score vector of the profile. The first n - 1 voters'
+    sums are listed in profile-index order; the last voter's row of outcomes
+    is built once per distinct sum from a winner per distinct total.
+    """
+    top = max(max(scores) for scores in rank_scores)
+    base = n * top + 1
+    # Headroom: with every score in [0, top], a digit of a sum of n packed
+    # vectors is at most n * top < base, so no digit carries into the next.
+    assert all(type(x) is int and 0 <= x <= top for scores in rank_scores for x in scores), \
+        "a score outside [0, top] would carry between digits"
+    packed = [sum(x * base ** a for a, x in enumerate(scores)) for scores in rank_scores]
+    prefixes = [0]
+    for _ in range(n - 1):
+        prefixes = [s + v for s in prefixes for v in packed]
+    distinct = dict.fromkeys(prefixes)
+    winner = {t: _top_scorer(t, base, k) for t in {s + v for s in distinct for v in packed}}
+    rows = {s: [winner[s + v] for v in packed] for s in distinct}
+    table: list[int] = []
+    for s in prefixes:
+        table.extend(rows[s])
+    return table
+
+
+def _top_scorer(total: int, base: int, k: int) -> int:
+    """Winner of a packed score vector, with the ``(score, -id)`` key of ``evaluate_orders``."""
+    scores = []
+    for _ in range(k):
+        total, x = divmod(total, base)
+        scores.append(x)
+    return max(range(k), key=lambda a: (scores[a], -a))
+
+
 class Plurality(SCF):
     """Most first places wins; ties go to the lowest alternative id."""
 
@@ -132,6 +173,10 @@ class Plurality(SCF):
         for o in orders:
             counts[o[0]] += 1
         return max(range(self.k), key=lambda a: (counts[a], -a))
+
+    def _build_table(self) -> list[int]:
+        return score_table(self.n, self.k,
+                           [[int(p == 0) for p in pos] for pos in ranking_positions(self.k)])
 
 
 class Borda(SCF):
@@ -144,6 +189,10 @@ class Borda(SCF):
             for points, alt in enumerate(reversed(o)):
                 scores[alt] += points
         return max(range(k), key=lambda a: (scores[a], -a))
+
+    def _build_table(self) -> list[int]:
+        k = self.k
+        return score_table(self.n, k, [[k - 1 - p for p in pos] for pos in ranking_positions(k)])
 
 
 class TopHDictator(SCF):

@@ -166,6 +166,47 @@ def test_isoperimetry_and_hypercontractivity():
     assert code == 0 and doc["result"]["holds"]
 
 
+def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
+    # One transition-count pass and one refined-edge pass per coordinate.
+    from votemanip import graphs, metrics
+
+    calls = []
+    for module in (metrics, graphs):
+        def counting(*args, _lines=module.coordinate_lines, **kwargs):
+            calls.append(args[3])
+            return _lines(*args, **kwargs)
+
+        monkeypatch.setattr(module, "coordinate_lines", counting)
+    code, _ = run_cli(["influences", "--refined", "--rule", "borda", "-n", "3", "-k", "3"])
+    assert code == 0
+    assert set(calls) == {0, 1, 2} and len(calls) <= 2 * 3
+
+
+def test_isoperimetry_rejects_zero_copies():
+    code, out = run_cli(["isoperimetry", "-k", "3", "--copies", "0"])
+    assert code == 1 and out == ""
+
+
+def test_isoperimetry_rejects_k_below_2():
+    code, out = run_cli(["isoperimetry", "-k", "0", "--copies", "2"])
+    assert code == 1 and out == ""
+
+
+def test_isoperimetry_lex_only_rejects_zero_copies():
+    code, out = run_cli(["isoperimetry", "-k", "3", "--copies", "0", "--lex-only"])
+    assert code == 1 and out == ""
+
+
+def test_isoperimetry_lex_only_cap_before_allocating(monkeypatch):
+    def refuse(sizes):
+        raise AssertionError(f"built the vertices of {sizes}")
+
+    monkeypatch.setattr(cli.graphs, "product_vertices", refuse)
+    for k, copies in (("4", "6"), ("2", "11")):  # 4,096 and 2,048 vertices
+        code, out = run_cli(["isoperimetry", "-k", k, "--copies", copies, "--lex-only"])
+        assert code == 2 and out == ""
+
+
 def test_hypercontractivity_rejects_64_bits_before_allocating():
     code, _ = run_cli(["hypercontractivity", "--bits", "64", "--pairs", "1"])
     assert code == 2

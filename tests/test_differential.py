@@ -3,14 +3,26 @@
 Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
 a wrong stride for a first, middle or last voter shows up as a mismatch.
 """
+import io
+import json
 import random
+from contextlib import redirect_stdout
+from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from votemanip import cli
 from votemanip.fibers import dictator_fiber_set, local_dictator_sets
-from votemanip.graphs import BoundarySpec, GraphKind, boundary, boundary_count
+from votemanip.graphs import (
+    BoundarySpec,
+    GraphKind,
+    boundary,
+    boundary_count,
+    refined_edge_counts,
+)
 from votemanip.manip import census, gs_classify, nonmanip_membership
 from votemanip.metrics import (
     distance_to_nonmanip,
@@ -18,6 +30,7 @@ from votemanip.metrics import (
     influence_pair,
     influence_target,
     influence_total,
+    transition_counts,
 )
 from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
@@ -26,6 +39,7 @@ from votemanip.scf import (
     TableSCF,
     TopHDictator,
     random_monotone_two_valued,
+    random_table_scf,
 )
 
 SHAPES = [(1, 3), (2, 3), (3, 3), (2, 4)]
@@ -99,6 +113,10 @@ def test_influences_and_boundaries_match_oracle(subject):
     for i in range(n):
         moves = oracles.transition_counts(evaluate, n, k, i)
         edges = oracles.refined_edge_counts(evaluate, n, k, i)
+        assert transition_counts(f, i) == [
+            [moves.get((a, b), 0) for b in range(k)] for a in range(k)]
+        assert refined_edge_counts(f, i) == {
+            key: c for key, c in edges.items() if key[0] != key[1]}
 
         changed = sum(c for (x, y), c in moves.items() if x != y)
         assert influence_total(f, i) * size * fact == changed
@@ -125,6 +143,57 @@ def test_influences_and_boundaries_match_oracle(subject):
                 ]
                 assert listed == oracles.boundary_pairs(
                     evaluate, n, k, i, a, kind is GraphKind.REFINED)
+
+
+def _oracle_influences_report(evaluate, n, k, refined):
+    """The ``influences`` report's coordinate rows, assembled from the oracle counts."""
+    size = len(oracles.all_profiles(n, k))
+    per_pair = size * len(list(permutations(range(k))))
+
+    def frac(count, denominator):
+        x = Fraction(count, denominator)
+        return f"{x.numerator}/{x.denominator}"
+
+    report = {}
+    for i in range(n):
+        moves = oracles.transition_counts(evaluate, n, k, i)
+        leaving = [sum(c for (x, y), c in moves.items() if x == a != y) for a in range(k)]
+        row = {
+            "total": frac(sum(leaving), per_pair),
+            "target": {str(a + 1): frac(leaving[a], per_pair) for a in range(k)},
+            "pairs": {f"{a + 1}-{b + 1}": frac(moves.get((a, b), 0), per_pair)
+                      for a, b in permutations(range(k), 2)},
+        }
+        if refined:
+            edges = oracles.refined_edge_counts(evaluate, n, k, i)
+            row["refined_same_pair"] = {
+                f"{a + 1}-{b + 1}": frac(edges.get((a, b, (a, b)), 0), 2 * size)
+                for a, b in combinations(range(k), 2)}
+            row["refined_all_transpositions"] = {
+                f"{a + 1}-{b + 1}": frac(sum(c for (x, y, _z), c in edges.items()
+                                             if (x, y) == (a, b)), 2 * size)
+                for a, b in combinations(range(k), 2)}
+        report[str(i + 1)] = row
+    return report
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 4)])
+@pytest.mark.parametrize("rule", ["random:7", "borda", "plurality"])
+def test_influences_report_matches_oracle(rule, n, k):
+    if rule == "borda":
+        evaluate = oracles.borda_tuple
+    elif rule == "plurality":
+        evaluate = oracles.plurality_tuple
+    else:
+        lookup = dict(zip(oracles.all_profiles(n, k), random_table_scf(n, k, 7).table()))
+        evaluate = lookup.__getitem__
+    for refined in (False, True):
+        argv = ["influences", "--rule", rule, "-n", str(n), "-k", str(k)]
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(argv + ["--refined"] * refined) == 0
+        got = json.loads(buf.getvalue())["result"]["coordinates"]
+        assert got == _oracle_influences_report(evaluate, n, k, refined)
 
 
 @settings(max_examples=15, deadline=None)

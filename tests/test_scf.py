@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from votemanip.fibers import preference_vector
 from votemanip.rankings import Ranking, all_rankings, decode_profile, profile_space_size
 from votemanip.scf import (
@@ -233,3 +234,11 @@ def test_load_table_rejects_missing_n(tmp_path):
 def test_table_scf_rejects_bool_outcomes():
     with pytest.raises(ValueError):
         TableSCF(1, 3, [True] * 6)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (3, 4), (2, 5)])
+def test_score_tables_match_oracles(n, k):
+    # Even n gives score ties, which must go to the lowest id.
+    profiles = oracles.all_profiles(n, k)
+    assert Borda(n, k).table() == [oracles.borda_tuple(p) for p in profiles]
+    assert Plurality(n, k).table() == [oracles.plurality_tuple(p) for p in profiles]
