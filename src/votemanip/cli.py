@@ -14,15 +14,14 @@ import argparse
 import json
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Optional
 
 from . import engine, fibers, graphs, manip, metrics, scf, verify
 from .errors import CapExceededError
 from .metrics import frac_str, parse_frac
+from .rankings import AdjacentTransposition
 
 SCHEMA_VERSION = 1
 
@@ -160,34 +159,25 @@ def _cmd_distance(args) -> int:
 def _cmd_influences(args) -> int:
     """One transition-count pass per coordinate, plus one refined-edge pass with --refined."""
     f = _build_scf(args)
-    k = f.k
-    size = len(f.table(args.cap))
-    coarse = size * factorial(k)
     table = {}
     for i in range(f.n):
-        moves = metrics.transition_counts(f, i, args.cap)
-        leaving = metrics.leaving_counts(moves)
+        inf = metrics.coordinate_influences(f, i, args.cap, refined=args.refined)
         row = {
-            "total": frac_str(Fraction(sum(leaving), coarse)),
-            "target": {str(a + 1): frac_str(Fraction(leaving[a], coarse)) for a in range(k)},
+            "total": frac_str(inf.total()),
+            "target": {str(a + 1): frac_str(inf.target(a)) for a in range(f.k)},
             "pairs": {
-                f"{a + 1}-{b + 1}": frac_str(Fraction(moves[a][b], coarse))
-                for a in range(k) for b in range(k) if a != b
+                f"{a + 1}-{b + 1}": frac_str(inf.pair(a, b))
+                for a in range(f.k) for b in range(f.k) if a != b
             },
         }
         if args.refined:
-            edges = graphs.refined_edge_counts(f, i, args.cap)
-            totals = Counter()
-            for (a, b, _z), count in edges.items():
-                totals[a, b] += count
-            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            pairs = [(a, b) for a in range(f.k) for b in range(a + 1, f.k)]
             row["refined_same_pair"] = {
-                f"{a + 1}-{b + 1}": frac_str(Fraction(edges.get((a, b, (a, b)), 0), 2 * size))
+                f"{a + 1}-{b + 1}": frac_str(inf.refined(a, b, AdjacentTransposition(a, b)))
                 for a, b in pairs
             }
             row["refined_all_transpositions"] = {
-                f"{a + 1}-{b + 1}": frac_str(Fraction(totals[a, b], 2 * size))
-                for a, b in pairs
+                f"{a + 1}-{b + 1}": frac_str(inf.refined_all(a, b)) for a, b in pairs
             }
         table[str(i + 1)] = row
     _emit(args, _config_from(args, "influences"), {"coordinates": table})

@@ -9,7 +9,7 @@ order.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -174,19 +174,23 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
     swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. Equal lines are counted once, weighted by their number.
+    outcome b != a. Each line is read once and not kept, so the pass holds
+    only the counts whatever the table.
     """
     if not 0 <= i < f.n:
         raise ValueError("coordinate out of range")
-    swaps = adjacent_swap_neighbors(f.k)
-    lines = Counter(tuple(line) for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i))
+    # Every refined edge of a line once, as (rank, rank after the swap, swap),
+    # and counted in both directions.
+    edges = [(r, dest, (c, d)) for r, moves in enumerate(adjacent_swap_neighbors(f.k))
+             for dest, c, d in moves if r < dest]
     counts: dict = defaultdict(int)
-    for line, weight in lines.items():
-        for moves, a in zip(swaps, line):
-            for dest, c, d in moves:
-                b = line[dest]
-                if b != a:
-                    counts[a, b, (c, d)] += weight
+    for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i):
+        for r, s, z in edges:
+            a = line[r]
+            b = line[s]
+            if a != b:
+                counts[a, b, z] += 1
+                counts[b, a, z] += 1
     return dict(counts)
 
 

@@ -75,31 +75,74 @@ def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list
     return moves
 
 
-def leaving_counts(moves: list[list[int]]) -> list[int]:
-    """Per outcome a, the :func:`transition_counts` pairs that move away from a."""
-    return [sum(row) - row[a] for a, row in enumerate(moves)]
+@dataclass(frozen=True)
+class CoordinateInfluences:
+    """The influences of one coordinate, read from its count passes.
+
+    ``moves`` is :func:`transition_counts`, present when built with ``coarse``;
+    ``edges`` is :func:`graphs.refined_edge_counts`, present when built with
+    ``refined``. A coarse influence is a count of (profile, ranking) pairs over
+    ``size * k!``; a refined one is a count of directed refined edges over
+    ``2 * size``. These two denominators are kept here only.
+    """
+
+    k: int
+    size: int
+    moves: Optional[list[list[int]]] = None
+    edges: Optional[dict] = None
+
+    def _coarse(self, count: int) -> Fraction:
+        return Fraction(count, self.size * factorial(self.k))
+
+    def pair(self, a: int, b: int) -> Fraction:
+        """Probability the outcome moves from a to b."""
+        return self._coarse(self.moves[a][b])
+
+    def target(self, a: int) -> Fraction:
+        """Probability the outcome is a and leaves a."""
+        row = self.moves[a]
+        return self._coarse(sum(row) - row[a])
+
+    def total(self) -> Fraction:
+        """Probability the outcome changes."""
+        return self._coarse(sum(sum(row) - row[a] for a, row in enumerate(self.moves)))
+
+    def refined(self, a: int, b: int, z: AdjacentTransposition) -> Fraction:
+        """Half the mass of profiles where applying z moves the outcome from a to b."""
+        key = (a, b, (min(z.a, z.b), max(z.a, z.b)))
+        return Fraction(self.edges.get(key, 0), 2 * self.size)
+
+    def refined_all(self, a: int, b: int) -> Fraction:
+        """The refined influence of a to b summed over all adjacent transpositions."""
+        count = sum(c for (x, y, _z), c in self.edges.items() if (x, y) == (a, b))
+        return Fraction(count, 2 * self.size)
 
 
-def _per_pair(f: SCF, count: int, cap: int) -> Fraction:
-    """A count of (profile, ranking) pairs as a probability."""
-    return Fraction(count, len(f.table(cap)) * factorial(f.k))
+def coordinate_influences(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP, coarse: bool = True,
+                          refined: bool = False) -> CoordinateInfluences:
+    """Coordinate i's influences from one table pass per requested kind."""
+    return CoordinateInfluences(
+        k=f.k, size=len(f.table(cap)),
+        moves=transition_counts(f, i, cap) if coarse else None,
+        edges=refined_edge_counts(f, i, cap) if refined else None,
+    )
 
 
 def influence_total(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability that rerandomizing coordinate i changes the outcome."""
-    return _per_pair(f, sum(leaving_counts(transition_counts(f, i, cap))), cap)
+    return coordinate_influences(f, i, cap).total()
 
 
 def influence_target(f: SCF, i: int, a: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability the outcome is a and leaves a when coordinate i rerandomizes."""
-    return _per_pair(f, leaving_counts(transition_counts(f, i, cap))[a], cap)
+    return coordinate_influences(f, i, cap).target(a)
 
 
 def influence_pair(f: SCF, i: int, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
     """Probability the outcome moves from a to b under rerandomizing coordinate i."""
     if a == b:
         raise ValueError("need two distinct alternatives")
-    return _per_pair(f, transition_counts(f, i, cap)[a][b], cap)
+    return coordinate_influences(f, i, cap).pair(a, b)
 
 
 def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition,
@@ -107,8 +150,7 @@ def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition,
     """Half the mass of profiles where applying z in coordinate i moves a to b."""
     if a == b:
         raise ValueError("need two distinct alternatives")
-    key = (a, b, (min(z.a, z.b), max(z.a, z.b)))
-    return Fraction(refined_edge_counts(f, i, cap).get(key, 0), 2 * len(f.table(cap)))
+    return coordinate_influences(f, i, cap, coarse=False, refined=True).refined(a, b, z)
 
 
 def influence_refined_total(f: SCF, i: int, a: int, b: int,
@@ -116,9 +158,7 @@ def influence_refined_total(f: SCF, i: int, a: int, b: int,
     """Sum of the refined influence over all adjacent transpositions."""
     if a == b:
         raise ValueError("need two distinct alternatives")
-    edges = refined_edge_counts(f, i, cap)
-    return Fraction(sum(c for (x, y, _z), c in edges.items() if (x, y) == (a, b)),
-                    2 * len(f.table(cap)))
+    return coordinate_influences(f, i, cap, coarse=False, refined=True).refined_all(a, b)
 
 
 def influence(f: SCF, i: int, selector: str = "total", a: Optional[int] = None,

@@ -36,14 +36,14 @@ from typing import Optional
 from . import engine
 from .errors import CapExceededError
 from .fibers import pairwise_preference_correlation
-from .graphs import refined_edge_counts
 from .manip import census, nonmanip_membership
 from .metrics import (
+    coordinate_influences,
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
-    transition_counts,
 )
+from .rankings import AdjacentTransposition
 from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
 
 RHO_PREFERENCE_PAIRS = Fraction(1, 3)
@@ -198,21 +198,20 @@ def _influence_entry(i: int, pair: tuple[int, int], value: Fraction) -> dict:
     a, b = pair
     return {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(value)}
 
-
-def _qualifying_influences(f: SCF, threshold: Fraction, pair_counts, scale: int,
-                           witnesses: dict) -> list:
-    """(i, (a, b), value) for each a < b whose influence ``pair_counts(i)[a, b] / scale``
-    reaches the threshold, recorded with the threshold in ``witnesses``.
-
-    ``pair_counts(i)`` maps (a, b) to a count, absent meaning 0, and is called
-    once per coordinate.
+def _qualifying_influences(f: SCF, threshold: Fraction, cap: int, witnesses: dict,
+                           refined: bool) -> list:
+    """(i, (a, b), value) for each a < b whose influence reaches the threshold,
+    recorded with the threshold in ``witnesses``: the pair influence of a to b,
+    or with ``refined`` the refined influence of a to b under the transposition
+    of a and b. One count pass per coordinate.
     """
     qualifying = []
     for i in range(f.n):
-        counts = pair_counts(i)
+        inf = coordinate_influences(f, i, cap, coarse=not refined, refined=refined)
         for a in range(f.k):
             for b in range(a + 1, f.k):
-                value = Fraction(counts.get((a, b), 0), scale)
+                value = (inf.refined(a, b, AdjacentTransposition(a, b)) if refined
+                         else inf.pair(a, b))
                 if value >= threshold:
                     qualifying.append((i, (a, b), value))
     witnesses["threshold"] = frac_str(threshold)
@@ -274,11 +273,7 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
 
     if statement == "2.1":
         threshold = bound_value("2.1", params)
-        qualifying = _qualifying_influences(
-            f, threshold,
-            lambda i: {(a, b): c for a, row in enumerate(transition_counts(f, i, cap))
-                       for b, c in enumerate(row)},
-            len(f.table(cap)) * factorial(f.k), witnesses)
+        qualifying = _qualifying_influences(f, threshold, cap, witnesses, refined=False)
         holds = _two_coordinate_witness(qualifying, witnesses)
         return VerificationReport(
             statement=statement, lhs=None, rhs=threshold, holds=holds,
@@ -300,11 +295,7 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
         )
 
     threshold = bound_value(inf_id, params)
-    qualifying = _qualifying_influences(
-        f, threshold,
-        lambda i: {(a, b): c for (a, b, z), c in refined_edge_counts(f, i, cap).items()
-                   if z == (a, b)},
-        2 * len(f.table(cap)), witnesses)
+    qualifying = _qualifying_influences(f, threshold, cap, witnesses, refined=True)
     if statement == "6.1":
         holds = bool(qualifying)
         comparison = "2-manipulation branch or one qualifying influence"

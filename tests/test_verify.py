@@ -5,7 +5,10 @@ from math import factorial
 
 import pytest
 
+from votemanip import verify
 from votemanip.errors import CapExceededError
+from votemanip.metrics import frac_str, influence_pair, influence_refined
+from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
     OneCoordinate,
     Plurality,
@@ -111,6 +114,27 @@ def test_lemma_influences_witnesses_random():
             second = report.witnesses["witness"]["second"]
             assert first["coordinate"] != second["coordinate"]
             assert second["pair"][0] not in first["pair"]
+
+
+def test_lemma_influences_qualifying_values(monkeypatch):
+    # A zero influence threshold lists every pair; an unreachable 2-manipulation
+    # threshold sends 5.3 and 6.1 to their refined-influence branch.
+    real = verify.bound_value
+    monkeypatch.setattr(verify, "bound_value", lambda sid, params: (
+        Fraction(2) if sid.endswith("-manip") else
+        Fraction(0) if sid in ("2.1", "5.3-influence", "6.1-influence") else real(sid, params)))
+    cases = [(random_table_scf(2, 3, 4242), "2.1"), (random_table_scf(2, 4, 7), "2.1"),
+             (random_table_scf(2, 3, 4242), "5.3"), (random_table_scf(2, 4, 7), "5.3"),
+             (random_table_scf(1, 4, 3), "6.1")]
+    for f, statement in cases:
+        report = verify_lemma_influences(f, statement=statement)
+        expected = [
+            {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
+                influence_pair(f, i, a, b) if statement == "2.1"
+                else influence_refined(f, i, a, b, AdjacentTransposition(a, b)))}
+            for i in range(f.n) for a in range(f.k) for b in range(a + 1, f.k)
+        ]
+        assert report.witnesses["qualifying"] == expected
 
 
 def test_lemma_influences_one_voter():
