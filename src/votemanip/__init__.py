@@ -84,7 +84,6 @@ from .metrics import (
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
-    influence,
     influence_pair,
     influence_refined,
     influence_refined_total,

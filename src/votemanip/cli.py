@@ -283,54 +283,46 @@ def _cmd_hypercontractivity(args) -> int:
     return 0 if violations == 0 else 3
 
 
-def _cmd_verify(args) -> int:
-    tasks = engine.effective_tasks(args.tasks)
-    config = _config_from(args, "verify")
+def _verify_run(args, tasks: int):
+    """(report body, failed reports, SCF or None) of one ``verify`` call."""
     if args.exhaustive:
         if args.thm != "1.4":
             raise ConfigError("--exhaustive sweeps support --thm 1.4")
         if args.alternatives is None:
             raise ConfigError("--exhaustive needs -k")
-        report = verify.sweep_one_voter(args.alternatives, tasks)
-        _emit(args, config, report.describe())
-        if not report.holds:
-            verify.write_counterexample(
-                verify.VerificationReport("1.4-sweep", None, None, False,
-                                          witnesses={"failures": report.failures}),
-                None, args.bundle_dir)
-            return 3
-        return 0
-    if args.random:
+        sweep, name = verify.sweep_one_voter(args.alternatives, tasks), "1.4-sweep"
+    elif args.random:
         if args.voters is None or args.alternatives is None:
             raise ConfigError("--random needs -n and -k")
-        report = verify.sweep_random_tables(
+        sweep = verify.sweep_random_tables(
             args.voters, args.alternatives, args.random, args.seed or 0, tasks
         )
-        _emit(args, config, report.describe())
-        if not report.holds:
-            verify.write_counterexample(
-                verify.VerificationReport("random-sweep", None, None, False,
-                                          witnesses={"failures": report.failures}),
-                None, args.bundle_dir)
-            return 3
-        return 0
-
-    f = _build_scf(args)
-    statement = args.thm
-    if statement in verify.MAIN_THEOREMS:
-        reports = verify.verify_main_theorems(f, (statement,), args.cap, tasks)
-    elif statement in ("2.1", "5.3", "6.1"):
-        eps = parse_frac(args.epsilon) if args.epsilon else None
-        reports = [verify.verify_lemma_influences(f, eps, statement, args.cap)]
-    elif statement == "1.5":
-        alpha = parse_frac(args.alpha) if args.alpha else None
-        reports = [verify.verify_thm_1_5(f, alpha, args.cap, tasks)]
+        name = "random-sweep"
     else:
-        raise ConfigError(f"unknown statement {statement!r}")
-    _emit(args, config, {"reports": [r.describe() for r in reports]})
-    bad = [r for r in reports if not r.holds]
-    if bad:
-        verify.write_counterexample(bad[0], f, args.bundle_dir)
+        f = _build_scf(args)
+        statement = args.thm
+        if statement in verify.MAIN_THEOREMS:
+            reports = verify.verify_main_theorems(f, (statement,), args.cap, tasks)
+        elif statement in ("2.1", "5.3", "6.1"):
+            eps = parse_frac(args.epsilon) if args.epsilon else None
+            reports = [verify.verify_lemma_influences(f, eps, statement, args.cap)]
+        elif statement == "1.5":
+            alpha = parse_frac(args.alpha) if args.alpha else None
+            reports = [verify.verify_thm_1_5(f, alpha, args.cap, tasks)]
+        else:
+            raise ConfigError(f"unknown statement {statement!r}")
+        return ({"reports": [r.describe() for r in reports]},
+                [r for r in reports if not r.holds], f)
+    failed = [] if sweep.holds else [verify.VerificationReport(
+        name, None, None, False, witnesses={"failures": sweep.failures})]
+    return sweep.describe(), failed, None
+
+
+def _cmd_verify(args) -> int:
+    result, failed, f = _verify_run(args, engine.effective_tasks(args.tasks))
+    _emit(args, _config_from(args, "verify"), result)
+    if failed:
+        verify.write_counterexample(failed[0], f, args.bundle_dir)
         return 3
     return 0
 

@@ -3,8 +3,11 @@
 A fiber collects the profiles sharing one a-vs-b preference vector. Plain
 fibers fix the vector in every coordinate; refined fibers fix it outside one
 coordinate i and additionally require a to sit directly above b in coordinate
-i. Fibers are never materialized as profile lists; operations fold over
-members generated from the key.
+i. Fibers are never materialized as profile lists. Their counts come from
+one pass over the lines of coordinate i: a line fixes the other voters, so
+their a-vs-b bits (:func:`preference_masks`) say which fibers its entries
+belong to, and :func:`fiber_sweep` counts every fiber of the coordinate at
+once. :func:`iter_fiber_members` generates one fiber's members from its key.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .rankings import (
     all_rankings,
     coordinate_lines,
     decode_profile,
+    preference_masks,
     profile_digits,
     profile_strides,
     ranking_orders,
@@ -147,6 +151,20 @@ def fiber_member_count(n: int, k: int, variant: FiberVariant) -> int:
     return factorial(k - 1) * half ** (n - 1)
 
 
+def _check_coordinate(f: SCF, i: int) -> None:
+    if not 0 <= i < f.n:
+        raise ValueError("coordinate out of range")
+
+
+def _key_bits(n: int, variant: FiberVariant) -> int:
+    return n if variant is FiberVariant.PLAIN else n - 1
+
+
+def _key_mask(key: Sequence[int]) -> int:
+    """The bitmask of a fiber key: bit j set where ``key[j]`` is +1."""
+    return sum(1 << j for j, bit in enumerate(key) if bit > 0)
+
+
 def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
                    variant: FiberVariant, gamma: Fraction,
                    cap: int = DEFAULT_TABLE_CAP) -> FiberRecord:
@@ -154,61 +172,59 @@ def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
 
     Plain variant: a member is on the boundary when its outcome is a and some
     replacement of coordinate i yields b. Refined variant: the outcome is a
-    and swapping the adjacent a-b block in coordinate i yields b.
+    and swapping the adjacent a-b block in coordinate i yields b. The record
+    is read from :func:`fiber_sweep`, which checks the coordinate.
     """
-    if not 0 <= i < f.n:
-        raise ValueError("coordinate out of range")
-    a, b = pair
-    table = f.table(cap)
-    n, k = f.n, f.k
-    fact = factorial(k)
-    choices = _coordinate_choices(n, k, pair, tuple(key), variant, i)
-    strides = profile_strides(n, k)
-    stride = strides[i]
-
-    members = 0
-    on_boundary = 0
-    if variant is FiberVariant.REFINED:
-        swap_of = dict(ranks_adjacent_above(k, a, b))
-        for digits in product(*choices):
-            members += 1
-            p = sum(d * s for d, s in zip(digits, strides))
-            if table[p] != a:
-                continue
-            q = p + (swap_of[digits[i]] - digits[i]) * stride
-            if table[q] == b:
-                on_boundary += 1
-    else:
-        for digits in product(*choices):
-            members += 1
-            p = sum(d * s for d, s in zip(digits, strides))
-            if table[p] != a:
-                continue
-            rho = digits[i]
-            base = p - rho * stride
-            for rho2 in range(fact):
-                if rho2 != rho and table[base + rho2 * stride] == b:
-                    on_boundary += 1
-                    break
-
-    expected = fiber_member_count(n, k, variant)
-    assert members == expected, (members, expected)
-    large = Fraction(on_boundary, members) >= 1 - gamma
-    return FiberRecord(
-        pair=(a, b), key=tuple(key), variant=variant, coordinate=i,
-        member_count=members, boundary_count=on_boundary, gamma=gamma, large=large,
-    )
+    bits = _key_bits(f.n, variant)
+    if len(key) != bits:
+        raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
+    return fiber_sweep(f, i, pair, variant, gamma, cap)[_key_mask(key)]
 
 
 def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
                 gamma: Fraction, cap: int = DEFAULT_TABLE_CAP) -> list[FiberRecord]:
-    """Classify every fiber key for one coordinate and pair."""
-    bits = f.n if variant is FiberVariant.PLAIN else f.n - 1
-    records = []
-    for mask in range(1 << bits):
-        key = tuple(1 if mask >> j & 1 else -1 for j in range(bits))
-        records.append(boundary_fiber(f, i, pair, key, variant, gamma, cap))
-    return records
+    """Classify every fiber key for one coordinate and pair, in key-mask order.
+
+    One pass over the lines of coordinate i. A line fixes the other voters,
+    whose a-vs-b bits (its :func:`preference_masks` entry) are a refined key;
+    a plain key gains voter i's bit at position i. Plain: a rank with outcome
+    a is on the boundary when b is elsewhere on its line. Refined: a rank with
+    a directly above b is on it when its outcome is a and the swapped rank's
+    is b.
+    """
+    _check_coordinate(f, i)
+    a, b = pair
+    n, k = f.n, f.k
+    bits = _key_bits(n, variant)
+    members = [0] * (1 << bits)
+    on_boundary = [0] * (1 << bits)
+    lines = zip(preference_masks(n - 1, k, a, b), coordinate_lines(f.table(cap), n, k, i))
+    if variant is FiberVariant.PLAIN:
+        # Voter i's ranks with a above b (bit i set), and with b above a.
+        sides = ((1 << i, ranks_preferring(k, a, b)), (0, ranks_preferring(k, b, a)))
+        low = (1 << i) - 1
+        for rest, (_base, line) in lines:
+            mask = rest & low | rest >> i << (i + 1)
+            leaves = b in line
+            for bit, ranks in sides:
+                members[mask | bit] += len(ranks)
+                if leaves:
+                    on_boundary[mask | bit] += [line[r] for r in ranks].count(a)
+    else:
+        swaps = ranks_adjacent_above(k, a, b)
+        for rest, (_base, line) in lines:
+            members[rest] += len(swaps)
+            on_boundary[rest] += sum(1 for r, s in swaps if line[r] == a and line[s] == b)
+    expected = fiber_member_count(n, k, variant)
+    assert members == [expected] * len(members), (members, expected)
+    return [
+        FiberRecord(
+            pair=(a, b), key=tuple(1 if mask >> j & 1 else -1 for j in range(bits)),
+            variant=variant, coordinate=i, member_count=expected, boundary_count=count,
+            gamma=gamma, large=Fraction(count, expected) >= 1 - gamma,
+        )
+        for mask, count in enumerate(on_boundary)
+    ]
 
 
 def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
@@ -228,30 +244,21 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
 def refined_topset_membership_key(f: SCF, i: int, a: int, b: int,
                                   key: Sequence[int], gamma: Fraction,
                                   cap: int = DEFAULT_TABLE_CAP) -> bool:
-    table = f.table(cap)
+    """:func:`refined_topset_membership` for a deleted-coordinate key, summed
+    over the lines of coordinate i whose other voters carry that key."""
+    _check_coordinate(f, i)
     n, k = f.n, f.k
-    plus = ranks_preferring(k, a, b)
-    minus = ranks_preferring(k, b, a)
     if len(key) != n - 1:
         raise ValueError(f"deleted-coordinate key needs {n - 1} bits")
-    choices = []
-    kit = iter(key)
-    for c in range(n):
-        if c == i:
-            choices.append(tuple(range(factorial(k))))
-        else:
-            bit = next(kit)
-            choices.append(plus if bit > 0 else minus)
-    strides = profile_strides(n, k)
-    pos = ranking_positions(k)
+    target = _key_mask(key)
+    tops = top_h_by_rank(k, frozenset((a, b)))
     members = 0
     agree = 0
-    for digits in product(*choices):
-        members += 1
-        p = sum(d * s for d, s in zip(digits, strides))
-        top = a if pos[digits[i]][a] < pos[digits[i]][b] else b
-        if table[p] == top:
-            agree += 1
+    for rest, (_base, line) in zip(preference_masks(n - 1, k, a, b),
+                                   coordinate_lines(f.table(cap), n, k, i)):
+        if rest == target:
+            members += len(line)
+            agree += sum(1 for out, top in zip(line, tops) if out == top)
     return Fraction(agree, members) >= 1 - 2 * k * gamma
 
 
@@ -284,6 +291,7 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
                         cap: int = DEFAULT_TABLE_CAP) -> set[Profile]:
     """Profiles that are local dictators on {a, b, c} in coordinate i for some
     third alternative c."""
+    _check_coordinate(f, i)
     a, b = pair
     if a == b:
         raise ValueError("need two distinct alternatives")
@@ -342,6 +350,7 @@ def _rest_lines(table, n: int, k: int, i: int):
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
     """Rest-profiles for which freezing them makes coordinate i a top_H rule."""
+    _check_coordinate(f, i)
     subset = frozenset(H)
     if not subset:
         raise ValueError("H must be nonempty")
@@ -357,6 +366,7 @@ def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
     A rest-profile's induced outcomes determine the only possible H (its own
     image), so a single scan per rest-profile suffices.
     """
+    _check_coordinate(f, i)
     a, b = pair
     out = set()
     for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i):

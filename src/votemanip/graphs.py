@@ -4,22 +4,23 @@ Two graphs live on the profile space: the coarse graph joins profiles that
 differ in exactly one coordinate, the refined graph additionally requires the
 differing coordinate to move by a single adjacent transposition. Boundary
 sets between outcomes are enumerated exactly, streaming in profile-index
-order.
+order. Boundary sizes are not enumerated: they are reads of a coordinate's
+edge counts, :func:`transition_counts` for the coarse graph and
+:func:`refined_edge_counts` for the refined one, each a single pass over the
+coordinate's lines.
 """
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from . import engine
 from .errors import CapExceededError
 from .rankings import (
     AdjacentTransposition,
@@ -30,7 +31,6 @@ from .rankings import (
     decode_profile,
     digits_index,
     encode_ranking,
-    profile_space_size,
     profile_strides,
     ranking_rank_of,
 )
@@ -135,10 +135,6 @@ def _spec_pairs(table, n, k, spec, start=0, stop=None):
         yield _line_pairs(base, stride, line, moves, spec.a, spec.b)
 
 
-def _boundary_chunk_count(table, n, k, spec, start, stop) -> int:
-    return sum(1 for pairs in _spec_pairs(table, n, k, spec, start, stop) for _pair in pairs)
-
-
 def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec,
                               cap: int = DEFAULT_TABLE_CAP) -> Iterator[tuple[int, int]]:
     """Ordered boundary pairs as profile indices, streamed in index order."""
@@ -157,16 +153,36 @@ def boundary(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> list[t
     ]
 
 
-def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
-                   tasks: int = 1) -> int:
-    if not 0 <= spec.i < f.n:
+def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> int:
+    """Size of the boundary :func:`boundary` lists, read from one count pass."""
+    if spec.kind is GraphKind.COARSE:
+        row = transition_counts(f, spec.i, cap)[spec.a]
+        return sum(row) - row[spec.a] if spec.b is None else row[spec.b]
+    z = None if spec.z is None else (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
+    return sum(c for (a, b, w), c in refined_edge_counts(f, spec.i, cap).items()
+               if a == spec.a and (spec.b is None or b == spec.b) and (z is None or w == z))
+
+
+def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list[int]]:
+    """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
+    moves the outcome from a to b, in one pass over the lines of coordinate i.
+
+    A line with outcome counts ``row`` holds ``row[a] * row[b]`` such pairs;
+    lines with equal counts are summed once, weighted by their number.
+    """
+    if not 0 <= i < f.n:
         raise ValueError("coordinate out of range")
-    table = f.table(cap)
-    chunks = [
-        (table, f.n, f.k, spec, start, stop)
-        for start, stop in engine.split_ranges(profile_space_size(f.n - 1, f.k), tasks)
-    ]
-    return sum(engine.map_chunks(_boundary_chunk_count, chunks, tasks))
+    k = f.k
+    rows = Counter(tuple(map(line.count, range(k)))
+                   for _base, line in coordinate_lines(f.table(cap), f.n, k, i))
+    moves = [[0] * k for _ in range(k)]
+    for row, weight in rows.items():
+        for a, x in enumerate(row):
+            if x:
+                out = moves[a]
+                for b, y in enumerate(row):
+                    out[b] += weight * x * y
+    return moves
 
 
 def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
@@ -192,37 +208,6 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
                 counts[a, b, z] += 1
                 counts[b, a, z] += 1
     return dict(counts)
-
-
-def boundary_fraction(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
-                      tasks: int = 1) -> Fraction:
-    """Boundary mass normalized as the matching influence value."""
-    count = boundary_count(f, spec, cap, tasks)
-    size = profile_space_size(f.n, f.k)
-    if spec.kind is GraphKind.REFINED:
-        return Fraction(count, 2 * size)
-    return Fraction(count, size * factorial(f.k))
-
-
-def boundary_report(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP,
-                    tasks: int = 1, sample_limit: int = 10) -> dict:
-    """JSON-ready boundary summary: spec, exact count, fraction, sample pairs."""
-    count = boundary_count(f, spec, cap, tasks)
-    fraction = boundary_fraction(f, spec, cap)
-    samples = []
-    for p, q in iter_boundary_index_pairs(f, spec, cap):
-        samples.append([
-            [list(r.one_based()) for r in decode_profile(f.n, f.k, p)],
-            [list(r.one_based()) for r in decode_profile(f.n, f.k, q)],
-        ])
-        if len(samples) >= sample_limit:
-            break
-    return {
-        "spec": spec.describe(),
-        "count": count,
-        "fraction": f"{fraction.numerator}/{fraction.denominator}",
-        "sample_pairs": samples,
-    }
 
 
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec,

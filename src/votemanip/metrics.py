@@ -6,14 +6,14 @@ resolution, so no floating point is allowed anywhere in this module.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .graphs import refined_edge_counts
+from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
     AdjacentTransposition,
     coordinate_lines,
@@ -53,33 +53,11 @@ def distance(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
 # Influences.
 
 
-def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list[int]]:
-    """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
-    moves the outcome from a to b, in one pass over the lines of coordinate i.
-
-    A line with outcome counts ``row`` holds ``row[a] * row[b]`` such pairs;
-    lines with equal counts are summed once, weighted by their number.
-    """
-    if not 0 <= i < f.n:
-        raise ValueError("coordinate out of range")
-    k = f.k
-    rows = Counter(tuple(map(line.count, range(k)))
-                   for _base, line in coordinate_lines(f.table(cap), f.n, k, i))
-    moves = [[0] * k for _ in range(k)]
-    for row, weight in rows.items():
-        for a, x in enumerate(row):
-            if x:
-                out = moves[a]
-                for b, y in enumerate(row):
-                    out[b] += weight * x * y
-    return moves
-
-
 @dataclass(frozen=True)
 class CoordinateInfluences:
     """The influences of one coordinate, read from its count passes.
 
-    ``moves`` is :func:`transition_counts`, present when built with ``coarse``;
+    ``moves`` is :func:`graphs.transition_counts`, present when built with ``coarse``;
     ``edges`` is :func:`graphs.refined_edge_counts`, present when built with
     ``refined``. A coarse influence is a count of (profile, ranking) pairs over
     ``size * k!``; a refined one is a count of directed refined edges over
@@ -159,23 +137,6 @@ def influence_refined_total(f: SCF, i: int, a: int, b: int,
     if a == b:
         raise ValueError("need two distinct alternatives")
     return coordinate_influences(f, i, cap, coarse=False, refined=True).refined_all(a, b)
-
-
-def influence(f: SCF, i: int, selector: str = "total", a: Optional[int] = None,
-              b: Optional[int] = None, z: Optional[AdjacentTransposition] = None,
-              cap: int = DEFAULT_TABLE_CAP) -> Fraction:
-    """Dispatch over the influence flavours by selector name."""
-    if selector == "total":
-        return influence_total(f, i, cap)
-    if selector == "target":
-        return influence_target(f, i, a, cap)
-    if selector == "pair":
-        return influence_pair(f, i, a, b, cap)
-    if selector == "pair-transposition":
-        return influence_refined(f, i, a, b, z, cap)
-    if selector == "pair-all-transpositions":
-        return influence_refined_total(f, i, a, b, cap)
-    raise ValueError(f"unknown influence selector {selector!r}")
 
 
 # ---------------------------------------------------------------------------

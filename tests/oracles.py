@@ -307,3 +307,52 @@ def boundary_pairs(evaluate, n, k, i, a, refined):
             if evaluate(other) != a:
                 pairs.append((prof, other))
     return pairs
+
+
+def fiber_counts(evaluate, n, k, i, a, b, refined):
+    """key -> [members, members on the a-to-b boundary] for the fibers of coordinate i.
+
+    Plain: the key is the whole a-vs-b preference vector (+1 where a is above
+    b); a member is on the boundary when its outcome is a and some other
+    ranking of coordinate i yields b. Refined: only profiles with a directly
+    above b in coordinate i, keyed by the vector without coordinate i; a
+    member is on the boundary when its outcome is a and swapping that a-b
+    block yields b.
+    """
+    perms = list(permutations(range(k)))
+    counts = {}
+    for prof in all_profiles(n, k):
+        vector = tuple(1 if order.index(a) < order.index(b) else -1 for order in prof)
+        order = prof[i]
+        out = evaluate(prof)
+        if refined:
+            p = order.index(a)
+            if p + 1 == k or order[p + 1] != b:
+                continue
+            key = vector[:i] + vector[i + 1:]
+            swapped = order[:p] + (b, a) + order[p + 2:]
+            hit = out == a and evaluate(prof[:i] + (swapped,) + prof[i + 1:]) == b
+        else:
+            key = vector
+            hit = out == a and any(
+                evaluate(prof[:i] + (r,) + prof[i + 1:]) == b for r in perms if r != order)
+        entry = counts.setdefault(key, [0, 0])
+        entry[0] += 1
+        entry[1] += hit
+    return counts
+
+
+def topset_agreement(evaluate, n, k, i, a, b, prof):
+    """Share of the profiles agreeing with prof on a-vs-b outside coordinate i
+    whose outcome is whichever of a, b coordinate i ranks higher."""
+    def vector(q):
+        return tuple(order.index(a) < order.index(b) for c, order in enumerate(q) if c != i)
+
+    target = vector(prof)
+    agree = total = 0
+    for q in all_profiles(n, k):
+        if vector(q) != target:
+            continue
+        total += 1
+        agree += evaluate(q) == (a if q[i].index(a) < q[i].index(b) else b)
+    return Fraction(agree, total)

@@ -3,9 +3,11 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import pytest
+
 from votemanip import cli
 from votemanip.scf import Plurality, dump_scf_table
-from votemanip.verify import VerificationReport
+from votemanip.verify import SweepReport, VerificationReport
 
 
 def run_cli(argv):
@@ -90,6 +92,16 @@ def test_local_dictators_report():
     assert code == 0
     assert doc["result"]["count"] == 48
     assert len(doc["result"]["profiles"]) == 20
+
+
+@pytest.mark.parametrize("coordinate", ["0", "4"])
+def test_local_dictators_rejects_coordinate_out_of_range(coordinate):
+    # 0 used to wrap round to voter n, and n + 1 died with an IndexError.
+    code, out = run_cli([
+        "local-dictators", "--rule", "plurality", "-n", "3", "-k", "3",
+        "--pair", "1,2", "--coordinate", coordinate,
+    ])
+    assert code == 1 and out == ""
 
 
 def test_verify_single_and_exhaustive():
@@ -182,6 +194,32 @@ def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
     assert set(calls) == {0, 1, 2} and len(calls) <= 2 * 3
 
 
+def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
+    from votemanip import fibers, graphs
+    from votemanip.graphs import BoundarySpec, GraphKind
+    from votemanip.rankings import AdjacentTransposition
+
+    calls = []
+    for module in (fibers, graphs):
+        def counting(*args, _lines=module.coordinate_lines, **kwargs):
+            calls.append(args[3])
+            return _lines(*args, **kwargs)
+
+        monkeypatch.setattr(module, "coordinate_lines", counting)
+    f = Plurality(3, 3)
+    for variant in fibers.FiberVariant:
+        calls.clear()
+        fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
+        assert calls == [1]
+    specs = [BoundarySpec(i=2, a=0), BoundarySpec(i=2, a=0, b=1),
+             BoundarySpec(i=2, a=0, kind=GraphKind.REFINED),
+             BoundarySpec(i=2, a=0, b=1, z=AdjacentTransposition(0, 1), kind=GraphKind.REFINED)]
+    for spec in specs:
+        calls.clear()
+        graphs.boundary_count(f, spec)
+        assert calls == [2]
+
+
 def test_isoperimetry_rejects_zero_copies():
     code, out = run_cli(["isoperimetry", "-k", "3", "--copies", "0"])
     assert code == 1 and out == ""
@@ -251,6 +289,23 @@ def test_exit_code_verification_failure(monkeypatch, tmp_path):
     assert code == 3
     assert (tmp_path / "bundle" / "manifest.json").exists()
     assert (tmp_path / "bundle" / "scf_table.json").exists()
+
+
+@pytest.mark.parametrize("sweep, argv, label", [
+    ("sweep_one_voter", ["--exhaustive", "-k", "3"], "1.4-sweep"),
+    ("sweep_random_tables", ["--random", "4", "-n", "2", "-k", "3"], "random-sweep"),
+])
+def test_exit_code_sweep_failure(monkeypatch, tmp_path, sweep, argv, label):
+    failures = [{"index": 0}]
+    fake = SweepReport(label, 2, 1, failures)
+    monkeypatch.setattr(cli.verify, sweep, lambda *a, **kw: fake)
+    code, out = run_cli(["verify", "--thm", "1.4", *argv,
+                         "--bundle-dir", str(tmp_path / "bundle")])
+    assert code == 3
+    assert json.loads(out)["result"] == fake.describe()
+    manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
+    assert manifest == {"report": VerificationReport(
+        label, None, None, False, witnesses={"failures": failures}).describe()}
 
 
 def test_tasks_env_override(monkeypatch):

@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from votemanip import cli
-from votemanip.fibers import dictator_fiber_set, local_dictator_sets
+from votemanip.fibers import (
+    FiberVariant,
+    dictator_fiber_set,
+    fiber_sweep,
+    local_dictator_sets,
+    refined_topset_membership,
+)
 from votemanip.graphs import (
     BoundarySpec,
     GraphKind,
@@ -32,7 +38,7 @@ from votemanip.metrics import (
     influence_total,
     transition_counts,
 )
-from votemanip.rankings import AdjacentTransposition
+from votemanip.rankings import AdjacentTransposition, decode_profile
 from votemanip.scf import (
     Borda,
     Plurality,
@@ -208,3 +214,36 @@ def test_fiber_sets_match_oracle(subject, data):
             evaluate, n, k, i, H)
         assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
             evaluate, n, k, i, a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subjects(), st.data())
+def test_fiber_sweeps_and_topset_membership_match_oracle(subject, data):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    size = len(f.table())
+    a, b = data.draw(st.sampled_from(list(permutations(range(k), 2))))
+    gamma = Fraction(data.draw(st.integers(0, 8)), 8)
+    for i in range(n):
+        for pair in ((a, b), (b, a)):
+            for variant in FiberVariant:
+                refined = variant is FiberVariant.REFINED
+                records = fiber_sweep(f, i, pair, variant, gamma)
+                bits = n - refined
+                assert [rec.key for rec in records] == [
+                    tuple(1 if mask >> j & 1 else -1 for j in range(bits))
+                    for mask in range(1 << bits)]
+                assert {rec.key: [rec.member_count, rec.boundary_count] for rec in records} == (
+                    oracles.fiber_counts(evaluate, n, k, i, *pair, refined))
+                for rec in records:
+                    assert rec.large == (rec.boundary_ratio >= 1 - gamma)
+
+            # Membership holds exactly down to the gamma at which 1 - 2k*gamma
+            # meets the agreement share, and fails just below it.
+            prof = decode_profile(n, k, data.draw(st.integers(0, size - 1)))
+            agree = oracles.topset_agreement(
+                evaluate, n, k, i, *pair, tuple(r.order for r in prof))
+            edge = (1 - agree) / (2 * k)
+            assert refined_topset_membership(f, i, *pair, prof, edge)
+            assert not refined_topset_membership(
+                f, i, *pair, prof, edge - Fraction(1, 4 * k * size))

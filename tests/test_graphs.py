@@ -6,7 +6,6 @@ from votemanip.graphs import (
     GraphKind,
     boundary,
     boundary_count,
-    boundary_fraction,
     edge_boundary,
     is_on_boundary,
     neighbors,
@@ -121,16 +120,6 @@ def test_outcome_boundary_counts_bichromatic_edges_twice():
     assert directional == 2 * undirected
 
 
-def test_boundary_fraction_matches_influence_normalization():
-    f = random_table_scf(2, 3, 99)
-    from votemanip.metrics import influence_pair, influence_refined_total
-
-    spec = BoundarySpec(i=0, a=0, b=1, kind=GraphKind.COARSE)
-    assert boundary_fraction(f, spec) == influence_pair(f, 0, 0, 1)
-    spec = BoundarySpec(i=0, a=0, b=1, kind=GraphKind.REFINED)
-    assert boundary_fraction(f, spec) == influence_refined_total(f, 0, 0, 1)
-
-
 def test_edge_boundary_examples():
     sizes = (3, 3)
     everything = set(product_vertices(sizes))
@@ -166,19 +155,6 @@ def test_lindsey_lexicographic_k6_squared():
 def test_lindsey_exhaustive_cap():
     with pytest.raises(CapExceededError):
         verify_lindsey(6, 2, exhaustive=True)
-
-
-def test_boundary_report_shape():
-    from votemanip.graphs import boundary_report
-
-    f = TopHDictator(1, 3, 0, range(3))
-    spec = BoundarySpec(i=0, a=0, b=1,
-                        z=AdjacentTransposition(0, 1), kind=GraphKind.REFINED)
-    doc = boundary_report(f, spec, sample_limit=5)
-    assert doc["count"] == 1
-    assert doc["fraction"] == "1/12"  # count / (2 (k!)^n)
-    assert doc["spec"]["kind"] == "refined"
-    assert doc["sample_pairs"] == [[[[1, 2, 3]], [[2, 1, 3]]]]
 
 
 def test_neighbor_degrees_small_shapes():

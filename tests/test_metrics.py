@@ -11,7 +11,6 @@ from votemanip.metrics import (
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
-    influence,
     influence_pair,
     influence_refined,
     influence_refined_total,
@@ -218,14 +217,6 @@ def test_influence_refined_sums_over_transpositions():
         for a in range(3) for b in range(a + 1, 3)
     )
     assert total == split
-
-
-def test_influence_dispatcher():
-    f = random_table_scf(2, 3, 62)
-    assert influence(f, 0) == influence_total(f, 0)
-    assert influence(f, 0, "pair", a=0, b=1) == influence_pair(f, 0, 0, 1)
-    with pytest.raises(ValueError):
-        influence(f, 0, "nope")
 
 
 def test_monotone_violation_fraction_cases():
