@@ -134,7 +134,7 @@ def _cmd_census(args) -> int:
     f = _build_scf(args)
     requested = sorted({int(x) for x in args.r_values.split(",")})
     rs = sorted(set(requested) | {f.k})
-    cen = manip.census(f, rs, args.cap, engine.effective_tasks(args.tasks))
+    cen = manip.census(f, rs, args.cap)
     fractions = {f"M_{r}": frac_str(cen.fraction(r)) for r in requested}
     fractions["M"] = frac_str(cen.manipulable_fraction())
     result = {
@@ -233,9 +233,7 @@ def _cmd_gs_classify(args) -> int:
 
 def _cmd_sample(args) -> int:
     f = _build_scf(args)
-    rep = manip.sample_success(
-        f, args.samples, args.seed, args.width, engine.effective_tasks(args.tasks)
-    )
+    rep = manip.sample_success(f, args.samples, args.seed, args.width, args.tasks)
     _emit(args, _config_from(args, "sample"), rep.describe())
     return 0
 
@@ -302,13 +300,13 @@ def _verify_run(args, tasks: int):
         f = _build_scf(args)
         statement = args.thm
         if statement in verify.MAIN_THEOREMS:
-            reports = verify.verify_main_theorems(f, (statement,), args.cap, tasks)
+            reports = verify.verify_main_theorems(f, (statement,), args.cap)
         elif statement in ("2.1", "5.3", "6.1"):
             eps = parse_frac(args.epsilon) if args.epsilon else None
             reports = [verify.verify_lemma_influences(f, eps, statement, args.cap)]
         elif statement == "1.5":
             alpha = parse_frac(args.alpha) if args.alpha else None
-            reports = [verify.verify_thm_1_5(f, alpha, args.cap, tasks)]
+            reports = [verify.verify_thm_1_5(f, alpha, args.cap)]
         else:
             raise ConfigError(f"unknown statement {statement!r}")
         return ({"reports": [r.describe() for r in reports]},
@@ -319,7 +317,7 @@ def _verify_run(args, tasks: int):
 
 
 def _cmd_verify(args) -> int:
-    result, failed, f = _verify_run(args, engine.effective_tasks(args.tasks))
+    result, failed, f = _verify_run(args, args.tasks)
     _emit(args, _config_from(args, "verify"), result)
     if failed:
         verify.write_counterexample(failed[0], f, args.bundle_dir)
@@ -433,6 +431,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.tasks = engine.effective_tasks(args.tasks)
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

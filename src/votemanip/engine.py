@@ -1,6 +1,6 @@
-"""Deterministic chunked enumeration.
+"""Deterministic chunked enumeration for the sampler and the verify sweeps.
 
-Exact counts over profile-index ranges are split into contiguous chunks and
+Sampler blocks and sweep instances are split into contiguous chunks and
 reduced in chunk order, so results are identical for every task count. When
 ``tasks > 1`` chunks run in a process pool of at most one worker per chunk and
 per CPU; if no pool can be created the chunks run sequentially, which produces

@@ -213,6 +213,8 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec,
                    cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Whether the profile has at least one boundary partner under the spec."""
+    if not 0 <= spec.i < f.n:
+        raise ValueError("coordinate out of range")
     digits = [encode_ranking(r) for r in profile]
     rest = digits_index(f.k, digits[:spec.i] + digits[spec.i + 1:])
     [pairs] = _spec_pairs(f.table(cap), f.n, f.k, spec, rest, rest + 1)

@@ -10,7 +10,8 @@ with voter 0 most significant.
 This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
 :func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
-:func:`coordinate_lines` and :func:`preference_masks`.
+:func:`coordinate_lines`, :func:`join_coordinate_lines` and
+:func:`preference_masks`.
 """
 from __future__ import annotations
 
@@ -212,6 +213,22 @@ def coordinate_lines(table, n: int, k: int, i: int, start: int = 0, stop=None):
         yield base, table[base:base + block:stride]
 
 
+def join_coordinate_lines(n: int, k: int, i: int, lines) -> bytearray:
+    """Profile-indexed bytes whose coordinate-i line L holds ``lines[L]``.
+
+    The inverse of :func:`coordinate_lines` on a bytes table: ``lines`` gives
+    one k!-byte value per line, in line order.
+    """
+    stride = profile_strides(n, k)[i]
+    block = stride * factorial(k)
+    out = bytearray(profile_space_size(n, k))
+    for line, values in enumerate(lines):
+        head, tail = divmod(line, stride)
+        base = head * block + tail
+        out[base:base + block:stride] = values
+    return out
+
+
 def preference_masks(n: int, k: int, a: int, b: int) -> list[int]:
     """Per profile index, the bitmask of voters ranking a above b (bit c for voter c)."""
     prefers = [pos[a] < pos[b] for pos in ranking_positions(k)]
@@ -284,19 +301,6 @@ def window_destinations(k: int, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(d for d in dict.fromkeys(moves) if d != r)
         for r, moves in enumerate(window_moves(k, width))
-    )
-
-
-@lru_cache(maxsize=None)
-def window_destinations_new(k: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Like :func:`window_destinations` but minus targets of width - 1 windows."""
-    if min(width, k) <= 2:
-        return window_destinations(k, width)
-    prev = window_destinations(k, width - 1)
-    cur = window_destinations(k, width)
-    return tuple(
-        tuple(d for d in cur_r if d not in set(prev_r))
-        for cur_r, prev_r in zip(cur, prev)
     )
 
 

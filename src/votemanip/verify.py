@@ -153,8 +153,8 @@ _MAIN_PLAN = {
 }
 
 
-def verify_main_theorems(f: SCF, which=MAIN_THEOREMS, cap: int = DEFAULT_TABLE_CAP,
-                         tasks: int = 1) -> list[VerificationReport]:
+def verify_main_theorems(f: SCF, which=MAIN_THEOREMS,
+                         cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
     """Compare census fractions against the headline lower bounds.
 
     Statement 1.4 needs n = 1; statements 3.1 and 7.1 need n >= 2.
@@ -162,7 +162,7 @@ def verify_main_theorems(f: SCF, which=MAIN_THEOREMS, cap: int = DEFAULT_TABLE_C
     reports = []
     widths = sorted({min(w, f.k) for w, _fam in (_MAIN_PLAN[s] for s in which)
                      if w is not None} | {f.k})
-    cen = census(f, widths, cap, tasks)
+    cen = census(f, widths, cap)
     dist_cache: dict[str, Fraction] = {}
 
     def measured(family: str) -> Fraction:
@@ -309,7 +309,7 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
 
 
 def verify_thm_1_5(f: SCF, alpha: Optional[Fraction] = None,
-                   cap: int = DEFAULT_TABLE_CAP, tasks: int = 1) -> VerificationReport:
+                   cap: int = DEFAULT_TABLE_CAP) -> VerificationReport:
     """Check the reduction disjunction at a measured (or supplied) alpha.
 
     Either the distance to the nonmanipulable family stays below the cubed
@@ -326,7 +326,7 @@ def verify_thm_1_5(f: SCF, alpha: Optional[Fraction] = None,
     d_nonmanip = distance_to_nonmanip(f, cap).value
     threshold_cubed = bound_value("1.5", BoundParams(n=f.n, k=f.k, alpha=alpha))
     first = d_nonmanip ** 3 < threshold_cubed
-    m3 = census(f, (3,), cap, tasks).fraction(3)
+    m3 = census(f, (3,), cap).fraction(3)
     second = m3 >= alpha
     notes = []
     if alpha == 0:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from votemanip import cli
+from votemanip import cli, manip
 from votemanip.scf import Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
 
@@ -306,6 +306,20 @@ def test_exit_code_sweep_failure(monkeypatch, tmp_path, sweep, argv, label):
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest == {"report": VerificationReport(
         label, None, None, False, witnesses={"failures": failures}).describe()}
+
+
+@pytest.mark.parametrize("command", ["census", "gs-classify"])
+def test_window_tables_past_the_cap_are_refused_before_any_table(monkeypatch, command):
+    # At k = 8 the per-rank window tables hold 8! * (8! - 1) entries, far past the
+    # cap, although the one-voter table itself (8! entries) is within it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Plurality, "_build_table", refuse)
+    monkeypatch.setattr(manip, "_census_plans", refuse)
+    code, out = run_cli([command, "--rule", "plurality", "-n", "1", "-k", "8"])
+    assert code == 2
+    assert out == ""
 
 
 def test_tasks_env_override(monkeypatch):

@@ -1,7 +1,8 @@
 """Differential tests: the package against the order-tuple oracles in ``oracles``.
 
 Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
-a wrong stride for a first, middle or last voter shows up as a mismatch.
+a wrong stride for a first, middle or last voter shows up as a mismatch; the
+census is also checked at k = 1, 2 and 5.
 """
 import io
 import json
@@ -29,7 +30,7 @@ from votemanip.graphs import (
     boundary_count,
     refined_edge_counts,
 )
-from votemanip.manip import census, gs_classify, nonmanip_membership
+from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
 from votemanip.metrics import (
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
@@ -49,14 +50,18 @@ from votemanip.scf import (
 )
 
 SHAPES = [(1, 3), (2, 3), (3, 3), (2, 4)]
+# Census shapes at the edges: no window (k = 1), only the width-2 window (k = 2),
+# and five alternatives.
+EDGE_SHAPES = [(1, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 5)]
 KINDS = ["random", "plurality", "borda", "top", "monotone"]
 
 
 @st.composite
-def subjects(draw):
-    """(package SCF, order-tuple evaluator) pairs over the supported shapes."""
-    n, k = draw(st.sampled_from(SHAPES))
-    kind = draw(st.sampled_from(KINDS))
+def subjects(draw, shapes=SHAPES):
+    """(package SCF, order-tuple evaluator) pairs over the given shapes."""
+    n, k = draw(st.sampled_from(shapes))
+    # A two-valued rule needs two alternatives.
+    kind = draw(st.sampled_from(KINDS if k > 1 else KINDS[:-1]))
     if kind == "random":
         rng = random.Random(draw(st.integers(0, 10 ** 6)))
         outcomes = [rng.randrange(k) for _ in oracles.all_profiles(n, k)]
@@ -97,6 +102,26 @@ def test_census_and_classification_match_oracle(subject):
     assert (member is not None) == oracles.is_nonmanipulable_member(evaluate, f.n, f.k)
     if member is not None:
         assert member.table() == f.table()
+
+
+@settings(max_examples=25, deadline=None)
+@given(subjects(EDGE_SHAPES))
+def test_census_matches_oracle_at_edge_shapes(subject):
+    f, evaluate = subject
+    rs = [2, 3, 4, 5]
+    total, counts = oracles.census_counts(evaluate, f.n, f.k, rs)
+    cen = census(f, rs)
+    assert cen.total_profiles == total
+    assert cen.counts == counts
+
+
+@settings(max_examples=20, deadline=None)
+@given(subjects())
+def test_exact_pair_probability_matches_oracle(subject):
+    f, evaluate = subject
+    for width in range(2, f.k + 1):
+        assert exact_pair_probability(f, width) == oracles.pair_probability(
+            evaluate, f.n, f.k, width)
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from votemanip.graphs import (
     vertex_boundary,
 )
 from votemanip.rankings import AdjacentTransposition, Ranking, decode_profile
-from votemanip.scf import Constant, TopHDictator, random_table_scf
+from votemanip.scf import Constant, Plurality, TopHDictator, random_table_scf
 
 
 def test_neighbor_counts():
@@ -56,6 +56,15 @@ def test_top_dictator_refined_pair_boundaries():
             assert sigma2[0].order[0] == b and sigma2[0].order[1] == a
             assert is_on_boundary(f, sigma, spec)
             assert not is_on_boundary(f, sigma2, spec)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_is_on_boundary_rejects_coordinate_out_of_range(i):
+    f = Plurality(2, 3)
+    for index in range(36):
+        spec = BoundarySpec(i=i, a=f.table()[index])
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            is_on_boundary(f, decode_profile(2, 3, index), spec)
 
 
 def test_refined_pairs_require_adjacency():

@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from votemanip import cli, engine, manip
 from votemanip.manip import (
     census,
     exact_pair_probability,
@@ -211,16 +214,39 @@ def test_census_cap_exceeded():
         census(Plurality(4, 4), cap=1000)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10 ** 9), st.integers(2, 5))
-def test_census_independent_of_task_count(seed, tasks):
-    f = random_table_scf(2, 3, seed)
-    assert census(f, (2, 3), tasks=tasks) == census(f, (2, 3), tasks=1)
+def test_census_rejects_widths_past_one_byte():
+    # Widths 2..k are bits of one byte; the table is never built.
+    with pytest.raises(ValueError, match="widths up to 9"):
+        census(Plurality(1, 10), (10,), cap=10 ** 14)
 
 
-def test_exact_pair_probability_independent_of_task_count():
-    f = Plurality(2, 4)
-    assert exact_pair_probability(f, 4, tasks=5) == exact_pair_probability(f, 4, tasks=1)
+def test_line_memo_bound_does_not_change_counts(monkeypatch):
+    subjects = [Borda(3, 3), Plurality(2, 4), random_table_scf(2, 4, 3)]
+    expected = [(census(f), exact_pair_probability(f, 3)) for f in subjects]
+    monkeypatch.setattr(manip, "_memo_bound", lambda k: 1)
+    assert [(census(f), exact_pair_probability(f, 3)) for f in subjects] == expected
+
+
+def test_census_makes_one_line_pass_per_coordinate_in_one_process(monkeypatch):
+    passes = []
+    lines = manip.coordinate_lines
+
+    def counted(table, n, k, i, *rest):
+        passes.append(i)
+        return lines(table, n, k, i, *rest)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the census starts no process pool")
+
+    monkeypatch.setattr(manip, "coordinate_lines", counted)
+    monkeypatch.setattr(engine, "map_chunks", no_pool)
+    census(Borda(3, 3))
+    assert passes == [0, 1, 2]
+    passes.clear()
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(["census", "--rule", "random:4", "-n", "3", "-k", "3", "--tasks", "2"])
+    assert code == 0
+    assert passes == [0, 1, 2]
 
 
 @settings(max_examples=10, deadline=None)

@@ -16,6 +16,7 @@ from votemanip.rankings import (
     encode_profile,
     encode_ranking,
     index_digits,
+    join_coordinate_lines,
     preference_masks,
     profile_digits,
     profile_space_size,
@@ -176,6 +177,9 @@ def test_layout_helpers_agree_with_profile_decoding(n, k):
             assert {rests[p] for p in line} == {rests[base]}
             assert digits_index(k, rests[base]) == line_no
         assert list(coordinate_lines(table, n, k, i, 1, 3)) == lines[1:3]
+        data = bytes(p % 251 for p in range(size))
+        assert join_coordinate_lines(
+            n, k, i, (line for _base, line in coordinate_lines(data, n, k, i))) == data
     for a, b in permutations(range(k), 2):
         assert preference_masks(n, k, a, b) == [
             sum(1 << c for c, r in enumerate(prof) if r.prefers(a, b)) for prof in profiles
