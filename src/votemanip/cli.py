@@ -133,7 +133,7 @@ def _config_from(args, command: str) -> RunConfig:
 def _cmd_census(args) -> int:
     f = _build_scf(args)
     requested = sorted({int(x) for x in args.r_values.split(",")})
-    rs = sorted(set(requested) | {f.k})
+    rs = sorted(set(requested) | {max(f.k, 2)})
     cen = manip.census(f, rs, args.cap)
     fractions = {f"M_{r}": frac_str(cen.fraction(r)) for r in requested}
     fractions["M"] = frac_str(cen.manipulable_fraction())
@@ -212,6 +212,8 @@ def _cmd_fibers(args) -> int:
 
 
 def _cmd_local_dictators(args) -> int:
+    if args.max_list < 0:
+        raise ConfigError("--max-list must be >= 0")
     f = _build_scf(args)
     pair = _pair(args.pair, f.k)
     profiles = sorted(
@@ -351,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="exact r-manipulation census")
     _add_common(p)
-    p.add_argument("--r-values", default="2,3,4", help="comma list of r values (k is always added)")
+    p.add_argument("--r-values", default="2,3,4",
+                   help="comma list of r values (k, or 2 when k = 1, is always added)")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("distance", help="distances to both nonmanipulable families")

@@ -17,11 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from .rankings import (
     Profile,
     Ranking,
+    adjacent_swap_neighbors,
     all_rankings,
     coordinate_lines,
     decode_profile,
@@ -30,8 +32,8 @@ from .rankings import (
     profile_strides,
     ranking_orders,
     ranking_positions,
-    ranking_rank_of,
     top_h_by_rank,
+    window_moves,
 )
 from .scf import DEFAULT_TABLE_CAP, SCF
 
@@ -64,16 +66,9 @@ def ranks_preferring(k: int, a: int, b: int) -> tuple[int, ...]:
 def ranks_adjacent_above(k: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
     """(rank, swapped rank) for rankings with a directly above b."""
     pos = ranking_positions(k)
-    orders = ranking_orders(k)
-    rank_of = ranking_rank_of(k)
-    out = []
-    for r in range(factorial(k)):
-        pa = pos[r][a]
-        if pa + 1 < k and orders[r][pa + 1] == b:
-            swapped = list(orders[r])
-            swapped[pa], swapped[pa + 1] = swapped[pa + 1], swapped[pa]
-            out.append((r, rank_of[tuple(swapped)]))
-    return tuple(out)
+    pair = (min(a, b), max(a, b))
+    return tuple((r, dest) for r, moves in enumerate(adjacent_swap_neighbors(k))
+                 for dest, x, y in moves if (x, y) == pair and pos[r][a] < pos[r][b])
 
 
 class FiberVariant(Enum):
@@ -290,51 +285,34 @@ def is_local_dictator(f: SCF, profile: Profile, i: int, H) -> bool:
 def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
                         cap: int = DEFAULT_TABLE_CAP) -> set[Profile]:
     """Profiles that are local dictators on {a, b, c} in coordinate i for some
-    third alternative c."""
+    third alternative c.
+
+    A block is a width-3 window holding a and b. Its six orders are the six
+    draws of one window start in :func:`rankings.window_moves` and share one set
+    of probes, so each line checks a block once (from its lowest rank) and,
+    when every order elects its block top, adds all six profiles.
+    """
     _check_coordinate(f, i)
     a, b = pair
     if a == b:
         raise ValueError("need two distinct alternatives")
     table = f.table(cap)
     n, k = f.n, f.k
-    fact = factorial(k)
-    rank_of = ranking_rank_of(k)
     orders = ranking_orders(k)
-    pos = ranking_positions(k)
-
-    # For each ranking rank and third alternative: the block check plus the
-    # list of (replacement rank, required winner) to probe, precomputed once.
-    probes: dict[tuple[int, int], Optional[list[tuple[int, int]]]] = {}
-    for r in range(fact):
-        for c in range(k):
-            if c in (a, b):
-                continue
-            subset = sorted((a, b, c))
-            ps = sorted(pos[r][x] for x in subset)
-            if ps[-1] - ps[0] != 2:
-                probes[(r, c)] = None
-                continue
-            lo = ps[0]
-            head, tail = orders[r][:lo], orders[r][lo + 3:]
-            probes[(r, c)] = [
-                (rank_of[head + block + tail], block[0])
-                for block in permutations(subset)
-            ]
-
+    blocks = []
+    for r, moves in enumerate(window_moves(k, 3)):
+        for start in range(k - 2):
+            dests = moves[6 * start:6 * start + 6]
+            if r == min(dests) and {a, b} <= set(orders[r][start:start + 3]):
+                blocks.append((itemgetter(*dests), tuple(orders[d][start] for d in dests),
+                               dests))
     stride = profile_strides(n, k)[i]
-    found: set[Profile] = set()
+    found: set[int] = set()
     for base, line in coordinate_lines(table, n, k, i):
-        for rho in range(fact):
-            for c in range(k):
-                if c in (a, b):
-                    continue
-                plan = probes[(rho, c)]
-                if plan is None:
-                    continue
-                if all(line[dest] == winner for dest, winner in plan):
-                    found.add(decode_profile(n, k, base + rho * stride))
-                    break
-    return found
+        for probe, tops, dests in blocks:
+            if probe(line) == tops:
+                found.update(base + dest * stride for dest in dests)
+    return {decode_profile(n, k, p) for p in found}
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ The exact census and the exact pair probability run in one process and make
 one pass per coordinate over its lines (:func:`rankings.coordinate_lines`).
 What a line contributes depends only on its outcomes, so each distinct line
 is worked out once: an anonymous rule has few distinct lines (Borda at n=4,
-k=4 has 138 among 55,296). :func:`gs_classify` instead scans profiles in index
-order and stops at the first manipulable one.
+k=4 has 138 among 55,296). :func:`gs_classify` instead asks membership in the
+nonmanipulable family first, then scans profiles in index order and stops at
+the first manipulable one.
 """
 from __future__ import annotations
 
@@ -30,9 +31,9 @@ from .rankings import (
     Ranking,
     coordinate_lines,
     decode_profile,
+    fiber_outcome_counts,
     index_digits,
     join_coordinate_lines,
-    preference_masks,
     profile_digits,
     profile_space_size,
     profile_strides,
@@ -207,7 +208,7 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     within. Widths 2..k take k - 1 bits of that byte.
     """
     if r_values is None:
-        r_values = (2, 3, 4, f.k)
+        r_values = (2, 3, 4, max(f.k, 2))
     rs = sorted(set(r_values))
     if rs and rs[0] < 2:
         raise ValueError("r values must be >= 2")
@@ -411,16 +412,15 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
                 return TopHDictator(n, k, i, image)
 
     # Monotone two-valued branch: constant on every preference fiber of its
-    # two-element range, with a monotone fiber table.
+    # two-element range (each fiber all a or all b), with a monotone fiber table.
     image = sorted(set(table))
     if len(image) == 2:
         a, b = image
-        fiber = [None] * (1 << n)
-        for mask, out in zip(preference_masks(n, k, a, b), table):
-            if fiber[mask] is None:
-                fiber[mask] = out
-            elif fiber[mask] != out:
-                return None
+        size = (factorial(k) // 2) ** n
+        count_a, _count_b = fiber_outcome_counts(table, n, k, a, b)
+        if any(0 < c < size for c in count_a):
+            return None
+        fiber = [a if c else b for c in count_a]
         if is_monotone_pair_table(n, (a, b), fiber):
             return MonotoneTwoValued(n, k, (a, b), fiber)
     return None
@@ -460,19 +460,23 @@ def _first_manipulable(table, n: int, k: int) -> Optional[int]:
 
 
 def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
-    """Either the first manipulation pair, or an exact nonmanipulable twin."""
+    """Either the first manipulation pair, or an exact nonmanipulable twin.
+
+    Membership is asked first: a member equal to f is nonmanipulable, and the
+    first-hit scan would walk every profile, voter and ranking to find that.
+    """
     n, k = f.n, f.k
     fact = factorial(k)
     _check_window_tables(k, fact * (fact - 1), cap)
-    hit = _first_manipulable(f.table(cap), n, k)
-    if hit is not None:
-        witness = is_r_manipulation_point(f, decode_profile(n, k, hit), k)
-        assert witness is not None
-        return GSClassification(True, witness, None)
     member = nonmanip_membership(f, cap)
-    if member is None:
+    if member is not None:
+        return GSClassification(False, None, member)
+    hit = _first_manipulable(f.table(cap), n, k)
+    if hit is None:
         raise AssertionError(
             "no manipulation point found yet no nonmanipulable twin exists; "
             "this contradicts the Gibbard-Satterthwaite dichotomy"
         )
-    return GSClassification(False, None, member)
+    witness = is_r_manipulation_point(f, decode_profile(n, k, hit), k)
+    assert witness is not None
+    return GSClassification(True, witness, None)

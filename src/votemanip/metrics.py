@@ -17,7 +17,7 @@ from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
     AdjacentTransposition,
     coordinate_lines,
-    preference_masks,
+    fiber_outcome_counts,
     top_h_by_rank,
 )
 from .scf import (
@@ -192,9 +192,7 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
             best_agree = agree
             best_witness = OneCoordinate(n, k, i, completion)
 
-    mass = [0] * k
-    for a in table:
-        mass[a] += 1
+    mass = [table.count(a) for a in range(k)]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
     keep = ranked[:2] if k >= 2 else ranked[:1]
     fallback = min(keep)
@@ -211,10 +209,14 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
 
     Minimizes over every top_H dictator (direct counting) and, per alternative
     pair, the cost-optimal monotone two-valued function found by an exact
-    minimum cut over the preference hypercube.
+    minimum cut over the preference hypercube, whose vertex costs are read
+    from :func:`rankings.fiber_outcome_counts`. A hypercube past
+    ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
     """
-    table = f.table(cap)
     n, k = f.n, f.k
+    if k >= 2 and n > MAX_HYPERCUBE_BITS:
+        raise CapExceededError(f"hypercube with 2^{n} vertices exceeds the cap")
+    table = f.table(cap)
     size = len(table)
     best_agree = -1
     best_witness: Optional[SCF] = None
@@ -229,16 +231,12 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
                 best_agree = agree
                 best_witness = TopHDictator(n, k, i, members)
 
+    fiber = (factorial(k) // 2) ** n
     for a in range(k):
         for b in range(a + 1, k):
-            cost_a = [0] * (1 << n)
-            cost_b = [0] * (1 << n)
-            for mask, out in zip(preference_masks(n, k, a, b), table):
-                if out != a:
-                    cost_a[mask] += 1
-                if out != b:
-                    cost_b[mask] += 1
-            labels, cost = nearest_monotone_boolean(cost_a, cost_b)
+            count_a, count_b = fiber_outcome_counts(table, n, k, a, b)
+            labels, cost = nearest_monotone_boolean(
+                [fiber - c for c in count_a], [fiber - c for c in count_b])
             if size - cost > best_agree:
                 best_agree = size - cost
                 best_witness = MonotoneTwoValued(

@@ -10,8 +10,8 @@ with voter 0 most significant.
 This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
 :func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
-:func:`coordinate_lines`, :func:`join_coordinate_lines` and
-:func:`preference_masks`.
+:func:`coordinate_lines`, :func:`join_coordinate_lines`,
+:func:`preference_masks` and :func:`fiber_outcome_counts`.
 """
 from __future__ import annotations
 
@@ -237,6 +237,22 @@ def preference_masks(n: int, k: int, a: int, b: int) -> list[int]:
         bits = [1 << c if p else 0 for p in prefers]
         masks = [m | bit for m in masks for bit in bits]
     return masks
+
+
+def fiber_outcome_counts(table, n: int, k: int, a: int, b: int) -> tuple[list[int], list[int]]:
+    """Per preference mask (:func:`preference_masks`), the profiles electing a and b.
+
+    Every mask's fiber holds ``(k!/2)^n`` profiles. One zip of the table with
+    its masks: a pass over coordinate lines costs more per profile in Python.
+    """
+    count_a = [0] * (1 << n)
+    count_b = [0] * (1 << n)
+    for mask, out in zip(preference_masks(n, k, a, b), table):
+        if out == a:
+            count_a[mask] += 1
+        elif out == b:
+            count_b[mask] += 1
+    return count_a, count_b
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .rankings import (
     Profile,
     Ranking,
     digits_index,
-    preference_masks,
+    fiber_outcome_counts,
     profile_digits,
     profile_space_size,
     ranking_orders,
@@ -416,16 +416,9 @@ def majority_projection(g: SCF, pair: tuple[int, int], cap: int = DEFAULT_TABLE_
     rng = g.range(cap)
     if not rng <= {a, b}:
         raise ValueError(f"range {sorted(rng)} not within pair {pair}")
-    n = g.n
-    counts_a = [0] * (1 << n)
-    counts_b = [0] * (1 << n)
-    for mask, out in zip(preference_masks(n, g.k, a, b), g.table(cap)):
-        if out == a:
-            counts_a[mask] += 1
-        elif out == b:
-            counts_b[mask] += 1
-    boolean = tuple(a if counts_a[m] >= counts_b[m] else b for m in range(1 << n))
-    return PairBooleanSCF(n, g.k, pair, boolean)
+    counts_a, counts_b = fiber_outcome_counts(g.table(cap), g.n, g.k, a, b)
+    boolean = tuple(a if x >= y else b for x, y in zip(counts_a, counts_b))
+    return PairBooleanSCF(g.n, g.k, pair, boolean)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,18 @@ def pair_mask(prof, a, b):
     return sum(1 << c for c, order in enumerate(prof) if order.index(a) < order.index(b))
 
 
+def fiber_outcome_counts(evaluate, n, k, a, b):
+    """Per preference mask, the profiles electing a and the profiles electing b."""
+    count_a, count_b = [0] * (1 << n), [0] * (1 << n)
+    for prof in all_profiles(n, k):
+        out = evaluate(prof)
+        if out == a:
+            count_a[pair_mask(prof, a, b)] += 1
+        elif out == b:
+            count_b[pair_mask(prof, a, b)] += 1
+    return count_a, count_b
+
+
 def is_nonmanipulable_member(evaluate, n, k):
     """Whether f is a top_H dictator or a monotone two-valued function."""
     profs = all_profiles(n, k)

@@ -40,6 +40,28 @@ def test_census_exact_mode_strings_only():
         assert isinstance(value, str) and "/" in value
 
 
+@pytest.mark.parametrize("r_values", ["2,3,4", "2"])
+def test_census_at_one_alternative(r_values):
+    # k is always added to the r values, and k = 1 is no window width.
+    code, doc = run_json(["census", "--rule", "plurality", "-n", "2", "-k", "1",
+                          "--r-values", r_values])
+    assert code == 0
+    assert doc["result"]["total_profiles"] == 1
+    assert set(doc["result"]["counts"].values()) == {0}
+    assert doc["result"]["fractions"]["M"] == "0/1"
+
+
+def test_distance_refuses_an_oversized_hypercube_before_the_table(monkeypatch):
+    # 21 voters over two alternatives: a 2^21-vertex preference hypercube.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Plurality, "_build_table", refuse)
+    code, out = run_cli(["distance", "--rule", "plurality", "-n", "21", "-k", "2"])
+    assert code == 2
+    assert out == ""
+
+
 def test_distance_report():
     code, doc = run_json(["distance", "--rule", "plurality", "-n", "3", "-k", "3"])
     assert code == 0
@@ -92,6 +114,15 @@ def test_local_dictators_report():
     assert code == 0
     assert doc["result"]["count"] == 48
     assert len(doc["result"]["profiles"]) == 20
+
+
+def test_local_dictators_rejects_negative_max_list():
+    # A negative slice bound used to list all but the last profiles.
+    code, out = run_cli([
+        "local-dictators", "--rule", "plurality", "-n", "2", "-k", "3",
+        "--pair", "1,2", "--coordinate", "1", "--max-list", "-1",
+    ])
+    assert code == 1 and out == ""
 
 
 @pytest.mark.parametrize("coordinate", ["0", "4"])

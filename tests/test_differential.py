@@ -2,7 +2,8 @@
 
 Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
 a wrong stride for a first, middle or last voter shows up as a mismatch; the
-census is also checked at k = 1, 2 and 5.
+census, the classification, the distances, local dictators and the fiber
+outcome counts are also checked at k = 1, 2 and 5.
 """
 import io
 import json
@@ -39,12 +40,13 @@ from votemanip.metrics import (
     influence_total,
     transition_counts,
 )
-from votemanip.rankings import AdjacentTransposition, decode_profile
+from votemanip.rankings import AdjacentTransposition, decode_profile, fiber_outcome_counts
 from votemanip.scf import (
     Borda,
     Plurality,
     TableSCF,
     TopHDictator,
+    majority_projection,
     random_monotone_two_valued,
     random_table_scf,
 )
@@ -53,6 +55,8 @@ SHAPES = [(1, 3), (2, 3), (3, 3), (2, 4)]
 # Census shapes at the edges: no window (k = 1), only the width-2 window (k = 2),
 # and five alternatives.
 EDGE_SHAPES = [(1, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 5)]
+# The edge shapes with a pair of alternatives.
+PAIR_EDGE_SHAPES = [(n, k) for n, k in EDGE_SHAPES if k >= 2]
 KINDS = ["random", "plurality", "borda", "top", "monotone"]
 
 
@@ -93,15 +97,23 @@ def test_census_and_classification_match_oracle(subject):
     cen = census(f, rs)
     assert cen.total_profiles == total
     assert {r: cen.count(r) for r in rs} == counts
+    assert _classification_matches_oracle(f, evaluate) == (counts[f.k] > 0)
+
+
+def _classification_matches_oracle(f, evaluate):
+    """Check the gs-classify verdict, its witness and membership; return the verdict."""
     verdict = gs_classify(f)
     first = oracles.first_manipulable_profile(evaluate, f.n, f.k)
-    assert verdict.manipulable == (first is not None) == (counts[f.k] > 0)
+    assert verdict.manipulable == (first is not None)
     if first is not None:
         assert tuple(r.order for r in verdict.witness_pair.profile) == first
+    else:
+        assert verdict.witness_member.table() == f.table()
     member = nonmanip_membership(f)
     assert (member is not None) == oracles.is_nonmanipulable_member(evaluate, f.n, f.k)
     if member is not None:
         assert member.table() == f.table()
+    return verdict.manipulable
 
 
 @settings(max_examples=25, deadline=None)
@@ -132,6 +144,45 @@ def test_distances_match_oracle(subject):
         evaluate, f.n, f.k)
     assert distance_to_nonmanip_bar(f).value == oracles.distance_to_nonmanip_bar_fraction(
         evaluate, f.n, f.k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(subjects(EDGE_SHAPES))
+def test_classification_and_distances_match_oracle_at_edge_shapes(subject):
+    f, evaluate = subject
+    _classification_matches_oracle(f, evaluate)
+    assert distance_to_nonmanip(f).value == oracles.distance_to_nonmanip_fraction(
+        evaluate, f.n, f.k)
+    assert distance_to_nonmanip_bar(f).value == oracles.distance_to_nonmanip_bar_fraction(
+        evaluate, f.n, f.k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(subjects(SHAPES + PAIR_EDGE_SHAPES))
+def test_fiber_outcome_counts_match_oracle(subject):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    for a, b in permutations(range(k), 2):
+        assert fiber_outcome_counts(f.table(), n, k, a, b) == oracles.fiber_outcome_counts(
+            evaluate, n, k, a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(subjects(SHAPES + PAIR_EDGE_SHAPES), st.integers(0, 10 ** 6))
+def test_majority_projection_matches_oracle(subject, seed):
+    # Each ordered pair projects the subject's fibers read as a-vs-rest, and a
+    # seeded random table on the pair, whose fibers mix (and at k = 4 can tie).
+    f, _evaluate = subject
+    n, k = f.n, f.k
+    rng = random.Random(seed)
+    for a, b in permutations(range(k), 2):
+        collapsed = [a if out == a else b for out in f.table()]
+        mixed = [rng.choice((a, b)) for _ in collapsed]
+        for outcomes in (collapsed, mixed):
+            lookup = dict(zip(oracles.all_profiles(n, k), outcomes))
+            count_a, count_b = oracles.fiber_outcome_counts(lookup.__getitem__, n, k, a, b)
+            assert majority_projection(TableSCF(n, k, outcomes), (a, b)).bool_table == tuple(
+                a if x >= y else b for x, y in zip(count_a, count_b))
 
 
 @settings(max_examples=20, deadline=None)
@@ -239,6 +290,16 @@ def test_fiber_sets_match_oracle(subject, data):
             evaluate, n, k, i, H)
         assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
             evaluate, n, k, i, a, b)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subjects(PAIR_EDGE_SHAPES), st.data())
+def test_local_dictators_match_oracle_at_edge_shapes(subject, data):
+    f, evaluate = subject
+    a, b = data.draw(st.sampled_from(list(permutations(range(f.k), 2))))
+    for i in range(f.n):
+        assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
+            evaluate, f.n, f.k, i, a, b)
 
 
 @settings(max_examples=15, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from votemanip import cli, engine, manip
 from votemanip.manip import (
+    GSClassification,
     census,
     exact_pair_probability,
     gs_classify,
@@ -145,6 +146,31 @@ def test_gs_classify_two_valued_witness():
         # Degenerate draws collapse to a constant, reported as a dictatorship.
         assert isinstance(res.witness_member, TopHDictator)
     assert distance(f, res.witness_member) == 0
+
+
+@pytest.mark.parametrize("f", [
+    TopHDictator(3, 4, 0, range(4)),
+    TopHDictator(2, 3, 1, {0, 2}),
+    random_monotone_two_valued(3, 4, 1),
+    random_monotone_two_valued(2, 3, 14),
+], ids=["top-all", "top-pair", "monotone-4", "monotone-3"])
+def test_gs_classify_asks_membership_before_scanning(monkeypatch, f):
+    # A member equal to f is nonmanipulable, so the first-hit scan, which walks
+    # every profile, voter and ranking of such a table, is never needed.
+    expected = GSClassification(False, None, nonmanip_membership(f)).describe()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the first-hit scan ran")
+
+    monkeypatch.setattr(manip, "_first_manipulable", refuse)
+    assert gs_classify(f).describe() == expected
+
+
+def test_census_at_one_alternative():
+    # The default r values include k, which must not fall below the smallest width.
+    cen = census(Plurality(2, 1))
+    assert cen.counts == {2: 0, 3: 0, 4: 0}
+    assert cen.manipulable_fraction() == 0
 
 
 @settings(max_examples=25, deadline=None)
