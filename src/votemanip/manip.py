@@ -416,13 +416,13 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
     image = sorted(set(table))
     if len(image) == 2:
         a, b = image
-        size = (factorial(k) // 2) ** n
+        fiber = (factorial(k) // 2) ** n
         count_a, _count_b = fiber_outcome_counts(table, n, k, a, b)
-        if any(0 < c < size for c in count_a):
+        if any(0 < c < fiber for c in count_a):
             return None
-        fiber = [a if c else b for c in count_a]
-        if is_monotone_pair_table(n, (a, b), fiber):
-            return MonotoneTwoValued(n, k, (a, b), fiber)
+        labels = [a if c else b for c in count_a]
+        if is_monotone_pair_table(n, (a, b), labels):
+            return MonotoneTwoValued(n, k, (a, b), labels)
     return None
 
 

@@ -243,7 +243,8 @@ def fiber_outcome_counts(table, n: int, k: int, a: int, b: int) -> tuple[list[in
     """Per preference mask (:func:`preference_masks`), the profiles electing a and b.
 
     Every mask's fiber holds ``(k!/2)^n`` profiles. One zip of the table with
-    its masks: a pass over coordinate lines costs more per profile in Python.
+    its masks: a pass over the last voter's lines is about as fast on large
+    tables and twice as slow on the small ones the ``verify`` sweeps pass.
     """
     count_a = [0] * (1 << n)
     count_b = [0] * (1 << n)
