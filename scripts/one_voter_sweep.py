@@ -12,10 +12,11 @@ import sys
 from collections import Counter
 from math import factorial
 
+from votemanip.errors import CapExceededError
 from votemanip.manip import census, nonmanip_membership
 from votemanip.metrics import distance_to_nonmanip, frac_str
 from votemanip.scf import TableSCF
-from votemanip.verify import BoundParams, bound_value
+from votemanip.verify import BoundParams, bound_value, one_voter_function_count
 
 
 def main() -> int:
@@ -25,9 +26,10 @@ def main() -> int:
     args = parser.parse_args()
 
     k = args.alternatives
-    total = k ** factorial(k)
-    if total > 10 ** 6:
-        print(f"{total} functions is beyond desk scale; use k=3", file=sys.stderr)
+    try:
+        total = one_voter_function_count(k)
+    except (ValueError, CapExceededError) as exc:
+        print(f"{exc}; use k=3", file=sys.stderr)
         return 1
 
     sink = open(args.output, "w") if args.output else None

@@ -73,7 +73,7 @@ def _parse_rule(rule: str, n: int, k: int, cap: int) -> scf.SCF:
     if name == "random":
         return scf.random_table_scf(n, k, int(rest), cap)
     if name == "monotone-random":
-        return scf.random_monotone_two_valued(n, k, int(rest))
+        return scf.random_monotone_two_valued(n, k, int(rest), cap)
     raise ConfigError(f"unknown rule {rule!r}")
 
 
@@ -252,6 +252,8 @@ def _cmd_hypercontractivity(args) -> int:
     if not 1 <= args.bits <= verify.MAX_CUBE_BITS:
         raise CapExceededError(f"--bits {args.bits} outside the supported range "
                                f"[1, {verify.MAX_CUBE_BITS}]")
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     rho = parse_frac(args.rho)
     size = 1 << args.bits
     if args.b1 or args.b2:
@@ -260,8 +262,6 @@ def _cmd_hypercontractivity(args) -> int:
         report = verify.verify_reverse_hypercontractivity(args.bits, rho, B1, B2)
         _emit(args, _config_from(args, "hypercontractivity"), report.describe())
         return 0 if report.holds else 3
-    violations = 0
-    checked = 0
     sample_rows = []
     for t in range(args.pairs):
         rng = random.Random(engine.derive_stream_seed(args.seed, t))
@@ -269,18 +269,16 @@ def _cmd_hypercontractivity(args) -> int:
         B1 = [m for m in range(size) if bits1 >> m & 1]
         B2 = [m for m in range(size) if bits2 >> m & 1]
         report = verify.verify_reverse_hypercontractivity(args.bits, rho, B1, B2)
-        checked += 1
         if not report.holds:
-            violations += 1
             sample_rows.append(report.describe())
     result = {
-        "pairs_checked": checked,
-        "violations": violations,
-        "holds": violations == 0,
+        "pairs_checked": args.pairs,
+        "violations": len(sample_rows),
+        "holds": not sample_rows,
         "failing_reports": sample_rows[:10],
     }
     _emit(args, _config_from(args, "hypercontractivity"), result)
-    return 0 if violations == 0 else 3
+    return 3 if sample_rows else 0
 
 
 def _verify_run(args, tasks: int):
@@ -291,7 +289,7 @@ def _verify_run(args, tasks: int):
         if args.alternatives is None:
             raise ConfigError("--exhaustive needs -k")
         sweep, name = verify.sweep_one_voter(args.alternatives, tasks), "1.4-sweep"
-    elif args.random:
+    elif args.random is not None:
         if args.voters is None or args.alternatives is None:
             raise ConfigError("--random needs -n and -k")
         sweep = verify.sweep_random_tables(
@@ -439,7 +437,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:

@@ -190,10 +190,11 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     _check_coordinate(f, i)
     a, b = pair
     n, k = f.n, f.k
+    table = f.table(cap)
     bits = _key_bits(n, variant)
     members = [0] * (1 << bits)
     on_boundary = [0] * (1 << bits)
-    lines = zip(preference_masks(n - 1, k, a, b), coordinate_lines(f.table(cap), n, k, i))
+    lines = zip(preference_masks(n - 1, k, a, b), coordinate_lines(table, n, k, i))
     if variant is FiberVariant.PLAIN:
         # Voter i's ranks with a above b (bit i set), and with b above a.
         sides = ((1 << i, ranks_preferring(k, a, b)), (0, ranks_preferring(k, b, a)))
@@ -245,12 +246,13 @@ def refined_topset_membership_key(f: SCF, i: int, a: int, b: int,
     n, k = f.n, f.k
     if len(key) != n - 1:
         raise ValueError(f"deleted-coordinate key needs {n - 1} bits")
+    table = f.table(cap)
     target = _key_mask(key)
     tops = top_h_by_rank(k, frozenset((a, b)))
     members = 0
     agree = 0
     for rest, (_base, line) in zip(preference_masks(n - 1, k, a, b),
-                                   coordinate_lines(f.table(cap), n, k, i)):
+                                   coordinate_lines(table, n, k, i)):
         if rest == target:
             members += len(line)
             agree += sum(1 for out, top in zip(line, tops) if out == top)
@@ -323,7 +325,7 @@ def _rest_lines(table, n: int, k: int, i: int):
     """(rest-profile, outcomes of coordinate i's rankings) per assignment of the others."""
     rankings = all_rankings(k)
     for rest, (_base, line) in zip(profile_digits(n - 1, k), coordinate_lines(table, n, k, i)):
-        yield tuple(rankings[d] for d in rest), tuple(line)
+        yield tuple(rankings[d] for d in rest), line
 
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
@@ -332,7 +334,7 @@ def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[t
     subset = frozenset(H)
     if not subset:
         raise ValueError("H must be nonempty")
-    target = top_h_by_rank(f.k, subset)
+    target = bytes(top_h_by_rank(f.k, subset))
     return {rest for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i)
             if outcomes == target}
 
@@ -351,7 +353,7 @@ def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
         image = frozenset(outcomes)
         if len(image) < 3 or a not in image or b not in image:
             continue
-        if outcomes == top_h_by_rank(f.k, image):
+        if outcomes == bytes(top_h_by_rank(f.k, image)):
             out.add(rest)
     return out
 

@@ -25,10 +25,10 @@ from math import factorial
 from typing import Optional
 
 from . import engine
-from .errors import CapExceededError
 from .rankings import (
     Profile,
     Ranking,
+    check_cap,
     coordinate_lines,
     decode_profile,
     fiber_outcome_counts,
@@ -141,12 +141,10 @@ class ManipulationCensus:
         }
 
 
-def _check_window_tables(k: int, entries: int, cap: int) -> None:
-    """Refuse per-rank window tables of more than ``cap`` entries, before any is built."""
-    if entries > cap:
-        raise CapExceededError(
-            f"window tables of {entries} entries for k={k} exceed the cap {cap}"
-        )
+def _check_window_tables(k: int, cap: int) -> None:
+    """Refuse per-rank window tables, ``k! (k! - 1)`` entries, over ``cap`` before any is built."""
+    check_cap(cap, "per-rank window table entries", k,
+              count=lambda: factorial(k) * (factorial(k) - 1))
 
 
 def _memo_bound(k: int) -> int:
@@ -213,14 +211,14 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     if rs and rs[0] < 2:
         raise ValueError("r values must be >= 2")
     n, k = f.n, f.k
+    _check_window_tables(k, cap)
     widths = [min(r, k) for r in rs]
     max_width = max(widths, default=1)
-    fact = factorial(k)
-    _check_window_tables(k, fact * (fact - 1), cap)
     # Headroom: one byte holds the bits of widths 2..9.
     if max_width > 9:
         raise ValueError("the census counts window widths up to 9")
-    table = bytes(f.table(cap))
+    table = f.table(cap)
+    fact = factorial(k)
     steps = tuple(zip(range(fact), ranking_positions(k), _census_plans(k, max_width)))
 
     def line_masks(line):
@@ -370,8 +368,8 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
     _check_window(f.k, width)
     n, k = f.n, f.k
     draws = (k - width + 1) * factorial(width)
-    _check_window_tables(k, factorial(k) * draws, cap)
-    table = bytes(f.table(cap))
+    check_cap(cap, "per-rank window table entries", k, count=lambda: factorial(k) * draws)
+    table = f.table(cap)
     positions = ranking_positions(k)
     # Per rank, each destination other than the rank itself with its number of draws.
     moves = [tuple((dest, c) for dest, c in Counter(dests).items() if dest != r)
@@ -408,7 +406,7 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
         _base, first = next(lines)
         if all(line == first for _base, line in lines):
             image = frozenset(first)
-            if tuple(first) == top_h_by_rank(k, image):
+            if first == bytes(top_h_by_rank(k, image)):
                 return TopHDictator(n, k, i, image)
 
     # Monotone two-valued branch: constant on every preference fiber of its
@@ -466,8 +464,7 @@ def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
     first-hit scan would walk every profile, voter and ranking to find that.
     """
     n, k = f.n, f.k
-    fact = factorial(k)
-    _check_window_tables(k, fact * (fact - 1), cap)
+    _check_window_tables(k, cap)
     member = nonmanip_membership(f, cap)
     if member is not None:
         return GSClassification(False, None, member)

@@ -199,7 +199,8 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
     agree = sum(mass[a] for a in keep)
     if agree > best_agree:
         best_agree = agree
-        best_witness = TableSCF(n, k, [a if a in keep else fallback for a in table])
+        best_witness = TableSCF(n, k, table.translate(bytes.maketrans(
+            bytes(range(k)), bytes(a if a in keep else fallback for a in range(k)))))
 
     return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
 

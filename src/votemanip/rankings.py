@@ -20,6 +20,8 @@ from functools import lru_cache
 from itertools import islice, permutations, product
 from math import factorial
 
+from .errors import CapExceededError
+
 Profile = tuple["Ranking", ...]
 
 # Largest k for which full k! lookup tables may be materialized.
@@ -155,6 +157,21 @@ def profile_space_size(n: int, k: int) -> int:
     return factorial(k) ** n
 
 
+def check_cap(cap: int, what: str, k: int, n=None, count=None) -> None:
+    """Refuse more than ``cap`` items before their count is formed.
+
+    The count is ``(k!)^n`` (n voters, one voter when n is None), or ``count()``
+    when given, which must be at least ``2^(max(n, k) - 1)`` for k >= 2 as
+    ``(k!)^n`` is. So n or k past ``cap.bit_length()`` is refused without any
+    factorial or power, and the message names n, k and the cap, not the count.
+    """
+    voters = 1 if n is None else n
+    if (k >= 2 and max(voters, k) > cap.bit_length()
+            or (profile_space_size(voters, k) if count is None else count()) > cap):
+        shape = f"k={k}" if n is None else f"n={n}, k={k}"
+        raise CapExceededError(f"{what} at {shape} exceed the cap {cap}")
+
+
 def encode_profile(profile: Profile) -> int:
     """Mixed-radix pack of per-coordinate ranks, voter 0 most significant."""
     return digits_index(profile[0].k, [encode_ranking(r) for r in profile])
@@ -261,15 +278,11 @@ def fiber_outcome_counts(table, n: int, k: int, a: int, b: int) -> tuple[list[in
 # with the Lehmer order above.
 
 
-def _check_table_k(k: int) -> None:
-    if k > MAX_TABLE_K:
-        raise ValueError(f"k={k} too large for materialized ranking tables")
-
-
 @lru_cache(maxsize=None)
 def ranking_orders(k: int) -> tuple[tuple[int, ...], ...]:
     """All k! order tuples, position ``i`` holding the ranking with rank i."""
-    _check_table_k(k)
+    if k > MAX_TABLE_K:
+        raise ValueError(f"k={k} too large for materialized ranking tables")
     return tuple(permutations(range(k)))
 
 

@@ -14,8 +14,10 @@ from math import factorial
 
 from .errors import CapExceededError
 from .rankings import (
+    MAX_TABLE_K,
     Profile,
     Ranking,
+    check_cap,
     digits_index,
     fiber_outcome_counts,
     profile_digits,
@@ -28,6 +30,10 @@ from .rankings import (
 DEFAULT_TABLE_CAP = 10 ** 7
 
 SCF_TABLE_ENCODING = "lehmer-mixed-radix"
+
+# Headroom: a table holds each outcome in one byte. Built tables stop at
+# MAX_TABLE_K alternatives (ranking_orders); TableSCF checks a table it is handed.
+assert MAX_TABLE_K < 256, "an outcome must fit in one byte"
 
 
 class SCF:
@@ -43,7 +49,7 @@ class SCF:
             raise ValueError("need at least one alternative")
         self.n = n
         self.k = k
-        self._table_cache: list[int] | None = None
+        self._table_cache: bytes | None = None
 
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
         raise NotImplementedError
@@ -56,21 +62,16 @@ class SCF:
                 raise ValueError(f"ranking over {r.k} alternatives, expected {self.k}")
         return self.evaluate_orders(tuple(r.order for r in profile))
 
-    def table(self, cap: int = DEFAULT_TABLE_CAP) -> list[int]:
-        """Flat outcome list indexed by profile index. Computed once, cached."""
+    def table(self, cap: int = DEFAULT_TABLE_CAP) -> bytes:
+        """One outcome byte per profile, indexed by profile index. Computed once, cached."""
         if self._table_cache is None:
-            size = profile_space_size(self.n, self.k)
-            if size > cap:
-                raise CapExceededError(
-                    f"(k!)^n = {size} exceeds table cap {cap} for n={self.n}, k={self.k}"
-                )
+            check_cap(cap, "(k!)^n table entries", self.k, self.n)
             self._table_cache = self._build_table()
         return self._table_cache
 
-    def _build_table(self) -> list[int]:
+    def _build_table(self) -> bytes:
         """Every profile's outcome in index order; rules with a faster build override this."""
-        evaluate = self.evaluate_orders
-        return [evaluate(orders) for orders in product(ranking_orders(self.k), repeat=self.n)]
+        return bytes(map(self.evaluate_orders, product(ranking_orders(self.k), repeat=self.n)))
 
     def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
         """Exact image over all profiles."""
@@ -82,18 +83,20 @@ class SCF:
 
 
 class TableSCF(SCF):
-    """SCF given by an explicit outcome per profile index."""
+    """SCF given by an explicit outcome per profile index: a ``bytes`` table,
+    kept as it is, or a sequence of ints, each checked and stored as bytes."""
 
     def __init__(self, n: int, k: int, outcomes):
         super().__init__(n, k)
-        outcomes = list(outcomes)
         size = profile_space_size(n, k)
         if len(outcomes) != size:
             raise ValueError(f"table has {len(outcomes)} entries, expected {size}")
-        bad = [x for x in outcomes if type(x) is not int or not 0 <= x < k]
+        # A bytes table holds ints only, so its largest entry is the one to check.
+        checked = (max(outcomes),) if type(outcomes) is bytes else outcomes
+        bad = [x for x in checked if type(x) is not int or not 0 <= x < k]
         if bad:
             raise ValueError(f"table outcome {bad[0]!r} is not an alternative in [0, {k})")
-        self._table_cache = outcomes
+        self._table_cache = bytes(outcomes)
 
     def evaluate_orders(self, orders):
         rank_of = ranking_rank_of(self.k)
@@ -126,7 +129,7 @@ class Constant(SCF):
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
 
 
-def score_table(n: int, k: int, rank_scores) -> list[int]:
+def score_table(n: int, k: int, rank_scores) -> bytes:
     """Table of the score rule giving ``rank_scores[r][a]`` points to alternative a
     from each voter whose ranking has rank r; ties go to the lowest id.
 
@@ -149,11 +152,13 @@ def score_table(n: int, k: int, rank_scores) -> list[int]:
         prefixes = [s + v for s in prefixes for v in packed]
     distinct = dict.fromkeys(prefixes)
     winner = {t: _top_scorer(t, base, k) for t in {s + v for s in distinct for v in packed}}
-    rows = {s: [winner[s + v] for v in packed] for s in distinct}
-    table: list[int] = []
+    rows = {s: bytes([winner[s + v] for v in packed]) for s in distinct}
+    # Appending the rows keeps the peak near the table's size; b"".join of
+    # (k!)^(n-1) rows takes a buffer view of each at once.
+    table = bytearray()
     for s in prefixes:
-        table.extend(rows[s])
-    return table
+        table += rows[s]
+    return bytes(table)
 
 
 def _top_scorer(total: int, base: int, k: int) -> int:
@@ -174,7 +179,7 @@ class Plurality(SCF):
             counts[o[0]] += 1
         return max(range(self.k), key=lambda a: (counts[a], -a))
 
-    def _build_table(self) -> list[int]:
+    def _build_table(self) -> bytes:
         return score_table(self.n, self.k,
                            [[int(p == 0) for p in pos] for pos in ranking_positions(self.k)])
 
@@ -190,7 +195,7 @@ class Borda(SCF):
                 scores[alt] += points
         return max(range(k), key=lambda a: (scores[a], -a))
 
-    def _build_table(self) -> list[int]:
+    def _build_table(self) -> bytes:
         k = self.k
         return score_table(self.n, k, [[k - 1 - p for p in pos] for pos in ranking_positions(k)])
 
@@ -308,14 +313,8 @@ class PairBooleanSCF(SCF):
 def is_monotone_pair_table(n: int, pair: tuple[int, int], table) -> bool:
     """Flipping any voter's bit toward ``a`` never moves the outcome off ``a``."""
     a, _b = pair
-    for mask in range(1 << n):
-        if table[mask] != a:
-            continue
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and table[mask | bit] != a:
-                return False
-    return True
+    return all(table[mask | 1 << i] == a
+               for mask in range(1 << n) if table[mask] == a for i in range(n))
 
 
 class MonotoneTwoValued(PairBooleanSCF):
@@ -345,29 +344,21 @@ def induced_one_voter(f: SCF, i: int, rest: tuple[Ranking, ...]) -> TableSCF:
         raise ValueError("coordinate out of range")
     if len(rest) != f.n - 1:
         raise ValueError(f"expected {f.n - 1} fixed coordinates, got {len(rest)}")
-    rest_orders = tuple(r.order for r in rest)
-    outcomes = []
-    for order in ranking_orders(f.k):
-        orders = rest_orders[:i] + (order,) + rest_orders[i:]
-        outcomes.append(f.evaluate_orders(orders))
-    return TableSCF(1, f.k, outcomes)
+    head = tuple(r.order for r in rest[:i])
+    tail = tuple(r.order for r in rest[i:])
+    return TableSCF(1, f.k, bytes(f.evaluate_orders(head + (order,) + tail)
+                                  for order in ranking_orders(f.k)))
 
 
 def is_anonymous(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Invariance under renaming voters, checked exhaustively.
 
-    Swaps of adjacent voters generate all voter permutations, so checking the
-    n-1 generators over every profile is an exact test.
+    Renaming voters reaches every order of a profile's rankings, so f is
+    anonymous exactly when each profile elects what its sorted profile elects.
     """
-    if f.n == 1:
-        return True
     table = f.table(cap)
-    for i in range(f.n - 1):
-        for index, digits in enumerate(profile_digits(f.n, f.k)):
-            swapped = digits[:i] + (digits[i + 1], digits[i]) + digits[i + 2:]
-            if table[index] != table[digits_index(f.k, swapped)]:
-                return False
-    return True
+    return all(out == table[digits_index(f.k, sorted(digits))]
+               for out, digits in zip(table, profile_digits(f.n, f.k)))
 
 
 def is_neutral(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
@@ -427,15 +418,17 @@ def majority_projection(g: SCF, pair: tuple[int, int], cap: int = DEFAULT_TABLE_
 
 def random_table_scf(n: int, k: int, seed: int, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     """Each outcome independently uniform on the alternatives."""
-    size = profile_space_size(n, k)
-    if size > cap:
-        raise CapExceededError(f"(k!)^n = {size} exceeds cap {cap}")
+    check_cap(cap, "(k!)^n table entries", k, n)
     rng = random.Random(seed)
-    return TableSCF(n, k, [rng.randrange(k) for _ in range(size)])
+    return TableSCF(n, k, bytes(rng.randrange(k) for _ in range(profile_space_size(n, k))))
 
 
-def random_monotone_two_valued(n: int, k: int, seed: int) -> MonotoneTwoValued:
-    """A seeded monotone two-valued SCF (upward closure of random labels)."""
+def random_monotone_two_valued(n: int, k: int, seed: int,
+                               cap: int = DEFAULT_TABLE_CAP) -> MonotoneTwoValued:
+    """A seeded monotone two-valued SCF (upward closure of random labels); its
+    ``2^n`` fiber labels are refused over ``cap`` before any is drawn."""
+    if n >= cap.bit_length() or 1 << n > cap:
+        raise CapExceededError(f"2^n fiber labels at n={n} exceed the cap {cap}")
     rng = random.Random(seed)
     a, b = rng.sample(range(k), 2)
     labels = [rng.choice((a, b)) for _ in range(1 << n)]
@@ -473,9 +466,7 @@ def load_scf_table(path, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     n, k, outcomes = doc.get("n"), doc.get("k"), doc.get("outcomes")
     if type(n) is not int or type(k) is not int:
         raise ValueError(f"table file needs integer n and k, got n={n!r}, k={k!r}")
-    size = profile_space_size(n, k)
-    if size > cap:
-        raise CapExceededError(f"(k!)^n = {size} exceeds load cap {cap}")
+    check_cap(cap, "(k!)^n table entries", k, n)
     if not isinstance(outcomes, list) or any(type(x) is not int for x in outcomes):
         raise ValueError("table file outcomes must be a list of integers")
     return TableSCF(n, k, [x - 1 for x in outcomes])

@@ -30,6 +30,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Optional
 
@@ -43,7 +44,7 @@ from .metrics import (
     distance_to_nonmanip_bar,
     frac_str,
 )
-from .rankings import AdjacentTransposition
+from .rankings import AdjacentTransposition, check_cap
 from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
 
 RHO_PREFERENCE_PAIRS = Fraction(1, 3)
@@ -163,15 +164,9 @@ def verify_main_theorems(f: SCF, which=MAIN_THEOREMS,
     widths = sorted({min(w, f.k) for w, _fam in (_MAIN_PLAN[s] for s in which)
                      if w is not None} | {f.k})
     cen = census(f, widths, cap)
-    dist_cache: dict[str, Fraction] = {}
-
-    def measured(family: str) -> Fraction:
-        if family not in dist_cache:
-            if family == "nonmanip":
-                dist_cache[family] = distance_to_nonmanip(f, cap).value
-            else:
-                dist_cache[family] = distance_to_nonmanip_bar(f, cap).value
-        return dist_cache[family]
+    # Each family's distance is measured once, when a statement first needs it.
+    distances = {"nonmanip": distance_to_nonmanip, "nonmanip-bar": distance_to_nonmanip_bar}
+    measured = lru_cache(maxsize=None)(lambda family: distances[family](f, cap).value)
 
     for statement in which:
         width, family = _MAIN_PLAN[statement]
@@ -443,16 +438,11 @@ class SweepReport:
 
 def _one_voter_chunk(k: int, lo: int, hi: int):
     fact = factorial(k)
-    checked = 0
     nonmanip_count = 0
     failures = []
     for t in range(lo, hi):
-        digits = []
-        rem = t
-        for _ in range(fact):
-            rem, d = divmod(rem, k)
-            digits.append(d)
-        f = TableSCF(1, k, digits)
+        # Function t's outcome on rank j is base-k digit j of t, least significant first.
+        f = TableSCF(1, k, bytes(t // k ** j % k for j in range(fact)))
         eps = distance_to_nonmanip(f).value
         cen = census(f, (3, k))
         rhs = bound_value("1.4", BoundParams(k=k, epsilon=eps))
@@ -461,13 +451,12 @@ def _one_voter_chunk(k: int, lo: int, hi: int):
         empty = cen.manipulable_count() == 0
         ok_dichotomy = empty == (member is not None)
         ok_distance = (eps == 0) == empty
-        checked += 1
         if member is not None:
             nonmanip_count += 1
         if not (ok_bound and ok_dichotomy and ok_distance):
             failures.append({
                 "function_index": t,
-                "table": [x + 1 for x in digits],
+                "table": [x + 1 for x in f.table()],
                 "epsilon": frac_str(eps),
                 "m3": frac_str(cen.fraction(3)),
                 "bound": frac_str(rhs),
@@ -475,7 +464,17 @@ def _one_voter_chunk(k: int, lo: int, hi: int):
                 "dichotomy_holds": ok_dichotomy,
                 "distance_zero_iff_nonmanipulable": ok_distance,
             })
-    return checked, nonmanip_count, failures
+    return nonmanip_count, failures
+
+
+def one_voter_function_count(k: int, cap: int = 10 ** 6) -> int:
+    """The number of one-voter SCFs on k >= 3 alternatives, ``k^(k!)``, refused over
+    ``cap``; as ``k^(k!) >= 2^(k!)``, the check cuts the exponent at the cap's bit length."""
+    if k < 3:
+        raise ValueError(f"the one-voter sweep needs k >= 3, got k={k}")
+    check_cap(cap, "one-voter functions", k, n=1,
+              count=lambda: k ** min(factorial(k), cap.bit_length()))
+    return k ** factorial(k)
 
 
 def sweep_one_voter(k: int, tasks: int = 1, cap: int = 10 ** 6) -> SweepReport:
@@ -483,30 +482,25 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = 10 ** 6) -> SweepReport:
 
     Feasible only for tiny k (k = 3 means 3^6 = 729 functions).
     """
-    total = k ** factorial(k)
-    if total > cap:
-        raise CapExceededError(f"{total} one-voter functions exceed the sweep cap {cap}")
+    total = one_voter_function_count(k, cap)
     chunks = [(k, lo, hi) for lo, hi in engine.split_ranges(total, tasks)]
     parts = engine.map_chunks(_one_voter_chunk, chunks, tasks)
-    checked = sum(p[0] for p in parts)
-    nonmanip_count = sum(p[1] for p in parts)
-    failures = [row for p in parts for row in p[2]]
+    nonmanip_count = sum(p[0] for p in parts)
+    failures = [row for p in parts for row in p[1]]
     return SweepReport(
         label=f"one-voter exhaustive sweep, k={k}, statement 1.4 + dichotomy",
-        total=checked, passed=checked - len(failures), failures=failures,
+        total=total, passed=total - len(failures), failures=failures,
         stats={"nonmanipulable_functions": nonmanip_count},
     )
 
 
 def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int):
     failures = []
-    checked = 0
     for t in range(lo, hi):
         f = random_table_scf(n, k, engine.derive_stream_seed(seed, t))
         reports = verify_main_theorems(f, ("1.2",))
         reports.append(verify_lemma_influences(f, statement="2.1"))
         reports.append(verify_thm_1_5(f))
-        checked += 1
         bad = [r for r in reports if not r.holds]
         if bad:
             failures.append({
@@ -514,19 +508,20 @@ def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int):
                 "seed": engine.derive_stream_seed(seed, t),
                 "reports": [r.describe() for r in bad],
             })
-    return checked, failures
+    return failures
 
 
 def sweep_random_tables(n: int, k: int, count: int, seed: int,
                         tasks: int = 1) -> SweepReport:
     """Verify statements 1.2, 2.1 and 1.5 over seeded random table SCFs."""
+    if count < 1:
+        raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
     chunks = [(n, k, seed, lo, hi) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)
-    checked = sum(p[0] for p in parts)
-    failures = [row for p in parts for row in p[1]]
+    failures = [row for p in parts for row in p]
     return SweepReport(
         label=f"random-table sweep, n={n}, k={k}, statements 1.2 + 2.1 + 1.5",
-        total=checked, passed=checked - len(failures), failures=failures,
+        total=count, passed=count - len(failures), failures=failures,
         stats={"seed": seed},
     )
 

@@ -366,3 +366,46 @@ def test_output_file(tmp_path):
     assert code == 0
     assert text == ""
     assert json.loads(out.read_text())["command"] == "census"
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--rule", "plurality", "-n", "6000", "-k", "3"],
+    ["census", "--rule", "plurality", "-n", "1", "-k", "3000"],
+    ["influences", "--rule", "plurality", "-n", "6000", "-k", "3"],
+    ["gs-classify", "--rule", "plurality", "-n", "1", "-k", "3000"],
+    ["distance", "--rule", "plurality", "-n", "1", "-k", "3000"],
+    ["verify", "--thm", "1.4", "--exhaustive", "-k", "8"],
+])
+def test_counts_past_the_cap_are_refused_without_printing_them(capsys, argv):
+    # Each count has thousands of digits: the refusal names n, k and the cap.
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the cap" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--thm", "1.2", "--random", "-5", "-n", "2", "-k", "3"],
+    ["verify", "--thm", "1.2", "--random", "0", "-n", "2", "-k", "3"],
+    ["verify", "--thm", "1.4", "--exhaustive", "-k", "0"],
+    ["hypercontractivity", "--bits", "3", "--pairs", "-2"],
+    ["hypercontractivity", "--bits", "3", "--pairs", "0"],
+])
+def test_counts_below_one_are_refused(capsys, argv):
+    # Each would check nothing and report a pass.
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "an SCF is required" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--table", "-o"])
+def test_a_directory_path_is_one_error_line(tmp_path, capsys, option):
+    argv = ["distance", "--table", str(tmp_path)] if option == "--table" else [
+        "census", "--rule", "plurality", "-n", "2", "-k", "3", "-o", str(tmp_path)]
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,7 +7,9 @@ outcome counts are also checked at k = 1, 2 and 5.
 """
 import io
 import json
+import os
 import random
+import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -33,6 +35,7 @@ from votemanip.graphs import (
 )
 from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
 from votemanip.metrics import (
+    distance,
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     influence_pair,
@@ -43,9 +46,14 @@ from votemanip.metrics import (
 from votemanip.rankings import AdjacentTransposition, decode_profile, fiber_outcome_counts
 from votemanip.scf import (
     Borda,
+    Constant,
+    OneCoordinate,
+    PairBooleanSCF,
     Plurality,
     TableSCF,
     TopHDictator,
+    dump_scf_table,
+    load_scf_table,
     majority_projection,
     random_monotone_two_valued,
     random_table_scf,
@@ -82,6 +90,69 @@ def subjects(draw, shapes=SHAPES):
     f = random_monotone_two_valued(n, k, draw(st.integers(0, 10 ** 6)))
     a, b = f.pair
     return f, lambda prof: f.bool_table[oracles.pair_mask(prof, a, b)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(subjects(SHAPES + EDGE_SHAPES), st.integers(0, 10 ** 6))
+def test_tables_are_bytes_matching_the_oracle(subject, seed):
+    # Every SCF class, a seeded random table (the stream of the old list build),
+    # the table of a TableSCF copy and of a dumped and loaded table file.
+    f, evaluate = subject
+    n, k = f.n, f.k
+    profiles = oracles.all_profiles(n, k)
+    orders = list(permutations(range(k)))
+    rng = random.Random(seed)
+    i, winner = rng.randrange(n), rng.randrange(k)
+    per_rank = [rng.randrange(k) for _ in orders]
+    stream = random.Random(seed)
+    drawn = dict(zip(profiles, [stream.randrange(k) for _ in profiles]))
+    cases = [
+        (f, evaluate),
+        (Constant(n, k, winner), lambda prof: winner),
+        (OneCoordinate(n, k, i, per_rank), lambda prof: per_rank[orders.index(prof[i])]),
+        (TableSCF.from_scf(f), evaluate),
+        (random_table_scf(n, k, seed), drawn.__getitem__),
+    ]
+    if k >= 2:
+        a, b = rng.sample(range(k), 2)
+        labels = [rng.choice((a, b)) for _ in range(1 << n)]
+        cases.append((PairBooleanSCF(n, k, (a, b), labels),
+                      lambda prof: labels[oracles.pair_mask(prof, a, b)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.json")
+        dump_scf_table(f, path)
+        cases.append((load_scf_table(path), evaluate))
+        for g, oracle in cases:
+            table = g.table()
+            assert type(table) is bytes
+            assert table == bytes(oracle(prof) for prof in profiles)
+
+
+def _relabelled(table, k):
+    """The two-valued candidate as a list: the two heaviest outcomes kept, the rest to the lower."""
+    mass = [list(table).count(a) for a in range(k)]
+    keep = sorted(range(k), key=lambda x: (-mass[x], x))[:2]
+    return [a if a in keep else min(keep) for a in table]
+
+
+@settings(max_examples=25, deadline=None)
+@given(subjects(SHAPES + EDGE_SHAPES))
+def test_nonmanip_bar_witness_attains_its_value(subject):
+    f, _evaluate = subject
+    report = distance_to_nonmanip_bar(f)
+    assert distance(f, report.witness) == report.value
+    if isinstance(report.witness, TableSCF):
+        assert report.witness.table() == bytes(_relabelled(f.table(), f.k))
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (2, 4)])
+def test_nonmanip_bar_two_valued_witness_is_the_list_relabelling(n, k):
+    for seed in range(4):
+        f = random_table_scf(n, k, seed)
+        witness = distance_to_nonmanip_bar(f).witness
+        assert isinstance(witness, TableSCF)
+        assert type(witness.table()) is bytes
+        assert witness.table() == bytes(_relabelled(f.table(), k))
 
 
 def _orders(profiles):

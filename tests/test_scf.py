@@ -63,7 +63,7 @@ def test_induced_one_voter_identities():
     assert scfs_equal(induced_one_voter(TopHDictator(3, 3, 0, {0, 2}), 0,
                                         profile((0, 1, 2), (2, 1, 0))), top)
     const = induced_one_voter(Constant(2, 4, 3), 1, profile((0, 1, 2, 3),))
-    assert const.table() == [3] * 24
+    assert const.table() == bytes([3] * 24)
 
 
 def test_induced_one_voter_matches_direct_evaluation():
@@ -240,5 +240,62 @@ def test_table_scf_rejects_bool_outcomes():
 def test_score_tables_match_oracles(n, k):
     # Even n gives score ties, which must go to the lowest id.
     profiles = oracles.all_profiles(n, k)
-    assert Borda(n, k).table() == [oracles.borda_tuple(p) for p in profiles]
-    assert Plurality(n, k).table() == [oracles.plurality_tuple(p) for p in profiles]
+    assert Borda(n, k).table() == bytes([oracles.borda_tuple(p) for p in profiles])
+    assert Plurality(n, k).table() == bytes([oracles.plurality_tuple(p) for p in profiles])
+
+
+def test_cap_checks_refuse_huge_shapes_before_any_factorial(monkeypatch, tmp_path):
+    # n or k past the cap's bit length is refused without forming k!, (k!)^n,
+    # k! (k! - 1) or k^(k!).
+    from votemanip import manip, rankings, scf, verify
+    from votemanip.errors import CapExceededError
+
+    def no_factorial(x):
+        raise AssertionError(f"factorial({x}) was formed")
+
+    for module in (rankings, scf, manip, verify):
+        monkeypatch.setattr(module, "factorial", no_factorial)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10 ** 7, "k": 3, "encoding": "lehmer-mixed-radix",
+                                "outcomes": [1]}))
+    for build in (lambda: Plurality(10 ** 7, 3).table(),
+                  lambda: Borda(1, 3000).table(),
+                  lambda: random_table_scf(10 ** 7, 3, 0),
+                  lambda: load_scf_table(path),
+                  lambda: manip.census(Plurality(1, 3000)),
+                  lambda: manip.gs_classify(Plurality(1, 3000)),
+                  lambda: verify.sweep_one_voter(3000),
+                  lambda: rankings.check_cap(10 ** 7, "entries", 10 ** 9, 10 ** 9)):
+        with pytest.raises(CapExceededError):
+            build()
+
+
+def test_cap_check_is_exact_at_small_caps():
+    # k = bit length of the cap can still fit: 3! = 6 <= 6, 2^1 = 2 <= 2.
+    from votemanip.errors import CapExceededError
+    from votemanip.rankings import check_cap
+
+    check_cap(6, "entries", 3, 1)
+    check_cap(2, "entries", 2, 1)
+    check_cap(1, "entries", 1, 10 ** 9)
+    for cap, k, n in ((5, 3, 1), (1, 2, 1), (35, 3, 2), (0, 1, 1)):
+        with pytest.raises(CapExceededError):
+            check_cap(cap, "entries", k, n)
+
+
+def test_table_scf_keeps_a_bytes_table_and_refuses_an_outcome_past_k():
+    outcomes = bytes([0, 1, 2, 2, 1, 0])
+    assert TableSCF(1, 3, outcomes).table() is outcomes
+    with pytest.raises(ValueError):
+        TableSCF(1, 3, bytes([0, 1, 2, 3, 1, 0]))
+    with pytest.raises(ValueError):
+        TableSCF(1, 3, bytes(5))
+
+
+def test_random_monotone_two_valued_refuses_fiber_labels_past_the_cap():
+    from votemanip.errors import CapExceededError
+
+    assert random_monotone_two_valued(3, 3, 0, cap=8).n == 3
+    for n in (4, 10 ** 9):
+        with pytest.raises(CapExceededError):
+            random_monotone_two_valued(n, 3, 0, cap=8)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -227,6 +228,16 @@ def test_sweep_one_voter_k3():
     assert report.stats["nonmanipulable_functions"] == 7
     with pytest.raises(CapExceededError):
         sweep_one_voter(4)
+
+
+def test_one_voter_function_count_refuses_without_forming_the_count():
+    # 10^(10!) has 3.6 million digits and takes seconds to form; the check cuts
+    # the exponent at the cap's bit length instead.
+    assert verify.one_voter_function_count(3) == 729
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        verify.one_voter_function_count(10)
+    assert time.perf_counter() - start < 1
 
 
 def test_sweep_random_tables_small():
