@@ -281,19 +281,36 @@ def _cmd_hypercontractivity(args) -> int:
     return 3 if sample_rows else 0
 
 
+def _check_verify_options(args) -> None:
+    """Refuse an option the call would not use, since the report echoes it."""
+    sweep = args.exhaustive or args.random is not None
+    if args.exhaustive and args.random is not None:
+        raise ConfigError("pass one of --exhaustive and --random")
+    if sweep and (args.rule or args.table):
+        raise ConfigError("the sweeps build their own SCFs: drop --rule and --table")
+    if args.exhaustive and args.voters is not None:
+        raise ConfigError("--exhaustive sweeps one-voter SCFs: drop -n")
+    if args.epsilon is not None and (sweep or args.thm not in ("2.1", "5.3", "6.1")):
+        raise ConfigError("--epsilon applies only to --thm 2.1, 5.3 or 6.1 on one SCF")
+    if args.alpha is not None and (sweep or args.thm != "1.5"):
+        raise ConfigError("--alpha applies only to --thm 1.5 on one SCF")
+
+
 def _verify_run(args, tasks: int):
     """(report body, failed reports, SCF or None) of one ``verify`` call."""
+    _check_verify_options(args)
     if args.exhaustive:
         if args.thm != "1.4":
             raise ConfigError("--exhaustive sweeps support --thm 1.4")
         if args.alternatives is None:
             raise ConfigError("--exhaustive needs -k")
-        sweep, name = verify.sweep_one_voter(args.alternatives, tasks), "1.4-sweep"
+        sweep = verify.sweep_one_voter(args.alternatives, tasks, args.cap)
+        name = "1.4-sweep"
     elif args.random is not None:
         if args.voters is None or args.alternatives is None:
             raise ConfigError("--random needs -n and -k")
         sweep = verify.sweep_random_tables(
-            args.voters, args.alternatives, args.random, args.seed or 0, tasks
+            args.voters, args.alternatives, args.random, args.seed or 0, tasks, args.cap
         )
         name = "random-sweep"
     else:
@@ -302,10 +319,10 @@ def _verify_run(args, tasks: int):
         if statement in verify.MAIN_THEOREMS:
             reports = verify.verify_main_theorems(f, (statement,), args.cap)
         elif statement in ("2.1", "5.3", "6.1"):
-            eps = parse_frac(args.epsilon) if args.epsilon else None
+            eps = parse_frac(args.epsilon) if args.epsilon is not None else None
             reports = [verify.verify_lemma_influences(f, eps, statement, args.cap)]
         elif statement == "1.5":
-            alpha = parse_frac(args.alpha) if args.alpha else None
+            alpha = parse_frac(args.alpha) if args.alpha is not None else None
             reports = [verify.verify_thm_1_5(f, alpha, args.cap)]
         else:
             raise ConfigError(f"unknown statement {statement!r}")

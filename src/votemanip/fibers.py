@@ -25,6 +25,7 @@ from .rankings import (
     Ranking,
     adjacent_swap_neighbors,
     all_rankings,
+    class_tables,
     coordinate_lines,
     decode_profile,
     preference_masks,
@@ -32,6 +33,7 @@ from .rankings import (
     profile_strides,
     ranking_orders,
     ranking_positions,
+    ranks_preferring,
     top_h_by_rank,
     window_moves,
 )
@@ -53,13 +55,6 @@ def deleted_preference_vector(profile: Profile, i: int, a: int, b: int) -> tuple
 
 def key_string(key: Sequence[int]) -> str:
     return "".join("+" if bit > 0 else "-" for bit in key)
-
-
-@lru_cache(maxsize=None)
-def ranks_preferring(k: int, a: int, b: int) -> tuple[int, ...]:
-    """Ranking ranks placing a above b, ascending. Exactly k!/2 of them."""
-    pos = ranking_positions(k)
-    return tuple(r for r in range(factorial(k)) if pos[r][a] < pos[r][b])
 
 
 @lru_cache(maxsize=None)
@@ -231,32 +226,16 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     runs over all k! rankings), the outcome must equal the higher-ranked of
     {a, b} in coordinate i with probability at least 1 - 2k*gamma.
     """
+    _check_coordinate(f, i)
     if a == b:
         raise ValueError("need two distinct alternatives")
-    key = deleted_preference_vector(profile, i, a, b)
-    return refined_topset_membership_key(f, i, a, b, key, gamma, cap)
-
-
-def refined_topset_membership_key(f: SCF, i: int, a: int, b: int,
-                                  key: Sequence[int], gamma: Fraction,
-                                  cap: int = DEFAULT_TABLE_CAP) -> bool:
-    """:func:`refined_topset_membership` for a deleted-coordinate key, summed
-    over the lines of coordinate i whose other voters carry that key."""
-    _check_coordinate(f, i)
-    n, k = f.n, f.k
-    if len(key) != n - 1:
-        raise ValueError(f"deleted-coordinate key needs {n - 1} bits")
-    table = f.table(cap)
-    target = _key_mask(key)
-    tops = top_h_by_rank(k, frozenset((a, b)))
-    members = 0
-    agree = 0
-    for rest, (_base, line) in zip(preference_masks(n - 1, k, a, b),
-                                   coordinate_lines(table, n, k, i)):
-        if rest == target:
-            members += len(line)
-            agree += sum(1 for out, top in zip(line, tops) if out == top)
-    return Fraction(agree, members) >= 1 - 2 * k * gamma
+    if len(profile) != f.n:
+        raise ValueError(f"profile needs {f.n} rankings, got {len(profile)}")
+    sides = [[ranks_preferring(f.k, *((a, b) if r.prefers(a, b) else (b, a)))] for r in profile]
+    sides[i] = [(r,) for r in range(factorial(f.k))]
+    parts = class_tables(f.table(cap), f.k, sides)
+    agree = sum(map(bytes.count, parts, top_h_by_rank(f.k, frozenset((a, b)))))
+    return Fraction(agree, sum(map(len, parts))) >= 1 - 2 * f.k * gamma
 
 
 # ---------------------------------------------------------------------------

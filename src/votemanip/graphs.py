@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -190,8 +190,9 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
     swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. Each line is read once and not kept, so the pass holds
-    only the counts whatever the table.
+    outcome b != a. The lines are read in batches of ``(k!)^2`` and each
+    distinct line of a batch is counted once, weighted by its number, so the
+    pass holds one batch and the counts whatever the table.
     """
     if not 0 <= i < f.n:
         raise ValueError("coordinate out of range")
@@ -199,14 +200,16 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     # and counted in both directions.
     edges = [(r, dest, (c, d)) for r, moves in enumerate(adjacent_swap_neighbors(f.k))
              for dest, c, d in moves if r < dest]
+    lines = (line for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i))
     counts: dict = defaultdict(int)
-    for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i):
-        for r, s, z in edges:
-            a = line[r]
-            b = line[s]
-            if a != b:
-                counts[a, b, z] += 1
-                counts[b, a, z] += 1
+    while batch := Counter(islice(lines, factorial(f.k) ** 2)):
+        for line, weight in batch.items():
+            for r, s, z in edges:
+                a = line[r]
+                b = line[s]
+                if a != b:
+                    counts[a, b, z] += weight
+                    counts[b, a, z] += weight
     return dict(counts)
 
 

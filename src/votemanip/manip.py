@@ -141,7 +141,7 @@ class ManipulationCensus:
         }
 
 
-def _check_window_tables(k: int, cap: int) -> None:
+def check_window_tables(k: int, cap: int) -> None:
     """Refuse per-rank window tables, ``k! (k! - 1)`` entries, over ``cap`` before any is built."""
     check_cap(cap, "per-rank window table entries", k,
               count=lambda: factorial(k) * (factorial(k) - 1))
@@ -211,7 +211,7 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     if rs and rs[0] < 2:
         raise ValueError("r values must be >= 2")
     n, k = f.n, f.k
-    _check_window_tables(k, cap)
+    check_window_tables(k, cap)
     widths = [min(r, k) for r in rs]
     max_width = max(widths, default=1)
     # Headroom: one byte holds the bits of widths 2..9.
@@ -464,7 +464,7 @@ def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
     first-hit scan would walk every profile, voter and ranking to find that.
     """
     n, k = f.n, f.k
-    _check_window_tables(k, cap)
+    check_window_tables(k, cap)
     member = nonmanip_membership(f, cap)
     if member is not None:
         return GSClassification(False, None, member)

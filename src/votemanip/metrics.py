@@ -16,8 +16,8 @@ from .errors import CapExceededError
 from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
     AdjacentTransposition,
-    coordinate_lines,
     fiber_outcome_counts,
+    rank_outcome_counts,
     top_h_by_rank,
 )
 from .scf import (
@@ -159,15 +159,6 @@ class DistanceReport:
         }
 
 
-def _column_counts(table, n: int, k: int, i: int) -> list[list[int]]:
-    """Outcome counts per ranking rank of coordinate i."""
-    counts = [[0] * k for _ in range(factorial(k))]
-    for _base, line in coordinate_lines(table, n, k, i):
-        for row, a in zip(counts, line):
-            row[a] += 1
-    return counts
-
-
 def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport:
     """Distance to functions of one coordinate or of at most two values.
 
@@ -184,7 +175,7 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
     for i in range(n):
         completion = []
         agree = 0
-        for row in _column_counts(table, n, k, i):
+        for row in rank_outcome_counts(table, n, k, i):
             winner = max(range(k), key=lambda x: (row[x], -x))
             completion.append(winner)
             agree += row[winner]
@@ -210,8 +201,8 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
 
     Minimizes over every top_H dictator (direct counting) and, per alternative
     pair, the cost-optimal monotone two-valued function found by an exact
-    minimum cut over the preference hypercube, whose vertex costs are read
-    from :func:`rankings.fiber_outcome_counts`. A hypercube past
+    minimum cut over the preference hypercube; both count over
+    :func:`rankings.class_tables`. A hypercube past
     ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
     """
     n, k = f.n, f.k
@@ -223,7 +214,7 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
     best_witness: Optional[SCF] = None
 
     for i in range(n):
-        counts = _column_counts(table, n, k, i)
+        counts = rank_outcome_counts(table, n, k, i)
         for mask in range(1, 1 << k):
             members = frozenset(x for x in range(k) if mask >> x & 1)
             tops = top_h_by_rank(k, members)

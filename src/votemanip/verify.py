@@ -37,7 +37,7 @@ from typing import Optional
 from . import engine
 from .errors import CapExceededError
 from .fibers import pairwise_preference_correlation
-from .manip import census, nonmanip_membership
+from .manip import census, check_window_tables, nonmanip_membership
 from .metrics import (
     coordinate_influences,
     distance_to_nonmanip,
@@ -51,6 +51,9 @@ RHO_PREFERENCE_PAIRS = Fraction(1, 3)
 
 # Largest cube dimension the reverse hypercontractivity check enumerates.
 MAX_CUBE_BITS = 10
+
+# Most one-voter SCFs the exhaustive sweep enumerates (3^6 = 729 at k = 3).
+MAX_ONE_VOTER_FUNCTIONS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -436,18 +439,24 @@ class SweepReport:
         }
 
 
-def _one_voter_chunk(k: int, lo: int, hi: int):
+def _check_instance_caps(n: int, k: int, cap: int) -> None:
+    """Refuse, before any sweep instance runs, tables or census window tables over ``cap``."""
+    check_cap(cap, "(k!)^n table entries", k, n)
+    check_window_tables(k, cap)
+
+
+def _one_voter_chunk(k: int, lo: int, hi: int, cap: int):
     fact = factorial(k)
     nonmanip_count = 0
     failures = []
     for t in range(lo, hi):
         # Function t's outcome on rank j is base-k digit j of t, least significant first.
         f = TableSCF(1, k, bytes(t // k ** j % k for j in range(fact)))
-        eps = distance_to_nonmanip(f).value
-        cen = census(f, (3, k))
+        eps = distance_to_nonmanip(f, cap).value
+        cen = census(f, (3, k), cap)
         rhs = bound_value("1.4", BoundParams(k=k, epsilon=eps))
         ok_bound = cen.fraction(3) >= rhs
-        member = nonmanip_membership(f)
+        member = nonmanip_membership(f, cap)
         empty = cen.manipulable_count() == 0
         ok_dichotomy = empty == (member is not None)
         ok_distance = (eps == 0) == empty
@@ -467,23 +476,25 @@ def _one_voter_chunk(k: int, lo: int, hi: int):
     return nonmanip_count, failures
 
 
-def one_voter_function_count(k: int, cap: int = 10 ** 6) -> int:
+def one_voter_function_count(k: int, limit: int = MAX_ONE_VOTER_FUNCTIONS) -> int:
     """The number of one-voter SCFs on k >= 3 alternatives, ``k^(k!)``, refused over
-    ``cap``; as ``k^(k!) >= 2^(k!)``, the check cuts the exponent at the cap's bit length."""
+    ``limit``; as ``k^(k!) >= 2^(k!)``, the check cuts the exponent at the limit's bit length."""
     if k < 3:
         raise ValueError(f"the one-voter sweep needs k >= 3, got k={k}")
-    check_cap(cap, "one-voter functions", k, n=1,
-              count=lambda: k ** min(factorial(k), cap.bit_length()))
+    check_cap(limit, "one-voter functions", k, n=1,
+              count=lambda: k ** min(factorial(k), limit.bit_length()))
     return k ** factorial(k)
 
 
-def sweep_one_voter(k: int, tasks: int = 1, cap: int = 10 ** 6) -> SweepReport:
+def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> SweepReport:
     """Verify statement 1.4 and the dichotomy over every one-voter SCF.
 
-    Feasible only for tiny k (k = 3 means 3^6 = 729 functions).
+    Feasible only for tiny k (k = 3 means 3^6 = 729 functions). ``cap`` bounds
+    each function's table and census window tables, as for a single SCF.
     """
-    total = one_voter_function_count(k, cap)
-    chunks = [(k, lo, hi) for lo, hi in engine.split_ranges(total, tasks)]
+    total = one_voter_function_count(k)
+    _check_instance_caps(1, k, cap)
+    chunks = [(k, lo, hi, cap) for lo, hi in engine.split_ranges(total, tasks)]
     parts = engine.map_chunks(_one_voter_chunk, chunks, tasks)
     nonmanip_count = sum(p[0] for p in parts)
     failures = [row for p in parts for row in p[1]]
@@ -494,13 +505,13 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = 10 ** 6) -> SweepReport:
     )
 
 
-def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int):
+def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
     failures = []
     for t in range(lo, hi):
-        f = random_table_scf(n, k, engine.derive_stream_seed(seed, t))
-        reports = verify_main_theorems(f, ("1.2",))
-        reports.append(verify_lemma_influences(f, statement="2.1"))
-        reports.append(verify_thm_1_5(f))
+        f = random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap)
+        reports = verify_main_theorems(f, ("1.2",), cap)
+        reports.append(verify_lemma_influences(f, statement="2.1", cap=cap))
+        reports.append(verify_thm_1_5(f, cap=cap))
         bad = [r for r in reports if not r.holds]
         if bad:
             failures.append({
@@ -511,12 +522,14 @@ def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int):
     return failures
 
 
-def sweep_random_tables(n: int, k: int, count: int, seed: int,
-                        tasks: int = 1) -> SweepReport:
-    """Verify statements 1.2, 2.1 and 1.5 over seeded random table SCFs."""
+def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
+                        cap: int = DEFAULT_TABLE_CAP) -> SweepReport:
+    """Verify statements 1.2, 2.1 and 1.5 over seeded random table SCFs, each
+    table and its census window tables bounded by ``cap``."""
     if count < 1:
         raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
-    chunks = [(n, k, seed, lo, hi) for lo, hi in engine.split_ranges(count, tasks)]
+    _check_instance_caps(n, k, cap)
+    chunks = [(n, k, seed, lo, hi, cap) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)
     failures = [row for p in parts for row in p]
     return SweepReport(

@@ -210,6 +210,30 @@ def fiber_outcome_counts(evaluate, n, k, a, b):
     return count_a, count_b
 
 
+def class_tables(evaluate, n, k, classes):
+    """Per choice of one rank class for each of the last len(classes) voters
+    (the first of them least significant), the outcomes of the profiles in
+    the product of the chosen classes and then every ranking of each earlier
+    voter, in that product's order."""
+    perms = list(permutations(range(k)))
+    m = len(classes)
+    parts = []
+    for choice in product(*(range(len(c)) for c in reversed(classes))):
+        chosen = [voter[j] for voter, j in zip(classes, reversed(choice))]
+        parts.append(bytes(evaluate(tuple(perms[r] for r in ranks[m:] + ranks[:m]))
+                           for ranks in product(*chosen, *[range(len(perms))] * (n - m))))
+    return parts
+
+
+def rank_outcome_counts(evaluate, n, k, i):
+    """Per ranking of voter i (in lexicographic order), the profiles electing each outcome."""
+    perms = list(permutations(range(k)))
+    counts = [[0] * k for _ in perms]
+    for prof in all_profiles(n, k):
+        counts[perms.index(prof[i])][evaluate(prof)] += 1
+    return counts
+
+
 def is_nonmanipulable_member(evaluate, n, k):
     """Whether f is a top_H dictator or a monotone two-valued function."""
     profs = all_profiles(n, k)

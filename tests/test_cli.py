@@ -210,16 +210,17 @@ def test_isoperimetry_and_hypercontractivity():
 
 
 def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
-    # One transition-count pass and one refined-edge pass per coordinate.
-    from votemanip import graphs, metrics
+    # One transition-count pass and one refined-edge pass per coordinate, both
+    # in graphs.
+    from votemanip import graphs
 
     calls = []
-    for module in (metrics, graphs):
-        def counting(*args, _lines=module.coordinate_lines, **kwargs):
-            calls.append(args[3])
-            return _lines(*args, **kwargs)
 
-        monkeypatch.setattr(module, "coordinate_lines", counting)
+    def counting(*args, _lines=graphs.coordinate_lines, **kwargs):
+        calls.append(args[3])
+        return _lines(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "coordinate_lines", counting)
     code, _ = run_cli(["influences", "--refined", "--rule", "borda", "-n", "3", "-k", "3"])
     assert code == 0
     assert set(calls) == {0, 1, 2} and len(calls) <= 2 * 3
@@ -398,6 +399,43 @@ def test_counts_below_one_are_refused(capsys, argv):
     assert code == 1
     assert out == ""
     assert "an SCF is required" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fits", [
+    # Three voters at k = 3 make a 216-entry table.
+    (["verify", "--thm", "1.2", "--random", "1", "-n", "3", "-k", "3"], 216),
+    # One voter at k = 3 makes 6 * 5 = 30-entry census window tables.
+    (["verify", "--thm", "1.4", "--exhaustive", "-k", "3"], 30),
+])
+def test_verify_sweeps_honour_the_cap(capsys, argv, fits):
+    code, out = run_cli([*argv, "--cap", str(fits - 1)])
+    assert code == 2
+    assert out == ""
+    assert "exceed the cap" in capsys.readouterr().err
+    code, doc = run_json([*argv, "--cap", str(fits)])
+    assert code == 0
+    assert doc["config"]["enumeration_cap"] == fits and doc["result"]["holds"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--thm", "1.2", "--rule", "borda", "-n", "2", "-k", "3", "--epsilon", "1/2"],
+    ["--thm", "1.5", "--rule", "borda", "-n", "2", "-k", "3", "--epsilon", "1/2"],
+    ["--thm", "2.1", "--rule", "borda", "-n", "2", "-k", "3", "--alpha", "1/2"],
+    ["--thm", "1.2", "--random", "2", "-n", "2", "-k", "3", "--epsilon", "1/2"],
+    ["--thm", "1.4", "--exhaustive", "-k", "3", "--alpha", "1/2"],
+    ["--thm", "1.4", "--exhaustive", "-k", "3", "--rule", "borda"],
+    ["--thm", "1.4", "--exhaustive", "-k", "3", "-n", "5"],
+    ["--thm", "1.2", "--random", "2", "-n", "2", "-k", "3", "--rule", "borda"],
+    ["--thm", "1.4", "--exhaustive", "--random", "2", "-k", "3"],
+])
+def test_verify_refuses_an_option_it_would_not_use(capsys, argv):
+    # Each of these options is echoed in the report's config, so a run that
+    # ignored it would report a setting it never used.
+    code, out = run_cli(["verify", *argv])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option", ["--table", "-o"])

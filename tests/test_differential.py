@@ -2,8 +2,8 @@
 
 Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
 a wrong stride for a first, middle or last voter shows up as a mismatch; the
-census, the classification, the distances, local dictators and the fiber
-outcome counts are also checked at k = 1, 2 and 5.
+census, the classification, the distances, local dictators, the class tables
+and the fiber outcome counts are also checked at k = 1, 2 and 5.
 """
 import io
 import json
@@ -13,6 +13,7 @@ import tempfile
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,13 @@ from votemanip.metrics import (
     influence_total,
     transition_counts,
 )
-from votemanip.rankings import AdjacentTransposition, decode_profile, fiber_outcome_counts
+from votemanip.rankings import (
+    AdjacentTransposition,
+    class_tables,
+    decode_profile,
+    fiber_outcome_counts,
+    rank_outcome_counts,
+)
 from votemanip.scf import (
     Borda,
     Constant,
@@ -226,6 +233,22 @@ def test_classification_and_distances_match_oracle_at_edge_shapes(subject):
         evaluate, f.n, f.k)
     assert distance_to_nonmanip_bar(f).value == oracles.distance_to_nonmanip_bar_fraction(
         evaluate, f.n, f.k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subjects(SHAPES + EDGE_SHAPES), st.data())
+def test_class_tables_and_rank_counts_match_oracle(subject, data):
+    # Any class lists for the last m voters: empty classes, repeated and
+    # overlapping ranks, and classes in any rank order.
+    f, evaluate = subject
+    n, k = f.n, f.k
+    ranks = st.lists(st.integers(0, factorial(k) - 1), max_size=4)
+    m = data.draw(st.integers(0, n))
+    classes = [data.draw(st.lists(ranks, min_size=1, max_size=3)) for _ in range(m)]
+    assert class_tables(f.table(), k, classes) == oracles.class_tables(evaluate, n, k, classes)
+    for i in range(n):
+        assert rank_outcome_counts(f.table(), n, k, i) == oracles.rank_outcome_counts(
+            evaluate, n, k, i)
 
 
 @settings(max_examples=20, deadline=None)

@@ -157,6 +157,13 @@ def test_refined_topset_membership_constant_off_pair():
     assert not refined_topset_membership(f, 0, 0, 1, p, Fraction(1, 100))
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_refined_topset_membership_refuses_a_profile_of_the_wrong_length(length):
+    f = random_table_scf(2, 3, 5)
+    with pytest.raises(ValueError, match="profile needs 2 rankings"):
+        refined_topset_membership(f, 0, 0, 1, decode_profile(length, 3, 0), Fraction(0))
+
+
 def test_refined_topset_membership_ignores_deleted_coordinate():
     f = random_table_scf(2, 3, 123)
     gamma = Fraction(1, 24)

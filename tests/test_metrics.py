@@ -294,3 +294,19 @@ def test_nearest_monotone_validation():
         nearest_monotone_boolean([1, -1], [0, 0])
     with pytest.raises(CapExceededError):
         nearest_monotone_boolean([0] * (1 << 21), [0] * (1 << 21))
+
+
+def test_distance_peak_stays_below_four_tables():
+    # The counts come from class_tables slices, with no per-profile list: the
+    # traced peak is about 3 tables (a per-profile mask list made it 9).
+    import tracemalloc
+
+    f = Borda(4, 4)
+    size = len(f.table())
+    tracemalloc.start()
+    try:
+        distance_to_nonmanip(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * size

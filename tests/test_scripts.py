@@ -1,23 +1,48 @@
 """Smoke test: each experiment script runs to completion on a tiny grid."""
+import hashlib
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from votemanip import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("script, args", [
     ("rule_census_grid.py", ["--max-n", "2", "--max-k", "3"]),
     ("random_table_sweep.py", ["--count", "3"]),
     ("one_voter_sweep.py", ["-k", "3"]),
+    ("frontier.py", ["--call", "census plurality 2 3", "--budget", "60"]),
 ])
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = run_script(script, args)
     assert done.returncode == 0, done.stderr
+
+
+def test_frontier_rows_carry_the_report_digest_and_stop_at_the_budget():
+    argv = ["influences", "--refined", "--rule", "borda", "-n", "2", "-k", "3"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
+    call = "influences --refined borda 2 3"
+    done = run_script("frontier.py", ["--call", call, "--budget", "60"])
+    row = done.stdout.splitlines()[2]
+    assert row.startswith(f"| `{' '.join(argv)}` | ") and row.endswith(f" MiB | `{digest}` |")
+    # No interpreter starts within a millisecond, so the child is killed.
+    done = run_script("frontier.py", ["--call", call, "--budget", "0.001"])
+    assert done.stdout.splitlines()[2] == f"| `{' '.join(argv)}` | past 0.001 s | |"

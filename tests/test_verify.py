@@ -240,6 +240,18 @@ def test_one_voter_function_count_refuses_without_forming_the_count():
     assert time.perf_counter() - start < 1
 
 
+def test_sweeps_refuse_a_cap_before_any_instance_runs(monkeypatch):
+    # A 216-entry table at n = 3, k = 3; 30-entry census window tables at k = 3.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(verify.engine, "map_chunks", refuse)
+    with pytest.raises(CapExceededError):
+        sweep_random_tables(3, 3, 1, seed=0, cap=215)
+    with pytest.raises(CapExceededError):
+        sweep_one_voter(3, cap=29)
+
+
 def test_sweep_random_tables_small():
     report = sweep_random_tables(2, 3, 25, seed=99)
     assert report.total == 25
