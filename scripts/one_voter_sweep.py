@@ -1,22 +1,21 @@
 #!/usr/bin/env python3
 """Exhaustively sweep every one-voter SCF at small k.
 
-For each function: exact distance to the nonmanipulable family, exact
-3-window manipulation mass, the one-voter lower bound at the measured
-distance, and the dichotomy check. Prints a distance histogram and writes
-per-function rows as JSON lines when -o is given.
+Each function goes through the library's instance check
+(``verify.check_one_voter``): exact distance to the nonmanipulable family,
+exact 3-window manipulation mass, the one-voter lower bound at the measured
+distance, the dichotomy and the zero-distance check. Prints a distance
+histogram and writes the per-function rows as JSON lines when -o is given.
 """
 import argparse
 import json
 import sys
 from collections import Counter
-from math import factorial
+from fractions import Fraction
 
 from votemanip.errors import CapExceededError
-from votemanip.manip import census, nonmanip_membership
-from votemanip.metrics import distance_to_nonmanip, frac_str
-from votemanip.scf import TableSCF
-from votemanip.verify import BoundParams, bound_value, one_voter_function_count
+from votemanip.metrics import frac_str
+from votemanip.verify import check_one_voter, one_voter_function_count
 
 
 def main() -> int:
@@ -34,43 +33,23 @@ def main() -> int:
 
     sink = open(args.output, "w") if args.output else None
     histogram = Counter()
-    worst_margin = None
+    margins = []
     failures = 0
     for t in range(total):
-        digits = []
-        rem = t
-        for _ in range(factorial(k)):
-            rem, d = divmod(rem, k)
-            digits.append(d)
-        f = TableSCF(1, k, digits)
-        eps = distance_to_nonmanip(f).value
-        cen = census(f, (3, k))
-        rhs = bound_value("1.4", BoundParams(k=k, epsilon=eps))
-        m3 = cen.fraction(3)
-        ok = m3 >= rhs and (cen.manipulable_count() == 0) == (nonmanip_membership(f) is not None)
-        histogram[eps] += 1
-        margin = m3 - rhs
-        if worst_margin is None or margin < worst_margin:
-            worst_margin = margin
-        if not ok:
-            failures += 1
+        row = check_one_voter(k, t)
+        histogram[row["epsilon"]] += 1
+        margins.append(Fraction(row["m3"]) - Fraction(row["bound"]))
+        failures += not row["holds"]
         if sink:
-            sink.write(json.dumps({
-                "function_index": t,
-                "epsilon": frac_str(eps),
-                "m3": frac_str(m3),
-                "bound": frac_str(rhs),
-                "manipulable": cen.manipulable_count() > 0,
-                "holds": ok,
-            }, sort_keys=True) + "\n")
+            sink.write(json.dumps(row, sort_keys=True) + "\n")
     if sink:
         sink.close()
 
     print(f"swept {total} one-voter SCFs at k={k}: {failures} failures")
     print("distance-to-nonmanipulable histogram:")
-    for eps in sorted(histogram):
-        print(f"  D = {frac_str(eps):>6}  x{histogram[eps]}")
-    print(f"worst bound margin (m3 - bound): {frac_str(worst_margin)}")
+    for eps in sorted(histogram, key=Fraction):
+        print(f"  D = {eps:>6}  x{histogram[eps]}")
+    print(f"worst bound margin (m3 - bound): {frac_str(min(margins))}")
     return 0 if failures == 0 else 3
 
 

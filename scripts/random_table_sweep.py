@@ -1,22 +1,18 @@
 #!/usr/bin/env python3
 """Seeded random-table verification sweep, one JSON line per instance.
 
-Each instance measures its distances, runs the census, and checks the
-manipulation bound, the two-large-influences statement, and the reduction
-disjunction. Failures (none are expected) are echoed to stderr.
+Each instance goes through the library's instance check
+(``verify.check_random_table``): the manipulation bound, the
+two-large-influences statement and the reduction disjunction, on one
+measurement of the census and the distances. Failures (none are expected) are
+echoed to stderr.
 """
 import argparse
 import json
 import sys
 
-from votemanip import engine
 from votemanip.metrics import frac_str
-from votemanip.scf import random_table_scf
-from votemanip.verify import (
-    verify_lemma_influences,
-    verify_main_theorems,
-    verify_thm_1_5,
-)
+from votemanip.verify import check_random_table
 
 
 def main() -> int:
@@ -31,11 +27,7 @@ def main() -> int:
     sink = open(args.output, "w") if args.output else sys.stdout
     failures = 0
     for t in range(args.count):
-        f = random_table_scf(args.voters, args.alternatives,
-                             engine.derive_stream_seed(args.seed, t))
-        reports = verify_main_theorems(f, ("1.2",))
-        reports.append(verify_lemma_influences(f, statement="2.1"))
-        reports.append(verify_thm_1_5(f))
+        reports = check_random_table(args.voters, args.alternatives, args.seed, t)
         row = {
             "instance": t,
             "epsilon_nonmanip": reports[0].witnesses["epsilon"],

@@ -95,6 +95,7 @@ from .metrics import (
 )
 from .verify import (
     BoundParams,
+    Measurements,
     SweepReport,
     VerificationReport,
     bound_value,

@@ -294,11 +294,15 @@ def _check_verify_options(args) -> None:
         raise ConfigError("--epsilon applies only to --thm 2.1, 5.3 or 6.1 on one SCF")
     if args.alpha is not None and (sweep or args.thm != "1.5"):
         raise ConfigError("--alpha applies only to --thm 1.5 on one SCF")
+    if args.seed is not None and args.random is None:
+        raise ConfigError("--seed applies only to --random")
 
 
 def _verify_run(args, tasks: int):
     """(report body, failed reports, SCF or None) of one ``verify`` call."""
     _check_verify_options(args)
+    if args.seed is None:
+        args.seed = 0  # the report echoes seed 0 when none is given
     if args.exhaustive:
         if args.thm != "1.4":
             raise ConfigError("--exhaustive sweeps support --thm 1.4")
@@ -310,20 +314,21 @@ def _verify_run(args, tasks: int):
         if args.voters is None or args.alternatives is None:
             raise ConfigError("--random needs -n and -k")
         sweep = verify.sweep_random_tables(
-            args.voters, args.alternatives, args.random, args.seed or 0, tasks, args.cap
+            args.voters, args.alternatives, args.random, args.seed, tasks, args.cap
         )
         name = "random-sweep"
     else:
         f = _build_scf(args)
+        measured = verify.Measurements(f, args.cap)
         statement = args.thm
         if statement in verify.MAIN_THEOREMS:
-            reports = verify.verify_main_theorems(f, (statement,), args.cap)
+            reports = verify.verify_main_theorems(measured, (statement,))
         elif statement in ("2.1", "5.3", "6.1"):
             eps = parse_frac(args.epsilon) if args.epsilon is not None else None
-            reports = [verify.verify_lemma_influences(f, eps, statement, args.cap)]
+            reports = [verify.verify_lemma_influences(measured, eps, statement)]
         elif statement == "1.5":
             alpha = parse_frac(args.alpha) if args.alpha is not None else None
-            reports = [verify.verify_thm_1_5(f, alpha, args.cap)]
+            reports = [verify.verify_thm_1_5(measured, alpha)]
         else:
             raise ConfigError(f"unknown statement {statement!r}")
         return ({"reports": [r.describe() for r in reports]},
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep every one-voter SCF (with --thm 1.4)")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
                    help="sweep seeded random table SCFs (statements 1.2 + 2.1 + 1.5)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seed of --random (default 0)")
     p.add_argument("--epsilon", default=None, help="override measured epsilon (p/q)")
     p.add_argument("--alpha", default=None, help="override measured alpha (p/q)")
     p.add_argument("--bundle-dir", default="counterexamples")

@@ -28,16 +28,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Optional
 
 from . import engine
 from .errors import CapExceededError
 from .fibers import pairwise_preference_correlation
-from .manip import census, check_window_tables, nonmanip_membership
+from .manip import ManipulationCensus, census, check_window_tables, nonmanip_membership
 from .metrics import (
     coordinate_influences,
     distance_to_nonmanip,
@@ -157,29 +156,58 @@ _MAIN_PLAN = {
 }
 
 
-def verify_main_theorems(f: SCF, which=MAIN_THEOREMS,
-                         cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
+class Measurements:
+    """An SCF and the quantities the statements compare, each measured at most
+    once, on first use: the census and the distances to both families.
+
+    The census runs at every width from 2 up to the widest asked for, so a
+    narrower request later reads it; only a wider one measures again.
+    """
+
+    def __init__(self, f: SCF, cap: int = DEFAULT_TABLE_CAP):
+        self.f, self.cap = f, cap
+        self._census: Optional[ManipulationCensus] = None
+        self._distances: dict[str, Fraction] = {}
+
+    def census(self, widths) -> ManipulationCensus:
+        """The census counts at ``widths``, each from 2 to k."""
+        if self._census is None or max(widths) > max(self._census.counts):
+            self._census = census(self.f, range(2, max(widths) + 1), self.cap)
+        return replace(self._census, counts={w: self._census.counts[w] for w in widths})
+
+    def distance(self, family: str) -> Fraction:
+        """The distance to the ``"nonmanip"`` or the ``"nonmanip-bar"`` family."""
+        if family not in self._distances:
+            measure = distance_to_nonmanip if family == "nonmanip" else distance_to_nonmanip_bar
+            self._distances[family] = measure(self.f, self.cap).value
+        return self._distances[family]
+
+
+def _check_shape(f: SCF, statement: str) -> None:
+    """Refuse, before anything is measured, a statement that f's shape does not fit."""
+    if statement in ("1.4", "6.1") and f.n != 1:
+        raise ValueError(f"statement {statement} applies to one-voter functions only")
+    if statement in ("3.1", "7.1", "2.1", "5.3") and f.n < 2:
+        raise ValueError(f"statement {statement} needs n >= 2")
+    BoundParams(n=f.n, k=f.k).require("n", "k")
+
+
+def verify_main_theorems(measured: Measurements,
+                         which=MAIN_THEOREMS) -> list[VerificationReport]:
     """Compare census fractions against the headline lower bounds.
 
     Statement 1.4 needs n = 1; statements 3.1 and 7.1 need n >= 2.
     """
+    f = measured.f
+    for statement in which:
+        _check_shape(f, statement)
+    # A statement without a width (3.1) reads the census at k, which is always taken.
+    cen = measured.census(sorted({min(_MAIN_PLAN[s][0] or f.k, f.k) for s in which} | {f.k}))
     reports = []
-    widths = sorted({min(w, f.k) for w, _fam in (_MAIN_PLAN[s] for s in which)
-                     if w is not None} | {f.k})
-    cen = census(f, widths, cap)
-    # Each family's distance is measured once, when a statement first needs it.
-    distances = {"nonmanip": distance_to_nonmanip, "nonmanip-bar": distance_to_nonmanip_bar}
-    measured = lru_cache(maxsize=None)(lambda family: distances[family](f, cap).value)
-
     for statement in which:
         width, family = _MAIN_PLAN[statement]
-        if statement == "1.4" and f.n != 1:
-            raise ValueError("statement 1.4 applies to one-voter functions only")
-        if statement in ("3.1", "7.1") and f.n < 2:
-            raise ValueError(f"statement {statement} needs n >= 2")
-        eps = measured(family)
-        params = BoundParams(n=f.n, k=f.k, epsilon=eps)
-        rhs = bound_value(statement, params)
+        eps = measured.distance(family)
+        rhs = bound_value(statement, BoundParams(n=f.n, k=f.k, epsilon=eps))
         lhs = cen.fraction(min(width, f.k)) if width is not None else cen.manipulable_fraction()
         reports.append(VerificationReport(
             statement=statement, lhs=lhs, rhs=rhs, holds=lhs >= rhs,
@@ -196,16 +224,17 @@ def _influence_entry(i: int, pair: tuple[int, int], value: Fraction) -> dict:
     a, b = pair
     return {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(value)}
 
-def _qualifying_influences(f: SCF, threshold: Fraction, cap: int, witnesses: dict,
+def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesses: dict,
                            refined: bool) -> list:
     """(i, (a, b), value) for each a < b whose influence reaches the threshold,
     recorded with the threshold in ``witnesses``: the pair influence of a to b,
     or with ``refined`` the refined influence of a to b under the transposition
     of a and b. One count pass per coordinate.
     """
+    f = measured.f
     qualifying = []
     for i in range(f.n):
-        inf = coordinate_influences(f, i, cap, coarse=not refined, refined=refined)
+        inf = coordinate_influences(f, i, measured.cap, coarse=not refined, refined=refined)
         for a in range(f.k):
             for b in range(a + 1, f.k):
                 value = (inf.refined(a, b, AdjacentTransposition(a, b)) if refined
@@ -233,9 +262,8 @@ def _two_coordinate_witness(qualifying, witnesses: dict) -> bool:
     return False
 
 
-def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
-                            statement: str = "2.1",
-                            cap: int = DEFAULT_TABLE_CAP) -> VerificationReport:
+def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] = None,
+                            statement: str = "2.1") -> VerificationReport:
     """Find the large-influence witnesses the influence lemmas promise.
 
     epsilon defaults to the measured distance (to the one-coordinate-or-two-
@@ -244,19 +272,14 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
     """
     if statement not in ("2.1", "5.3", "6.1"):
         raise ValueError(f"unknown influence lemma {statement!r}")
-    if statement == "6.1":
-        if f.n != 1:
-            raise ValueError("statement 6.1 applies to one-voter functions only")
-        measured = distance_to_nonmanip(f, cap).value
-    else:
-        if f.n < 2:
-            raise ValueError(f"statement {statement} needs n >= 2")
-        measured = distance_to_nonmanip_bar(f, cap).value
+    f = measured.f
+    _check_shape(f, statement)
+    distance = measured.distance("nonmanip" if statement == "6.1" else "nonmanip-bar")
     if epsilon is None:
-        epsilon = measured
-    elif measured < epsilon:
+        epsilon = distance
+    elif distance < epsilon:
         raise ValueError(
-            f"precondition violated: measured distance {measured} < epsilon {epsilon}"
+            f"precondition violated: measured distance {distance} < epsilon {epsilon}"
         )
     if epsilon == 0:
         return VerificationReport(
@@ -267,33 +290,31 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
 
     params = BoundParams(n=f.n, k=f.k, epsilon=epsilon)
     witnesses: dict = {"epsilon": frac_str(epsilon)}
-    notes: list[str] = []
 
     if statement == "2.1":
         threshold = bound_value("2.1", params)
-        qualifying = _qualifying_influences(f, threshold, cap, witnesses, refined=False)
+        qualifying = _qualifying_influences(measured, threshold, witnesses, refined=False)
         holds = _two_coordinate_witness(qualifying, witnesses)
         return VerificationReport(
             statement=statement, lhs=None, rhs=threshold, holds=holds,
             comparison="two qualifying influences in distinct coordinates",
-            witnesses=witnesses, notes=notes,
+            witnesses=witnesses,
         )
 
     manip_id = "5.3-manip" if statement == "5.3" else "6.1-manip"
     inf_id = "5.3-influence" if statement == "5.3" else "6.1-influence"
     manip_threshold = bound_value(manip_id, params)
-    cen = census(f, (2,), cap)
-    m2 = cen.fraction(2)
+    m2 = measured.census((2,)).fraction(2)
     witnesses["m2"] = frac_str(m2)
     witnesses["m2_threshold"] = frac_str(manip_threshold)
     if m2 >= manip_threshold:
         return VerificationReport(
             statement=statement, lhs=m2, rhs=manip_threshold, holds=True,
-            comparison="2-manipulation branch", witnesses=witnesses, notes=notes,
+            comparison="2-manipulation branch", witnesses=witnesses,
         )
 
     threshold = bound_value(inf_id, params)
-    qualifying = _qualifying_influences(f, threshold, cap, witnesses, refined=True)
+    qualifying = _qualifying_influences(measured, threshold, witnesses, refined=True)
     if statement == "6.1":
         holds = bool(qualifying)
         comparison = "2-manipulation branch or one qualifying influence"
@@ -302,29 +323,31 @@ def verify_lemma_influences(f: SCF, epsilon: Optional[Fraction] = None,
         comparison = "2-manipulation branch or two qualifying influences"
     return VerificationReport(
         statement=statement, lhs=None, rhs=threshold, holds=holds,
-        comparison=comparison, witnesses=witnesses, notes=notes,
+        comparison=comparison, witnesses=witnesses,
     )
 
 
-def verify_thm_1_5(f: SCF, alpha: Optional[Fraction] = None,
-                   cap: int = DEFAULT_TABLE_CAP) -> VerificationReport:
+def verify_thm_1_5(measured: Measurements,
+                   alpha: Optional[Fraction] = None) -> VerificationReport:
     """Check the reduction disjunction at a measured (or supplied) alpha.
 
     Either the distance to the nonmanipulable family stays below the cubed
     threshold, or 3-window manipulation mass reaches alpha. The cube-compare
     avoids irrational arithmetic.
     """
-    measured = distance_to_nonmanip_bar(f, cap).value
+    f = measured.f
+    _check_shape(f, "1.5")
+    distance = measured.distance("nonmanip-bar")
     if alpha is None:
-        alpha = measured
-    elif measured > alpha:
+        alpha = distance
+    elif distance > alpha:
         raise ValueError(
-            f"precondition violated: measured distance {measured} > alpha {alpha}"
+            f"precondition violated: measured distance {distance} > alpha {alpha}"
         )
-    d_nonmanip = distance_to_nonmanip(f, cap).value
+    d_nonmanip = measured.distance("nonmanip")
     threshold_cubed = bound_value("1.5", BoundParams(n=f.n, k=f.k, alpha=alpha))
     first = d_nonmanip ** 3 < threshold_cubed
-    m3 = census(f, (3,), cap).fraction(3)
+    m3 = measured.census((3,)).fraction(3)
     second = m3 >= alpha
     notes = []
     if alpha == 0:
@@ -445,35 +468,34 @@ def _check_instance_caps(n: int, k: int, cap: int) -> None:
     check_window_tables(k, cap)
 
 
+def one_voter_function(k: int, t: int) -> TableSCF:
+    """One-voter SCF number t of the ``k^(k!)``: its outcome on rank j is base-k
+    digit j of t, least significant first."""
+    return TableSCF(1, k, bytes(t // k ** j % k for j in range(factorial(k))))
+
+
+def check_one_voter(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
+    """One row of the one-voter sweep: statement 1.4 on function t, the
+    dichotomy (manipulable exactly when no member of the nonmanipulable family
+    equals it) and a zero distance exactly when it is not manipulable."""
+    f = one_voter_function(k, t)
+    measured = Measurements(f, cap)
+    (report,) = verify_main_theorems(measured, ("1.4",))
+    eps = measured.distance("nonmanip")
+    manipulable = measured.census((k,)).manipulable_count() > 0
+    checks = {
+        "bound_holds": report.holds,
+        "dichotomy_holds": manipulable == (nonmanip_membership(f, cap) is None),
+        "distance_zero_iff_nonmanipulable": (eps == 0) != manipulable,
+    }
+    return {"function_index": t, "table": [x + 1 for x in f.table()],
+            "epsilon": frac_str(eps), "m3": frac_str(report.lhs), "bound": frac_str(report.rhs),
+            "manipulable": manipulable, **checks, "holds": all(checks.values())}
+
+
 def _one_voter_chunk(k: int, lo: int, hi: int, cap: int):
-    fact = factorial(k)
-    nonmanip_count = 0
-    failures = []
-    for t in range(lo, hi):
-        # Function t's outcome on rank j is base-k digit j of t, least significant first.
-        f = TableSCF(1, k, bytes(t // k ** j % k for j in range(fact)))
-        eps = distance_to_nonmanip(f, cap).value
-        cen = census(f, (3, k), cap)
-        rhs = bound_value("1.4", BoundParams(k=k, epsilon=eps))
-        ok_bound = cen.fraction(3) >= rhs
-        member = nonmanip_membership(f, cap)
-        empty = cen.manipulable_count() == 0
-        ok_dichotomy = empty == (member is not None)
-        ok_distance = (eps == 0) == empty
-        if member is not None:
-            nonmanip_count += 1
-        if not (ok_bound and ok_dichotomy and ok_distance):
-            failures.append({
-                "function_index": t,
-                "table": [x + 1 for x in f.table()],
-                "epsilon": frac_str(eps),
-                "m3": frac_str(cen.fraction(3)),
-                "bound": frac_str(rhs),
-                "bound_holds": ok_bound,
-                "dichotomy_holds": ok_dichotomy,
-                "distance_zero_iff_nonmanipulable": ok_distance,
-            })
-    return nonmanip_count, failures
+    rows = [check_one_voter(k, t, cap) for t in range(lo, hi)]
+    return sum(not row["manipulable"] for row in rows), [row for row in rows if not row["holds"]]
 
 
 def one_voter_function_count(k: int, limit: int = MAX_ONE_VOTER_FUNCTIONS) -> int:
@@ -505,20 +527,21 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> Swe
     )
 
 
+def check_random_table(n: int, k: int, seed: int, t: int,
+                       cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
+    """Statements 1.2, 2.1 and 1.5 on random table t of the sweep seeded ``seed``."""
+    measured = Measurements(random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap), cap)
+    return [*verify_main_theorems(measured, ("1.2",)),
+            verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
+
+
 def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
     failures = []
     for t in range(lo, hi):
-        f = random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap)
-        reports = verify_main_theorems(f, ("1.2",), cap)
-        reports.append(verify_lemma_influences(f, statement="2.1", cap=cap))
-        reports.append(verify_thm_1_5(f, cap=cap))
-        bad = [r for r in reports if not r.holds]
+        bad = [r.describe() for r in check_random_table(n, k, seed, t, cap) if not r.holds]
         if bad:
-            failures.append({
-                "instance": t,
-                "seed": engine.derive_stream_seed(seed, t),
-                "reports": [r.describe() for r in bad],
-            })
+            failures.append({"instance": t, "seed": engine.derive_stream_seed(seed, t),
+                             "reports": bad})
     return failures
 
 

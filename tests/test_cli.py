@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from votemanip import cli, manip
+from votemanip import cli, manip, scf
 from votemanip.scf import Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
 
@@ -165,6 +165,34 @@ def test_verify_random_sweep():
     ])
     assert code == 0
     assert doc["result"]["total"] == 10 and doc["result"]["holds"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--thm", "1.4", "-n", "5", "-k", "4"], "statement 1.4 applies to one-voter functions only"),
+    (["--thm", "6.1", "-n", "2", "-k", "3"], "statement 6.1 applies to one-voter functions only"),
+    *[(["--thm", t, "-n", "1", "-k", "3"], f"statement {t} needs n >= 2")
+      for t in ("3.1", "7.1", "2.1", "5.3")],
+    *[(["--thm", t, "-n", "2", "-k", "2"], "bounds require k >= 3")
+      for t in ("1.2", "3.1", "7.1", "1.5", "2.1", "5.3")],
+    *[(["--thm", t, "-n", "1", "-k", "2"], "bounds require k >= 3") for t in ("1.4", "6.1")],
+])
+def test_verify_refuses_a_shape_before_building_the_table(monkeypatch, capsys, argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(scf.Borda, "_build_table", refuse)
+    code, out = run_cli(["verify", "--rule", "borda", *argv])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_echoes_seed_0_unless_random_is_given_one():
+    _code, doc = run_json(["verify", "--thm", "1.4", "--exhaustive", "-k", "3"])
+    assert doc["config"]["seed"] == 0
+    random = ["verify", "--thm", "1.2", "--random", "2", "-n", "2", "-k", "3"]
+    assert run_cli(random) == run_cli([*random, "--seed", "0"])
+    _code, doc = run_json([*random, "--seed", "5"])
+    assert doc["config"]["seed"] == doc["result"]["stats"]["seed"] == 5
 
 
 def test_sample_deterministic():
@@ -427,6 +455,8 @@ def test_verify_sweeps_honour_the_cap(capsys, argv, fits):
     ["--thm", "1.4", "--exhaustive", "-k", "3", "-n", "5"],
     ["--thm", "1.2", "--random", "2", "-n", "2", "-k", "3", "--rule", "borda"],
     ["--thm", "1.4", "--exhaustive", "--random", "2", "-k", "3"],
+    ["--thm", "1.4", "--exhaustive", "-k", "3", "--seed", "5"],
+    ["--thm", "1.2", "--rule", "borda", "-n", "2", "-k", "3", "--seed", "0"],
 ])
 def test_verify_refuses_an_option_it_would_not_use(capsys, argv):
     # Each of these options is echoed in the report's config, so a run that

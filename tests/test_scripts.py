@@ -1,6 +1,7 @@
 """Smoke test: each experiment script runs to completion on a tiny grid."""
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from votemanip import cli
+from votemanip.verify import check_random_table, sweep_one_voter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +48,24 @@ def test_frontier_rows_carry_the_report_digest_and_stop_at_the_budget():
     # No interpreter starts within a millisecond, so the child is killed.
     done = run_script("frontier.py", ["--call", call, "--budget", "0.001"])
     assert done.stdout.splitlines()[2] == f"| `{' '.join(argv)}` | past 0.001 s | |"
+
+
+def test_one_voter_script_rows_agree_with_the_library_sweep(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    done = run_script("one_voter_sweep.py", ["-k", "3", "-o", str(out)])
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 729 and all(row["holds"] for row in rows)
+    nonmanipulable = sum(not row["manipulable"] for row in rows)
+    assert nonmanipulable == 7 == sweep_one_voter(3).stats["nonmanipulable_functions"]
+
+
+def test_random_table_script_rows_agree_with_the_library_check():
+    done = run_script("random_table_sweep.py", ["--count", "3"])
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [row["instance"] for row in rows] == [0, 1, 2]
+    for row in rows:
+        reports = check_random_table(2, 3, 0, row["instance"])
+        assert row["statements"] == {r.statement: r.holds for r in reports}
+        assert row["epsilon_nonmanip"] == reports[0].witnesses["epsilon"]

@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -8,6 +9,7 @@ import pytest
 
 from votemanip import verify
 from votemanip.errors import CapExceededError
+from votemanip.manip import census
 from votemanip.metrics import frac_str, influence_pair, influence_refined
 from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
@@ -20,7 +22,9 @@ from votemanip.scf import (
 from votemanip.verify import (
     RHO_PREFERENCE_PAIRS,
     BoundParams,
+    Measurements,
     bound_value,
+    one_voter_function,
     preference_correlation_check,
     sweep_one_voter,
     sweep_random_tables,
@@ -80,27 +84,28 @@ def test_bound_monotonicity_grid():
 
 def test_main_theorems_on_members_and_random():
     member = TopHDictator(2, 3, 0, range(3))
-    for report in verify_main_theorems(member, ("1.2", "3.1", "7.1")):
+    for report in verify_main_theorems(Measurements(member), ("1.2", "3.1", "7.1")):
         assert report.holds
         assert report.rhs == 0  # epsilon is 0
     f = random_table_scf(2, 3, 2024)
-    for report in verify_main_theorems(f, ("1.2", "3.1", "7.1")):
+    for report in verify_main_theorems(Measurements(f), ("1.2", "3.1", "7.1")):
         assert report.holds
 
 
 def test_main_theorem_one_voter():
     anti = TableSCF(1, 3, [o[-1] for o in permutations(range(3))])
-    (report,) = verify_main_theorems(anti, ("1.4",))
+    (report,) = verify_main_theorems(Measurements(anti), ("1.4",))
     assert report.holds
     assert report.lhs > 0
     with pytest.raises(ValueError):
-        verify_main_theorems(Plurality(2, 3), ("1.4",))
+        verify_main_theorems(Measurements(Plurality(2, 3)), ("1.4",))
     with pytest.raises(ValueError):
-        verify_main_theorems(anti, ("3.1",))
+        verify_main_theorems(Measurements(anti), ("3.1",))
 
 
 def test_lemma_influences_vacuous_on_members():
-    report = verify_lemma_influences(TopHDictator(2, 3, 0, range(3)), statement="2.1")
+    report = verify_lemma_influences(Measurements(TopHDictator(2, 3, 0, range(3))),
+                                     statement="2.1")
     assert report.holds
     assert any("precondition-not-met" in note for note in report.notes)
 
@@ -108,7 +113,7 @@ def test_lemma_influences_vacuous_on_members():
 def test_lemma_influences_witnesses_random():
     f = random_table_scf(2, 3, 4242)
     for statement in ("2.1", "5.3"):
-        report = verify_lemma_influences(f, statement=statement)
+        report = verify_lemma_influences(Measurements(f), statement=statement)
         assert report.holds
         if "witness" in report.witnesses:
             first = report.witnesses["witness"]["first"]
@@ -128,7 +133,7 @@ def test_lemma_influences_qualifying_values(monkeypatch):
              (random_table_scf(2, 3, 4242), "5.3"), (random_table_scf(2, 4, 7), "5.3"),
              (random_table_scf(1, 4, 3), "6.1")]
     for f, statement in cases:
-        report = verify_lemma_influences(f, statement=statement)
+        report = verify_lemma_influences(Measurements(f), statement=statement)
         expected = [
             {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
                 influence_pair(f, i, a, b) if statement == "2.1"
@@ -140,31 +145,31 @@ def test_lemma_influences_qualifying_values(monkeypatch):
 
 def test_lemma_influences_one_voter():
     anti = TableSCF(1, 3, [o[-1] for o in permutations(range(3))])
-    report = verify_lemma_influences(anti, statement="6.1")
+    report = verify_lemma_influences(Measurements(anti), statement="6.1")
     assert report.holds
     with pytest.raises(ValueError):
-        verify_lemma_influences(anti, statement="2.1")
+        verify_lemma_influences(Measurements(anti), statement="2.1")
     with pytest.raises(ValueError):
-        verify_lemma_influences(Plurality(2, 3), statement="6.1")
+        verify_lemma_influences(Measurements(Plurality(2, 3)), statement="6.1")
 
 
 def test_lemma_influences_precondition_violation():
     f = Plurality(2, 3)
     with pytest.raises(ValueError):
-        verify_lemma_influences(f, epsilon=Fraction(99, 100), statement="2.1")
+        verify_lemma_influences(Measurements(f), epsilon=Fraction(99, 100), statement="2.1")
 
 
 def test_thm_1_5_branches():
     # A nonmanipulable member satisfies the distance branch for any alpha > 0.
     member = TopHDictator(2, 3, 0, range(3))
-    report = verify_thm_1_5(member, alpha=Fraction(1, 100))
+    report = verify_thm_1_5(Measurements(member), alpha=Fraction(1, 100))
     assert report.holds and report.witnesses["distance_branch"]
 
     # One-coordinate but manipulable: alpha measures 0, the manipulation
     # branch holds trivially and the report flags the degeneracy.
     anti_orders = [o[-1] for o in permutations(range(3))]
     one_coord = OneCoordinate(2, 3, 0, anti_orders)
-    report = verify_thm_1_5(one_coord)
+    report = verify_thm_1_5(Measurements(one_coord))
     assert report.holds
     assert report.witnesses["alpha"] == "0/1"
     assert any("degenerate" in note for note in report.notes)
@@ -174,11 +179,11 @@ def test_thm_1_5_branches():
     table = list(table)
     table[7] = (table[7] + 1) % 3
     bumped = TableSCF(2, 3, table)
-    report = verify_thm_1_5(bumped)
+    report = verify_thm_1_5(Measurements(bumped))
     assert report.holds
 
     with pytest.raises(ValueError):
-        verify_thm_1_5(bumped, alpha=Fraction(0))
+        verify_thm_1_5(Measurements(bumped), alpha=Fraction(0))
 
 
 def test_reverse_hypercontractivity_cases():
@@ -258,11 +263,60 @@ def test_sweep_random_tables_small():
     assert report.holds
 
 
+MEASURES = ("census", "distance_to_nonmanip", "distance_to_nonmanip_bar")
+
+
+def count_calls(monkeypatch, names=MEASURES) -> Counter:
+    """Count the calls made through ``verify``'s bindings of ``names``."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_sweeps_measure_each_quantity_once_per_scf(monkeypatch):
+    calls = count_calls(monkeypatch)
+    assert sweep_random_tables(2, 3, 5, seed=0).holds
+    assert calls == {name: 5 for name in MEASURES}
+    calls.clear()
+    assert sweep_one_voter(3).holds
+    assert calls == {"census": 729, "distance_to_nonmanip": 729}
+
+
+def test_measurements_read_a_narrower_census_from_the_wider_one(monkeypatch):
+    f = random_table_scf(2, 4, 5)
+    fresh = [verify_main_theorems(Measurements(f), ("1.2",))[0].describe(),
+             verify_thm_1_5(Measurements(f)).describe()]
+    calls = count_calls(monkeypatch)
+    measured = Measurements(f)
+    # 1.2 takes the width-4 census at k = 4 and 1.5 the width-3 one.
+    shared = [verify_main_theorems(measured, ("1.2",))[0].describe(),
+              verify_thm_1_5(measured).describe()]
+    assert shared == fresh
+    assert list(shared[0]["witnesses"]["census"]["counts"]) == ["4"]
+    assert measured.census((2, 3)) == census(f, (2, 3))
+    assert calls == {name: 1 for name in MEASURES}
+    # Only a wider census than the one taken measures again.
+    measured = Measurements(f)
+    measured.census((3,))
+    assert measured.census((4,)) == census(f, (4,))
+    assert calls["census"] == 3
+
+
+def test_one_voter_functions_are_distinct():
+    tables = {one_voter_function(3, t).table() for t in range(3 ** 6)}
+    assert len(tables) == 729 and one_voter_function(3, 1).table() == bytes([1, 0, 0, 0, 0, 0])
+
+
 def test_report_lines_format():
     from votemanip.verify import report_lines
 
     f = random_table_scf(2, 3, 7)
-    text = report_lines(verify_main_theorems(f, ("1.2", "7.1")))
+    text = report_lines(verify_main_theorems(Measurements(f), ("1.2", "7.1")))
     lines = text.strip().split("\n")
     assert len(lines) == 2
     rows = [json.loads(line) for line in lines]
