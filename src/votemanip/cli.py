@@ -318,19 +318,21 @@ def _verify_run(args, tasks: int):
         )
         name = "random-sweep"
     else:
+        statement = args.thm
+        if statement not in (*verify.MAIN_THEOREMS, "2.1", "5.3", "6.1", "1.5"):
+            raise ConfigError(f"unknown statement {statement!r}")
+        if args.rule and not args.table and None not in (args.voters, args.alternatives):
+            verify._check_shape(args.voters, args.alternatives, statement)
         f = _build_scf(args)
         measured = verify.Measurements(f, args.cap)
-        statement = args.thm
         if statement in verify.MAIN_THEOREMS:
             reports = verify.verify_main_theorems(measured, (statement,))
         elif statement in ("2.1", "5.3", "6.1"):
             eps = parse_frac(args.epsilon) if args.epsilon is not None else None
             reports = [verify.verify_lemma_influences(measured, eps, statement)]
-        elif statement == "1.5":
+        else:
             alpha = parse_frac(args.alpha) if args.alpha is not None else None
             reports = [verify.verify_thm_1_5(measured, alpha)]
-        else:
-            raise ConfigError(f"unknown statement {statement!r}")
         return ({"reports": [r.describe() for r in reports]},
                 [r for r in reports if not r.holds], f)
     failed = [] if sweep.holds else [verify.VerificationReport(

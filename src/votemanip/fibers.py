@@ -3,21 +3,21 @@
 A fiber collects the profiles sharing one a-vs-b preference vector. Plain
 fibers fix the vector in every coordinate; refined fibers fix it outside one
 coordinate i and additionally require a to sit directly above b in coordinate
-i. Fibers are never materialized as profile lists. Their counts come from
-one pass over the lines of coordinate i: a line fixes the other voters, so
-their a-vs-b bits (:func:`preference_masks`) say which fibers its entries
-belong to, and :func:`fiber_sweep` counts every fiber of the coordinate at
-once. :func:`iter_fiber_members` generates one fiber's members from its key.
+i. Fibers are never materialized as profile lists. :func:`fiber_sweep`
+counts every fiber of coordinate i at once from one split of the table
+(:func:`rankings.class_tables`), voter i by rank and every other voter by its
+side of the pair, with no pass over lines. :func:`iter_fiber_members`
+generates one fiber's members from its key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterator, Sequence
 
 from .rankings import (
@@ -28,7 +28,6 @@ from .rankings import (
     class_tables,
     coordinate_lines,
     decode_profile,
-    preference_masks,
     profile_digits,
     profile_strides,
     ranking_orders,
@@ -49,6 +48,7 @@ def preference_vector(profile: Profile, a: int, b: int) -> tuple[int, ...]:
 
 def deleted_preference_vector(profile: Profile, i: int, a: int, b: int) -> tuple[int, ...]:
     """The preference vector with coordinate i removed."""
+    _check_coordinate(len(profile), i)
     full = preference_vector(profile, a, b)
     return full[:i] + full[i + 1:]
 
@@ -105,23 +105,13 @@ def _coordinate_choices(n: int, k: int, pair: tuple[int, int], key: Sequence[int
                         variant: FiberVariant, i: int):
     """Per-coordinate rank lists whose product enumerates the fiber."""
     a, b = pair
-    plus = ranks_preferring(k, a, b)
-    minus = ranks_preferring(k, b, a)
-    if variant is FiberVariant.PLAIN:
-        if len(key) != n:
-            raise ValueError(f"plain fiber key needs {n} bits, got {len(key)}")
-        return [plus if bit > 0 else minus for bit in key]
-    if len(key) != n - 1:
-        raise ValueError(f"refined fiber key needs {n - 1} bits, got {len(key)}")
-    adjacent = tuple(r for r, _s in ranks_adjacent_above(k, a, b))
-    choices = []
-    kit = iter(key)
-    for c in range(n):
-        if c == i:
-            choices.append(adjacent)
-        else:
-            bit = next(kit)
-            choices.append(plus if bit > 0 else minus)
+    bits = _key_bits(n, variant)
+    if len(key) != bits:
+        raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
+    choices = [ranks_preferring(k, *((a, b) if bit > 0 else (b, a))) for bit in key]
+    if variant is FiberVariant.REFINED:
+        _check_coordinate(n, i)
+        choices.insert(i, tuple(r for r, _s in ranks_adjacent_above(k, a, b)))
     return choices
 
 
@@ -141,18 +131,13 @@ def fiber_member_count(n: int, k: int, variant: FiberVariant) -> int:
     return factorial(k - 1) * half ** (n - 1)
 
 
-def _check_coordinate(f: SCF, i: int) -> None:
-    if not 0 <= i < f.n:
+def _check_coordinate(n: int, i: int) -> None:
+    if not 0 <= i < n:
         raise ValueError("coordinate out of range")
 
 
 def _key_bits(n: int, variant: FiberVariant) -> int:
     return n if variant is FiberVariant.PLAIN else n - 1
-
-
-def _key_mask(key: Sequence[int]) -> int:
-    """The bitmask of a fiber key: bit j set where ``key[j]`` is +1."""
-    return sum(1 << j for j, bit in enumerate(key) if bit > 0)
 
 
 def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
@@ -168,46 +153,51 @@ def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
     bits = _key_bits(f.n, variant)
     if len(key) != bits:
         raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
-    return fiber_sweep(f, i, pair, variant, gamma, cap)[_key_mask(key)]
+    # Records are in key-mask order: bit j is set where key[j] is +1.
+    return fiber_sweep(f, i, pair, variant, gamma, cap)[
+        sum(1 << j for j, bit in enumerate(key) if bit > 0)]
 
 
 def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
                 gamma: Fraction, cap: int = DEFAULT_TABLE_CAP) -> list[FiberRecord]:
     """Classify every fiber key for one coordinate and pair, in key-mask order.
 
-    One pass over the lines of coordinate i. A line fixes the other voters,
-    whose a-vs-b bits (its :func:`preference_masks` entry) are a refined key;
-    a plain key gains voter i's bit at position i. Plain: a rank with outcome
-    a is on the boundary when b is elsewhere on its line. Refined: a rank with
-    a directly above b is on it when its outcome is a and the swapped rank's
-    is b.
+    :func:`rankings.class_tables` splits voter i into its k! ranks and every
+    other voter into its two sides of the pair, so each choice of sides (a
+    refined key) owns k! parts whose entry j lies on one coordinate-i line.
+    Read part r's outcomes a and b as the bits of ``A_r`` and ``B_r``. Plain,
+    per side of voter i (the key's bit i): a rank r is on the boundary in
+    ``A_r & (B_0 | B_1 | ...)``. Refined: r with a directly above b, swapped
+    to s, is on it in ``A_r & B_s``.
     """
-    _check_coordinate(f, i)
+    _check_coordinate(f.n, i)
     a, b = pair
     n, k = f.n, f.k
-    table = f.table(cap)
-    bits = _key_bits(n, variant)
-    members = [0] * (1 << bits)
-    on_boundary = [0] * (1 << bits)
-    lines = zip(preference_masks(n - 1, k, a, b), coordinate_lines(table, n, k, i))
-    if variant is FiberVariant.PLAIN:
-        # Voter i's ranks with a above b (bit i set), and with b above a.
-        sides = ((1 << i, ranks_preferring(k, a, b)), (0, ranks_preferring(k, b, a)))
-        low = (1 << i) - 1
-        for rest, (_base, line) in lines:
-            mask = rest & low | rest >> i << (i + 1)
-            leaves = b in line
-            for bit, ranks in sides:
-                members[mask | bit] += len(ranks)
-                if leaves:
-                    on_boundary[mask | bit] += [line[r] for r in ranks].count(a)
-    else:
-        swaps = ranks_adjacent_above(k, a, b)
-        for rest, (_base, line) in lines:
-            members[rest] += len(swaps)
-            on_boundary[rest] += sum(1 for r, s in swaps if line[r] == a and line[s] == b)
+    fact = factorial(k)
+    sides = (ranks_preferring(k, b, a), ranks_preferring(k, a, b))
+    parts = class_tables(f.table(cap), k,
+                         [sides] * i + [[(r,) for r in range(fact)]] + [sides] * (n - 1 - i))
+    swaps = ranks_adjacent_above(k, a, b)
+    side = len(sides[0]) if variant is FiberVariant.PLAIN else len(swaps)
     expected = fiber_member_count(n, k, variant)
-    assert members == [expected] * len(members), (members, expected)
+    assert len(parts[0]) * side == expected, (len(parts[0]), side, expected)
+    low = (1 << i) - 1
+    bits = _key_bits(n, variant)
+    on_boundary = [0] * (1 << bits)
+    for rest in range(1 << (n - 1)):
+        # Parts are indexed by the others' sides (bit c for voter c), with
+        # voter i's rank taking k! places at bit position i.
+        first = (rest & low) + (rest >> i << i) * fact
+        line = parts[first:first + (fact << i):1 << i]
+        A, B = ([int.from_bytes(part.translate(_indicator(x)), "little") for part in line]
+                for x in pair)
+        if variant is FiberVariant.PLAIN:
+            to_b = reduce(or_, B)
+            for bit, ranks in enumerate(sides):
+                mask = rest & low | bit << i | rest >> i << (i + 1)
+                on_boundary[mask] = sum((A[r] & to_b).bit_count() for r in ranks)
+        else:
+            on_boundary[rest] = sum((A[r] & B[s]).bit_count() for r, s in swaps)
     return [
         FiberRecord(
             pair=(a, b), key=tuple(1 if mask >> j & 1 else -1 for j in range(bits)),
@@ -218,6 +208,12 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     ]
 
 
+@lru_cache(maxsize=None)
+def _indicator(x: int) -> bytes:
+    """``bytes.translate`` table sending byte x to 1 and every other byte to 0."""
+    return bytes(int(v == x) for v in range(256))
+
+
 def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
                               gamma: Fraction, cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Whether the profile's deleted-coordinate fiber mostly elects the a-b top.
@@ -226,7 +222,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     runs over all k! rankings), the outcome must equal the higher-ranked of
     {a, b} in coordinate i with probability at least 1 - 2k*gamma.
     """
-    _check_coordinate(f, i)
+    _check_coordinate(f.n, i)
     if a == b:
         raise ValueError("need two distinct alternatives")
     if len(profile) != f.n:
@@ -245,6 +241,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
 def is_local_dictator(f: SCF, profile: Profile, i: int, H) -> bool:
     """H forms an adjacent block in coordinate i and every within-block
     rearrangement elects the block's top H-member."""
+    _check_coordinate(f.n, i)
     subset = sorted(set(H))
     if not subset:
         raise ValueError("H must be nonempty")
@@ -273,7 +270,7 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
     of probes, so each line checks a block once (from its lowest rank) and,
     when every order elects its block top, adds all six profiles.
     """
-    _check_coordinate(f, i)
+    _check_coordinate(f.n, i)
     a, b = pair
     if a == b:
         raise ValueError("need two distinct alternatives")
@@ -309,11 +306,11 @@ def _rest_lines(table, n: int, k: int, i: int):
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
     """Rest-profiles for which freezing them makes coordinate i a top_H rule."""
-    _check_coordinate(f, i)
+    _check_coordinate(f.n, i)
     subset = frozenset(H)
     if not subset:
         raise ValueError("H must be nonempty")
-    target = bytes(top_h_by_rank(f.k, subset))
+    target = top_h_by_rank(f.k, subset)
     return {rest for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i)
             if outcomes == target}
 
@@ -325,14 +322,14 @@ def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
     A rest-profile's induced outcomes determine the only possible H (its own
     image), so a single scan per rest-profile suffices.
     """
-    _check_coordinate(f, i)
+    _check_coordinate(f.n, i)
     a, b = pair
     out = set()
     for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i):
         image = frozenset(outcomes)
         if len(image) < 3 or a not in image or b not in image:
             continue
-        if outcomes == bytes(top_h_by_rank(f.k, image)):
+        if outcomes == top_h_by_rank(f.k, image):
             out.add(rest)
     return out
 
@@ -341,10 +338,7 @@ def pairwise_preference_correlation(k: int, a: int, b: int, c: int) -> Fraction:
     """Exact E[x^{a,b} x^{a,c}] over a uniform ranking; 1/3 for distinct a,b,c."""
     if len({a, b, c}) != 3:
         raise ValueError("need three distinct alternatives")
-    pos = ranking_positions(k)
-    total = 0
-    for r in range(factorial(k)):
-        x1 = 1 if pos[r][a] < pos[r][b] else -1
-        x2 = 1 if pos[r][a] < pos[r][c] else -1
-        total += x1 * x2
+    # x^{a,b} x^{a,c} is +1 when a is above both or below both, else -1.
+    total = sum(1 if (pos[a] < pos[b]) == (pos[a] < pos[c]) else -1
+                for pos in ranking_positions(k))
     return Fraction(total, factorial(k))

@@ -7,7 +7,7 @@ sets between outcomes are enumerated exactly, streaming in profile-index
 order. Boundary sizes are not enumerated: they are reads of a coordinate's
 edge counts, :func:`transition_counts` for the coarse graph and
 :func:`refined_edge_counts` for the refined one, each a single pass over the
-coordinate's lines.
+coordinate's distinct lines (:func:`rankings.distinct_lines`).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -30,6 +30,7 @@ from .rankings import (
     coordinate_lines,
     decode_profile,
     digits_index,
+    distinct_lines,
     encode_ranking,
     profile_strides,
     ranking_rank_of,
@@ -168,13 +169,13 @@ def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list
     moves the outcome from a to b, in one pass over the lines of coordinate i.
 
     A line with outcome counts ``row`` holds ``row[a] * row[b]`` such pairs;
+    each distinct line (:func:`rankings.distinct_lines`) is counted once, and
     lines with equal counts are summed once, weighted by their number.
     """
-    if not 0 <= i < f.n:
-        raise ValueError("coordinate out of range")
     k = f.k
-    rows = Counter(tuple(map(line.count, range(k)))
-                   for _base, line in coordinate_lines(f.table(cap), f.n, k, i))
+    rows: Counter = Counter()
+    for line, weight in distinct_lines(f.table(cap), f.n, k, i):
+        rows[tuple(map(line.count, range(k)))] += weight
     moves = [[0] * k for _ in range(k)]
     for row, weight in rows.items():
         for a, x in enumerate(row):
@@ -190,26 +191,21 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
     swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. The lines are read in batches of ``(k!)^2`` and each
-    distinct line of a batch is counted once, weighted by its number, so the
-    pass holds one batch and the counts whatever the table.
+    outcome b != a. Each distinct line (:func:`rankings.distinct_lines`) is
+    counted once, weighted by its number.
     """
-    if not 0 <= i < f.n:
-        raise ValueError("coordinate out of range")
     # Every refined edge of a line once, as (rank, rank after the swap, swap),
     # and counted in both directions.
     edges = [(r, dest, (c, d)) for r, moves in enumerate(adjacent_swap_neighbors(f.k))
              for dest, c, d in moves if r < dest]
-    lines = (line for _base, line in coordinate_lines(f.table(cap), f.n, f.k, i))
     counts: dict = defaultdict(int)
-    while batch := Counter(islice(lines, factorial(f.k) ** 2)):
-        for line, weight in batch.items():
-            for r, s, z in edges:
-                a = line[r]
-                b = line[s]
-                if a != b:
-                    counts[a, b, z] += weight
-                    counts[b, a, z] += weight
+    for line, weight in distinct_lines(f.table(cap), f.n, f.k, i):
+        for r, s, z in edges:
+            a = line[r]
+            b = line[s]
+            if a != b:
+                counts[a, b, z] += weight
+                counts[b, a, z] += weight
     return dict(counts)
 
 

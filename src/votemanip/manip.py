@@ -7,12 +7,13 @@ narrower window reaches, so a voter's minimal manipulating width is that of
 the narrowest window reaching a ranking with a better outcome.
 
 The exact census and the exact pair probability run in one process and make
-one pass per coordinate over its lines (:func:`rankings.coordinate_lines`).
-What a line contributes depends only on its outcomes, so each distinct line
-is worked out once: an anonymous rule has few distinct lines (Borda at n=4,
-k=4 has 138 among 55,296). :func:`gs_classify` instead asks membership in the
-nonmanipulable family first, then scans profiles in index order and stops at
-the first manipulable one.
+one pass per coordinate over its lines. What a line contributes depends only
+on its outcomes, so each distinct line is worked out once: an anonymous rule
+has few distinct lines (Borda at n=4, k=4 has 138 among 55,296). The pair
+probability reads :func:`rankings.distinct_lines`; the census writes each
+line's masks back in profile order from a memo. :func:`gs_classify` instead
+asks membership in the nonmanipulable family first, then scans profiles in
+index order and stops at the first manipulable one.
 """
 from __future__ import annotations
 
@@ -24,13 +25,14 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional
 
-from . import engine
+from . import engine, rankings
 from .rankings import (
     Profile,
     Ranking,
     check_cap,
     coordinate_lines,
     decode_profile,
+    distinct_lines,
     fiber_outcome_counts,
     index_digits,
     join_coordinate_lines,
@@ -147,26 +149,6 @@ def check_window_tables(k: int, cap: int) -> None:
               count=lambda: factorial(k) * (factorial(k) - 1))
 
 
-def _memo_bound(k: int) -> int:
-    """Distinct lines a line memo holds before it is cleared."""
-    return factorial(k) ** 2
-
-
-def _memoized(compute, bound: int):
-    """``compute`` over line outcome bytes, remembering at most ``bound`` lines."""
-    memo: dict = {}
-
-    def lookup(line):
-        value = memo.get(line)
-        if value is None:
-            if len(memo) >= bound:
-                memo.clear()
-            value = memo[line] = compute(line)
-        return value
-
-    return lookup
-
-
 @lru_cache(maxsize=None)
 def _census_plans(k: int, max_width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per rank, ``(destination, mask)`` for every rank one window of width at most
@@ -201,9 +183,10 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself.
 
     One pass per coordinate over its lines: each distinct line's per-rank width
-    masks are worked out once, written back to profile order and ORed over the
-    coordinates, so a profile's byte marks every width some voter manipulates
-    within. Widths 2..k take k - 1 bits of that byte.
+    masks are worked out once (a memo cleared whenever it holds
+    :func:`rankings.distinct_line_bound` lines), written back to profile order
+    and ORed over the coordinates, so a profile's byte marks every width some
+    voter manipulates within. Widths 2..k take k - 1 bits of that byte.
     """
     if r_values is None:
         r_values = (2, 3, 4, max(f.k, 2))
@@ -220,23 +203,29 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     table = f.table(cap)
     fact = factorial(k)
     steps = tuple(zip(range(fact), ranking_positions(k), _census_plans(k, max_width)))
+    bound = rankings.distinct_line_bound(k)
+    memo: dict = {}
 
     def line_masks(line):
-        masks = bytearray(fact)
-        for r, pos, plan in steps:
-            pa = pos[line[r]]
-            if pa:
-                for dest, mask in plan:
-                    if pos[line[dest]] < pa:
-                        masks[r] = mask
-                        break
-        return bytes(masks)
+        masks = memo.get(line)
+        if masks is None:
+            if len(memo) >= bound:
+                memo.clear()
+            masks = bytearray(fact)
+            for r, pos, plan in steps:
+                pa = pos[line[r]]
+                if pa:
+                    for dest, mask in plan:
+                        if pos[line[dest]] < pa:
+                            masks[r] = mask
+                            break
+            masks = memo[line] = bytes(masks)
+        return masks
 
-    lookup = _memoized(line_masks, _memo_bound(k))
     union = 0
     for i in range(n):
         masks = join_coordinate_lines(
-            n, k, i, (lookup(line) for _base, line in coordinate_lines(table, n, k, i)))
+            n, k, i, (line_masks(line) for _base, line in coordinate_lines(table, n, k, i)))
         union |= int.from_bytes(masks, "little")
     flags = union.to_bytes(len(table), "little")
     return ManipulationCensus(
@@ -362,8 +351,8 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
 
     Full enumeration over (profile, coordinate, window start, window
     permutation); the denominator is (k!)^n * n * (k-width+1) * width!. One
-    pass per coordinate over its lines counts each distinct line's successful
-    draws once.
+    pass per coordinate over its distinct lines (:func:`rankings.distinct_lines`)
+    counts each distinct line's successful draws once.
     """
     _check_window(f.k, width)
     n, k = f.n, f.k
@@ -383,9 +372,8 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
                 total += sum(c for dest, c in moves[r] if pos[line[dest]] < pa)
         return total
 
-    lookup = _memoized(line_successes, _memo_bound(k))
-    successes = sum(lookup(line) for i in range(n)
-                    for _base, line in coordinate_lines(table, n, k, i))
+    successes = sum(weight * line_successes(line) for i in range(n)
+                    for line, weight in distinct_lines(table, n, k, i))
     return Fraction(successes, len(table) * n * draws)
 
 
@@ -406,7 +394,7 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
         _base, first = next(lines)
         if all(line == first for _base, line in lines):
             image = frozenset(first)
-            if first == bytes(top_h_by_rank(k, image)):
+            if first == top_h_by_rank(k, image):
                 return TopHDictator(n, k, i, image)
 
     # Monotone two-valued branch: constant on every preference fiber of its

@@ -11,15 +11,17 @@ This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
 :func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
 :func:`coordinate_lines`, :func:`join_coordinate_lines`,
-:func:`preference_masks` and :func:`class_tables`, from which
+:func:`distinct_lines` and :func:`class_tables`, from which
 :func:`rank_outcome_counts` and :func:`fiber_outcome_counts` read their counts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
 from math import factorial
+from operator import itemgetter
 
 from .errors import CapExceededError
 
@@ -222,6 +224,8 @@ def coordinate_lines(table, n: int, k: int, i: int, start: int = 0, stop=None):
     Yields ``(base, outcomes)`` where ``outcomes[r]`` is the table entry at
     ``base + r * profile_strides(n, k)[i]``: voter i holds the ranking of rank r.
     """
+    if not 0 <= i < n:
+        raise ValueError("coordinate out of range")
     stride = profile_strides(n, k)[i]
     block = stride * factorial(k)
     count = len(table) // factorial(k)
@@ -247,14 +251,27 @@ def join_coordinate_lines(n: int, k: int, i: int, lines) -> bytearray:
     return out
 
 
-def preference_masks(n: int, k: int, a: int, b: int) -> list[int]:
-    """Per profile index, the bitmask of voters ranking a above b (bit c for voter c)."""
-    prefers = [pos[a] < pos[b] for pos in ranking_positions(k)]
-    masks = [0]
-    for c in range(n):
-        bits = [1 << c if p else 0 for p in prefers]
-        masks = [m | bit for m in masks for bit in bits]
-    return masks
+def distinct_line_bound(k: int) -> int:
+    """Distinct lines a line memo or batch holds before it is flushed: ``(k!)^2``."""
+    return factorial(k) ** 2
+
+
+def distinct_lines(table, n: int, k: int, i: int):
+    """Coordinate i's distinct lines as ``(line, weight)``, weight its number of copies.
+
+    Counts are flushed whenever they hold more than :func:`distinct_line_bound`
+    lines, so a line may come out once per flush, and at most about twice the
+    bound are held: an anonymous rule's coordinate is one flush.
+    """
+    bound = distinct_line_bound(k)
+    lines = map(itemgetter(1), coordinate_lines(table, n, k, i))
+    counts: Counter = Counter()
+    for _ in range(0, len(table) // factorial(k), bound):
+        counts.update(islice(lines, bound))
+        if len(counts) > bound:
+            yield from counts.items()
+            counts.clear()
+    yield from counts.items()
 
 
 def class_tables(table, k: int, classes) -> list[bytes]:
@@ -292,10 +309,11 @@ def ranks_preferring(k: int, a: int, b: int) -> tuple[int, ...]:
 
 
 def fiber_outcome_counts(table, n: int, k: int, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Per preference mask (:func:`preference_masks`), the profiles electing a and b.
+    """Per preference mask, the profiles electing a and b.
 
-    Every mask's fiber holds ``(k!/2)^n`` profiles: voter c's class is b above a
-    (mask bit c clear) or a above b (set).
+    A mask has bit c set when voter c ranks a above b, so its fiber holds the
+    ``(k!/2)^n`` profiles where voter c's class is b above a (bit c clear) or
+    a above b (set).
     """
     parts = class_tables(table, k, [(ranks_preferring(k, b, a), ranks_preferring(k, a, b))] * n)
     return [part.count(a) for part in parts], [part.count(b) for part in parts]
@@ -383,6 +401,6 @@ def adjacent_swap_neighbors(k: int) -> tuple[tuple[tuple[int, int, int], ...], .
 
 
 @lru_cache(maxsize=None)
-def top_h_by_rank(k: int, H: frozenset) -> tuple[int, ...]:
+def top_h_by_rank(k: int, H: frozenset) -> bytes:
     """Per ranking rank, the highest-ranked member of H: a top_H dictator's outcomes."""
-    return tuple(next(x for x in order if x in H) for order in ranking_orders(k))
+    return bytes(next(x for x in order if x in H) for order in ranking_orders(k))

@@ -183,13 +183,13 @@ class Measurements:
         return self._distances[family]
 
 
-def _check_shape(f: SCF, statement: str) -> None:
-    """Refuse, before anything is measured, a statement that f's shape does not fit."""
-    if statement in ("1.4", "6.1") and f.n != 1:
+def _check_shape(n: int, k: int, statement: str) -> None:
+    """Refuse, before anything is built or measured, a statement that the shape does not fit."""
+    if statement in ("1.4", "6.1") and n != 1:
         raise ValueError(f"statement {statement} applies to one-voter functions only")
-    if statement in ("3.1", "7.1", "2.1", "5.3") and f.n < 2:
+    if statement in ("3.1", "7.1", "2.1", "5.3") and n < 2:
         raise ValueError(f"statement {statement} needs n >= 2")
-    BoundParams(n=f.n, k=f.k).require("n", "k")
+    BoundParams(n=n, k=k).require("n", "k")
 
 
 def verify_main_theorems(measured: Measurements,
@@ -200,7 +200,7 @@ def verify_main_theorems(measured: Measurements,
     """
     f = measured.f
     for statement in which:
-        _check_shape(f, statement)
+        _check_shape(f.n, f.k, statement)
     # A statement without a width (3.1) reads the census at k, which is always taken.
     cen = measured.census(sorted({min(_MAIN_PLAN[s][0] or f.k, f.k) for s in which} | {f.k}))
     reports = []
@@ -273,7 +273,7 @@ def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] 
     if statement not in ("2.1", "5.3", "6.1"):
         raise ValueError(f"unknown influence lemma {statement!r}")
     f = measured.f
-    _check_shape(f, statement)
+    _check_shape(f.n, f.k, statement)
     distance = measured.distance("nonmanip" if statement == "6.1" else "nonmanip-bar")
     if epsilon is None:
         epsilon = distance
@@ -336,7 +336,7 @@ def verify_thm_1_5(measured: Measurements,
     avoids irrational arithmetic.
     """
     f = measured.f
-    _check_shape(f, "1.5")
+    _check_shape(f.n, f.k, "1.5")
     distance = measured.distance("nonmanip-bar")
     if alpha is None:
         alpha = distance

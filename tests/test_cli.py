@@ -186,6 +186,18 @@ def test_verify_refuses_a_shape_before_building_the_table(monkeypatch, capsys, a
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rule", ["random:0", "monotone-random:0"])
+def test_verify_refuses_a_random_rule_shape_before_drawing_it(monkeypatch, capsys, rule):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random table was drawn")
+
+    monkeypatch.setattr(scf, "random_table_scf", refuse)
+    monkeypatch.setattr(scf, "random_monotone_two_valued", refuse)
+    code, out = run_cli(["verify", "--thm", "1.4", "--rule", rule, "-n", "5", "-k", "4"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: statement 1.4 applies to one-voter functions only\n"
+
+
 def test_verify_echoes_seed_0_unless_random_is_given_one():
     _code, doc = run_json(["verify", "--thm", "1.4", "--exhaustive", "-k", "3"])
     assert doc["config"]["seed"] == 0
@@ -237,18 +249,25 @@ def test_isoperimetry_and_hypercontractivity():
     assert code == 0 and doc["result"]["holds"]
 
 
-def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
-    # One transition-count pass and one refined-edge pass per coordinate, both
-    # in graphs.
-    from votemanip import graphs
+def _count_line_passes(monkeypatch) -> list:
+    """The coordinate of every ``rankings.coordinate_lines`` call, under any import."""
+    from votemanip import fibers, graphs, manip, rankings
 
     calls = []
 
-    def counting(*args, _lines=graphs.coordinate_lines, **kwargs):
+    def counting(*args, _lines=rankings.coordinate_lines, **kwargs):
         calls.append(args[3])
         return _lines(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "coordinate_lines", counting)
+    for module in (rankings, fibers, graphs, manip):
+        monkeypatch.setattr(module, "coordinate_lines", counting)
+    return calls
+
+
+def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
+    # One transition-count pass and one refined-edge pass per coordinate, both
+    # over rankings.distinct_lines.
+    calls = _count_line_passes(monkeypatch)
     code, _ = run_cli(["influences", "--refined", "--rule", "borda", "-n", "3", "-k", "3"])
     assert code == 0
     assert set(calls) == {0, 1, 2} and len(calls) <= 2 * 3
@@ -259,18 +278,20 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
     from votemanip.graphs import BoundarySpec, GraphKind
     from votemanip.rankings import AdjacentTransposition
 
-    calls = []
-    for module in (fibers, graphs):
-        def counting(*args, _lines=module.coordinate_lines, **kwargs):
-            calls.append(args[3])
-            return _lines(*args, **kwargs)
+    calls = _count_line_passes(monkeypatch)
+    splits = []
 
-        monkeypatch.setattr(module, "coordinate_lines", counting)
+    def counting_class_tables(*args, _split=fibers.class_tables):
+        splits.append(args[1])
+        return _split(*args)
+
+    monkeypatch.setattr(fibers, "class_tables", counting_class_tables)
     f = Plurality(3, 3)
     for variant in fibers.FiberVariant:
         calls.clear()
+        splits.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
-        assert calls == [1]
+        assert calls == [] and splits == [3]
     specs = [BoundarySpec(i=2, a=0), BoundarySpec(i=2, a=0, b=1),
              BoundarySpec(i=2, a=0, kind=GraphKind.REFINED),
              BoundarySpec(i=2, a=0, b=1, z=AdjacentTransposition(0, 1), kind=GraphKind.REFINED)]

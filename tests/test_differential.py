@@ -397,7 +397,7 @@ def test_local_dictators_match_oracle_at_edge_shapes(subject, data):
 
 
 @settings(max_examples=15, deadline=None)
-@given(subjects(), st.data())
+@given(subjects(SHAPES + PAIR_EDGE_SHAPES), st.data())
 def test_fiber_sweeps_and_topset_membership_match_oracle(subject, data):
     f, evaluate = subject
     n, k = f.n, f.k

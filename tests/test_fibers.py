@@ -38,6 +38,9 @@ def test_preference_vector_basics():
     p = profile((0, 1, 2), (1, 0, 2))
     assert preference_vector(p, 0, 1) == (1, -1)
     assert deleted_preference_vector(p, 0, 0, 1) == (-1,)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            deleted_preference_vector(p, i, 0, 1)
     with pytest.raises(ValueError):
         preference_vector(p, 1, 1)
 
@@ -81,6 +84,12 @@ def test_refined_fiber_members():
         pa, pb = m[0].inv[0], m[0].inv[1]
         assert pb == pa + 1  # 0 sits directly above 1
         assert preference_vector(m, 0, 1)[1] == 1
+    # In coordinate 1 the key describes voter 0.
+    for m in iter_fiber_members(n, k, (0, 1), key, FiberVariant.REFINED, 1):
+        assert m[1].inv[1] == m[1].inv[0] + 1 and m[0].prefers(0, 1)
+    for i in (-1, n):
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            list(iter_fiber_members(n, k, (0, 1), key, FiberVariant.REFINED, i))
 
 
 def test_refined_fibers_partition_adjacent_above_profiles():
@@ -185,6 +194,9 @@ def test_local_dictator_on_top_dictatorship():
     assert is_local_dictator(f, p, 0, {2})
     assert not is_local_dictator(f, p, 0, {0, 1})  # adjacent block, not at the top
     assert not is_local_dictator(f, p, 0, {2, 1})  # not an adjacent block
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            is_local_dictator(f, p, i, {2, 0})
 
 
 def test_local_dictator_requires_block():

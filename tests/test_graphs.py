@@ -10,6 +10,8 @@ from votemanip.graphs import (
     is_on_boundary,
     neighbors,
     product_vertices,
+    refined_edge_counts,
+    transition_counts,
     verify_lindsey,
     vertex_boundary,
 )
@@ -65,6 +67,9 @@ def test_is_on_boundary_rejects_coordinate_out_of_range(i):
         spec = BoundarySpec(i=i, a=f.table()[index])
         with pytest.raises(ValueError, match="coordinate out of range"):
             is_on_boundary(f, decode_profile(2, 3, index), spec)
+    for count in (transition_counts, refined_edge_counts):
+        with pytest.raises(ValueError, match="coordinate out of range"):
+            count(f, i)
 
 
 def test_refined_pairs_require_adjacency():

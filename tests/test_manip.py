@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from votemanip import cli, engine, manip
+from votemanip import cli, engine, manip, rankings
+from votemanip.graphs import refined_edge_counts, transition_counts
 from votemanip.manip import (
     GSClassification,
     census,
@@ -248,9 +249,15 @@ def test_census_rejects_widths_past_one_byte():
 
 def test_line_memo_bound_does_not_change_counts(monkeypatch):
     subjects = [Borda(3, 3), Plurality(2, 4), random_table_scf(2, 4, 3)]
-    expected = [(census(f), exact_pair_probability(f, 3)) for f in subjects]
-    monkeypatch.setattr(manip, "_memo_bound", lambda k: 1)
-    assert [(census(f), exact_pair_probability(f, 3)) for f in subjects] == expected
+
+    def counts():
+        return [(census(f), exact_pair_probability(f, 3),
+                 [(transition_counts(f, i), refined_edge_counts(f, i)) for i in range(f.n)])
+                for f in subjects]
+
+    expected = counts()
+    monkeypatch.setattr(rankings, "distinct_line_bound", lambda k: 1)
+    assert counts() == expected
 
 
 def test_census_makes_one_line_pass_per_coordinate_in_one_process(monkeypatch):
