@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Print one sha256 per CLI report over a fixed rule x shape grid.
+
+Two checkouts that print the same lines give byte-identical reports, exit
+codes and error lines over the grid. Each line is the sha256 of the call's
+stdout, its exit code, the sha256 of its stderr, and the call:
+
+    python scripts/report_digests.py > change.txt
+    python scripts/report_digests.py --src /path/to/other/checkout/src > other.txt
+    diff other.txt change.txt
+
+The grid: `census`, `distance`, `influences --refined`, `gs-classify`, plain
+and refined `fibers` (pair 1,2 on the last voter) and, at k >= 3,
+`local-dictators` for pairs 1,2 and 2,1 on the last voter, for every rule and
+shape; then two table files (written by this script, in a temporary working
+directory, so the reports echo the same relative path) through `census`,
+`distance` and `gs-classify`, and two `verify` sweeps. The default rules and
+shapes give 514 reports. The calls run in this process through
+``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
+"""
+import argparse
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
+from pathlib import Path
+
+RULES = ["plurality", "borda", *[f"random:{s}" for s in range(4)], "top:1",
+         *[f"monotone-random:{s}" for s in range(4)]]
+SHAPES = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (3, 5)]
+# (file name, n, k, seed) of the table files, outcomes drawn by Python's random.
+TABLES = [("table-a.json", 2, 3, 0), ("table-b.json", 3, 3, 1)]
+SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
+          ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
+
+
+def grid(rules, shapes) -> list[list[str]]:
+    """The CLI calls, in the order they are printed."""
+    calls = []
+    for n, k in shapes:
+        for rule in rules:
+            scf = ["--rule", rule, "-n", str(n), "-k", str(k)]
+            last = ["--coordinate", str(n)]
+            calls += [["census", *scf], ["distance", *scf], ["influences", "--refined", *scf],
+                      ["gs-classify", *scf]]
+            calls += [["fibers", *scf, "--pair", "1,2", *last, "--variant", variant,
+                       "--gamma", "1/3"] for variant in ("plain", "refined")]
+            if k >= 3:
+                calls += [["local-dictators", *scf, "--pair", pair, *last,
+                           "--max-list", "100000"] for pair in ("1,2", "2,1")]
+    for name, _n, _k, _seed in TABLES:
+        calls += [[command, "--table", name] for command in ("census", "distance", "gs-classify")]
+    return calls + SWEEPS
+
+
+def write_tables() -> None:
+    for name, n, k, seed in TABLES:
+        rng = random.Random(seed)
+        outcomes = [rng.randrange(k) + 1 for _ in range(factorial(k) ** n)]
+        with open(name, "w") as fh:
+            json.dump({"n": n, "k": k, "encoding": "lehmer-mixed-radix",
+                       "outcomes": outcomes}, fh)
+
+
+def digest_line(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    sha = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    return f"{sha[0]} {code} {sha[1][:16]} {' '.join(argv)}"
+
+
+def parse_shape(text: str) -> tuple[int, int]:
+    n, k = text.split(",")
+    return int(n), int(k)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src",
+                        help="the src directory whose votemanip runs the calls")
+    parser.add_argument("--rule", action="append", default=None,
+                        help="a --rule of the grid; repeatable (default: the full list)")
+    parser.add_argument("--shape", action="append", type=parse_shape, default=None,
+                        metavar="N,K", help="a shape of the grid; repeatable")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    from votemanip import cli
+
+    calls = grid(args.rule or RULES, args.shape or SHAPES)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        write_tables()
+        for argv in calls:
+            print(digest_line(cli.main, argv), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,13 +11,14 @@ generates one fiber's members from its key.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import factorial
-from operator import itemgetter, or_
+from operator import and_, or_
 from typing import Iterator, Sequence
 
 from .rankings import (
@@ -28,8 +29,11 @@ from .rankings import (
     class_tables,
     coordinate_lines,
     decode_profile,
-    profile_digits,
-    profile_strides,
+    index_digits,
+    indicator,
+    join_class_tables,
+    lane_int,
+    rank_classes,
     ranking_orders,
     ranking_positions,
     ranks_preferring,
@@ -189,8 +193,7 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
         # voter i's rank taking k! places at bit position i.
         first = (rest & low) + (rest >> i << i) * fact
         line = parts[first:first + (fact << i):1 << i]
-        A, B = ([int.from_bytes(part.translate(_indicator(x)), "little") for part in line]
-                for x in pair)
+        A, B = ([lane_int(part, indicator(x)) for part in line] for x in pair)
         if variant is FiberVariant.PLAIN:
             to_b = reduce(or_, B)
             for bit, ranks in enumerate(sides):
@@ -206,12 +209,6 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
         )
         for mask, count in enumerate(on_boundary)
     ]
-
-
-@lru_cache(maxsize=None)
-def _indicator(x: int) -> bytes:
-    """``bytes.translate`` table sending byte x to 1 and every other byte to 0."""
-    return bytes(int(v == x) for v in range(256))
 
 
 def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
@@ -266,42 +263,43 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
     third alternative c.
 
     A block is a width-3 window holding a and b. Its six orders are the six
-    draws of one window start in :func:`rankings.window_moves` and share one set
-    of probes, so each line checks a block once (from its lowest rank) and,
-    when every order elects its block top, adds all six profiles.
+    draws of one window start in :func:`rankings.window_moves`. Over voter i's
+    rank parts (:func:`rankings.rank_classes`), the AND of the six orders'
+    indicator lanes of their block tops marks the lines on which every order
+    elects its top; :func:`rankings.join_class_tables` puts the marks of all
+    six back in profile order.
     """
-    _check_coordinate(f.n, i)
+    n, k = f.n, f.k
+    classes = rank_classes(n, k, i)
     a, b = pair
     if a == b:
         raise ValueError("need two distinct alternatives")
-    table = f.table(cap)
-    n, k = f.n, f.k
     orders = ranking_orders(k)
-    blocks = []
+    parts = class_tables(f.table(cap), k, classes)
+    found = [0] * factorial(k)
     for r, moves in enumerate(window_moves(k, 3)):
         for start in range(k - 2):
             dests = moves[6 * start:6 * start + 6]
             if r == min(dests) and {a, b} <= set(orders[r][start:start + 3]):
-                blocks.append((itemgetter(*dests), tuple(orders[d][start] for d in dests),
-                               dests))
-    stride = profile_strides(n, k)[i]
-    found: set[int] = set()
-    for base, line in coordinate_lines(table, n, k, i):
-        for probe, tops, dests in blocks:
-            if probe(line) == tops:
-                found.update(base + dest * stride for dest in dests)
-    return {decode_profile(n, k, p) for p in found}
+                hit = reduce(and_, (lane_int(parts[d], indicator(orders[d][start]))
+                                    for d in dests))
+                for d in dests:
+                    found[d] |= hit
+    flags = join_class_tables([x.to_bytes(len(parts[0]), "little") for x in found], k, classes)
+    return {decode_profile(n, k, mark.start()) for mark in re.finditer(b"\x01", flags)}
 
 
 # ---------------------------------------------------------------------------
 # Dictator fibers (rest-profiles whose induced one-voter SCF is a top_H rule).
 
 
-def _rest_lines(table, n: int, k: int, i: int):
-    """(rest-profile, outcomes of coordinate i's rankings) per assignment of the others."""
+def _matching_rests(table, n: int, k: int, i: int, match):
+    """Rest-profiles (the other voters' rankings) of the coordinate-i lines whose
+    outcomes ``match``; only a matching line's rest-profile is decoded."""
     rankings = all_rankings(k)
-    for rest, (_base, line) in zip(profile_digits(n - 1, k), coordinate_lines(table, n, k, i)):
-        yield tuple(rankings[d] for d in rest), line
+    for line, (_base, outcomes) in enumerate(coordinate_lines(table, n, k, i)):
+        if match(outcomes):
+            yield tuple(rankings[d] for d in index_digits(n - 1, k, line))
 
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
@@ -310,9 +308,7 @@ def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[t
     subset = frozenset(H)
     if not subset:
         raise ValueError("H must be nonempty")
-    target = top_h_by_rank(f.k, subset)
-    return {rest for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i)
-            if outcomes == target}
+    return set(_matching_rests(f.table(cap), f.n, f.k, i, top_h_by_rank(f.k, subset).__eq__))
 
 
 def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
@@ -324,14 +320,12 @@ def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
     """
     _check_coordinate(f.n, i)
     a, b = pair
-    out = set()
-    for rest, outcomes in _rest_lines(f.table(cap), f.n, f.k, i):
+
+    def match(outcomes):
         image = frozenset(outcomes)
-        if len(image) < 3 or a not in image or b not in image:
-            continue
-        if outcomes == top_h_by_rank(f.k, image):
-            out.add(rest)
-    return out
+        return len(image) >= 3 and {a, b} <= image and outcomes == top_h_by_rank(f.k, image)
+
+    return set(_matching_rests(f.table(cap), f.n, f.k, i, match))
 
 
 def pairwise_preference_correlation(k: int, a: int, b: int, c: int) -> Fraction:

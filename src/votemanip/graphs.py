@@ -6,33 +6,37 @@ differing coordinate to move by a single adjacent transposition. Boundary
 sets between outcomes are enumerated exactly, streaming in profile-index
 order. Boundary sizes are not enumerated: they are reads of a coordinate's
 edge counts, :func:`transition_counts` for the coarse graph and
-:func:`refined_edge_counts` for the refined one, each a single pass over the
-coordinate's distinct lines (:func:`rankings.distinct_lines`).
+:func:`refined_edge_counts` for the refined one, each counted over the byte
+lanes of voter i's rank parts (:func:`rankings.rank_classes`).
 """
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import CapExceededError
 from .rankings import (
+    MAX_TABLE_K,
     AdjacentTransposition,
     Profile,
     adjacent_swap_neighbors,
     all_rankings,
+    class_tables,
     coordinate_lines,
     decode_profile,
     digits_index,
-    distinct_lines,
     encode_ranking,
+    indicator,
+    lane_int,
     profile_strides,
+    rank_classes,
     ranking_rank_of,
 )
 from .scf import DEFAULT_TABLE_CAP, SCF
@@ -164,48 +168,69 @@ def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> 
                if a == spec.a and (spec.b is None or b == spec.b) and (z is None or w == z))
 
 
+# Headroom: transition_counts sums indicator lanes over at most this many rank
+# parts, so a lane stays below 256 (k! passes 255 from k = 6).
+LANE_GROUP = 255
+
+
 def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list[int]]:
     """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
-    moves the outcome from a to b, in one pass over the lines of coordinate i.
+    moves the outcome from a to b.
 
-    A line with outcome counts ``row`` holds ``row[a] * row[b]`` such pairs;
-    each distinct line (:func:`rankings.distinct_lines`) is counted once, and
-    lines with equal counts are summed once, weighted by their number.
+    A line with outcome counts ``C`` holds ``C_a * C_b`` such pairs. Outcome a's
+    indicator lanes summed over a group of rank parts give ``C_a`` per line,
+    and over the bit planes of two groups' sums, ``sum C_a C_b`` is the sum of
+    ``2^(t+u) popcount(plane_{a,t} & plane_{b,u})``. Row a sums to k! times
+    the profiles electing a, which gives the diagonal.
     """
     k = f.k
-    rows: Counter = Counter()
-    for line, weight in distinct_lines(f.table(cap), f.n, k, i):
-        rows[tuple(map(line.count, range(k)))] += weight
+    table = f.table(cap)
+    parts = class_tables(table, k, rank_classes(f.n, k, i))
+    ones = int.from_bytes(b"\x01" * len(parts[0]), "little")
+    planes = [[] for _ in range(k)]
+    for first in range(0, len(parts), LANE_GROUP):
+        group = parts[first:first + LANE_GROUP]
+        for a, out in enumerate(planes):
+            total = sum(lane_int(part, indicator(a)) for part in group)
+            out += [(t, total >> t & ones) for t in range(len(group).bit_length())]
     moves = [[0] * k for _ in range(k)]
-    for row, weight in rows.items():
-        for a, x in enumerate(row):
-            if x:
-                out = moves[a]
-                for b, y in enumerate(row):
-                    out[b] += weight * x * y
+    for a, b in combinations(range(k), 2):
+        moves[a][b] = moves[b][a] = sum(
+            (x & y).bit_count() << (t + u) for t, x in planes[a] for u, y in planes[b])
+    for a, row in enumerate(moves):
+        row[a] = len(parts) * table.count(a) - sum(row)
     return moves
 
 
+# Headroom: refined_edge_counts packs two outcomes as ``a << 4 | b`` in a byte.
+assert MAX_TABLE_K <= 16, "two outcomes must fit in one byte"
+
+
 def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
-    """Refined-graph edges of coordinate i that change the outcome, in one pass.
+    """Refined-graph edges of coordinate i that change the outcome.
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
     swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. Each distinct line (:func:`rankings.distinct_lines`) is
-    counted once, weighted by its number.
+    outcome b != a. Per edge between ranks r and s, part r shifted up by 4
+    bits (an outcome below 16 stays in its lane) ORed with part s holds
+    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``.
     """
+    k = f.k
+    parts = class_tables(f.table(cap), k, rank_classes(f.n, k, i))
+    lanes = len(parts[0])
+    ints = [int.from_bytes(part, "little") for part in parts]
+    counts: dict = defaultdict(int)
     # Every refined edge of a line once, as (rank, rank after the swap, swap),
     # and counted in both directions.
-    edges = [(r, dest, (c, d)) for r, moves in enumerate(adjacent_swap_neighbors(f.k))
-             for dest, c, d in moves if r < dest]
-    counts: dict = defaultdict(int)
-    for line, weight in distinct_lines(f.table(cap), f.n, f.k, i):
-        for r, s, z in edges:
-            a = line[r]
-            b = line[s]
-            if a != b:
-                counts[a, b, z] += weight
-                counts[b, a, z] += weight
+    for r, moves in enumerate(adjacent_swap_neighbors(k)):
+        for s, c, d in moves:
+            if r < s:
+                pairs = (ints[r] << 4 | ints[s]).to_bytes(lanes, "little")
+                for a, b in permutations(range(k), 2):
+                    edges = pairs.count(a << 4 | b)
+                    if edges:
+                        counts[a, b, (c, d)] += edges
+                        counts[b, a, (c, d)] += edges
     return dict(counts)
 
 

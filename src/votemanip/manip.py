@@ -6,14 +6,14 @@ alternatives in their vote. A window of width w reaches every ranking a
 narrower window reaches, so a voter's minimal manipulating width is that of
 the narrowest window reaching a ranking with a better outcome.
 
-The exact census and the exact pair probability run in one process and make
-one pass per coordinate over its lines. What a line contributes depends only
-on its outcomes, so each distinct line is worked out once: an anonymous rule
-has few distinct lines (Borda at n=4, k=4 has 138 among 55,296). The pair
-probability reads :func:`rankings.distinct_lines`; the census writes each
-line's masks back in profile order from a memo. :func:`gs_classify` instead
-asks membership in the nonmanipulable family first, then scans profiles in
-index order and stops at the first manipulable one.
+The exact census, the exact pair probability and the first hit of
+:func:`gs_classify` run in one process over byte lanes: each coordinate's rank
+parts read as big ints, one lane per coordinate line (:func:`_gains`), so one
+big-int operation tests every line, with no Python work per line or profile.
+
+Headroom: a lane holds an alternative as the one-hot byte ``1 << x``, and the
+census flags of widths 2..k as bits 0..k-2 of one byte, so these scans need
+k <= :data:`MAX_LANE_K` = 8 and refuse a larger k before the table is built.
 """
 from __future__ import annotations
 
@@ -21,24 +21,24 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
+from operator import or_
 from typing import Optional
 
-from . import engine, rankings
+from . import engine
 from .rankings import (
     Profile,
     Ranking,
     check_cap,
-    coordinate_lines,
+    class_tables,
     decode_profile,
-    distinct_lines,
     fiber_outcome_counts,
     index_digits,
-    join_coordinate_lines,
-    profile_digits,
+    join_class_tables,
+    lane_int,
     profile_space_size,
-    profile_strides,
+    rank_classes,
     ranking_orders,
     ranking_positions,
     top_h_by_rank,
@@ -143,50 +143,78 @@ class ManipulationCensus:
         }
 
 
+MAX_LANE_K = 8
+
+
+def _check_lanes(k: int) -> None:
+    if k > MAX_LANE_K:
+        raise ValueError(f"one-hot byte lanes hold k <= {MAX_LANE_K} alternatives, got k={k}")
+
+
 def check_window_tables(k: int, cap: int) -> None:
-    """Refuse per-rank window tables, ``k! (k! - 1)`` entries, over ``cap`` before any is built."""
+    """Refuse, before any table is built, per-rank window tables (``k! (k! - 1)``
+    entries) over ``cap`` and k past the byte lanes."""
     check_cap(cap, "per-rank window table entries", k,
               count=lambda: factorial(k) * (factorial(k) - 1))
+    _check_lanes(k)
 
 
 @lru_cache(maxsize=None)
-def _census_plans(k: int, max_width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per rank, ``(destination, mask)`` for every rank one window of width at most
-    ``max_width`` reaches, ordered by the narrowest such window.
+def _gain_tables(k: int) -> tuple[bytes, tuple[bytes, ...]]:
+    """``bytes.translate`` tables: outcome x to its one-hot byte ``1 << x``, and
+    per rank r, x to the set of alternatives ranking r puts above x."""
+    onehot = bytes(1 << x if x < k else 0 for x in range(256))
+    above = tuple(bytes(sum(1 << y for y in order[:pos[x]]) if x < k else 0 for x in range(256))
+                  for order, pos in zip(ranking_orders(k), ranking_positions(k)))
+    return onehot, above
 
-    The mask has bit ``w - 2`` set for every width w from that window's up to
-    ``max_width``, so the mask of the first destination with a better outcome
-    marks exactly the widths within which the voter manipulates.
+
+def _gains(parts, k: int):
+    """``(V, U)`` of voter i's rank parts (:func:`rankings.rank_classes`):
+    ``V[d]`` the one-hot outcome of rank d, and ``U`` yielding rank by rank
+    ``U_r``, the alternatives ranking r puts above its outcome. A lane of
+    ``U_r & V[d]`` is nonzero exactly where voter i, truly r, gains by
+    reporting d, and holds at most one bit."""
+    onehot, above = _gain_tables(k)
+    return [lane_int(part, onehot) for part in parts], map(lane_int, parts, above)
+
+
+def _manipulation_flags(table, n: int, k: int, widths: tuple[int, ...]) -> int:
+    """Profile-order flags as one int, byte p for profile p, with bit w - 2 set
+    for each width w of ``widths`` (ascending, 2..k) some voter manipulates within.
+
+    Per rank r, ``reach`` ORs the ``V[d]`` of the ranks d a window of width w
+    reaches; a full-width window reaches every rank (r too: ``U_r & V[r]`` is
+    0). Nonzero lanes of ``U_r & reach`` get bit w - 2 by a SWAR test: 0x7F
+    plus a lane's low seven bits carries into its top bit exactly when they are
+    nonzero, and never into the next lane.
     """
-    full = (1 << (max_width - 1)) - 1
-    plans = []
-    for r in range(factorial(k)):
-        seen = {r}
-        plan = []
-        for w in range(2, max_width + 1):
-            mask = full & ~((1 << (w - 2)) - 1)
-            for dest in window_destinations(k, w)[r]:
-                if dest not in seen:
-                    seen.add(dest)
-                    plan.append((dest, mask))
-        plans.append(tuple(plan))
-    return tuple(plans)
-
-
-@lru_cache(maxsize=None)
-def _bit_table(bit: int) -> bytes:
-    """``bytes.translate`` table sending each byte to its bit ``bit``."""
-    return bytes(b >> bit & 1 for b in range(256))
+    lanes = len(table) // factorial(k)
+    low = int.from_bytes(b"\x7f" * lanes, "little")
+    top = int.from_bytes(b"\x80" * lanes, "little")
+    union = 0
+    for i in range(n):
+        classes = rank_classes(n, k, i)
+        V, U = _gains(class_tables(table, k, classes), k)
+        every = reduce(or_, V)
+        flags = []
+        for r, gain in enumerate(U):
+            flag = 0
+            for w in widths:
+                reach = every if w == k else reduce(
+                    or_, map(V.__getitem__, window_destinations(k, w)[r]))
+                x = gain & reach
+                flag |= ((x | ((x & low) + low)) & top) >> (9 - w)
+            flags.append(flag.to_bytes(lanes, "little"))
+        del V, U, every  # the lanes and parts, before the join's copies
+        union |= int.from_bytes(join_class_tables(flags, k, classes), "little")
+    return union
 
 
 def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationCensus:
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself.
 
-    One pass per coordinate over its lines: each distinct line's per-rank width
-    masks are worked out once (a memo cleared whenever it holds
-    :func:`rankings.distinct_line_bound` lines), written back to profile order
-    and ORed over the coordinates, so a profile's byte marks every width some
-    voter manipulates within. Widths 2..k take k - 1 bits of that byte.
+    Widths 2..k take bits 0..k-2 of a profile's byte in :func:`_manipulation_flags`.
     """
     if r_values is None:
         r_values = (2, 3, 4, max(f.k, 2))
@@ -196,41 +224,12 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     n, k = f.n, f.k
     check_window_tables(k, cap)
     widths = [min(r, k) for r in rs]
-    max_width = max(widths, default=1)
-    # Headroom: one byte holds the bits of widths 2..9.
-    if max_width > 9:
-        raise ValueError("the census counts window widths up to 9")
     table = f.table(cap)
-    fact = factorial(k)
-    steps = tuple(zip(range(fact), ranking_positions(k), _census_plans(k, max_width)))
-    bound = rankings.distinct_line_bound(k)
-    memo: dict = {}
-
-    def line_masks(line):
-        masks = memo.get(line)
-        if masks is None:
-            if len(memo) >= bound:
-                memo.clear()
-            masks = bytearray(fact)
-            for r, pos, plan in steps:
-                pa = pos[line[r]]
-                if pa:
-                    for dest, mask in plan:
-                        if pos[line[dest]] < pa:
-                            masks[r] = mask
-                            break
-            masks = memo[line] = bytes(masks)
-        return masks
-
-    union = 0
-    for i in range(n):
-        masks = join_coordinate_lines(
-            n, k, i, (line_masks(line) for _base, line in coordinate_lines(table, n, k, i)))
-        union |= int.from_bytes(masks, "little")
-    flags = union.to_bytes(len(table), "little")
+    flags = _manipulation_flags(table, n, k, tuple(sorted({w for w in widths if w >= 2})))
+    ones = int.from_bytes(b"\x01" * len(table), "little")
     return ManipulationCensus(
         n=n, k=k, total_profiles=len(table),
-        counts={r: flags.translate(_bit_table(w - 2)).count(1) if w >= 2 else 0
+        counts={r: (flags >> (w - 2) & ones).bit_count() if w >= 2 else 0
                 for r, w in zip(rs, widths)},
     )
 
@@ -350,30 +349,25 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
     """Exact success probability of the random-window manipulation draw.
 
     Full enumeration over (profile, coordinate, window start, window
-    permutation); the denominator is (k!)^n * n * (k-width+1) * width!. One
-    pass per coordinate over its distinct lines (:func:`rankings.distinct_lines`)
-    counts each distinct line's successful draws once.
+    permutation); the denominator is (k!)^n * n * (k-width+1) * width!. A
+    draw moving rank r to d succeeds on the lanes of ``U_r & V[d]``
+    (:func:`_gains`), each holding at most one bit, so the draws from r to d
+    that succeed are ``c(r, d) * popcount(U_r & V[d])``.
     """
     _check_window(f.k, width)
     n, k = f.n, f.k
     draws = (k - width + 1) * factorial(width)
     check_cap(cap, "per-rank window table entries", k, count=lambda: factorial(k) * draws)
+    _check_lanes(k)
     table = f.table(cap)
-    positions = ranking_positions(k)
     # Per rank, each destination other than the rank itself with its number of draws.
     moves = [tuple((dest, c) for dest, c in Counter(dests).items() if dest != r)
              for r, dests in enumerate(window_moves(k, width))]
-
-    def line_successes(line):
-        total = 0
-        for r, pos in enumerate(positions):
-            pa = pos[line[r]]
-            if pa:
-                total += sum(c for dest, c in moves[r] if pos[line[dest]] < pa)
-        return total
-
-    successes = sum(weight * line_successes(line) for i in range(n)
-                    for line, weight in distinct_lines(table, n, k, i))
+    successes = 0
+    for i in range(n):
+        V, U = _gains(class_tables(table, k, rank_classes(n, k, i)), k)
+        successes += sum(c * (gain & V[d]).bit_count()
+                         for gain, dests in zip(U, moves) for d, c in dests)
     return Fraction(successes, len(table) * n * draws)
 
 
@@ -387,14 +381,15 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
     table = f.table(cap)
     n, k = f.n, f.k
 
-    # Dictator branch: f must depend on one coordinate alone (every line of
-    # that coordinate equal) and agree with the top_H rule for H = its image.
+    # Dictator branch: f must depend on coordinate i alone (each of its rank
+    # parts one repeated byte, the line) and agree with the top_H rule for H =
+    # its image.
     for i in range(n):
-        lines = coordinate_lines(table, n, k, i)
-        _base, first = next(lines)
-        if all(line == first for _base, line in lines):
-            image = frozenset(first)
-            if first == top_h_by_rank(k, image):
+        parts = class_tables(table, k, rank_classes(n, k, i))
+        if all(part.count(part[0]) == len(part) for part in parts):
+            line = bytes(part[0] for part in parts)
+            image = frozenset(line)
+            if line == top_h_by_rank(k, image):
                 return TopHDictator(n, k, i, image)
 
     # Monotone two-valued branch: constant on every preference fiber of its
@@ -424,44 +419,26 @@ class GSClassification:
         return {"verdict": "nonmanipulable", "witness": self.witness_member.describe()}
 
 
-def _first_manipulable(table, n: int, k: int) -> Optional[int]:
-    """Index of the first profile some voter manipulates by any misreport, or None.
-
-    A width-k window reaches every other ranking, so each voter tries them all.
-    """
-    strides = profile_strides(n, k)
-    positions = ranking_positions(k)
-    ranks = range(factorial(k))
-    for p, digits in enumerate(profile_digits(n, k)):
-        a = table[p]
-        for st, rho in zip(strides, digits):
-            pos = positions[rho]
-            pa = pos[a]
-            if pa:
-                base = p - rho * st
-                for dest in ranks:
-                    if pos[table[base + dest * st]] < pa:
-                        return p
-    return None
-
-
 def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
     """Either the first manipulation pair, or an exact nonmanipulable twin.
 
-    Membership is asked first: a member equal to f is nonmanipulable, and the
-    first-hit scan would walk every profile, voter and ranking to find that.
+    Membership is asked first: a member equal to f is nonmanipulable. Otherwise
+    the first manipulable profile is the lowest nonzero byte of the width-k
+    census flags (:func:`_manipulation_flags`), as a width-k window reaches
+    every other ranking.
     """
     n, k = f.n, f.k
     check_window_tables(k, cap)
     member = nonmanip_membership(f, cap)
     if member is not None:
         return GSClassification(False, None, member)
-    hit = _first_manipulable(f.table(cap), n, k)
-    if hit is None:
+    flags = _manipulation_flags(f.table(cap), n, k, (k,))
+    if not flags:
         raise AssertionError(
             "no manipulation point found yet no nonmanipulable twin exists; "
             "this contradicts the Gibbard-Satterthwaite dichotomy"
         )
+    hit = ((flags & -flags).bit_length() - 1) // 8
     witness = is_r_manipulation_point(f, decode_profile(n, k, hit), k)
     assert witness is not None
     return GSClassification(True, witness, None)

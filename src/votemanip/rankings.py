@@ -10,18 +10,17 @@ with voter 0 most significant.
 This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
 :func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
-:func:`coordinate_lines`, :func:`join_coordinate_lines`,
-:func:`distinct_lines` and :func:`class_tables`, from which
-:func:`rank_outcome_counts` and :func:`fiber_outcome_counts` read their counts.
+:func:`coordinate_lines` (for the enumerators that yield profiles), and
+:func:`class_tables` with its inverse :func:`join_class_tables`. Every scan
+per line reads the parts of :func:`rank_classes`, each entry a byte lane on one
+coordinate line, as big ints (:func:`lane_int`).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations, product
 from math import factorial
-from operator import itemgetter
 
 from .errors import CapExceededError
 
@@ -235,45 +234,6 @@ def coordinate_lines(table, n: int, k: int, i: int, start: int = 0, stop=None):
         yield base, table[base:base + block:stride]
 
 
-def join_coordinate_lines(n: int, k: int, i: int, lines) -> bytearray:
-    """Profile-indexed bytes whose coordinate-i line L holds ``lines[L]``.
-
-    The inverse of :func:`coordinate_lines` on a bytes table: ``lines`` gives
-    one k!-byte value per line, in line order.
-    """
-    stride = profile_strides(n, k)[i]
-    block = stride * factorial(k)
-    out = bytearray(profile_space_size(n, k))
-    for line, values in enumerate(lines):
-        head, tail = divmod(line, stride)
-        base = head * block + tail
-        out[base:base + block:stride] = values
-    return out
-
-
-def distinct_line_bound(k: int) -> int:
-    """Distinct lines a line memo or batch holds before it is flushed: ``(k!)^2``."""
-    return factorial(k) ** 2
-
-
-def distinct_lines(table, n: int, k: int, i: int):
-    """Coordinate i's distinct lines as ``(line, weight)``, weight its number of copies.
-
-    Counts are flushed whenever they hold more than :func:`distinct_line_bound`
-    lines, so a line may come out once per flush, and at most about twice the
-    bound are held: an anonymous rule's coordinate is one flush.
-    """
-    bound = distinct_line_bound(k)
-    lines = map(itemgetter(1), coordinate_lines(table, n, k, i))
-    counts: Counter = Counter()
-    for _ in range(0, len(table) // factorial(k), bound):
-        counts.update(islice(lines, bound))
-        if len(counts) > bound:
-            yield from counts.items()
-            counts.clear()
-    yield from counts.items()
-
-
 def class_tables(table, k: int, classes) -> list[bytes]:
     """Per choice of one rank class per voter, the outcomes of its profiles.
 
@@ -295,11 +255,54 @@ def class_tables(table, k: int, classes) -> list[bytes]:
     return parts
 
 
+def join_class_tables(parts, k: int, classes):
+    """The table that :func:`class_tables` split into ``parts`` with ``classes``.
+
+    Each voter's classes must list each of its k! ranks once. Undone
+    ``classes[0]`` first, rank r of class ``ranks`` sends slice
+    ``ranks.index(r)`` of its part back to ``out[r::k!]``."""
+    fact = factorial(k)
+    for voter_classes in classes:
+        width = len(voter_classes)
+        joined = []
+        for first in range(0, len(parts), width):
+            group = parts[first:first + width]
+            out = bytearray(sum(map(len, group)))
+            for ranks, part in zip(voter_classes, group):
+                size = len(part) // len(ranks)
+                for j, r in enumerate(ranks):
+                    out[r::fact] = part[j * size:(j + 1) * size]
+            joined.append(out)
+        parts = joined
+    [table] = parts
+    return table
+
+
+def rank_classes(n: int, k: int, i: int) -> list:
+    """:func:`class_tables` classes splitting voter i by rank, the voters after it
+    whole: part r holds voter i's rank-r outcomes, and entry j of every part
+    lies on the same coordinate-i line, byte lane j."""
+    if not 0 <= i < n:
+        raise ValueError("coordinate out of range")
+    fact = factorial(k)
+    return [[(r,) for r in range(fact)]] + [[range(fact)]] * (n - 1 - i)
+
+
+def lane_int(part, translation: bytes) -> int:
+    """``part.translate(translation)`` as one int, byte j at byte lane j (bits 8j..8j+7)."""
+    return int.from_bytes(part.translate(translation), "little")
+
+
+@lru_cache(maxsize=None)
+def indicator(x: int) -> bytes:
+    """``bytes.translate`` table sending byte x to 1 and every other byte to 0."""
+    return bytes(int(v == x) for v in range(256))
+
+
 def rank_outcome_counts(table, n: int, k: int, i: int) -> list[list[int]]:
     """Per ranking rank of voter i, the profiles electing each alternative."""
-    fact = factorial(k)
-    classes = [[(r,) for r in range(fact)]] + [[range(fact)]] * (n - 1 - i)
-    return [list(map(part.count, range(k))) for part in class_tables(table, k, classes)]
+    return [list(map(part.count, range(k)))
+            for part in class_tables(table, k, rank_classes(n, k, i))]
 
 
 @lru_cache(maxsize=None)

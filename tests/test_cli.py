@@ -249,28 +249,38 @@ def test_isoperimetry_and_hypercontractivity():
     assert code == 0 and doc["result"]["holds"]
 
 
-def _count_line_passes(monkeypatch) -> list:
-    """The coordinate of every ``rankings.coordinate_lines`` call, under any import."""
+def _count_passes(monkeypatch) -> list:
+    """Every pass over the table, under any import: the classes of each
+    ``rankings.class_tables`` split, and ``("lines", i)`` for each
+    ``rankings.coordinate_lines`` pass over coordinate i."""
     from votemanip import fibers, graphs, manip, rankings
 
     calls = []
 
-    def counting(*args, _lines=rankings.coordinate_lines, **kwargs):
-        calls.append(args[3])
+    def lines(*args, _lines=rankings.coordinate_lines, **kwargs):
+        calls.append(("lines", args[3]))
         return _lines(*args, **kwargs)
 
+    def split(table, k, classes, _split=rankings.class_tables):
+        calls.append(classes)
+        return _split(table, k, classes)
+
     for module in (rankings, fibers, graphs, manip):
-        monkeypatch.setattr(module, "coordinate_lines", counting)
+        for name, fake in (("coordinate_lines", lines), ("class_tables", split)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fake)
     return calls
 
 
 def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
-    # One transition-count pass and one refined-edge pass per coordinate, both
-    # over rankings.distinct_lines.
-    calls = _count_line_passes(monkeypatch)
+    # One transition-count split and one refined-edge split of the table by
+    # each coordinate's rank, and no pass over lines.
+    from votemanip.rankings import rank_classes
+
+    calls = _count_passes(monkeypatch)
     code, _ = run_cli(["influences", "--refined", "--rule", "borda", "-n", "3", "-k", "3"])
     assert code == 0
-    assert set(calls) == {0, 1, 2} and len(calls) <= 2 * 3
+    assert calls == [rank_classes(3, 3, i) for i in range(3) for _count in ("coarse", "refined")]
 
 
 def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
@@ -278,27 +288,22 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
     from votemanip.graphs import BoundarySpec, GraphKind
     from votemanip.rankings import AdjacentTransposition
 
-    calls = _count_line_passes(monkeypatch)
-    splits = []
+    from votemanip.rankings import rank_classes, ranks_preferring
 
-    def counting_class_tables(*args, _split=fibers.class_tables):
-        splits.append(args[1])
-        return _split(*args)
-
-    monkeypatch.setattr(fibers, "class_tables", counting_class_tables)
+    calls = _count_passes(monkeypatch)
     f = Plurality(3, 3)
+    sides = (ranks_preferring(3, 1, 0), ranks_preferring(3, 0, 1))
     for variant in fibers.FiberVariant:
         calls.clear()
-        splits.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
-        assert calls == [] and splits == [3]
+        assert calls == [[sides, [(r,) for r in range(6)], sides]]
     specs = [BoundarySpec(i=2, a=0), BoundarySpec(i=2, a=0, b=1),
              BoundarySpec(i=2, a=0, kind=GraphKind.REFINED),
              BoundarySpec(i=2, a=0, b=1, z=AdjacentTransposition(0, 1), kind=GraphKind.REFINED)]
     for spec in specs:
         calls.clear()
         graphs.boundary_count(f, spec)
-        assert calls == [2]
+        assert calls == [rank_classes(3, 3, 2)]
 
 
 def test_isoperimetry_rejects_zero_copies():
@@ -397,7 +402,7 @@ def test_window_tables_past_the_cap_are_refused_before_any_table(monkeypatch, co
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(Plurality, "_build_table", refuse)
-    monkeypatch.setattr(manip, "_census_plans", refuse)
+    monkeypatch.setattr(manip, "window_destinations", refuse)
     code, out = run_cli([command, "--rule", "plurality", "-n", "1", "-k", "8"])
     assert code == 2
     assert out == ""

@@ -3,7 +3,8 @@
 Shapes cover n = 1, 2, 3 at k = 3 and n = 2 at k = 4, and every coordinate, so
 a wrong stride for a first, middle or last voter shows up as a mismatch; the
 census, the classification, the distances, local dictators, the class tables
-and the fiber outcome counts are also checked at k = 1, 2 and 5.
+and the fiber outcome counts are also checked at k = 1, 2 and 5, and the
+census and edge counts at k = 6, where k! passes what a byte lane counts to.
 """
 import io
 import json
@@ -72,6 +73,8 @@ SHAPES = [(1, 3), (2, 3), (3, 3), (2, 4)]
 EDGE_SHAPES = [(1, 1), (3, 1), (1, 2), (2, 2), (3, 2), (1, 5)]
 # The edge shapes with a pair of alternatives.
 PAIR_EDGE_SHAPES = [(n, k) for n, k in EDGE_SHAPES if k >= 2]
+# More ranks (k! = 720) than a byte lane counts to.
+WIDE_SHAPES = [(1, 6)]
 KINDS = ["random", "plurality", "borda", "top", "monotone"]
 
 
@@ -319,6 +322,25 @@ def test_influences_and_boundaries_match_oracle(subject):
                 ]
                 assert listed == oracles.boundary_pairs(
                     evaluate, n, k, i, a, kind is GraphKind.REFINED)
+
+
+@settings(max_examples=3, deadline=None)
+@given(subjects(WIDE_SHAPES))
+def test_census_and_edge_counts_match_oracle_past_a_byte_of_ranks(subject):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    # The oracle's own outcomes, looked up: it evaluates each profile hundreds of times.
+    profiles = oracles.all_profiles(n, k)
+    evaluate = dict(zip(profiles, map(evaluate, profiles))).__getitem__
+    rs = [2, 3, 4, 5, 6]
+    assert census(f, rs).counts == oracles.census_counts(evaluate, n, k, rs)[1]
+    for i in range(n):
+        moves = oracles.transition_counts(evaluate, n, k, i)
+        edges = oracles.refined_edge_counts(evaluate, n, k, i)
+        assert transition_counts(f, i) == [
+            [moves.get((a, b), 0) for b in range(k)] for a in range(k)]
+        assert refined_edge_counts(f, i) == {
+            key: c for key, c in edges.items() if key[0] != key[1]}
 
 
 def _oracle_influences_report(evaluate, n, k, refined):

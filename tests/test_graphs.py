@@ -1,5 +1,6 @@
 import pytest
 
+from votemanip import graphs
 from votemanip.errors import CapExceededError
 from votemanip.graphs import (
     BoundarySpec,
@@ -16,7 +17,7 @@ from votemanip.graphs import (
     vertex_boundary,
 )
 from votemanip.rankings import AdjacentTransposition, Ranking, decode_profile
-from votemanip.scf import Constant, Plurality, TopHDictator, random_table_scf
+from votemanip.scf import Borda, Constant, Plurality, TopHDictator, random_table_scf
 
 
 def test_neighbor_counts():
@@ -70,6 +71,20 @@ def test_is_on_boundary_rejects_coordinate_out_of_range(i):
     for count in (transition_counts, refined_edge_counts):
         with pytest.raises(ValueError, match="coordinate out of range"):
             count(f, i)
+
+
+def test_lane_group_size_does_not_change_transition_counts(monkeypatch):
+    # Per-line counts summed over groups of any size, down to one rank, give the
+    # same counts as one group of all k! ranks.
+    subjects = [Borda(3, 3), Plurality(2, 4), random_table_scf(2, 4, 3)]
+
+    def counts():
+        return [transition_counts(f, i) for f in subjects for i in range(f.n)]
+
+    expected = counts()
+    for group in (1, 2, 5):
+        monkeypatch.setattr(graphs, "LANE_GROUP", group)
+        assert counts() == expected
 
 
 def test_refined_pairs_require_adjacency():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from votemanip import cli, engine, manip, rankings
-from votemanip.graphs import refined_edge_counts, transition_counts
 from votemanip.manip import (
     GSClassification,
     census,
@@ -156,14 +155,14 @@ def test_gs_classify_two_valued_witness():
     random_monotone_two_valued(2, 3, 14),
 ], ids=["top-all", "top-pair", "monotone-4", "monotone-3"])
 def test_gs_classify_asks_membership_before_scanning(monkeypatch, f):
-    # A member equal to f is nonmanipulable, so the first-hit scan, which walks
-    # every profile, voter and ranking of such a table, is never needed.
+    # A member equal to f is nonmanipulable, so the first-hit scan, the census
+    # flags of every voter at width k, is never needed.
     expected = GSClassification(False, None, nonmanip_membership(f)).describe()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the first-hit scan ran")
 
-    monkeypatch.setattr(manip, "_first_manipulable", refuse)
+    monkeypatch.setattr(manip, "_manipulation_flags", refuse)
     assert gs_classify(f).describe() == expected
 
 
@@ -241,45 +240,55 @@ def test_census_cap_exceeded():
         census(Plurality(4, 4), cap=1000)
 
 
-def test_census_rejects_widths_past_one_byte():
-    # Widths 2..k are bits of one byte; the table is never built.
-    with pytest.raises(ValueError, match="widths up to 9"):
-        census(Plurality(1, 10), (10,), cap=10 ** 14)
+def test_census_rejects_widths_past_one_byte(monkeypatch):
+    # An alternative is a one-hot byte in the lanes, so k <= 8; the caps pass
+    # and the refusal comes before any table is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Plurality, "_build_table", refuse)
+    for f in (Plurality(1, 9), Plurality(1, 10)):
+        for scan in (lambda: census(f, (f.k,), cap=10 ** 14),
+                     lambda: exact_pair_probability(f, 4, cap=10 ** 14),
+                     lambda: gs_classify(f, cap=10 ** 14)):
+            with pytest.raises(ValueError, match="k <= 8"):
+                scan()
 
 
-def test_line_memo_bound_does_not_change_counts(monkeypatch):
-    subjects = [Borda(3, 3), Plurality(2, 4), random_table_scf(2, 4, 3)]
+def test_census_splits_each_coordinate_once_in_one_process(monkeypatch):
+    splits = []
+    split = manip.class_tables
 
-    def counts():
-        return [(census(f), exact_pair_probability(f, 3),
-                 [(transition_counts(f, i), refined_edge_counts(f, i)) for i in range(f.n)])
-                for f in subjects]
-
-    expected = counts()
-    monkeypatch.setattr(rankings, "distinct_line_bound", lambda k: 1)
-    assert counts() == expected
-
-
-def test_census_makes_one_line_pass_per_coordinate_in_one_process(monkeypatch):
-    passes = []
-    lines = manip.coordinate_lines
-
-    def counted(table, n, k, i, *rest):
-        passes.append(i)
-        return lines(table, n, k, i, *rest)
+    def counted(table, k, classes):
+        splits.append(classes)
+        return split(table, k, classes)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("the census starts no process pool")
 
-    monkeypatch.setattr(manip, "coordinate_lines", counted)
+    monkeypatch.setattr(manip, "class_tables", counted)
     monkeypatch.setattr(engine, "map_chunks", no_pool)
+    expected = [rankings.rank_classes(3, 3, i) for i in range(3)]
     census(Borda(3, 3))
-    assert passes == [0, 1, 2]
-    passes.clear()
+    assert splits == expected
+    splits.clear()
     with redirect_stdout(io.StringIO()):
         code = cli.main(["census", "--rule", "random:4", "-n", "3", "-k", "3", "--tasks", "2"])
     assert code == 0
-    assert passes == [0, 1, 2]
+    assert splits == expected
+
+
+def test_gs_classify_finds_a_late_first_hit():
+    # A top dictator with its last entry changed: only the last profile's
+    # lines can be manipulated, and the first of them comes late in index order.
+    for n, k in ((2, 3), (3, 3), (2, 4)):
+        table = bytearray(TopHDictator(n, k, 0, range(k)).table())
+        table[-1] = (table[-1] + 1) % k
+        evaluate = dict(zip(oracles.all_profiles(n, k), table)).__getitem__
+        first = oracles.first_manipulable_profile(evaluate, n, k)
+        verdict = gs_classify(TableSCF(n, k, bytes(table)))
+        assert verdict.manipulable
+        assert tuple(r.order for r in verdict.witness_pair.profile) == first
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,14 +1,16 @@
+import random
 from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from votemanip.rankings import (
     AdjacentTransposition,
     Ranking,
     all_adjacent_transpositions,
     apply_adjacent_transposition,
+    class_tables,
     coordinate_lines,
     decode_profile,
     decode_ranking,
@@ -16,7 +18,7 @@ from votemanip.rankings import (
     encode_profile,
     encode_ranking,
     index_digits,
-    join_coordinate_lines,
+    join_class_tables,
     profile_digits,
     profile_space_size,
     top_h_by_rank,
@@ -176,9 +178,23 @@ def test_layout_helpers_agree_with_profile_decoding(n, k):
             assert {rests[p] for p in line} == {rests[base]}
             assert digits_index(k, rests[base]) == line_no
         assert list(coordinate_lines(table, n, k, i, 1, 3)) == lines[1:3]
-        data = bytes(p % 251 for p in range(size))
-        assert join_coordinate_lines(
-            n, k, i, (line for _base, line in coordinate_lines(data, n, k, i))) == data
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 1), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4)]), st.data())
+def test_join_class_tables_inverts_class_tables(shape, data):
+    # Any partition of each of the last m voters' ranks into classes, each class
+    # and the classes themselves in any order.
+    n, k = shape
+    fact = factorial(k)
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    table = bytes(rng.randrange(256) for _ in range(fact ** n))
+    classes = []
+    for _ in range(data.draw(st.integers(0, n))):
+        ranks = rng.sample(range(fact), fact)
+        cuts = sorted(rng.sample(range(1, fact), rng.randrange(fact)))
+        classes.append([tuple(ranks[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, fact])])
+    assert join_class_tables(class_tables(table, k, classes), k, classes) == table
 
 
 def test_top_h_by_rank_and_window_moves():

@@ -69,3 +69,21 @@ def test_random_table_script_rows_agree_with_the_library_check():
         reports = check_random_table(2, 3, 0, row["instance"])
         assert row["statements"] == {r.statement: r.holds for r in reports}
         assert row["epsilon_nonmanip"] == reports[0].witnesses["epsilon"]
+
+
+def test_report_digest_lines_match_the_reports():
+    done = run_script("report_digests.py", ["--rule", "borda", "--rule", "random:0",
+                                            "--shape", "2,3"])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # Per rule: four reports, two fiber sweeps, two local-dictator pairs; then
+    # three per table file and the two sweeps.
+    assert len(lines) == 2 * 8 + 2 * 3 + 2
+    empty = hashlib.sha256(b"").hexdigest()[:16]
+    assert all(line.split()[1:3] == ["0", empty] for line in lines)
+    argv = ["census", "--rule", "random:0", "-n", "2", "-k", "3"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert f"{digest} 0 {empty} {' '.join(argv)}" in lines
