@@ -6,7 +6,8 @@ coordinate i and additionally require a to sit directly above b in coordinate
 i. Fibers are never materialized as profile lists. :func:`fiber_sweep`
 counts every fiber of coordinate i at once from one split of the table
 (:func:`rankings.class_tables`), voter i by rank and every other voter by its
-side of the pair, with no pass over lines. :func:`iter_fiber_members`
+side of the pair, with no pass over lines; dictator fibers and local dictators
+AND indicator lanes of voter i's rank parts. :func:`iter_fiber_members`
 generates one fiber's members from its key.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 from operator import and_, or_
 from typing import Iterator, Sequence
@@ -27,12 +28,11 @@ from .rankings import (
     adjacent_swap_neighbors,
     all_rankings,
     class_tables,
-    coordinate_lines,
     decode_profile,
-    index_digits,
     indicator,
     join_class_tables,
     lane_int,
+    lane_rest,
     rank_classes,
     ranking_orders,
     ranking_positions,
@@ -140,6 +140,11 @@ def _check_coordinate(n: int, i: int) -> None:
         raise ValueError("coordinate out of range")
 
 
+def _check_pair(k: int, pair: tuple[int, int]) -> None:
+    if pair[0] == pair[1] or not set(pair) <= set(range(k)):
+        raise ValueError(f"need two distinct alternatives in 0..{k - 1}")
+
+
 def _key_bits(n: int, variant: FiberVariant) -> int:
     return n if variant is FiberVariant.PLAIN else n - 1
 
@@ -220,8 +225,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     {a, b} in coordinate i with probability at least 1 - 2k*gamma.
     """
     _check_coordinate(f.n, i)
-    if a == b:
-        raise ValueError("need two distinct alternatives")
+    _check_pair(f.k, (a, b))
     if len(profile) != f.n:
         raise ValueError(f"profile needs {f.n} rankings, got {len(profile)}")
     sides = [[ranks_preferring(f.k, *((a, b) if r.prefers(a, b) else (b, a)))] for r in profile]
@@ -271,9 +275,8 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
     """
     n, k = f.n, f.k
     classes = rank_classes(n, k, i)
+    _check_pair(k, pair)
     a, b = pair
-    if a == b:
-        raise ValueError("need two distinct alternatives")
     orders = ranking_orders(k)
     parts = class_tables(f.table(cap), k, classes)
     found = [0] * factorial(k)
@@ -293,39 +296,36 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
 # Dictator fibers (rest-profiles whose induced one-voter SCF is a top_H rule).
 
 
-def _matching_rests(table, n: int, k: int, i: int, match):
-    """Rest-profiles (the other voters' rankings) of the coordinate-i lines whose
-    outcomes ``match``; only a matching line's rest-profile is decoded."""
+def _dictator_rests(f: SCF, i: int, sets, cap: int) -> set[tuple[Ranking, ...]]:
+    """Rest-profiles of the coordinate-i lines that are top_H for an H in ``sets``:
+    the lanes of the AND over ranks r of part r's indicator of r's top_H member."""
+    k = f.k
+    classes = rank_classes(f.n, k, i)
+    parts = class_tables(f.table(cap), k, classes)
+    found = 0
+    for H in sets:
+        found |= reduce(and_, map(lane_int, parts, map(indicator, top_h_by_rank(k, H))))
+    marks = found.to_bytes(len(parts[0]), "little")
     rankings = all_rankings(k)
-    for line, (_base, outcomes) in enumerate(coordinate_lines(table, n, k, i)):
-        if match(outcomes):
-            yield tuple(rankings[d] for d in index_digits(n - 1, k, line))
+    return {tuple(rankings[d] for d in lane_rest(f.n, k, i, mark.start()))
+            for mark in re.finditer(b"\x01", marks)}
 
 
 def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
     """Rest-profiles for which freezing them makes coordinate i a top_H rule."""
-    _check_coordinate(f.n, i)
     subset = frozenset(H)
-    if not subset:
-        raise ValueError("H must be nonempty")
-    return set(_matching_rests(f.table(cap), f.n, f.k, i, top_h_by_rank(f.k, subset).__eq__))
+    if not subset or not subset <= set(range(f.k)):
+        raise ValueError(f"H must be a nonempty subset of 0..{f.k - 1}")
+    return _dictator_rests(f, i, [subset], cap)
 
 
 def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
                       cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
-    """Union of dictator fibers over all H containing the pair with |H| >= 3.
-
-    A rest-profile's induced outcomes determine the only possible H (its own
-    image), so a single scan per rest-profile suffices.
-    """
-    _check_coordinate(f.n, i)
-    a, b = pair
-
-    def match(outcomes):
-        image = frozenset(outcomes)
-        return len(image) >= 3 and {a, b} <= image and outcomes == top_h_by_rank(f.k, image)
-
-    return set(_matching_rests(f.table(cap), f.n, f.k, i, match))
+    """Union of dictator fibers over all H containing the pair with |H| >= 3."""
+    _check_pair(f.k, pair)
+    others = [x for x in range(f.k) if x not in pair]
+    return _dictator_rests(f, i, [frozenset(pair).union(extra) for size in range(1, len(others) + 1)
+                                  for extra in combinations(others, size)], cap)
 
 
 def pairwise_preference_correlation(k: int, a: int, b: int, c: int) -> Fraction:

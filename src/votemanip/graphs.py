@@ -4,37 +4,34 @@ Two graphs live on the profile space: the coarse graph joins profiles that
 differ in exactly one coordinate, the refined graph additionally requires the
 differing coordinate to move by a single adjacent transposition. Boundary
 sets between outcomes are enumerated exactly, streaming in profile-index
-order. Boundary sizes are not enumerated: they are reads of a coordinate's
-edge counts, :func:`transition_counts` for the coarse graph and
-:func:`refined_edge_counts` for the refined one, each counted over the byte
-lanes of voter i's rank parts (:func:`rankings.rank_classes`).
+order, from a byte search of the table. Boundary sizes are not enumerated:
+they are reads of a coordinate's edge counts, :func:`transition_counts` for the
+coarse graph and :func:`refined_edge_counts` for the refined one, each counted
+over the byte lanes of voter i's rank parts (:func:`rankings.rank_classes`).
 """
 from __future__ import annotations
 
-import heapq
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import CapExceededError
 from .rankings import (
-    MAX_TABLE_K,
     AdjacentTransposition,
     Profile,
     adjacent_swap_neighbors,
     all_rankings,
     class_tables,
-    coordinate_lines,
     decode_profile,
-    digits_index,
-    encode_ranking,
+    encode_profile,
     indicator,
     lane_int,
+    pair_lanes,
     profile_strides,
     rank_classes,
     ranking_rank_of,
@@ -116,50 +113,51 @@ def _edge_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition]):
                  for moves in adjacent_swap_neighbors(k))
 
 
-def _line_pairs(base: int, stride: int, line, moves, a: int,
-                b: Optional[int]) -> Iterator[tuple[int, int]]:
-    """Boundary pairs (p, q) on one coordinate line, in index order of p.
-
-    ``line`` is a :func:`coordinate_lines` entry and ``moves[r]`` lists the
-    ranks an edge of the graph reaches from rank r. An edge is on the
-    boundary when it leaves outcome a (for b, when b is set).
-    """
-    for rho, out in enumerate(line):
-        if out == a:
-            for dest in moves[rho]:
-                other = line[dest]
-                if other != a and (b is None or other == b):
-                    yield base + rho * stride, base + dest * stride
+def _check_spec(f: SCF, spec: BoundarySpec) -> None:
+    if not 0 <= spec.i < f.n:
+        raise ValueError("coordinate out of range")
+    named = (spec.a, spec.b) + ((spec.z.a, spec.z.b) if spec.z else ())
+    if not all(x is None or 0 <= x < f.k for x in named):
+        raise ValueError(f"alternatives must lie in 0..{f.k - 1}")
 
 
-def _spec_pairs(table, n, k, spec, start=0, stop=None):
-    """Per line of coordinate spec.i in [start, stop), its boundary pair generator."""
-    stride = profile_strides(n, k)[spec.i]
-    moves = _edge_moves(k, spec.kind, spec.z)
-    for base, line in coordinate_lines(table, n, k, spec.i, start, stop):
-        yield _line_pairs(base, stride, line, moves, spec.a, spec.b)
+def _spec_partners(f: SCF, spec: BoundarySpec, cap: int):
+    """The table, and a function listing p's partners, in edge order, that leave
+    outcome a (for b, when b is set): an edge from voter i's rank
+    ``r = p // stride % k!`` to ``dest`` reaches ``p + (dest - r) * stride``."""
+    _check_spec(f, spec)
+    table = f.table(cap)
+    fact = factorial(f.k)
+    stride = profile_strides(f.n, f.k)[spec.i]
+    offsets = [[(dest - r) * stride for dest in moves]
+               for r, moves in enumerate(_edge_moves(f.k, spec.kind, spec.z))]
+    a, b = spec.a, spec.b
+
+    def partners(p: int) -> list[int]:
+        return [p + d for d in offsets[p // stride % fact]
+                if table[p + d] != a and (b is None or table[p + d] == b)]
+
+    return table, partners
 
 
 def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec,
                               cap: int = DEFAULT_TABLE_CAP) -> Iterator[tuple[int, int]]:
-    """Ordered boundary pairs as profile indices, streamed in index order."""
-    if not 0 <= spec.i < f.n:
-        raise ValueError("coordinate out of range")
-    # Merging the lines on the first index keeps a profile's partners in edge order.
-    return heapq.merge(*_spec_pairs(f.table(cap), f.n, f.k, spec), key=itemgetter(0))
+    """Ordered boundary pairs as profile indices, streamed in index order; the
+    spec is checked on the call, not on the first pair."""
+    table, partners = _spec_partners(f, spec, cap)
+    electing = map(re.Match.start, re.finditer(re.escape(bytes([spec.a])), table))
+    return ((p, q) for p in electing for q in partners(p))
 
 
 def boundary(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[Profile, Profile]]:
     """Materialized boundary pair set (use the iterator for large instances)."""
-    n, k = f.n, f.k
-    return [
-        (decode_profile(n, k, p), decode_profile(n, k, q))
-        for p, q in iter_boundary_index_pairs(f, spec, cap)
-    ]
+    return [(decode_profile(f.n, f.k, p), decode_profile(f.n, f.k, q))
+            for p, q in iter_boundary_index_pairs(f, spec, cap)]
 
 
 def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> int:
     """Size of the boundary :func:`boundary` lists, read from one count pass."""
+    _check_spec(f, spec)
     if spec.kind is GraphKind.COARSE:
         row = transition_counts(f, spec.i, cap)[spec.a]
         return sum(row) - row[spec.a] if spec.b is None else row[spec.b]
@@ -202,18 +200,14 @@ def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list
     return moves
 
 
-# Headroom: refined_edge_counts packs two outcomes as ``a << 4 | b`` in a byte.
-assert MAX_TABLE_K <= 16, "two outcomes must fit in one byte"
-
-
 def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     """Refined-graph edges of coordinate i that change the outcome.
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
     swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. Per edge between ranks r and s, part r shifted up by 4
-    bits (an outcome below 16 stays in its lane) ORed with part s holds
-    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``.
+    outcome b != a. Per edge between ranks r and s, parts r and s paired by
+    :func:`rankings.pair_lanes` hold ``a << 4 | b`` where r elects a and s
+    elects b, for ``bytes.count``.
     """
     k = f.k
     parts = class_tables(f.table(cap), k, rank_classes(f.n, k, i))
@@ -225,7 +219,7 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     for r, moves in enumerate(adjacent_swap_neighbors(k)):
         for s, c, d in moves:
             if r < s:
-                pairs = (ints[r] << 4 | ints[s]).to_bytes(lanes, "little")
+                pairs = pair_lanes(ints[r], ints[s], lanes)
                 for a, b in permutations(range(k), 2):
                     edges = pairs.count(a << 4 | b)
                     if edges:
@@ -237,13 +231,12 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec,
                    cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Whether the profile has at least one boundary partner under the spec."""
-    if not 0 <= spec.i < f.n:
-        raise ValueError("coordinate out of range")
-    digits = [encode_ranking(r) for r in profile]
-    rest = digits_index(f.k, digits[:spec.i] + digits[spec.i + 1:])
-    [pairs] = _spec_pairs(f.table(cap), f.n, f.k, spec, rest, rest + 1)
-    p = digits_index(f.k, digits)
-    return any(pair[0] == p for pair in pairs)
+    if len(profile) != f.n or any(r.k != f.k for r in profile):
+        raise ValueError(f"profile must hold {f.n} rankings of {f.k} alternatives")
+    table, partners = _spec_partners(f, spec, cap)
+    p = encode_profile(profile)
+    # A list, not any(): partner index 0 is falsy.
+    return table[p] == spec.a and bool(partners(p))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
     AdjacentTransposition,
     fiber_outcome_counts,
+    pair_lanes,
     rank_outcome_counts,
     top_h_by_rank,
 )
@@ -41,12 +42,14 @@ def parse_frac(text: str) -> Fraction:
 
 
 def distance(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
-    """Fraction of profiles on which the two SCFs disagree."""
+    """Fraction of profiles on which the two SCFs disagree: all but the bytes
+    ``a << 4 | a = 17a`` of the tables paired by :func:`rankings.pair_lanes`."""
     if (f.n, f.k) != (g.n, g.k):
         raise ValueError(f"mismatched shapes ({f.n},{f.k}) vs ({g.n},{g.k})")
     ft, gt = f.table(cap), g.table(cap)
-    disagreements = sum(1 for x, y in zip(ft, gt) if x != y)
-    return Fraction(disagreements, len(ft))
+    pairs = pair_lanes(int.from_bytes(ft, "little"), int.from_bytes(gt, "little"), len(ft))
+    agreements = sum(pairs.count(17 * a) for a in range(f.k))
+    return Fraction(len(ft) - agreements, len(ft))
 
 
 # ---------------------------------------------------------------------------

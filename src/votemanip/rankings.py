@@ -9,17 +9,17 @@ with voter 0 most significant.
 
 This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
-:func:`profile_digits`, :func:`index_digits`, :func:`digits_index`,
-:func:`coordinate_lines` (for the enumerators that yield profiles), and
-:func:`class_tables` with its inverse :func:`join_class_tables`. Every scan
+:func:`index_digits`, :func:`digits_index`, :func:`class_tables` with its
+inverse :func:`join_class_tables`, and :func:`swap_first_voters`. Every scan
 per line reads the parts of :func:`rank_classes`, each entry a byte lane on one
-coordinate line, as big ints (:func:`lane_int`).
+coordinate line, as big ints (:func:`lane_int`, :func:`pair_lanes`);
+:func:`lane_rest` names a lane's other voters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations, product
+from itertools import permutations
 from math import factorial
 
 from .errors import CapExceededError
@@ -211,29 +211,6 @@ def profile_strides(n: int, k: int) -> tuple[int, ...]:
     return tuple(fact ** (n - 1 - i) for i in range(n))
 
 
-def profile_digits(n: int, k: int, start: int = 0, stop=None):
-    """Per-voter ranking ranks of profile indices ``start .. stop - 1``, in index order."""
-    return islice(product(range(factorial(k)), repeat=n), start, stop)
-
-
-def coordinate_lines(table, n: int, k: int, i: int, start: int = 0, stop=None):
-    """Lines ``start .. stop - 1`` of coordinate i, one per assignment of the other voters.
-
-    Line L fixes the other voters at the L-th rank tuple in their index order.
-    Yields ``(base, outcomes)`` where ``outcomes[r]`` is the table entry at
-    ``base + r * profile_strides(n, k)[i]``: voter i holds the ranking of rank r.
-    """
-    if not 0 <= i < n:
-        raise ValueError("coordinate out of range")
-    stride = profile_strides(n, k)[i]
-    block = stride * factorial(k)
-    count = len(table) // factorial(k)
-    for line in range(start, count if stop is None else min(stop, count)):
-        head, tail = divmod(line, stride)
-        base = head * block + tail
-        yield base, table[base:base + block:stride]
-
-
 def class_tables(table, k: int, classes) -> list[bytes]:
     """Per choice of one rank class per voter, the outcomes of its profiles.
 
@@ -288,9 +265,33 @@ def rank_classes(n: int, k: int, i: int) -> list:
     return [[(r,) for r in range(fact)]] + [[range(fact)]] * (n - 1 - i)
 
 
+def lane_rest(n: int, k: int, i: int, lane: int) -> tuple[int, ...]:
+    """The other voters' ranks, in voter order, on byte ``lane`` of the
+    :func:`rank_classes` parts, which list the voters after i, then before i."""
+    digits = index_digits(n - 1, k, lane)
+    return digits[n - 1 - i:] + digits[:n - 1 - i]
+
+
+def swap_first_voters(table, n: int, k: int) -> bytes:
+    """The table with voters 0 and 1 (n >= 2) exchanged: ``k!^2`` block slices."""
+    fact = factorial(k)
+    block = fact ** (n - 2)
+    return b"".join([table[(y * fact + x) * block:(y * fact + x + 1) * block]
+                     for x in range(fact) for y in range(fact)])
+
+
 def lane_int(part, translation: bytes) -> int:
     """``part.translate(translation)`` as one int, byte j at byte lane j (bits 8j..8j+7)."""
     return int.from_bytes(part.translate(translation), "little")
+
+
+# Headroom: pair_lanes packs two outcomes as ``x << 4 | y`` in a byte.
+assert MAX_TABLE_K <= 16, "two outcomes must fit in one byte"
+
+
+def pair_lanes(x: int, y: int, lanes: int) -> bytes:
+    """Lane j holds ``x_j << 4 | y_j`` for two tables read as little-endian ints."""
+    return (x << 4 | y).to_bytes(lanes, "little")
 
 
 @lru_cache(maxsize=None)

@@ -18,13 +18,14 @@ from .rankings import (
     Profile,
     Ranking,
     check_cap,
+    class_tables,
     digits_index,
     fiber_outcome_counts,
-    profile_digits,
     profile_space_size,
     ranking_orders,
     ranking_positions,
     ranking_rank_of,
+    swap_first_voters,
 )
 
 DEFAULT_TABLE_CAP = 10 ** 7
@@ -353,29 +354,31 @@ def induced_one_voter(f: SCF, i: int, rest: tuple[Ranking, ...]) -> TableSCF:
 def is_anonymous(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Invariance under renaming voters, checked exhaustively.
 
-    Renaming voters reaches every order of a profile's rankings, so f is
-    anonymous exactly when each profile elects what its sorted profile elects.
+    The cyclic shift of the voters (one whole-voter step of
+    :func:`rankings.class_tables`) and the swap of voters 0 and 1 generate
+    every renaming, so f is anonymous exactly when its table is fixed by both.
     """
     table = f.table(cap)
-    return all(out == table[digits_index(f.k, sorted(digits))]
-               for out, digits in zip(table, profile_digits(f.n, f.k)))
+    return (class_tables(table, f.k, [[range(factorial(f.k))]])[0] == table
+            and (f.n < 2 or swap_first_voters(table, f.n, f.k) == table))
 
 
 def is_neutral(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Invariance under renaming alternatives, checked exhaustively.
 
-    Adjacent alternative transpositions generate all relabelings.
+    Adjacent alternative transpositions generate all relabelings. Per one, n
+    whole-voter steps of :func:`rankings.class_tables` listing relabeled ranks
+    must give the table with its outcomes relabeled.
     """
     table = f.table(cap)
     k = f.k
     rank_of = ranking_rank_of(k)
     for c in range(k - 1):
-        relabel = list(range(k))
+        relabel = list(range(256))
         relabel[c], relabel[c + 1] = relabel[c + 1], relabel[c]
         rank_map = [rank_of[tuple(relabel[x] for x in order)] for order in ranking_orders(k)]
-        for index, digits in enumerate(profile_digits(f.n, k)):
-            if table[digits_index(k, [rank_map[d] for d in digits])] != relabel[table[index]]:
-                return False
+        if class_tables(table, k, [[rank_map]] * f.n)[0] != table.translate(bytes(relabel)):
+            return False
     return True
 
 

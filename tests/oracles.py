@@ -301,6 +301,18 @@ def dictator_fiber_rests(evaluate, n, k, i, H):
     }
 
 
+def is_anonymous(evaluate, n, k):
+    """Every profile elects what its rankings in sorted order elect."""
+    return all(evaluate(prof) == evaluate(tuple(sorted(prof))) for prof in all_profiles(n, k))
+
+
+def is_neutral(evaluate, n, k):
+    """Renaming the alternatives by any permutation renames the outcome alike."""
+    return all(
+        evaluate(tuple(tuple(pi[x] for x in order) for order in prof)) == pi[evaluate(prof)]
+        for pi in permutations(range(k)) for prof in all_profiles(n, k))
+
+
 def local_dictator_profiles(evaluate, n, k, i, a, b):
     """Profiles where {a, b, c} is an adjacent block in coordinate i for some third c
     and every rearrangement of the block elects its top."""

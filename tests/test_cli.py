@@ -250,31 +250,24 @@ def test_isoperimetry_and_hypercontractivity():
 
 
 def _count_passes(monkeypatch) -> list:
-    """Every pass over the table, under any import: the classes of each
-    ``rankings.class_tables`` split, and ``("lines", i)`` for each
-    ``rankings.coordinate_lines`` pass over coordinate i."""
+    """The classes of every ``rankings.class_tables`` split of the table, under any import."""
     from votemanip import fibers, graphs, manip, rankings
 
     calls = []
-
-    def lines(*args, _lines=rankings.coordinate_lines, **kwargs):
-        calls.append(("lines", args[3]))
-        return _lines(*args, **kwargs)
 
     def split(table, k, classes, _split=rankings.class_tables):
         calls.append(classes)
         return _split(table, k, classes)
 
     for module in (rankings, fibers, graphs, manip):
-        for name, fake in (("coordinate_lines", lines), ("class_tables", split)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, fake)
+        if hasattr(module, "class_tables"):
+            monkeypatch.setattr(module, "class_tables", split)
     return calls
 
 
 def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
     # One transition-count split and one refined-edge split of the table by
-    # each coordinate's rank, and no pass over lines.
+    # each coordinate's rank.
     from votemanip.rankings import rank_classes
 
     calls = _count_passes(monkeypatch)
@@ -304,6 +297,27 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         calls.clear()
         graphs.boundary_count(f, spec)
         assert calls == [rank_classes(3, 3, 2)]
+
+
+def test_dictator_sets_make_one_split_and_boundary_pairs_none(monkeypatch):
+    # Three supersets of {1, 2} at k = 4 share the one split by voter 1's rank.
+    from votemanip import fibers, graphs
+    from votemanip.graphs import BoundarySpec, GraphKind
+    from votemanip.rankings import decode_profile, rank_classes
+
+    calls = _count_passes(monkeypatch)
+    f = Plurality(3, 4)
+    for sets in (lambda: fibers.dictator_fiber_set(f, 1, {0, 1}),
+                 lambda: fibers.dictator_pair_set(f, 1, (0, 1))):
+        calls.clear()
+        sets()
+        assert calls == [rank_classes(3, 4, 1)]
+    calls.clear()
+    for kind in GraphKind:
+        spec = BoundarySpec(i=1, a=0, kind=kind)
+        assert list(graphs.iter_boundary_index_pairs(f, spec))
+        graphs.is_on_boundary(f, decode_profile(3, 4, 0), spec)
+    assert calls == []
 
 
 def test_isoperimetry_rejects_zero_copies():

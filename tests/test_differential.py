@@ -24,6 +24,7 @@ from votemanip import cli
 from votemanip.fibers import (
     FiberVariant,
     dictator_fiber_set,
+    dictator_pair_set,
     fiber_sweep,
     local_dictator_sets,
     refined_topset_membership,
@@ -33,6 +34,7 @@ from votemanip.graphs import (
     GraphKind,
     boundary,
     boundary_count,
+    is_on_boundary,
     refined_edge_counts,
 )
 from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
@@ -61,6 +63,8 @@ from votemanip.scf import (
     TableSCF,
     TopHDictator,
     dump_scf_table,
+    is_anonymous,
+    is_neutral,
     load_scf_table,
     majority_projection,
     random_monotone_two_valued,
@@ -322,6 +326,103 @@ def test_influences_and_boundaries_match_oracle(subject):
                 ]
                 assert listed == oracles.boundary_pairs(
                     evaluate, n, k, i, a, kind is GraphKind.REFINED)
+
+
+@settings(max_examples=15, deadline=None)
+@given(subjects([(3, 3)]), st.data())
+def test_boundary_to_b_through_z_and_membership_match_oracle(subject, data):
+    # The middle coordinate of three voters, so partners lie on both sides of p.
+    f, evaluate = subject
+    n, k, i = f.n, f.k, 1
+    a, b = data.draw(st.sampled_from(list(permutations(range(k), 2))))
+    z = data.draw(st.sampled_from(list(combinations(range(k), 2))))
+    profiles = oracles.all_profiles(n, k)
+    for kind in GraphKind:
+        refined = kind is GraphKind.REFINED
+        pairs = oracles.boundary_pairs(evaluate, n, k, i, a, refined)
+        for to, swap in [(None, None), (b, None)] + [(None, z), (b, z)] * refined:
+            spec = BoundarySpec(i=i, a=a, b=to, kind=kind,
+                                z=None if swap is None else AdjacentTransposition(*swap))
+            expected = [
+                (p, q) for p, q in pairs
+                if (to is None or evaluate(q) == to)
+                and (swap is None or {x for x, y in zip(p[i], q[i]) if x != y} == set(swap))]
+            assert [tuple(tuple(r.order for r in prof) for prof in pair)
+                    for pair in boundary(f, spec)] == expected
+            firsts = {p for p, _q in expected}
+            assert [is_on_boundary(f, decode_profile(n, k, index), spec)
+                    for index in range(len(profiles))] == [prof in firsts for prof in profiles]
+
+
+@settings(max_examples=15, deadline=None)
+@given(subjects(SHAPES + PAIR_EDGE_SHAPES), st.data())
+def test_dictator_pair_sets_match_oracle(subject, data):
+    f, evaluate = subject
+    n, k = f.n, f.k
+    a, b = data.draw(st.sampled_from(list(permutations(range(k), 2))))
+    others = [x for x in range(k) if x not in (a, b)]
+    supersets = [{a, b, *extra} for size in range(1, len(others) + 1)
+                 for extra in combinations(others, size)]
+    for i in range(n):
+        assert _orders(dictator_pair_set(f, i, (a, b))) == set().union(
+            *(oracles.dictator_fiber_rests(evaluate, n, k, i, H) for H in supersets))
+
+
+@settings(max_examples=20, deadline=None)
+@given(subjects(SHAPES + EDGE_SHAPES), st.data())
+def test_distance_matches_oracle(subject, data):
+    f, evaluate = subject
+    g, evaluate_g = data.draw(subjects([(f.n, f.k)]))
+    assert distance(f, g) == oracles.distance_fraction(evaluate, evaluate_g, f.n, f.k)
+
+
+def _orbit_table(profiles, group, k, rng):
+    """A random table that elects ``pi[c]`` at ``act(prof)`` when it elects c at
+    prof, for every (act, pi) in ``group``: a draw per orbit, carried across it."""
+    drawn = {}
+    for prof in profiles:
+        if prof not in drawn:
+            c = rng.randrange(k)
+            for act, pi in group:
+                drawn[act(prof)] = pi[c]
+    return [drawn[prof] for prof in profiles]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(SHAPES), st.integers(0, 10 ** 6))
+def test_symmetry_predicates_match_oracle(shape, seed):
+    # Tables built anonymous and neutral, ones fixed only by the cyclic shift
+    # of the voters or by relabeling alternatives 1 and 2, and each of these
+    # with one entry changed at a profile of mixed rankings.
+    n, k = shape
+    rng = random.Random(seed)
+    profiles = oracles.all_profiles(n, k)
+    same = tuple(range(k))
+
+    def voters(orders):
+        return [(lambda prof, s=s: tuple(prof[j] for j in s), same) for s in orders]
+
+    def alternatives(perms):
+        return [(lambda prof, pi=pi: tuple(tuple(pi[x] for x in r) for r in prof), pi)
+                for pi in perms]
+
+    anonymous = _orbit_table(profiles, voters(permutations(range(n))), k, rng)
+    neutral = _orbit_table(profiles, alternatives(permutations(range(k))), k, rng)
+    assert is_anonymous(TableSCF(n, k, anonymous)) and is_neutral(TableSCF(n, k, neutral))
+    ring = tuple(range(n))
+    cyclic = _orbit_table(profiles, voters(ring[c:] + ring[:c] for c in range(n)), k, rng)
+    swap = (1, 0) + same[2:]
+    one_swap = _orbit_table(profiles, alternatives([same, swap]), k, rng)
+    mixed = [index for index, prof in enumerate(profiles) if len(set(prof)) > 1] or [0]
+    for outcomes in (anonymous, neutral, cyclic, one_swap):
+        changed = list(outcomes)
+        index = rng.choice(mixed)
+        changed[index] = (changed[index] + 1) % k
+        for table in (outcomes, changed):
+            evaluate = dict(zip(profiles, table)).__getitem__
+            f = TableSCF(n, k, table)
+            assert is_anonymous(f) == oracles.is_anonymous(evaluate, n, k)
+            assert is_neutral(f) == oracles.is_neutral(evaluate, n, k)
 
 
 @settings(max_examples=3, deadline=None)

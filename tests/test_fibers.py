@@ -255,6 +255,17 @@ def test_dictator_fiber_sets():
     assert {r[0].order for r in rest} == {(2, 0, 1), (2, 1, 0)}
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: dictator_pair_set(f, 0, (1, 1)),
+    lambda f: dictator_pair_set(f, 0, (0, 7)),
+    lambda f: local_dictator_sets(f, 0, (0, 7)),
+    lambda f: dictator_fiber_set(f, 0, {0, 9}),
+], ids=["pair-1-1", "pair-0-7", "local-0-7", "fiber-H-0-9"])
+def test_dictator_and_local_sets_reject_alternatives_outside_the_rule(call):
+    with pytest.raises(ValueError):
+        call(Plurality(2, 3))
+
+
 def test_dictator_pair_set_unions_over_supersets():
     f = TopHDictator(2, 3, 0, range(3))
     assert len(dictator_pair_set(f, 0, (0, 1))) == 6

@@ -61,6 +61,27 @@ def test_top_dictator_refined_pair_boundaries():
             assert not is_on_boundary(f, sigma2, spec)
 
 
+@pytest.mark.parametrize("call", [
+    # Three voters, and rankings of four alternatives, for a 2-voter 3-alternative rule.
+    lambda f: is_on_boundary(f, decode_profile(3, 3, 0), BoundarySpec(i=0, a=0)),
+    lambda f: is_on_boundary(f, decode_profile(2, 4, 0), BoundarySpec(i=0, a=0)),
+    # Alternatives past k = 3.
+    lambda f: boundary_count(f, BoundarySpec(i=0, a=5)),
+    lambda f: boundary(f, BoundarySpec(i=0, a=5)),
+    lambda f: boundary(f, BoundarySpec(i=0, a=0, b=5)),
+    lambda f: boundary(f, BoundarySpec(i=0, a=0, z=AdjacentTransposition(0, 5),
+                                       kind=GraphKind.REFINED)),
+], ids=["three-voters", "k4-profile", "count-a5", "boundary-a5", "boundary-b5", "boundary-z5"])
+def test_boundary_functions_reject_inputs_outside_the_rule(call):
+    with pytest.raises(ValueError):
+        call(Plurality(2, 3))
+
+
+def test_boundary_pairs_check_the_spec_when_called():
+    with pytest.raises(ValueError, match="coordinate out of range"):
+        graphs.iter_boundary_index_pairs(Plurality(2, 3), BoundarySpec(i=2, a=0))
+
+
 @pytest.mark.parametrize("i", [-1, 2])
 def test_is_on_boundary_rejects_coordinate_out_of_range(i):
     f = Plurality(2, 3)

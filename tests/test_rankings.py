@@ -11,7 +11,6 @@ from votemanip.rankings import (
     all_adjacent_transpositions,
     apply_adjacent_transposition,
     class_tables,
-    coordinate_lines,
     decode_profile,
     decode_ranking,
     digits_index,
@@ -19,8 +18,10 @@ from votemanip.rankings import (
     encode_ranking,
     index_digits,
     join_class_tables,
-    profile_digits,
+    lane_rest,
     profile_space_size,
+    rank_classes,
+    swap_first_voters,
     top_h_by_rank,
     top_restricted,
     window_destinations,
@@ -163,21 +164,19 @@ def test_layout_helpers_agree_with_profile_decoding(n, k):
     size = profile_space_size(n, k)
     profiles = [decode_profile(n, k, p) for p in range(size)]
     ranks = [tuple(encode_ranking(r) for r in prof) for prof in profiles]
-    assert list(profile_digits(n, k)) == ranks
-    assert list(profile_digits(n, k, 5, 9)) == ranks[5:9]
     assert [index_digits(n, k, p) for p in range(size)] == ranks
     assert [digits_index(k, d) for d in ranks] == list(range(size))
-    table = list(range(size))  # each entry is its own index
+    # Per voter, the table of that voter's rank in each profile.
+    voter_tables = [bytes(d[v] for d in ranks) for v in range(n)]
     for i in range(n):
-        lines = list(coordinate_lines(table, n, k, i))
-        assert len(lines) == size // factorial(k)
-        rests = [d[:i] + d[i + 1:] for d in ranks]
-        for line_no, (base, line) in enumerate(lines):
-            assert base == line[0]
-            assert [ranks[p][i] for p in line] == list(range(factorial(k)))
-            assert {rests[p] for p in line} == {rests[base]}
-            assert digits_index(k, rests[base]) == line_no
-        assert list(coordinate_lines(table, n, k, i, 1, 3)) == lines[1:3]
+        voter_parts = [class_tables(t, k, rank_classes(n, k, i)) for t in voter_tables]
+        for lane in range(size // factorial(k)):
+            rest = lane_rest(n, k, i, lane)
+            for r in range(factorial(k)):
+                assert tuple(parts[r][lane] for parts in voter_parts) == rest[:i] + (r,) + rest[i:]
+    if n >= 2:
+        swapped = [swap_first_voters(t, n, k) for t in voter_tables]
+        assert swapped == [voter_tables[1], voter_tables[0], *voter_tables[2:]]
 
 
 @settings(max_examples=40, deadline=None)
