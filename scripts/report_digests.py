@@ -14,8 +14,9 @@ and refined `fibers` (pair 1,2 on the last voter) and, at k >= 3,
 `local-dictators` for pairs 1,2 and 2,1 on the last voter, for every rule and
 shape; then two table files (written by this script, in a temporary working
 directory, so the reports echo the same relative path) through `census`,
-`distance` and `gs-classify`, and two `verify` sweeps. The default rules and
-shapes give 514 reports. The calls run in this process through
+`distance` and `gs-classify`, and two `verify` sweeps; then a fixed tail of 21
+calls at the edges of `--cap` (see :func:`cap_edges`). The default rules and
+shapes give 535 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -39,23 +40,42 @@ SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 
 
+def exact_calls(rule: str, n: int, k: int) -> list[list[str]]:
+    """The grid's calls on one rule and shape."""
+    scf = ["--rule", rule, "-n", str(n), "-k", str(k)]
+    last = ["--coordinate", str(n)]
+    calls = [["census", *scf], ["distance", *scf], ["influences", "--refined", *scf],
+             ["gs-classify", *scf]]
+    calls += [["fibers", *scf, "--pair", "1,2", *last, "--variant", variant,
+               "--gamma", "1/3"] for variant in ("plain", "refined")]
+    if k >= 3:
+        calls += [["local-dictators", *scf, "--pair", pair, *last,
+                   "--max-list", "100000"] for pair in ("1,2", "2,1")]
+    return calls
+
+
+def cap_edges() -> list[list[str]]:
+    """Calls one entry either side of a cap, so a diff also covers refusals.
+
+    Borda at (3,3) has 216 table entries: every exact call of the grid is
+    refused at ``--cap 215`` and runs at 216. The census window tables at
+    k = 3 have 30 entries: ``top:1`` at (1,3) is refused at 29 and runs at 30.
+    ``table-b.json`` (216 entries) is refused at 215 as it is read.
+    """
+    borda = exact_calls("borda", 3, 3)
+    top = [[command, "--rule", "top:1", "-n", "1", "-k", "3"]
+           for command in ("census", "gs-classify")]
+    return ([[*call, "--cap", cap] for cap in ("215", "216") for call in borda]
+            + [[*call, "--cap", cap] for cap in ("29", "30") for call in top]
+            + [["census", "--table", TABLES[1][0], "--cap", "215"]])
+
+
 def grid(rules, shapes) -> list[list[str]]:
     """The CLI calls, in the order they are printed."""
-    calls = []
-    for n, k in shapes:
-        for rule in rules:
-            scf = ["--rule", rule, "-n", str(n), "-k", str(k)]
-            last = ["--coordinate", str(n)]
-            calls += [["census", *scf], ["distance", *scf], ["influences", "--refined", *scf],
-                      ["gs-classify", *scf]]
-            calls += [["fibers", *scf, "--pair", "1,2", *last, "--variant", variant,
-                       "--gamma", "1/3"] for variant in ("plain", "refined")]
-            if k >= 3:
-                calls += [["local-dictators", *scf, "--pair", pair, *last,
-                           "--max-list", "100000"] for pair in ("1,2", "2,1")]
+    calls = [call for n, k in shapes for rule in rules for call in exact_calls(rule, n, k)]
     for name, _n, _k, _seed in TABLES:
         calls += [[command, "--table", name] for command in ("census", "distance", "gs-classify")]
-    return calls + SWEEPS
+    return calls + SWEEPS + cap_edges()
 
 
 def write_tables() -> None:

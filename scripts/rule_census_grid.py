@@ -27,8 +27,8 @@ def main() -> int:
         for k in range(3, args.max_k + 1):
             if factorial(k) ** n > args.cap:
                 continue
-            for rule in (Plurality(n, k), Borda(n, k)):
-                cen = census(rule, (2, 3, 4, k), cap=args.cap)
+            for rule in (Plurality(n, k, cap=args.cap), Borda(n, k, cap=args.cap)):
+                cen = census(rule, (2, 3, 4, k))
                 cells = [frac_str(cen.fraction(r)) for r in (2, 3, 4)]
                 cells.append(frac_str(cen.manipulable_fraction()))
                 name = type(rule).__name__.lower()

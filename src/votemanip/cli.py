@@ -61,15 +61,15 @@ class RunConfig:
 def _parse_rule(rule: str, n: int, k: int, cap: int) -> scf.SCF:
     name, _, rest = rule.partition(":")
     if name == "plurality":
-        return scf.Plurality(n, k)
+        return scf.Plurality(n, k, cap=cap)
     if name == "borda":
-        return scf.Borda(n, k)
+        return scf.Borda(n, k, cap=cap)
     if name == "constant":
-        return scf.Constant(n, k, int(rest) - 1)
+        return scf.Constant(n, k, int(rest) - 1, cap=cap)
     if name == "top":
         voter, _, subset = rest.partition(":")
         members = [int(x) - 1 for x in subset.split(",")] if subset else list(range(k))
-        return scf.TopHDictator(n, k, int(voter) - 1, members)
+        return scf.TopHDictator(n, k, int(voter) - 1, members, cap=cap)
     if name == "random":
         return scf.random_table_scf(n, k, int(rest), cap)
     if name == "monotone-random":
@@ -134,7 +134,7 @@ def _cmd_census(args) -> int:
     f = _build_scf(args)
     requested = sorted({int(x) for x in args.r_values.split(",")})
     rs = sorted(set(requested) | {max(f.k, 2)})
-    cen = manip.census(f, rs, args.cap)
+    cen = manip.census(f, rs)
     fractions = {f"M_{r}": frac_str(cen.fraction(r)) for r in requested}
     fractions["M"] = frac_str(cen.manipulable_fraction())
     result = {
@@ -149,8 +149,8 @@ def _cmd_census(args) -> int:
 def _cmd_distance(args) -> int:
     f = _build_scf(args)
     result = {
-        "nonmanip": metrics.distance_to_nonmanip(f, args.cap).describe(),
-        "nonmanip_bar": metrics.distance_to_nonmanip_bar(f, args.cap).describe(),
+        "nonmanip": metrics.distance_to_nonmanip(f).describe(),
+        "nonmanip_bar": metrics.distance_to_nonmanip_bar(f).describe(),
     }
     _emit(args, _config_from(args, "distance"), result)
     return 0
@@ -161,7 +161,7 @@ def _cmd_influences(args) -> int:
     f = _build_scf(args)
     table = {}
     for i in range(f.n):
-        inf = metrics.coordinate_influences(f, i, args.cap, refined=args.refined)
+        inf = metrics.coordinate_influences(f, i, refined=args.refined)
         row = {
             "total": frac_str(inf.total()),
             "target": {str(a + 1): frac_str(inf.target(a)) for a in range(f.k)},
@@ -200,7 +200,7 @@ def _cmd_fibers(args) -> int:
     pair = _pair(args.pair, f.k)
     variant = fibers.FiberVariant(args.variant)
     gamma = _resolve_gamma(args, f)
-    records = fibers.fiber_sweep(f, args.coordinate - 1, pair, variant, gamma, args.cap)
+    records = fibers.fiber_sweep(f, args.coordinate - 1, pair, variant, gamma)
     result = {
         "gamma": frac_str(gamma),
         "records": [rec.describe() for rec in records],
@@ -217,7 +217,7 @@ def _cmd_local_dictators(args) -> int:
     f = _build_scf(args)
     pair = _pair(args.pair, f.k)
     profiles = sorted(
-        fibers.local_dictator_sets(f, args.coordinate - 1, pair, args.cap),
+        fibers.local_dictator_sets(f, args.coordinate - 1, pair),
         key=lambda prof: tuple(r.order for r in prof),
     )
     listed = [[list(r.one_based()) for r in prof] for prof in profiles[: args.max_list]]
@@ -228,7 +228,7 @@ def _cmd_local_dictators(args) -> int:
 
 def _cmd_gs_classify(args) -> int:
     f = _build_scf(args)
-    result = manip.gs_classify(f, args.cap).describe()
+    result = manip.gs_classify(f).describe()
     _emit(args, _config_from(args, "gs-classify"), result)
     return 0
 
@@ -324,7 +324,7 @@ def _verify_run(args, tasks: int):
         if args.rule and not args.table and None not in (args.voters, args.alternatives):
             verify._check_shape(args.voters, args.alternatives, statement)
         f = _build_scf(args)
-        measured = verify.Measurements(f, args.cap)
+        measured = verify.Measurements(f)
         if statement in verify.MAIN_THEOREMS:
             reports = verify.verify_main_theorems(measured, (statement,))
         elif statement in ("2.1", "5.3", "6.1"):

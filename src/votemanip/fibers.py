@@ -27,6 +27,7 @@ from .rankings import (
     Ranking,
     adjacent_swap_neighbors,
     all_rankings,
+    check_alternatives,
     class_tables,
     decode_profile,
     indicator,
@@ -40,7 +41,7 @@ from .rankings import (
     top_h_by_rank,
     window_moves,
 )
-from .scf import DEFAULT_TABLE_CAP, SCF
+from .scf import SCF
 
 
 def preference_vector(profile: Profile, a: int, b: int) -> tuple[int, ...]:
@@ -140,35 +141,29 @@ def _check_coordinate(n: int, i: int) -> None:
         raise ValueError("coordinate out of range")
 
 
-def _check_pair(k: int, pair: tuple[int, int]) -> None:
-    if pair[0] == pair[1] or not set(pair) <= set(range(k)):
-        raise ValueError(f"need two distinct alternatives in 0..{k - 1}")
-
-
 def _key_bits(n: int, variant: FiberVariant) -> int:
     return n if variant is FiberVariant.PLAIN else n - 1
 
 
 def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
-                   variant: FiberVariant, gamma: Fraction,
-                   cap: int = DEFAULT_TABLE_CAP) -> FiberRecord:
+                   variant: FiberVariant, gamma: Fraction) -> FiberRecord:
     """Count fiber members sitting on the a-to-b boundary in coordinate i.
 
     Plain variant: a member is on the boundary when its outcome is a and some
     replacement of coordinate i yields b. Refined variant: the outcome is a
     and swapping the adjacent a-b block in coordinate i yields b. The record
-    is read from :func:`fiber_sweep`, which checks the coordinate.
+    is read from :func:`fiber_sweep`, which checks the coordinate and the pair.
     """
     bits = _key_bits(f.n, variant)
     if len(key) != bits:
         raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
     # Records are in key-mask order: bit j is set where key[j] is +1.
-    return fiber_sweep(f, i, pair, variant, gamma, cap)[
+    return fiber_sweep(f, i, pair, variant, gamma)[
         sum(1 << j for j, bit in enumerate(key) if bit > 0)]
 
 
 def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
-                gamma: Fraction, cap: int = DEFAULT_TABLE_CAP) -> list[FiberRecord]:
+                gamma: Fraction) -> list[FiberRecord]:
     """Classify every fiber key for one coordinate and pair, in key-mask order.
 
     :func:`rankings.class_tables` splits voter i into its k! ranks and every
@@ -180,11 +175,12 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     to s, is on it in ``A_r & B_s``.
     """
     _check_coordinate(f.n, i)
+    check_alternatives(f.k, *pair)
     a, b = pair
     n, k = f.n, f.k
     fact = factorial(k)
     sides = (ranks_preferring(k, b, a), ranks_preferring(k, a, b))
-    parts = class_tables(f.table(cap), k,
+    parts = class_tables(f.table(), k,
                          [sides] * i + [[(r,) for r in range(fact)]] + [sides] * (n - 1 - i))
     swaps = ranks_adjacent_above(k, a, b)
     side = len(sides[0]) if variant is FiberVariant.PLAIN else len(swaps)
@@ -217,7 +213,7 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
 
 
 def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
-                              gamma: Fraction, cap: int = DEFAULT_TABLE_CAP) -> bool:
+                              gamma: Fraction) -> bool:
     """Whether the profile's deleted-coordinate fiber mostly elects the a-b top.
 
     Over the fiber fixing all a-vs-b preferences except coordinate i (which
@@ -225,12 +221,12 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     {a, b} in coordinate i with probability at least 1 - 2k*gamma.
     """
     _check_coordinate(f.n, i)
-    _check_pair(f.k, (a, b))
+    check_alternatives(f.k, a, b)
     if len(profile) != f.n:
         raise ValueError(f"profile needs {f.n} rankings, got {len(profile)}")
     sides = [[ranks_preferring(f.k, *((a, b) if r.prefers(a, b) else (b, a)))] for r in profile]
     sides[i] = [(r,) for r in range(factorial(f.k))]
-    parts = class_tables(f.table(cap), f.k, sides)
+    parts = class_tables(f.table(), f.k, sides)
     agree = sum(map(bytes.count, parts, top_h_by_rank(f.k, frozenset((a, b)))))
     return Fraction(agree, sum(map(len, parts))) >= 1 - 2 * f.k * gamma
 
@@ -261,8 +257,7 @@ def is_local_dictator(f: SCF, profile: Profile, i: int, H) -> bool:
     return True
 
 
-def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
-                        cap: int = DEFAULT_TABLE_CAP) -> set[Profile]:
+def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int]) -> set[Profile]:
     """Profiles that are local dictators on {a, b, c} in coordinate i for some
     third alternative c.
 
@@ -275,10 +270,10 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
     """
     n, k = f.n, f.k
     classes = rank_classes(n, k, i)
-    _check_pair(k, pair)
+    check_alternatives(k, *pair)
     a, b = pair
     orders = ranking_orders(k)
-    parts = class_tables(f.table(cap), k, classes)
+    parts = class_tables(f.table(), k, classes)
     found = [0] * factorial(k)
     for r, moves in enumerate(window_moves(k, 3)):
         for start in range(k - 2):
@@ -296,12 +291,12 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int],
 # Dictator fibers (rest-profiles whose induced one-voter SCF is a top_H rule).
 
 
-def _dictator_rests(f: SCF, i: int, sets, cap: int) -> set[tuple[Ranking, ...]]:
+def _dictator_rests(f: SCF, i: int, sets) -> set[tuple[Ranking, ...]]:
     """Rest-profiles of the coordinate-i lines that are top_H for an H in ``sets``:
     the lanes of the AND over ranks r of part r's indicator of r's top_H member."""
     k = f.k
     classes = rank_classes(f.n, k, i)
-    parts = class_tables(f.table(cap), k, classes)
+    parts = class_tables(f.table(), k, classes)
     found = 0
     for H in sets:
         found |= reduce(and_, map(lane_int, parts, map(indicator, top_h_by_rank(k, H))))
@@ -311,21 +306,20 @@ def _dictator_rests(f: SCF, i: int, sets, cap: int) -> set[tuple[Ranking, ...]]:
             for mark in re.finditer(b"\x01", marks)}
 
 
-def dictator_fiber_set(f: SCF, i: int, H, cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
+def dictator_fiber_set(f: SCF, i: int, H) -> set[tuple[Ranking, ...]]:
     """Rest-profiles for which freezing them makes coordinate i a top_H rule."""
     subset = frozenset(H)
     if not subset or not subset <= set(range(f.k)):
         raise ValueError(f"H must be a nonempty subset of 0..{f.k - 1}")
-    return _dictator_rests(f, i, [subset], cap)
+    return _dictator_rests(f, i, [subset])
 
 
-def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int],
-                      cap: int = DEFAULT_TABLE_CAP) -> set[tuple[Ranking, ...]]:
+def dictator_pair_set(f: SCF, i: int, pair: tuple[int, int]) -> set[tuple[Ranking, ...]]:
     """Union of dictator fibers over all H containing the pair with |H| >= 3."""
-    _check_pair(f.k, pair)
+    check_alternatives(f.k, *pair)
     others = [x for x in range(f.k) if x not in pair]
     return _dictator_rests(f, i, [frozenset(pair).union(extra) for size in range(1, len(others) + 1)
-                                  for extra in combinations(others, size)], cap)
+                                  for extra in combinations(others, size)])
 
 
 def pairwise_preference_correlation(k: int, a: int, b: int, c: int) -> Fraction:

@@ -36,7 +36,7 @@ from .rankings import (
     rank_classes,
     ranking_rank_of,
 )
-from .scf import DEFAULT_TABLE_CAP, SCF
+from .scf import SCF
 
 
 class GraphKind(Enum):
@@ -121,12 +121,12 @@ def _check_spec(f: SCF, spec: BoundarySpec) -> None:
         raise ValueError(f"alternatives must lie in 0..{f.k - 1}")
 
 
-def _spec_partners(f: SCF, spec: BoundarySpec, cap: int):
+def _spec_partners(f: SCF, spec: BoundarySpec):
     """The table, and a function listing p's partners, in edge order, that leave
     outcome a (for b, when b is set): an edge from voter i's rank
     ``r = p // stride % k!`` to ``dest`` reaches ``p + (dest - r) * stride``."""
     _check_spec(f, spec)
-    table = f.table(cap)
+    table = f.table()
     fact = factorial(f.k)
     stride = profile_strides(f.n, f.k)[spec.i]
     offsets = [[(dest - r) * stride for dest in moves]
@@ -140,29 +140,28 @@ def _spec_partners(f: SCF, spec: BoundarySpec, cap: int):
     return table, partners
 
 
-def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec,
-                              cap: int = DEFAULT_TABLE_CAP) -> Iterator[tuple[int, int]]:
+def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec) -> Iterator[tuple[int, int]]:
     """Ordered boundary pairs as profile indices, streamed in index order; the
     spec is checked on the call, not on the first pair."""
-    table, partners = _spec_partners(f, spec, cap)
+    table, partners = _spec_partners(f, spec)
     electing = map(re.Match.start, re.finditer(re.escape(bytes([spec.a])), table))
     return ((p, q) for p in electing for q in partners(p))
 
 
-def boundary(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> list[tuple[Profile, Profile]]:
+def boundary(f: SCF, spec: BoundarySpec) -> list[tuple[Profile, Profile]]:
     """Materialized boundary pair set (use the iterator for large instances)."""
     return [(decode_profile(f.n, f.k, p), decode_profile(f.n, f.k, q))
-            for p, q in iter_boundary_index_pairs(f, spec, cap)]
+            for p, q in iter_boundary_index_pairs(f, spec)]
 
 
-def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> int:
+def boundary_count(f: SCF, spec: BoundarySpec) -> int:
     """Size of the boundary :func:`boundary` lists, read from one count pass."""
     _check_spec(f, spec)
     if spec.kind is GraphKind.COARSE:
-        row = transition_counts(f, spec.i, cap)[spec.a]
+        row = transition_counts(f, spec.i)[spec.a]
         return sum(row) - row[spec.a] if spec.b is None else row[spec.b]
     z = None if spec.z is None else (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
-    return sum(c for (a, b, w), c in refined_edge_counts(f, spec.i, cap).items()
+    return sum(c for (a, b, w), c in refined_edge_counts(f, spec.i).items()
                if a == spec.a and (spec.b is None or b == spec.b) and (z is None or w == z))
 
 
@@ -171,7 +170,7 @@ def boundary_count(f: SCF, spec: BoundarySpec, cap: int = DEFAULT_TABLE_CAP) -> 
 LANE_GROUP = 255
 
 
-def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list[int]]:
+def transition_counts(f: SCF, i: int) -> list[list[int]]:
     """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
     moves the outcome from a to b.
 
@@ -182,7 +181,7 @@ def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list
     the profiles electing a, which gives the diagonal.
     """
     k = f.k
-    table = f.table(cap)
+    table = f.table()
     parts = class_tables(table, k, rank_classes(f.n, k, i))
     ones = int.from_bytes(b"\x01" * len(parts[0]), "little")
     planes = [[] for _ in range(k)]
@@ -200,7 +199,7 @@ def transition_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> list[list
     return moves
 
 
-def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
+def refined_edge_counts(f: SCF, i: int) -> dict:
     """Refined-graph edges of coordinate i that change the outcome.
 
     Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
@@ -210,7 +209,7 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     elects b, for ``bytes.count``.
     """
     k = f.k
-    parts = class_tables(f.table(cap), k, rank_classes(f.n, k, i))
+    parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
     lanes = len(parts[0])
     ints = [int.from_bytes(part, "little") for part in parts]
     counts: dict = defaultdict(int)
@@ -228,12 +227,11 @@ def refined_edge_counts(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     return dict(counts)
 
 
-def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec,
-                   cap: int = DEFAULT_TABLE_CAP) -> bool:
+def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec) -> bool:
     """Whether the profile has at least one boundary partner under the spec."""
     if len(profile) != f.n or any(r.k != f.k for r in profile):
         raise ValueError(f"profile must hold {f.n} rankings of {f.k} alternatives")
-    table, partners = _spec_partners(f, spec, cap)
+    table, partners = _spec_partners(f, spec)
     p = encode_profile(profile)
     # A list, not any(): partner index 0 is falsy.
     return table[p] == spec.a and bool(partners(p))
@@ -274,9 +272,11 @@ def vertex_boundary(A, sizes: tuple[int, ...]) -> set:
     }
 
 
-# Largest K_k^n a lexicographic sweep builds: it holds a k^n-bit neighbour
+# Largest K_k^n an exhaustive sweep enumerates the 2^(k^n) subsets of, and
+# the largest a lexicographic sweep builds: it holds a k^n-bit neighbour
 # mask per vertex, and its time grows with the cube of k^n (4,096 vertices
 # took about 30 s, 1,024 under a second).
+MAX_EXHAUSTIVE_VERTICES = 16
 MAX_LEX_VERTICES = 1024
 
 
@@ -313,8 +313,7 @@ class LindseyReport:
         }
 
 
-def verify_lindsey(k_complete: int, n_copies: int, exhaustive: bool = True,
-                   max_exhaustive_vertices: int = 16) -> LindseyReport:
+def verify_lindsey(k_complete: int, n_copies: int, exhaustive: bool = True) -> LindseyReport:
     """Check |edge boundary of A| >= |A| for small subsets of K_k^n.
 
     The inequality is required for |A| <= (1 - 1/k) k^n. Exhaustive mode runs
@@ -326,7 +325,7 @@ def verify_lindsey(k_complete: int, n_copies: int, exhaustive: bool = True,
         raise ValueError(f"K_k needs k >= 2, got k={k_complete}")
     if n_copies < 1:
         raise ValueError(f"need at least one copy of K_k, got {n_copies}")
-    vertex_cap = max_exhaustive_vertices if exhaustive else MAX_LEX_VERTICES
+    vertex_cap = MAX_EXHAUSTIVE_VERTICES if exhaustive else MAX_LEX_VERTICES
     # k >= 2 gives k^n >= 2^n, which passes the cap once n reaches its bit
     # length, so an oversized n is refused without forming k^n.
     if n_copies >= vertex_cap.bit_length() or k_complete ** n_copies > vertex_cap:

@@ -47,7 +47,6 @@ from .rankings import (
     window_permutations,
 )
 from .scf import (
-    DEFAULT_TABLE_CAP,
     SCF,
     MonotoneTwoValued,
     TopHDictator,
@@ -211,7 +210,7 @@ def _manipulation_flags(table, n: int, k: int, widths: tuple[int, ...]) -> int:
     return union
 
 
-def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationCensus:
+def census(f: SCF, r_values=None) -> ManipulationCensus:
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself.
 
     Widths 2..k take bits 0..k-2 of a profile's byte in :func:`_manipulation_flags`.
@@ -222,9 +221,9 @@ def census(f: SCF, r_values=None, cap: int = DEFAULT_TABLE_CAP) -> ManipulationC
     if rs and rs[0] < 2:
         raise ValueError("r values must be >= 2")
     n, k = f.n, f.k
-    check_window_tables(k, cap)
+    check_window_tables(k, f.cap)
     widths = [min(r, k) for r in rs]
-    table = f.table(cap)
+    table = f.table()
     flags = _manipulation_flags(table, n, k, tuple(sorted({w for w in widths if w >= 2})))
     ones = int.from_bytes(b"\x01" * len(table), "little")
     return ManipulationCensus(
@@ -345,7 +344,7 @@ def sample_success(f: SCF, samples: int, seed: int, width: int = 4,
     return SampleReport(samples=samples, successes=successes, seed=seed, width=width)
 
 
-def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def exact_pair_probability(f: SCF, width: int = 4) -> Fraction:
     """Exact success probability of the random-window manipulation draw.
 
     Full enumeration over (profile, coordinate, window start, window
@@ -357,9 +356,9 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
     _check_window(f.k, width)
     n, k = f.n, f.k
     draws = (k - width + 1) * factorial(width)
-    check_cap(cap, "per-rank window table entries", k, count=lambda: factorial(k) * draws)
+    check_cap(f.cap, "per-rank window table entries", k, count=lambda: factorial(k) * draws)
     _check_lanes(k)
-    table = f.table(cap)
+    table = f.table()
     # Per rank, each destination other than the rank itself with its number of draws.
     moves = [tuple((dest, c) for dest, c in Counter(dests).items() if dest != r)
              for r, dests in enumerate(window_moves(k, width))]
@@ -375,10 +374,10 @@ def exact_pair_probability(f: SCF, width: int = 4, cap: int = DEFAULT_TABLE_CAP)
 # Gibbard-Satterthwaite classification.
 
 
-def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
+def nonmanip_membership(f: SCF) -> Optional[SCF]:
     """An equal nonmanipulable witness (top_H dictator or monotone two-valued),
     or None when f lies outside the family."""
-    table = f.table(cap)
+    table = f.table()
     n, k = f.n, f.k
 
     # Dictator branch: f must depend on coordinate i alone (each of its rank
@@ -390,7 +389,7 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
             line = bytes(part[0] for part in parts)
             image = frozenset(line)
             if line == top_h_by_rank(k, image):
-                return TopHDictator(n, k, i, image)
+                return TopHDictator(n, k, i, image, cap=f.cap)
 
     # Monotone two-valued branch: constant on every preference fiber of its
     # two-element range (each fiber all a or all b), with a monotone fiber table.
@@ -403,7 +402,7 @@ def nonmanip_membership(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> Optional[SCF]:
             return None
         labels = [a if c else b for c in count_a]
         if is_monotone_pair_table(n, (a, b), labels):
-            return MonotoneTwoValued(n, k, (a, b), labels)
+            return MonotoneTwoValued(n, k, (a, b), labels, cap=f.cap)
     return None
 
 
@@ -419,7 +418,7 @@ class GSClassification:
         return {"verdict": "nonmanipulable", "witness": self.witness_member.describe()}
 
 
-def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
+def gs_classify(f: SCF) -> GSClassification:
     """Either the first manipulation pair, or an exact nonmanipulable twin.
 
     Membership is asked first: a member equal to f is nonmanipulable. Otherwise
@@ -428,11 +427,11 @@ def gs_classify(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> GSClassification:
     every other ranking.
     """
     n, k = f.n, f.k
-    check_window_tables(k, cap)
-    member = nonmanip_membership(f, cap)
+    check_window_tables(k, f.cap)
+    member = nonmanip_membership(f)
     if member is not None:
         return GSClassification(False, None, member)
-    flags = _manipulation_flags(f.table(cap), n, k, (k,))
+    flags = _manipulation_flags(f.table(), n, k, (k,))
     if not flags:
         raise AssertionError(
             "no manipulation point found yet no nonmanipulable twin exists; "

@@ -16,13 +16,13 @@ from .errors import CapExceededError
 from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
     AdjacentTransposition,
+    check_alternatives,
     fiber_outcome_counts,
     pair_lanes,
     rank_outcome_counts,
     top_h_by_rank,
 )
 from .scf import (
-    DEFAULT_TABLE_CAP,
     SCF,
     MonotoneTwoValued,
     OneCoordinate,
@@ -41,12 +41,12 @@ def parse_frac(text: str) -> Fraction:
     return Fraction(text)
 
 
-def distance(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def distance(f: SCF, g: SCF) -> Fraction:
     """Fraction of profiles on which the two SCFs disagree: all but the bytes
     ``a << 4 | a = 17a`` of the tables paired by :func:`rankings.pair_lanes`."""
     if (f.n, f.k) != (g.n, g.k):
         raise ValueError(f"mismatched shapes ({f.n},{f.k}) vs ({g.n},{g.k})")
-    ft, gt = f.table(cap), g.table(cap)
+    ft, gt = f.table(), g.table()
     pairs = pair_lanes(int.from_bytes(ft, "little"), int.from_bytes(gt, "little"), len(ft))
     agreements = sum(pairs.count(17 * a) for a in range(f.k))
     return Fraction(len(ft) - agreements, len(ft))
@@ -99,47 +99,44 @@ class CoordinateInfluences:
         return Fraction(count, 2 * self.size)
 
 
-def coordinate_influences(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP, coarse: bool = True,
+def coordinate_influences(f: SCF, i: int, coarse: bool = True,
                           refined: bool = False) -> CoordinateInfluences:
     """Coordinate i's influences from one table pass per requested kind."""
     return CoordinateInfluences(
-        k=f.k, size=len(f.table(cap)),
-        moves=transition_counts(f, i, cap) if coarse else None,
-        edges=refined_edge_counts(f, i, cap) if refined else None,
+        k=f.k, size=len(f.table()),
+        moves=transition_counts(f, i) if coarse else None,
+        edges=refined_edge_counts(f, i) if refined else None,
     )
 
 
-def influence_total(f: SCF, i: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def influence_total(f: SCF, i: int) -> Fraction:
     """Probability that rerandomizing coordinate i changes the outcome."""
-    return coordinate_influences(f, i, cap).total()
+    return coordinate_influences(f, i).total()
 
 
-def influence_target(f: SCF, i: int, a: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def influence_target(f: SCF, i: int, a: int) -> Fraction:
     """Probability the outcome is a and leaves a when coordinate i rerandomizes."""
-    return coordinate_influences(f, i, cap).target(a)
+    check_alternatives(f.k, a)
+    return coordinate_influences(f, i).target(a)
 
 
-def influence_pair(f: SCF, i: int, a: int, b: int, cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def influence_pair(f: SCF, i: int, a: int, b: int) -> Fraction:
     """Probability the outcome moves from a to b under rerandomizing coordinate i."""
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    return coordinate_influences(f, i, cap).pair(a, b)
+    check_alternatives(f.k, a, b)
+    return coordinate_influences(f, i).pair(a, b)
 
 
-def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition,
-                      cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition) -> Fraction:
     """Half the mass of profiles where applying z in coordinate i moves a to b."""
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    return coordinate_influences(f, i, cap, coarse=False, refined=True).refined(a, b, z)
+    check_alternatives(f.k, a, b)
+    check_alternatives(f.k, z.a, z.b)
+    return coordinate_influences(f, i, coarse=False, refined=True).refined(a, b, z)
 
 
-def influence_refined_total(f: SCF, i: int, a: int, b: int,
-                            cap: int = DEFAULT_TABLE_CAP) -> Fraction:
+def influence_refined_total(f: SCF, i: int, a: int, b: int) -> Fraction:
     """Sum of the refined influence over all adjacent transpositions."""
-    if a == b:
-        raise ValueError("need two distinct alternatives")
-    return coordinate_influences(f, i, cap, coarse=False, refined=True).refined_all(a, b)
+    check_alternatives(f.k, a, b)
+    return coordinate_influences(f, i, coarse=False, refined=True).refined_all(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +159,14 @@ class DistanceReport:
         }
 
 
-def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport:
+def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     """Distance to functions of one coordinate or of at most two values.
 
     One-coordinate branch: per coordinate, the modal completion (ties to the
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
     rest onto the lower of the pair. The minimum over all candidates is exact.
     """
-    table = f.table(cap)
+    table = f.table()
     n, k = f.n, f.k
     size = len(table)
     best_agree = -1
@@ -184,7 +181,7 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
             agree += row[winner]
         if agree > best_agree:
             best_agree = agree
-            best_witness = OneCoordinate(n, k, i, completion)
+            best_witness = OneCoordinate(n, k, i, completion, cap=f.cap)
 
     mass = [table.count(a) for a in range(k)]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
@@ -194,12 +191,12 @@ def distance_to_nonmanip_bar(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceRe
     if agree > best_agree:
         best_agree = agree
         best_witness = TableSCF(n, k, table.translate(bytes.maketrans(
-            bytes(range(k)), bytes(a if a in keep else fallback for a in range(k)))))
+            bytes(range(k)), bytes(a if a in keep else fallback for a in range(k)))), cap=f.cap)
 
     return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
 
 
-def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport:
+def distance_to_nonmanip(f: SCF) -> DistanceReport:
     """Distance to the nonmanipulable family.
 
     Minimizes over every top_H dictator (direct counting) and, per alternative
@@ -211,7 +208,7 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
     n, k = f.n, f.k
     if k >= 2 and n > MAX_HYPERCUBE_BITS:
         raise CapExceededError(f"hypercube with 2^{n} vertices exceeds the cap")
-    table = f.table(cap)
+    table = f.table()
     size = len(table)
     best_agree = -1
     best_witness: Optional[SCF] = None
@@ -224,7 +221,7 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
             agree = sum(row[top] for row, top in zip(counts, tops))
             if agree > best_agree:
                 best_agree = agree
-                best_witness = TopHDictator(n, k, i, members)
+                best_witness = TopHDictator(n, k, i, members, cap=f.cap)
 
     fiber = (factorial(k) // 2) ** n
     for a in range(k):
@@ -235,7 +232,7 @@ def distance_to_nonmanip(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> DistanceReport
             if size - cost > best_agree:
                 best_agree = size - cost
                 best_witness = MonotoneTwoValued(
-                    n, k, (a, b), [a if lab else b for lab in labels]
+                    n, k, (a, b), [a if lab else b for lab in labels], cap=f.cap
                 )
 
     return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness)

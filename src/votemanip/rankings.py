@@ -159,6 +159,12 @@ def profile_space_size(n: int, k: int) -> int:
     return factorial(k) ** n
 
 
+def check_alternatives(k: int, *alternatives: int) -> None:
+    """Refuse alternative ids that repeat or lie outside ``0..k-1``."""
+    if len(set(alternatives)) < len(alternatives) or not all(0 <= x < k for x in alternatives):
+        raise ValueError(f"need distinct alternatives in 0..{k - 1}")
+
+
 def check_cap(cap: int, what: str, k: int, n=None, count=None) -> None:
     """Refuse more than ``cap`` items before their count is formed.
 

@@ -17,6 +17,7 @@ from .rankings import (
     MAX_TABLE_K,
     Profile,
     Ranking,
+    check_alternatives,
     check_cap,
     class_tables,
     digits_index,
@@ -38,18 +39,20 @@ assert MAX_TABLE_K < 256, "an outcome must fit in one byte"
 
 
 class SCF:
-    """Base class: a pure total map from profiles to alternatives."""
+    """Base class: a pure total map from profiles to alternatives. A table of more
+    than ``cap`` entries is refused before it is built; SCFs derived from f get f's cap."""
 
     n: int
     k: int
 
-    def __init__(self, n: int, k: int):
+    def __init__(self, n: int, k: int, *, cap: int = DEFAULT_TABLE_CAP):
         if n < 1:
             raise ValueError("need at least one voter")
         if k < 1:
             raise ValueError("need at least one alternative")
         self.n = n
         self.k = k
+        self.cap = cap
         self._table_cache: bytes | None = None
 
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
@@ -63,10 +66,10 @@ class SCF:
                 raise ValueError(f"ranking over {r.k} alternatives, expected {self.k}")
         return self.evaluate_orders(tuple(r.order for r in profile))
 
-    def table(self, cap: int = DEFAULT_TABLE_CAP) -> bytes:
+    def table(self) -> bytes:
         """One outcome byte per profile, indexed by profile index. Computed once, cached."""
         if self._table_cache is None:
-            check_cap(cap, "(k!)^n table entries", self.k, self.n)
+            check_cap(self.cap, "(k!)^n table entries", self.k, self.n)
             self._table_cache = self._build_table()
         return self._table_cache
 
@@ -74,9 +77,9 @@ class SCF:
         """Every profile's outcome in index order; rules with a faster build override this."""
         return bytes(map(self.evaluate_orders, product(ranking_orders(self.k), repeat=self.n)))
 
-    def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
+    def range(self) -> frozenset[int]:
         """Exact image over all profiles."""
-        return frozenset(self.table(cap))
+        return frozenset(self.table())
 
     def describe(self) -> dict:
         """JSON-friendly description (alternatives and voters 1-based)."""
@@ -87,8 +90,8 @@ class TableSCF(SCF):
     """SCF given by an explicit outcome per profile index: a ``bytes`` table,
     kept as it is, or a sequence of ints, each checked and stored as bytes."""
 
-    def __init__(self, n: int, k: int, outcomes):
-        super().__init__(n, k)
+    def __init__(self, n: int, k: int, outcomes, *, cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, cap=cap)
         size = profile_space_size(n, k)
         if len(outcomes) != size:
             raise ValueError(f"table has {len(outcomes)} entries, expected {size}")
@@ -104,8 +107,8 @@ class TableSCF(SCF):
         return self._table_cache[digits_index(self.k, [rank_of[o] for o in orders])]
 
     @staticmethod
-    def from_scf(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> "TableSCF":
-        return TableSCF(f.n, f.k, f.table(cap))
+    def from_scf(f: SCF) -> "TableSCF":
+        return TableSCF(f.n, f.k, f.table(), cap=f.cap)
 
     def describe(self) -> dict:
         return {"rule": "table", "n": self.n, "k": self.k}
@@ -114,8 +117,8 @@ class TableSCF(SCF):
 class Constant(SCF):
     """Elects the same alternative regardless of the profile."""
 
-    def __init__(self, n: int, k: int, winner: int):
-        super().__init__(n, k)
+    def __init__(self, n: int, k: int, winner: int, *, cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, cap=cap)
         if not 0 <= winner < k:
             raise ValueError("winner out of range")
         self.winner = winner
@@ -123,7 +126,7 @@ class Constant(SCF):
     def evaluate_orders(self, orders):
         return self.winner
 
-    def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
+    def range(self) -> frozenset[int]:
         return frozenset((self.winner,))
 
     def describe(self) -> dict:
@@ -204,8 +207,8 @@ class Borda(SCF):
 class TopHDictator(SCF):
     """Elects voter ``i``'s favourite among the subset H."""
 
-    def __init__(self, n: int, k: int, i: int, H):
-        super().__init__(n, k)
+    def __init__(self, n: int, k: int, i: int, H, *, cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, cap=cap)
         if not 0 <= i < n:
             raise ValueError("dictator coordinate out of range")
         subset = frozenset(H)
@@ -223,7 +226,7 @@ class TopHDictator(SCF):
                 return alt
         raise AssertionError("unreachable: H nonempty")
 
-    def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
+    def range(self) -> frozenset[int]:
         return self.H
 
     def describe(self) -> dict:
@@ -239,8 +242,8 @@ class TopHDictator(SCF):
 class OneCoordinate(SCF):
     """An arbitrary function of a single voter's ranking."""
 
-    def __init__(self, n: int, k: int, i: int, outcomes):
-        super().__init__(n, k)
+    def __init__(self, n: int, k: int, i: int, outcomes, *, cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, cap=cap)
         if not 0 <= i < n:
             raise ValueError("coordinate out of range")
         outcomes = tuple(outcomes)
@@ -254,7 +257,7 @@ class OneCoordinate(SCF):
     def evaluate_orders(self, orders):
         return self.outcomes[ranking_rank_of(self.k)[orders[self.i]]]
 
-    def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
+    def range(self) -> frozenset[int]:
         return frozenset(self.outcomes)
 
     def describe(self) -> dict:
@@ -272,11 +275,11 @@ class PairBooleanSCF(SCF):
     preference vector: ``table`` is indexed by the bitmask with bit i set when
     voter i prefers ``a`` over ``b``."""
 
-    def __init__(self, n: int, k: int, pair: tuple[int, int], table):
-        super().__init__(n, k)
+    def __init__(self, n: int, k: int, pair: tuple[int, int], table, *,
+                 cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, cap=cap)
+        check_alternatives(k, *pair)
         a, b = pair
-        if a == b or not (0 <= a < k and 0 <= b < k):
-            raise ValueError("pair must be two distinct alternatives")
         table = tuple(table)
         if len(table) != 1 << n:
             raise ValueError(f"table has {len(table)} entries, expected {1 << n}")
@@ -297,7 +300,7 @@ class PairBooleanSCF(SCF):
                     break
         return self.bool_table[mask]
 
-    def range(self, cap: int = DEFAULT_TABLE_CAP) -> frozenset[int]:
+    def range(self) -> frozenset[int]:
         return frozenset(self.bool_table)
 
     def describe(self) -> dict:
@@ -321,8 +324,9 @@ def is_monotone_pair_table(n: int, pair: tuple[int, int], table) -> bool:
 class MonotoneTwoValued(PairBooleanSCF):
     """A :class:`PairBooleanSCF` whose table is monotone toward ``a``."""
 
-    def __init__(self, n: int, k: int, pair: tuple[int, int], table):
-        super().__init__(n, k, pair, table)
+    def __init__(self, n: int, k: int, pair: tuple[int, int], table, *,
+                 cap: int = DEFAULT_TABLE_CAP):
+        super().__init__(n, k, pair, table, cap=cap)
         if not is_monotone_pair_table(n, self.pair, self.bool_table):
             raise ValueError("table is not monotone toward the first pair member")
 
@@ -348,29 +352,29 @@ def induced_one_voter(f: SCF, i: int, rest: tuple[Ranking, ...]) -> TableSCF:
     head = tuple(r.order for r in rest[:i])
     tail = tuple(r.order for r in rest[i:])
     return TableSCF(1, f.k, bytes(f.evaluate_orders(head + (order,) + tail)
-                                  for order in ranking_orders(f.k)))
+                                  for order in ranking_orders(f.k)), cap=f.cap)
 
 
-def is_anonymous(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
+def is_anonymous(f: SCF) -> bool:
     """Invariance under renaming voters, checked exhaustively.
 
     The cyclic shift of the voters (one whole-voter step of
     :func:`rankings.class_tables`) and the swap of voters 0 and 1 generate
     every renaming, so f is anonymous exactly when its table is fixed by both.
     """
-    table = f.table(cap)
+    table = f.table()
     return (class_tables(table, f.k, [[range(factorial(f.k))]])[0] == table
             and (f.n < 2 or swap_first_voters(table, f.n, f.k) == table))
 
 
-def is_neutral(f: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
+def is_neutral(f: SCF) -> bool:
     """Invariance under renaming alternatives, checked exhaustively.
 
     Adjacent alternative transpositions generate all relabelings. Per one, n
     whole-voter steps of :func:`rankings.class_tables` listing relabeled ranks
     must give the table with its outcomes relabeled.
     """
-    table = f.table(cap)
+    table = f.table()
     k = f.k
     rank_of = ranking_rank_of(k)
     for c in range(k - 1):
@@ -400,19 +404,19 @@ def exists_anonymous_neutral(n: int, k: int) -> bool:
     return not reachable[k]
 
 
-def majority_projection(g: SCF, pair: tuple[int, int], cap: int = DEFAULT_TABLE_CAP) -> PairBooleanSCF:
+def majority_projection(g: SCF, pair: tuple[int, int]) -> PairBooleanSCF:
     """Collapse a two-valued SCF to the majority outcome on each preference fiber.
 
     Ties elect ``a`` (the first pair member). The result depends on a profile
     only through its a-vs-b preference vector.
     """
     a, b = pair
-    rng = g.range(cap)
+    rng = g.range()
     if not rng <= {a, b}:
         raise ValueError(f"range {sorted(rng)} not within pair {pair}")
-    counts_a, counts_b = fiber_outcome_counts(g.table(cap), g.n, g.k, a, b)
+    counts_a, counts_b = fiber_outcome_counts(g.table(), g.n, g.k, a, b)
     boolean = tuple(a if x >= y else b for x, y in zip(counts_a, counts_b))
-    return PairBooleanSCF(g.n, g.k, pair, boolean)
+    return PairBooleanSCF(g.n, g.k, pair, boolean, cap=g.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +427,8 @@ def random_table_scf(n: int, k: int, seed: int, cap: int = DEFAULT_TABLE_CAP) ->
     """Each outcome independently uniform on the alternatives."""
     check_cap(cap, "(k!)^n table entries", k, n)
     rng = random.Random(seed)
-    return TableSCF(n, k, bytes(rng.randrange(k) for _ in range(profile_space_size(n, k))))
+    return TableSCF(n, k, bytes(rng.randrange(k) for _ in range(profile_space_size(n, k))),
+                    cap=cap)
 
 
 def random_monotone_two_valued(n: int, k: int, seed: int,
@@ -441,20 +446,20 @@ def random_monotone_two_valued(n: int, k: int, seed: int,
             mask & (1 << i) and table[mask ^ (1 << i)] == a for i in range(n)
         ):
             table[mask] = a
-    return MonotoneTwoValued(n, k, (a, b), table)
+    return MonotoneTwoValued(n, k, (a, b), table, cap=cap)
 
 
 # ---------------------------------------------------------------------------
 # Table file round-trip.
 
 
-def dump_scf_table(f: SCF, path, cap: int = DEFAULT_TABLE_CAP) -> None:
+def dump_scf_table(f: SCF, path) -> None:
     """Write the self-describing JSON table format (1-based outcomes)."""
     doc = {
         "n": f.n,
         "k": f.k,
         "encoding": SCF_TABLE_ENCODING,
-        "outcomes": [x + 1 for x in f.table(cap)],
+        "outcomes": [x + 1 for x in f.table()],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -472,8 +477,8 @@ def load_scf_table(path, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     check_cap(cap, "(k!)^n table entries", k, n)
     if not isinstance(outcomes, list) or any(type(x) is not int for x in outcomes):
         raise ValueError("table file outcomes must be a list of integers")
-    return TableSCF(n, k, [x - 1 for x in outcomes])
+    return TableSCF(n, k, [x - 1 for x in outcomes], cap=cap)
 
 
-def scfs_equal(f: SCF, g: SCF, cap: int = DEFAULT_TABLE_CAP) -> bool:
-    return f.n == g.n and f.k == g.k and f.table(cap) == g.table(cap)
+def scfs_equal(f: SCF, g: SCF) -> bool:
+    return f.n == g.n and f.k == g.k and f.table() == g.table()

@@ -164,22 +164,22 @@ class Measurements:
     narrower request later reads it; only a wider one measures again.
     """
 
-    def __init__(self, f: SCF, cap: int = DEFAULT_TABLE_CAP):
-        self.f, self.cap = f, cap
+    def __init__(self, f: SCF):
+        self.f = f
         self._census: Optional[ManipulationCensus] = None
         self._distances: dict[str, Fraction] = {}
 
     def census(self, widths) -> ManipulationCensus:
         """The census counts at ``widths``, each from 2 to k."""
         if self._census is None or max(widths) > max(self._census.counts):
-            self._census = census(self.f, range(2, max(widths) + 1), self.cap)
+            self._census = census(self.f, range(2, max(widths) + 1))
         return replace(self._census, counts={w: self._census.counts[w] for w in widths})
 
     def distance(self, family: str) -> Fraction:
         """The distance to the ``"nonmanip"`` or the ``"nonmanip-bar"`` family."""
         if family not in self._distances:
             measure = distance_to_nonmanip if family == "nonmanip" else distance_to_nonmanip_bar
-            self._distances[family] = measure(self.f, self.cap).value
+            self._distances[family] = measure(self.f).value
         return self._distances[family]
 
 
@@ -234,7 +234,7 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
     f = measured.f
     qualifying = []
     for i in range(f.n):
-        inf = coordinate_influences(f, i, measured.cap, coarse=not refined, refined=refined)
+        inf = coordinate_influences(f, i, coarse=not refined, refined=refined)
         for a in range(f.k):
             for b in range(a + 1, f.k):
                 value = (inf.refined(a, b, AdjacentTransposition(a, b)) if refined
@@ -373,8 +373,7 @@ def verify_thm_1_5(measured: Measurements,
 # Reverse hypercontractivity.
 
 
-def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2,
-                                      max_bits: int = MAX_CUBE_BITS) -> VerificationReport:
+def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2) -> VerificationReport:
     """Exact check that correlated cubes overlap: P(x in B1, y in B2) >= eps^(2/(1-rho)).
 
     Coordinates are independent with uniform +-1 marginals and correlation
@@ -382,8 +381,8 @@ def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2,
     rational rho; both sides are raised to its denominator so the comparison
     stays exact.
     """
-    if n < 1 or n > max_bits:
-        raise CapExceededError(f"n={n} outside the supported range [1, {max_bits}]")
+    if n < 1 or n > MAX_CUBE_BITS:
+        raise CapExceededError(f"n={n} outside the supported range [1, {MAX_CUBE_BITS}]")
     rho = Fraction(rho)
     if not abs(rho) < 1:
         raise ValueError("|rho| must be < 1")
@@ -468,24 +467,24 @@ def _check_instance_caps(n: int, k: int, cap: int) -> None:
     check_window_tables(k, cap)
 
 
-def one_voter_function(k: int, t: int) -> TableSCF:
+def one_voter_function(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     """One-voter SCF number t of the ``k^(k!)``: its outcome on rank j is base-k
     digit j of t, least significant first."""
-    return TableSCF(1, k, bytes(t // k ** j % k for j in range(factorial(k))))
+    return TableSCF(1, k, bytes(t // k ** j % k for j in range(factorial(k))), cap=cap)
 
 
 def check_one_voter(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
     """One row of the one-voter sweep: statement 1.4 on function t, the
     dichotomy (manipulable exactly when no member of the nonmanipulable family
     equals it) and a zero distance exactly when it is not manipulable."""
-    f = one_voter_function(k, t)
-    measured = Measurements(f, cap)
+    f = one_voter_function(k, t, cap)
+    measured = Measurements(f)
     (report,) = verify_main_theorems(measured, ("1.4",))
     eps = measured.distance("nonmanip")
     manipulable = measured.census((k,)).manipulable_count() > 0
     checks = {
         "bound_holds": report.holds,
-        "dichotomy_holds": manipulable == (nonmanip_membership(f, cap) is None),
+        "dichotomy_holds": manipulable == (nonmanip_membership(f) is None),
         "distance_zero_iff_nonmanipulable": (eps == 0) != manipulable,
     }
     return {"function_index": t, "table": [x + 1 for x in f.table()],
@@ -498,21 +497,21 @@ def _one_voter_chunk(k: int, lo: int, hi: int, cap: int):
     return sum(not row["manipulable"] for row in rows), [row for row in rows if not row["holds"]]
 
 
-def one_voter_function_count(k: int, limit: int = MAX_ONE_VOTER_FUNCTIONS) -> int:
+def one_voter_function_count(k: int) -> int:
     """The number of one-voter SCFs on k >= 3 alternatives, ``k^(k!)``, refused over
-    ``limit``; as ``k^(k!) >= 2^(k!)``, the check cuts the exponent at the limit's bit length."""
+    ``MAX_ONE_VOTER_FUNCTIONS``; as ``k^(k!) >= 2^(k!)``, the exponent is cut at its bit length."""
     if k < 3:
         raise ValueError(f"the one-voter sweep needs k >= 3, got k={k}")
-    check_cap(limit, "one-voter functions", k, n=1,
-              count=lambda: k ** min(factorial(k), limit.bit_length()))
+    check_cap(MAX_ONE_VOTER_FUNCTIONS, "one-voter functions", k, n=1,
+              count=lambda: k ** min(factorial(k), MAX_ONE_VOTER_FUNCTIONS.bit_length()))
     return k ** factorial(k)
 
 
 def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> SweepReport:
     """Verify statement 1.4 and the dichotomy over every one-voter SCF.
 
-    Feasible only for tiny k (k = 3 means 3^6 = 729 functions). ``cap`` bounds
-    each function's table and census window tables, as for a single SCF.
+    Feasible only for tiny k (k = 3 means 3^6 = 729 functions). Each function
+    is built with ``cap``, which is checked once before the first runs.
     """
     total = one_voter_function_count(k)
     _check_instance_caps(1, k, cap)
@@ -530,7 +529,7 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> Swe
 def check_random_table(n: int, k: int, seed: int, t: int,
                        cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
     """Statements 1.2, 2.1 and 1.5 on random table t of the sweep seeded ``seed``."""
-    measured = Measurements(random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap), cap)
+    measured = Measurements(random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap))
     return [*verify_main_theorems(measured, ("1.2",)),
             verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
 
@@ -548,7 +547,7 @@ def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
 def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
                         cap: int = DEFAULT_TABLE_CAP) -> SweepReport:
     """Verify statements 1.2, 2.1 and 1.5 over seeded random table SCFs, each
-    table and its census window tables bounded by ``cap``."""
+    built with ``cap``, which is checked once before the first is drawn."""
     if count < 1:
         raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
     _check_instance_caps(n, k, cap)

@@ -1,0 +1,186 @@
+"""The table cap is set once, when an SCF is built, and every consumer reads it.
+
+Borda at (3,3) has 216 table entries: built with ``cap=215`` every consumer
+refuses, whatever ran on the SCF before; built with ``cap=216`` every consumer
+answers as with the default cap.
+"""
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from votemanip.errors import CapExceededError
+from votemanip.fibers import (
+    FiberVariant,
+    boundary_fiber,
+    dictator_fiber_set,
+    dictator_pair_set,
+    fiber_sweep,
+    local_dictator_sets,
+    refined_topset_membership,
+)
+from votemanip.graphs import (
+    BoundarySpec,
+    GraphKind,
+    boundary,
+    boundary_count,
+    is_on_boundary,
+    iter_boundary_index_pairs,
+    refined_edge_counts,
+    transition_counts,
+)
+from votemanip.manip import (
+    census,
+    exact_pair_probability,
+    gs_classify,
+    nonmanip_membership,
+    sample_success,
+)
+from votemanip.metrics import (
+    coordinate_influences,
+    distance,
+    distance_to_nonmanip,
+    distance_to_nonmanip_bar,
+    influence_pair,
+    influence_refined,
+    influence_refined_total,
+    influence_target,
+    influence_total,
+)
+from votemanip.rankings import AdjacentTransposition, decode_profile
+from votemanip.scf import (
+    DEFAULT_TABLE_CAP,
+    Borda,
+    MonotoneTwoValued,
+    TableSCF,
+    TopHDictator,
+    dump_scf_table,
+    induced_one_voter,
+    is_anonymous,
+    is_neutral,
+    majority_projection,
+    random_table_scf,
+    scfs_equal,
+)
+from votemanip.verify import Measurements
+
+PROFILE = decode_profile(3, 3, 100)
+GAMMA = Fraction(1, 3)
+Z = AdjacentTransposition(0, 1)
+
+
+def borda(cap):
+    return Borda(3, 3, cap=cap)
+
+
+def majority(cap):
+    """Two-valued: 0 where at least two voters put 0 above 1, else 1."""
+    return MonotoneTwoValued(3, 3, (0, 1), [0 if m.bit_count() >= 2 else 1 for m in range(8)],
+                             cap=cap)
+
+
+def dumped(f) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        dump_scf_table(f, path)
+        return path.read_text()
+
+
+def as_scf(g):
+    return None if g is None else (g.describe(), g.table())
+
+
+# name -> (builder, consumer returning a comparable answer)
+CONSUMERS = {
+    "table": (borda, lambda f: f.table()),
+    "range": (borda, lambda f: f.range()),
+    "boundary_fiber": (borda, lambda f: boundary_fiber(f, 0, (0, 1), (1, -1, 1),
+                                                       FiberVariant.PLAIN, GAMMA)),
+    "fiber_sweep": (borda, lambda f: fiber_sweep(f, 2, (1, 2), FiberVariant.REFINED, GAMMA)),
+    "refined_topset_membership": (borda, lambda f: refined_topset_membership(
+        f, 1, 0, 2, PROFILE, GAMMA)),
+    "local_dictator_sets": (borda, lambda f: local_dictator_sets(f, 0, (0, 1))),
+    "dictator_fiber_set": (borda, lambda f: dictator_fiber_set(f, 0, {0, 1})),
+    "dictator_pair_set": (borda, lambda f: dictator_pair_set(f, 1, (0, 2))),
+    "iter_boundary_index_pairs": (borda, lambda f: list(iter_boundary_index_pairs(
+        f, BoundarySpec(i=0, a=0, b=1)))),
+    "boundary": (borda, lambda f: boundary(f, BoundarySpec(i=1, a=1))),
+    "boundary_count": (borda, lambda f: boundary_count(
+        f, BoundarySpec(i=2, a=0, kind=GraphKind.REFINED))),
+    "transition_counts": (borda, lambda f: transition_counts(f, 0)),
+    "refined_edge_counts": (borda, lambda f: refined_edge_counts(f, 1)),
+    "is_on_boundary": (borda, lambda f: is_on_boundary(f, PROFILE, BoundarySpec(i=0, a=0))),
+    "census": (borda, lambda f: census(f)),
+    "exact_pair_probability": (borda, lambda f: exact_pair_probability(f, 3)),
+    "nonmanip_membership": (borda, lambda f: as_scf(nonmanip_membership(f))),
+    "gs_classify": (borda, lambda f: gs_classify(f).describe()),
+    "distance": (borda, lambda f: distance(f, Borda(3, 3))),
+    "coordinate_influences": (borda, lambda f: coordinate_influences(f, 0, refined=True)),
+    "influence_total": (borda, lambda f: influence_total(f, 1)),
+    "influence_target": (borda, lambda f: influence_target(f, 1, 2)),
+    "influence_pair": (borda, lambda f: influence_pair(f, 2, 1, 0)),
+    "influence_refined": (borda, lambda f: influence_refined(f, 0, 0, 1, Z)),
+    "influence_refined_total": (borda, lambda f: influence_refined_total(f, 0, 1, 2)),
+    "distance_to_nonmanip": (borda, lambda f: distance_to_nonmanip(f).describe()),
+    "distance_to_nonmanip_bar": (borda, lambda f: distance_to_nonmanip_bar(f).describe()),
+    "is_anonymous": (borda, is_anonymous),
+    "is_neutral": (borda, is_neutral),
+    "majority_projection": (majority, lambda f: as_scf(majority_projection(f, (0, 1)))),
+    "dump_scf_table": (borda, dumped),
+    "scfs_equal": (borda, lambda f: scfs_equal(f, Borda(3, 3))),
+    "from_scf": (borda, lambda f: as_scf(TableSCF.from_scf(f))),
+    "Measurements.census": (borda, lambda f: Measurements(f).census((2, 3))),
+    "Measurements.distance": (borda, lambda f: Measurements(f).distance("nonmanip-bar")),
+}
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_a_consumer_refuses_below_the_table_size_whatever_ran_before(name):
+    build, consume = CONSUMERS[name]
+    f = build(215)
+    with pytest.raises(CapExceededError):
+        consume(f)
+    for other in ("table", "census", "distance_to_nonmanip_bar", "transition_counts"):
+        with pytest.raises(CapExceededError):
+            CONSUMERS[other][1](f)
+        with pytest.raises(CapExceededError):
+            consume(f)
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_a_consumer_answers_as_before_at_the_table_size(name):
+    build, consume = CONSUMERS[name]
+    assert consume(build(216)) == consume(build(DEFAULT_TABLE_CAP))
+
+
+def test_witnesses_and_derived_scfs_carry_the_cap():
+    cap = 216
+    kinds = set()
+    for f in (borda(cap), majority(cap), TopHDictator(3, 3, 0, {0, 2}, cap=cap),
+              random_table_scf(3, 3, 0, cap)):
+        gs = gs_classify(f)
+        derived = [distance_to_nonmanip(f).witness, distance_to_nonmanip_bar(f).witness,
+                   nonmanip_membership(f), gs.witness_member, TableSCF.from_scf(f),
+                   induced_one_voter(f, 1, PROFILE[:1] + PROFILE[2:])]
+        if len(f.range()) == 2:
+            derived.append(majority_projection(f, tuple(sorted(f.range()))))
+        derived = [g for g in derived if g is not None]
+        assert [g.cap for g in derived] == [cap] * len(derived)
+        kinds |= {type(g).__name__ for g in derived}
+    # Every kind of witness the distances, membership and projection build.
+    assert kinds == {"OneCoordinate", "TableSCF", "TopHDictator", "MonotoneTwoValued",
+                     "PairBooleanSCF"}
+
+
+def test_the_sampler_builds_no_table_past_the_cap(monkeypatch):
+    # Borda (4,5) has 2.1e8 profiles, past the default cap; the refusal waits
+    # for a table, which the sampler never asks for.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Borda, "_build_table", refuse)
+    f = Borda(4, 5)
+    assert sample_success(f, 50, seed=1).samples == 50
+    with pytest.raises(CapExceededError):
+        f.table()

@@ -237,7 +237,7 @@ def test_census_cap_exceeded():
     from votemanip.errors import CapExceededError
 
     with pytest.raises(CapExceededError):
-        census(Plurality(4, 4), cap=1000)
+        census(Plurality(4, 4, cap=1000))
 
 
 def test_census_rejects_widths_past_one_byte(monkeypatch):
@@ -247,10 +247,10 @@ def test_census_rejects_widths_past_one_byte(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(Plurality, "_build_table", refuse)
-    for f in (Plurality(1, 9), Plurality(1, 10)):
-        for scan in (lambda: census(f, (f.k,), cap=10 ** 14),
-                     lambda: exact_pair_probability(f, 4, cap=10 ** 14),
-                     lambda: gs_classify(f, cap=10 ** 14)):
+    for f in (Plurality(1, 9, cap=10 ** 14), Plurality(1, 10, cap=10 ** 14)):
+        for scan in (lambda: census(f, (f.k,)),
+                     lambda: exact_pair_probability(f, 4),
+                     lambda: gs_classify(f)):
             with pytest.raises(ValueError, match="k <= 8"):
                 scan()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from votemanip.errors import CapExceededError
+from votemanip.fibers import FiberVariant, boundary_fiber, fiber_sweep
 from votemanip.metrics import (
     distance,
     distance_to_nonmanip,
@@ -26,6 +27,7 @@ from votemanip.scf import (
     Constant,
     MonotoneTwoValued,
     OneCoordinate,
+    PairBooleanSCF,
     Plurality,
     TableSCF,
     TopHDictator,
@@ -175,6 +177,32 @@ def test_influence_identities():
             influence_pair(f, i, a, b)
             for a in range(3) for b in range(3) if a != b
         )
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, a, b: fiber_sweep(f, 0, (a, b), FiberVariant.PLAIN, Fraction(1, 4)),
+    lambda f, a, b: boundary_fiber(f, 1, (a, b), (1,), FiberVariant.REFINED, Fraction(1, 4)),
+    lambda f, a, b: influence_pair(f, 0, a, b),
+    lambda f, a, b: influence_refined(f, 0, a, b, AdjacentTransposition(0, 1)),
+    lambda f, a, b: influence_refined_total(f, 0, a, b),
+    lambda f, a, b: PairBooleanSCF(2, 3, (a, b), [0, 0, 0, 0]),
+], ids=["fiber_sweep", "boundary_fiber", "influence_pair", "influence_refined",
+        "influence_refined_total", "PairBooleanSCF"])
+@pytest.mark.parametrize("pair", [(0, 0), (0, 7), (7, 0), (0, 3), (-1, 0), (2, -1)])
+def test_a_pair_must_be_two_distinct_alternatives(call, pair):
+    # A negative id would otherwise index from the end.
+    with pytest.raises(ValueError, match="distinct alternatives in 0..2"):
+        call(Plurality(2, 3), *pair)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, a: influence_target(f, 0, a),
+    lambda f, a: influence_refined(f, 0, 0, 1, AdjacentTransposition(1, a)),
+], ids=["influence_target", "influence_refined transposition"])
+@pytest.mark.parametrize("a", [3, 7, -1])
+def test_an_alternative_must_lie_in_range(call, a):
+    with pytest.raises(ValueError, match="distinct alternatives in 0..2"):
+        call(Plurality(2, 3), a)
 
 
 def test_influence_pair_matches_oracle():

@@ -103,9 +103,9 @@ def test_predicates_report_cap_instead_of_sampling():
     from votemanip.errors import CapExceededError
 
     with pytest.raises(CapExceededError):
-        is_anonymous(Plurality(2, 3), cap=10)
+        is_anonymous(Plurality(2, 3, cap=10))
     with pytest.raises(CapExceededError):
-        is_neutral(Plurality(2, 3), cap=10)
+        is_neutral(Plurality(2, 3, cap=10))
 
 
 def test_exists_anonymous_neutral():

@@ -77,10 +77,18 @@ def test_report_digest_lines_match_the_reports():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # Per rule: four reports, two fiber sweeps, two local-dictator pairs; then
-    # three per table file and the two sweeps.
-    assert len(lines) == 2 * 8 + 2 * 3 + 2
+    # three per table file, the two sweeps, and the cap's edges: eight Borda
+    # calls at two caps, two top:1 calls at two caps and one table file.
+    assert len(lines) == 2 * 8 + 2 * 3 + 2 + (2 * 8 + 2 * 2 + 1)
     empty = hashlib.sha256(b"").hexdigest()[:16]
-    assert all(line.split()[1:3] == ["0", empty] for line in lines)
+    refused = [line for line in lines if line.endswith(("--cap 215", "--cap 29"))]
+    assert len(refused) == 8 + 2 + 1
+    for line in lines:
+        code, err = line.split()[1:3]
+        if line in refused:
+            assert code == "2" and err != empty, line
+        else:
+            assert [code, err] == ["0", empty], line
     argv = ["census", "--rule", "random:0", "-n", "2", "-k", "3"]
     buf = io.StringIO()
     with redirect_stdout(buf):
