@@ -14,9 +14,11 @@ and refined `fibers` (pair 1,2 on the last voter) and, at k >= 3,
 `local-dictators` for pairs 1,2 and 2,1 on the last voter, for every rule and
 shape; then two table files (written by this script, in a temporary working
 directory, so the reports echo the same relative path) through `census`,
-`distance` and `gs-classify`, and two `verify` sweeps; then a fixed tail of 21
+`distance` and `gs-classify`, and two `verify` sweeps; then a fixed tail of 32
+single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
+carry the measured values that the sweeps list only on a failure, and of 21
 calls at the edges of `--cap` (see :func:`cap_edges`). The default rules and
-shapes give 535 reports. The calls run in this process through
+shapes give 567 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -36,6 +38,9 @@ RULES = ["plurality", "borda", *[f"random:{s}" for s in range(4)], "top:1",
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (3, 5)]
 # (file name, n, k, seed) of the table files, outcomes drawn by Python's random.
 TABLES = [("table-a.json", 2, 3, 0), ("table-b.json", 3, 3, 1)]
+# (statements, shapes) of statement_calls.
+STATEMENTS = [(("1.2", "3.1", "7.1", "2.1", "5.3", "1.5"), ((2, 3), (3, 3))),
+              (("1.4", "6.1"), ((1, 3), (1, 4)))]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 
@@ -52,6 +57,14 @@ def exact_calls(rule: str, n: int, k: int) -> list[list[str]]:
         calls += [["local-dictators", *scf, "--pair", pair, *last,
                    "--max-list", "100000"] for pair in ("1,2", "2,1")]
     return calls
+
+
+def statement_calls() -> list[list[str]]:
+    """``verify --thm`` on Borda and ``random:0``, each statement at two shapes
+    it applies to: n = 1 for 1.4 and 6.1, n >= 2 for the others."""
+    return [["verify", "--thm", statement, "--rule", rule, "-n", str(n), "-k", str(k)]
+            for statements, shapes in STATEMENTS for statement in statements
+            for n, k in shapes for rule in ("borda", "random:0")]
 
 
 def cap_edges() -> list[list[str]]:
@@ -75,7 +88,7 @@ def grid(rules, shapes) -> list[list[str]]:
     calls = [call for n, k in shapes for rule in rules for call in exact_calls(rule, n, k)]
     for name, _n, _k, _seed in TABLES:
         calls += [[command, "--table", name] for command in ("census", "distance", "gs-classify")]
-    return calls + SWEEPS + cap_edges()
+    return calls + SWEEPS + statement_calls() + cap_edges()
 
 
 def write_tables() -> None:

@@ -47,6 +47,7 @@ from .graphs import (
     GraphKind,
     boundary,
     boundary_count,
+    coordinate_influences,
     edge_boundary,
     neighbors,
     verify_lindsey,
@@ -84,14 +85,8 @@ from .metrics import (
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
-    influence_pair,
-    influence_refined,
-    influence_refined_total,
-    influence_target,
-    influence_total,
     monotone_violation_fraction,
     nearest_monotone_boolean,
-    parse_frac,
 )
 from .verify import (
     BoundParams,
@@ -99,7 +94,6 @@ from .verify import (
     SweepReport,
     VerificationReport,
     bound_value,
-    report_lines,
     sweep_one_voter,
     sweep_random_tables,
     verify_lemma_influences,

@@ -14,13 +14,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import engine, fibers, graphs, manip, metrics, scf, verify
 from .errors import CapExceededError
-from .metrics import frac_str, parse_frac
+from .metrics import frac_str
 from .rankings import AdjacentTransposition
 
 SCHEMA_VERSION = 1
@@ -33,29 +31,6 @@ class ConfigError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-@dataclass
-class RunConfig:
-    """Semantic run parameters (everything that may change a report's content)."""
-
-    command: str
-    n: Optional[int] = None
-    k: Optional[int] = None
-    rule: Optional[str] = None
-    table: Optional[str] = None
-    epsilon: Optional[str] = None
-    seed: Optional[int] = None
-    samples: Optional[int] = None
-    enumeration_cap: int = scf.DEFAULT_TABLE_CAP
-
-    def describe(self) -> dict:
-        doc = {"command": self.command, "enumeration_cap": self.enumeration_cap}
-        for name in ("n", "k", "rule", "table", "epsilon", "seed", "samples"):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        return doc
 
 
 def _parse_rule(rule: str, n: int, k: int, cap: int) -> scf.SCF:
@@ -97,11 +72,24 @@ def _pair(text: str, k: int) -> tuple[int, int]:
     return a, b
 
 
-def _emit(args, config: RunConfig, result: dict) -> None:
+# Report config key -> parsed option, echoed when the subcommand has the option
+# and it is set. The keys are kept as they are for byte-stable reports; they
+# are not every option that shapes a report (--pair, --thm and --r-values are
+# not echoed).
+_CONFIG_KEYS = {"n": "voters", "k": "alternatives", "rule": "rule", "table": "table",
+                "epsilon": "epsilon", "seed": "seed", "samples": "samples",
+                "enumeration_cap": "cap"}
+
+
+def _emit(args, result: dict) -> None:
+    config = {"command": args.subcommand}
+    for key, option in _CONFIG_KEYS.items():
+        if getattr(args, option, None) is not None:
+            config[key] = getattr(args, option)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "config": config.describe(),
+        "command": args.subcommand,
+        "config": config,
         "result": result,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -110,20 +98,6 @@ def _emit(args, config: RunConfig, result: dict) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _config_from(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        n=getattr(args, "voters", None),
-        k=getattr(args, "alternatives", None),
-        rule=getattr(args, "rule", None),
-        table=getattr(args, "table", None),
-        epsilon=getattr(args, "epsilon", None),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        enumeration_cap=args.cap,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +116,7 @@ def _cmd_census(args) -> int:
         "counts": {str(r): cen.count(r) for r in rs},
         "fractions": fractions,
     }
-    _emit(args, _config_from(args, "census"), result)
+    _emit(args, result)
     return 0
 
 
@@ -152,16 +126,17 @@ def _cmd_distance(args) -> int:
         "nonmanip": metrics.distance_to_nonmanip(f).describe(),
         "nonmanip_bar": metrics.distance_to_nonmanip_bar(f).describe(),
     }
-    _emit(args, _config_from(args, "distance"), result)
+    _emit(args, result)
     return 0
 
 
 def _cmd_influences(args) -> int:
-    """One transition-count pass per coordinate, plus one refined-edge pass with --refined."""
+    """One transition-count pass per coordinate, plus one refined-edge pass with
+    --refined: each is made on the first read of its kind."""
     f = _build_scf(args)
     table = {}
     for i in range(f.n):
-        inf = metrics.coordinate_influences(f, i, refined=args.refined)
+        inf = graphs.coordinate_influences(f, i)
         row = {
             "total": frac_str(inf.total()),
             "target": {str(a + 1): frac_str(inf.target(a)) for a in range(f.k)},
@@ -180,18 +155,18 @@ def _cmd_influences(args) -> int:
                 f"{a + 1}-{b + 1}": frac_str(inf.refined_all(a, b)) for a, b in pairs
             }
         table[str(i + 1)] = row
-    _emit(args, _config_from(args, "influences"), {"coordinates": table})
+    _emit(args, {"coordinates": table})
     return 0
 
 
 def _resolve_gamma(args, f) -> Fraction:
     if args.gamma is not None:
-        return parse_frac(args.gamma)
+        return Fraction(args.gamma)
     if args.epsilon is None:
         raise ConfigError("fibers needs --gamma or --epsilon for the preset")
     preset = "gamma-refined" if args.variant == "refined" else "gamma-coarse"
     return verify.bound_value(
-        preset, verify.BoundParams(n=f.n, k=f.k, epsilon=parse_frac(args.epsilon))
+        preset, verify.BoundParams(n=f.n, k=f.k, epsilon=Fraction(args.epsilon))
     )
 
 
@@ -207,7 +182,7 @@ def _cmd_fibers(args) -> int:
         "large": sum(1 for rec in records if rec.large),
         "small": sum(1 for rec in records if not rec.large),
     }
-    _emit(args, _config_from(args, "fibers"), result)
+    _emit(args, result)
     return 0
 
 
@@ -222,21 +197,21 @@ def _cmd_local_dictators(args) -> int:
     )
     listed = [[list(r.one_based()) for r in prof] for prof in profiles[: args.max_list]]
     result = {"count": len(profiles), "profiles": listed}
-    _emit(args, _config_from(args, "local-dictators"), result)
+    _emit(args, result)
     return 0
 
 
 def _cmd_gs_classify(args) -> int:
     f = _build_scf(args)
     result = manip.gs_classify(f).describe()
-    _emit(args, _config_from(args, "gs-classify"), result)
+    _emit(args, result)
     return 0
 
 
 def _cmd_sample(args) -> int:
     f = _build_scf(args)
     rep = manip.sample_success(f, args.samples, args.seed, args.width, args.tasks)
-    _emit(args, _config_from(args, "sample"), rep.describe())
+    _emit(args, rep.describe())
     return 0
 
 
@@ -244,7 +219,7 @@ def _cmd_isoperimetry(args) -> int:
     report = graphs.verify_lindsey(
         args.alternatives, args.copies, exhaustive=not args.lex_only
     )
-    _emit(args, _config_from(args, "isoperimetry"), report.describe())
+    _emit(args, report.describe())
     return 0 if report.holds else 3
 
 
@@ -254,13 +229,13 @@ def _cmd_hypercontractivity(args) -> int:
                                f"[1, {verify.MAX_CUBE_BITS}]")
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
-    rho = parse_frac(args.rho)
+    rho = Fraction(args.rho)
     size = 1 << args.bits
     if args.b1 or args.b2:
         B1 = [int(x) for x in args.b1.split(",")] if args.b1 else []
         B2 = [int(x) for x in args.b2.split(",")] if args.b2 else []
         report = verify.verify_reverse_hypercontractivity(args.bits, rho, B1, B2)
-        _emit(args, _config_from(args, "hypercontractivity"), report.describe())
+        _emit(args, report.describe())
         return 0 if report.holds else 3
     sample_rows = []
     for t in range(args.pairs):
@@ -277,7 +252,7 @@ def _cmd_hypercontractivity(args) -> int:
         "holds": not sample_rows,
         "failing_reports": sample_rows[:10],
     }
-    _emit(args, _config_from(args, "hypercontractivity"), result)
+    _emit(args, result)
     return 3 if sample_rows else 0
 
 
@@ -328,10 +303,10 @@ def _verify_run(args, tasks: int):
         if statement in verify.MAIN_THEOREMS:
             reports = verify.verify_main_theorems(measured, (statement,))
         elif statement in ("2.1", "5.3", "6.1"):
-            eps = parse_frac(args.epsilon) if args.epsilon is not None else None
+            eps = Fraction(args.epsilon) if args.epsilon is not None else None
             reports = [verify.verify_lemma_influences(measured, eps, statement)]
         else:
-            alpha = parse_frac(args.alpha) if args.alpha is not None else None
+            alpha = Fraction(args.alpha) if args.alpha is not None else None
             reports = [verify.verify_thm_1_5(measured, alpha)]
         return ({"reports": [r.describe() for r in reports]},
                 [r for r in reports if not r.holds], f)
@@ -342,7 +317,7 @@ def _verify_run(args, tasks: int):
 
 def _cmd_verify(args) -> int:
     result, failed, f = _verify_run(args, args.tasks)
-    _emit(args, _config_from(args, "verify"), result)
+    _emit(args, result)
     if failed:
         verify.write_counterexample(failed[0], f, args.bundle_dir)
         return 3
@@ -356,10 +331,10 @@ def _cmd_verify(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_scf: bool = True) -> None:
     parser.add_argument("--tasks", type=int, default=None,
                         help="task count (MANIP_TASKS overrides; results never depend on it)")
-    parser.add_argument("--cap", type=int, default=scf.DEFAULT_TABLE_CAP,
-                        help="enumeration cap on (k!)^n table entries")
     parser.add_argument("-o", "--output", default=None, help="report path (default stdout)")
     if with_scf:
+        parser.add_argument("--cap", type=int, default=scf.DEFAULT_TABLE_CAP,
+                            help="enumeration cap on (k!)^n table entries")
         parser.add_argument("--rule", default=None,
                             help="plurality | borda | constant:A | top:I[:H,H,...] | "
                                  "random:SEED | monotone-random:SEED (ids 1-based)")
@@ -458,10 +433,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.tasks = engine.effective_tasks(args.tasks)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CapExceededError as exc:

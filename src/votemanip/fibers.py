@@ -28,6 +28,7 @@ from .rankings import (
     adjacent_swap_neighbors,
     all_rankings,
     check_alternatives,
+    check_coordinate,
     class_tables,
     decode_profile,
     indicator,
@@ -53,7 +54,7 @@ def preference_vector(profile: Profile, a: int, b: int) -> tuple[int, ...]:
 
 def deleted_preference_vector(profile: Profile, i: int, a: int, b: int) -> tuple[int, ...]:
     """The preference vector with coordinate i removed."""
-    _check_coordinate(len(profile), i)
+    check_coordinate(len(profile), i)
     full = preference_vector(profile, a, b)
     return full[:i] + full[i + 1:]
 
@@ -110,12 +111,10 @@ def _coordinate_choices(n: int, k: int, pair: tuple[int, int], key: Sequence[int
                         variant: FiberVariant, i: int):
     """Per-coordinate rank lists whose product enumerates the fiber."""
     a, b = pair
-    bits = _key_bits(n, variant)
-    if len(key) != bits:
-        raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
+    _check_key(n, key, variant)
     choices = [ranks_preferring(k, *((a, b) if bit > 0 else (b, a))) for bit in key]
     if variant is FiberVariant.REFINED:
-        _check_coordinate(n, i)
+        check_coordinate(n, i)
         choices.insert(i, tuple(r for r, _s in ranks_adjacent_above(k, a, b)))
     return choices
 
@@ -136,13 +135,14 @@ def fiber_member_count(n: int, k: int, variant: FiberVariant) -> int:
     return factorial(k - 1) * half ** (n - 1)
 
 
-def _check_coordinate(n: int, i: int) -> None:
-    if not 0 <= i < n:
-        raise ValueError("coordinate out of range")
-
-
 def _key_bits(n: int, variant: FiberVariant) -> int:
     return n if variant is FiberVariant.PLAIN else n - 1
+
+
+def _check_key(n: int, key: Sequence[int], variant: FiberVariant) -> None:
+    bits = _key_bits(n, variant)
+    if len(key) != bits:
+        raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
 
 
 def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
@@ -154,9 +154,7 @@ def boundary_fiber(f: SCF, i: int, pair: tuple[int, int], key: Sequence[int],
     and swapping the adjacent a-b block in coordinate i yields b. The record
     is read from :func:`fiber_sweep`, which checks the coordinate and the pair.
     """
-    bits = _key_bits(f.n, variant)
-    if len(key) != bits:
-        raise ValueError(f"{variant.value} fiber key needs {bits} bits, got {len(key)}")
+    _check_key(f.n, key, variant)
     # Records are in key-mask order: bit j is set where key[j] is +1.
     return fiber_sweep(f, i, pair, variant, gamma)[
         sum(1 << j for j, bit in enumerate(key) if bit > 0)]
@@ -174,7 +172,7 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     ``A_r & (B_0 | B_1 | ...)``. Refined: r with a directly above b, swapped
     to s, is on it in ``A_r & B_s``.
     """
-    _check_coordinate(f.n, i)
+    check_coordinate(f.n, i)
     check_alternatives(f.k, *pair)
     a, b = pair
     n, k = f.n, f.k
@@ -220,7 +218,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     runs over all k! rankings), the outcome must equal the higher-ranked of
     {a, b} in coordinate i with probability at least 1 - 2k*gamma.
     """
-    _check_coordinate(f.n, i)
+    check_coordinate(f.n, i)
     check_alternatives(f.k, a, b)
     if len(profile) != f.n:
         raise ValueError(f"profile needs {f.n} rankings, got {len(profile)}")
@@ -238,7 +236,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
 def is_local_dictator(f: SCF, profile: Profile, i: int, H) -> bool:
     """H forms an adjacent block in coordinate i and every within-block
     rearrangement elects the block's top H-member."""
-    _check_coordinate(f.n, i)
+    check_coordinate(f.n, i)
     subset = sorted(set(H))
     if not subset:
         raise ValueError("H must be nonempty")

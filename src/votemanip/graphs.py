@@ -4,10 +4,13 @@ Two graphs live on the profile space: the coarse graph joins profiles that
 differ in exactly one coordinate, the refined graph additionally requires the
 differing coordinate to move by a single adjacent transposition. Boundary
 sets between outcomes are enumerated exactly, streaming in profile-index
-order, from a byte search of the table. Boundary sizes are not enumerated:
-they are reads of a coordinate's edge counts, :func:`transition_counts` for the
-coarse graph and :func:`refined_edge_counts` for the refined one, each counted
-over the byte lanes of voter i's rank parts (:func:`rankings.rank_classes`).
+order, from a byte search of the table. Boundary sizes and influences are not
+enumerated: they are reads of a coordinate's edge counts,
+:func:`transition_counts` for the coarse graph and :func:`refined_edge_counts`
+for the refined one, each counted over the byte lanes of voter i's rank parts
+(:func:`rankings.rank_classes`). :func:`coordinate_influences` makes each
+count on its first read and holds the one checked read of both,
+:meth:`CoordinateInfluences.count`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Optional
@@ -26,12 +30,15 @@ from .rankings import (
     Profile,
     adjacent_swap_neighbors,
     all_rankings,
+    check_alternatives,
+    check_coordinate,
     class_tables,
     decode_profile,
     encode_profile,
     indicator,
     lane_int,
     pair_lanes,
+    profile_space_size,
     profile_strides,
     rank_classes,
     ranking_rank_of,
@@ -87,8 +94,7 @@ class BoundarySpec:
     def __post_init__(self):
         if self.b is not None and self.a == self.b:
             raise ValueError("boundary needs two distinct outcomes")
-        if self.z is not None and self.kind is not GraphKind.REFINED:
-            raise ValueError("transposition-restricted boundaries are refined-graph only")
+        _check_kind(self.z, self.kind)
 
     def describe(self) -> dict:
         d = {
@@ -113,19 +119,30 @@ def _edge_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition]):
                  for moves in adjacent_swap_neighbors(k))
 
 
-def _check_spec(f: SCF, spec: BoundarySpec) -> None:
-    if not 0 <= spec.i < f.n:
-        raise ValueError("coordinate out of range")
-    named = (spec.a, spec.b) + ((spec.z.a, spec.z.b) if spec.z else ())
-    if not all(x is None or 0 <= x < f.k for x in named):
-        raise ValueError(f"alternatives must lie in 0..{f.k - 1}")
+def _check_kind(z: Optional[AdjacentTransposition], kind: GraphKind) -> None:
+    if z is not None and kind is not GraphKind.REFINED:
+        raise ValueError("transposition-restricted boundaries are refined-graph only")
+
+
+def _check_edges(k: int, a: int, b: Optional[int], z: Optional[AdjacentTransposition],
+                 kind: GraphKind) -> None:
+    """Refuse a selection of edges from outcome a (to b, under z, when set) that
+    :class:`BoundarySpec` refuses, or whose alternatives lie outside ``0..k-1``."""
+    _check_kind(z, kind)
+    if b is None:
+        check_alternatives(k, a)
+    else:
+        check_alternatives(k, a, b)
+    if z is not None:
+        check_alternatives(k, z.a, z.b)
 
 
 def _spec_partners(f: SCF, spec: BoundarySpec):
     """The table, and a function listing p's partners, in edge order, that leave
     outcome a (for b, when b is set): an edge from voter i's rank
     ``r = p // stride % k!`` to ``dest`` reaches ``p + (dest - r) * stride``."""
-    _check_spec(f, spec)
+    check_coordinate(f.n, spec.i)
+    _check_edges(f.k, spec.a, spec.b, spec.z, spec.kind)
     table = f.table()
     fact = factorial(f.k)
     stride = profile_strides(f.n, f.k)[spec.i]
@@ -156,13 +173,7 @@ def boundary(f: SCF, spec: BoundarySpec) -> list[tuple[Profile, Profile]]:
 
 def boundary_count(f: SCF, spec: BoundarySpec) -> int:
     """Size of the boundary :func:`boundary` lists, read from one count pass."""
-    _check_spec(f, spec)
-    if spec.kind is GraphKind.COARSE:
-        row = transition_counts(f, spec.i)[spec.a]
-        return sum(row) - row[spec.a] if spec.b is None else row[spec.b]
-    z = None if spec.z is None else (min(spec.z.a, spec.z.b), max(spec.z.a, spec.z.b))
-    return sum(c for (a, b, w), c in refined_edge_counts(f, spec.i).items()
-               if a == spec.a and (spec.b is None or b == spec.b) and (z is None or w == z))
+    return coordinate_influences(f, spec.i).count(spec.a, spec.b, spec.z, spec.kind)
 
 
 # Headroom: transition_counts sums indicator lanes over at most this many rank
@@ -225,6 +236,75 @@ def refined_edge_counts(f: SCF, i: int) -> dict:
                         counts[a, b, (c, d)] += edges
                         counts[b, a, (c, d)] += edges
     return dict(counts)
+
+
+class CoordinateInfluences:
+    """Coordinate i's edge counts and the influences read from them.
+
+    Each count is made on its first read: ``moves``, :func:`transition_counts`,
+    for a coarse read, and ``edges``, :func:`refined_edge_counts`, for a refined
+    one. :meth:`count` is the one checked read of both. A coarse influence is
+    a count of (profile, ranking) pairs over ``size * k!``; a refined one is a
+    count of directed refined edges over ``2 * size``. These two denominators
+    are kept here only.
+    """
+
+    def __init__(self, f: SCF, i: int):
+        check_coordinate(f.n, i)
+        self.f, self.i, self.k = f, i, f.k
+        self.size = profile_space_size(f.n, f.k)
+
+    @cached_property
+    def moves(self) -> list[list[int]]:
+        return transition_counts(self.f, self.i)
+
+    @cached_property
+    def edges(self) -> dict:
+        return refined_edge_counts(self.f, self.i)
+
+    def count(self, a: int, b: Optional[int] = None, z: Optional[AdjacentTransposition] = None,
+              kind: GraphKind = GraphKind.COARSE) -> int:
+        """Edges leaving outcome a (for b, under z, when set): the size of the
+        boundary ``BoundarySpec(i, a, b, z, kind)`` selects."""
+        _check_edges(self.k, a, b, z, kind)
+        if kind is GraphKind.COARSE:
+            row = self.moves[a]
+            return sum(row) - row[a] if b is None else row[b]
+        w = None if z is None else (min(z.a, z.b), max(z.a, z.b))
+        return sum(c for (x, y, v), c in self.edges.items()
+                   if x == a and (b is None or y == b) and (w is None or v == w))
+
+    def _coarse(self, count: int) -> Fraction:
+        return Fraction(count, self.size * factorial(self.k))
+
+    def _refined(self, count: int) -> Fraction:
+        return Fraction(count, 2 * self.size)
+
+    def pair(self, a: int, b: int) -> Fraction:
+        """Probability the outcome moves from a to b."""
+        return self._coarse(self.count(a, b))
+
+    def target(self, a: int) -> Fraction:
+        """Probability the outcome is a and leaves a."""
+        return self._coarse(self.count(a))
+
+    def total(self) -> Fraction:
+        """Probability the outcome changes."""
+        return self._coarse(sum(self.count(a) for a in range(self.k)))
+
+    def refined(self, a: int, b: int, z: AdjacentTransposition) -> Fraction:
+        """Half the mass of profiles where applying z moves the outcome from a to b."""
+        return self._refined(self.count(a, b, z, GraphKind.REFINED))
+
+    def refined_all(self, a: int, b: int) -> Fraction:
+        """The refined influence of a to b summed over all adjacent transpositions."""
+        return self._refined(self.count(a, b, kind=GraphKind.REFINED))
+
+
+def coordinate_influences(f: SCF, i: int) -> CoordinateInfluences:
+    """Coordinate i's influences: the coordinate is checked at once, and each
+    read pays only for the count pass it needs, one per kind."""
+    return CoordinateInfluences(f, i)
 
 
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec) -> bool:

@@ -1,4 +1,6 @@
-"""Exact distances, influences, and monotone Boolean repair.
+"""Exact distances between SCFs and to the nonmanipulable families, and the
+monotone Boolean repair (an exact minimum cut) that the two-valued branch uses.
+Influences are reads of the edge counts in :mod:`graphs`.
 
 Every quantity here is an exact rational over arbitrary-precision integers.
 The bounds this library verifies reach scales like 10^-39, far below float
@@ -13,10 +15,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .graphs import refined_edge_counts, transition_counts
 from .rankings import (
-    AdjacentTransposition,
-    check_alternatives,
     fiber_outcome_counts,
     pair_lanes,
     rank_outcome_counts,
@@ -37,10 +36,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def distance(f: SCF, g: SCF) -> Fraction:
     """Fraction of profiles on which the two SCFs disagree: all but the bytes
     ``a << 4 | a = 17a`` of the tables paired by :func:`rankings.pair_lanes`."""
@@ -50,93 +45,6 @@ def distance(f: SCF, g: SCF) -> Fraction:
     pairs = pair_lanes(int.from_bytes(ft, "little"), int.from_bytes(gt, "little"), len(ft))
     agreements = sum(pairs.count(17 * a) for a in range(f.k))
     return Fraction(len(ft) - agreements, len(ft))
-
-
-# ---------------------------------------------------------------------------
-# Influences.
-
-
-@dataclass(frozen=True)
-class CoordinateInfluences:
-    """The influences of one coordinate, read from its count passes.
-
-    ``moves`` is :func:`graphs.transition_counts`, present when built with ``coarse``;
-    ``edges`` is :func:`graphs.refined_edge_counts`, present when built with
-    ``refined``. A coarse influence is a count of (profile, ranking) pairs over
-    ``size * k!``; a refined one is a count of directed refined edges over
-    ``2 * size``. These two denominators are kept here only.
-    """
-
-    k: int
-    size: int
-    moves: Optional[list[list[int]]] = None
-    edges: Optional[dict] = None
-
-    def _coarse(self, count: int) -> Fraction:
-        return Fraction(count, self.size * factorial(self.k))
-
-    def pair(self, a: int, b: int) -> Fraction:
-        """Probability the outcome moves from a to b."""
-        return self._coarse(self.moves[a][b])
-
-    def target(self, a: int) -> Fraction:
-        """Probability the outcome is a and leaves a."""
-        row = self.moves[a]
-        return self._coarse(sum(row) - row[a])
-
-    def total(self) -> Fraction:
-        """Probability the outcome changes."""
-        return self._coarse(sum(sum(row) - row[a] for a, row in enumerate(self.moves)))
-
-    def refined(self, a: int, b: int, z: AdjacentTransposition) -> Fraction:
-        """Half the mass of profiles where applying z moves the outcome from a to b."""
-        key = (a, b, (min(z.a, z.b), max(z.a, z.b)))
-        return Fraction(self.edges.get(key, 0), 2 * self.size)
-
-    def refined_all(self, a: int, b: int) -> Fraction:
-        """The refined influence of a to b summed over all adjacent transpositions."""
-        count = sum(c for (x, y, _z), c in self.edges.items() if (x, y) == (a, b))
-        return Fraction(count, 2 * self.size)
-
-
-def coordinate_influences(f: SCF, i: int, coarse: bool = True,
-                          refined: bool = False) -> CoordinateInfluences:
-    """Coordinate i's influences from one table pass per requested kind."""
-    return CoordinateInfluences(
-        k=f.k, size=len(f.table()),
-        moves=transition_counts(f, i) if coarse else None,
-        edges=refined_edge_counts(f, i) if refined else None,
-    )
-
-
-def influence_total(f: SCF, i: int) -> Fraction:
-    """Probability that rerandomizing coordinate i changes the outcome."""
-    return coordinate_influences(f, i).total()
-
-
-def influence_target(f: SCF, i: int, a: int) -> Fraction:
-    """Probability the outcome is a and leaves a when coordinate i rerandomizes."""
-    check_alternatives(f.k, a)
-    return coordinate_influences(f, i).target(a)
-
-
-def influence_pair(f: SCF, i: int, a: int, b: int) -> Fraction:
-    """Probability the outcome moves from a to b under rerandomizing coordinate i."""
-    check_alternatives(f.k, a, b)
-    return coordinate_influences(f, i).pair(a, b)
-
-
-def influence_refined(f: SCF, i: int, a: int, b: int, z: AdjacentTransposition) -> Fraction:
-    """Half the mass of profiles where applying z in coordinate i moves a to b."""
-    check_alternatives(f.k, a, b)
-    check_alternatives(f.k, z.a, z.b)
-    return coordinate_influences(f, i, coarse=False, refined=True).refined(a, b, z)
-
-
-def influence_refined_total(f: SCF, i: int, a: int, b: int) -> Fraction:
-    """Sum of the refined influence over all adjacent transpositions."""
-    check_alternatives(f.k, a, b)
-    return coordinate_influences(f, i, coarse=False, refined=True).refined_all(a, b)
 
 
 # ---------------------------------------------------------------------------

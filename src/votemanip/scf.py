@@ -19,6 +19,7 @@ from .rankings import (
     Ranking,
     check_alternatives,
     check_cap,
+    check_coordinate,
     class_tables,
     digits_index,
     fiber_outcome_counts,
@@ -209,8 +210,7 @@ class TopHDictator(SCF):
 
     def __init__(self, n: int, k: int, i: int, H, *, cap: int = DEFAULT_TABLE_CAP):
         super().__init__(n, k, cap=cap)
-        if not 0 <= i < n:
-            raise ValueError("dictator coordinate out of range")
+        check_coordinate(n, i)
         subset = frozenset(H)
         if not subset:
             raise ValueError("H must be nonempty")
@@ -244,8 +244,7 @@ class OneCoordinate(SCF):
 
     def __init__(self, n: int, k: int, i: int, outcomes, *, cap: int = DEFAULT_TABLE_CAP):
         super().__init__(n, k, cap=cap)
-        if not 0 <= i < n:
-            raise ValueError("coordinate out of range")
+        check_coordinate(n, i)
         outcomes = tuple(outcomes)
         if len(outcomes) != factorial(k):
             raise ValueError(f"need one outcome per ranking, got {len(outcomes)}")
@@ -345,8 +344,7 @@ def induced_one_voter(f: SCF, i: int, rest: tuple[Ranking, ...]) -> TableSCF:
 
     ``rest`` lists the other voters' rankings in their original voter order.
     """
-    if not 0 <= i < f.n:
-        raise ValueError("coordinate out of range")
+    check_coordinate(f.n, i)
     if len(rest) != f.n - 1:
         raise ValueError(f"expected {f.n - 1} fixed coordinates, got {len(rest)}")
     head = tuple(r.order for r in rest[:i])

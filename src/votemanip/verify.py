@@ -35,18 +35,11 @@ from typing import Optional
 
 from . import engine
 from .errors import CapExceededError
-from .fibers import pairwise_preference_correlation
+from .graphs import coordinate_influences
 from .manip import ManipulationCensus, census, check_window_tables, nonmanip_membership
-from .metrics import (
-    coordinate_influences,
-    distance_to_nonmanip,
-    distance_to_nonmanip_bar,
-    frac_str,
-)
+from .metrics import distance_to_nonmanip, distance_to_nonmanip_bar, frac_str
 from .rankings import AdjacentTransposition, check_cap
 from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
-
-RHO_PREFERENCE_PAIRS = Fraction(1, 3)
 
 # Largest cube dimension the reverse hypercontractivity check enumerates.
 MAX_CUBE_BITS = 10
@@ -234,7 +227,7 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
     f = measured.f
     qualifying = []
     for i in range(f.n):
-        inf = coordinate_influences(f, i, coarse=not refined, refined=refined)
+        inf = coordinate_influences(f, i)
         for a in range(f.k):
             for b in range(a + 1, f.k):
                 value = (inf.refined(a, b, AdjacentTransposition(a, b)) if refined
@@ -424,14 +417,6 @@ def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2) -> Verifica
     )
 
 
-def preference_correlation_check(ks=(3, 4, 5)) -> bool:
-    """The rho = 1/3 preset equals the enumerated pairwise preference correlation."""
-    for k in ks:
-        if pairwise_preference_correlation(k, 0, 1, 2) != RHO_PREFERENCE_PAIRS:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Sweeps.
 
@@ -558,13 +543,6 @@ def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
         label=f"random-table sweep, n={n}, k={k}, statements 1.2 + 2.1 + 1.5",
         total=count, passed=count - len(failures), failures=failures,
         stats={"seed": seed},
-    )
-
-
-def report_lines(reports) -> str:
-    """Serialize verification reports as JSON lines, one report per line."""
-    return "".join(
-        json.dumps(r.describe(), sort_keys=True) + "\n" for r in reports
     )
 
 

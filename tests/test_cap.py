@@ -25,6 +25,7 @@ from votemanip.graphs import (
     GraphKind,
     boundary,
     boundary_count,
+    coordinate_influences,
     is_on_boundary,
     iter_boundary_index_pairs,
     refined_edge_counts,
@@ -37,17 +38,7 @@ from votemanip.manip import (
     nonmanip_membership,
     sample_success,
 )
-from votemanip.metrics import (
-    coordinate_influences,
-    distance,
-    distance_to_nonmanip,
-    distance_to_nonmanip_bar,
-    influence_pair,
-    influence_refined,
-    influence_refined_total,
-    influence_target,
-    influence_total,
-)
+from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.rankings import AdjacentTransposition, decode_profile
 from votemanip.scf import (
     DEFAULT_TABLE_CAP,
@@ -116,12 +107,13 @@ CONSUMERS = {
     "nonmanip_membership": (borda, lambda f: as_scf(nonmanip_membership(f))),
     "gs_classify": (borda, lambda f: gs_classify(f).describe()),
     "distance": (borda, lambda f: distance(f, Borda(3, 3))),
-    "coordinate_influences": (borda, lambda f: coordinate_influences(f, 0, refined=True)),
-    "influence_total": (borda, lambda f: influence_total(f, 1)),
-    "influence_target": (borda, lambda f: influence_target(f, 1, 2)),
-    "influence_pair": (borda, lambda f: influence_pair(f, 2, 1, 0)),
-    "influence_refined": (borda, lambda f: influence_refined(f, 0, 0, 1, Z)),
-    "influence_refined_total": (borda, lambda f: influence_refined_total(f, 0, 1, 2)),
+    "coordinate_influences": (borda, lambda f: [
+        (inf := coordinate_influences(f, 0)).moves, inf.edges]),
+    "influence_total": (borda, lambda f: coordinate_influences(f, 1).total()),
+    "influence_target": (borda, lambda f: coordinate_influences(f, 1).target(2)),
+    "influence_pair": (borda, lambda f: coordinate_influences(f, 2).pair(1, 0)),
+    "influence_refined": (borda, lambda f: coordinate_influences(f, 0).refined(0, 1, Z)),
+    "influence_refined_total": (borda, lambda f: coordinate_influences(f, 0).refined_all(1, 2)),
     "distance_to_nonmanip": (borda, lambda f: distance_to_nonmanip(f).describe()),
     "distance_to_nonmanip_bar": (borda, lambda f: distance_to_nonmanip_bar(f).describe()),
     "is_anonymous": (borda, is_anonymous),

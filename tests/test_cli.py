@@ -299,6 +299,24 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         assert calls == [rank_classes(3, 3, 2)]
 
 
+def test_coordinate_influences_count_each_kind_on_its_first_read(monkeypatch):
+    # No split on construction; the coarse reads share one split by the
+    # coordinate's rank, and the refined reads add one.
+    from votemanip.graphs import GraphKind, coordinate_influences
+    from votemanip.rankings import AdjacentTransposition, rank_classes
+
+    calls = _count_passes(monkeypatch)
+    inf = coordinate_influences(scf.Borda(3, 3), 1)
+    assert calls == []
+    for _ in range(2):
+        inf.pair(0, 1), inf.target(2), inf.total(), inf.count(1, 0)
+        assert calls == [rank_classes(3, 3, 1)]
+    for _ in range(2):
+        inf.refined(0, 1, AdjacentTransposition(0, 1)), inf.refined_all(0, 2)
+        inf.count(2, kind=GraphKind.REFINED)
+        assert calls == [rank_classes(3, 3, 1)] * 2
+
+
 def test_dictator_sets_make_one_split_and_boundary_pairs_none(monkeypatch):
     # Three supersets of {1, 2} at k = 4 share the one split by voter 1's rank.
     from votemanip import fibers, graphs
@@ -318,6 +336,18 @@ def test_dictator_sets_make_one_split_and_boundary_pairs_none(monkeypatch):
         assert list(graphs.iter_boundary_index_pairs(f, spec))
         graphs.is_on_boundary(f, decode_profile(3, 4, 0), spec)
     assert calls == []
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["isoperimetry", "-k", "2", "--copies", "2"], {"k": 2}),
+    (["hypercontractivity", "--bits", "2", "--pairs", "3"], {"seed": 0}),
+])
+def test_calls_without_a_table_take_and_echo_no_cap(argv, config):
+    # Their limits are constants of their own, so --cap would bound nothing.
+    code, doc = run_json(argv)
+    assert code == 0 and doc["config"] == {"command": argv[0], **config}
+    code, out = run_cli([*argv, "--cap", "1"])
+    assert code == 1 and out == ""
 
 
 def test_isoperimetry_rejects_zero_copies():

@@ -34,19 +34,13 @@ from votemanip.graphs import (
     GraphKind,
     boundary,
     boundary_count,
+    coordinate_influences,
     is_on_boundary,
     refined_edge_counts,
-)
-from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
-from votemanip.metrics import (
-    distance,
-    distance_to_nonmanip,
-    distance_to_nonmanip_bar,
-    influence_pair,
-    influence_target,
-    influence_total,
     transition_counts,
 )
+from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
+from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.rankings import (
     AdjacentTransposition,
     class_tables,
@@ -301,11 +295,12 @@ def test_influences_and_boundaries_match_oracle(subject):
         assert refined_edge_counts(f, i) == {
             key: c for key, c in edges.items() if key[0] != key[1]}
 
+        inf = coordinate_influences(f, i)
         changed = sum(c for (x, y), c in moves.items() if x != y)
-        assert influence_total(f, i) * size * fact == changed
+        assert inf.total() * size * fact == changed
         for a in range(k):
             leaving = sum(c for (x, y), c in moves.items() if x == a and y != a)
-            assert influence_target(f, i, a) * size * fact == leaving
+            assert inf.target(a) * size * fact == leaving
             assert boundary_count(f, BoundarySpec(i=i, a=a)) == leaving
             refined_leaving = sum(c for (x, y, _z), c in edges.items() if x == a and y != a)
             assert boundary_count(
@@ -313,7 +308,7 @@ def test_influences_and_boundaries_match_oracle(subject):
             for b in range(k):
                 if b == a:
                     continue
-                assert influence_pair(f, i, a, b) * size * fact == moves.get((a, b), 0)
+                assert inf.pair(a, b) * size * fact == moves.get((a, b), 0)
                 assert boundary_count(f, BoundarySpec(i=i, a=a, b=b)) == moves.get((a, b), 0)
                 for z in combinations(range(k), 2):
                     spec = BoundarySpec(i=i, a=a, b=b, z=AdjacentTransposition(*z),

@@ -7,6 +7,7 @@ from votemanip.graphs import (
     GraphKind,
     boundary,
     boundary_count,
+    coordinate_influences,
     edge_boundary,
     is_on_boundary,
     neighbors,
@@ -75,6 +76,54 @@ def test_top_dictator_refined_pair_boundaries():
 def test_boundary_functions_reject_inputs_outside_the_rule(call):
     with pytest.raises(ValueError):
         call(Plurality(2, 3))
+
+
+# Reads of coordinate 0's counts, each given a, b, a transposition z and a
+# kind, and using those it takes.
+COUNT_READS = {
+    "count": lambda f, a, b, z, kind: coordinate_influences(f, 0).count(a, b, z, kind),
+    "boundary_count": lambda f, a, b, z, kind: boundary_count(f, BoundarySpec(0, a, b, z, kind)),
+    "pair": lambda f, a, b, z, kind: coordinate_influences(f, 0).pair(a, b),
+    "refined": lambda f, a, b, z, kind: coordinate_influences(f, 0).refined(
+        a, b, z or AdjacentTransposition(0, 1)),
+    "refined_all": lambda f, a, b, z, kind: coordinate_influences(f, 0).refined_all(a, b),
+    "target": lambda f, a, b, z, kind: coordinate_influences(f, 0).target(a),
+}
+SPECS = ("count", "boundary_count")
+PAIRS = (*SPECS, "pair", "refined", "refined_all")
+COARSE, REFINED = GraphKind
+# case -> (a, b, z, kind), and the reads that take all of them.
+BAD_SELECTIONS = {
+    "equal pair": ((0, 0, None, COARSE), PAIRS),
+    "equal refined pair": ((1, 1, None, REFINED), SPECS),
+    "negative a": ((-1, 0, None, COARSE), (*PAIRS, "target")),
+    "negative b": ((0, -1, None, REFINED), PAIRS),
+    "a past k": ((3, None, None, REFINED), (*SPECS, "target")),
+    "b past k": ((0, 7, None, COARSE), PAIRS),
+    "z past k": ((0, 1, AdjacentTransposition(0, 9), REFINED), (*SPECS, "refined")),
+    "negative z": ((0, 1, AdjacentTransposition(-1, 0), REFINED), (*SPECS, "refined")),
+    "z on a coarse read": ((0, 1, AdjacentTransposition(0, 1), COARSE), SPECS),
+}
+
+
+@pytest.mark.parametrize("read, case", [
+    (read, case) for case, (_selection, reads) in BAD_SELECTIONS.items() for read in reads])
+def test_every_count_read_refuses_a_selection_outside_the_rule(read, case):
+    # Unchecked, pair(0, 0) reads the diagonal, a negative id indexes from the
+    # end, and an id past k gives IndexError or a count of 0.
+    selection, _reads = BAD_SELECTIONS[case]
+    with pytest.raises(ValueError):
+        COUNT_READS[read](Plurality(2, 3), *selection)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_coordinate_influences_checks_the_coordinate_at_once(monkeypatch, i):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(Plurality, "_build_table", refuse)
+    with pytest.raises(ValueError, match="coordinate out of range"):
+        coordinate_influences(Plurality(2, 3), i)
 
 
 def test_boundary_pairs_check_the_spec_when_called():

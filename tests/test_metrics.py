@@ -7,19 +7,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from votemanip.errors import CapExceededError
 from votemanip.fibers import FiberVariant, boundary_fiber, fiber_sweep
+from votemanip.graphs import coordinate_influences
 from votemanip.metrics import (
     distance,
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
-    influence_pair,
-    influence_refined,
-    influence_refined_total,
-    influence_target,
-    influence_total,
     monotone_violation_fraction,
     nearest_monotone_boolean,
-    parse_frac,
 )
 from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
@@ -37,7 +32,7 @@ from votemanip.scf import (
 
 def test_frac_round_trip():
     assert frac_str(Fraction(3, 12)) == "1/4"
-    assert parse_frac("7/9") == Fraction(7, 9)
+    assert Fraction(frac_str(Fraction(7, 9))) == Fraction(7, 9)
 
 
 def test_distance_basics():
@@ -162,19 +157,20 @@ def test_family_ordering_and_witness_identity(seed):
 
 
 def test_influence_examples():
-    assert influence_total(Constant(2, 3, 0), 0) == 0
+    assert coordinate_influences(Constant(2, 3, 0), 0).total() == 0
     top = TopHDictator(2, 3, 0, range(3))
-    assert influence_total(top, 1) == 0
-    assert influence_total(top, 0) == Fraction(2, 3)  # 1 - 1/k at k=3
+    assert coordinate_influences(top, 1).total() == 0
+    assert coordinate_influences(top, 0).total() == Fraction(2, 3)  # 1 - 1/k at k=3
 
 
 def test_influence_identities():
     f = random_table_scf(2, 3, 55)
     for i in range(2):
-        total = influence_total(f, i)
-        assert total == sum(influence_target(f, i, a) for a in range(3))
+        inf = coordinate_influences(f, i)
+        total = inf.total()
+        assert total == sum(inf.target(a) for a in range(3))
         assert total == sum(
-            influence_pair(f, i, a, b)
+            inf.pair(a, b)
             for a in range(3) for b in range(3) if a != b
         )
 
@@ -182,9 +178,9 @@ def test_influence_identities():
 @pytest.mark.parametrize("call", [
     lambda f, a, b: fiber_sweep(f, 0, (a, b), FiberVariant.PLAIN, Fraction(1, 4)),
     lambda f, a, b: boundary_fiber(f, 1, (a, b), (1,), FiberVariant.REFINED, Fraction(1, 4)),
-    lambda f, a, b: influence_pair(f, 0, a, b),
-    lambda f, a, b: influence_refined(f, 0, a, b, AdjacentTransposition(0, 1)),
-    lambda f, a, b: influence_refined_total(f, 0, a, b),
+    lambda f, a, b: coordinate_influences(f, 0).pair(a, b),
+    lambda f, a, b: coordinate_influences(f, 0).refined(a, b, AdjacentTransposition(0, 1)),
+    lambda f, a, b: coordinate_influences(f, 0).refined_all(a, b),
     lambda f, a, b: PairBooleanSCF(2, 3, (a, b), [0, 0, 0, 0]),
 ], ids=["fiber_sweep", "boundary_fiber", "influence_pair", "influence_refined",
         "influence_refined_total", "PairBooleanSCF"])
@@ -196,8 +192,8 @@ def test_a_pair_must_be_two_distinct_alternatives(call, pair):
 
 
 @pytest.mark.parametrize("call", [
-    lambda f, a: influence_target(f, 0, a),
-    lambda f, a: influence_refined(f, 0, 0, 1, AdjacentTransposition(1, a)),
+    lambda f, a: coordinate_influences(f, 0).target(a),
+    lambda f, a: coordinate_influences(f, 0).refined(0, 1, AdjacentTransposition(1, a)),
 ], ids=["influence_target", "influence_refined transposition"])
 @pytest.mark.parametrize("a", [3, 7, -1])
 def test_an_alternative_must_lie_in_range(call, a):
@@ -207,7 +203,7 @@ def test_an_alternative_must_lie_in_range(call, a):
 
 def test_influence_pair_matches_oracle():
     f = random_table_scf(2, 3, 60)
-    got = influence_pair(f, 1, 0, 2)
+    got = coordinate_influences(f, 1).pair(0, 2)
     want = oracles.influence_pair_fraction(
         lambda prof: f.evaluate_orders(prof), 2, 3, 1, 0, 2
     )
@@ -234,14 +230,14 @@ def test_influence_refined_against_direct_count():
                 q = p[:i] + (apply_adjacent_transposition(p[i], z),) + p[i + 1:]
                 if f.evaluate(q) == b:
                     hits += 1
-            assert influence_refined(f, i, a, b, z) == Fraction(hits, 2 * 36)
+            assert coordinate_influences(f, i).refined(a, b, z) == Fraction(hits, 2 * 36)
 
 
 def test_influence_refined_sums_over_transpositions():
     f = random_table_scf(2, 3, 61)
-    total = influence_refined_total(f, 0, 1, 2)
+    total = coordinate_influences(f, 0).refined_all(1, 2)
     split = sum(
-        influence_refined(f, 0, 1, 2, AdjacentTransposition(a, b))
+        coordinate_influences(f, 0).refined(1, 2, AdjacentTransposition(a, b))
         for a in range(3) for b in range(a + 1, 3)
     )
     assert total == split

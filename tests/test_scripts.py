@@ -77,9 +77,10 @@ def test_report_digest_lines_match_the_reports():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # Per rule: four reports, two fiber sweeps, two local-dictator pairs; then
-    # three per table file, the two sweeps, and the cap's edges: eight Borda
-    # calls at two caps, two top:1 calls at two caps and one table file.
-    assert len(lines) == 2 * 8 + 2 * 3 + 2 + (2 * 8 + 2 * 2 + 1)
+    # three per table file, the two sweeps, eight statements at two shapes on
+    # two rules, and the cap's edges: eight Borda calls at two caps, two top:1
+    # calls at two caps and one table file.
+    assert len(lines) == 2 * 8 + 2 * 3 + 2 + 8 * 2 * 2 + (2 * 8 + 2 * 2 + 1)
     empty = hashlib.sha256(b"").hexdigest()[:16]
     refused = [line for line in lines if line.endswith(("--cap 215", "--cap 29"))]
     assert len(refused) == 8 + 2 + 1

@@ -10,7 +10,8 @@ import pytest
 from votemanip import verify
 from votemanip.errors import CapExceededError
 from votemanip.manip import census
-from votemanip.metrics import frac_str, influence_pair, influence_refined
+from votemanip.graphs import coordinate_influences
+from votemanip.metrics import frac_str
 from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
     OneCoordinate,
@@ -20,12 +21,10 @@ from votemanip.scf import (
     random_table_scf,
 )
 from votemanip.verify import (
-    RHO_PREFERENCE_PAIRS,
     BoundParams,
     Measurements,
     bound_value,
     one_voter_function,
-    preference_correlation_check,
     sweep_one_voter,
     sweep_random_tables,
     verify_lemma_influences,
@@ -136,8 +135,8 @@ def test_lemma_influences_qualifying_values(monkeypatch):
         report = verify_lemma_influences(Measurements(f), statement=statement)
         expected = [
             {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
-                influence_pair(f, i, a, b) if statement == "2.1"
-                else influence_refined(f, i, a, b, AdjacentTransposition(a, b)))}
+                coordinate_influences(f, i).pair(a, b) if statement == "2.1"
+                else coordinate_influences(f, i).refined(a, b, AdjacentTransposition(a, b)))}
             for i in range(f.n) for a in range(f.k) for b in range(a + 1, f.k)
         ]
         assert report.witnesses["qualifying"] == expected
@@ -219,11 +218,6 @@ def test_reverse_hypercontractivity_exact_joint():
     assert report.lhs == Fraction(1, 3)
     assert report.rhs == Fraction(1, 8)
     assert report.holds
-
-
-def test_preference_correlation_preset():
-    assert RHO_PREFERENCE_PAIRS == Fraction(1, 3)
-    assert preference_correlation_check()
 
 
 def test_sweep_one_voter_k3():
@@ -310,18 +304,6 @@ def test_measurements_read_a_narrower_census_from_the_wider_one(monkeypatch):
 def test_one_voter_functions_are_distinct():
     tables = {one_voter_function(3, t).table() for t in range(3 ** 6)}
     assert len(tables) == 729 and one_voter_function(3, 1).table() == bytes([1, 0, 0, 0, 0, 0])
-
-
-def test_report_lines_format():
-    from votemanip.verify import report_lines
-
-    f = random_table_scf(2, 3, 7)
-    text = report_lines(verify_main_theorems(Measurements(f), ("1.2", "7.1")))
-    lines = text.strip().split("\n")
-    assert len(lines) == 2
-    rows = [json.loads(line) for line in lines]
-    assert [row["statement"] for row in rows] == ["1.2", "7.1"]
-    assert all(row["holds"] for row in rows)
 
 
 def test_write_counterexample(tmp_path):
