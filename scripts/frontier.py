@@ -27,13 +27,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The README grid: Borda at the largest shapes the default cap admits, and at
-# n=9, k=3 (1.0e7 profiles) past it.
+# n=9, k=3 (1.0e7 profiles) past it; then the seeded paths: random:0 at n=5,
+# k=4, whose table is drawn, and the sampler past the cap.
 SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]
 COMMANDS = [("census",), ("distance",), ("influences", "--refined"), ("gs-classify",)]
+SEEDED_CALLS = [
+    "census random:0 5 4",
+    "influences --refined random:0 5 4",
+    "local-dictators random:0 5 4 --pair 1,2 --coordinate 1",
+    "sample borda 4 5 --samples 300000",
+]
 DEFAULT_CALLS = [
     f"{' '.join(command)} borda {n} {k} {' '.join(extra)}".strip()
     for n, k, extra in SHAPES for command in COMMANDS
-]
+] + SEEDED_CALLS
 
 
 def parse_call(text: str) -> list[str]:

@@ -16,9 +16,10 @@ shape; then two table files (written by this script, in a temporary working
 directory, so the reports echo the same relative path) through `census`,
 `distance` and `gs-classify`, and two `verify` sweeps; then a fixed tail of 32
 single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
-carry the measured values that the sweeps list only on a failure, and of 21
-calls at the edges of `--cap` (see :func:`cap_edges`). The default rules and
-shapes give 567 reports. The calls run in this process through
+carry the measured values that the sweeps list only on a failure, of 21
+calls at the edges of `--cap` (see :func:`cap_edges`), and of the seeded
+paths' calls (see :func:`seeded_calls`). The default rules and shapes give
+658 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -41,6 +42,16 @@ TABLES = [("table-a.json", 2, 3, 0), ("table-b.json", 3, 3, 1)]
 # (statements, shapes) of statement_calls.
 STATEMENTS = [(("1.2", "3.1", "7.1", "2.1", "5.3", "1.5"), ((2, 3), (3, 3))),
               (("1.4", "6.1"), ((1, 3), (1, 4)))]
+# (n, k) and window widths of the sampler calls.
+SAMPLE_SHAPES = [(2, 4), (3, 5)]
+SAMPLE_WIDTHS = ["3", "4"]
+# random:0 where k is 1 or its draws take 3 or 4 bits: census at k = 1; at
+# n = 1 distance lists every outcome (its one-coordinate witness is the
+# table), and census would refuse the window tables of k >= 7; at k = 8 the
+# sampler, as distance there takes seconds.
+RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
+                ["distance", "--rule", "random:0", "-n", "1", "-k", "7"],
+                ["sample", "--rule", "random:0", "-n", "1", "-k", "8", "--samples", "5000"]]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 
@@ -83,12 +94,22 @@ def cap_edges() -> list[list[str]]:
             + [["census", "--table", TABLES[1][0], "--cap", "215"]])
 
 
+def seeded_calls(rules) -> list[list[str]]:
+    """``sample`` on each rule at the sampler shapes and widths, 5000 draws (two
+    blocks of the sampler) at one and two tasks; then :data:`RANDOM_CALLS`."""
+    calls = [["sample", "--rule", rule, "-n", str(n), "-k", str(k), "--width", width,
+              "--samples", "5000", "--tasks", tasks]
+             for rule in rules for n, k in SAMPLE_SHAPES for width in SAMPLE_WIDTHS
+             for tasks in ("1", "2")]
+    return calls + RANDOM_CALLS
+
+
 def grid(rules, shapes) -> list[list[str]]:
     """The CLI calls, in the order they are printed."""
     calls = [call for n, k in shapes for rule in rules for call in exact_calls(rule, n, k)]
     for name, _n, _k, _seed in TABLES:
         calls += [[command, "--table", name] for command in ("census", "distance", "gs-classify")]
-    return calls + SWEEPS + statement_calls() + cap_edges()
+    return calls + SWEEPS + statement_calls() + cap_edges() + seeded_calls(rules)
 
 
 def write_tables() -> None:

@@ -432,6 +432,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.tasks = engine.effective_tasks(args.tasks)
+        if getattr(args, "seed", None) is not None:
+            engine.check_seed(args.seed)
         return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,6 +62,17 @@ def map_chunks(worker, chunk_args: list, tasks: int = 1) -> list:
         return [worker(*args) for args in chunk_args]
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: ``random.Random`` seeds from ``abs(seed)``, so
+    seed -s would give the stream of s under another name."""
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+
+
 def derive_stream_seed(seed: int, stream: int) -> int:
-    """Independent per-stream seed; collision-free for 64-bit inputs."""
+    """Per-stream seed ``seed * 2^64 + stream``: distinct pairs with ``seed >= 0``
+    and ``0 <= stream < 2^64``, both checked, give distinct nonnegative seeds."""
+    check_seed(seed)
+    if not 0 <= stream < 1 << 64:
+        raise ValueError(f"a stream must lie in [0, 2^64), got {stream}")
     return seed * (1 << 64) + stream

@@ -27,12 +27,13 @@ from operator import or_
 from typing import Optional
 
 from . import engine
+from .engine import check_seed
 from .rankings import (
     Profile,
-    Ranking,
     check_cap,
     class_tables,
     decode_profile,
+    decode_ranking,
     fiber_outcome_counts,
     index_digits,
     join_class_tables,
@@ -41,7 +42,9 @@ from .rankings import (
     rank_classes,
     ranking_orders,
     ranking_positions,
+    ranking_rank_of,
     top_h_by_rank,
+    window_blocks,
     window_destinations,
     window_moves,
     window_permutations,
@@ -247,21 +250,33 @@ class ManipulationSample:
     success: bool
 
 
-def _draw(rng: random.Random, f: SCF, width: int, size: int, orders, positions):
+def _draw(rng: random.Random, f: SCF, width: int, size: int, blocks, perm_index, positions):
+    """One draw as ranks: ``(ranks, altered ranks, voter, success)``.
+
+    The RNG calls are those of drawing orders: the profile index, the voter,
+    the window start, then a shuffle of the window, which reads only its
+    length. Shuffling ``range(width)`` gives the window's permutation, whose
+    index in ``permutations(range(width))`` and the start move the voter's rank
+    through :func:`rankings.window_blocks`.
+    """
+    n = f.n
+    ranks = index_digits(n, f.k, rng.randrange(size))
+    i = rng.randrange(n)
+    span, stride, moves = blocks[rng.randrange(len(blocks))]
+    perm = list(range(width))
+    rng.shuffle(perm)
+    r = ranks[i]
+    q = r % span // stride
+    altered = ranks[:i] + (r + (moves[q][perm_index[tuple(perm)]] - q) * stride,) + ranks[i + 1:]
+    pos = positions[r]
+    return ranks, altered, i, pos[f.evaluate_ranks(altered)] < pos[f.evaluate_ranks(ranks)]
+
+
+def _draw_plan(f: SCF, width: int):
+    """The arguments of :func:`_draw` after ``rng``, f and width."""
     k = f.k
-    digits = index_digits(f.n, k, rng.randrange(size))
-    i = rng.randrange(f.n)
-    start = rng.randrange(k - width + 1)
-    order = orders[digits[i]]
-    window = list(order[start:start + width])
-    rng.shuffle(window)
-    new_order = order[:start] + tuple(window) + order[start + width:]
-    profile_orders = tuple(orders[d] for d in digits)
-    altered_orders = profile_orders[:i] + (new_order,) + profile_orders[i + 1:]
-    a = f.evaluate_orders(profile_orders)
-    b = f.evaluate_orders(altered_orders)
-    pos = positions[digits[i]]
-    return profile_orders, altered_orders, i, pos[b] < pos[a]
+    return (profile_space_size(f.n, k), window_blocks(k, width), ranking_rank_of(width),
+            ranking_positions(k))
 
 
 def _check_window(k: int, width: int) -> None:
@@ -274,30 +289,25 @@ def _check_window(k: int, width: int) -> None:
 def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample:
     """One seeded draw: uniform profile, voter, window start, window shuffle."""
     _check_window(f.k, width)
-    rng = random.Random(seed)
-    size = profile_space_size(f.n, f.k)
-    orders = ranking_orders(f.k)
-    positions = ranking_positions(f.k)
-    p_orders, a_orders, i, success = _draw(rng, f, width, size, orders, positions)
+    check_seed(seed)
+    ranks, altered, i, success = _draw(random.Random(seed), f, width, *_draw_plan(f, width))
     return ManipulationSample(
-        profile=tuple(Ranking(o) for o in p_orders),
-        altered=tuple(Ranking(o) for o in a_orders),
+        profile=tuple(decode_ranking(f.k, r) for r in ranks),
+        altered=tuple(decode_ranking(f.k, r) for r in altered),
         coordinate=i,
         success=success,
     )
 
 
 def _sample_chunk(f, width, seed, block_lo, block_hi, samples):
-    orders = ranking_orders(f.k)
-    positions = ranking_positions(f.k)
-    size = profile_space_size(f.n, f.k)
+    plan = _draw_plan(f, width)
     successes = 0
     for block in range(block_lo, block_hi):
         rng = random.Random(engine.derive_stream_seed(seed, block))
         lo = block * engine.SAMPLE_BLOCK
         hi = min(lo + engine.SAMPLE_BLOCK, samples)
         for _ in range(hi - lo):
-            successes += _draw(rng, f, width, size, orders, positions)[3]
+            successes += _draw(rng, f, width, *plan)[3]
     return successes
 
 
@@ -337,6 +347,7 @@ def sample_success(f: SCF, samples: int, seed: int, width: int = 4,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_window(f.k, width)
+    check_seed(seed)
     blocks = (samples + engine.SAMPLE_BLOCK - 1) // engine.SAMPLE_BLOCK
     chunk_ranges = engine.split_ranges(blocks, tasks)
     chunks = [(f, width, seed, lo, hi, samples) for lo, hi in chunk_ranges]

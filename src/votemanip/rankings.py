@@ -217,13 +217,10 @@ def digits_index(k: int, digits) -> int:
 def index_digits(n: int, k: int, index: int) -> tuple[int, ...]:
     """Per-voter ranking ranks of one profile index; inverse of :func:`digits_index`."""
     fact = factorial(k)
-    digits = []
-    for _ in range(n):
-        index, d = divmod(index, fact)
-        digits.append(d)
-    return tuple(reversed(digits))
+    return tuple([index // stride % fact for stride in profile_strides(n, k)])
 
 
+@lru_cache(maxsize=None)
 def profile_strides(n: int, k: int) -> tuple[int, ...]:
     """Index increment per unit change of each coordinate's rank."""
     fact = factorial(k)
@@ -371,21 +368,44 @@ def all_rankings(k: int) -> tuple[Ranking, ...]:
 
 
 @lru_cache(maxsize=None)
+def window_blocks(k: int, width: int) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]], ...]:
+    """Per window start s, ``(span, stride, moves)`` giving the rank that
+    permuting positions ``s..s+w-1`` of a ranking moves it to, w = min(width, k).
+
+    Lehmer rank is lexicographic rank. So ``r % span`` (``span = (k-s)!``)
+    ranks r's alternatives from position s on, relabeled 0..m-1 in their order
+    (m = k - s), and ``q = r % span // stride`` (``stride = (k-s-w)!``) is the
+    index of their first w, the window, in ``permutations(range(m), w)``.
+    Permuting the window keeps the positions before it and after it, so
+    permutation j of ``permutations(range(w))`` moves r to
+    ``r + (moves[q][j] - q) * stride``. The tables hold
+    ``sum m!/(m-w)! * w!`` entries over the starts, not the ``k! (k-w+1) w!``
+    of :func:`window_moves`.
+    """
+    w = min(width, k)
+    blocks = []
+    for start in range(k - w + 1):
+        m = k - start
+        windows = list(permutations(range(m), w))
+        block_of = {window: q for q, window in enumerate(windows)}
+        moves = tuple(tuple(map(block_of.__getitem__, permutations(window))) for window in windows)
+        blocks.append((factorial(m), factorial(m - w), moves))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
 def window_moves(k: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Per-rank destination of every (window start, window permutation) draw.
+    """Per-rank destination of every (window start, window permutation) draw,
+    from :func:`window_blocks`.
 
     Entry ``r`` lists one destination rank per draw, ordered by window start
     and then permutation index, the rank itself and repeats included.
     """
-    w = min(width, k)
-    rank_of = ranking_rank_of(k)
+    blocks = window_blocks(k, width)
     return tuple(
-        tuple(
-            rank_of[order[:start] + perm + order[start + w:]]
-            for start in range(k - w + 1)
-            for perm in permutations(order[start:start + w])
-        )
-        for order in ranking_orders(k)
+        tuple(r + (dest - r % span // stride) * stride
+              for span, stride, moves in blocks for dest in moves[r % span // stride])
+        for r in range(factorial(k))
     )
 
 

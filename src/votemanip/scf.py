@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import random
+from functools import cached_property, lru_cache
 from itertools import product
 from math import factorial
 
+from .engine import check_seed
 from .errors import CapExceededError
 from .rankings import (
     MAX_TABLE_K,
@@ -23,6 +25,8 @@ from .rankings import (
     class_tables,
     digits_index,
     fiber_outcome_counts,
+    indicator,
+    lane_int,
     profile_space_size,
     ranking_orders,
     ranking_positions,
@@ -58,6 +62,12 @@ class SCF:
 
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
         raise NotImplementedError
+
+    def evaluate_ranks(self, ranks) -> int:
+        """The outcome of the profile whose voters' rankings have these ranks,
+        voter 0 first; rules with a faster read override this."""
+        orders = ranking_orders(self.k)
+        return self.evaluate_orders(tuple(orders[r] for r in ranks))
 
     def evaluate(self, profile: Profile) -> int:
         if len(profile) != self.n:
@@ -105,7 +115,10 @@ class TableSCF(SCF):
 
     def evaluate_orders(self, orders):
         rank_of = ranking_rank_of(self.k)
-        return self._table_cache[digits_index(self.k, [rank_of[o] for o in orders])]
+        return self.evaluate_ranks([rank_of[o] for o in orders])
+
+    def evaluate_ranks(self, ranks):
+        return self._table_cache[digits_index(self.k, ranks)]
 
     @staticmethod
     def from_scf(f: SCF) -> "TableSCF":
@@ -134,29 +147,49 @@ class Constant(SCF):
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
 
 
+def score_packing(n: int, k: int, rank_scores) -> tuple[list[int], int]:
+    """Each rank's score vector packed into one int, and the bytes c per score.
+
+    Alternative a's score ``rank_scores[r][a]`` takes bytes ``a*c .. a*c+c-1``
+    of rank r's int, for the fewest bytes c with ``n * top < 256**c`` (``top``
+    the largest score). A digit of a sum of n packed vectors is at most
+    ``n * top`` and never carries, so the sum is the packed score vector of the
+    profile, which :func:`packed_winner` reads.
+    """
+    top = max(max(scores) for scores in rank_scores)
+    assert all(type(x) is int and 0 <= x <= top for scores in rank_scores for x in scores), \
+        "a score outside [0, top] would carry between digits"
+    c = max(1, -(-(n * top).bit_length() // 8))
+    # Headroom: a digit of a sum of n packed vectors is at most n * top.
+    assert n * top < 256 ** c, "a score sum must fit in its bytes"
+    packed = [sum(x << 8 * c * a for a, x in enumerate(scores)) for scores in rank_scores]
+    return packed, c
+
+
+def packed_winner(total: int, k: int, c: int) -> int:
+    """The alternative with the largest score in a packed score vector of
+    :func:`score_packing`, ties to the lowest id: at c = 1 the scores are the
+    bytes of ``total``, and ``index`` finds the first largest."""
+    scores = total.to_bytes(k * c, "little")
+    if c > 1:
+        scores = [int.from_bytes(scores[a * c:a * c + c], "little") for a in range(k)]
+    return scores.index(max(scores))
+
+
 def score_table(n: int, k: int, rank_scores) -> bytes:
     """Table of the score rule giving ``rank_scores[r][a]`` points to alternative a
     from each voter whose ranking has rank r; ties go to the lowest id.
 
-    Each rank's score vector is packed into one int, alternative a's score as
-    digit a in base ``n * top + 1`` (``top`` the largest score). A digit of a
-    sum of n packed vectors is at most ``n * top`` and never carries, so the
-    sum is the packed score vector of the profile. The first n - 1 voters'
-    sums are listed in profile-index order; the last voter's row of outcomes
-    is built once per distinct sum from a winner per distinct total.
+    The first n - 1 voters' sums of :func:`score_packing` vectors are listed in
+    profile-index order; the last voter's row of outcomes is built once per
+    distinct sum from a winner per distinct total.
     """
-    top = max(max(scores) for scores in rank_scores)
-    base = n * top + 1
-    # Headroom: with every score in [0, top], a digit of a sum of n packed
-    # vectors is at most n * top < base, so no digit carries into the next.
-    assert all(type(x) is int and 0 <= x <= top for scores in rank_scores for x in scores), \
-        "a score outside [0, top] would carry between digits"
-    packed = [sum(x * base ** a for a, x in enumerate(scores)) for scores in rank_scores]
+    packed, c = score_packing(n, k, rank_scores)
     prefixes = [0]
     for _ in range(n - 1):
         prefixes = [s + v for s in prefixes for v in packed]
     distinct = dict.fromkeys(prefixes)
-    winner = {t: _top_scorer(t, base, k) for t in {s + v for s in distinct for v in packed}}
+    winner = {t: packed_winner(t, k, c) for t in {s + v for s in distinct for v in packed}}
     rows = {s: bytes([winner[s + v] for v in packed]) for s in distinct}
     # Appending the rows keeps the peak near the table's size; b"".join of
     # (k!)^(n-1) rows takes a buffer view of each at once.
@@ -166,16 +199,27 @@ def score_table(n: int, k: int, rank_scores) -> bytes:
     return bytes(table)
 
 
-def _top_scorer(total: int, base: int, k: int) -> int:
-    """Winner of a packed score vector, with the ``(score, -id)`` key of ``evaluate_orders``."""
-    scores = []
-    for _ in range(k):
-        total, x = divmod(total, base)
-        scores.append(x)
-    return max(range(k), key=lambda a: (scores[a], -a))
+class ScoreRule(SCF):
+    """A score rule: each voter whose ranking has rank r gives
+    ``rank_scores()[r][a]`` points to alternative a; ties go to the lowest id.
+    The table and :meth:`evaluate_ranks` read one :func:`score_packing`."""
+
+    def rank_scores(self) -> list[list[int]]:
+        raise NotImplementedError
+
+    @cached_property
+    def _packing(self) -> tuple[list[int], int]:
+        return score_packing(self.n, self.k, self.rank_scores())
+
+    def evaluate_ranks(self, ranks):
+        packed, c = self._packing
+        return packed_winner(sum(map(packed.__getitem__, ranks)), self.k, c)
+
+    def _build_table(self) -> bytes:
+        return score_table(self.n, self.k, self.rank_scores())
 
 
-class Plurality(SCF):
+class Plurality(ScoreRule):
     """Most first places wins; ties go to the lowest alternative id."""
 
     def evaluate_orders(self, orders):
@@ -184,12 +228,11 @@ class Plurality(SCF):
             counts[o[0]] += 1
         return max(range(self.k), key=lambda a: (counts[a], -a))
 
-    def _build_table(self) -> bytes:
-        return score_table(self.n, self.k,
-                           [[int(p == 0) for p in pos] for pos in ranking_positions(self.k)])
+    def rank_scores(self) -> list[list[int]]:
+        return [[int(p == 0) for p in pos] for pos in ranking_positions(self.k)]
 
 
-class Borda(SCF):
+class Borda(ScoreRule):
     """Position p scores k-1-p points; ties go to the lowest alternative id."""
 
     def evaluate_orders(self, orders):
@@ -200,9 +243,9 @@ class Borda(SCF):
                 scores[alt] += points
         return max(range(k), key=lambda a: (scores[a], -a))
 
-    def _build_table(self) -> bytes:
+    def rank_scores(self) -> list[list[int]]:
         k = self.k
-        return score_table(self.n, k, [[k - 1 - p for p in pos] for pos in ranking_positions(k)])
+        return [[k - 1 - p for p in pos] for pos in ranking_positions(k)]
 
 
 class TopHDictator(SCF):
@@ -282,7 +325,7 @@ class PairBooleanSCF(SCF):
         table = tuple(table)
         if len(table) != 1 << n:
             raise ValueError(f"table has {len(table)} entries, expected {1 << n}")
-        if not all(v in (a, b) for v in table):
+        if not set(table) <= {a, b}:
             raise ValueError("table values must lie in the pair")
         self.pair = (a, b)
         self.bool_table = table
@@ -313,11 +356,19 @@ class PairBooleanSCF(SCF):
         }
 
 
+def _bit_clear_lanes(n: int, i: int) -> int:
+    """Byte lane m (``m < 2^n``) is 1 exactly when bit i of m is clear."""
+    return int.from_bytes((b"\x01" * (1 << i) + bytes(1 << i)) * (1 << (n - 1 - i)), "little")
+
+
 def is_monotone_pair_table(n: int, pair: tuple[int, int], table) -> bool:
-    """Flipping any voter's bit toward ``a`` never moves the outcome off ``a``."""
-    a, _b = pair
-    return all(table[mask | 1 << i] == a
-               for mask in range(1 << n) if table[mask] == a for i in range(n))
+    """Flipping any voter's bit toward ``a`` never moves the outcome off ``a``.
+
+    With byte lane m of ``up`` 1 where ``table[m] == a``, the lanes of the masks
+    with bit i clear, moved up 2^i lanes (to ``m | 1 << i``), must fall on ``up``.
+    """
+    up = lane_int(bytes(table), indicator(pair[0]))
+    return not any((up & _bit_clear_lanes(n, i)) << (8 << i) & ~up for i in range(n))
 
 
 class MonotoneTwoValued(PairBooleanSCF):
@@ -421,29 +472,73 @@ def majority_projection(g: SCF, pair: tuple[int, int]) -> PairBooleanSCF:
 # Seeded random instances (reproducible test subjects).
 
 
+# Words per ``randbytes`` call of uniform_bytes: drawing a whole table's words
+# at once would hold four bytes per entry.
+UNIFORM_CHUNK = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _top_bits(k: int) -> tuple[bytes, bytes]:
+    """``bytes.translate`` tables: a byte to its top ``k.bit_length()`` bits, and
+    the bytes whose top bits are k or more."""
+    shift = 8 - k.bit_length()
+    return (bytes(v >> shift for v in range(256)),
+            bytes(v for v in range(256) if v >> shift >= k))
+
+
+def uniform_bytes(rng: random.Random, k: int, count: int) -> bytes:
+    """``bytes(rng.randrange(k) for _ in range(count))``, leaving ``rng`` in the
+    same state, for 1 <= k < 256.
+
+    On CPython, ``randrange(k)`` takes the top ``b = k.bit_length()`` bits of
+    one 32-bit Mersenne Twister word and takes the next word while they are
+    k or more. ``randbytes(4 * m)`` is ``getrandbits(32 * m)`` in little-endian
+    bytes, m words in order, so byte ``4j + 3`` is word j's top byte, which
+    holds its top b bits as b <= 8 (hence k < 256). Each word gives at most one
+    draw, so asking for as many words as draws are missing never reads past
+    the word of the last draw. ``tests/test_scf.py`` pins this against
+    ``randrange`` on several seeds, k and counts.
+    """
+    if not 0 < k < 256:
+        raise ValueError(f"uniform bytes need 1 <= k < 256, got k={k}")
+    top_bits, rejected = _top_bits(k)
+    chunks = []
+    missing = count
+    while missing:
+        words = rng.randbytes(4 * min(missing, UNIFORM_CHUNK))
+        chunks.append(words[3::4].translate(top_bits, rejected))
+        missing -= len(chunks[-1])
+    return b"".join(chunks)
+
+
 def random_table_scf(n: int, k: int, seed: int, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
-    """Each outcome independently uniform on the alternatives."""
+    """Each outcome independently uniform on the alternatives: ``randrange(k)``
+    per profile in index order (:func:`uniform_bytes`) from ``Random(seed)``."""
+    check_seed(seed)
     check_cap(cap, "(k!)^n table entries", k, n)
     rng = random.Random(seed)
-    return TableSCF(n, k, bytes(rng.randrange(k) for _ in range(profile_space_size(n, k))),
-                    cap=cap)
+    return TableSCF(n, k, uniform_bytes(rng, k, profile_space_size(n, k)), cap=cap)
 
 
 def random_monotone_two_valued(n: int, k: int, seed: int,
                                cap: int = DEFAULT_TABLE_CAP) -> MonotoneTwoValued:
     """A seeded monotone two-valued SCF (upward closure of random labels); its
-    ``2^n`` fiber labels are refused over ``cap`` before any is drawn."""
+    ``2^n`` fiber labels are refused over ``cap`` before any is drawn.
+
+    Mask m is labeled ``rng.choice((a, b))``, which is ``(a, b)[randrange(2)]``,
+    so byte lane m of ``up`` is 1 where :func:`uniform_bytes` at k = 2 draws 0.
+    Step i ORs the lanes of masks with bit i clear into ``m | 1 << i``; after
+    the n steps, lane m is 1 exactly when some submask of m is labeled a.
+    """
+    check_seed(seed)
     if n >= cap.bit_length() or 1 << n > cap:
         raise CapExceededError(f"2^n fiber labels at n={n} exceed the cap {cap}")
     rng = random.Random(seed)
     a, b = rng.sample(range(k), 2)
-    labels = [rng.choice((a, b)) for _ in range(1 << n)]
-    table = [b] * (1 << n)
-    for mask in range(1 << n):
-        if labels[mask] == a or any(
-            mask & (1 << i) and table[mask ^ (1 << i)] == a for i in range(n)
-        ):
-            table[mask] = a
+    up = lane_int(uniform_bytes(rng, 2, 1 << n), indicator(0))
+    for i in range(n):
+        up |= (up & _bit_clear_lanes(n, i)) << (8 << i)
+    table = up.to_bytes(1 << n, "little").translate(bytes([b, a]) + bytes(254))
     return MonotoneTwoValued(n, k, (a, b), table, cap=cap)
 
 

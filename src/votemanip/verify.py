@@ -535,6 +535,7 @@ def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
     built with ``cap``, which is checked once before the first is drawn."""
     if count < 1:
         raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
+    engine.check_seed(seed)
     _check_instance_caps(n, k, cap)
     chunks = [(n, k, seed, lo, hi, cap) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)

@@ -4,6 +4,7 @@ Everything here works on plain order tuples with nested loops and stays away
 from the package's index tables, candidate caches, census engine, and min-cut
 solver, so a disagreement points at a real defect rather than a shared bug.
 """
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -404,3 +405,48 @@ def topset_agreement(evaluate, n, k, i, a, b, prof):
         total += 1
         agree += evaluate(q) == (a if q[i].index(a) < q[i].index(b) else b)
     return Fraction(agree, total)
+
+
+def sampler_draw(rng, evaluate, n, k, width):
+    """One draw of the random-window experiment on order tuples: a profile
+    index, a voter, a window start, then the window's alternatives shuffled.
+    Returns (profile, altered, voter, success)."""
+    orders = list(permutations(range(k)))
+    index = rng.randrange(len(orders) ** n)
+    digits = []
+    for _ in range(n):
+        index, d = divmod(index, len(orders))
+        digits.append(d)
+    profile = tuple(orders[d] for d in reversed(digits))
+    i = rng.randrange(n)
+    start = rng.randrange(k - width + 1)
+    order = profile[i]
+    window = list(order[start:start + width])
+    rng.shuffle(window)
+    altered = profile[:i] + (order[:start] + tuple(window) + order[start + width:],) + profile[i + 1:]
+    return profile, altered, i, order.index(evaluate(altered)) < order.index(evaluate(profile))
+
+
+def sampler_successes(evaluate, n, k, width, samples, seed, block):
+    """Successes of ``samples`` draws in blocks of ``block``, block b drawn from
+    ``Random(seed * 2**64 + b)``."""
+    successes = 0
+    for b, lo in enumerate(range(0, samples, block)):
+        rng = random.Random(seed * (1 << 64) + b)
+        for _ in range(min(block, samples - lo)):
+            successes += sampler_draw(rng, evaluate, n, k, width)[3]
+    return successes
+
+
+def monotone_two_valued(n, k, seed):
+    """(pair, fiber table) of a seeded monotone two-valued SCF: random labels,
+    then per mask in increasing order, a if labeled a or a mask one bit below is a."""
+    rng = random.Random(seed)
+    a, b = rng.sample(range(k), 2)
+    labels = [rng.choice((a, b)) for _ in range(1 << n)]
+    table = [b] * (1 << n)
+    for mask in range(1 << n):
+        if labels[mask] == a or any(mask >> i & 1 and table[mask ^ 1 << i] == a
+                                    for i in range(n)):
+            table[mask] = a
+    return (a, b), tuple(table)

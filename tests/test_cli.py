@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from votemanip import cli, manip, scf
+from votemanip import cli, manip, scf, verify
 from votemanip.scf import Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
 
@@ -196,6 +196,28 @@ def test_verify_refuses_a_random_rule_shape_before_drawing_it(monkeypatch, capsy
     code, out = run_cli(["verify", "--thm", "1.4", "--rule", rule, "-n", "5", "-k", "4"])
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: statement 1.4 applies to one-voter functions only\n"
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["census", "--rule", "random:-5", "-n", "2", "-k", "3"], -5),
+    (["census", "--rule", "monotone-random:-5", "-n", "2", "-k", "3"], -5),
+    (["sample", "--rule", "borda", "-n", "2", "-k", "4", "--samples", "2000", "--seed", "-3"], -3),
+    (["verify", "--thm", "1.2", "--random", "3", "-n", "2", "-k", "3", "--seed", "-1"], -1),
+    (["hypercontractivity", "--bits", "2", "--seed", "-2"], -2),
+])
+def test_negative_seeds_are_refused_before_anything_is_built(monkeypatch, capsys, argv, seed):
+    # Random(s) seeds from abs(s), so seed -5 would report seed 5's stream.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seeded object was built")
+
+    monkeypatch.setattr(scf, "uniform_bytes", refuse, raising=False)
+    monkeypatch.setattr(scf, "MonotoneTwoValued", refuse)
+    monkeypatch.setattr(manip, "sample_success", refuse)
+    monkeypatch.setattr(verify, "sweep_random_tables", refuse)
+    monkeypatch.setattr(verify, "verify_reverse_hypercontractivity", refuse)
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: a seed must be >= 0, got {seed}\n"
 
 
 def test_verify_echoes_seed_0_unless_random_is_given_one():

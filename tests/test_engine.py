@@ -34,6 +34,14 @@ def test_stream_seed_disjoint():
     assert len(seeds) == 300
 
 
+def test_stream_seeds_refuse_negative_seeds_and_streams_past_64_bits():
+    # Random(s) seeds from abs(s): at -3 the stream would alias seed 3's.
+    for seed, stream in ((-3, 0), (0, -1), (0, 1 << 64)):
+        with pytest.raises(ValueError):
+            engine.derive_stream_seed(seed, stream)
+    assert engine.derive_stream_seed(3, (1 << 64) - 1) < engine.derive_stream_seed(4, 0)
+
+
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 

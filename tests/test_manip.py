@@ -1,4 +1,5 @@
 import io
+import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import permutations, product
@@ -20,6 +21,7 @@ from votemanip.manip import (
     sample_success,
 )
 from votemanip.metrics import distance, distance_to_nonmanip
+from votemanip.verify import sweep_random_tables
 from votemanip.rankings import decode_profile, profile_space_size
 from votemanip.scf import (
     Borda,
@@ -196,6 +198,43 @@ def test_sampler_deterministic_and_consistent():
     assert rep1 == rep2
     rep_split = sample_success(f, 3000, seed=11, tasks=3)
     assert rep_split == rep1
+
+
+def _sampler_subjects(n, k):
+    """Plurality, Borda, random:0, top:1 and monotone-random:0, each with an
+    evaluator of order tuples for the oracle."""
+    table_rule = random_table_scf(n, k, 0)
+    lookup = dict(zip(oracles.all_profiles(n, k), table_rule.table()))
+    monotone = random_monotone_two_valued(n, k, 0)
+    return [(Plurality(n, k), oracles.plurality_tuple), (Borda(n, k), oracles.borda_tuple),
+            (table_rule, lookup.__getitem__), (TopHDictator(n, k, 0, range(k)), lambda p: p[0][0]),
+            (monotone, monotone.evaluate_orders)]
+
+
+def test_sampler_draws_equal_the_order_tuple_oracle():
+    n, k = 2, 4
+    samples = engine.SAMPLE_BLOCK + 500
+    for f, evaluate in _sampler_subjects(n, k):
+        for width in range(2, k + 1):
+            for seed in range(6):
+                s = sample_manipulation(f, seed, width)
+                assert ((tuple(r.order for r in s.profile), tuple(r.order for r in s.altered),
+                         s.coordinate, s.success)
+                        == oracles.sampler_draw(random.Random(seed), evaluate, n, k, width))
+            expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3,
+                                                 engine.SAMPLE_BLOCK)
+            for tasks in (1, 2):
+                assert sample_success(f, samples, 3, width, tasks).successes == expected
+
+
+def test_seeded_paths_refuse_negative_seeds():
+    # Random(s) seeds from abs(s), so seed -s would repeat the stream of s.
+    f = Borda(2, 4)
+    for call in (lambda: random_table_scf(2, 3, -5), lambda: random_monotone_two_valued(2, 3, -5),
+                 lambda: sample_manipulation(f, -3), lambda: sample_success(f, 10, -3),
+                 lambda: sweep_random_tables(2, 3, 3, -1)):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            call()
 
 
 def test_sampler_rejects_narrow_rankings():

@@ -197,12 +197,12 @@ def test_join_class_tables_inverts_class_tables(shape, data):
 
 
 def test_top_h_by_rank_and_window_moves():
-    for k in (3, 4):
+    for k in (3, 4, 5):
         for H in ({0}, {1, 2}, set(range(k))):
             assert top_h_by_rank(k, frozenset(H)) == bytes(
                 top_restricted(decode_ranking(k, r), H) for r in range(factorial(k))
             )
-        for width in (2, 3):
+        for width in range(2, k + 1):
             for rank, moves in enumerate(window_moves(k, width)):
                 r = decode_ranking(k, rank)
                 assert [decode_ranking(k, d) for d in moves] == [

@@ -1,12 +1,21 @@
 import json
+import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from votemanip.fibers import preference_vector
-from votemanip.rankings import Ranking, all_rankings, decode_profile, profile_space_size
+from votemanip.rankings import (
+    Ranking,
+    all_rankings,
+    decode_profile,
+    profile_space_size,
+    ranking_orders,
+)
 from votemanip.scf import (
+    UNIFORM_CHUNK,
     Borda,
     Constant,
     MonotoneTwoValued,
@@ -18,12 +27,14 @@ from votemanip.scf import (
     exists_anonymous_neutral,
     induced_one_voter,
     is_anonymous,
+    is_monotone_pair_table,
     is_neutral,
     load_scf_table,
     majority_projection,
     random_monotone_two_valued,
     random_table_scf,
     scfs_equal,
+    uniform_bytes,
 )
 
 
@@ -199,6 +210,63 @@ def test_table_file_round_trip(tmp_path):
     assert scfs_equal(f, g)
     dump_scf_table(g, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == path.read_text()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8])
+def test_uniform_bytes_are_randrange_draws_and_leave_the_same_state(seed, k):
+    # k = 1, 2, 4 and 8 sit at the edges of k.bit_length(); the last count
+    # needs a second chunk of words, so rejections cross a chunk boundary.
+    for count in (0, 1, 1000, UNIFORM_CHUNK + 1000):
+        expected_rng, rng = random.Random(seed), random.Random(seed)
+        expected = bytes(expected_rng.randrange(k) for _ in range(count))
+        assert uniform_bytes(rng, k, count) == expected
+        assert rng.getstate() == expected_rng.getstate()
+        assert rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (1, 2), (2, 3), (3, 3), (2, 4), (1, 7), (1, 8)])
+def test_random_tables_draw_randrange_per_profile_in_index_order(n, k):
+    for seed in (0, 1, 7, 12345):
+        rng = random.Random(seed)
+        expected = bytes(rng.randrange(k) for _ in range(factorial(k) ** n))
+        assert random_table_scf(n, k, seed).table() == expected
+
+
+def test_random_monotone_two_valued_equals_the_per_mask_closure():
+    for seed in range(4):
+        for n in range(1, 9):
+            for k in (2, 3, 5):
+                f = random_monotone_two_valued(n, k, seed)
+                assert (f.pair, f.bool_table) == oracles.monotone_two_valued(n, k, seed)
+
+
+def test_monotone_pair_table_check_equals_the_dedekind_family():
+    for n in (1, 2, 3):
+        family = set(oracles.monotone_family(n))
+        for code in range(1 << (1 << n)):
+            bits = tuple(code >> m & 1 for m in range(1 << n))
+            table = [2 if bit else 0 for bit in bits]
+            assert is_monotone_pair_table(n, (2, 0), table) == (bits in family)
+
+
+@pytest.mark.parametrize("rule, n, k", [(Plurality, 255, 2), (Plurality, 256, 2),
+                                        (Borda, 255, 2), (Borda, 256, 2),
+                                        (Borda, 127, 3), (Borda, 128, 3)])
+def test_packed_scores_pick_the_winner_on_both_sides_of_the_byte_headroom(rule, n, k):
+    # n * top < 256 packs a score in one byte, and n * top = 256 needs two.
+    f = rule(n, k)
+    top = max(max(scores) for scores in f.rank_scores())
+    assert f._packing[1] == (1 if n * top < 256 else 2)
+    fact = factorial(k)
+    rng = random.Random(n)
+    profiles = [[rng.randrange(fact) for _ in range(n)] for _ in range(100)]
+    # One ranking for all voters reaches the largest score sum n * top; two
+    # rankings split evenly tie.
+    profiles += [[0] * n, [fact - 1] * n, [0, fact - 1] * (n // 2) + [0] * (n % 2)]
+    orders = ranking_orders(k)
+    for ranks in profiles:
+        assert f.evaluate_ranks(ranks) == f.evaluate_orders(tuple(orders[r] for r in ranks))
 
 
 @settings(max_examples=30, deadline=None)

@@ -78,9 +78,12 @@ def test_report_digest_lines_match_the_reports():
     lines = done.stdout.splitlines()
     # Per rule: four reports, two fiber sweeps, two local-dictator pairs; then
     # three per table file, the two sweeps, eight statements at two shapes on
-    # two rules, and the cap's edges: eight Borda calls at two caps, two top:1
-    # calls at two caps and one table file.
-    assert len(lines) == 2 * 8 + 2 * 3 + 2 + 8 * 2 * 2 + (2 * 8 + 2 * 2 + 1)
+    # two rules, the cap's edges: eight Borda calls at two caps, two top:1
+    # calls at two caps and one table file; and the seeded calls: per rule,
+    # two sampler shapes at two widths and two task counts, then three
+    # random:0 calls.
+    assert len(lines) == (2 * 8 + 2 * 3 + 2 + 8 * 2 * 2 + (2 * 8 + 2 * 2 + 1)
+                          + (2 * 2 * 2 * 2 + 3))
     empty = hashlib.sha256(b"").hexdigest()[:16]
     refused = [line for line in lines if line.endswith(("--cap 215", "--cap 29"))]
     assert len(refused) == 8 + 2 + 1
