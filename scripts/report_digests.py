@@ -19,7 +19,7 @@ single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
 carry the measured values that the sweeps list only on a failure, of 21
 calls at the edges of `--cap` (see :func:`cap_edges`), and of the seeded
 paths' calls (see :func:`seeded_calls`). The default rules and shapes give
-658 reports. The calls run in this process through
+661 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -52,6 +52,12 @@ SAMPLE_WIDTHS = ["3", "4"]
 RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
                 ["distance", "--rule", "random:0", "-n", "1", "-k", "7"],
                 ["sample", "--rule", "random:0", "-n", "1", "-k", "8", "--samples", "5000"]]
+# The sampler's edge reads: at n = 1 the voter read is randrange(1), which
+# reads words until a 0 bit, and k = width leaves one window start; at (5,5)
+# (k!)^n > 2^32, so a profile index takes two words.
+SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples", "5000"],
+                *[["sample", "--rule", "borda", "-n", "5", "-k", "5", "--width", width,
+                   "--samples", "5000"] for width in SAMPLE_WIDTHS]]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 
@@ -96,12 +102,13 @@ def cap_edges() -> list[list[str]]:
 
 def seeded_calls(rules) -> list[list[str]]:
     """``sample`` on each rule at the sampler shapes and widths, 5000 draws (two
-    blocks of the sampler) at one and two tasks; then :data:`RANDOM_CALLS`."""
+    blocks of the sampler) at one and two tasks; then :data:`RANDOM_CALLS` and
+    :data:`SAMPLE_EDGES`."""
     calls = [["sample", "--rule", rule, "-n", str(n), "-k", str(k), "--width", width,
               "--samples", "5000", "--tasks", tasks]
              for rule in rules for n, k in SAMPLE_SHAPES for width in SAMPLE_WIDTHS
              for tasks in ("1", "2")]
-    return calls + RANDOM_CALLS
+    return calls + RANDOM_CALLS + SAMPLE_EDGES
 
 
 def grid(rules, shapes) -> list[list[str]]:

@@ -1,10 +1,10 @@
 """Deterministic chunked enumeration for the sampler and the verify sweeps.
 
-Sampler blocks and sweep instances are split into contiguous chunks and
-reduced in chunk order, so results are identical for every task count. When
-``tasks > 1`` chunks run in a process pool of at most one worker per chunk and
-per CPU; if no pool can be created the chunks run sequentially, which produces
-the same output by construction.
+Sampler blocks and sweep instances are split into contiguous chunks, at most
+one per task and per CPU, and reduced in chunk order, so results are
+identical for every task count. When ``tasks > 1`` chunks run in a process
+pool of at most one worker per chunk and per CPU; if no pool can be created
+the chunks run sequentially, which produces the same output by construction.
 """
 from __future__ import annotations
 
@@ -35,8 +35,10 @@ def effective_tasks(tasks: int | None) -> int:
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split range(total) into at most ``parts`` contiguous near-even pieces."""
-    parts = max(1, min(parts, total)) if total else 1
+    """Split range(total) into at most ``parts`` contiguous near-even pieces,
+    and at most one per CPU: :func:`map_chunks` runs no more workers, so a
+    huge task count allocates no piece per task."""
+    parts = max(1, min(parts, total, os.cpu_count() or 1))
     base, extra = divmod(total, parts)
     ranges = []
     start = 0

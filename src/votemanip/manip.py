@@ -22,6 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import product
 from math import factorial
 from operator import or_
 from typing import Optional
@@ -250,33 +251,79 @@ class ManipulationSample:
     success: bool
 
 
-def _draw(rng: random.Random, f: SCF, width: int, size: int, blocks, perm_index, positions):
+def _read(getrandbits, pairs) -> list[int]:
+    """One value below m per ``(m, m.bit_length())`` pair, read as CPython's
+    ``randrange(m)`` reads it (``Random._randbelow_with_getrandbits``): b =
+    m.bit_length() bits, read again while they are m or more. ``getrandbits(b)``
+    takes one word up to b = 32 and more words past it, as ``randrange`` does,
+    so m = 1 reads words until a 0 bit and ``getstate()`` ends equal."""
+    values = []
+    for m, b in pairs:
+        x = getrandbits(b)
+        while x >= m:
+            x = getrandbits(b)
+        values.append(x)
+    return values
+
+
+def _bits(m: int) -> tuple[int, int]:
+    return m, m.bit_length()
+
+
+@lru_cache(maxsize=None)
+def _shuffle_plan(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The reads of ``shuffle`` on a length-``width`` list and their table.
+
+    ``shuffle`` swaps item i with item ``randrange(i + 1)`` for i = width-1
+    down to 1, so it reads the pairs of m = width, width-1, ..., 2. The table
+    maps the mixed-radix code of the values read (the first most significant)
+    to the index in ``permutations(range(width))`` of ``list(range(width))``
+    shuffled by them.
+    """
+    radices = range(width, 1, -1)
+    rank_of = ranking_rank_of(width)
+    table = []
+    for js in product(*map(range, radices)):
+        perm = list(range(width))
+        for i, j in zip(range(width - 1, 0, -1), js):
+            perm[i], perm[j] = perm[j], perm[i]
+        table.append(rank_of[tuple(perm)])
+    return tuple(map(_bits, radices)), tuple(table)
+
+
+def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions):
     """One draw as ranks: ``(ranks, altered ranks, voter, success)``.
 
-    The RNG calls are those of drawing orders: the profile index, the voter,
-    the window start, then a shuffle of the window, which reads only its
-    length. Shuffling ``range(width)`` gives the window's permutation, whose
-    index in ``permutations(range(width))`` and the start move the voter's rank
-    through :func:`rankings.window_blocks`.
+    The reads are those of drawing orders with ``randrange`` and ``shuffle``
+    (:func:`_read`): the profile index, the voter and the window start (the
+    ``head`` pairs), then the shuffle of the window, which reads only its
+    length. Its code in the :func:`_shuffle_plan` table gives the window's
+    permutation, whose index in ``permutations(range(width))`` and the start
+    move the voter's rank through :func:`rankings.window_blocks`.
     """
-    n = f.n
-    ranks = index_digits(n, f.k, rng.randrange(size))
-    i = rng.randrange(n)
-    span, stride, moves = blocks[rng.randrange(len(blocks))]
-    perm = list(range(width))
-    rng.shuffle(perm)
+    index, i, start = _read(getrandbits, head)
+    pairs, table = shuffle
+    code = 0
+    for m, b in pairs:  # _read's loop, folding each value into the code
+        j = getrandbits(b)
+        while j >= m:
+            j = getrandbits(b)
+        code = code * m + j
+    ranks = index_digits(f.n, f.k, index)
+    span, stride, moves = blocks[start]
     r = ranks[i]
     q = r % span // stride
-    altered = ranks[:i] + (r + (moves[q][perm_index[tuple(perm)]] - q) * stride,) + ranks[i + 1:]
+    altered = ranks[:i] + (r + (moves[q][table[code]] - q) * stride,) + ranks[i + 1:]
     pos = positions[r]
     return ranks, altered, i, pos[f.evaluate_ranks(altered)] < pos[f.evaluate_ranks(ranks)]
 
 
 def _draw_plan(f: SCF, width: int):
-    """The arguments of :func:`_draw` after ``rng``, f and width."""
+    """The arguments of :func:`_draw` after ``getrandbits`` and f."""
     k = f.k
-    return (profile_space_size(f.n, k), window_blocks(k, width), ranking_rank_of(width),
-            ranking_positions(k))
+    blocks = window_blocks(k, width)
+    head = tuple(map(_bits, (profile_space_size(f.n, k), f.n, len(blocks))))
+    return head, _shuffle_plan(width), blocks, ranking_positions(k)
 
 
 def _check_window(k: int, width: int) -> None:
@@ -286,11 +333,20 @@ def _check_window(k: int, width: int) -> None:
         raise ValueError(f"need k >= {width} for a width-{width} window")
 
 
+def _check_draws(f: SCF, width: int) -> None:
+    """Refuse a bad window, or per-ranking tables (``ranking_positions`` and a
+    score rule's ``rank_scores``, ``k * k!`` entries each) over the SCF's cap,
+    before the sampler builds any of them."""
+    k = f.k
+    _check_window(k, width)
+    check_cap(f.cap, "sampler per-ranking table entries", k, count=lambda: k * factorial(k))
+
+
 def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample:
     """One seeded draw: uniform profile, voter, window start, window shuffle."""
-    _check_window(f.k, width)
+    _check_draws(f, width)
     check_seed(seed)
-    ranks, altered, i, success = _draw(random.Random(seed), f, width, *_draw_plan(f, width))
+    ranks, altered, i, success = _draw(random.Random(seed).getrandbits, f, *_draw_plan(f, width))
     return ManipulationSample(
         profile=tuple(decode_ranking(f.k, r) for r in ranks),
         altered=tuple(decode_ranking(f.k, r) for r in altered),
@@ -303,11 +359,11 @@ def _sample_chunk(f, width, seed, block_lo, block_hi, samples):
     plan = _draw_plan(f, width)
     successes = 0
     for block in range(block_lo, block_hi):
-        rng = random.Random(engine.derive_stream_seed(seed, block))
+        getrandbits = random.Random(engine.derive_stream_seed(seed, block)).getrandbits
         lo = block * engine.SAMPLE_BLOCK
         hi = min(lo + engine.SAMPLE_BLOCK, samples)
         for _ in range(hi - lo):
-            successes += _draw(rng, f, width, *plan)[3]
+            successes += _draw(getrandbits, f, *plan)[3]
     return successes
 
 
@@ -346,7 +402,7 @@ def sample_success(f: SCF, samples: int, seed: int, width: int = 4,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_window(f.k, width)
+    _check_draws(f, width)
     check_seed(seed)
     blocks = (samples + engine.SAMPLE_BLOCK - 1) // engine.SAMPLE_BLOCK
     chunk_ranges = engine.split_ranges(blocks, tasks)

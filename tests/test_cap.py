@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from votemanip import manip
 from votemanip.errors import CapExceededError
 from votemanip.fibers import (
     FiberVariant,
@@ -36,6 +37,7 @@ from votemanip.manip import (
     exact_pair_probability,
     gs_classify,
     nonmanip_membership,
+    sample_manipulation,
     sample_success,
 )
 from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
@@ -176,3 +178,20 @@ def test_the_sampler_builds_no_table_past_the_cap(monkeypatch):
     assert sample_success(f, 50, seed=1).samples == 50
     with pytest.raises(CapExceededError):
         f.table()
+
+
+def test_the_sampler_refuses_per_ranking_tables_past_the_cap(monkeypatch):
+    # The sampler's per-ranking tables hold k * k! entries: 600 at k = 5, and
+    # 36,288,000 at k = 10, past the default cap of 10^7; 3,265,920 at k = 9.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampler table was built")
+
+    for f in (Borda(2, 5, cap=599), Borda(2, 10)):
+        with monkeypatch.context() as patch:
+            patch.setattr(manip, "window_blocks", refuse)
+            patch.setattr(manip, "ranking_positions", refuse)
+            with pytest.raises(CapExceededError):
+                sample_success(f, 10, seed=0)
+            with pytest.raises(CapExceededError):
+                sample_manipulation(f, 0)
+    assert sample_success(Borda(2, 5, cap=600), 10, seed=0).samples == 10

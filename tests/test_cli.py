@@ -506,6 +506,16 @@ def test_counts_past_the_cap_are_refused_without_printing_them(capsys, argv):
     assert err.startswith("error: ") and "exceed the cap" in err and len(err) < 200
 
 
+def test_sample_honours_the_cap(capsys):
+    # The sampler's per-ranking tables hold k * k! = 600 entries at k = 5.
+    argv = ["sample", "--rule", "borda", "-n", "2", "-k", "5", "--samples", "10"]
+    code, out = run_cli([*argv, "--cap", "599"])
+    assert code == 2 and out == ""
+    assert "exceed the cap" in capsys.readouterr().err
+    code, doc = run_json([*argv, "--cap", "600"])
+    assert code == 0 and doc["result"]["samples"] == 10
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--thm", "1.2", "--random", "-5", "-n", "2", "-k", "3"],
     ["verify", "--thm", "1.2", "--random", "0", "-n", "2", "-k", "3"],

@@ -4,6 +4,9 @@ import os
 import pytest
 
 from votemanip import engine
+from votemanip.manip import sample_success
+from votemanip.scf import Borda
+from votemanip.verify import sweep_random_tables
 
 
 def test_split_ranges_covers_everything():
@@ -13,6 +16,24 @@ def test_split_ranges_covers_everything():
             flat = [i for lo, hi in ranges for i in range(lo, hi)]
             assert flat == list(range(total))
             assert len(ranges) <= max(parts, 1)
+
+
+def test_a_huge_task_count_splits_into_one_chunk_per_cpu(monkeypatch):
+    # A chunk per task would allocate a list as long as --tasks; the pool
+    # never runs more than one worker per CPU.
+    chunk_counts = []
+
+    def inline(worker, chunk_args, tasks=1):
+        chunk_counts.append(len(chunk_args))
+        return [worker(*args) for args in chunk_args]
+
+    monkeypatch.setattr(engine, "map_chunks", inline)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert engine.split_ranges(100, 50) == [(0, 50), (50, 100)]
+    f, samples = Borda(2, 4), 3 * engine.SAMPLE_BLOCK + 5
+    assert sample_success(f, samples, 3, tasks=10 ** 9) == sample_success(f, samples, 3)
+    assert sweep_random_tables(2, 3, 5, 1, tasks=10 ** 9) == sweep_random_tables(2, 3, 5, 1)
+    assert chunk_counts == [2, 1, 2, 1]
 
 
 def test_effective_tasks_env_override(monkeypatch):

@@ -212,19 +212,61 @@ def _sampler_subjects(n, k):
 
 
 def test_sampler_draws_equal_the_order_tuple_oracle():
-    n, k = 2, 4
-    samples = engine.SAMPLE_BLOCK + 500
-    for f, evaluate in _sampler_subjects(n, k):
-        for width in range(2, k + 1):
-            for seed in range(6):
-                s = sample_manipulation(f, seed, width)
-                assert ((tuple(r.order for r in s.profile), tuple(r.order for r in s.altered),
-                         s.coordinate, s.success)
-                        == oracles.sampler_draw(random.Random(seed), evaluate, n, k, width))
-            expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3,
-                                                 engine.SAMPLE_BLOCK)
-            for tasks in (1, 2):
-                assert sample_success(f, samples, 3, width, tasks).successes == expected
+    # Every width at (2,4); then n = 1, whose voter read is randrange(1), which
+    # reads words until a 0 bit; k = width, which has one window start; and
+    # Borda (5,5), whose (k!)^n > 2^32 takes two words per profile index.
+    for n, k, widths, subjects, samples in (
+            (2, 4, range(2, 5), _sampler_subjects(2, 4), engine.SAMPLE_BLOCK + 500),
+            (1, 4, (2, 4), _sampler_subjects(1, 4), engine.SAMPLE_BLOCK + 500),
+            (2, 3, (3,), _sampler_subjects(2, 3), 500),
+            (5, 5, (3,), [(Borda(5, 5), oracles.borda_tuple)], 500)):
+        for f, evaluate in subjects:
+            for width in widths:
+                for seed in range(6):
+                    s = sample_manipulation(f, seed, width)
+                    assert ((tuple(r.order for r in s.profile),
+                             tuple(r.order for r in s.altered), s.coordinate, s.success)
+                            == oracles.sampler_draw(random.Random(seed), evaluate, n, k, width))
+                expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3,
+                                                     engine.SAMPLE_BLOCK)
+                for tasks in (1, 2):
+                    assert sample_success(f, samples, 3, width, tasks).successes == expected
+
+
+READER_SEEDS = (0, 1, 7, 12345)
+
+
+def test_the_reader_reads_what_randrange_reads():
+    # b = m.bit_length() bits a read: 1 bit at m = 1, one whole word at
+    # 2^32 - 1, two words from 2^32 on.
+    ms = (1, 2, 3, 4, 5, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
+    for seed in READER_SEEDS:
+        for pairs in ([(m, m.bit_length())] * 40 for m in ms):
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert manip._read(rng.getrandbits, pairs) == [reference.randrange(m)
+                                                           for m, _b in pairs]
+            assert rng.getstate() == reference.getstate()
+        rng, reference = random.Random(seed), random.Random(seed)
+        pairs = [(m, m.bit_length()) for m in ms] * 40
+        assert manip._read(rng.getrandbits, pairs) == [reference.randrange(m) for m in ms * 40]
+        assert rng.getstate() == reference.getstate()
+
+
+def test_the_shuffle_table_is_the_shuffle_of_range_width():
+    for width in (2, 3, 4):
+        orders = list(permutations(range(width)))
+        pairs, table = manip._shuffle_plan(width)
+        assert sorted(table) == list(range(len(orders)))
+        for seed in READER_SEEDS:
+            rng, reference = random.Random(seed), random.Random(seed)
+            for _ in range(100):
+                code = 0
+                for (m, _b), j in zip(pairs, manip._read(rng.getrandbits, pairs)):
+                    code = code * m + j
+                perm = list(range(width))
+                reference.shuffle(perm)
+                assert orders[table[code]] == tuple(perm)
+            assert rng.getstate() == reference.getstate()
 
 
 def test_seeded_paths_refuse_negative_seeds():
