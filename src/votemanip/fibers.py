@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial
 from operator import and_, or_
 from typing import Iterator, Sequence
@@ -41,6 +41,7 @@ from .rankings import (
     ranks_preferring,
     top_h_by_rank,
     window_moves,
+    window_permutations,
 )
 from .scf import SCF
 
@@ -220,8 +221,7 @@ def refined_topset_membership(f: SCF, i: int, a: int, b: int, profile: Profile,
     """
     check_coordinate(f.n, i)
     check_alternatives(f.k, a, b)
-    if len(profile) != f.n:
-        raise ValueError(f"profile needs {f.n} rankings, got {len(profile)}")
+    f.check_profile(profile)
     sides = [[ranks_preferring(f.k, *((a, b) if r.prefers(a, b) else (b, a)))] for r in profile]
     sides[i] = [(r,) for r in range(factorial(f.k))]
     parts = class_tables(f.table(), f.k, sides)
@@ -237,22 +237,18 @@ def is_local_dictator(f: SCF, profile: Profile, i: int, H) -> bool:
     """H forms an adjacent block in coordinate i and every within-block
     rearrangement elects the block's top H-member."""
     check_coordinate(f.n, i)
-    subset = sorted(set(H))
+    f.check_profile(profile)
+    subset = set(H)
     if not subset:
         raise ValueError("H must be nonempty")
+    check_alternatives(f.k, *subset)
     r = profile[i]
     positions = sorted(r.inv[x] for x in subset)
-    lo, hi = positions[0], positions[-1]
-    if hi - lo + 1 != len(subset):
+    lo = positions[0]
+    if positions[-1] - lo + 1 != len(subset):
         return False
-    order = r.order
-    head, tail = order[:lo], order[hi + 1:]
-    for block in permutations(subset):
-        candidate = Ranking(head + block + tail)
-        outcome = f.evaluate(profile[:i] + (candidate,) + profile[i + 1:])
-        if outcome != block[0]:
-            return False
-    return True
+    return all(f.evaluate(profile[:i] + (c,) + profile[i + 1:]) == c.order[lo]
+               for c in window_permutations(r, lo, len(subset)))
 
 
 def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int]) -> set[Profile]:

@@ -57,23 +57,11 @@ def neighbors(profile: Profile, kind: GraphKind) -> list[Profile]:
     Coarse degree is n(k!-1); refined degree is n(k-1) since transpositions of
     non-adjacent alternatives act as the identity and are not emitted.
     """
-    n = len(profile)
     k = profile[0].k
-    out = []
-    if kind is GraphKind.COARSE:
-        for i in range(n):
-            for r in all_rankings(k):
-                if r.order != profile[i].order:
-                    out.append(profile[:i] + (r,) + profile[i + 1:])
-    else:
-        rankings = all_rankings(k)
-        rank_of = ranking_rank_of(k)
-        swaps = adjacent_swap_neighbors(k)
-        for i in range(n):
-            rho = rank_of[profile[i].order]
-            for dest, _a, _b in swaps[rho]:
-                out.append(profile[:i] + (rankings[dest],) + profile[i + 1:])
-    return out
+    rankings = all_rankings(k)
+    rank_of = ranking_rank_of(k)
+    return [profile[:i] + (rankings[dest],) + profile[i + 1:] for i, r in enumerate(profile)
+            for dest in _rank_moves(k, kind, None, rank_of[r.order])]
 
 
 @dataclass(frozen=True)
@@ -109,14 +97,16 @@ class BoundarySpec:
 
 
 @lru_cache(maxsize=None)
-def _edge_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition]):
-    """Per ranking rank, the ranks one edge of the graph (restricted to z) reaches."""
+def _rank_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition],
+                rho: int) -> tuple[int, ...]:
+    """The ranks one edge of the graph (restricted to z) reaches from rank rho.
+    Kept per rank: one profile's :func:`neighbors` need not build the coarse
+    moves of every rank, k! (k! - 1) entries."""
     if kind is GraphKind.COARSE:
-        return tuple(tuple(r for r in range(factorial(k)) if r != rho)
-                     for rho in range(factorial(k)))
+        return tuple(r for r in range(factorial(k)) if r != rho)
     pair = None if z is None else (min(z.a, z.b), max(z.a, z.b))
-    return tuple(tuple(dest for dest, a, b in moves if pair is None or (a, b) == pair)
-                 for moves in adjacent_swap_neighbors(k))
+    return tuple(dest for dest, a, b in adjacent_swap_neighbors(k)[rho]
+                 if pair is None or (a, b) == pair)
 
 
 def _check_kind(z: Optional[AdjacentTransposition], kind: GraphKind) -> None:
@@ -146,8 +136,8 @@ def _spec_partners(f: SCF, spec: BoundarySpec):
     table = f.table()
     fact = factorial(f.k)
     stride = profile_strides(f.n, f.k)[spec.i]
-    offsets = [[(dest - r) * stride for dest in moves]
-               for r, moves in enumerate(_edge_moves(f.k, spec.kind, spec.z))]
+    offsets = [[(dest - r) * stride for dest in _rank_moves(f.k, spec.kind, spec.z, r)]
+               for r in range(fact)]
     a, b = spec.a, spec.b
 
     def partners(p: int) -> list[int]:
@@ -309,8 +299,7 @@ def coordinate_influences(f: SCF, i: int) -> CoordinateInfluences:
 
 def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec) -> bool:
     """Whether the profile has at least one boundary partner under the spec."""
-    if len(profile) != f.n or any(r.k != f.k for r in profile):
-        raise ValueError(f"profile must hold {f.n} rankings of {f.k} alternatives")
+    f.check_profile(profile)
     table, partners = _spec_partners(f, spec)
     p = encode_profile(profile)
     # A list, not any(): partner index 0 is falsy.

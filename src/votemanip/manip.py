@@ -128,8 +128,11 @@ class ManipulationCensus:
         return Fraction(self.counts[r], self.total_profiles)
 
     def manipulable_count(self) -> int:
-        """|M|: any window width up to k."""
-        return self.counts[max(self.counts)]
+        """|M|: any window width up to k, read from a requested width of k or more."""
+        full = [c for r, c in self.counts.items() if r >= self.k]
+        if not full:
+            raise ValueError(f"|M| needs a census width of at least k={self.k}")
+        return full[0]
 
     def manipulable_fraction(self) -> Fraction:
         return Fraction(self.manipulable_count(), self.total_profiles)

@@ -426,20 +426,12 @@ def window_destinations(k: int, width: int) -> tuple[tuple[int, ...], ...]:
 def adjacent_swap_neighbors(k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """Per-rank refined-graph moves as (destination rank, a, b) with a < b.
 
-    One entry per adjacent position pair, so each ranking has k - 1 moves.
+    One entry per adjacent position pair p, p + 1, in position order, so each
+    ranking has k - 1 moves: the swap draws of :func:`window_moves` at width
+    2, each start's second draw (its first is the ranking itself).
     """
-    rank_of = ranking_rank_of(k)
-    out = []
-    for order in ranking_orders(k):
-        moves = []
-        for p in range(k - 1):
-            swapped = list(order)
-            swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
-            x, y = order[p], order[p + 1]
-            a, b = (x, y) if x < y else (y, x)
-            moves.append((rank_of[tuple(swapped)], a, b))
-        out.append(tuple(moves))
-    return tuple(out)
+    return tuple(tuple((dest, *sorted(order[p:p + 2])) for p, dest in enumerate(moves[1::2]))
+                 for order, moves in zip(ranking_orders(k), window_moves(k, 2)))
 
 
 @lru_cache(maxsize=None)

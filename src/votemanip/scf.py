@@ -19,6 +19,7 @@ from .rankings import (
     MAX_TABLE_K,
     Profile,
     Ranking,
+    _inverse,
     check_alternatives,
     check_cap,
     check_coordinate,
@@ -69,12 +70,13 @@ class SCF:
         orders = ranking_orders(self.k)
         return self.evaluate_orders(tuple(orders[r] for r in ranks))
 
+    def check_profile(self, profile: Profile) -> None:
+        """Refuse a profile that is not n rankings of k alternatives."""
+        if len(profile) != self.n or any(r.k != self.k for r in profile):
+            raise ValueError(f"profile needs {self.n} rankings of {self.k} alternatives")
+
     def evaluate(self, profile: Profile) -> int:
-        if len(profile) != self.n:
-            raise ValueError(f"profile has {len(profile)} coordinates, expected {self.n}")
-        for r in profile:
-            if r.k != self.k:
-                raise ValueError(f"ranking over {r.k} alternatives, expected {self.k}")
+        self.check_profile(profile)
         return self.evaluate_orders(tuple(r.order for r in profile))
 
     def table(self) -> bytes:
@@ -176,76 +178,63 @@ def packed_winner(total: int, k: int, c: int) -> int:
     return scores.index(max(scores))
 
 
-def score_table(n: int, k: int, rank_scores) -> bytes:
-    """Table of the score rule giving ``rank_scores[r][a]`` points to alternative a
-    from each voter whose ranking has rank r; ties go to the lowest id.
-
-    The first n - 1 voters' sums of :func:`score_packing` vectors are listed in
-    profile-index order; the last voter's row of outcomes is built once per
-    distinct sum from a winner per distinct total.
-    """
-    packed, c = score_packing(n, k, rank_scores)
-    prefixes = [0]
-    for _ in range(n - 1):
-        prefixes = [s + v for s in prefixes for v in packed]
-    distinct = dict.fromkeys(prefixes)
-    winner = {t: packed_winner(t, k, c) for t in {s + v for s in distinct for v in packed}}
-    rows = {s: bytes([winner[s + v] for v in packed]) for s in distinct}
-    # Appending the rows keeps the peak near the table's size; b"".join of
-    # (k!)^(n-1) rows takes a buffer view of each at once.
-    table = bytearray()
-    for s in prefixes:
-        table += rows[s]
-    return bytes(table)
-
-
 class ScoreRule(SCF):
-    """A score rule: each voter whose ranking has rank r gives
-    ``rank_scores()[r][a]`` points to alternative a; ties go to the lowest id.
-    The table and :meth:`evaluate_ranks` read one :func:`score_packing`."""
+    """A score rule: a voter whose ranking puts alternative a at position
+    ``pos[a]`` gives ``points(pos)[a]`` points to a; ties go to the lowest id.
+    The table and :meth:`evaluate_ranks` read one :func:`score_packing` of
+    ``points``; :meth:`evaluate_orders` sums it over the profile's own orders."""
+
+    def points(self, pos: tuple[int, ...]) -> list[int]:
+        raise NotImplementedError
 
     def rank_scores(self) -> list[list[int]]:
-        raise NotImplementedError
+        """``points`` of each ranking, by rank."""
+        return [self.points(pos) for pos in ranking_positions(self.k)]
 
     @cached_property
     def _packing(self) -> tuple[list[int], int]:
         return score_packing(self.n, self.k, self.rank_scores())
+
+    def evaluate_orders(self, orders):
+        scores = [sum(column) for column in zip(*(self.points(_inverse(o)) for o in orders))]
+        return scores.index(max(scores))
 
     def evaluate_ranks(self, ranks):
         packed, c = self._packing
         return packed_winner(sum(map(packed.__getitem__, ranks)), self.k, c)
 
     def _build_table(self) -> bytes:
-        return score_table(self.n, self.k, self.rank_scores())
+        """The first n - 1 voters' sums of packed vectors are listed in
+        profile-index order; the last voter's row of outcomes is built once
+        per distinct sum from a winner per distinct total."""
+        k = self.k
+        packed, c = self._packing
+        prefixes = [0]
+        for _ in range(self.n - 1):
+            prefixes = [s + v for s in prefixes for v in packed]
+        distinct = dict.fromkeys(prefixes)
+        winner = {t: packed_winner(t, k, c) for t in {s + v for s in distinct for v in packed}}
+        rows = {s: bytes([winner[s + v] for v in packed]) for s in distinct}
+        # Appending the rows keeps the peak near the table's size; b"".join of
+        # (k!)^(n-1) rows takes a buffer view of each at once.
+        table = bytearray()
+        for s in prefixes:
+            table += rows[s]
+        return bytes(table)
 
 
 class Plurality(ScoreRule):
     """Most first places wins; ties go to the lowest alternative id."""
 
-    def evaluate_orders(self, orders):
-        counts = [0] * self.k
-        for o in orders:
-            counts[o[0]] += 1
-        return max(range(self.k), key=lambda a: (counts[a], -a))
-
-    def rank_scores(self) -> list[list[int]]:
-        return [[int(p == 0) for p in pos] for pos in ranking_positions(self.k)]
+    def points(self, pos):
+        return [int(p == 0) for p in pos]
 
 
 class Borda(ScoreRule):
     """Position p scores k-1-p points; ties go to the lowest alternative id."""
 
-    def evaluate_orders(self, orders):
-        k = self.k
-        scores = [0] * k
-        for o in orders:
-            for points, alt in enumerate(reversed(o)):
-                scores[alt] += points
-        return max(range(k), key=lambda a: (scores[a], -a))
-
-    def rank_scores(self) -> list[list[int]]:
-        k = self.k
-        return [[k - 1 - p for p in pos] for pos in ranking_positions(k)]
+    def points(self, pos):
+        return [self.k - 1 - p for p in pos]
 
 
 class TopHDictator(SCF):

@@ -173,6 +173,19 @@ def test_refined_topset_membership_refuses_a_profile_of_the_wrong_length(length)
         refined_topset_membership(f, 0, 0, 1, decode_profile(length, 3, 0), Fraction(0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda f, p: is_local_dictator(f, p, 0, {5}),
+    lambda f, p: is_local_dictator(f, p, 0, {2, -1}),
+    lambda f, p: is_local_dictator(f, decode_profile(2, 2, 0), 0, {2}),
+    lambda f, p: refined_topset_membership(f, 0, 0, 1, decode_profile(2, 4, 0), Fraction(1, 10)),
+], ids=["local-dictator-H-above-k", "local-dictator-H-negative",
+        "local-dictator-rankings-of-2", "topset-rankings-of-4"])
+def test_fiber_predicates_refuse_bad_alternatives_and_profile_shapes(call):
+    f = Plurality(2, 3)
+    with pytest.raises(ValueError):
+        call(f, decode_profile(2, 3, 0))
+
+
 def test_refined_topset_membership_ignores_deleted_coordinate():
     f = random_table_scf(2, 3, 123)
     gamma = Fraction(1, 24)

@@ -29,6 +29,20 @@ def test_neighbor_counts():
     assert len(neighbors(two, GraphKind.REFINED)) == 2 * 2
 
 
+def test_coarse_neighbors_build_no_table_of_every_ranks_moves():
+    # All ranks' coarse moves at k = 6 are 720 * 719 entries, over 12 MiB.
+    import tracemalloc
+
+    prof = (decode_profile(1, 6, 0)[0], decode_profile(1, 6, 719)[0])
+    tracemalloc.start()
+    try:
+        assert len(neighbors(prof, GraphKind.COARSE)) == 2 * 719
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_refined_subset_of_coarse():
     prof = (Ranking((1, 0, 2, 3)), Ranking((3, 2, 1, 0)))
     coarse = {tuple(r.order for r in p) for p in neighbors(prof, GraphKind.COARSE)}

@@ -175,6 +175,17 @@ def test_census_at_one_alternative():
     assert cen.manipulable_fraction() == 0
 
 
+def test_manipulable_count_needs_a_width_of_at_least_k():
+    # |M| of Borda(2, 4) is 29/48; its width-2 count alone, 121/288, is |M_2|.
+    f = Borda(2, 4)
+    assert census(f, (2, 4)).manipulable_fraction() == Fraction(29, 48)
+    assert census(f, (2, 9)).manipulable_fraction() == Fraction(29, 48)
+    assert census(f, (2,)).fraction(2) == Fraction(121, 288)
+    for widths in ((2,), (2, 3)):
+        with pytest.raises(ValueError, match="width of at least k=4"):
+            census(f, widths).manipulable_count()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_empty_manipulation_iff_distance_zero(seed):

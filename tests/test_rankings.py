@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from votemanip.rankings import (
     AdjacentTransposition,
     Ranking,
+    adjacent_swap_neighbors,
     all_adjacent_transpositions,
     apply_adjacent_transposition,
     class_tables,
@@ -209,3 +210,15 @@ def test_top_h_by_rank_and_window_moves():
                     w for start in range(k - width + 1)
                     for w in window_permutations(r, start, width)
                 ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_adjacent_swap_neighbors_swap_each_position_pair_in_position_order(k):
+    for order, moves in zip(permutations(range(k)), adjacent_swap_neighbors(k)):
+        expected = []
+        for p in range(k - 1):
+            swapped = list(order)
+            swapped[p], swapped[p + 1] = order[p + 1], order[p]
+            pair = sorted(order[p:p + 2])
+            expected.append((encode_ranking(Ranking(tuple(swapped))), *pair))
+        assert list(moves) == expected

@@ -265,8 +265,37 @@ def test_packed_scores_pick_the_winner_on_both_sides_of_the_byte_headroom(rule, 
     # rankings split evenly tie.
     profiles += [[0] * n, [fact - 1] * n, [0, fact - 1] * (n // 2) + [0] * (n % 2)]
     orders = ranking_orders(k)
+    oracle = oracles.plurality_tuple if rule is Plurality else oracles.borda_tuple
     for ranks in profiles:
-        assert f.evaluate_ranks(ranks) == f.evaluate_orders(tuple(orders[r] for r in ranks))
+        prof = tuple(orders[r] for r in ranks)
+        assert f.evaluate_ranks(ranks) == f.evaluate_orders(prof) == oracle(prof)
+
+
+@pytest.mark.parametrize("rule, oracle", [(Plurality, oracles.plurality_tuple),
+                                          (Borda, oracles.borda_tuple)])
+def test_score_rules_evaluate_past_the_table_k_without_per_ranking_tables(
+        monkeypatch, rule, oracle):
+    # k = 12 is past MAX_TABLE_K: a single profile is scored from its own orders.
+    from votemanip import rankings, scf
+
+    def refuse(k):
+        raise AssertionError(f"a per-ranking table was built at k={k}")
+
+    for module in (rankings, scf):
+        monkeypatch.setattr(module, "ranking_positions", refuse)
+    k = 12
+    assert k > rankings.MAX_TABLE_K
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        f = rule(n, k)
+        for _ in range(20):
+            prof = tuple(tuple(rng.sample(range(k), k)) for _ in range(n))
+            assert f.evaluate(tuple(map(Ranking, prof))) == oracle(prof)
+        same = (tuple(range(k - 1, -1, -1)),) * n
+        assert f.evaluate(tuple(map(Ranking, same))) == oracle(same) == k - 1
+    # An order and its reverse tie (Borda on all, plurality on the two tops).
+    tie = (tuple(range(k - 1, -1, -1)), tuple(range(k)))
+    assert rule(2, k).evaluate(tuple(map(Ranking, tie))) == oracle(tie) == 0
 
 
 @settings(max_examples=30, deadline=None)
