@@ -33,7 +33,9 @@ SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]
 COMMANDS = [("census",), ("distance",), ("influences", "--refined"), ("gs-classify",)]
 SEEDED_CALLS = [
     "census random:0 5 4",
+    "distance random:0 5 4",
     "influences --refined random:0 5 4",
+    "gs-classify random:0 5 4",
     "local-dictators random:0 5 4 --pair 1,2 --coordinate 1",
     "sample borda 4 5 --samples 300000",
 ]

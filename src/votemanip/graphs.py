@@ -96,14 +96,19 @@ class BoundarySpec:
         return d
 
 
-@lru_cache(maxsize=None)
 def _rank_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition],
-                rho: int) -> tuple[int, ...]:
+                rho: int):
     """The ranks one edge of the graph (restricted to z) reaches from rank rho.
-    Kept per rank: one profile's :func:`neighbors` need not build the coarse
-    moves of every rank, k! (k! - 1) entries."""
+    Coarse moves are every other rank, listed on each call: the coarse moves
+    of every rank would be k! (k! - 1) entries."""
     if kind is GraphKind.COARSE:
-        return tuple(r for r in range(factorial(k)) if r != rho)
+        return [r for r in range(factorial(k)) if r != rho]
+    return _swap_moves(k, z, rho)
+
+
+@lru_cache(maxsize=None)
+def _swap_moves(k: int, z: Optional[AdjacentTransposition], rho: int) -> tuple[int, ...]:
+    """The refined moves of :func:`_rank_moves`, k - 1 at most, kept per rank."""
     pair = None if z is None else (min(z.a, z.b), max(z.a, z.b))
     return tuple(dest for dest, a, b in adjacent_swap_neighbors(k)[rho]
                  if pair is None or (a, b) == pair)
@@ -128,21 +133,29 @@ def _check_edges(k: int, a: int, b: Optional[int], z: Optional[AdjacentTransposi
 
 
 def _spec_partners(f: SCF, spec: BoundarySpec):
-    """The table, and a function listing p's partners, in edge order, that leave
-    outcome a (for b, when b is set): an edge from voter i's rank
-    ``r = p // stride % k!`` to ``dest`` reaches ``p + (dest - r) * stride``."""
+    """The table, and a function listing the partners, in edge order, of a
+    profile p electing a that leave a (for b, when b is set).
+
+    An edge from voter i's rank ``r = p // stride % k!`` to ``dest`` reaches
+    ``p + (dest - r) * stride``, computed for p's own rank only. The coarse
+    partners are p's whole coordinate-i line, a range of indices; p itself
+    elects a, so the filter drops it.
+    """
     check_coordinate(f.n, spec.i)
     _check_edges(f.k, spec.a, spec.b, spec.z, spec.kind)
     table = f.table()
     fact = factorial(f.k)
     stride = profile_strides(f.n, f.k)[spec.i]
-    offsets = [[(dest - r) * stride for dest in _rank_moves(f.k, spec.kind, spec.z, r)]
-               for r in range(fact)]
     a, b = spec.a, spec.b
+    coarse = spec.kind is GraphKind.COARSE
 
     def partners(p: int) -> list[int]:
-        return [p + d for d in offsets[p // stride % fact]
-                if table[p + d] != a and (b is None or table[p + d] == b)]
+        r = p // stride % fact
+        if coarse:
+            line = range(p - r * stride, p + (fact - r) * stride, stride)
+        else:
+            line = [p + (dest - r) * stride for dest in _swap_moves(f.k, spec.z, r)]
+        return [q for q in line if table[q] != a and (b is None or table[q] == b)]
 
     return table, partners
 
@@ -179,11 +192,11 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
     indicator lanes summed over a group of rank parts give ``C_a`` per line,
     and over the bit planes of two groups' sums, ``sum C_a C_b`` is the sum of
     ``2^(t+u) popcount(plane_{a,t} & plane_{b,u})``. Row a sums to k! times
-    the profiles electing a, which gives the diagonal.
+    the profiles electing a, ``sum 2^t popcount(plane_{a,t})``, which gives
+    the diagonal with no pass over the table.
     """
     k = f.k
-    table = f.table()
-    parts = class_tables(table, k, rank_classes(f.n, k, i))
+    parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
     ones = int.from_bytes(b"\x01" * len(parts[0]), "little")
     planes = [[] for _ in range(k)]
     for first in range(0, len(parts), LANE_GROUP):
@@ -196,7 +209,8 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
         moves[a][b] = moves[b][a] = sum(
             (x & y).bit_count() << (t + u) for t, x in planes[a] for u, y in planes[b])
     for a, row in enumerate(moves):
-        row[a] = len(parts) * table.count(a) - sum(row)
+        mass = sum(x.bit_count() << t for t, x in planes[a])
+        row[a] = len(parts) * mass - sum(row)
     return moves
 
 

@@ -36,10 +36,10 @@ from .rankings import (
     decode_profile,
     decode_ranking,
     fiber_outcome_counts,
-    index_digits,
     join_class_tables,
     lane_int,
     profile_space_size,
+    profile_strides,
     rank_classes,
     ranking_orders,
     ranking_positions,
@@ -294,7 +294,7 @@ def _shuffle_plan(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     return tuple(map(_bits, radices)), tuple(table)
 
 
-def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions):
+def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions, strides, fact):
     """One draw as ranks: ``(ranks, altered ranks, voter, success)``.
 
     The reads are those of drawing orders with ``randrange`` and ``shuffle``
@@ -302,7 +302,8 @@ def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions):
     ``head`` pairs), then the shuffle of the window, which reads only its
     length. Its code in the :func:`_shuffle_plan` table gives the window's
     permutation, whose index in ``permutations(range(width))`` and the start
-    move the voter's rank through :func:`rankings.window_blocks`.
+    move the voter's rank through :func:`rankings.window_blocks`. The voters'
+    ranks are the index's digits at ``strides``, base ``fact`` = k!.
     """
     index, i, start = _read(getrandbits, head)
     pairs, table = shuffle
@@ -312,7 +313,7 @@ def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions):
         while j >= m:
             j = getrandbits(b)
         code = code * m + j
-    ranks = index_digits(f.n, f.k, index)
+    ranks = tuple([index // stride % fact for stride in strides])
     span, stride, moves = blocks[start]
     r = ranks[i]
     q = r % span // stride
@@ -326,7 +327,8 @@ def _draw_plan(f: SCF, width: int):
     k = f.k
     blocks = window_blocks(k, width)
     head = tuple(map(_bits, (profile_space_size(f.n, k), f.n, len(blocks))))
-    return head, _shuffle_plan(width), blocks, ranking_positions(k)
+    return (head, _shuffle_plan(width), blocks, ranking_positions(k),
+            profile_strides(f.n, k), factorial(k))
 
 
 def _check_window(k: int, width: int) -> None:
@@ -463,7 +465,7 @@ def nonmanip_membership(f: SCF) -> Optional[SCF]:
 
     # Monotone two-valued branch: constant on every preference fiber of its
     # two-element range (each fiber all a or all b), with a monotone fiber table.
-    image = sorted(set(table))
+    image = sorted(f.range())
     if len(image) == 2:
         a, b = image
         fiber = (factorial(k) // 2) ** n

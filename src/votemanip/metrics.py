@@ -15,12 +15,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import (
-    fiber_outcome_counts,
-    pair_lanes,
-    rank_outcome_counts,
-    top_h_by_rank,
-)
+from .rankings import fiber_outcome_counts, pair_lanes, top_h_by_rank
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -73,6 +68,8 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     One-coordinate branch: per coordinate, the modal completion (ties to the
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
     rest onto the lower of the pair. The minimum over all candidates is exact.
+    Both read the SCF's cached :meth:`SCF.rank_counts`; the masses are the
+    column sums of coordinate 0's.
     """
     table = f.table()
     n, k = f.n, f.k
@@ -83,7 +80,7 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     for i in range(n):
         completion = []
         agree = 0
-        for row in rank_outcome_counts(table, n, k, i):
+        for row in f.rank_counts(i):
             winner = max(range(k), key=lambda x: (row[x], -x))
             completion.append(winner)
             agree += row[winner]
@@ -91,7 +88,7 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
             best_agree = agree
             best_witness = OneCoordinate(n, k, i, completion, cap=f.cap)
 
-    mass = [table.count(a) for a in range(k)]
+    mass = [sum(column) for column in zip(*f.rank_counts(0))]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
     keep = ranked[:2] if k >= 2 else ranked[:1]
     fallback = min(keep)
@@ -107,11 +104,14 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
 def distance_to_nonmanip(f: SCF) -> DistanceReport:
     """Distance to the nonmanipulable family.
 
-    Minimizes over every top_H dictator (direct counting) and, per alternative
-    pair, the cost-optimal monotone two-valued function found by an exact
-    minimum cut over the preference hypercube; both count over
-    :func:`rankings.class_tables`. A hypercube past
-    ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
+    Minimizes over every top_H dictator (read from the SCF's cached
+    :meth:`SCF.rank_counts`) and, per alternative pair, the cost-optimal
+    monotone two-valued function found by an exact minimum cut over the
+    preference hypercube, counted over :func:`rankings.class_tables`. A cut
+    costs at least the sum over vertices of the cheaper label, so a pair whose
+    agreement cannot pass the best so far skips its cut; a tie never replaces
+    the best, so the value and witness are those of the full search. A
+    hypercube past ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
     """
     n, k = f.n, f.k
     if k >= 2 and n > MAX_HYPERCUBE_BITS:
@@ -122,7 +122,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     best_witness: Optional[SCF] = None
 
     for i in range(n):
-        counts = rank_outcome_counts(table, n, k, i)
+        counts = f.rank_counts(i)
         for mask in range(1, 1 << k):
             members = frozenset(x for x in range(k) if mask >> x & 1)
             tops = top_h_by_rank(k, members)
@@ -135,8 +135,11 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     for a in range(k):
         for b in range(a + 1, k):
             count_a, count_b = fiber_outcome_counts(table, n, k, a, b)
-            labels, cost = nearest_monotone_boolean(
-                [fiber - c for c in count_a], [fiber - c for c in count_b])
+            cost_a = [fiber - c for c in count_a]
+            cost_b = [fiber - c for c in count_b]
+            if size - sum(map(min, cost_a, cost_b)) <= best_agree:
+                continue
+            labels, cost = nearest_monotone_boolean(cost_a, cost_b)
             if size - cost > best_agree:
                 best_agree = size - cost
                 best_witness = MonotoneTwoValued(

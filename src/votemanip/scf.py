@@ -29,6 +29,7 @@ from .rankings import (
     indicator,
     lane_int,
     profile_space_size,
+    rank_outcome_counts,
     ranking_orders,
     ranking_positions,
     ranking_rank_of,
@@ -60,6 +61,7 @@ class SCF:
         self.k = k
         self.cap = cap
         self._table_cache: bytes | None = None
+        self._rank_counts: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
         raise NotImplementedError
@@ -90,9 +92,20 @@ class SCF:
         """Every profile's outcome in index order; rules with a faster build override this."""
         return bytes(map(self.evaluate_orders, product(ranking_orders(self.k), repeat=self.n)))
 
+    def rank_counts(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Per ranking rank of voter i, the profiles electing each alternative
+        (:func:`rankings.rank_outcome_counts`). Counted once per coordinate, cached."""
+        check_coordinate(self.n, i)
+        if i not in self._rank_counts:
+            self._rank_counts[i] = tuple(map(tuple, rank_outcome_counts(
+                self.table(), self.n, self.k, i)))
+        return self._rank_counts[i]
+
     def range(self) -> frozenset[int]:
-        """Exact image over all profiles."""
-        return frozenset(self.table())
+        """Exact image over all profiles: the alternatives with a byte in the
+        table, each found by one ``in`` (``memchr``) that stops at its first entry."""
+        table = self.table()
+        return frozenset(x for x in range(self.k) if x in table)
 
     def describe(self) -> dict:
         """JSON-friendly description (alternatives and voters 1-based)."""
@@ -108,9 +121,14 @@ class TableSCF(SCF):
         size = profile_space_size(n, k)
         if len(outcomes) != size:
             raise ValueError(f"table has {len(outcomes)} entries, expected {size}")
-        # A bytes table holds ints only, so its largest entry is the one to check.
-        checked = (max(outcomes),) if type(outcomes) is bytes else outcomes
-        bad = [x for x in checked if type(x) is not int or not 0 <= x < k]
+        if type(outcomes) is bytes:
+            # A bytes table holds ints only: the bytes left after deleting
+            # 0..k-1 are its bad entries, and the largest is the one reported.
+            # The length check leaves k < 256, as no table has (256!)^n entries.
+            stray = outcomes.translate(None, bytes(range(k)))
+            bad = [max(stray)] if stray else []
+        else:
+            bad = [x for x in outcomes if type(x) is not int or not 0 <= x < k]
         if bad:
             raise ValueError(f"table outcome {bad[0]!r} is not an alternative in [0, {k})")
         self._table_cache = bytes(outcomes)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from votemanip import cli, manip, scf, verify
+from votemanip import cli, manip, rankings, scf, verify
 from votemanip.scf import Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
 
@@ -579,3 +579,21 @@ def test_a_directory_path_is_one_error_line(tmp_path, capsys, option):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_distance_splits_each_coordinate_by_rank_once(monkeypatch):
+    # Both families read the rank counts that the SCF caches per coordinate;
+    # a rank split of voter i has k! singleton classes for voter i and whole
+    # classes for the n - 1 - i voters after it.
+    splits = []
+    split = rankings.class_tables
+
+    def counted(table, k, classes):
+        if classes and len(classes[0]) == 6:
+            splits.append(3 - len(classes))
+        return split(table, k, classes)
+
+    monkeypatch.setattr(rankings, "class_tables", counted)
+    code, doc = run_json(["distance", "--rule", "random:0", "-n", "3", "-k", "3"])
+    assert code == 0 and set(doc["result"]) == {"nonmanip", "nonmanip_bar"}
+    assert sorted(splits) == [0, 1, 2]

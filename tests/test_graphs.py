@@ -43,6 +43,25 @@ def test_coarse_neighbors_build_no_table_of_every_ranks_moves():
     assert peak < 4 << 20
 
 
+def test_is_on_boundary_builds_no_offsets_of_other_ranks():
+    # Every rank's coarse offsets at k = 5 are 120 * 119 ints, about 500 KiB;
+    # one profile's partners are at most 119.
+    import tracemalloc
+
+    f = Borda(2, 5)
+    table = f.table()
+    first, second = decode_profile(2, 5, 0), decode_profile(2, 5, 14399)
+    for prof, p in ((first, 0), (second, 14399)):
+        spec = BoundarySpec(i=1, a=table[p])
+        tracemalloc.start()
+        try:
+            assert is_on_boundary(f, prof, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 10
+
+
 def test_refined_subset_of_coarse():
     prof = (Ranking((1, 0, 2, 3)), Ranking((3, 2, 1, 0)))
     coarse = {tuple(r.order for r in p) for p in neighbors(prof, GraphKind.COARSE)}

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,8 @@ from votemanip.metrics import (
     monotone_violation_fraction,
     nearest_monotone_boolean,
 )
-from votemanip.rankings import AdjacentTransposition
+from votemanip import metrics
+from votemanip.rankings import AdjacentTransposition, fiber_outcome_counts, top_h_by_rank
 from votemanip.scf import (
     Borda,
     Constant,
@@ -129,6 +131,48 @@ def test_distance_to_nonmanip_matches_full_candidate_oracle():
                     )
                     best = min(best, Fraction(bad, 36))
         assert distance_to_nonmanip(f).value == best
+
+
+def full_nonmanip_search(f):
+    """The candidate search of distance_to_nonmanip with every pair's min-cut
+    made: the best agreement and its first witness, in the same order."""
+    table, n, k = f.table(), f.n, f.k
+    best_agree, best = -1, None
+    for i in range(n):
+        for mask in range(1, 1 << k):
+            H = frozenset(x for x in range(k) if mask >> x & 1)
+            agree = sum(row[top] for row, top in zip(f.rank_counts(i), top_h_by_rank(k, H)))
+            if agree > best_agree:
+                best_agree, best = agree, TopHDictator(n, k, i, H)
+    fiber = (factorial(k) // 2) ** n
+    for a in range(k):
+        for b in range(a + 1, k):
+            count_a, count_b = fiber_outcome_counts(table, n, k, a, b)
+            labels, cost = nearest_monotone_boolean(
+                [fiber - c for c in count_a], [fiber - c for c in count_b])
+            if len(table) - cost > best_agree:
+                best_agree = len(table) - cost
+                best = MonotoneTwoValued(n, k, (a, b), [a if lab else b for lab in labels])
+    return Fraction(len(table) - best_agree, len(table)), best
+
+
+@pytest.mark.parametrize("n, k, seeds", [(2, 3, range(40)), (3, 3, range(10)), (4, 4, range(2))])
+def test_skipped_min_cuts_leave_values_and_witnesses_unchanged(monkeypatch, n, k, seeds):
+    cuts = []
+
+    def counted(cost_a, cost_b):
+        cuts.append(1)
+        return nearest_monotone_boolean(cost_a, cost_b)
+
+    monkeypatch.setattr(metrics, "nearest_monotone_boolean", counted)
+    for seed in seeds:
+        f = random_table_scf(n, k, seed)
+        value, witness = full_nonmanip_search(f)
+        report = distance_to_nonmanip(f)
+        assert report.value == value
+        assert report.witness.describe() == witness.describe()
+    # The bound skipped some cuts, so the pruned path is exercised.
+    assert len(cuts) < len(seeds) * k * (k - 1) // 2
 
 
 def test_distance_to_nonmanip_is_minimal_over_explicit_members():

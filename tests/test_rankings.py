@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 from math import factorial
 
@@ -20,6 +21,7 @@ from votemanip.rankings import (
     index_digits,
     join_class_tables,
     lane_rest,
+    outcome_counts,
     profile_space_size,
     rank_classes,
     swap_first_voters,
@@ -29,6 +31,7 @@ from votemanip.rankings import (
     window_moves,
     window_permutations,
 )
+from votemanip.scf import random_table_scf
 
 
 def rankings_st(k_min=2, k_max=6):
@@ -198,11 +201,17 @@ def test_join_class_tables_inverts_class_tables(shape, data):
 
 
 def test_top_h_by_rank_and_window_moves():
-    for k in (3, 4, 5):
-        for H in ({0}, {1, 2}, set(range(k))):
+    for k in range(1, 7):
+        for mask in range(1, 1 << k):
+            H = {x for x in range(k) if mask >> x & 1}
             assert top_h_by_rank(k, frozenset(H)) == bytes(
                 top_restricted(decode_ranking(k, r), H) for r in range(factorial(k))
             )
+    # Past the cached sizes the tables are built per call and equal.
+    H = frozenset({1, 5})
+    assert top_h_by_rank(8, H) == bytes(
+        top_restricted(decode_ranking(8, r), H) for r in range(factorial(8)))
+    for k in (3, 4, 5):
         for width in range(2, k + 1):
             for rank, moves in enumerate(window_moves(k, width)):
                 r = decode_ranking(k, rank)
@@ -222,3 +231,32 @@ def test_adjacent_swap_neighbors_swap_each_position_pair_in_position_order(k):
             pair = sorted(order[p:p + 2])
             expected.append((encode_ranking(Ranking(tuple(swapped))), *pair))
         assert list(moves) == expected
+
+
+@pytest.mark.parametrize("k, size", [(1, 0), (1, 7), (2, 0), (3, 1), (4, 100), (5, 257),
+                                     (8, 4096), (10, 0)])
+def test_outcome_counts_match_counter(k, size):
+    rng = random.Random(k * 1000 + size)
+    part = bytes(rng.randrange(k) for _ in range(size))
+    counts = Counter(part)
+    assert outcome_counts(part, k) == [counts[x] for x in range(k)]
+
+
+def test_outcome_counts_match_counter_on_a_whole_k10_table():
+    table = random_table_scf(1, 10, 3).table()
+    counts = Counter(table)
+    assert outcome_counts(table, 10) == [counts[x] for x in range(10)]
+
+
+def test_top_h_tables_past_k7_are_not_kept():
+    # Kept, the 255 tables of k = 8 would hold 10 MB (3.7 GB for k = 10).
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for mask in range(1, 1 << 8):
+            top_h_by_rank(8, frozenset(x for x in range(8) if mask >> x & 1))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20

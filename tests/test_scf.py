@@ -383,10 +383,37 @@ def test_cap_check_is_exact_at_small_caps():
 def test_table_scf_keeps_a_bytes_table_and_refuses_an_outcome_past_k():
     outcomes = bytes([0, 1, 2, 2, 1, 0])
     assert TableSCF(1, 3, outcomes).table() is outcomes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^table outcome 3 is not"):
         TableSCF(1, 3, bytes([0, 1, 2, 3, 1, 0]))
+    # The largest bad byte is the one named, wherever it sits.
+    with pytest.raises(ValueError, match=r"^table outcome 255 is not"):
+        TableSCF(1, 3, bytes([7, 255, 2, 3, 1, 0]))
+    with pytest.raises(ValueError, match=r"^table outcome 1 is not an alternative in \[0, 1\)"):
+        TableSCF(1, 1, bytes([1]))
     with pytest.raises(ValueError):
         TableSCF(1, 3, bytes(5))
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_range_and_membership_image_are_the_set_of_table_bytes(n, k):
+    from votemanip.manip import nonmanip_membership
+
+    rng = random.Random(n * 10 + k)
+    for _ in range(8):
+        image = rng.sample(range(k), rng.randint(1, k))
+        f = TableSCF(n, k, bytes(rng.choice(image) for _ in range(profile_space_size(n, k))))
+        assert f.range() == frozenset(f.table())
+    # A member equal to a monotone two-valued table: a top_H dictator, or
+    # the two-valued witness on the table's image.
+    pairs = 0
+    for seed in range(8):
+        g = TableSCF.from_scf(random_monotone_two_valued(n, k, seed))
+        member = nonmanip_membership(g)
+        assert scfs_equal(member, g) and member.range() == frozenset(g.table())
+        if isinstance(member, MonotoneTwoValued):
+            assert member.pair == tuple(sorted(frozenset(g.table())))
+            pairs += 1
+    assert pairs
 
 
 def test_random_monotone_two_valued_refuses_fiber_labels_past_the_cap():
