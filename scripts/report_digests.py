@@ -19,7 +19,7 @@ single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
 carry the measured values that the sweeps list only on a failure, of 21
 calls at the edges of `--cap` (see :func:`cap_edges`), and of the seeded
 paths' calls (see :func:`seeded_calls`). The default rules and shapes give
-661 reports. The calls run in this process through
+663 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -54,10 +54,14 @@ RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
                 ["sample", "--rule", "random:0", "-n", "1", "-k", "8", "--samples", "5000"]]
 # The sampler's edge reads: at n = 1 the voter read is randrange(1), which
 # reads words until a 0 bit, and k = width leaves one window start; at (5,5)
-# (k!)^n > 2^32, so a profile index takes two words.
+# (k!)^n > 2^32, so a profile index takes two words. Then Borda's packed
+# scores either side of one byte: n * top = 85 * 3 = 255 packs a score in one
+# byte, and 86 * 3 = 258 in two.
 SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples", "5000"],
                 *[["sample", "--rule", "borda", "-n", "5", "-k", "5", "--width", width,
-                   "--samples", "5000"] for width in SAMPLE_WIDTHS]]
+                   "--samples", "5000"] for width in SAMPLE_WIDTHS],
+                *[["sample", "--rule", "borda", "-n", n, "-k", "4", "--samples", "5000"]
+                  for n in ("85", "86")]]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 

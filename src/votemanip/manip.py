@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from math import factorial
 from operator import or_
@@ -31,6 +31,7 @@ from . import engine
 from .engine import check_seed
 from .rankings import (
     Profile,
+    RankTable,
     check_cap,
     class_tables,
     decode_profile,
@@ -41,6 +42,7 @@ from .rankings import (
     profile_space_size,
     profile_strides,
     rank_classes,
+    rank_positions,
     ranking_orders,
     ranking_positions,
     ranking_rank_of,
@@ -217,6 +219,22 @@ def _manipulation_flags(table, n: int, k: int, widths: tuple[int, ...]) -> int:
     return union
 
 
+def _first_block_flags(table, n: int, k: int) -> int:
+    """Width-k flags, as in :func:`_manipulation_flags`, of the profiles where
+    voter 0 has rank 0: the first ``(k!)^(n-1)``, lane p for profile p.
+
+    Voters 1..n-1 see voter 0 fixed, so their flags are those of the
+    (n-1)-voter table the block is. Voter 0, truly rank 0, gains on the lanes
+    of ``U_0 & (V[0] | ... | V[k! - 1])`` (:func:`_gains`): its rank parts are
+    the table's contiguous blocks."""
+    block = len(table) // factorial(k)
+    onehot, above = _gain_tables(k)
+    every = reduce(or_, (lane_int(table[d:d + block], onehot)
+                         for d in range(0, len(table), block)))
+    first = table[:block]
+    return _manipulation_flags(first, n - 1, k, (k,)) | lane_int(first, above[0]) & every
+
+
 def census(f: SCF, r_values=None) -> ManipulationCensus:
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself.
 
@@ -254,21 +272,6 @@ class ManipulationSample:
     success: bool
 
 
-def _read(getrandbits, pairs) -> list[int]:
-    """One value below m per ``(m, m.bit_length())`` pair, read as CPython's
-    ``randrange(m)`` reads it (``Random._randbelow_with_getrandbits``): b =
-    m.bit_length() bits, read again while they are m or more. ``getrandbits(b)``
-    takes one word up to b = 32 and more words past it, as ``randrange`` does,
-    so m = 1 reads words until a 0 bit and ``getstate()`` ends equal."""
-    values = []
-    for m, b in pairs:
-        x = getrandbits(b)
-        while x >= m:
-            x = getrandbits(b)
-        values.append(x)
-    return values
-
-
 def _bits(m: int) -> tuple[int, int]:
     return m, m.bit_length()
 
@@ -294,41 +297,57 @@ def _shuffle_plan(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     return tuple(map(_bits, radices)), tuple(table)
 
 
-def _draw(getrandbits, f: SCF, head, shuffle, blocks, positions, strides, fact):
-    """One draw as ranks: ``(ranks, altered ranks, voter, success)``.
-
-    The reads are those of drawing orders with ``randrange`` and ``shuffle``
-    (:func:`_read`): the profile index, the voter and the window start (the
-    ``head`` pairs), then the shuffle of the window, which reads only its
-    length. Its code in the :func:`_shuffle_plan` table gives the window's
-    permutation, whose index in ``permutations(range(width))`` and the start
-    move the voter's rank through :func:`rankings.window_blocks`. The voters'
-    ranks are the index's digits at ``strides``, base ``fact`` = k!.
-    """
-    index, i, start = _read(getrandbits, head)
-    pairs, table = shuffle
-    code = 0
-    for m, b in pairs:  # _read's loop, folding each value into the code
-        j = getrandbits(b)
-        while j >= m:
-            j = getrandbits(b)
-        code = code * m + j
-    ranks = tuple([index // stride % fact for stride in strides])
-    span, stride, moves = blocks[start]
-    r = ranks[i]
-    q = r % span // stride
-    altered = ranks[:i] + (r + (moves[q][table[code]] - q) * stride,) + ranks[i + 1:]
-    pos = positions[r]
-    return ranks, altered, i, pos[f.evaluate_ranks(altered)] < pos[f.evaluate_ranks(ranks)]
-
-
 def _draw_plan(f: SCF, width: int):
-    """The arguments of :func:`_draw` after ``getrandbits`` and f."""
+    """What :func:`_draws` reads with; per-rank positions fill on first use."""
     k = f.k
     blocks = window_blocks(k, width)
     head = tuple(map(_bits, (profile_space_size(f.n, k), f.n, len(blocks))))
-    return (head, _shuffle_plan(width), blocks, ranking_positions(k),
-            profile_strides(f.n, k), factorial(k))
+    return (head, *_shuffle_plan(width), blocks, profile_strides(f.n, k), factorial(k),
+            f.move_reader(), RankTable(partial(rank_positions, k)))
+
+
+def _draws(getrandbits, count: int, plan) -> tuple[int, tuple[int, int, int]]:
+    """The successes of ``count`` draws, and the last draw as
+    ``(profile index, voter, new rank)``.
+
+    Each value is read as CPython's ``randrange(m)`` reads it: ``b =
+    m.bit_length()`` bits from ``getrandbits(b)`` (one word up to b = 32, more
+    past it), again while they are m or more; so the profile index, the voter,
+    the window start and the shuffle's values take the words that drawing
+    orders with ``randrange`` and ``shuffle`` takes. The shuffle's values, as
+    one mixed-radix code, give the window's permutation (:func:`_shuffle_plan`),
+    which moves the voter's rank r to r2 (:func:`rankings.window_blocks`). A
+    draw succeeds when rank r puts the moved profile's outcome above the
+    profile's, both from f's move read.
+    """
+    head, shuffle_pairs, shuffle_table, blocks, strides, fact, read, positions = plan
+    (m_index, b_index), (m_voter, b_voter), (m_start, b_start) = head
+    successes = 0
+    for _ in range(count):
+        index = getrandbits(b_index)
+        while index >= m_index:
+            index = getrandbits(b_index)
+        i = getrandbits(b_voter)
+        while i >= m_voter:
+            i = getrandbits(b_voter)
+        start = getrandbits(b_start)
+        while start >= m_start:
+            start = getrandbits(b_start)
+        code = 0
+        for m, b in shuffle_pairs:
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            code = code * m + j
+        r = index // strides[i] % fact
+        span, stride, moves = blocks[start]
+        q = r % span // stride
+        r2 = r + (moves[q][shuffle_table[code]] - q) * stride
+        if r2 != r:  # the window's identity permutation cannot gain
+            before, after = read(index, i, r, r2)
+            pos = positions[r]
+            successes += pos[after] < pos[before]
+    return successes, (index, i, r2)
 
 
 def _check_window(k: int, width: int) -> None:
@@ -339,9 +358,10 @@ def _check_window(k: int, width: int) -> None:
 
 
 def _check_draws(f: SCF, width: int) -> None:
-    """Refuse a bad window, or per-ranking tables (``ranking_positions`` and a
-    score rule's ``rank_scores``, ``k * k!`` entries each) over the SCF's cap,
-    before the sampler builds any of them."""
+    """Refuse a bad window, or per-ranking tables over the SCF's cap before
+    the sampler fills any. It fills them for the ranks it draws (positions and
+    the move read's values, :class:`rankings.RankTable`), so each can grow to
+    ``k!`` ranks of k entries: ``k * k!`` is refused past the cap."""
     k = f.k
     _check_window(k, width)
     check_cap(f.cap, "sampler per-ranking table entries", k, count=lambda: k * factorial(k))
@@ -351,12 +371,13 @@ def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample
     """One seeded draw: uniform profile, voter, window start, window shuffle."""
     _check_draws(f, width)
     check_seed(seed)
-    ranks, altered, i, success = _draw(random.Random(seed).getrandbits, f, *_draw_plan(f, width))
+    successes, (index, i, r2) = _draws(random.Random(seed).getrandbits, 1, _draw_plan(f, width))
+    profile = decode_profile(f.n, f.k, index)
     return ManipulationSample(
-        profile=tuple(decode_ranking(f.k, r) for r in ranks),
-        altered=tuple(decode_ranking(f.k, r) for r in altered),
+        profile=profile,
+        altered=profile[:i] + (decode_ranking(f.k, r2),) + profile[i + 1:],
         coordinate=i,
-        success=success,
+        success=successes == 1,
     )
 
 
@@ -366,9 +387,7 @@ def _sample_chunk(f, width, seed, block_lo, block_hi, samples):
     for block in range(block_lo, block_hi):
         getrandbits = random.Random(engine.derive_stream_seed(seed, block)).getrandbits
         lo = block * engine.SAMPLE_BLOCK
-        hi = min(lo + engine.SAMPLE_BLOCK, samples)
-        for _ in range(hi - lo):
-            successes += _draw(getrandbits, f, *plan)[3]
+        successes += _draws(getrandbits, min(engine.SAMPLE_BLOCK, samples - lo), plan)[0]
     return successes
 
 
@@ -454,8 +473,12 @@ def nonmanip_membership(f: SCF) -> Optional[SCF]:
 
     # Dictator branch: f must depend on coordinate i alone (each of its rank
     # parts one repeated byte, the line) and agree with the top_H rule for H =
-    # its image.
+    # its image. Moving another voter of profile 0 to rank 1 must then keep
+    # its outcome, which rules out most i before any part is sliced.
+    strides = profile_strides(n, k)
     for i in range(n):
+        if k > 1 and any(table[s] != table[0] for j, s in enumerate(strides) if j != i):
+            continue
         parts = class_tables(table, k, rank_classes(n, k, i))
         if all(part.count(part[0]) == len(part) for part in parts):
             line = bytes(part[0] for part in parts)
@@ -496,14 +519,17 @@ def gs_classify(f: SCF) -> GSClassification:
     Membership is asked first: a member equal to f is nonmanipulable. Otherwise
     the first manipulable profile is the lowest nonzero byte of the width-k
     census flags (:func:`_manipulation_flags`), as a width-k window reaches
-    every other ranking.
+    every other ranking. The profiles where voter 0 has rank 0 come first in
+    index order, so their flags (:func:`_first_block_flags`) are scanned
+    first, and the whole table only when they hold no hit.
     """
     n, k = f.n, f.k
     check_window_tables(k, f.cap)
     member = nonmanip_membership(f)
     if member is not None:
         return GSClassification(False, None, member)
-    flags = _manipulation_flags(f.table(), n, k, (k,))
+    table = f.table()
+    flags = _first_block_flags(table, n, k) or _manipulation_flags(table, n, k, (k,))
     if not flags:
         raise AssertionError(
             "no manipulation point found yet no nonmanipulable twin exists; "

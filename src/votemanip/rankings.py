@@ -147,13 +147,39 @@ def decode_ranking(k: int, index: int) -> Ranking:
     """Inverse of :func:`encode_ranking`."""
     if not 0 <= index < factorial(k):
         raise ValueError(f"ranking index {index} out of range for k={k}")
+    return Ranking(rank_order(k, index))
+
+
+def rank_order(k: int, index: int) -> tuple[int, ...]:
+    """The order tuple of the ranking of rank ``index`` in ``[0, k!)``, decoded
+    digit by digit, with no k!-sized table."""
     remaining = list(range(k))
     order = []
     for j in range(k, 0, -1):
-        block = factorial(j - 1)
-        digit, index = divmod(index, block)
+        digit, index = divmod(index, factorial(j - 1))
         order.append(remaining.pop(digit))
-    return Ranking(tuple(order))
+    return tuple(order)
+
+
+def rank_positions(k: int, index: int) -> tuple[int, ...]:
+    """:func:`rank_order`'s positions (alternative -> position), uncached."""
+    return _inverse.__wrapped__(rank_order(k, index))
+
+
+class RankTable(dict):
+    """Per-rank values filled on first use: ``table[r]`` is ``fill(r)``,
+    computed once, so a hit costs one subscript and only the ranks read are
+    ever filled."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, r):
+        value = self[r] = self.fill(r)
+        return value
 
 
 def profile_space_size(n: int, k: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import factorial
 
@@ -18,8 +18,8 @@ from .errors import CapExceededError
 from .rankings import (
     MAX_TABLE_K,
     Profile,
+    RankTable,
     Ranking,
-    _inverse,
     check_alternatives,
     check_cap,
     check_coordinate,
@@ -29,9 +29,10 @@ from .rankings import (
     indicator,
     lane_int,
     profile_space_size,
+    profile_strides,
+    rank_order,
     rank_outcome_counts,
     ranking_orders,
-    ranking_positions,
     ranking_rank_of,
     swap_first_voters,
 )
@@ -66,11 +67,24 @@ class SCF:
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
         raise NotImplementedError
 
-    def evaluate_ranks(self, ranks) -> int:
-        """The outcome of the profile whose voters' rankings have these ranks,
-        voter 0 first; rules with a faster read override this."""
-        orders = ranking_orders(self.k)
-        return self.evaluate_orders(tuple(orders[r] for r in ranks))
+    def move_reader(self):
+        """``read(index, i, r, r2)``: the outcomes of profile ``index``, whose
+        voter i has rank r, and of that profile with voter i's rank moved to
+        r2, from one call. The voters' ranks are the index's digits at
+        :func:`rankings.profile_strides`; their orders are decoded on first use
+        (:class:`rankings.RankTable`), so no k!-sized table is built. This read
+        goes through :meth:`evaluate_orders`; rules with a faster read override it."""
+        k = self.k
+        fact, strides = factorial(k), profile_strides(self.n, k)
+        orders = RankTable(partial(rank_order, k))
+        evaluate = self.evaluate_orders
+
+        def read(index, i, r, r2):
+            profile = [orders[index // s % fact] for s in strides]
+            before = evaluate(tuple(profile))
+            profile[i] = orders[r2]
+            return before, evaluate(tuple(profile))
+        return read
 
     def check_profile(self, profile: Profile) -> None:
         """Refuse a profile that is not n rankings of k alternatives."""
@@ -135,10 +149,16 @@ class TableSCF(SCF):
 
     def evaluate_orders(self, orders):
         rank_of = ranking_rank_of(self.k)
-        return self.evaluate_ranks([rank_of[o] for o in orders])
+        return self._table_cache[digits_index(self.k, [rank_of[o] for o in orders])]
 
-    def evaluate_ranks(self, ranks):
-        return self._table_cache[digits_index(self.k, ranks)]
+    def move_reader(self):
+        """Both outcomes are table bytes: the move changes the index by
+        ``(r2 - r)`` times voter i's stride."""
+        table, strides = self._table_cache, profile_strides(self.n, self.k)
+
+        def read(index, i, r, r2):
+            return table[index], table[index + (r2 - r) * strides[i]]
+        return read
 
     @staticmethod
     def from_scf(f: SCF) -> "TableSCF":
@@ -167,28 +187,9 @@ class Constant(SCF):
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
 
 
-def score_packing(n: int, k: int, rank_scores) -> tuple[list[int], int]:
-    """Each rank's score vector packed into one int, and the bytes c per score.
-
-    Alternative a's score ``rank_scores[r][a]`` takes bytes ``a*c .. a*c+c-1``
-    of rank r's int, for the fewest bytes c with ``n * top < 256**c`` (``top``
-    the largest score). A digit of a sum of n packed vectors is at most
-    ``n * top`` and never carries, so the sum is the packed score vector of the
-    profile, which :func:`packed_winner` reads.
-    """
-    top = max(max(scores) for scores in rank_scores)
-    assert all(type(x) is int and 0 <= x <= top for scores in rank_scores for x in scores), \
-        "a score outside [0, top] would carry between digits"
-    c = max(1, -(-(n * top).bit_length() // 8))
-    # Headroom: a digit of a sum of n packed vectors is at most n * top.
-    assert n * top < 256 ** c, "a score sum must fit in its bytes"
-    packed = [sum(x << 8 * c * a for a, x in enumerate(scores)) for scores in rank_scores]
-    return packed, c
-
-
 def packed_winner(total: int, k: int, c: int) -> int:
     """The alternative with the largest score in a packed score vector of
-    :func:`score_packing`, ties to the lowest id: at c = 1 the scores are the
+    :class:`ScoreRule`, ties to the lowest id: at c = 1 the scores are the
     bytes of ``total``, and ``index`` finds the first largest."""
     scores = total.to_bytes(k * c, "little")
     if c > 1:
@@ -197,36 +198,67 @@ def packed_winner(total: int, k: int, c: int) -> int:
 
 
 class ScoreRule(SCF):
-    """A score rule: a voter whose ranking puts alternative a at position
-    ``pos[a]`` gives ``points(pos)[a]`` points to a; ties go to the lowest id.
-    The table and :meth:`evaluate_ranks` read one :func:`score_packing` of
-    ``points``; :meth:`evaluate_orders` sums it over the profile's own orders."""
+    """A positional score rule: a voter gives ``scores[p]`` points to the
+    alternative they rank at position p; ties go to the lowest id.
 
-    def points(self, pos: tuple[int, ...]) -> list[int]:
-        raise NotImplementedError
+    A ranking's points pack into one int (:meth:`packed`), alternative a's in
+    bytes ``a*c .. a*c+c-1``, for the fewest bytes c (:attr:`score_bytes`)
+    with ``n * top < 256**c``, ``top`` the largest score. A digit of a sum of
+    n packed vectors is at most ``n * top`` and never carries, so the sum is
+    the profile's packed score vector, which :func:`packed_winner` reads. The
+    table and :meth:`move_reader` read these vectors; :meth:`evaluate_orders`
+    sums the scores over the profile's own orders, with no k!-sized table."""
 
-    def rank_scores(self) -> list[list[int]]:
-        """``points`` of each ranking, by rank."""
-        return [self.points(pos) for pos in ranking_positions(self.k)]
+    scores: tuple[int, ...]
 
     @cached_property
-    def _packing(self) -> tuple[list[int], int]:
-        return score_packing(self.n, self.k, self.rank_scores())
+    def score_bytes(self) -> int:
+        top = max(self.scores)
+        c = max(1, -(-(self.n * top).bit_length() // 8))
+        # Headroom: a digit of a sum of n packed vectors is at most n * top.
+        assert self.n * top < 256 ** c, "a score sum must fit in its bytes"
+        return c
+
+    def packed(self, order) -> int:
+        """The points of the ranking listed as ``order``, packed: its scores,
+        each checked to lie in ``[0, top]``, one per alternative."""
+        c, top = self.score_bytes, max(self.scores)
+        assert all(type(x) is int and 0 <= x <= top for x in self.scores), \
+            "a score outside [0, top] would carry between digits"
+        return sum(x << 8 * c * a for a, x in zip(order, self.scores))
 
     def evaluate_orders(self, orders):
-        scores = [sum(column) for column in zip(*(self.points(_inverse(o)) for o in orders))]
-        return scores.index(max(scores))
+        totals = [0] * self.k
+        for order in orders:
+            for a, x in zip(order, self.scores):
+                totals[a] += x
+        return totals.index(max(totals))
 
-    def evaluate_ranks(self, ranks):
-        packed, c = self._packing
-        return packed_winner(sum(map(packed.__getitem__, ranks)), self.k, c)
+    def move_reader(self):
+        """The voters' packed vectors, filled per rank on first use, are
+        summed once; the moved profile's total swaps rank r's vector for r2's.
+        At c = 1 the winners are read as in :func:`packed_winner`, inline."""
+        k, c = self.k, self.score_bytes
+        fact, strides = factorial(k), profile_strides(self.n, k)
+        packed = RankTable(lambda r: self.packed(rank_order(k, r)))
+
+        def read(index, i, r, r2):
+            total = 0
+            for s in strides:
+                total += packed[index // s % fact]
+            moved = total - packed[r] + packed[r2]
+            if c > 1:
+                return packed_winner(total, k, c), packed_winner(moved, k, c)
+            total, moved = total.to_bytes(k, "little"), moved.to_bytes(k, "little")
+            return total.index(max(total)), moved.index(max(moved))
+        return read
 
     def _build_table(self) -> bytes:
         """The first n - 1 voters' sums of packed vectors are listed in
         profile-index order; the last voter's row of outcomes is built once
         per distinct sum from a winner per distinct total."""
-        k = self.k
-        packed, c = self._packing
+        k, c = self.k, self.score_bytes
+        packed = list(map(self.packed, ranking_orders(k)))
         prefixes = [0]
         for _ in range(self.n - 1):
             prefixes = [s + v for s in prefixes for v in packed]
@@ -244,15 +276,17 @@ class ScoreRule(SCF):
 class Plurality(ScoreRule):
     """Most first places wins; ties go to the lowest alternative id."""
 
-    def points(self, pos):
-        return [int(p == 0) for p in pos]
+    @cached_property
+    def scores(self):
+        return (1,) + (0,) * (self.k - 1)
 
 
 class Borda(ScoreRule):
     """Position p scores k-1-p points; ties go to the lowest alternative id."""
 
-    def points(self, pos):
-        return [self.k - 1 - p for p in pos]
+    @cached_property
+    def scores(self):
+        return tuple(range(self.k - 1, -1, -1))
 
 
 class TopHDictator(SCF):

@@ -5,12 +5,13 @@ refuses, whatever ran on the SCF before; built with ``cap=216`` every consumer
 answers as with the default cap.
 """
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from votemanip import manip
+from votemanip import manip, rankings, scf
 from votemanip.errors import CapExceededError
 from votemanip.fibers import (
     FiberVariant,
@@ -195,3 +196,31 @@ def test_the_sampler_refuses_per_ranking_tables_past_the_cap(monkeypatch):
             with pytest.raises(CapExceededError):
                 sample_manipulation(f, 0)
     assert sample_success(Borda(2, 5, cap=600), 10, seed=0).samples == 10
+
+
+def test_the_sampler_fills_per_rank_tables_only_for_the_ranks_it_draws(monkeypatch):
+    # 9! = 362,880 rankings, under the cap's k * k! check: ranking_orders(9)
+    # alone would hold about 45 MiB. A draw decodes the ranks it reads, so
+    # no k!-sized table is built and the traced peak stays a few MiB (the
+    # window moves of rankings.window_blocks(9, 4) are most of it).
+    tables = {name: getattr(rankings, name) for name in ("ranking_orders", "ranking_positions")}
+
+    def small_only(name):
+        def table(k):
+            assert k < 9, f"{name} built a k!-sized table at k={k}"
+            return tables[name](k)
+        return table
+
+    for module in (rankings, scf, manip):
+        monkeypatch.setattr(module, "ranking_orders", small_only("ranking_orders"))
+    for module in (rankings, manip):
+        monkeypatch.setattr(module, "ranking_positions", small_only("ranking_positions"))
+    for f in (Borda(2, 9), TopHDictator(2, 9, 0, {1, 4})):
+        tracemalloc.start()
+        try:
+            assert sample_success(f, 10, seed=0).samples == 10
+            sample_manipulation(f, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20

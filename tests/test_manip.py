@@ -3,6 +3,7 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,38 @@ def test_gs_classify_asks_membership_before_scanning(monkeypatch, f):
     assert gs_classify(f).describe() == expected
 
 
+def _full_scan_witness(f):
+    """The first manipulation pair from the width-k flags of the whole table."""
+    flags = manip._manipulation_flags(f.table(), f.n, f.k, (f.k,))
+    hit = ((flags & -flags).bit_length() - 1) // 8
+    return is_r_manipulation_point(f, decode_profile(f.n, f.k, hit), f.k)
+
+
+def test_gs_classify_first_hit_equals_the_full_scan():
+    # The profiles where voter 0 has rank 0 come first. Random tables mostly
+    # hit there; electing voter 0's top on all of them leaves no hit there
+    # (voter 0 has its top, and the others cannot move a constant), so the
+    # full scan runs.
+    early = late = 0
+    for n in (1, 2, 3, 4):
+        for k in (3, 4):
+            block = factorial(k) ** (n - 1)
+            for seed in range(3):
+                table = random_table_scf(n, k, seed).table()
+                for f in (TableSCF(n, k, table), TableSCF(n, k, bytes(block) + table[block:])):
+                    if nonmanip_membership(f) is not None:
+                        continue
+                    hits_first = manip._first_block_flags(f.table(), n, k) != 0
+                    early += hits_first
+                    late += not hits_first
+                    witness = gs_classify(f).witness_pair
+                    assert witness == _full_scan_witness(f)
+                    if n < 4:
+                        first = oracles.first_manipulable_profile(f.evaluate_orders, n, k)
+                        assert tuple(r.order for r in witness.profile) == first
+    assert early and late
+
+
 def test_census_at_one_alternative():
     # The default r values include k, which must not fall below the smallest width.
     cen = census(Plurality(2, 1))
@@ -249,18 +282,47 @@ READER_SEEDS = (0, 1, 7, 12345)
 
 def test_the_reader_reads_what_randrange_reads():
     # b = m.bit_length() bits a read: 1 bit at m = 1, one whole word at
-    # 2^32 - 1, two words from 2^32 on.
+    # 2^32 - 1, two words from 2^32 on. The draw loop reads the profile index
+    # first; at n = 1, k = 2 any index names a rank (its value mod 2), so that
+    # read's pair is set to each m. A draw then reads randrange(1) for the
+    # voter and for the window start, and shuffles a list of two.
     ms = (1, 2, 3, 4, 5, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
-    for seed in READER_SEEDS:
-        for pairs in ([(m, m.bit_length())] * 40 for m in ms):
+    plan = manip._draw_plan(Borda(1, 2), 2)
+    head, rest = plan[0], plan[1:]
+    for m in ms:
+        plan_m = (((m, m.bit_length()),) + head[1:],) + rest
+        for seed in READER_SEEDS:
             rng, reference = random.Random(seed), random.Random(seed)
-            assert manip._read(rng.getrandbits, pairs) == [reference.randrange(m)
-                                                           for m, _b in pairs]
+            for _ in range(40):
+                index = manip._draws(rng.getrandbits, 1, plan_m)[1][0]
+                assert index == reference.randrange(m)
+                assert reference.randrange(1) == reference.randrange(1) == 0
+                reference.shuffle([0, 1])
             assert rng.getstate() == reference.getstate()
-        rng, reference = random.Random(seed), random.Random(seed)
-        pairs = [(m, m.bit_length()) for m in ms] * 40
-        assert manip._read(rng.getrandbits, pairs) == [reference.randrange(m) for m in ms * 40]
-        assert rng.getstate() == reference.getstate()
+            manip._draws(rng.getrandbits, 40, plan_m)
+            for _ in range(40):
+                reference.randrange(m), reference.randrange(1), reference.randrange(1)
+                reference.shuffle([0, 1])
+            assert rng.getstate() == reference.getstate()
+
+
+def test_the_draw_loop_reads_what_randrange_and_shuffle_read_at_the_word_edges():
+    # Profile indices below (k!)^n at the edges of one 32-bit word: (2!)^31 =
+    # 2^31 and (3!)^12 read one word, (2!)^32 = 2^32 and (4!)^7 read two; then
+    # voters and window starts 1..5 and shuffles of 2..5. Each block of draws
+    # leaves the generator where the order-tuple draws leave it.
+    borda, plurality = oracles.borda_tuple, oracles.plurality_tuple
+    for f, evaluate, width in ((Borda(31, 2), borda, 2), (Borda(32, 2), borda, 2),
+                               (Borda(12, 3), borda, 3), (Plurality(7, 4), plurality, 2),
+                               (Borda(5, 5), borda, 5), (Borda(1, 5), borda, 2),
+                               (Borda(3, 6), borda, 3), (Plurality(4, 5), plurality, 4)):
+        plan = manip._draw_plan(f, width)
+        for seed in READER_SEEDS:
+            rng, reference = random.Random(seed), random.Random(seed)
+            successes = manip._draws(rng.getrandbits, 30, plan)[0]
+            assert successes == sum(oracles.sampler_draw(reference, evaluate, f.n, f.k, width)[3]
+                                    for _ in range(30))
+            assert rng.getstate() == reference.getstate()
 
 
 def test_the_shuffle_table_is_the_shuffle_of_range_width():
@@ -272,8 +334,8 @@ def test_the_shuffle_table_is_the_shuffle_of_range_width():
             rng, reference = random.Random(seed), random.Random(seed)
             for _ in range(100):
                 code = 0
-                for (m, _b), j in zip(pairs, manip._read(rng.getrandbits, pairs)):
-                    code = code * m + j
+                for m, _b in pairs:
+                    code = code * m + rng.randrange(m)
                 perm = list(range(width))
                 reference.shuffle(perm)
                 assert orders[table[code]] == tuple(perm)

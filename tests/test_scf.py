@@ -11,8 +11,10 @@ from votemanip.rankings import (
     Ranking,
     all_rankings,
     decode_profile,
+    digits_index,
     profile_space_size,
     ranking_orders,
+    ranking_rank_of,
 )
 from votemanip.scf import (
     UNIFORM_CHUNK,
@@ -256,19 +258,60 @@ def test_monotone_pair_table_check_equals_the_dedekind_family():
 def test_packed_scores_pick_the_winner_on_both_sides_of_the_byte_headroom(rule, n, k):
     # n * top < 256 packs a score in one byte, and n * top = 256 needs two.
     f = rule(n, k)
-    top = max(max(scores) for scores in f.rank_scores())
-    assert f._packing[1] == (1 if n * top < 256 else 2)
-    fact = factorial(k)
-    rng = random.Random(n)
-    profiles = [[rng.randrange(fact) for _ in range(n)] for _ in range(100)]
-    # One ranking for all voters reaches the largest score sum n * top; two
-    # rankings split evenly tie.
-    profiles += [[0] * n, [fact - 1] * n, [0, fact - 1] * (n // 2) + [0] * (n % 2)]
-    orders = ranking_orders(k)
+    top = max(f.scores)
+    assert f.score_bytes == (1 if n * top < 256 else 2)
     oracle = oracles.plurality_tuple if rule is Plurality else oracles.borda_tuple
-    for ranks in profiles:
-        prof = tuple(orders[r] for r in ranks)
-        assert f.evaluate_ranks(ranks) == f.evaluate_orders(prof) == oracle(prof)
+    for prof, moved in _profiles_and_moves(n, k, random.Random(n)):
+        assert f.evaluate_orders(prof) == oracle(prof)
+        assert _read_move(f, prof, moved) == (oracle(prof), oracle(moved))
+
+
+def _profiles_and_moves(n, k, rng, count=100):
+    """Random profiles with one voter's ranking redrawn, then the edges of
+    the score sums: one ranking for all voters reaches the largest sum n *
+    top, two rankings split evenly tie, and a move of the last voter to the
+    other ranking breaks the tie."""
+    orders = ranking_orders(k)
+    fact = factorial(k)
+    pairs = []
+    for _ in range(count):
+        ranks = [rng.randrange(fact) for _ in range(n)]
+        moved = list(ranks)
+        moved[rng.randrange(n)] = rng.randrange(fact)
+        pairs.append((ranks, moved))
+    tie = [0, fact - 1] * (n // 2) + [0] * (n % 2)
+    pairs += [([0] * n, [0] * (n - 1) + [fact - 1]), ([fact - 1] * n, [fact - 1] * n),
+              (tie, tie[:-1] + [fact - 1 - tie[-1]])]
+    return [(tuple(orders[r] for r in ranks), tuple(orders[r] for r in moved))
+            for ranks, moved in pairs]
+
+
+def _read_move(f, prof, moved):
+    """f's move read of the voter whose ranking ``moved`` changes (voter 0
+    when none does)."""
+    rank_of = ranking_rank_of(f.k)
+    ranks, moved_ranks = [rank_of[o] for o in prof], [rank_of[o] for o in moved]
+    i = next((c for c, (r, s) in enumerate(zip(ranks, moved_ranks)) if r != s), 0)
+    return f.move_reader()(digits_index(f.k, ranks), i, ranks[i], moved_ranks[i])
+
+
+def test_the_move_read_equals_evaluate_orders_on_every_rule_kind():
+    # The table read, the generic read through evaluate_orders and the
+    # two-valued rules, against the order-tuple oracles where they exist.
+    rng = random.Random(5)
+    for n, k in ((1, 3), (2, 4), (3, 3), (4, 2)):
+        table = random_table_scf(n, k, 3)
+        lookup = dict(zip(oracles.all_profiles(n, k), table.table()))
+        monotone = random_monotone_two_valued(n, k, 2)
+        for f, oracle in ((table, lookup.__getitem__),
+                          (TopHDictator(n, k, n - 1, {0, k - 1}),
+                           lambda p: oracles.top_of(p[n - 1], {0, k - 1})),
+                          (monotone, lambda p: monotone.bool_table[
+                              oracles.pair_mask(p, *monotone.pair)])):
+            for prof, moved in _profiles_and_moves(n, k, rng, 200):
+                assert _read_move(f, prof, moved) == (
+                    f.evaluate_orders(prof), f.evaluate_orders(moved)) == (
+                    oracle(prof), oracle(moved))
 
 
 @pytest.mark.parametrize("rule, oracle", [(Plurality, oracles.plurality_tuple),
@@ -282,7 +325,8 @@ def test_score_rules_evaluate_past_the_table_k_without_per_ranking_tables(
         raise AssertionError(f"a per-ranking table was built at k={k}")
 
     for module in (rankings, scf):
-        monkeypatch.setattr(module, "ranking_positions", refuse)
+        monkeypatch.setattr(module, "ranking_orders", refuse)
+    monkeypatch.setattr(rankings, "ranking_positions", refuse)
     k = 12
     assert k > rankings.MAX_TABLE_K
     rng = random.Random(12)
