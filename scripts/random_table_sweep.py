@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Seeded random-table verification sweep, one JSON line per instance.
 
-Each instance goes through the library's instance check
-(``verify.check_random_table``): the manipulation bound, the
+Each instance goes through the library's instance checks, the ones ``verify
+--random`` runs (``verify.random_table_reports``): the manipulation bound, the
 two-large-influences statement and the reduction disjunction, on one
-measurement of the census and the distances. Failures (none are expected) are
-echoed to stderr.
+measurement of the census (taken a block of tables at a time) and the
+distances. Failures (none are expected) are echoed to stderr.
 """
 import argparse
 import json
 import sys
 
 from votemanip.metrics import frac_str
-from votemanip.verify import check_random_table
+from votemanip.verify import random_table_reports
 
 
 def main() -> int:
@@ -26,8 +26,8 @@ def main() -> int:
 
     sink = open(args.output, "w") if args.output else sys.stdout
     failures = 0
-    for t in range(args.count):
-        reports = check_random_table(args.voters, args.alternatives, args.seed, t)
+    for t, reports in random_table_reports(args.voters, args.alternatives, args.seed,
+                                           0, args.count):
         row = {
             "instance": t,
             "epsilon_nonmanip": reports[0].witnesses["epsilon"],

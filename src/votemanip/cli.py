@@ -286,6 +286,8 @@ def _verify_run(args, tasks: int):
         sweep = verify.sweep_one_voter(args.alternatives, tasks, args.cap)
         name = "1.4-sweep"
     elif args.random is not None:
+        if args.thm != "1.2":
+            raise ConfigError("--random sweeps support --thm 1.2 (checked with 2.1 and 1.5)")
         if args.voters is None or args.alternatives is None:
             raise ConfigError("--random needs -n and -k")
         sweep = verify.sweep_random_tables(
@@ -386,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="sweep every one-voter SCF (with --thm 1.4)")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",
-                   help="sweep seeded random table SCFs (statements 1.2 + 2.1 + 1.5)")
+                   help="sweep seeded random table SCFs (with --thm 1.2; checks statements "
+                        "1.2 + 2.1 + 1.5)")
     p.add_argument("--seed", type=int, default=None, help="seed of --random (default 0)")
     p.add_argument("--epsilon", default=None, help="override measured epsilon (p/q)")
     p.add_argument("--alpha", default=None, help="override measured alpha (p/q)")

@@ -278,11 +278,15 @@ class CoordinateInfluences:
         return sum(c for (x, y, v), c in self.edges.items()
                    if x == a and (b is None or y == b) and (w is None or v == w))
 
+    def denominator(self, kind: GraphKind = GraphKind.COARSE) -> int:
+        """What a count of ``kind`` is divided by to give an influence."""
+        return self.size * factorial(self.k) if kind is GraphKind.COARSE else 2 * self.size
+
     def _coarse(self, count: int) -> Fraction:
-        return Fraction(count, self.size * factorial(self.k))
+        return Fraction(count, self.denominator(GraphKind.COARSE))
 
     def _refined(self, count: int) -> Fraction:
-        return Fraction(count, 2 * self.size)
+        return Fraction(count, self.denominator(GraphKind.REFINED))
 
     def pair(self, a: int, b: int) -> Fraction:
         """Probability the outcome moves from a to b."""

@@ -236,26 +236,56 @@ def _first_block_flags(table, n: int, k: int) -> int:
 
 
 def census(f: SCF, r_values=None) -> ManipulationCensus:
-    """Exact |M_r| for each requested r; r = k (or above) gives |M| itself.
+    """Exact |M_r| for each requested r; r = k (or above) gives |M| itself:
+    :func:`census_tables` on f's table alone."""
+    rs = _census_rs(f.k, r_values)
+    check_window_tables(f.k, f.cap)
+    [counted] = census_tables([f.table()], f.n, f.k, rs)
+    return counted
 
-    Widths 2..k take bits 0..k-2 of a profile's byte in :func:`_manipulation_flags`.
-    """
+
+def _census_rs(k: int, r_values) -> list[int]:
+    """The requested census widths, sorted, by default 2, 3, 4 and k."""
     if r_values is None:
-        r_values = (2, 3, 4, max(f.k, 2))
+        r_values = (2, 3, 4, max(k, 2))
     rs = sorted(set(r_values))
     if rs and rs[0] < 2:
         raise ValueError("r values must be >= 2")
-    n, k = f.n, f.k
-    check_window_tables(k, f.cap)
+    return rs
+
+
+def census_tables(tables, n: int, k: int, r_values=None) -> list[ManipulationCensus]:
+    """The census of each (n, k) table of ``tables``, from one lane pass.
+
+    Joined, the tables are one table with an instance index slower than voter
+    0; every voter split of :func:`_manipulation_flags` keeps that index whole
+    and its join restores profile order, so table t's flags are bytes
+    ``t * (k!)^n`` onward of the joined flags. Widths 2..k take bits 0..k-2 of
+    a profile's byte, and |M_r| of a table is the number of its flag bytes
+    with bit ``min(r, k) - 2`` set: that bit plane's popcount for one table,
+    and per table a count over its span of the plane's bytes. The caller
+    checks the window tables' cap (:func:`check_window_tables`).
+    """
+    rs = _census_rs(k, r_values)
+    _check_lanes(k)
     widths = [min(r, k) for r in rs]
-    table = f.table()
-    flags = _manipulation_flags(table, n, k, tuple(sorted({w for w in widths if w >= 2})))
-    ones = int.from_bytes(b"\x01" * len(table), "little")
-    return ManipulationCensus(
-        n=n, k=k, total_profiles=len(table),
-        counts={r: (flags >> (w - 2) & ones).bit_count() if w >= 2 else 0
-                for r, w in zip(rs, widths)},
-    )
+    size = profile_space_size(n, k)
+    if any(len(table) != size for table in tables):
+        raise ValueError(f"each table needs (k!)^n = {size} entries")
+    joined = b"".join(tables)
+    flags = _manipulation_flags(joined, n, k, tuple(sorted({w for w in widths if w >= 2})))
+    ones = int.from_bytes(b"\x01" * len(joined), "little")
+
+    def plane(w):
+        return flags >> (w - 2) & ones if w >= 2 else 0
+
+    if len(tables) == 1:
+        counts = [{r: plane(w).bit_count() for r, w in zip(rs, widths)}]
+    else:
+        planes = {w: plane(w).to_bytes(len(joined), "little") for w in set(widths)}
+        counts = [{r: planes[w].count(1, lo, lo + size) for r, w in zip(rs, widths)}
+                  for lo in range(0, len(joined), size)]
+    return [ManipulationCensus(n=n, k=k, total_profiles=size, counts=c) for c in counts]
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import factorial
+from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import fiber_outcome_counts, pair_lanes, top_h_by_rank
+from .rankings import TOP_H_CACHE_K, fiber_outcome_counts, pair_lanes, top_h_by_rank
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -67,26 +69,26 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
 
     One-coordinate branch: per coordinate, the modal completion (ties to the
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
-    rest onto the lower of the pair. The minimum over all candidates is exact.
-    Both read the SCF's cached :meth:`SCF.rank_counts`; the masses are the
-    column sums of coordinate 0's.
+    rest onto the lower of the pair. The minimum over all candidates is exact,
+    and only its witness is built. Both read the SCF's cached
+    :meth:`SCF.rank_counts`; the masses are the column sums of coordinate 0's.
     """
     table = f.table()
     n, k = f.n, f.k
     size = len(table)
     best_agree = -1
-    best_witness: Optional[SCF] = None
+    best_witness = None
 
     for i in range(n):
         completion = []
         agree = 0
         for row in f.rank_counts(i):
-            winner = max(range(k), key=lambda x: (row[x], -x))
-            completion.append(winner)
-            agree += row[winner]
+            most = max(row)
+            completion.append(row.index(most))
+            agree += most
         if agree > best_agree:
             best_agree = agree
-            best_witness = OneCoordinate(n, k, i, completion, cap=f.cap)
+            best_witness = partial(OneCoordinate, n, k, i, completion, cap=f.cap)
 
     mass = [sum(column) for column in zip(*f.rank_counts(0))]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
@@ -95,23 +97,40 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     agree = sum(mass[a] for a in keep)
     if agree > best_agree:
         best_agree = agree
-        best_witness = TableSCF(n, k, table.translate(bytes.maketrans(
+        best_witness = partial(TableSCF, n, k, table.translate(bytes.maketrans(
             bytes(range(k)), bytes(a if a in keep else fallback for a in range(k)))), cap=f.cap)
 
-    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
+    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness())
+
+
+def _dictator_plan(k: int):
+    """Per nonempty subset H of the alternatives, by mask: H and the top_H
+    dictator's outcome per ranking rank (:func:`rankings.top_h_by_rank`)."""
+    for mask in range(1, 1 << k):
+        members = frozenset(x for x in range(k) if mask >> x & 1)
+        yield members, top_h_by_rank(k, members)
+
+
+@lru_cache(maxsize=None)
+def _cached_dictator_plan(k: int) -> tuple:
+    """:func:`_dictator_plan` for k up to ``TOP_H_CACHE_K``, whose top_H tables
+    :func:`rankings.top_h_by_rank` caches anyway."""
+    return tuple(_dictator_plan(k))
 
 
 def distance_to_nonmanip(f: SCF) -> DistanceReport:
     """Distance to the nonmanipulable family.
 
-    Minimizes over every top_H dictator (read from the SCF's cached
-    :meth:`SCF.rank_counts`) and, per alternative pair, the cost-optimal
-    monotone two-valued function found by an exact minimum cut over the
-    preference hypercube, counted over :func:`rankings.class_tables`. A cut
-    costs at least the sum over vertices of the cheaper label, so a pair whose
-    agreement cannot pass the best so far skips its cut; a tie never replaces
-    the best, so the value and witness are those of the full search. A
-    hypercube past ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
+    Minimizes over every top_H dictator (its agreement read from the SCF's
+    cached :meth:`SCF.rank_counts`: per rank, the count of its top_H outcome,
+    the subsets and their outcomes listed once per k by :func:`_dictator_plan`)
+    and, per alternative pair, the cost-optimal monotone two-valued function
+    found by an exact minimum cut over the preference hypercube, counted over
+    :func:`rankings.class_tables`. A cut costs at least the sum over vertices
+    of the cheaper label, so a pair whose agreement cannot pass the best so far
+    skips its cut; a tie never replaces the best, so the value and witness are
+    those of the full search, and only that witness is built. A hypercube past
+    ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
     """
     n, k = f.n, f.k
     if k >= 2 and n > MAX_HYPERCUBE_BITS:
@@ -119,17 +138,16 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     table = f.table()
     size = len(table)
     best_agree = -1
-    best_witness: Optional[SCF] = None
+    best_witness = None
 
     for i in range(n):
         counts = f.rank_counts(i)
-        for mask in range(1, 1 << k):
-            members = frozenset(x for x in range(k) if mask >> x & 1)
-            tops = top_h_by_rank(k, members)
-            agree = sum(row[top] for row, top in zip(counts, tops))
+        plan = _cached_dictator_plan(k) if k <= TOP_H_CACHE_K else _dictator_plan(k)
+        for members, tops in plan:
+            agree = sum(map(getitem, counts, tops))
             if agree > best_agree:
                 best_agree = agree
-                best_witness = TopHDictator(n, k, i, members, cap=f.cap)
+                best_witness = partial(TopHDictator, n, k, i, members, cap=f.cap)
 
     fiber = (factorial(k) // 2) ** n
     for a in range(k):
@@ -142,11 +160,10 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
             labels, cost = nearest_monotone_boolean(cost_a, cost_b)
             if size - cost > best_agree:
                 best_agree = size - cost
-                best_witness = MonotoneTwoValued(
-                    n, k, (a, b), [a if lab else b for lab in labels], cap=f.cap
-                )
+                best_witness = partial(MonotoneTwoValued, n, k, (a, b),
+                                       [a if lab else b for lab in labels], cap=f.cap)
 
-    return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness)
+    return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness())
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,22 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Optional
 
 from . import engine
 from .errors import CapExceededError
-from .graphs import coordinate_influences
-from .manip import ManipulationCensus, census, check_window_tables, nonmanip_membership
+from .graphs import GraphKind, coordinate_influences
+from .manip import (
+    ManipulationCensus,
+    census,
+    census_tables,
+    check_window_tables,
+    nonmanip_membership,
+)
 from .metrics import distance_to_nonmanip, distance_to_nonmanip_bar, frac_str
-from .rankings import AdjacentTransposition, check_cap
+from .rankings import AdjacentTransposition, check_cap, profile_space_size
 from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
 
 # Largest cube dimension the reverse hypercontractivity check enumerates.
@@ -46,6 +53,11 @@ MAX_CUBE_BITS = 10
 
 # Most one-voter SCFs the exhaustive sweep enumerates (3^6 = 729 at k = 3).
 MAX_ONE_VOTER_FUNCTIONS = 10 ** 6
+
+# Table bytes a sweep joins for one census lane pass: a block holds as many
+# instances as fit, and at least one. Past a few dozen tables a larger block
+# saves little time, and each SCF and census it holds takes about 0.6 KB.
+SWEEP_BLOCK_BYTES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -154,12 +166,13 @@ class Measurements:
     once, on first use: the census and the distances to both families.
 
     The census runs at every width from 2 up to the widest asked for, so a
-    narrower request later reads it; only a wider one measures again.
+    narrower request later reads it; only a wider one measures again. A sweep
+    hands in the census its block took (:func:`measured_instances`).
     """
 
-    def __init__(self, f: SCF):
+    def __init__(self, f: SCF, counted: Optional[ManipulationCensus] = None):
         self.f = f
-        self._census: Optional[ManipulationCensus] = None
+        self._census = counted
         self._distances: dict[str, Fraction] = {}
 
     def census(self, widths) -> ManipulationCensus:
@@ -222,18 +235,23 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
     """(i, (a, b), value) for each a < b whose influence reaches the threshold,
     recorded with the threshold in ``witnesses``: the pair influence of a to b,
     or with ``refined`` the refined influence of a to b under the transposition
-    of a and b. One count pass per coordinate.
+    of a and b. One count pass per coordinate; an influence ``count / den``
+    reaches ``p / q`` when ``count * q >= p * den``, so only a qualifying entry
+    becomes a ``Fraction``.
     """
     f = measured.f
+    kind = GraphKind.REFINED if refined else GraphKind.COARSE
+    p, q = threshold.numerator, threshold.denominator
     qualifying = []
     for i in range(f.n):
         inf = coordinate_influences(f, i)
+        den = inf.denominator(kind)
         for a in range(f.k):
             for b in range(a + 1, f.k):
-                value = (inf.refined(a, b, AdjacentTransposition(a, b)) if refined
-                         else inf.pair(a, b))
-                if value >= threshold:
-                    qualifying.append((i, (a, b), value))
+                z = AdjacentTransposition(a, b) if refined else None
+                count = inf.count(a, b, z, kind)
+                if count * q >= p * den:
+                    qualifying.append((i, (a, b), Fraction(count, den)))
     witnesses["threshold"] = frac_str(threshold)
     witnesses["qualifying"] = [_influence_entry(*q) for q in qualifying]
     return qualifying
@@ -452,34 +470,68 @@ def _check_instance_caps(n: int, k: int, cap: int) -> None:
     check_window_tables(k, cap)
 
 
+def measured_instances(build, lo: int, hi: int, n: int, k: int, cap: int = DEFAULT_TABLE_CAP):
+    """``(t, Measurements)`` of the (n, k) SCF ``build(t)`` for t = lo..hi-1, in
+    order, each census taken in its block.
+
+    A block joins as many tables as fit in ``SWEEP_BLOCK_BYTES`` (at least one)
+    for one :func:`manip.census_tables` pass at every width from 2 to k (or
+    2 alone below k = 2), which every statement reads; an SCF is dropped once
+    its measurements are. Census window tables over ``cap`` are refused, as
+    :func:`manip.census` refuses them, before the first SCF is built.
+    """
+    check_window_tables(k, cap)
+    per_block = max(1, SWEEP_BLOCK_BYTES // profile_space_size(n, k))
+    for start in range(lo, hi, per_block):
+        indices = range(start, min(hi, start + per_block))
+        scfs = [build(t) for t in indices]
+        counted = census_tables([f.table() for f in scfs], n, k, range(2, max(k, 2) + 1))
+        scfs.reverse()
+        for t, cen in zip(indices, counted):
+            yield t, Measurements(scfs.pop(), cen)
+
+
 def one_voter_function(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     """One-voter SCF number t of the ``k^(k!)``: its outcome on rank j is base-k
     digit j of t, least significant first."""
     return TableSCF(1, k, bytes(t // k ** j % k for j in range(factorial(k))), cap=cap)
 
 
+def one_voter_rows(k: int, lo: int, hi: int, cap: int = DEFAULT_TABLE_CAP):
+    """The rows of the one-voter sweep for functions lo..hi-1, in order: statement
+    1.4 on each, the dichotomy (manipulable exactly when no member of the
+    nonmanipulable family equals it) and a zero distance exactly when it is not
+    manipulable."""
+    build = partial(one_voter_function, k, cap=cap)
+    for t, measured in measured_instances(build, lo, hi, 1, k, cap):
+        f = measured.f
+        (report,) = verify_main_theorems(measured, ("1.4",))
+        eps = measured.distance("nonmanip")
+        manipulable = measured.census((k,)).manipulable_count() > 0
+        checks = {
+            "bound_holds": report.holds,
+            "dichotomy_holds": manipulable == (nonmanip_membership(f) is None),
+            "distance_zero_iff_nonmanipulable": (eps == 0) != manipulable,
+        }
+        yield {"function_index": t, "table": [x + 1 for x in f.table()],
+               "epsilon": frac_str(eps), "m3": frac_str(report.lhs),
+               "bound": frac_str(report.rhs), "manipulable": manipulable, **checks,
+               "holds": all(checks.values())}
+
+
 def check_one_voter(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
-    """One row of the one-voter sweep: statement 1.4 on function t, the
-    dichotomy (manipulable exactly when no member of the nonmanipulable family
-    equals it) and a zero distance exactly when it is not manipulable."""
-    f = one_voter_function(k, t, cap)
-    measured = Measurements(f)
-    (report,) = verify_main_theorems(measured, ("1.4",))
-    eps = measured.distance("nonmanip")
-    manipulable = measured.census((k,)).manipulable_count() > 0
-    checks = {
-        "bound_holds": report.holds,
-        "dichotomy_holds": manipulable == (nonmanip_membership(f) is None),
-        "distance_zero_iff_nonmanipulable": (eps == 0) != manipulable,
-    }
-    return {"function_index": t, "table": [x + 1 for x in f.table()],
-            "epsilon": frac_str(eps), "m3": frac_str(report.lhs), "bound": frac_str(report.rhs),
-            "manipulable": manipulable, **checks, "holds": all(checks.values())}
+    """One row of the one-voter sweep (:func:`one_voter_rows`), for function t."""
+    [row] = one_voter_rows(k, t, t + 1, cap)
+    return row
 
 
 def _one_voter_chunk(k: int, lo: int, hi: int, cap: int):
-    rows = [check_one_voter(k, t, cap) for t in range(lo, hi)]
-    return sum(not row["manipulable"] for row in rows), [row for row in rows if not row["holds"]]
+    nonmanipulable, failures = 0, []
+    for row in one_voter_rows(k, lo, hi, cap):
+        nonmanipulable += not row["manipulable"]
+        if not row["holds"]:
+            failures.append(row)
+    return nonmanipulable, failures
 
 
 def one_voter_function_count(k: int) -> int:
@@ -511,18 +563,29 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> Swe
     )
 
 
+def random_table_reports(n: int, k: int, seed: int, lo: int, hi: int,
+                         cap: int = DEFAULT_TABLE_CAP):
+    """``(t, reports)`` of statements 1.2, 2.1 and 1.5 on random tables t =
+    lo..hi-1 of the sweep seeded ``seed``, in order."""
+    def build(t):
+        return random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap)
+
+    for t, measured in measured_instances(build, lo, hi, n, k, cap):
+        yield t, [*verify_main_theorems(measured, ("1.2",)),
+                  verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
+
+
 def check_random_table(n: int, k: int, seed: int, t: int,
                        cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
     """Statements 1.2, 2.1 and 1.5 on random table t of the sweep seeded ``seed``."""
-    measured = Measurements(random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap))
-    return [*verify_main_theorems(measured, ("1.2",)),
-            verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
+    [(_, reports)] = random_table_reports(n, k, seed, t, t + 1, cap)
+    return reports
 
 
 def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
     failures = []
-    for t in range(lo, hi):
-        bad = [r.describe() for r in check_random_table(n, k, seed, t, cap) if not r.holds]
+    for t, reports in random_table_reports(n, k, seed, lo, hi, cap):
+        bad = [r.describe() for r in reports if not r.holds]
         if bad:
             failures.append({"instance": t, "seed": engine.derive_stream_seed(seed, t),
                              "reports": bad})
@@ -532,10 +595,13 @@ def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
 def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
                         cap: int = DEFAULT_TABLE_CAP) -> SweepReport:
     """Verify statements 1.2, 2.1 and 1.5 over seeded random table SCFs, each
-    built with ``cap``, which is checked once before the first is drawn."""
+    built with ``cap``. The shape and the cap are checked once, before the
+    first table is drawn."""
     if count < 1:
         raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
     engine.check_seed(seed)
+    for statement in ("1.2", "2.1", "1.5"):
+        _check_shape(n, k, statement)
     _check_instance_caps(n, k, cap)
     chunks = [(n, k, seed, lo, hi, cap) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)

@@ -167,6 +167,19 @@ def test_verify_random_sweep():
     assert doc["result"]["total"] == 10 and doc["result"]["holds"]
 
 
+@pytest.mark.parametrize("thm", ["1.4", "2.1", "1.5", "3.1", "7.1", "5.3", "6.1"])
+def test_verify_random_refuses_a_statement_it_does_not_sweep(monkeypatch, capsys, thm):
+    # The random sweep checks statements 1.2, 2.1 and 1.5 together, under --thm 1.2.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(verify, "sweep_random_tables", refuse)
+    code, out = run_cli(["verify", "--thm", thm, "--random", "10", "-n", "2", "-k", "3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: --random sweeps support --thm 1.2 (checked with 2.1 and 1.5)\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--thm", "1.4", "-n", "5", "-k", "4"], "statement 1.4 applies to one-voter functions only"),
     (["--thm", "6.1", "-n", "2", "-k", "3"], "statement 6.1 applies to one-voter functions only"),
@@ -444,14 +457,15 @@ def test_exit_code_verification_failure(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("sweep, argv, label", [
-    ("sweep_one_voter", ["--exhaustive", "-k", "3"], "1.4-sweep"),
-    ("sweep_random_tables", ["--random", "4", "-n", "2", "-k", "3"], "random-sweep"),
+    ("sweep_one_voter", ["--thm", "1.4", "--exhaustive", "-k", "3"], "1.4-sweep"),
+    ("sweep_random_tables", ["--thm", "1.2", "--random", "4", "-n", "2", "-k", "3"],
+     "random-sweep"),
 ])
 def test_exit_code_sweep_failure(monkeypatch, tmp_path, sweep, argv, label):
     failures = [{"index": 0}]
     fake = SweepReport(label, 2, 1, failures)
     monkeypatch.setattr(cli.verify, sweep, lambda *a, **kw: fake)
-    code, out = run_cli(["verify", "--thm", "1.4", *argv,
+    code, out = run_cli(["verify", *argv,
                          "--bundle-dir", str(tmp_path / "bundle")])
     assert code == 3
     assert json.loads(out)["result"] == fake.describe()

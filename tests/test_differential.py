@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from votemanip import cli
+from votemanip import cli, verify
 from votemanip.fibers import (
     FiberVariant,
     dictator_fiber_set,
@@ -39,7 +39,13 @@ from votemanip.graphs import (
     refined_edge_counts,
     transition_counts,
 )
-from votemanip.manip import census, exact_pair_probability, gs_classify, nonmanip_membership
+from votemanip.manip import (
+    census,
+    census_tables,
+    exact_pair_probability,
+    gs_classify,
+    nonmanip_membership,
+)
 from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.rankings import (
     AdjacentTransposition,
@@ -545,3 +551,96 @@ def test_fiber_sweeps_and_topset_membership_match_oracle(subject, data):
             assert refined_topset_membership(f, i, *pair, prof, edge)
             assert not refined_topset_membership(
                 f, i, *pair, prof, edge - Fraction(1, 4 * k * size))
+
+
+def _rule_scfs(n, k, count, seed=0):
+    """``count`` (n, k) SCFs cycling through the rule kinds, the seeded ones drawn anew."""
+    rng = random.Random(seed)
+    kinds = KINDS if k > 1 else KINDS[:-1]
+    scfs = []
+    for t in range(count):
+        kind = kinds[t % len(kinds)]
+        if kind == "random":
+            scfs.append(random_table_scf(n, k, rng.randrange(10 ** 6)))
+        elif kind == "plurality":
+            scfs.append(Plurality(n, k))
+        elif kind == "borda":
+            scfs.append(Borda(n, k))
+        elif kind == "top":
+            H = [x for x in range(k) if rng.random() < 0.5] or [rng.randrange(k)]
+            scfs.append(TopHDictator(n, k, rng.randrange(n), H))
+        else:
+            scfs.append(random_monotone_two_valued(n, k, rng.randrange(10 ** 6)))
+    return scfs
+
+
+@pytest.mark.parametrize("n, k", SHAPES + EDGE_SHAPES)
+def test_block_census_equals_the_census_of_each_table(n, k):
+    # A block of one table, a full sweep block, and a sweep's full block
+    # followed by a partial one each give every table its own census.
+    full = max(1, verify.SWEEP_BLOCK_BYTES // factorial(k) ** n)
+    scfs = _rule_scfs(n, k, full + 3)
+    rs = [2, 3, 4, 5]
+    memo = {}
+
+    def alone(f, widths):
+        key = (f.table(), tuple(widths))
+        if key not in memo:
+            memo[key] = census(f, widths)
+        return memo[key]
+
+    assert census_tables([scfs[0].table()], n, k, rs) == [alone(scfs[0], rs)]
+    block = census_tables([f.table() for f in scfs[:full]], n, k, rs)
+    assert block == [alone(f, rs) for f in scfs[:full]]
+    measured = list(verify.measured_instances(scfs.__getitem__, 0, len(scfs), n, k))
+    widths = range(2, max(k, 2) + 1)
+    assert [t for t, _m in measured] == list(range(len(scfs)))
+    for f, (_t, m) in zip(scfs, measured):
+        assert m.f is f
+        assert m.census(widths) == alone(f, widths)
+
+
+def _verify_report(argv, tasks):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["verify", *argv, "--tasks", str(tasks)]) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("count", [27, 28, 29])
+def test_random_sweep_report_is_the_same_across_tasks_and_blocks(monkeypatch, count):
+    # 28 tables of 36 bytes fill a sweep block at n = 2, k = 3; one table a
+    # block, as a census per SCF takes them, gives the same report.
+    assert verify.SWEEP_BLOCK_BYTES // 36 == 28
+    argv = ["--thm", "1.2", "--random", str(count), "--seed", "3", "-n", "2", "-k", "3"]
+    report = _verify_report(argv, 1)
+    assert json.loads(report)["result"]["total"] == count
+    assert _verify_report(argv, 2) == report
+    with monkeypatch.context() as m:
+        m.setattr(verify, "SWEEP_BLOCK_BYTES", 1)
+        assert _verify_report(argv, 1) == report
+
+
+def test_exhaustive_sweep_report_is_the_same_across_tasks_and_blocks(monkeypatch):
+    argv = ["--thm", "1.4", "--exhaustive", "-k", "3"]
+    report = _verify_report(argv, 1)
+    assert json.loads(report)["result"]["total"] == 729
+    assert _verify_report(argv, 2) == report
+    # The 729 functions span five blocks of the default 170, the last one
+    # partial; one a block and blocks of 100 give the same report.
+    for block_bytes in (1, 600):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "SWEEP_BLOCK_BYTES", block_bytes)
+            assert _verify_report(argv, 1) == report
+
+
+def test_sweep_instances_across_a_block_boundary_match_the_one_instance_checks():
+    # 4 tables of 216 bytes fill a block at n = 3, k = 3, and 170 one-voter
+    # tables of 6 bytes at k = 3.
+    assert verify.SWEEP_BLOCK_BYTES // 216 == 4
+    swept = [(t, [r.describe() for r in reports])
+             for t, reports in verify.random_table_reports(3, 3, 5, 10, 40)]
+    assert swept == [(t, [r.describe() for r in verify.check_random_table(3, 3, 5, t)])
+                     for t in range(10, 40)]
+    rows = list(verify.one_voter_rows(3, 0, 729))
+    assert rows == [verify.check_one_voter(3, t) for t in range(729)]

@@ -251,6 +251,26 @@ def test_sweeps_refuse_a_cap_before_any_instance_runs(monkeypatch):
         sweep_one_voter(3, cap=29)
 
 
+def test_instance_checks_refuse_census_window_tables_over_the_cap():
+    # 30 window-table entries at k = 3 against a 6-entry one-voter table.
+    with pytest.raises(CapExceededError):
+        verify.check_one_voter(3, 0, cap=29)
+    assert verify.check_one_voter(3, 0, cap=30)["holds"]
+
+
+def test_random_sweep_refuses_a_shape_before_any_table_is_drawn(monkeypatch):
+    # Statement 2.1 needs n >= 2: refused before the first table is drawn,
+    # not in every worker after its first instance is measured.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random table was drawn")
+
+    monkeypatch.setattr(verify, "random_table_scf", refuse)
+    with pytest.raises(ValueError, match="statement 2.1 needs n >= 2"):
+        sweep_random_tables(1, 3, 10, seed=0, tasks=2)
+    with pytest.raises(ValueError, match="bounds require k >= 3"):
+        sweep_random_tables(2, 2, 10, seed=0)
+
+
 def test_sweep_random_tables_small():
     report = sweep_random_tables(2, 3, 25, seed=99)
     assert report.total == 25
@@ -273,12 +293,28 @@ def count_calls(monkeypatch, names=MEASURES) -> Counter:
 
 
 def test_sweeps_measure_each_quantity_once_per_scf(monkeypatch):
+    # Each instance's census is taken once, in its block's census_tables pass
+    # (no per-SCF census), and each distance once per instance.
     calls = count_calls(monkeypatch)
+    blocks = []
+    census_tables = verify.census_tables
+
+    def recorded(tables, *args):
+        blocks.append(list(tables))
+        return census_tables(tables, *args)
+
+    monkeypatch.setattr(verify, "census_tables", recorded)
     assert sweep_random_tables(2, 3, 5, seed=0).holds
-    assert calls == {name: 5 for name in MEASURES}
+    assert calls == {"distance_to_nonmanip": 5, "distance_to_nonmanip_bar": 5}
+    assert blocks == [[random_table_scf(2, 3, verify.engine.derive_stream_seed(0, t)).table()
+                       for t in range(5)]]
     calls.clear()
+    blocks.clear()
     assert sweep_one_voter(3).holds
-    assert calls == {"census": 729, "distance_to_nonmanip": 729}
+    assert calls == {"distance_to_nonmanip": 729}
+    # 170 six-entry tables fill a block.
+    assert [len(block) for block in blocks] == [170] * 4 + [49]
+    assert sum(blocks, []) == [one_voter_function(3, t).table() for t in range(729)]
 
 
 def test_measurements_read_a_narrower_census_from_the_wider_one(monkeypatch):
