@@ -72,6 +72,14 @@ def _pair(text: str, k: int) -> tuple[int, int]:
     return a, b
 
 
+def _fraction(text: str, option: str) -> Fraction:
+    """The rational value of a ``p/q`` option; the report echoes ``text`` itself."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{option} wants a rational p/q, got {text!r}") from None
+
+
 # Report config key -> parsed option, echoed when the subcommand has the option
 # and it is set. The keys are kept as they are for byte-stable reports; they
 # are not every option that shapes a report (--pair, --thm and --r-values are
@@ -136,7 +144,7 @@ def _cmd_influences(args) -> int:
     f = _build_scf(args)
     table = {}
     for i in range(f.n):
-        inf = graphs.coordinate_influences(f, i)
+        inf = graphs.CoordinateInfluences(f, i)
         row = {
             "total": frac_str(inf.total()),
             "target": {str(a + 1): frac_str(inf.target(a)) for a in range(f.k)},
@@ -161,12 +169,12 @@ def _cmd_influences(args) -> int:
 
 def _resolve_gamma(args, f) -> Fraction:
     if args.gamma is not None:
-        return Fraction(args.gamma)
+        return _fraction(args.gamma, "--gamma")
     if args.epsilon is None:
         raise ConfigError("fibers needs --gamma or --epsilon for the preset")
     preset = "gamma-refined" if args.variant == "refined" else "gamma-coarse"
     return verify.bound_value(
-        preset, verify.BoundParams(n=f.n, k=f.k, epsilon=Fraction(args.epsilon))
+        preset, verify.BoundParams(n=f.n, k=f.k, epsilon=_fraction(args.epsilon, "--epsilon"))
     )
 
 
@@ -229,7 +237,7 @@ def _cmd_hypercontractivity(args) -> int:
                                f"[1, {verify.MAX_CUBE_BITS}]")
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
-    rho = Fraction(args.rho)
+    rho = _fraction(args.rho, "--rho")
     size = 1 << args.bits
     if args.b1 or args.b2:
         B1 = [int(x) for x in args.b1.split(",")] if args.b1 else []
@@ -300,15 +308,15 @@ def _verify_run(args, tasks: int):
             raise ConfigError(f"unknown statement {statement!r}")
         if args.rule and not args.table and None not in (args.voters, args.alternatives):
             verify._check_shape(args.voters, args.alternatives, statement)
+        eps = None if args.epsilon is None else _fraction(args.epsilon, "--epsilon")
+        alpha = None if args.alpha is None else _fraction(args.alpha, "--alpha")
         f = _build_scf(args)
         measured = verify.Measurements(f)
         if statement in verify.MAIN_THEOREMS:
             reports = verify.verify_main_theorems(measured, (statement,))
         elif statement in ("2.1", "5.3", "6.1"):
-            eps = Fraction(args.epsilon) if args.epsilon is not None else None
             reports = [verify.verify_lemma_influences(measured, eps, statement)]
         else:
-            alpha = Fraction(args.alpha) if args.alpha is not None else None
             reports = [verify.verify_thm_1_5(measured, alpha)]
         return ({"reports": [r.describe() for r in reports]},
                 [r for r in reports if not r.holds], f)

@@ -3,23 +3,20 @@
 Two graphs live on the profile space: the coarse graph joins profiles that
 differ in exactly one coordinate, the refined graph additionally requires the
 differing coordinate to move by a single adjacent transposition. Boundary
-sets between outcomes are enumerated exactly, streaming in profile-index
-order, from a byte search of the table. Boundary sizes and influences are not
-enumerated: they are reads of a coordinate's edge counts,
-:func:`transition_counts` for the coarse graph and :func:`refined_edge_counts`
-for the refined one, each counted over the byte lanes of voter i's rank parts
-(:func:`rankings.rank_classes`). :func:`coordinate_influences` makes each
-count on its first read and holds the one checked read of both,
-:meth:`CoordinateInfluences.count`.
+sizes and influences are not enumerated: they are reads of a coordinate's
+edge counts, :func:`transition_counts` for the coarse graph and
+:func:`refined_edge_counts` for the refined one, each counted over the byte
+lanes of voter i's rank parts (:func:`rankings.rank_classes`).
+:class:`CoordinateInfluences` makes each count on its first read and holds
+the one checked read of both, :meth:`CoordinateInfluences.count`.
 """
 from __future__ import annotations
 
-import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
 from typing import Iterator, Optional
@@ -27,21 +24,15 @@ from typing import Iterator, Optional
 from .errors import CapExceededError
 from .rankings import (
     AdjacentTransposition,
-    Profile,
     adjacent_swap_neighbors,
-    all_rankings,
     check_alternatives,
     check_coordinate,
     class_tables,
-    decode_profile,
-    encode_profile,
     indicator,
     lane_int,
     pair_lanes,
     profile_space_size,
-    profile_strides,
     rank_classes,
-    ranking_rank_of,
 )
 from .scf import SCF
 
@@ -51,132 +42,19 @@ class GraphKind(Enum):
     REFINED = "refined"
 
 
-def neighbors(profile: Profile, kind: GraphKind) -> list[Profile]:
-    """All graph neighbors of a profile, coordinate-major order.
-
-    Coarse degree is n(k!-1); refined degree is n(k-1) since transpositions of
-    non-adjacent alternatives act as the identity and are not emitted.
-    """
-    k = profile[0].k
-    rankings = all_rankings(k)
-    rank_of = ranking_rank_of(k)
-    return [profile[:i] + (rankings[dest],) + profile[i + 1:] for i, r in enumerate(profile)
-            for dest in _rank_moves(k, kind, None, rank_of[r.order])]
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    """Selects a boundary: outcome ``a`` flipping to ``b`` in coordinate ``i``.
-
-    ``b=None`` selects any outcome change away from ``a``. ``z`` restricts the
-    refined boundary to a single adjacent transposition and requires the
-    refined kind.
-    """
-
-    i: int
-    a: int
-    b: Optional[int] = None
-    z: Optional[AdjacentTransposition] = None
-    kind: GraphKind = GraphKind.COARSE
-
-    def __post_init__(self):
-        if self.b is not None and self.a == self.b:
-            raise ValueError("boundary needs two distinct outcomes")
-        _check_kind(self.z, self.kind)
-
-    def describe(self) -> dict:
-        d = {
-            "coordinate": self.i + 1,
-            "from": self.a + 1,
-            "to": None if self.b is None else self.b + 1,
-            "kind": self.kind.value,
-        }
-        if self.z is not None:
-            d["transposition"] = [self.z.a + 1, self.z.b + 1]
-        return d
-
-
-def _rank_moves(k: int, kind: GraphKind, z: Optional[AdjacentTransposition],
-                rho: int):
-    """The ranks one edge of the graph (restricted to z) reaches from rank rho.
-    Coarse moves are every other rank, listed on each call: the coarse moves
-    of every rank would be k! (k! - 1) entries."""
-    if kind is GraphKind.COARSE:
-        return [r for r in range(factorial(k)) if r != rho]
-    return _swap_moves(k, z, rho)
-
-
-@lru_cache(maxsize=None)
-def _swap_moves(k: int, z: Optional[AdjacentTransposition], rho: int) -> tuple[int, ...]:
-    """The refined moves of :func:`_rank_moves`, k - 1 at most, kept per rank."""
-    pair = None if z is None else (min(z.a, z.b), max(z.a, z.b))
-    return tuple(dest for dest, a, b in adjacent_swap_neighbors(k)[rho]
-                 if pair is None or (a, b) == pair)
-
-
-def _check_kind(z: Optional[AdjacentTransposition], kind: GraphKind) -> None:
-    if z is not None and kind is not GraphKind.REFINED:
-        raise ValueError("transposition-restricted boundaries are refined-graph only")
-
-
 def _check_edges(k: int, a: int, b: Optional[int], z: Optional[AdjacentTransposition],
                  kind: GraphKind) -> None:
     """Refuse a selection of edges from outcome a (to b, under z, when set) that
-    :class:`BoundarySpec` refuses, or whose alternatives lie outside ``0..k-1``."""
-    _check_kind(z, kind)
+    restricts a coarse read to z, or whose alternatives repeat or lie outside
+    ``0..k-1``."""
+    if z is not None and kind is not GraphKind.REFINED:
+        raise ValueError("transposition-restricted boundaries are refined-graph only")
     if b is None:
         check_alternatives(k, a)
     else:
         check_alternatives(k, a, b)
     if z is not None:
         check_alternatives(k, z.a, z.b)
-
-
-def _spec_partners(f: SCF, spec: BoundarySpec):
-    """The table, and a function listing the partners, in edge order, of a
-    profile p electing a that leave a (for b, when b is set).
-
-    An edge from voter i's rank ``r = p // stride % k!`` to ``dest`` reaches
-    ``p + (dest - r) * stride``, computed for p's own rank only. The coarse
-    partners are p's whole coordinate-i line, a range of indices; p itself
-    elects a, so the filter drops it.
-    """
-    check_coordinate(f.n, spec.i)
-    _check_edges(f.k, spec.a, spec.b, spec.z, spec.kind)
-    table = f.table()
-    fact = factorial(f.k)
-    stride = profile_strides(f.n, f.k)[spec.i]
-    a, b = spec.a, spec.b
-    coarse = spec.kind is GraphKind.COARSE
-
-    def partners(p: int) -> list[int]:
-        r = p // stride % fact
-        if coarse:
-            line = range(p - r * stride, p + (fact - r) * stride, stride)
-        else:
-            line = [p + (dest - r) * stride for dest in _swap_moves(f.k, spec.z, r)]
-        return [q for q in line if table[q] != a and (b is None or table[q] == b)]
-
-    return table, partners
-
-
-def iter_boundary_index_pairs(f: SCF, spec: BoundarySpec) -> Iterator[tuple[int, int]]:
-    """Ordered boundary pairs as profile indices, streamed in index order; the
-    spec is checked on the call, not on the first pair."""
-    table, partners = _spec_partners(f, spec)
-    electing = map(re.Match.start, re.finditer(re.escape(bytes([spec.a])), table))
-    return ((p, q) for p in electing for q in partners(p))
-
-
-def boundary(f: SCF, spec: BoundarySpec) -> list[tuple[Profile, Profile]]:
-    """Materialized boundary pair set (use the iterator for large instances)."""
-    return [(decode_profile(f.n, f.k, p), decode_profile(f.n, f.k, q))
-            for p, q in iter_boundary_index_pairs(f, spec)]
-
-
-def boundary_count(f: SCF, spec: BoundarySpec) -> int:
-    """Size of the boundary :func:`boundary` lists, read from one count pass."""
-    return coordinate_influences(f, spec.i).count(spec.a, spec.b, spec.z, spec.kind)
 
 
 # Headroom: transition_counts sums indicator lanes over at most this many rank
@@ -268,8 +146,8 @@ class CoordinateInfluences:
 
     def count(self, a: int, b: Optional[int] = None, z: Optional[AdjacentTransposition] = None,
               kind: GraphKind = GraphKind.COARSE) -> int:
-        """Edges leaving outcome a (for b, under z, when set): the size of the
-        boundary ``BoundarySpec(i, a, b, z, kind)`` selects."""
+        """Edges of ``kind`` in coordinate i leaving outcome a (for b, under z,
+        when set): the size of that outcome boundary."""
         _check_edges(self.k, a, b, z, kind)
         if kind is GraphKind.COARSE:
             row = self.moves[a]
@@ -309,21 +187,6 @@ class CoordinateInfluences:
         return self._refined(self.count(a, b, kind=GraphKind.REFINED))
 
 
-def coordinate_influences(f: SCF, i: int) -> CoordinateInfluences:
-    """Coordinate i's influences: the coordinate is checked at once, and each
-    read pays only for the count pass it needs, one per kind."""
-    return CoordinateInfluences(f, i)
-
-
-def is_on_boundary(f: SCF, profile: Profile, spec: BoundarySpec) -> bool:
-    """Whether the profile has at least one boundary partner under the spec."""
-    f.check_profile(profile)
-    table, partners = _spec_partners(f, spec)
-    p = encode_profile(profile)
-    # A list, not any(): partner index 0 is falsy.
-    return table[p] == spec.a and bool(partners(p))
-
-
 # ---------------------------------------------------------------------------
 # Generic edge/vertex boundaries on products of complete graphs.
 
@@ -337,26 +200,6 @@ def product_neighbors(v: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tu
         for value in range(size):
             if value != v[c]:
                 yield v[:c] + (value,) + v[c + 1:]
-
-
-def edge_boundary(A, sizes: tuple[int, ...]) -> int:
-    """Number of edges with exactly one endpoint in A."""
-    A = set(A)
-    count = 0
-    for u in A:
-        for v in product_neighbors(u, sizes):
-            if v not in A:
-                count += 1
-    return count
-
-
-def vertex_boundary(A, sizes: tuple[int, ...]) -> set:
-    """Members of A with at least one neighbor outside A."""
-    A = set(A)
-    return {
-        u for u in A
-        if any(v not in A for v in product_neighbors(u, sizes))
-    }
 
 
 # Largest K_k^n an exhaustive sweep enumerates the 2^(k^n) subsets of, and

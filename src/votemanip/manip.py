@@ -35,7 +35,6 @@ from .rankings import (
     check_cap,
     class_tables,
     decode_profile,
-    decode_ranking,
     fiber_outcome_counts,
     join_class_tables,
     lane_int,
@@ -74,20 +73,6 @@ class ManipulationPair:
             "profile": [r.one_based() for r in self.profile],
             "altered": [r.one_based() for r in self.altered],
         }
-
-
-def is_manipulation_pair(f: SCF, pair: ManipulationPair) -> bool:
-    """Validate: single differing coordinate, strict gain under the true ranking."""
-    sigma, tau, i = pair.profile, pair.altered, pair.coordinate
-    if len(sigma) != len(tau) or not 0 <= i < len(sigma):
-        return False
-    for c, (r, s) in enumerate(zip(sigma, tau)):
-        if c != i and r.order != s.order:
-            return False
-    if sigma[i].order == tau[i].order:
-        return False
-    truth = sigma[i].inv
-    return truth[f.evaluate(tau)] < truth[f.evaluate(sigma)]
 
 
 def is_r_manipulation_point(f: SCF, profile: Profile, r: int) -> Optional[ManipulationPair]:
@@ -292,16 +277,6 @@ def census_tables(tables, n: int, k: int, r_values=None) -> list[ManipulationCen
 # Random manipulation sampling.
 
 
-@dataclass(frozen=True)
-class ManipulationSample:
-    """One draw of the random-window manipulation experiment."""
-
-    profile: Profile
-    altered: Profile
-    coordinate: int
-    success: bool
-
-
 def _bits(m: int) -> tuple[int, int]:
     return m, m.bit_length()
 
@@ -395,20 +370,6 @@ def _check_draws(f: SCF, width: int) -> None:
     k = f.k
     _check_window(k, width)
     check_cap(f.cap, "sampler per-ranking table entries", k, count=lambda: k * factorial(k))
-
-
-def sample_manipulation(f: SCF, seed: int, width: int = 4) -> ManipulationSample:
-    """One seeded draw: uniform profile, voter, window start, window shuffle."""
-    _check_draws(f, width)
-    check_seed(seed)
-    successes, (index, i, r2) = _draws(random.Random(seed).getrandbits, 1, _draw_plan(f, width))
-    profile = decode_profile(f.n, f.k, index)
-    return ManipulationSample(
-        profile=profile,
-        altered=profile[:i] + (decode_ranking(f.k, r2),) + profile[i + 1:],
-        coordinate=i,
-        success=successes == 1,
-    )
 
 
 def _sample_chunk(f, width, seed, block_lo, block_hi, samples):

@@ -170,21 +170,6 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
 # Monotone Boolean machinery.
 
 
-def monotone_violation_fraction(table: Sequence[int]) -> Fraction:
-    """Fraction of one-coordinate cube edges decreasing in the up direction."""
-    m = len(table)
-    n = m.bit_length() - 1
-    if m != 1 << n or n < 1:
-        raise ValueError("table length must be 2^n with n >= 1")
-    violations = 0
-    for mask in range(m):
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit and table[mask] > table[mask | bit]:
-                violations += 1
-    return Fraction(violations, n * (1 << (n - 1)))
-
-
 class _Dinic:
     """Deterministic max-flow on small graphs; capacities are Python ints."""
 

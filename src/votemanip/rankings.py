@@ -12,9 +12,9 @@ the ``(k!)^n`` profile table through :func:`profile_strides`,
 :func:`index_digits`, :func:`digits_index`, :func:`class_tables` with its
 inverse :func:`join_class_tables`, and :func:`swap_first_voters`. Every scan
 per line reads the parts of :func:`rank_classes`, each entry a byte lane on one
-coordinate line, as big ints (:func:`lane_int`, :func:`pair_lanes`);
-:func:`lane_rest` names a lane's other voters. Outcomes are counted by one
-kernel over such ints, :func:`outcome_count` and :func:`outcome_counts`.
+coordinate line, as big ints (:func:`lane_int`, :func:`pair_lanes`).
+Outcomes are counted by one kernel over such ints, :func:`outcome_count` and
+:func:`outcome_counts`.
 """
 from __future__ import annotations
 
@@ -51,22 +51,8 @@ class Ranking:
         """Positions indexed by alternative: ``inv[order[p]] == p``."""
         return _inverse(self.order)
 
-    def position(self, alternative: int) -> int:
-        return self.inv[alternative]
-
-    def prefers(self, a: int, b: int) -> bool:
-        """True iff a is ranked above b."""
-        return self.inv[a] < self.inv[b]
-
-    def top(self) -> int:
-        return self.order[0]
-
     def one_based(self) -> tuple[int, ...]:
         return tuple(x + 1 for x in self.order)
-
-    @staticmethod
-    def identity(k: int) -> "Ranking":
-        return Ranking(tuple(range(k)))
 
 
 @lru_cache(maxsize=None)
@@ -89,30 +75,6 @@ class AdjacentTransposition:
             raise ValueError("transposition needs two distinct alternatives")
 
 
-def all_adjacent_transpositions(k: int) -> list[AdjacentTransposition]:
-    """The k(k-1)/2 adjacent transpositions, ordered by (a, b) with a < b."""
-    return [AdjacentTransposition(a, b) for a in range(k) for b in range(a + 1, k)]
-
-
-def apply_adjacent_transposition(r: Ranking, t: AdjacentTransposition) -> Ranking:
-    """Swap t.a and t.b if they occupy consecutive positions in r, else return r."""
-    pa, pb = r.inv[t.a], r.inv[t.b]
-    if abs(pa - pb) != 1:
-        return r
-    order = list(r.order)
-    order[pa], order[pb] = order[pb], order[pa]
-    return Ranking(tuple(order))
-
-
-def top_restricted(r: Ranking, H) -> int:
-    """The member of H ranked highest in r."""
-    members = list(H)
-    if not members:
-        raise ValueError("H must be nonempty")
-    inv = r.inv
-    return min(members, key=inv.__getitem__)
-
-
 def window_permutations(r: Ranking, start: int, width: int) -> list[Ranking]:
     """All rankings obtained by permuting ``width`` consecutive positions of r.
 
@@ -132,19 +94,8 @@ def window_permutations(r: Ranking, start: int, width: int) -> list[Ranking]:
 # Dense indexing.
 
 
-def encode_ranking(r: Ranking) -> int:
-    """Lehmer rank of r among all k! rankings (lexicographic order)."""
-    order = r.order
-    k = len(order)
-    index = 0
-    for j in range(k):
-        smaller_later = sum(1 for l in range(j + 1, k) if order[l] < order[j])
-        index += smaller_later * factorial(k - 1 - j)
-    return index
-
-
 def decode_ranking(k: int, index: int) -> Ranking:
-    """Inverse of :func:`encode_ranking`."""
+    """The ranking of Lehmer rank ``index`` in ``[0, k!)``."""
     if not 0 <= index < factorial(k):
         raise ValueError(f"ranking index {index} out of range for k={k}")
     return Ranking(rank_order(k, index))
@@ -220,13 +171,8 @@ def check_cap(cap: int, what: str, k: int, n=None, count=None) -> None:
         raise CapExceededError(f"{what} at {shape} exceed the cap {cap}")
 
 
-def encode_profile(profile: Profile) -> int:
-    """Mixed-radix pack of per-coordinate ranks, voter 0 most significant."""
-    return digits_index(profile[0].k, [encode_ranking(r) for r in profile])
-
-
 def decode_profile(n: int, k: int, index: int) -> Profile:
-    """Inverse of :func:`encode_profile`."""
+    """The profile of index ``index``: one ranking per digit of :func:`index_digits`."""
     if not 0 <= index < profile_space_size(n, k):
         raise ValueError(f"profile index {index} out of range for n={n}, k={k}")
     return tuple(decode_ranking(k, d) for d in index_digits(n, k, index))
@@ -305,13 +251,6 @@ def rank_classes(n: int, k: int, i: int) -> list:
     check_coordinate(n, i)
     fact = factorial(k)
     return [[(r,) for r in range(fact)]] + [[range(fact)]] * (n - 1 - i)
-
-
-def lane_rest(n: int, k: int, i: int, lane: int) -> tuple[int, ...]:
-    """The other voters' ranks, in voter order, on byte ``lane`` of the
-    :func:`rank_classes` parts, which list the voters after i, then before i."""
-    digits = index_digits(n - 1, k, lane)
-    return digits[n - 1 - i:] + digits[:n - 1 - i]
 
 
 def swap_first_voters(table, n: int, k: int) -> bytes:
@@ -402,11 +341,6 @@ def ranking_positions(k: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def ranking_rank_of(k: int) -> dict[tuple[int, ...], int]:
     return {order: i for i, order in enumerate(ranking_orders(k))}
-
-
-@lru_cache(maxsize=None)
-def all_rankings(k: int) -> tuple[Ranking, ...]:
-    return tuple(Ranking(order) for order in ranking_orders(k))
 
 
 @lru_cache(maxsize=None)

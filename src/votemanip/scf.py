@@ -19,13 +19,11 @@ from .rankings import (
     MAX_TABLE_K,
     Profile,
     RankTable,
-    Ranking,
     check_alternatives,
     check_cap,
     check_coordinate,
     class_tables,
     digits_index,
-    fiber_outcome_counts,
     indicator,
     lane_int,
     profile_space_size,
@@ -428,21 +426,7 @@ class MonotoneTwoValued(PairBooleanSCF):
 
 
 # ---------------------------------------------------------------------------
-# Derived functions and predicates.
-
-
-def induced_one_voter(f: SCF, i: int, rest: tuple[Ranking, ...]) -> TableSCF:
-    """The one-voter SCF obtained by freezing all coordinates but ``i``.
-
-    ``rest`` lists the other voters' rankings in their original voter order.
-    """
-    check_coordinate(f.n, i)
-    if len(rest) != f.n - 1:
-        raise ValueError(f"expected {f.n - 1} fixed coordinates, got {len(rest)}")
-    head = tuple(r.order for r in rest[:i])
-    tail = tuple(r.order for r in rest[i:])
-    return TableSCF(1, f.k, bytes(f.evaluate_orders(head + (order,) + tail)
-                                  for order in ranking_orders(f.k)), cap=f.cap)
+# Predicates.
 
 
 def is_anonymous(f: SCF) -> bool:
@@ -455,58 +439,6 @@ def is_anonymous(f: SCF) -> bool:
     table = f.table()
     return (class_tables(table, f.k, [[range(factorial(f.k))]])[0] == table
             and (f.n < 2 or swap_first_voters(table, f.n, f.k) == table))
-
-
-def is_neutral(f: SCF) -> bool:
-    """Invariance under renaming alternatives, checked exhaustively.
-
-    Adjacent alternative transpositions generate all relabelings. Per one, n
-    whole-voter steps of :func:`rankings.class_tables` listing relabeled ranks
-    must give the table with its outcomes relabeled.
-    """
-    table = f.table()
-    k = f.k
-    rank_of = ranking_rank_of(k)
-    for c in range(k - 1):
-        relabel = list(range(256))
-        relabel[c], relabel[c + 1] = relabel[c + 1], relabel[c]
-        rank_map = [rank_of[tuple(relabel[x] for x in order)] for order in ranking_orders(k)]
-        if class_tables(table, k, [[rank_map]] * f.n)[0] != table.translate(bytes(relabel)):
-            return False
-    return True
-
-
-def exists_anonymous_neutral(n: int, k: int) -> bool:
-    """Whether any SCF on (n, k) can be both anonymous and neutral.
-
-    Possible exactly when k is not a sum (repetition allowed) of divisors
-    d >= 2 of n; tie-breaking forces the obstruction otherwise.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    coins = [d for d in range(2, n + 1) if n % d == 0]
-    reachable = [False] * (k + 1)
-    reachable[0] = True
-    for d in coins:
-        for s in range(d, k + 1):
-            if reachable[s - d]:
-                reachable[s] = True
-    return not reachable[k]
-
-
-def majority_projection(g: SCF, pair: tuple[int, int]) -> PairBooleanSCF:
-    """Collapse a two-valued SCF to the majority outcome on each preference fiber.
-
-    Ties elect ``a`` (the first pair member). The result depends on a profile
-    only through its a-vs-b preference vector.
-    """
-    a, b = pair
-    rng = g.range()
-    if not rng <= {a, b}:
-        raise ValueError(f"range {sorted(rng)} not within pair {pair}")
-    counts_a, counts_b = fiber_outcome_counts(g.table(), g.n, g.k, a, b)
-    boolean = tuple(a if x >= y else b for x, y in zip(counts_a, counts_b))
-    return PairBooleanSCF(g.n, g.k, pair, boolean, cap=g.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +533,12 @@ def dump_scf_table(f: SCF, path) -> None:
 
 
 def load_scf_table(path, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
+    """Read the JSON table format :func:`dump_scf_table` writes; errors name the
+    file's own (1-based) outcomes."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"table file needs a JSON object, got {type(doc).__name__}")
     if doc.get("encoding") != SCF_TABLE_ENCODING:
         raise ValueError(f"unsupported table encoding {doc.get('encoding')!r}")
     n, k, outcomes = doc.get("n"), doc.get("k"), doc.get("outcomes")
@@ -611,8 +547,8 @@ def load_scf_table(path, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:
     check_cap(cap, "(k!)^n table entries", k, n)
     if not isinstance(outcomes, list) or any(type(x) is not int for x in outcomes):
         raise ValueError("table file outcomes must be a list of integers")
+    bad = next((x for x in outcomes if not 1 <= x <= k), None)
+    if bad is not None:
+        raise ValueError(f"table file outcome {bad} is not an alternative in [1, {k}]")
     return TableSCF(n, k, [x - 1 for x in outcomes], cap=cap)
 
-
-def scfs_equal(f: SCF, g: SCF) -> bool:
-    return f.n == g.n and f.k == g.k and f.table() == g.table()

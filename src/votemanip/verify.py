@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import engine
 from .errors import CapExceededError
-from .graphs import GraphKind, coordinate_influences
+from .graphs import CoordinateInfluences, GraphKind
 from .manip import (
     ManipulationCensus,
     census,
@@ -244,7 +244,7 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
     p, q = threshold.numerator, threshold.denominator
     qualifying = []
     for i in range(f.n):
-        inf = coordinate_influences(f, i)
+        inf = CoordinateInfluences(f, i)
         den = inf.denominator(kind)
         for a in range(f.k):
             for b in range(a + 1, f.k):
@@ -519,12 +519,6 @@ def one_voter_rows(k: int, lo: int, hi: int, cap: int = DEFAULT_TABLE_CAP):
                "holds": all(checks.values())}
 
 
-def check_one_voter(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> dict:
-    """One row of the one-voter sweep (:func:`one_voter_rows`), for function t."""
-    [row] = one_voter_rows(k, t, t + 1, cap)
-    return row
-
-
 def _one_voter_chunk(k: int, lo: int, hi: int, cap: int):
     nonmanipulable, failures = 0, []
     for row in one_voter_rows(k, lo, hi, cap):
@@ -573,13 +567,6 @@ def random_table_reports(n: int, k: int, seed: int, lo: int, hi: int,
     for t, measured in measured_instances(build, lo, hi, n, k, cap):
         yield t, [*verify_main_theorems(measured, ("1.2",)),
                   verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
-
-
-def check_random_table(n: int, k: int, seed: int, t: int,
-                       cap: int = DEFAULT_TABLE_CAP) -> list[VerificationReport]:
-    """Statements 1.2, 2.1 and 1.5 on random table t of the sweep seeded ``seed``."""
-    [(_, reports)] = random_table_reports(n, k, seed, t, t + 1, cap)
-    return reports
 
 
 def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):

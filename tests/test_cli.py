@@ -312,11 +312,9 @@ def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
 
 
 def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
-    from votemanip import fibers, graphs
-    from votemanip.graphs import BoundarySpec, GraphKind
-    from votemanip.rankings import AdjacentTransposition
-
-    from votemanip.rankings import rank_classes, ranks_preferring
+    from votemanip import fibers
+    from votemanip.graphs import CoordinateInfluences, GraphKind
+    from votemanip.rankings import AdjacentTransposition, rank_classes, ranks_preferring
 
     calls = _count_passes(monkeypatch)
     f = Plurality(3, 3)
@@ -325,23 +323,24 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         calls.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
         assert calls == [[sides, [(r,) for r in range(6)], sides]]
-    specs = [BoundarySpec(i=2, a=0), BoundarySpec(i=2, a=0, b=1),
-             BoundarySpec(i=2, a=0, kind=GraphKind.REFINED),
-             BoundarySpec(i=2, a=0, b=1, z=AdjacentTransposition(0, 1), kind=GraphKind.REFINED)]
-    for spec in specs:
+    # (a, b, z, kind) of each boundary read on coordinate 2, from a fresh object.
+    selections = [(0, None, None, GraphKind.COARSE), (0, 1, None, GraphKind.COARSE),
+                  (0, None, None, GraphKind.REFINED),
+                  (0, 1, AdjacentTransposition(0, 1), GraphKind.REFINED)]
+    for selection in selections:
         calls.clear()
-        graphs.boundary_count(f, spec)
+        CoordinateInfluences(f, 2).count(*selection)
         assert calls == [rank_classes(3, 3, 2)]
 
 
 def test_coordinate_influences_count_each_kind_on_its_first_read(monkeypatch):
     # No split on construction; the coarse reads share one split by the
     # coordinate's rank, and the refined reads add one.
-    from votemanip.graphs import GraphKind, coordinate_influences
+    from votemanip.graphs import CoordinateInfluences, GraphKind
     from votemanip.rankings import AdjacentTransposition, rank_classes
 
     calls = _count_passes(monkeypatch)
-    inf = coordinate_influences(scf.Borda(3, 3), 1)
+    inf = CoordinateInfluences(scf.Borda(3, 3), 1)
     assert calls == []
     for _ in range(2):
         inf.pair(0, 1), inf.target(2), inf.total(), inf.count(1, 0)
@@ -350,27 +349,6 @@ def test_coordinate_influences_count_each_kind_on_its_first_read(monkeypatch):
         inf.refined(0, 1, AdjacentTransposition(0, 1)), inf.refined_all(0, 2)
         inf.count(2, kind=GraphKind.REFINED)
         assert calls == [rank_classes(3, 3, 1)] * 2
-
-
-def test_dictator_sets_make_one_split_and_boundary_pairs_none(monkeypatch):
-    # Three supersets of {1, 2} at k = 4 share the one split by voter 1's rank.
-    from votemanip import fibers, graphs
-    from votemanip.graphs import BoundarySpec, GraphKind
-    from votemanip.rankings import decode_profile, rank_classes
-
-    calls = _count_passes(monkeypatch)
-    f = Plurality(3, 4)
-    for sets in (lambda: fibers.dictator_fiber_set(f, 1, {0, 1}),
-                 lambda: fibers.dictator_pair_set(f, 1, (0, 1))):
-        calls.clear()
-        sets()
-        assert calls == [rank_classes(3, 4, 1)]
-    calls.clear()
-    for kind in GraphKind:
-        spec = BoundarySpec(i=1, a=0, kind=kind)
-        assert list(graphs.iter_boundary_index_pairs(f, spec))
-        graphs.is_on_boundary(f, decode_profile(3, 4, 0), spec)
-    assert calls == []
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -593,6 +571,35 @@ def test_a_directory_path_is_one_error_line(tmp_path, capsys, option):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "x"], ids=["list", "string"])
+def test_a_table_file_that_is_not_an_object_is_one_error_line(tmp_path, capsys, doc):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["census", "--table", str(path)])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: table file needs a JSON object") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hypercontractivity", "--bits", "3", "--rho", "1/0"],
+    ["fibers", "--rule", "borda", "-n", "2", "-k", "3", "--pair", "1,2", "--coordinate", "1",
+     "--gamma", "1/0"],
+    ["fibers", "--rule", "borda", "-n", "2", "-k", "3", "--pair", "1,2", "--coordinate", "1",
+     "--epsilon", "2/0"],
+    ["verify", "--thm", "2.1", "--rule", "borda", "-n", "2", "-k", "3", "--epsilon", "1/0"],
+    ["verify", "--thm", "1.5", "--rule", "borda", "-n", "2", "-k", "3", "--alpha", "0/0"],
+], ids=["rho", "gamma", "fibers-epsilon", "verify-epsilon", "alpha"])
+def test_a_fraction_option_over_zero_is_one_error_line(capsys, argv):
+    # Fraction("1/0") raises ZeroDivisionError, which is not a ValueError.
+    code, out = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-2]} wants a rational p/q") and err.count("\n") == 1
 
 
 def test_distance_splits_each_coordinate_by_rank_once(monkeypatch):

@@ -15,15 +15,13 @@ from votemanip.manip import (
     census,
     exact_pair_probability,
     gs_classify,
-    is_manipulation_pair,
     is_r_manipulation_point,
     nonmanip_membership,
-    sample_manipulation,
     sample_success,
 )
 from votemanip.metrics import distance, distance_to_nonmanip
 from votemanip.verify import sweep_random_tables
-from votemanip.rankings import decode_profile, profile_space_size
+from votemanip.rankings import decode_profile, decode_ranking, profile_space_size
 from votemanip.scf import (
     Borda,
     Constant,
@@ -33,7 +31,6 @@ from votemanip.scf import (
     TopHDictator,
     random_monotone_two_valued,
     random_table_scf,
-    scfs_equal,
 )
 
 
@@ -82,7 +79,7 @@ def test_witness_validates_and_r_precondition():
         found = is_r_manipulation_point(f, decode_profile(2, 3, index), 2)
         if found:
             break
-    assert found and is_manipulation_pair(f, found)
+    assert found and oracles.is_manipulation_pair(f, found)
     with pytest.raises(ValueError):
         is_r_manipulation_point(f, decode_profile(2, 3, 0), 1)
 
@@ -136,7 +133,7 @@ def test_gs_classify_recovers_dictator():
 def test_gs_classify_borda_manipulable():
     res = gs_classify(Borda(2, 3))
     assert res.manipulable
-    assert is_manipulation_pair(Borda(2, 3), res.witness_pair)
+    assert oracles.is_manipulation_pair(Borda(2, 3), res.witness_pair)
 
 
 def test_gs_classify_two_valued_witness():
@@ -144,7 +141,7 @@ def test_gs_classify_two_valued_witness():
     res = gs_classify(f)
     assert not res.manipulable
     if isinstance(res.witness_member, MonotoneTwoValued):
-        assert scfs_equal(res.witness_member, f)
+        assert res.witness_member.table() == f.table()
     else:
         # Degenerate draws collapse to a constant, reported as a dictatorship.
         assert isinstance(res.witness_member, TopHDictator)
@@ -230,13 +227,6 @@ def test_empty_manipulation_iff_distance_zero(seed):
 
 def test_sampler_deterministic_and_consistent():
     f = Plurality(2, 4)
-    s1 = sample_manipulation(f, seed=5)
-    s2 = sample_manipulation(f, seed=5)
-    assert s1 == s2
-    if s1.success:
-        from votemanip.manip import ManipulationPair
-
-        assert is_manipulation_pair(f, ManipulationPair(s1.profile, s1.altered, s1.coordinate))
     rep1 = sample_success(f, 3000, seed=11)
     rep2 = sample_success(f, 3000, seed=11)
     assert rep1 == rep2
@@ -267,9 +257,13 @@ def test_sampler_draws_equal_the_order_tuple_oracle():
         for f, evaluate in subjects:
             for width in widths:
                 for seed in range(6):
-                    s = sample_manipulation(f, seed, width)
-                    assert ((tuple(r.order for r in s.profile),
-                             tuple(r.order for r in s.altered), s.coordinate, s.success)
+                    # One draw: its success, and its (profile index, voter, new rank).
+                    successes, (index, i, r2) = manip._draws(
+                        random.Random(seed).getrandbits, 1, manip._draw_plan(f, width))
+                    profile = decode_profile(n, k, index)
+                    altered = profile[:i] + (decode_ranking(k, r2),) + profile[i + 1:]
+                    assert ((tuple(r.order for r in profile), tuple(r.order for r in altered),
+                             i, successes == 1)
                             == oracles.sampler_draw(random.Random(seed), evaluate, n, k, width))
                 expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3,
                                                      engine.SAMPLE_BLOCK)
@@ -346,7 +340,7 @@ def test_seeded_paths_refuse_negative_seeds():
     # Random(s) seeds from abs(s), so seed -s would repeat the stream of s.
     f = Borda(2, 4)
     for call in (lambda: random_table_scf(2, 3, -5), lambda: random_monotone_two_valued(2, 3, -5),
-                 lambda: sample_manipulation(f, -3), lambda: sample_success(f, 10, -3),
+                 lambda: sample_success(f, 10, -3),
                  lambda: sweep_random_tables(2, 3, 3, -1)):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             call()
@@ -354,7 +348,7 @@ def test_seeded_paths_refuse_negative_seeds():
 
 def test_sampler_rejects_narrow_rankings():
     with pytest.raises(ValueError):
-        sample_manipulation(Plurality(2, 3), seed=0, width=4)
+        sample_success(Plurality(2, 3), 10, 0, width=4)
 
 
 def test_sample_success_rejects_width_one():

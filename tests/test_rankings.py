@@ -6,27 +6,29 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import (
+    all_adjacent_transpositions,
+    apply_adjacent_transposition,
+    encode_profile,
+    encode_ranking,
+)
 from votemanip.rankings import (
     AdjacentTransposition,
     Ranking,
     adjacent_swap_neighbors,
-    all_adjacent_transpositions,
-    apply_adjacent_transposition,
     class_tables,
     decode_profile,
     decode_ranking,
     digits_index,
-    encode_profile,
-    encode_ranking,
     index_digits,
     join_class_tables,
-    lane_rest,
     outcome_counts,
     profile_space_size,
     rank_classes,
+    rank_order,
     swap_first_voters,
     top_h_by_rank,
-    top_restricted,
     window_destinations,
     window_moves,
     window_permutations,
@@ -64,12 +66,10 @@ def test_transposition_count():
 
 
 def test_top_restricted_examples():
-    r = Ranking((1, 2, 0))  # 1-based order (2, 3, 1)
-    assert top_restricted(r, {0, 2}) == 2
-    assert top_restricted(r, {1}) == 1
-    assert top_restricted(r, range(3)) == r.order[0]
-    with pytest.raises(ValueError):
-        top_restricted(r, set())
+    order = (1, 2, 0)  # 1-based order (2, 3, 1)
+    assert oracles.top_of(order, {0, 2}) == 2
+    assert oracles.top_of(order, {1}) == 1
+    assert oracles.top_of(order, range(3)) == order[0]
 
 
 def test_window_singleton_and_full():
@@ -110,7 +110,7 @@ def test_window_start_out_of_range():
 
 def test_identity_is_index_zero():
     for k in range(1, 6):
-        assert encode_ranking(Ranking.identity(k)) == 0
+        assert encode_ranking(Ranking(tuple(range(k)))) == 0
         assert decode_ranking(k, 0).order == tuple(range(k))
 
 
@@ -175,7 +175,9 @@ def test_layout_helpers_agree_with_profile_decoding(n, k):
     for i in range(n):
         voter_parts = [class_tables(t, k, rank_classes(n, k, i)) for t in voter_tables]
         for lane in range(size // factorial(k)):
-            rest = lane_rest(n, k, i, lane)
+            # The other voters' ranks on a lane: the voters after i, then before i.
+            digits = index_digits(n - 1, k, lane)
+            rest = digits[n - 1 - i:] + digits[:n - 1 - i]
             for r in range(factorial(k)):
                 assert tuple(parts[r][lane] for parts in voter_parts) == rest[:i] + (r,) + rest[i:]
     if n >= 2:
@@ -205,12 +207,12 @@ def test_top_h_by_rank_and_window_moves():
         for mask in range(1, 1 << k):
             H = {x for x in range(k) if mask >> x & 1}
             assert top_h_by_rank(k, frozenset(H)) == bytes(
-                top_restricted(decode_ranking(k, r), H) for r in range(factorial(k))
+                oracles.top_of(rank_order(k, r), H) for r in range(factorial(k))
             )
     # Past the cached sizes the tables are built per call and equal.
     H = frozenset({1, 5})
     assert top_h_by_rank(8, H) == bytes(
-        top_restricted(decode_ranking(8, r), H) for r in range(factorial(8)))
+        oracles.top_of(rank_order(8, r), H) for r in range(factorial(8)))
     for k in (3, 4, 5):
         for width in range(2, k + 1):
             for rank, moves in enumerate(window_moves(k, width)):

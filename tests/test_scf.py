@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from votemanip.fibers import preference_vector
 from votemanip.rankings import (
     Ranking,
-    all_rankings,
     decode_profile,
     digits_index,
     profile_space_size,
@@ -26,16 +24,11 @@ from votemanip.scf import (
     TableSCF,
     TopHDictator,
     dump_scf_table,
-    exists_anonymous_neutral,
-    induced_one_voter,
     is_anonymous,
     is_monotone_pair_table,
-    is_neutral,
     load_scf_table,
-    majority_projection,
     random_monotone_two_valued,
     random_table_scf,
-    scfs_equal,
     uniform_bytes,
 )
 
@@ -71,30 +64,6 @@ def test_arity_mismatch():
         f.evaluate(profile((0, 1, 2)))
 
 
-def test_induced_one_voter_identities():
-    top = TopHDictator(1, 3, 0, {0, 2})
-    assert scfs_equal(induced_one_voter(TopHDictator(3, 3, 0, {0, 2}), 0,
-                                        profile((0, 1, 2), (2, 1, 0))), top)
-    const = induced_one_voter(Constant(2, 4, 3), 1, profile((0, 1, 2, 3),))
-    assert const.table() == bytes([3] * 24)
-
-
-def test_induced_one_voter_matches_direct_evaluation():
-    f = Borda(3, 3)
-    rest = profile((1, 0, 2), (2, 1, 0))
-    g = induced_one_voter(f, 1, rest)
-    for r in all_rankings(3):
-        assert g.evaluate((r,)) == f.evaluate((rest[0], r, rest[1]))
-
-
-def test_induced_plurality_is_unrestricted_top():
-    # Fixing tops 2 and 3 for the other voters leaves voter 1 dictating:
-    # their top always wins outright or by the lowest-id tie-break.
-    f = Plurality(3, 3)
-    g = induced_one_voter(f, 0, profile((1, 2, 0), (2, 0, 1)))
-    assert scfs_equal(g, TopHDictator(1, 3, 0, range(3)))
-
-
 def test_range():
     assert Constant(2, 3, 1).range() == {1}
     assert random_monotone_two_valued(2, 3, 11).range() <= {0, 1, 2}
@@ -104,6 +73,9 @@ def test_range():
 
 
 def test_anonymity_neutrality_examples():
+    def is_neutral(f):
+        return oracles.is_neutral(f.evaluate_orders, f.n, f.k)
+
     f = Plurality(2, 3)
     assert is_anonymous(f) and not is_neutral(f)
     g = TopHDictator(2, 3, 0, range(3))
@@ -117,74 +89,14 @@ def test_predicates_report_cap_instead_of_sampling():
 
     with pytest.raises(CapExceededError):
         is_anonymous(Plurality(2, 3, cap=10))
-    with pytest.raises(CapExceededError):
-        is_neutral(Plurality(2, 3, cap=10))
 
 
 def test_exists_anonymous_neutral():
-    assert exists_anonymous_neutral(2, 2) is False
-    assert exists_anonymous_neutral(2, 3) is True
-    assert exists_anonymous_neutral(1, 5) is True
-    assert exists_anonymous_neutral(2, 4) is False  # 4 = 2 + 2
-    assert exists_anonymous_neutral(6, 5) is False  # 5 = 2 + 3
-
-
-def test_majority_projection_fiber_constant_is_identity():
-    g = MonotoneTwoValued(2, 3, (0, 1), (1, 0, 1, 0))
-    h = majority_projection(g, (0, 1))
-    assert scfs_equal(g, h)
-
-
-def _fiber_positions(n, k, pair):
-    """Profile indices grouped by their preference mask for the pair."""
-    groups = {}
-    for index in range(profile_space_size(n, k)):
-        p = decode_profile(n, k, index)
-        mask = sum(1 << i for i, bit in enumerate(preference_vector(p, *pair)) if bit > 0)
-        groups.setdefault(mask, []).append(index)
-    return groups
-
-
-def test_majority_projection_strict_majority():
-    # Per fiber (size 12 at n=1, k=4): 7 votes for one value, 5 for the other.
-    groups = _fiber_positions(1, 4, (0, 1))
-    outs = [None] * profile_space_size(1, 4)
-    for mask, members in groups.items():
-        win, lose = (0, 1) if mask else (1, 0)
-        for j, index in enumerate(members):
-            outs[index] = win if j < 7 else lose
-    h = majority_projection(TableSCF(1, 4, outs), (0, 1))
-    for mask, members in groups.items():
-        expected = 0 if mask else 1
-        assert h.evaluate(decode_profile(1, 4, members[0])) == expected
-
-
-def test_majority_projection_tie_elects_first():
-    # Exact 6-6 split on every fiber: the >= rule elects the first pair member.
-    groups = _fiber_positions(1, 4, (0, 1))
-    outs = [None] * profile_space_size(1, 4)
-    for members in groups.values():
-        for j, index in enumerate(members):
-            outs[index] = 0 if j < 6 else 1
-    h = majority_projection(TableSCF(1, 4, outs), (0, 1))
-    assert h.range() == {0}
-
-
-def test_majority_projection_depends_only_on_preferences():
-    g = random_table_scf(2, 3, 4)
-    two_valued = TableSCF(2, 3, [x if x in (0, 2) else 0 for x in g.table()])
-    h = majority_projection(two_valued, (0, 2))
-    by_key = {}
-    for index in range(profile_space_size(2, 3)):
-        p = decode_profile(2, 3, index)
-        key = preference_vector(p, 0, 2)
-        value = h.evaluate(p)
-        assert by_key.setdefault(key, value) == value
-
-
-def test_majority_projection_rejects_wide_range():
-    with pytest.raises(ValueError):
-        majority_projection(Plurality(2, 3), (0, 1))
+    assert oracles.exists_anonymous_neutral(2, 2) is False
+    assert oracles.exists_anonymous_neutral(2, 3) is True
+    assert oracles.exists_anonymous_neutral(1, 5) is True
+    assert oracles.exists_anonymous_neutral(2, 4) is False  # 4 = 2 + 2
+    assert oracles.exists_anonymous_neutral(6, 5) is False  # 5 = 2 + 3
 
 
 def test_monotone_table_validation():
@@ -209,7 +121,7 @@ def test_table_file_round_trip(tmp_path):
     assert doc["n"] == 2 and doc["k"] == 3
     assert min(doc["outcomes"]) >= 1
     g = load_scf_table(path)
-    assert scfs_equal(f, g)
+    assert (g.n, g.k, g.table()) == (f.n, f.k, f.table())
     dump_scf_table(g, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == path.read_text()
 
@@ -372,6 +284,21 @@ def test_load_table_rejects_missing_n(tmp_path):
         load_scf_table(_write_table(tmp_path / "t.json", doc))
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "x"], ids=["list", "string"])
+def test_load_table_refuses_a_file_that_is_not_an_object(tmp_path, doc):
+    with pytest.raises(ValueError, match=r"^table file needs a JSON object"):
+        load_scf_table(_write_table(tmp_path / "t.json", doc))
+
+
+@pytest.mark.parametrize("bad", [0, 4])
+def test_load_table_names_the_files_own_outcome(tmp_path, bad):
+    # The file holds 1-based outcomes: at k = 3, 4 is past k and 0 below 1.
+    doc = {"n": 1, "k": 3, "encoding": "lehmer-mixed-radix", "outcomes": [1, 2, 3, bad, 2, 1]}
+    with pytest.raises(ValueError,
+                       match=rf"^table file outcome {bad} is not an alternative in \[1, 3\]$"):
+        load_scf_table(_write_table(tmp_path / "t.json", doc))
+
+
 def test_table_scf_rejects_bool_outcomes():
     with pytest.raises(ValueError):
         TableSCF(1, 3, [True] * 6)
@@ -453,7 +380,7 @@ def test_range_and_membership_image_are_the_set_of_table_bytes(n, k):
     for seed in range(8):
         g = TableSCF.from_scf(random_monotone_two_valued(n, k, seed))
         member = nonmanip_membership(g)
-        assert scfs_equal(member, g) and member.range() == frozenset(g.table())
+        assert member.table() == g.table() and member.range() == frozenset(g.table())
         if isinstance(member, MonotoneTwoValued):
             assert member.pair == tuple(sorted(frozenset(g.table())))
             pairs += 1

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from votemanip import cli
-from votemanip.verify import check_random_table, sweep_one_voter
+from votemanip.verify import random_table_reports, sweep_one_voter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,7 +66,7 @@ def test_random_table_script_rows_agree_with_the_library_check():
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [row["instance"] for row in rows] == [0, 1, 2]
     for row in rows:
-        reports = check_random_table(2, 3, 0, row["instance"])
+        [(_t, reports)] = random_table_reports(2, 3, 0, row["instance"], row["instance"] + 1)
         assert row["statements"] == {r.statement: r.holds for r in reports}
         assert row["epsilon_nonmanip"] == reports[0].witnesses["epsilon"]
 

@@ -10,7 +10,7 @@ import pytest
 from votemanip import verify
 from votemanip.errors import CapExceededError
 from votemanip.manip import census
-from votemanip.graphs import coordinate_influences
+from votemanip.graphs import CoordinateInfluences
 from votemanip.metrics import frac_str
 from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
@@ -135,8 +135,8 @@ def test_lemma_influences_qualifying_values(monkeypatch):
         report = verify_lemma_influences(Measurements(f), statement=statement)
         expected = [
             {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
-                coordinate_influences(f, i).pair(a, b) if statement == "2.1"
-                else coordinate_influences(f, i).refined(a, b, AdjacentTransposition(a, b)))}
+                CoordinateInfluences(f, i).pair(a, b) if statement == "2.1"
+                else CoordinateInfluences(f, i).refined(a, b, AdjacentTransposition(a, b)))}
             for i in range(f.n) for a in range(f.k) for b in range(a + 1, f.k)
         ]
         assert report.witnesses["qualifying"] == expected
@@ -254,8 +254,9 @@ def test_sweeps_refuse_a_cap_before_any_instance_runs(monkeypatch):
 def test_instance_checks_refuse_census_window_tables_over_the_cap():
     # 30 window-table entries at k = 3 against a 6-entry one-voter table.
     with pytest.raises(CapExceededError):
-        verify.check_one_voter(3, 0, cap=29)
-    assert verify.check_one_voter(3, 0, cap=30)["holds"]
+        list(verify.one_voter_rows(3, 0, 1, cap=29))
+    [row] = verify.one_voter_rows(3, 0, 1, cap=30)
+    assert row["holds"]
 
 
 def test_random_sweep_refuses_a_shape_before_any_table_is_drawn(monkeypatch):
