@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from votemanip import graphs
@@ -5,12 +7,58 @@ from votemanip.errors import CapExceededError
 from votemanip.graphs import (
     CoordinateInfluences,
     GraphKind,
+    product_neighbors,
     refined_edge_counts,
     transition_counts,
     verify_lindsey,
 )
-from votemanip.rankings import AdjacentTransposition
+from votemanip.rankings import (
+    AdjacentTransposition,
+    adjacent_swap_neighbors,
+    decode_profile,
+    ranking_orders,
+)
 from votemanip.scf import Borda, Constant, Plurality, TopHDictator, random_table_scf
+
+
+# The coarse graph on profiles is the product of n complete graphs on the k!
+# ranks (product_neighbors); the refined graph keeps the adjacent swaps
+# (adjacent_swap_neighbors) of one voter's rank.
+def coarse_neighbors(ranks, k):
+    return list(product_neighbors(tuple(ranks), (factorial(k),) * len(ranks)))
+
+
+def refined_neighbors(ranks, k):
+    moves = adjacent_swap_neighbors(k)
+    return [ranks[:i] + (dest,) + ranks[i + 1:]
+            for i, r in enumerate(ranks) for dest, _a, _b in moves[r]]
+
+
+def test_neighbor_counts():
+    rank = ranking_orders(3).index
+    one = (rank((0, 1, 2)),)
+    assert len(refined_neighbors(one, 3)) == 2
+    two = (rank((0, 1, 2)), rank((2, 1, 0)))
+    assert len(coarse_neighbors(two, 3)) == 2 * 5
+    assert len(refined_neighbors(two, 3)) == 2 * 2
+
+
+def test_refined_subset_of_coarse():
+    rank = ranking_orders(4).index
+    prof = (rank((1, 0, 2, 3)), rank((3, 2, 1, 0)))
+    coarse = set(coarse_neighbors(prof, 4))
+    refined = set(refined_neighbors(prof, 4))
+    assert refined < coarse
+    assert len(refined) == 2 * 3
+    # So the refined edges leaving a for b are some of the coarse ones.
+    for f in (random_table_scf(2, 3, 4), Borda(2, 4)):
+        for i in range(2):
+            moves, edges = transition_counts(f, i), refined_edge_counts(f, i)
+            for a in range(f.k):
+                for b in range(f.k):
+                    if a != b:
+                        ab = sum(c for (x, y, _z), c in edges.items() if (x, y) == (a, b))
+                        assert ab <= moves[a][b]
 
 
 def test_constant_has_empty_boundaries():
@@ -30,29 +78,47 @@ def test_top_dictator_refined_pair_boundaries():
             assert CoordinateInfluences(f, 0).count(a, b, z, GraphKind.REFINED) == 1
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: CoordinateInfluences(f, 0).count(5),
+], ids=["count-a5"])
+def test_boundary_functions_reject_inputs_outside_the_rule(call):
+    with pytest.raises(ValueError):
+        call(Plurality(2, 3))
+
+
+def made(f, i):
+    """Coordinate i's influences with both its counts already made."""
+    inf = CoordinateInfluences(f, i)
+    inf.moves, inf.edges
+    return inf
+
+
 # Reads of coordinate 0's counts, each given a, b, a transposition z and a
 # kind, and using those it takes.
 COUNT_READS = {
     "count": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).count(a, b, z, kind),
+    # A boundary count read after the counts are made, as verify reads them.
+    "boundary_count": lambda f, a, b, z, kind: made(f, 0).count(a, b, z, kind),
     "pair": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).pair(a, b),
     "refined": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).refined(
         a, b, z or AdjacentTransposition(0, 1)),
     "refined_all": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).refined_all(a, b),
     "target": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).target(a),
 }
-PAIRS = ("count", "pair", "refined", "refined_all")
+SPECS = ("count", "boundary_count")
+PAIRS = (*SPECS, "pair", "refined", "refined_all")
 COARSE, REFINED = GraphKind
 # case -> (a, b, z, kind), and the reads that take all of them.
 BAD_SELECTIONS = {
     "equal pair": ((0, 0, None, COARSE), PAIRS),
-    "equal refined pair": ((1, 1, None, REFINED), ("count",)),
+    "equal refined pair": ((1, 1, None, REFINED), SPECS),
     "negative a": ((-1, 0, None, COARSE), (*PAIRS, "target")),
     "negative b": ((0, -1, None, REFINED), PAIRS),
-    "a past k": ((3, None, None, REFINED), ("count", "target")),
+    "a past k": ((3, None, None, REFINED), (*SPECS, "target")),
     "b past k": ((0, 7, None, COARSE), PAIRS),
-    "z past k": ((0, 1, AdjacentTransposition(0, 9), REFINED), ("count", "refined")),
-    "negative z": ((0, 1, AdjacentTransposition(-1, 0), REFINED), ("count", "refined")),
-    "z on a coarse read": ((0, 1, AdjacentTransposition(0, 1), COARSE), ("count",)),
+    "z past k": ((0, 1, AdjacentTransposition(0, 9), REFINED), (*SPECS, "refined")),
+    "negative z": ((0, 1, AdjacentTransposition(-1, 0), REFINED), (*SPECS, "refined")),
+    "z on a coarse read": ((0, 1, AdjacentTransposition(0, 1), COARSE), SPECS),
 }
 
 
@@ -157,3 +223,13 @@ def test_lindsey_exhaustive_cap():
     with pytest.raises(CapExceededError):
         verify_lindsey(6, 2, exhaustive=True)
 
+
+def test_neighbor_degrees_small_shapes():
+    for k in (3, 4):
+        for n in (1, 2, 3):
+            size = factorial(k) ** n
+            indices = range(size) if size <= 1296 else range(0, size, 97)
+            for index in indices:
+                ranks = tuple(ranking_orders(k).index(r.order) for r in decode_profile(n, k, index))
+                assert len(coarse_neighbors(ranks, k)) == n * (factorial(k) - 1)
+                assert len(refined_neighbors(ranks, k)) == n * (k - 1)
