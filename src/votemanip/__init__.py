@@ -9,7 +9,6 @@ Gibbard-Satterthwaite lower bounds against brute force.
 
 from .errors import CapExceededError
 from .rankings import (
-    AdjacentTransposition,
     Profile,
     Ranking,
     decode_profile,
@@ -57,7 +56,6 @@ from .manip import (
 )
 from .metrics import (
     DistanceReport,
-    distance,
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,

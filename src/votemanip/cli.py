@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import engine, fibers, graphs, manip, metrics, scf, verify
 from .errors import CapExceededError
 from .metrics import frac_str
-from .rankings import AdjacentTransposition
 
 SCHEMA_VERSION = 1
 
@@ -54,6 +53,8 @@ def _parse_rule(rule: str, n: int, k: int, cap: int) -> scf.SCF:
 
 def _build_scf(args) -> scf.SCF:
     if getattr(args, "table", None):
+        if args.rule or args.voters is not None or args.alternatives is not None:
+            raise ConfigError("--table gives the SCF and its shape: drop --rule, -n and -k")
         return scf.load_scf_table(args.table, cap=args.cap)
     if not getattr(args, "rule", None):
         raise ConfigError("an SCF is required: pass --rule or --table")
@@ -145,23 +146,21 @@ def _cmd_influences(args) -> int:
     table = {}
     for i in range(f.n):
         inf = graphs.CoordinateInfluences(f, i)
+        target = [inf.influence(a) for a in range(f.k)]
         row = {
-            "total": frac_str(inf.total()),
-            "target": {str(a + 1): frac_str(inf.target(a)) for a in range(f.k)},
+            "total": frac_str(sum(target)),
+            "target": {str(a + 1): frac_str(x) for a, x in enumerate(target)},
             "pairs": {
-                f"{a + 1}-{b + 1}": frac_str(inf.pair(a, b))
+                f"{a + 1}-{b + 1}": frac_str(inf.influence(a, b))
                 for a in range(f.k) for b in range(f.k) if a != b
             },
         }
         if args.refined:
             pairs = [(a, b) for a in range(f.k) for b in range(a + 1, f.k)]
-            row["refined_same_pair"] = {
-                f"{a + 1}-{b + 1}": frac_str(inf.refined(a, b, AdjacentTransposition(a, b)))
-                for a, b in pairs
-            }
-            row["refined_all_transpositions"] = {
-                f"{a + 1}-{b + 1}": frac_str(inf.refined_all(a, b)) for a, b in pairs
-            }
+            for key, kind in (("refined_same_pair", graphs.GraphKind.SWAP),
+                              ("refined_all_transpositions", graphs.GraphKind.REFINED)):
+                row[key] = {f"{a + 1}-{b + 1}": frac_str(inf.influence(a, b, kind))
+                            for a, b in pairs}
         table[str(i + 1)] = row
     _emit(args, {"coordinates": table})
     return 0
@@ -179,6 +178,8 @@ def _resolve_gamma(args, f) -> Fraction:
 
 
 def _cmd_fibers(args) -> int:
+    if args.gamma is not None and args.epsilon is not None:
+        raise ConfigError("pass one of --gamma and --epsilon")
     f = _build_scf(args)
     pair = _pair(args.pair, f.k)
     variant = fibers.FiberVariant(args.variant)

@@ -70,10 +70,6 @@ class FiberRecord:
     gamma: Fraction
     large: bool
 
-    @property
-    def boundary_ratio(self) -> Fraction:
-        return Fraction(self.boundary_count, self.member_count)
-
     def describe(self) -> dict:
         return {
             "pair": [self.pair[0] + 1, self.pair[1] + 1],

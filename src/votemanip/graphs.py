@@ -4,15 +4,16 @@ Two graphs live on the profile space: the coarse graph joins profiles that
 differ in exactly one coordinate, the refined graph additionally requires the
 differing coordinate to move by a single adjacent transposition. Boundary
 sizes and influences are not enumerated: they are reads of a coordinate's
-edge counts, :func:`transition_counts` for the coarse graph and
-:func:`refined_edge_counts` for the refined one, each counted over the byte
-lanes of voter i's rank parts (:func:`rankings.rank_classes`).
-:class:`CoordinateInfluences` makes each count on its first read and holds
-the one checked read of both, :meth:`CoordinateInfluences.count`.
+edge counts, k x k matrices indexed by outcome pair:
+:func:`transition_counts` for the coarse graph, and :func:`refined_edge_counts`
+for the refined one, summed over all adjacent swaps and for the swap of the
+pair itself. Each is counted over the byte lanes of voter i's rank parts
+(:func:`rankings.rank_classes`). :class:`CoordinateInfluences` makes each
+count on its first read and holds the one checked read of all of them,
+:meth:`CoordinateInfluences.count`.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,7 +24,6 @@ from typing import Iterator, Optional
 
 from .errors import CapExceededError
 from .rankings import (
-    AdjacentTransposition,
     adjacent_swap_neighbors,
     check_alternatives,
     check_coordinate,
@@ -38,23 +38,12 @@ from .scf import SCF
 
 
 class GraphKind(Enum):
+    """Which edges a count reads: every coarse edge, every refined edge, or the
+    refined edges that swap the two outcomes themselves."""
+
     COARSE = "coarse"
     REFINED = "refined"
-
-
-def _check_edges(k: int, a: int, b: Optional[int], z: Optional[AdjacentTransposition],
-                 kind: GraphKind) -> None:
-    """Refuse a selection of edges from outcome a (to b, under z, when set) that
-    restricts a coarse read to z, or whose alternatives repeat or lie outside
-    ``0..k-1``."""
-    if z is not None and kind is not GraphKind.REFINED:
-        raise ValueError("transposition-restricted boundaries are refined-graph only")
-    if b is None:
-        check_alternatives(k, a)
-    else:
-        check_alternatives(k, a, b)
-    if z is not None:
-        check_alternatives(k, z.a, z.b)
+    SWAP = "swap"
 
 
 # Headroom: transition_counts sums indicator lanes over at most this many rank
@@ -92,20 +81,21 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
     return moves
 
 
-def refined_edge_counts(f: SCF, i: int) -> dict:
-    """Refined-graph edges of coordinate i that change the outcome.
+def refined_edge_counts(f: SCF, i: int) -> tuple[list[list[int]], list[list[int]]]:
+    """``(every, swap)``: refined-graph edges of coordinate i that change the outcome.
 
-    Key ``(a, b, (c, d))`` with c < d counts the profiles with outcome a where
-    swapping the adjacent alternatives c and d in voter i's ranking gives
-    outcome b != a. Per edge between ranks r and s, parts r and s paired by
-    :func:`rankings.pair_lanes` hold ``a << 4 | b`` where r elects a and s
-    elects b, for ``bytes.count``.
+    ``every[a][b]`` counts the profiles with outcome a where swapping some
+    adjacent pair in voter i's ranking gives outcome b != a, and ``swap[a][b]``
+    those where the swapped pair is a and b themselves. Per edge between ranks
+    r and s, parts r and s paired by :func:`rankings.pair_lanes` hold
+    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``.
     """
     k = f.k
     parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
     lanes = len(parts[0])
     ints = [int.from_bytes(part, "little") for part in parts]
-    counts: dict = defaultdict(int)
+    every = [[0] * k for _ in range(k)]
+    swap = [[0] * k for _ in range(k)]
     # Every refined edge of a line once, as (rank, rank after the swap, swap),
     # and counted in both directions.
     for r, moves in enumerate(adjacent_swap_neighbors(k)):
@@ -115,20 +105,24 @@ def refined_edge_counts(f: SCF, i: int) -> dict:
                 for a, b in permutations(range(k), 2):
                     edges = pairs.count(a << 4 | b)
                     if edges:
-                        counts[a, b, (c, d)] += edges
-                        counts[b, a, (c, d)] += edges
-    return dict(counts)
+                        every[a][b] += edges
+                        every[b][a] += edges
+                        if a == c and b == d or a == d and b == c:
+                            swap[a][b] += edges
+                            swap[b][a] += edges
+    return every, swap
 
 
 class CoordinateInfluences:
     """Coordinate i's edge counts and the influences read from them.
 
     Each count is made on its first read: ``moves``, :func:`transition_counts`,
-    for a coarse read, and ``edges``, :func:`refined_edge_counts`, for a refined
-    one. :meth:`count` is the one checked read of both. A coarse influence is
-    a count of (profile, ranking) pairs over ``size * k!``; a refined one is a
-    count of directed refined edges over ``2 * size``. These two denominators
-    are kept here only.
+    for a coarse read, and ``edges``, both matrices of
+    :func:`refined_edge_counts`, for a refined or a swap one. :meth:`count` is
+    the one checked read of all three. A coarse influence is a count of
+    (profile, ranking) pairs over ``size * k!``; a refined or swap one is a
+    count of directed refined edges over ``2 * size``. These denominators are
+    kept here only.
     """
 
     def __init__(self, f: SCF, i: int):
@@ -141,50 +135,33 @@ class CoordinateInfluences:
         return transition_counts(self.f, self.i)
 
     @cached_property
-    def edges(self) -> dict:
+    def edges(self) -> tuple[list[list[int]], list[list[int]]]:
         return refined_edge_counts(self.f, self.i)
 
-    def count(self, a: int, b: Optional[int] = None, z: Optional[AdjacentTransposition] = None,
-              kind: GraphKind = GraphKind.COARSE) -> int:
-        """Edges of ``kind`` in coordinate i leaving outcome a (for b, under z,
-        when set): the size of that outcome boundary."""
-        _check_edges(self.k, a, b, z, kind)
+    def count(self, a: int, b: Optional[int] = None, kind: GraphKind = GraphKind.COARSE) -> int:
+        """Edges of ``kind`` in coordinate i leaving outcome a (for b, when
+        set): the size of that outcome boundary."""
+        if b is None:
+            check_alternatives(self.k, a)
+        else:
+            check_alternatives(self.k, a, b)
         if kind is GraphKind.COARSE:
             row = self.moves[a]
-            return sum(row) - row[a] if b is None else row[b]
-        w = None if z is None else (min(z.a, z.b), max(z.a, z.b))
-        return sum(c for (x, y, v), c in self.edges.items()
-                   if x == a and (b is None or y == b) and (w is None or v == w))
+        else:
+            every, swap = self.edges
+            row = (swap if kind is GraphKind.SWAP else every)[a]
+        return sum(row) - row[a] if b is None else row[b]
 
     def denominator(self, kind: GraphKind = GraphKind.COARSE) -> int:
         """What a count of ``kind`` is divided by to give an influence."""
         return self.size * factorial(self.k) if kind is GraphKind.COARSE else 2 * self.size
 
-    def _coarse(self, count: int) -> Fraction:
-        return Fraction(count, self.denominator(GraphKind.COARSE))
-
-    def _refined(self, count: int) -> Fraction:
-        return Fraction(count, self.denominator(GraphKind.REFINED))
-
-    def pair(self, a: int, b: int) -> Fraction:
-        """Probability the outcome moves from a to b."""
-        return self._coarse(self.count(a, b))
-
-    def target(self, a: int) -> Fraction:
-        """Probability the outcome is a and leaves a."""
-        return self._coarse(self.count(a))
-
-    def total(self) -> Fraction:
-        """Probability the outcome changes."""
-        return self._coarse(sum(self.count(a) for a in range(self.k)))
-
-    def refined(self, a: int, b: int, z: AdjacentTransposition) -> Fraction:
-        """Half the mass of profiles where applying z moves the outcome from a to b."""
-        return self._refined(self.count(a, b, z, GraphKind.REFINED))
-
-    def refined_all(self, a: int, b: int) -> Fraction:
-        """The refined influence of a to b summed over all adjacent transpositions."""
-        return self._refined(self.count(a, b, kind=GraphKind.REFINED))
+    def influence(self, a: int, b: Optional[int] = None,
+                  kind: GraphKind = GraphKind.COARSE) -> Fraction:
+        """:meth:`count` over :meth:`denominator`: coarse, the probability the
+        outcome is a and a new ranking for voter i moves it (to b); refined,
+        half the mass of profiles an adjacent swap moves from a (to b)."""
+        return Fraction(self.count(a, b, kind), self.denominator(kind))
 
 
 # ---------------------------------------------------------------------------

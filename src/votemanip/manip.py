@@ -389,10 +389,6 @@ class SampleReport:
     seed: int
     width: int
 
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(self.successes, self.samples)
-
     def describe(self) -> dict:
         est = self.successes / self.samples
         stderr = (est * (1.0 - est) / self.samples) ** 0.5

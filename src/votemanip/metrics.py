@@ -1,5 +1,5 @@
-"""Exact distances between SCFs and to the nonmanipulable families, and the
-monotone Boolean repair (an exact minimum cut) that the two-valued branch uses.
+"""Exact distances to the nonmanipulable families, and the monotone Boolean
+repair (an exact minimum cut) that the two-valued branch uses.
 Influences are reads of the edge counts in :mod:`graphs`.
 
 Every quantity here is an exact rational over arbitrary-precision integers.
@@ -17,7 +17,7 @@ from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import TOP_H_CACHE_K, fiber_outcome_counts, pair_lanes, top_h_by_rank
+from .rankings import TOP_H_CACHE_K, fiber_outcome_counts, top_h_by_rank
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -31,17 +31,6 @@ MAX_HYPERCUBE_BITS = 20
 
 def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def distance(f: SCF, g: SCF) -> Fraction:
-    """Fraction of profiles on which the two SCFs disagree: all but the bytes
-    ``a << 4 | a = 17a`` of the tables paired by :func:`rankings.pair_lanes`."""
-    if (f.n, f.k) != (g.n, g.k):
-        raise ValueError(f"mismatched shapes ({f.n},{f.k}) vs ({g.n},{g.k})")
-    ft, gt = f.table(), g.table()
-    pairs = pair_lanes(int.from_bytes(ft, "little"), int.from_bytes(gt, "little"), len(ft))
-    agreements = sum(pairs.count(17 * a) for a in range(f.k))
-    return Fraction(len(ft) - agreements, len(ft))
 
 
 # ---------------------------------------------------------------------------

@@ -63,18 +63,6 @@ def _inverse(order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class AdjacentTransposition:
-    """A swap of two alternatives, acting only when they sit next to each other."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError("transposition needs two distinct alternatives")
-
-
 def window_permutations(r: Ranking, start: int, width: int) -> list[Ranking]:
     """All rankings obtained by permuting ``width`` consecutive positions of r.
 

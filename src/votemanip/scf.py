@@ -158,10 +158,6 @@ class TableSCF(SCF):
             return table[index], table[index + (r2 - r) * strides[i]]
         return read
 
-    @staticmethod
-    def from_scf(f: SCF) -> "TableSCF":
-        return TableSCF(f.n, f.k, f.table(), cap=f.cap)
-
     def describe(self) -> dict:
         return {"rule": "table", "n": self.n, "k": self.k}
 

@@ -45,7 +45,7 @@ from .manip import (
     nonmanip_membership,
 )
 from .metrics import distance_to_nonmanip, distance_to_nonmanip_bar, frac_str
-from .rankings import AdjacentTransposition, check_cap, profile_space_size
+from .rankings import check_cap, profile_space_size
 from .scf import DEFAULT_TABLE_CAP, SCF, TableSCF, random_table_scf
 
 # Largest cube dimension the reverse hypercontractivity check enumerates.
@@ -240,7 +240,7 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
     becomes a ``Fraction``.
     """
     f = measured.f
-    kind = GraphKind.REFINED if refined else GraphKind.COARSE
+    kind = GraphKind.SWAP if refined else GraphKind.COARSE
     p, q = threshold.numerator, threshold.denominator
     qualifying = []
     for i in range(f.n):
@@ -248,8 +248,7 @@ def _qualifying_influences(measured: Measurements, threshold: Fraction, witnesse
         den = inf.denominator(kind)
         for a in range(f.k):
             for b in range(a + 1, f.k):
-                z = AdjacentTransposition(a, b) if refined else None
-                count = inf.count(a, b, z, kind)
+                count = inf.count(a, b, kind)
                 if count * q >= p * den:
                     qualifying.append((i, (a, b), Fraction(count, den)))
     witnesses["threshold"] = frac_str(threshold)

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from votemanip.rankings import AdjacentTransposition, Ranking
+from votemanip.rankings import Ranking
 
 
 def all_profiles(n, k):
@@ -180,6 +180,23 @@ def refined_edge_counts(evaluate, n, k, i):
             key = (x, y, (min(order[p], order[p + 1]), max(order[p], order[p + 1])))
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def refined_edge_matrices(edges, k):
+    """``(every, swap)`` of :func:`refined_edge_counts`' dict: per outcome
+    pair a != b, its edges summed over all transpositions, and under the
+    transposition of a and b."""
+    every = [[sum(c for (x, y, _z), c in edges.items() if (x, y) == (a, b)) if a != b else 0
+              for b in range(k)] for a in range(k)]
+    swap = [[edges.get((a, b, (min(a, b), max(a, b))), 0) if a != b else 0
+             for b in range(k)] for a in range(k)]
+    return every, swap
+
+
+def table_distance(f, g):
+    """Fraction of profiles on which two SCFs of one shape disagree, from their tables."""
+    pairs = list(zip(f.table(), g.table(), strict=True))
+    return Fraction(sum(x != y for x, y in pairs), len(pairs))
 
 
 def first_manipulable_profile(evaluate, n, k):
@@ -431,13 +448,14 @@ def encode_profile(profile):
 
 
 def all_adjacent_transpositions(k):
-    """The k(k-1)/2 adjacent transpositions, ordered by (a, b) with a < b."""
-    return [AdjacentTransposition(a, b) for a in range(k) for b in range(a + 1, k)]
+    """The k(k-1)/2 adjacent transpositions as pairs (a, b) with a < b, in order."""
+    return [(a, b) for a in range(k) for b in range(a + 1, k)]
 
 
 def apply_adjacent_transposition(r, t):
-    """Swap t.a and t.b if they occupy consecutive positions in r, else return r."""
-    pa, pb = r.order.index(t.a), r.order.index(t.b)
+    """Swap the pair t = (a, b) if a and b occupy consecutive positions in r,
+    else return r."""
+    pa, pb = map(r.order.index, t)
     if abs(pa - pb) != 1:
         return r
     order = list(r.order)

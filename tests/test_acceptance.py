@@ -78,7 +78,7 @@ def test_criterion_4_sampler_consistency():
     f = Plurality(3, 4)
     exact = exact_pair_probability(f, width=4)
     mc = sample_success(f, 100000, seed=SEED, width=4)
-    estimate = mc.rate
+    estimate = Fraction(mc.successes, mc.samples)
     stderr_sq = estimate * (1 - estimate) / mc.samples
     inside = (estimate - exact) ** 2 <= 9 * stderr_sq
     elapsed = time.perf_counter() - started

@@ -27,13 +27,11 @@ from votemanip.manip import (
     nonmanip_membership,
     sample_success,
 )
-from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
-from votemanip.rankings import AdjacentTransposition
+from votemanip.metrics import distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.scf import (
     DEFAULT_TABLE_CAP,
     Borda,
     MonotoneTwoValued,
-    TableSCF,
     TopHDictator,
     dump_scf_table,
     is_anonymous,
@@ -42,7 +40,6 @@ from votemanip.scf import (
 from votemanip.verify import Measurements
 
 GAMMA = Fraction(1, 3)
-Z = AdjacentTransposition(0, 1)
 
 
 def borda(cap):
@@ -83,19 +80,20 @@ CONSUMERS = {
     "exact_pair_probability": (borda, lambda f: exact_pair_probability(f, 3)),
     "nonmanip_membership": (borda, lambda f: as_scf(nonmanip_membership(f))),
     "gs_classify": (borda, lambda f: gs_classify(f).describe()),
-    "distance": (borda, lambda f: distance(f, Borda(3, 3))),
     "coordinate_influences": (borda, lambda f: [
         (inf := CoordinateInfluences(f, 0)).moves, inf.edges]),
-    "influence_total": (borda, lambda f: CoordinateInfluences(f, 1).total()),
-    "influence_target": (borda, lambda f: CoordinateInfluences(f, 1).target(2)),
-    "influence_pair": (borda, lambda f: CoordinateInfluences(f, 2).pair(1, 0)),
-    "influence_refined": (borda, lambda f: CoordinateInfluences(f, 0).refined(0, 1, Z)),
-    "influence_refined_total": (borda, lambda f: CoordinateInfluences(f, 0).refined_all(1, 2)),
+    "influence_total": (borda, lambda f: sum(map(CoordinateInfluences(f, 1).influence,
+                                                 range(3)))),
+    "influence_target": (borda, lambda f: CoordinateInfluences(f, 1).influence(2)),
+    "influence_pair": (borda, lambda f: CoordinateInfluences(f, 2).influence(1, 0)),
+    "influence_refined": (borda, lambda f: CoordinateInfluences(f, 0).influence(
+        0, 1, GraphKind.SWAP)),
+    "influence_refined_total": (borda, lambda f: CoordinateInfluences(f, 0).influence(
+        1, 2, GraphKind.REFINED)),
     "distance_to_nonmanip": (borda, lambda f: distance_to_nonmanip(f).describe()),
     "distance_to_nonmanip_bar": (borda, lambda f: distance_to_nonmanip_bar(f).describe()),
     "is_anonymous": (borda, is_anonymous),
     "dump_scf_table": (borda, dumped),
-    "from_scf": (borda, lambda f: as_scf(TableSCF.from_scf(f))),
     "Measurements.census": (borda, lambda f: Measurements(f).census((2, 3))),
     "Measurements.distance": (borda, lambda f: Measurements(f).distance("nonmanip-bar")),
 }
@@ -127,7 +125,7 @@ def test_witnesses_and_derived_scfs_carry_the_cap():
               random_table_scf(3, 3, 0, cap)):
         gs = gs_classify(f)
         derived = [distance_to_nonmanip(f).witness, distance_to_nonmanip_bar(f).witness,
-                   nonmanip_membership(f), gs.witness_member, TableSCF.from_scf(f)]
+                   nonmanip_membership(f), gs.witness_member]
         derived = [g for g in derived if g is not None]
         assert [g.cap for g in derived] == [cap] * len(derived)
         kinds |= {type(g).__name__ for g in derived}

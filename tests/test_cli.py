@@ -314,7 +314,7 @@ def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
 def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
     from votemanip import fibers
     from votemanip.graphs import CoordinateInfluences, GraphKind
-    from votemanip.rankings import AdjacentTransposition, rank_classes, ranks_preferring
+    from votemanip.rankings import rank_classes, ranks_preferring
 
     calls = _count_passes(monkeypatch)
     f = Plurality(3, 3)
@@ -323,10 +323,9 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         calls.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
         assert calls == [[sides, [(r,) for r in range(6)], sides]]
-    # (a, b, z, kind) of each boundary read on coordinate 2, from a fresh object.
-    selections = [(0, None, None, GraphKind.COARSE), (0, 1, None, GraphKind.COARSE),
-                  (0, None, None, GraphKind.REFINED),
-                  (0, 1, AdjacentTransposition(0, 1), GraphKind.REFINED)]
+    # (a, b, kind) of each boundary read on coordinate 2, from a fresh object.
+    selections = [(0, None, GraphKind.COARSE), (0, 1, GraphKind.COARSE),
+                  (0, None, GraphKind.REFINED), (0, 1, GraphKind.SWAP)]
     for selection in selections:
         calls.clear()
         CoordinateInfluences(f, 2).count(*selection)
@@ -335,19 +334,22 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
 
 def test_coordinate_influences_count_each_kind_on_its_first_read(monkeypatch):
     # No split on construction; the coarse reads share one split by the
-    # coordinate's rank, and the refined reads add one.
+    # coordinate's rank, and the first swap read adds the one split that
+    # every refined and swap read then shares.
     from votemanip.graphs import CoordinateInfluences, GraphKind
-    from votemanip.rankings import AdjacentTransposition, rank_classes
+    from votemanip.rankings import rank_classes
 
     calls = _count_passes(monkeypatch)
     inf = CoordinateInfluences(scf.Borda(3, 3), 1)
     assert calls == []
     for _ in range(2):
-        inf.pair(0, 1), inf.target(2), inf.total(), inf.count(1, 0)
+        inf.influence(0, 1), inf.influence(2), inf.count(1, 0)
         assert calls == [rank_classes(3, 3, 1)]
+    inf.influence(0, 1, GraphKind.SWAP)
+    assert calls == [rank_classes(3, 3, 1)] * 2
     for _ in range(2):
-        inf.refined(0, 1, AdjacentTransposition(0, 1)), inf.refined_all(0, 2)
-        inf.count(2, kind=GraphKind.REFINED)
+        inf.influence(0, 2, GraphKind.REFINED), inf.count(2, kind=GraphKind.REFINED)
+        inf.count(1, kind=GraphKind.SWAP)
         assert calls == [rank_classes(3, 3, 1)] * 2
 
 
@@ -556,6 +558,34 @@ def test_verify_refuses_an_option_it_would_not_use(capsys, argv):
     # Each of these options is echoed in the report's config, so a run that
     # ignored it would report a setting it never used.
     code, out = run_cli(["verify", *argv])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+FIBERS = ["fibers", "--rule", "borda", "-n", "2", "-k", "3", "--pair", "1,2", "--coordinate", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--table", "TABLE", "--rule", "plurality", "-n", "5", "-k", "9"],
+    ["census", "--table", "TABLE", "--rule", "borda"],
+    ["distance", "--table", "TABLE", "-n", "2"],
+    ["influences", "--table", "TABLE", "-k", "3"],
+    [*FIBERS, "--gamma", "1/3", "--epsilon", "1/4"],
+], ids=["table-rule-n-k", "table-rule", "table-n", "table-k", "gamma-epsilon"])
+def test_a_call_refuses_an_option_it_would_not_use(monkeypatch, tmp_path, capsys, argv):
+    # The report echoes -n, -k, --rule and --epsilon, which a table file or
+    # --gamma would override: refused before the file is read or a table built.
+    path = tmp_path / "t.json"
+    dump_scf_table(scf.Borda(2, 3), path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SCF was read")
+
+    monkeypatch.setattr(scf, "load_scf_table", refuse)
+    monkeypatch.setattr(scf.Borda, "_build_table", refuse)
+    code, out = run_cli([str(path) if arg == "TABLE" else arg for arg in argv])
     assert code == 1
     assert out == ""
     err = capsys.readouterr().err

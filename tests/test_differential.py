@@ -35,9 +35,8 @@ from votemanip.manip import (
     gs_classify,
     nonmanip_membership,
 )
-from votemanip.metrics import distance, distance_to_nonmanip, distance_to_nonmanip_bar
+from votemanip.metrics import distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.rankings import (
-    AdjacentTransposition,
     class_tables,
     fiber_outcome_counts,
     rank_outcome_counts,
@@ -110,7 +109,7 @@ def test_tables_are_bytes_matching_the_oracle(subject, seed):
         (f, evaluate),
         (Constant(n, k, winner), lambda prof: winner),
         (OneCoordinate(n, k, i, per_rank), lambda prof: per_rank[orders.index(prof[i])]),
-        (TableSCF.from_scf(f), evaluate),
+        (TableSCF(n, k, f.table()), evaluate),
         (random_table_scf(n, k, seed), drawn.__getitem__),
     ]
     if k >= 2:
@@ -140,7 +139,7 @@ def _relabelled(table, k):
 def test_nonmanip_bar_witness_attains_its_value(subject):
     f, _evaluate = subject
     report = distance_to_nonmanip_bar(f)
-    assert distance(f, report.witness) == report.value
+    assert oracles.table_distance(f, report.witness) == report.value
     if isinstance(report.witness, TableSCF):
         assert report.witness.table() == bytes(_relabelled(f.table(), f.k))
 
@@ -255,45 +254,32 @@ def test_fiber_outcome_counts_match_oracle(subject):
 
 
 @settings(max_examples=20, deadline=None)
-@given(subjects())
+@given(subjects(SHAPES + EDGE_SHAPES))
 def test_influences_and_boundaries_match_oracle(subject):
     f, evaluate = subject
     n, k = f.n, f.k
     size = len(oracles.all_profiles(n, k))
     fact = len(list(permutations(range(k))))
+    coarse, refined, swap = GraphKind
     for i in range(n):
         moves = oracles.transition_counts(evaluate, n, k, i)
         edges = oracles.refined_edge_counts(evaluate, n, k, i)
-        assert transition_counts(f, i) == [
-            [moves.get((a, b), 0) for b in range(k)] for a in range(k)]
-        assert refined_edge_counts(f, i) == {
-            key: c for key, c in edges.items() if key[0] != key[1]}
+        matrices = {coarse: [[moves.get((a, b), 0) for b in range(k)] for a in range(k)]}
+        matrices[refined], matrices[swap] = oracles.refined_edge_matrices(edges, k)
+        assert transition_counts(f, i) == matrices[coarse]
+        assert refined_edge_counts(f, i) == (matrices[refined], matrices[swap])
 
         inf = CoordinateInfluences(f, i)
-        changed = sum(c for (x, y), c in moves.items() if x != y)
-        assert inf.total() * size * fact == changed
-        for a in range(k):
-            leaving = sum(c for (x, y), c in moves.items() if x == a and y != a)
-            assert inf.target(a) * size * fact == leaving
-            assert inf.count(a) == leaving
-            refined_leaving = sum(c for (x, y, _z), c in edges.items() if x == a and y != a)
-            assert inf.count(a, kind=GraphKind.REFINED) == refined_leaving
-            for b in range(k):
-                if b == a:
-                    continue
-                assert inf.pair(a, b) * size * fact == moves.get((a, b), 0)
-                assert inf.count(a, b) == moves.get((a, b), 0)
-                for z in combinations(range(k), 2):
-                    assert inf.count(a, b, AdjacentTransposition(*z),
-                                     GraphKind.REFINED) == edges.get((a, b, z), 0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(subjects(SHAPES + EDGE_SHAPES), st.data())
-def test_distance_matches_oracle(subject, data):
-    f, evaluate = subject
-    g, evaluate_g = data.draw(subjects([(f.n, f.k)]))
-    assert distance(f, g) == oracles.distance_fraction(evaluate, evaluate_g, f.n, f.k)
+        for kind, matrix in matrices.items():
+            denominator = size * fact if kind is coarse else 2 * size
+            for a in range(k):
+                leaving = sum(matrix[a]) - matrix[a][a]
+                assert inf.count(a, kind=kind) == leaving
+                assert inf.influence(a, kind=kind) == Fraction(leaving, denominator)
+                for b in range(k):
+                    if b != a:
+                        assert inf.count(a, b, kind) == matrix[a][b]
+                        assert inf.influence(a, b, kind) == Fraction(matrix[a][b], denominator)
 
 
 def _orbit_table(profiles, group, k, rng):
@@ -359,8 +345,7 @@ def test_census_and_edge_counts_match_oracle_past_a_byte_of_ranks(subject):
         edges = oracles.refined_edge_counts(evaluate, n, k, i)
         assert transition_counts(f, i) == [
             [moves.get((a, b), 0) for b in range(k)] for a in range(k)]
-        assert refined_edge_counts(f, i) == {
-            key: c for key, c in edges.items() if key[0] != key[1]}
+        assert refined_edge_counts(f, i) == oracles.refined_edge_matrices(edges, k)
 
 
 def _oracle_influences_report(evaluate, n, k, refined):
@@ -454,7 +439,7 @@ def test_fiber_sweeps_match_oracle(subject, data):
                 assert {rec.key: [rec.member_count, rec.boundary_count] for rec in records} == (
                     oracles.fiber_counts(evaluate, n, k, i, *pair, refined))
                 for rec in records:
-                    assert rec.large == (rec.boundary_ratio >= 1 - gamma)
+                    assert rec.large == (Fraction(rec.boundary_count, rec.member_count) >= 1 - gamma)
 
 
 def _rule_scfs(n, k, count, seed=0):

@@ -2,6 +2,8 @@ from math import factorial
 
 import pytest
 
+import oracles
+
 from votemanip import graphs
 from votemanip.errors import CapExceededError
 from votemanip.graphs import (
@@ -13,7 +15,6 @@ from votemanip.graphs import (
     verify_lindsey,
 )
 from votemanip.rankings import (
-    AdjacentTransposition,
     adjacent_swap_neighbors,
     decode_profile,
     ranking_orders,
@@ -50,15 +51,15 @@ def test_refined_subset_of_coarse():
     refined = set(refined_neighbors(prof, 4))
     assert refined < coarse
     assert len(refined) == 2 * 3
-    # So the refined edges leaving a for b are some of the coarse ones.
+    # So the refined edges leaving a for b are some of the coarse ones, and
+    # those swapping a and b some of the refined ones.
     for f in (random_table_scf(2, 3, 4), Borda(2, 4)):
         for i in range(2):
-            moves, edges = transition_counts(f, i), refined_edge_counts(f, i)
+            moves, (every, swap) = transition_counts(f, i), refined_edge_counts(f, i)
             for a in range(f.k):
                 for b in range(f.k):
                     if a != b:
-                        ab = sum(c for (x, y, _z), c in edges.items() if (x, y) == (a, b))
-                        assert ab <= moves[a][b]
+                        assert swap[a][b] <= every[a][b] <= moves[a][b]
 
 
 def test_constant_has_empty_boundaries():
@@ -74,8 +75,7 @@ def test_top_dictator_refined_pair_boundaries():
         for b in range(3):
             if a == b:
                 continue
-            z = AdjacentTransposition(min(a, b), max(a, b))
-            assert CoordinateInfluences(f, 0).count(a, b, z, GraphKind.REFINED) == 1
+            assert CoordinateInfluences(f, 0).count(a, b, GraphKind.SWAP) == 1
 
 
 @pytest.mark.parametrize("call", [
@@ -93,32 +93,32 @@ def made(f, i):
     return inf
 
 
-# Reads of coordinate 0's counts, each given a, b, a transposition z and a
-# kind, and using those it takes.
+# Reads of coordinate 0's counts, each given a, b and a kind, and using those
+# it takes: the checked count, and the influences of the report's rows.
 COUNT_READS = {
-    "count": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).count(a, b, z, kind),
+    "count": lambda f, a, b, kind: CoordinateInfluences(f, 0).count(a, b, kind),
     # A boundary count read after the counts are made, as verify reads them.
-    "boundary_count": lambda f, a, b, z, kind: made(f, 0).count(a, b, z, kind),
-    "pair": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).pair(a, b),
-    "refined": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).refined(
-        a, b, z or AdjacentTransposition(0, 1)),
-    "refined_all": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).refined_all(a, b),
-    "target": lambda f, a, b, z, kind: CoordinateInfluences(f, 0).target(a),
+    "boundary_count": lambda f, a, b, kind: made(f, 0).count(a, b, kind),
+    "pair": lambda f, a, b, kind: CoordinateInfluences(f, 0).influence(a, b),
+    "refined": lambda f, a, b, kind: CoordinateInfluences(f, 0).influence(a, b, SWAP),
+    "refined_all": lambda f, a, b, kind: CoordinateInfluences(f, 0).influence(a, b, REFINED),
+    "target": lambda f, a, b, kind: CoordinateInfluences(f, 0).influence(a),
 }
 SPECS = ("count", "boundary_count")
 PAIRS = (*SPECS, "pair", "refined", "refined_all")
-COARSE, REFINED = GraphKind
-# case -> (a, b, z, kind), and the reads that take all of them.
+COARSE, REFINED, SWAP = GraphKind
+# case -> (a, b, kind), and the reads that take all of them. A swap read's
+# transposition z is the pair (a, b) itself.
 BAD_SELECTIONS = {
-    "equal pair": ((0, 0, None, COARSE), PAIRS),
-    "equal refined pair": ((1, 1, None, REFINED), SPECS),
-    "negative a": ((-1, 0, None, COARSE), (*PAIRS, "target")),
-    "negative b": ((0, -1, None, REFINED), PAIRS),
-    "a past k": ((3, None, None, REFINED), (*SPECS, "target")),
-    "b past k": ((0, 7, None, COARSE), PAIRS),
-    "z past k": ((0, 1, AdjacentTransposition(0, 9), REFINED), (*SPECS, "refined")),
-    "negative z": ((0, 1, AdjacentTransposition(-1, 0), REFINED), (*SPECS, "refined")),
-    "z on a coarse read": ((0, 1, AdjacentTransposition(0, 1), COARSE), SPECS),
+    "equal pair": ((0, 0, COARSE), PAIRS),
+    "equal refined pair": ((1, 1, REFINED), SPECS),
+    "equal swap pair": ((2, 2, SWAP), SPECS),
+    "negative a": ((-1, 0, COARSE), (*PAIRS, "target")),
+    "negative b": ((0, -1, REFINED), PAIRS),
+    "a past k": ((3, None, REFINED), (*SPECS, "target")),
+    "b past k": ((0, 7, COARSE), PAIRS),
+    "z past k": ((0, 9, SWAP), (*SPECS, "refined")),
+    "negative z": ((-1, 2, SWAP), (*SPECS, "refined")),
 }
 
 
@@ -165,17 +165,19 @@ def test_lane_group_size_does_not_change_transition_counts(monkeypatch):
 
 
 def test_transposition_partition_of_refined_boundary():
+    # The refined edges from a to b split by the transposition that makes
+    # them: the refined count is their sum, the swap count the part of (a, b).
     f = random_table_scf(2, 3, 77)
     for i in range(2):
+        inf = CoordinateInfluences(f, i)
+        edges = oracles.refined_edge_counts(f.evaluate_orders, 2, 3, i)
         for a in range(3):
             for b in range(3):
                 if a == b:
                     continue
-                inf = CoordinateInfluences(f, i)
-                total = inf.count(a, b, kind=GraphKind.REFINED)
-                split = sum(inf.count(a, b, AdjacentTransposition(x, y), GraphKind.REFINED)
-                            for x in range(3) for y in range(x + 1, 3))
-                assert total == split
+                split = {z: edges.get((a, b, z), 0) for z in ((0, 1), (0, 2), (1, 2))}
+                assert inf.count(a, b, GraphKind.REFINED) == sum(split.values())
+                assert inf.count(a, b, GraphKind.SWAP) == split[min(a, b), max(a, b)]
 
 
 def test_boundary_symmetry_both_kinds():

@@ -6,6 +6,7 @@ re-export, and the scripts. ``__future__`` imports are directives, not names.
 """
 import ast
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
@@ -45,48 +46,160 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _imports(tree, modules) -> tuple[dict, dict]:
+    """(name -> (module, name there), alias -> module) of what ``tree`` imports
+    from the package: ``from .m import x`` or ``from votemanip.m import x``
+    binds x, and ``from . import m`` or ``from votemanip import m`` binds m."""
+    names, aliases = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("votemanip")):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if source in modules:
+                    names[alias.asname or alias.name] = (source, alias.name)
+                elif alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+    return names, aliases
+
+
+def _is_method(node) -> bool:
+    """A ``def`` in a class body other than a dunder, which runs implicitly."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def unreached_definitions(modules: dict, scripts, kept=frozenset()) -> list:
     """``module.name`` of each top-level ``def`` and ``class`` of ``modules``
-    (module name -> source) that no path reads by name from ``cli.main``, from
-    the ``scripts`` sources or from module-level code, which runs on import.
+    (module name -> source), then ``module.Class.name`` of each of their
+    methods but the dunders, that no path reads from ``cli.main``, from the
+    ``scripts`` sources or from module-level code, which runs on import.
 
-    A definition read by name is on the path, and so is every name its body
-    reads (a class's, through all its methods); a name is matched whatever
-    module or object it is read from. Names in ``kept`` count as read.
+    A definition read is on the path, and so is every name its body reads; a
+    class's body is read without its methods, but with its dunders. A bare
+    name reads the top-level definition of that name in its own module or in
+    the module it is imported from; ``module.name``, for a package module,
+    reads that module's definition; any other attribute read reads every
+    method of that name, whatever its class. Names in ``kept`` count as read.
     """
-    definitions, entry = {}, [ast.parse(source) for source in scripts]
+    top, methods, scopes, todo = {}, {}, {}, []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        scopes[module] = (module, *_imports(tree, modules))
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.setdefault(node.name, []).append((module, node))
-                if (module, node.name) == ("cli", "main"):
-                    entry.append(node)
+                top[module, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    for method in filter(_is_method, node.body):
+                        methods[module, node.name, method.name] = method
             else:
-                entry.append(node)
-    reached = {"main", *kept}
-    todo = entry + [node for name in kept for _module, node in definitions.get(name, [])]
+                todo.append((scopes[module], node))
+    todo += [((None, *_imports(tree, modules)), tree) for tree in map(ast.parse, scripts)]
+    reached = set()
+
+    def reach(key):
+        if key in reached or (key not in top and key not in methods):
+            return
+        reached.add(key)
+        node, scope = top.get(key) or methods[key], scopes[key[0]]
+        if isinstance(node, ast.ClassDef):
+            todo.extend((scope, part) for part in (*node.decorator_list, *node.bases,
+                                                    *node.keywords, *node.body)
+                        if not _is_method(part))
+        else:
+            todo.append((scope, node))
+
+    reach(("cli", "main"))
+    for key in [*top, *methods]:
+        if key[-1] in kept:
+            reach(key)
     while todo:
-        for node in ast.walk(todo.pop()):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name in definitions and name not in reached:
-                reached.add(name)
-                todo += [definition for _module, definition in definitions[name]]
-    return [f"{module}.{name}" for name, found in definitions.items() if name not in reached
-            for module, _node in found]
+        (module, names, aliases), root = todo.pop()
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                reach((module, node.id) if (module, node.id) in top else names.get(node.id))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    reach((aliases[node.value.id], node.attr))
+                else:
+                    for key in methods:
+                        if key[-1] == node.attr:
+                            reach(key)
+    return [".".join(key) for key in [*top, *methods] if key not in reached]
 
 
 def test_the_walk_finds_an_unreached_definition():
     modules = {
-        "cli": "def main():\n    return helpers.Kept().read()\n\ndef dead():\n    return lone()\n",
-        "helpers": ("class Kept:\n    def read(self):\n        return inner()\n\n"
-                    "def inner():\n    pass\n\ndef lone():\n    pass\n\n"
-                    "def on_import():\n    pass\n\nTABLE = on_import()\n"
-                    "def for_later():\n    return later()\n\ndef later():\n    pass\n"),
+        "cli": dedent("""\
+            from . import helpers
+            from .helpers import Kept
+
+            def main():
+                return helpers.Kept().read(), Kept.used, call(Kept())
+
+            def call(x):
+                return x.shadow, shadow(), helpers.inner()
+
+            def dead():
+                return lone()
+        """),
+        "helpers": dedent("""\
+            class Kept:
+                def __init__(self):
+                    self.x = made()
+
+                def read(self):
+                    return inner()
+
+                @property
+                def used(self):
+                    pass
+
+                def unread(self):
+                    pass
+
+            def made():
+                pass
+
+            def inner():
+                pass
+
+            def lone():
+                pass
+
+            def on_import():
+                pass
+
+            TABLE = on_import()
+
+            def for_later():
+                return later()
+
+            def later():
+                pass
+        """),
+        # Read only as a method, as an attribute of an object, or by a name
+        # that another module defines or imports.
+        "other": dedent("""\
+            class Twin:
+                def read(self):
+                    pass
+
+            def shadow():
+                pass
+
+            def inner():
+                pass
+
+            def made():
+                pass
+        """),
     }
-    assert unreached_definitions(modules, []) == ["cli.dead", "helpers.lone",
-                                                  "helpers.for_later", "helpers.later"]
-    assert unreached_definitions(modules, ["lone()\n"], {"for_later"}) == ["cli.dead"]
+    assert unreached_definitions(modules, []) == [
+        "cli.dead", "helpers.lone", "helpers.for_later", "helpers.later", "other.Twin",
+        "other.shadow", "other.inner", "other.made", "helpers.Kept.unread"]
+    script = "from votemanip.helpers import lone\nfrom votemanip import other\nlone(), other.made\n"
+    assert unreached_definitions(modules, [script], {"for_later", "unread"}) == [
+        "cli.dead", "other.Twin", "other.shadow", "other.inner"]
 
 
 def test_every_package_definition_serves_the_program():

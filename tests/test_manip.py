@@ -19,7 +19,7 @@ from votemanip.manip import (
     nonmanip_membership,
     sample_success,
 )
-from votemanip.metrics import distance, distance_to_nonmanip
+from votemanip.metrics import distance_to_nonmanip
 from votemanip.verify import sweep_random_tables
 from votemanip.rankings import decode_profile, decode_ranking, profile_space_size
 from votemanip.scf import (
@@ -145,7 +145,7 @@ def test_gs_classify_two_valued_witness():
     else:
         # Degenerate draws collapse to a constant, reported as a dictatorship.
         assert isinstance(res.witness_member, TopHDictator)
-    assert distance(f, res.witness_member) == 0
+    assert oracles.table_distance(f, res.witness_member) == 0
 
 
 @pytest.mark.parametrize("f", [

@@ -8,16 +8,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from votemanip.errors import CapExceededError
 from votemanip.fibers import FiberVariant, fiber_sweep
-from votemanip.graphs import CoordinateInfluences
+from votemanip.graphs import CoordinateInfluences, GraphKind
 from votemanip.metrics import (
-    distance,
     distance_to_nonmanip,
     distance_to_nonmanip_bar,
     frac_str,
     nearest_monotone_boolean,
 )
 from votemanip import metrics
-from votemanip.rankings import AdjacentTransposition, fiber_outcome_counts, top_h_by_rank
+from votemanip.rankings import fiber_outcome_counts, top_h_by_rank
 from votemanip.scf import (
     Borda,
     Constant,
@@ -36,18 +35,11 @@ def test_frac_round_trip():
     assert Fraction(frac_str(Fraction(7, 9))) == Fraction(7, 9)
 
 
-def test_distance_basics():
-    f = Plurality(2, 3)
-    assert distance(f, f) == 0
-    assert distance(Constant(2, 3, 0), Constant(2, 3, 2)) == 1
-    with pytest.raises(ValueError):
-        distance(f, Plurality(2, 4))
-
-
 def test_distance_plurality_borda_pinned():
-    # Frozen from the independent 36-profile oracle scan.
-    assert distance(Plurality(2, 3), Borda(2, 3)) == Fraction(2, 9)
-    assert distance(Plurality(2, 3), Borda(2, 3)) == oracles.distance_fraction(
+    # The two rule tables disagree on the share frozen from the independent
+    # 36-profile oracle scan.
+    assert oracles.table_distance(Plurality(2, 3), Borda(2, 3)) == Fraction(2, 9)
+    assert oracles.table_distance(Plurality(2, 3), Borda(2, 3)) == oracles.distance_fraction(
         oracles.plurality_tuple, oracles.borda_tuple, 2, 3
     )
 
@@ -59,7 +51,7 @@ def test_distance_to_nonmanip_bar_cases():
 
     report = distance_to_nonmanip_bar(Plurality(3, 3))
     assert report.value == Fraction(7, 27)  # two-valued branch, frozen from oracle
-    assert distance(Plurality(3, 3), report.witness) == report.value
+    assert oracles.table_distance(Plurality(3, 3), report.witness) == report.value
 
 
 def test_distance_to_nonmanip_bar_oracle_recomputation():
@@ -89,7 +81,7 @@ def test_distance_to_nonmanip_members_are_at_zero():
                    Constant(2, 3, 0)):
         report = distance_to_nonmanip(member)
         assert report.value == 0
-        assert distance(member, report.witness) == 0
+        assert oracles.table_distance(member, report.witness) == 0
 
 
 def test_distance_to_nonmanip_anti_dictator_pinned():
@@ -98,7 +90,7 @@ def test_distance_to_nonmanip_anti_dictator_pinned():
     anti = TableSCF(1, 3, [o[-1] for o in permutations(range(3))])
     report = distance_to_nonmanip(anti)
     assert report.value == Fraction(2, 3)
-    assert distance(anti, report.witness) == Fraction(2, 3)
+    assert oracles.table_distance(anti, report.witness) == Fraction(2, 3)
 
 
 def test_distance_to_nonmanip_matches_full_candidate_oracle():
@@ -185,7 +177,7 @@ def test_distance_to_nonmanip_is_minimal_over_explicit_members():
     members.append(MonotoneTwoValued(2, 3, (0, 1), (1, 0, 1, 0)))
     members.append(MonotoneTwoValued(2, 3, (1, 2), (2, 1, 2, 1)))
     for w in members:
-        assert best <= distance(f, w)
+        assert best <= oracles.table_distance(f, w)
 
 
 @settings(max_examples=20, deadline=None)
@@ -195,35 +187,39 @@ def test_family_ordering_and_witness_identity(seed):
     near = distance_to_nonmanip(f)
     far = distance_to_nonmanip_bar(f)
     assert far.value <= near.value
-    assert distance(f, near.witness) == near.value
-    assert distance(f, far.witness) == far.value
+    assert oracles.table_distance(f, near.witness) == near.value
+    assert oracles.table_distance(f, far.witness) == far.value
+
+
+def total_influence(f, i):
+    """The probability a new ranking for voter i changes the outcome."""
+    inf = CoordinateInfluences(f, i)
+    return sum(inf.influence(a) for a in range(f.k))
 
 
 def test_influence_examples():
-    assert CoordinateInfluences(Constant(2, 3, 0), 0).total() == 0
+    assert total_influence(Constant(2, 3, 0), 0) == 0
     top = TopHDictator(2, 3, 0, range(3))
-    assert CoordinateInfluences(top, 1).total() == 0
-    assert CoordinateInfluences(top, 0).total() == Fraction(2, 3)  # 1 - 1/k at k=3
+    assert total_influence(top, 1) == 0
+    assert total_influence(top, 0) == Fraction(2, 3)  # 1 - 1/k at k=3
 
 
 def test_influence_identities():
     f = random_table_scf(2, 3, 55)
     for i in range(2):
         inf = CoordinateInfluences(f, i)
-        total = inf.total()
-        assert total == sum(inf.target(a) for a in range(3))
-        assert total == sum(
-            inf.pair(a, b)
-            for a in range(3) for b in range(3) if a != b
-        )
+        for kind in GraphKind:
+            for a in range(3):
+                assert inf.influence(a, kind=kind) == sum(
+                    inf.influence(a, b, kind) for b in range(3) if b != a)
 
 
 @pytest.mark.parametrize("call", [
     lambda f, a, b: fiber_sweep(f, 0, (a, b), FiberVariant.PLAIN, Fraction(1, 4)),
     lambda f, a, b: fiber_sweep(f, 1, (a, b), FiberVariant.REFINED, Fraction(1, 4))[1],
-    lambda f, a, b: CoordinateInfluences(f, 0).pair(a, b),
-    lambda f, a, b: CoordinateInfluences(f, 0).refined(a, b, AdjacentTransposition(0, 1)),
-    lambda f, a, b: CoordinateInfluences(f, 0).refined_all(a, b),
+    lambda f, a, b: CoordinateInfluences(f, 0).influence(a, b),
+    lambda f, a, b: CoordinateInfluences(f, 0).influence(a, b, GraphKind.SWAP),
+    lambda f, a, b: CoordinateInfluences(f, 0).influence(a, b, GraphKind.REFINED),
     lambda f, a, b: PairBooleanSCF(2, 3, (a, b), [0, 0, 0, 0]),
 ], ids=["fiber_sweep", "boundary_fiber", "influence_pair", "influence_refined",
         "influence_refined_total", "PairBooleanSCF"])
@@ -235,8 +231,8 @@ def test_a_pair_must_be_two_distinct_alternatives(call, pair):
 
 
 @pytest.mark.parametrize("call", [
-    lambda f, a: CoordinateInfluences(f, 0).target(a),
-    lambda f, a: CoordinateInfluences(f, 0).refined(0, 1, AdjacentTransposition(1, a)),
+    lambda f, a: CoordinateInfluences(f, 0).influence(a),
+    lambda f, a: CoordinateInfluences(f, 0).influence(0, a, GraphKind.SWAP),
 ], ids=["influence_target", "influence_refined transposition"])
 @pytest.mark.parametrize("a", [3, 7, -1])
 def test_an_alternative_must_lie_in_range(call, a):
@@ -246,7 +242,7 @@ def test_an_alternative_must_lie_in_range(call, a):
 
 def test_influence_pair_matches_oracle():
     f = random_table_scf(2, 3, 60)
-    got = CoordinateInfluences(f, 1).pair(0, 2)
+    got = CoordinateInfluences(f, 1).influence(0, 2)
     want = oracles.influence_pair_fraction(
         lambda prof: f.evaluate_orders(prof), 2, 3, 1, 0, 2
     )
@@ -259,27 +255,33 @@ def test_influence_refined_against_direct_count():
 
     f = random_table_scf(2, 3, 91)
     for a, b in ((0, 1), (1, 2)):
-        z = AdjacentTransposition(a, b)
         for i in range(2):
             hits = 0
             for index in range(profile_space_size(2, 3)):
                 p = decode_profile(2, 3, index)
                 if f.evaluate(p) != a:
                     continue
-                q = p[:i] + (oracles.apply_adjacent_transposition(p[i], z),) + p[i + 1:]
+                q = p[:i] + (oracles.apply_adjacent_transposition(p[i], (a, b)),) + p[i + 1:]
                 if f.evaluate(q) == b:
                     hits += 1
-            assert CoordinateInfluences(f, i).refined(a, b, z) == Fraction(hits, 2 * 36)
+            assert CoordinateInfluences(f, i).influence(a, b, GraphKind.SWAP) == Fraction(
+                hits, 2 * 36)
 
 
 def test_influence_refined_sums_over_transpositions():
+    # The refined influence of 1 to 2 is half the mass of profiles that some
+    # adjacent swap moves from 1 to 2, one count per transposition.
+    from votemanip.rankings import decode_profile, profile_space_size
+
     f = random_table_scf(2, 3, 61)
-    total = CoordinateInfluences(f, 0).refined_all(1, 2)
-    split = sum(
-        CoordinateInfluences(f, 0).refined(1, 2, AdjacentTransposition(a, b))
-        for a in range(3) for b in range(a + 1, 3)
-    )
-    assert total == split
+    hits = 0
+    for index in range(profile_space_size(2, 3)):
+        p = decode_profile(2, 3, index)
+        if f.evaluate(p) == 1:
+            for z in oracles.all_adjacent_transpositions(3):
+                q = (oracles.apply_adjacent_transposition(p[0], z), p[1])
+                hits += f.evaluate(q) == 2
+    assert CoordinateInfluences(f, 0).influence(1, 2, GraphKind.REFINED) == Fraction(hits, 2 * 36)
 
 
 def test_monotone_violation_fraction_cases():

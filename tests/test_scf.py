@@ -52,7 +52,7 @@ def test_plurality_majority_tops():
 def test_rule_table_reevaluation_identity():
     for rule in (Plurality(2, 3), Borda(2, 3), TopHDictator(2, 3, 1, {0, 2}),
                  Constant(2, 3, 2), random_monotone_two_valued(2, 3, 5)):
-        t = TableSCF.from_scf(rule)
+        t = TableSCF(rule.n, rule.k, rule.table())
         for index in range(profile_space_size(2, 3)):
             p = decode_profile(2, 3, index)
             assert t.evaluate(p) == rule.evaluate(p)
@@ -378,7 +378,7 @@ def test_range_and_membership_image_are_the_set_of_table_bytes(n, k):
     # the two-valued witness on the table's image.
     pairs = 0
     for seed in range(8):
-        g = TableSCF.from_scf(random_monotone_two_valued(n, k, seed))
+        g = TableSCF(n, k, random_monotone_two_valued(n, k, seed).table())
         member = nonmanip_membership(g)
         assert member.table() == g.table() and member.range() == frozenset(g.table())
         if isinstance(member, MonotoneTwoValued):

@@ -10,9 +10,8 @@ import pytest
 from votemanip import verify
 from votemanip.errors import CapExceededError
 from votemanip.manip import census
-from votemanip.graphs import CoordinateInfluences
+from votemanip.graphs import CoordinateInfluences, GraphKind
 from votemanip.metrics import frac_str
-from votemanip.rankings import AdjacentTransposition
 from votemanip.scf import (
     OneCoordinate,
     Plurality,
@@ -135,8 +134,8 @@ def test_lemma_influences_qualifying_values(monkeypatch):
         report = verify_lemma_influences(Measurements(f), statement=statement)
         expected = [
             {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
-                CoordinateInfluences(f, i).pair(a, b) if statement == "2.1"
-                else CoordinateInfluences(f, i).refined(a, b, AdjacentTransposition(a, b)))}
+                CoordinateInfluences(f, i).influence(
+                    a, b, GraphKind.COARSE if statement == "2.1" else GraphKind.SWAP))}
             for i in range(f.n) for a in range(f.k) for b in range(a + 1, f.k)
         ]
         assert report.witnesses["qualifying"] == expected
