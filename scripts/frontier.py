@@ -28,8 +28,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The README grid: Borda at the largest shapes the default cap admits, and at
 # n=9, k=3 (1.0e7 profiles) past it; then the seeded paths: random:0 at n=5,
-# k=4, whose table is drawn, and the sampler past the cap and at k = 9, where
-# it fills per-rank values only for the ranks it draws.
+# k=4, whose table is drawn, local dictators on Borda there (190,800 found,
+# 20 decoded), and the sampler past the cap and at k = 9, where it fills
+# per-rank values only for the ranks it draws.
 SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]
 COMMANDS = [("census",), ("distance",), ("influences", "--refined"), ("gs-classify",)]
 SEEDED_CALLS = [
@@ -38,6 +39,7 @@ SEEDED_CALLS = [
     "influences --refined random:0 5 4",
     "gs-classify random:0 5 4",
     "local-dictators random:0 5 4 --pair 1,2 --coordinate 1",
+    "local-dictators borda 5 4 --pair 1,2 --coordinate 1",
     "sample borda 4 5 --samples 300000",
     "sample borda 2 9 --samples 10",
 ]

@@ -9,12 +9,8 @@ Gibbard-Satterthwaite lower bounds against brute force.
 
 from .errors import CapExceededError
 from .rankings import (
-    Profile,
-    Ranking,
     decode_profile,
-    decode_ranking,
     profile_space_size,
-    window_permutations,
 )
 from .scf import (
     SCF,
@@ -50,7 +46,6 @@ from .manip import (
     census,
     exact_pair_probability,
     gs_classify,
-    is_r_manipulation_point,
     nonmanip_membership,
     sample_success,
 )

@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import engine, fibers, graphs, manip, metrics, scf, verify
+from . import engine, fibers, graphs, manip, metrics, rankings, scf, verify
 from .errors import CapExceededError
 from .metrics import frac_str
 
@@ -200,12 +200,11 @@ def _cmd_local_dictators(args) -> int:
         raise ConfigError("--max-list must be >= 0")
     f = _build_scf(args)
     pair = _pair(args.pair, f.k)
-    profiles = sorted(
-        fibers.local_dictator_sets(f, args.coordinate - 1, pair),
-        key=lambda prof: tuple(r.order for r in prof),
-    )
-    listed = [[list(r.one_based()) for r in prof] for prof in profiles[: args.max_list]]
-    result = {"count": len(profiles), "profiles": listed}
+    found = fibers.local_dictator_sets(f, args.coordinate - 1, pair)
+    # Index order is the lexicographic order of the profiles' order tuples.
+    listed = [[[x + 1 for x in order] for order in rankings.decode_profile(f.n, f.k, index)]
+              for index in found[:args.max_list]]
+    result = {"count": len(found), "profiles": listed}
     _emit(args, result)
     return 0
 

@@ -21,12 +21,11 @@ from operator import and_, or_
 from typing import Sequence
 
 from .rankings import (
-    Profile,
     adjacent_swap_neighbors,
     check_alternatives,
     check_coordinate,
+    check_window_moves,
     class_tables,
-    decode_profile,
     indicator,
     join_class_tables,
     lane_int,
@@ -100,22 +99,25 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     Read part r's outcomes a and b as the bits of ``A_r`` and ``B_r``. Plain,
     per side of voter i (the key's bit i): a rank r is on the boundary in
     ``A_r & (B_0 | B_1 | ...)``. Refined: r with a directly above b, swapped
-    to s, is on it in ``A_r & B_s``.
+    to s, is on it in ``A_r & B_s``; its swaps are checked against f's cap first.
     """
     check_coordinate(f.n, i)
     check_alternatives(f.k, *pair)
     a, b = pair
     n, k = f.n, f.k
+    plain = variant is FiberVariant.PLAIN
+    if not plain:
+        check_window_moves(k, 2, f.cap)
     fact = factorial(k)
     sides = (ranks_preferring(k, b, a), ranks_preferring(k, a, b))
     parts = class_tables(f.table(), k,
                          [sides] * i + [[(r,) for r in range(fact)]] + [sides] * (n - 1 - i))
-    swaps = ranks_adjacent_above(k, a, b)
-    side = len(sides[0]) if variant is FiberVariant.PLAIN else len(swaps)
+    swaps = () if plain else ranks_adjacent_above(k, a, b)
+    side = len(sides[0]) if plain else len(swaps)
     expected = fiber_member_count(n, k, variant)
     assert len(parts[0]) * side == expected, (len(parts[0]), side, expected)
     low = (1 << i) - 1
-    bits = n if variant is FiberVariant.PLAIN else n - 1
+    bits = n if plain else n - 1
     on_boundary = [0] * (1 << bits)
     for rest in range(1 << (n - 1)):
         # Parts are indexed by the others' sides (bit c for voter c), with
@@ -123,7 +125,7 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
         first = (rest & low) + (rest >> i << i) * fact
         line = parts[first:first + (fact << i):1 << i]
         A, B = ([lane_int(part, indicator(x)) for part in line] for x in pair)
-        if variant is FiberVariant.PLAIN:
+        if plain:
             to_b = reduce(or_, B)
             for bit, ranks in enumerate(sides):
                 mask = rest & low | bit << i | rest >> i << (i + 1)
@@ -144,20 +146,21 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
 # Local dictators.
 
 
-def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int]) -> set[Profile]:
-    """Profiles that are local dictators on {a, b, c} in coordinate i for some
-    third alternative c.
+def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int]) -> list[int]:
+    """Indices, ascending, of the profiles that are local dictators on {a, b, c}
+    in coordinate i for some third alternative c.
 
     A block is a width-3 window holding a and b. Its six orders are the six
     draws of one window start in :func:`rankings.window_moves`. Over voter i's
     rank parts (:func:`rankings.rank_classes`), the AND of the six orders'
     indicator lanes of their block tops marks the lines on which every order
     elects its top; :func:`rankings.join_class_tables` puts the marks of all
-    six back in profile order.
+    six back in profile order. The width-3 moves are checked against f's cap first.
     """
     n, k = f.n, f.k
     classes = rank_classes(n, k, i)
     check_alternatives(k, *pair)
+    check_window_moves(k, 3, f.cap)
     a, b = pair
     orders = ranking_orders(k)
     parts = class_tables(f.table(), k, classes)
@@ -171,5 +174,5 @@ def local_dictator_sets(f: SCF, i: int, pair: tuple[int, int]) -> set[Profile]:
                 for d in dests:
                     found[d] |= hit
     flags = join_class_tables([x.to_bytes(len(parts[0]), "little") for x in found], k, classes)
-    return {decode_profile(n, k, mark.start()) for mark in re.finditer(b"\x01", flags)}
+    return [mark.start() for mark in re.finditer(b"\x01", flags)]
 

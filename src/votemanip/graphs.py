@@ -27,6 +27,7 @@ from .rankings import (
     adjacent_swap_neighbors,
     check_alternatives,
     check_coordinate,
+    check_window_moves,
     class_tables,
     indicator,
     lane_int,
@@ -88,9 +89,11 @@ def refined_edge_counts(f: SCF, i: int) -> tuple[list[list[int]], list[list[int]
     adjacent pair in voter i's ranking gives outcome b != a, and ``swap[a][b]``
     those where the swapped pair is a and b themselves. Per edge between ranks
     r and s, parts r and s paired by :func:`rankings.pair_lanes` hold
-    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``.
+    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``. The
+    swaps are checked against f's cap (:func:`rankings.check_window_moves`) first.
     """
     k = f.k
+    check_window_moves(k, 2, f.cap)
     parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
     lanes = len(parts[0])
     ints = [int.from_bytes(part, "little") for part in parts]

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 from operator import or_
 from typing import Optional
@@ -30,12 +30,13 @@ from typing import Optional
 from . import engine
 from .engine import check_seed
 from .rankings import (
-    Profile,
     RankTable,
     check_cap,
+    check_window_moves,
     class_tables,
     decode_profile,
     fiber_outcome_counts,
+    index_digits,
     join_class_tables,
     lane_int,
     profile_space_size,
@@ -49,7 +50,6 @@ from .rankings import (
     window_blocks,
     window_destinations,
     window_moves,
-    window_permutations,
 )
 from .scf import (
     SCF,
@@ -61,42 +61,19 @@ from .scf import (
 
 @dataclass(frozen=True)
 class ManipulationPair:
-    """A profile, a misreport differing in one coordinate, and that coordinate."""
+    """A profile, a misreport differing in one coordinate, and that coordinate,
+    the profiles as the voters' order tuples."""
 
-    profile: Profile
-    altered: Profile
+    profile: tuple[tuple[int, ...], ...]
+    altered: tuple[tuple[int, ...], ...]
     coordinate: int
 
     def describe(self) -> dict:
         return {
             "coordinate": self.coordinate + 1,
-            "profile": [r.one_based() for r in self.profile],
-            "altered": [r.one_based() for r in self.altered],
+            "profile": [[x + 1 for x in order] for order in self.profile],
+            "altered": [[x + 1 for x in order] for order in self.altered],
         }
-
-
-def is_r_manipulation_point(f: SCF, profile: Profile, r: int) -> Optional[ManipulationPair]:
-    """First manipulation witness using one width-min(r, k) window, or None.
-
-    Search order is deterministic: coordinate, then window start, then
-    permutation index within the window.
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    k = f.k
-    width = min(r, k)
-    outcome = f.evaluate(profile)
-    for i in range(f.n):
-        truth = profile[i].inv
-        current = truth[outcome]
-        for start in range(k - width + 1):
-            for candidate in window_permutations(profile[i], start, width):
-                if candidate.order == profile[i].order:
-                    continue
-                altered = profile[:i] + (candidate,) + profile[i + 1:]
-                if truth[f.evaluate(altered)] < current:
-                    return ManipulationPair(profile, altered, i)
-    return None
 
 
 @dataclass(frozen=True)
@@ -433,8 +410,7 @@ def exact_pair_probability(f: SCF, width: int = 4) -> Fraction:
     """
     _check_window(f.k, width)
     n, k = f.n, f.k
-    draws = (k - width + 1) * factorial(width)
-    check_cap(f.cap, "per-rank window table entries", k, count=lambda: factorial(k) * draws)
+    check_window_moves(k, width, f.cap)
     _check_lanes(k)
     table = f.table()
     # Per rank, each destination other than the rank itself with its number of draws.
@@ -445,7 +421,7 @@ def exact_pair_probability(f: SCF, width: int = 4) -> Fraction:
         V, U = _gains(class_tables(table, k, rank_classes(n, k, i)), k)
         successes += sum(c * (gain & V[d]).bit_count()
                          for gain, dests in zip(U, moves) for d, c in dests)
-    return Fraction(successes, len(table) * n * draws)
+    return Fraction(successes, len(table) * n * (k - width + 1) * factorial(width))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +499,21 @@ def gs_classify(f: SCF) -> GSClassification:
             "this contradicts the Gibbard-Satterthwaite dichotomy"
         )
     hit = ((flags & -flags).bit_length() - 1) // 8
-    witness = is_r_manipulation_point(f, decode_profile(n, k, hit), k)
-    assert witness is not None
-    return GSClassification(True, witness, None)
+    return GSClassification(True, _first_manipulation(table, n, k, hit), None)
+
+
+def _first_manipulation(table, n: int, k: int, index: int) -> ManipulationPair:
+    """The first misreport some voter of profile ``index`` gains by: voter by
+    voter, its orders in ``permutations`` order (a width-k window's draws), each
+    outcome the table byte ``(d - r)`` strides of voter i from the index."""
+    rank_of, positions = ranking_rank_of(k), ranking_positions(k)
+    profile = decode_profile(n, k, index)
+    outcome = table[index]
+    for i, (order, r, stride) in enumerate(
+            zip(profile, index_digits(n, k, index), profile_strides(n, k))):
+        pos = positions[r]
+        for misreport in permutations(order):
+            d = rank_of[misreport]
+            if d != r and pos[table[index + (d - r) * stride]] < pos[outcome]:
+                return ManipulationPair(profile, profile[:i] + (misreport,) + profile[i + 1:], i)
+    raise AssertionError(f"profile {index} is flagged manipulable, yet no voter gains")

@@ -9,7 +9,7 @@ with voter 0 most significant.
 
 This module is the only code that knows that layout. Everything else walks
 the ``(k!)^n`` profile table through :func:`profile_strides`,
-:func:`index_digits`, :func:`digits_index`, :func:`class_tables` with its
+:func:`index_digits`, :func:`class_tables` with its
 inverse :func:`join_class_tables`, and :func:`swap_first_voters`. Every scan
 per line reads the parts of :func:`rank_classes`, each entry a byte lane on one
 coordinate line, as big ints (:func:`lane_int`, :func:`pair_lanes`).
@@ -18,44 +18,16 @@ Outcomes are counted by one kernel over such ints, :func:`outcome_count` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 from .errors import CapExceededError
 
-Profile = tuple["Ranking", ...]
-
 # Largest k for which full k! lookup tables may be materialized.
 MAX_TABLE_K = 10
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """A total order of k alternatives; ``order[0]`` is the top choice."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        k = len(self.order)
-        if sorted(self.order) != list(range(k)):
-            raise ValueError(f"order must be a permutation of 0..{k - 1}: {self.order!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.order)
-
-    @property
-    def inv(self) -> tuple[int, ...]:
-        """Positions indexed by alternative: ``inv[order[p]] == p``."""
-        return _inverse(self.order)
-
-    def one_based(self) -> tuple[int, ...]:
-        return tuple(x + 1 for x in self.order)
-
-
-@lru_cache(maxsize=None)
 def _inverse(order: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(order)
     for pos, alt in enumerate(order):
@@ -63,30 +35,8 @@ def _inverse(order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def window_permutations(r: Ranking, start: int, width: int) -> list[Ranking]:
-    """All rankings obtained by permuting ``width`` consecutive positions of r.
-
-    ``width`` is clamped to k (widths beyond k behave as a full shuffle). The
-    input ranking is included; the list is deterministic, input first.
-    """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    w = min(width, r.k)
-    if start < 0 or start + w > r.k:
-        raise ValueError(f"window [{start}, {start + w}) out of range for k={r.k}")
-    head, window, tail = r.order[:start], r.order[start:start + w], r.order[start + w:]
-    return [Ranking(head + perm + tail) for perm in permutations(window)]
-
-
 # ---------------------------------------------------------------------------
 # Dense indexing.
-
-
-def decode_ranking(k: int, index: int) -> Ranking:
-    """The ranking of Lehmer rank ``index`` in ``[0, k!)``."""
-    if not 0 <= index < factorial(k):
-        raise ValueError(f"ranking index {index} out of range for k={k}")
-    return Ranking(rank_order(k, index))
 
 
 def rank_order(k: int, index: int) -> tuple[int, ...]:
@@ -101,8 +51,8 @@ def rank_order(k: int, index: int) -> tuple[int, ...]:
 
 
 def rank_positions(k: int, index: int) -> tuple[int, ...]:
-    """:func:`rank_order`'s positions (alternative -> position), uncached."""
-    return _inverse.__wrapped__(rank_order(k, index))
+    """:func:`rank_order`'s positions (alternative -> position)."""
+    return _inverse(rank_order(k, index))
 
 
 class RankTable(dict):
@@ -159,24 +109,16 @@ def check_cap(cap: int, what: str, k: int, n=None, count=None) -> None:
         raise CapExceededError(f"{what} at {shape} exceed the cap {cap}")
 
 
-def decode_profile(n: int, k: int, index: int) -> Profile:
-    """The profile of index ``index``: one ranking per digit of :func:`index_digits`."""
+def decode_profile(n: int, k: int, index: int) -> tuple[tuple[int, ...], ...]:
+    """The voters' order tuples of profile ``index``: :func:`rank_order` of each
+    digit of :func:`index_digits`."""
     if not 0 <= index < profile_space_size(n, k):
         raise ValueError(f"profile index {index} out of range for n={n}, k={k}")
-    return tuple(decode_ranking(k, d) for d in index_digits(n, k, index))
-
-
-def digits_index(k: int, digits) -> int:
-    """Profile index of per-voter ranking ranks (voter 0 first)."""
-    fact = factorial(k)
-    index = 0
-    for d in digits:
-        index = index * fact + d
-    return index
+    return tuple(rank_order(k, d) for d in index_digits(n, k, index))
 
 
 def index_digits(n: int, k: int, index: int) -> tuple[int, ...]:
-    """Per-voter ranking ranks of one profile index; inverse of :func:`digits_index`."""
+    """Per-voter ranking ranks of one profile index, voter 0 first."""
     fact = factorial(k)
     return tuple([index // stride % fact for stride in profile_strides(n, k)])
 
@@ -292,7 +234,7 @@ def rank_outcome_counts(table, n: int, k: int, i: int) -> list[list[int]]:
 
 @lru_cache(maxsize=None)
 def ranks_preferring(k: int, a: int, b: int) -> tuple[int, ...]:
-    """Ranking ranks placing a above b, ascending. Exactly k!/2 of them."""
+    """The ranks of the rankings placing a above b, ascending: k!/2 of them."""
     return tuple(r for r, pos in enumerate(ranking_positions(k)) if pos[a] < pos[b])
 
 
@@ -355,6 +297,14 @@ def window_blocks(k: int, width: int) -> tuple[tuple[int, int, tuple[tuple[int, 
         moves = tuple(tuple(map(block_of.__getitem__, permutations(window))) for window in windows)
         blocks.append((factorial(m), factorial(m - w), moves))
     return tuple(blocks)
+
+
+def check_window_moves(k: int, width: int, cap: int) -> None:
+    """Refuse, before it is built, a :func:`window_moves` table over ``cap``:
+    ``k! (k-w+1) w!`` entries, w = min(width, k)."""
+    w = min(width, k)
+    check_cap(cap, "per-rank window table entries", k,
+              count=lambda: factorial(k) * (k - w + 1) * factorial(w))
 
 
 @lru_cache(maxsize=None)

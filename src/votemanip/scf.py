@@ -17,13 +17,11 @@ from .engine import check_seed
 from .errors import CapExceededError
 from .rankings import (
     MAX_TABLE_K,
-    Profile,
     RankTable,
     check_alternatives,
     check_cap,
     check_coordinate,
     class_tables,
-    digits_index,
     indicator,
     lane_int,
     profile_space_size,
@@ -84,15 +82,6 @@ class SCF:
             return before, evaluate(tuple(profile))
         return read
 
-    def check_profile(self, profile: Profile) -> None:
-        """Refuse a profile that is not n rankings of k alternatives."""
-        if len(profile) != self.n or any(r.k != self.k for r in profile):
-            raise ValueError(f"profile needs {self.n} rankings of {self.k} alternatives")
-
-    def evaluate(self, profile: Profile) -> int:
-        self.check_profile(profile)
-        return self.evaluate_orders(tuple(r.order for r in profile))
-
     def table(self) -> bytes:
         """One outcome byte per profile, indexed by profile index. Computed once, cached."""
         if self._table_cache is None:
@@ -145,10 +134,6 @@ class TableSCF(SCF):
             raise ValueError(f"table outcome {bad[0]!r} is not an alternative in [0, {k})")
         self._table_cache = bytes(outcomes)
 
-    def evaluate_orders(self, orders):
-        rank_of = ranking_rank_of(self.k)
-        return self._table_cache[digits_index(self.k, [rank_of[o] for o in orders])]
-
     def move_reader(self):
         """Both outcomes are table bytes: the move changes the index by
         ``(r2 - r)`` times voter i's stride."""
@@ -173,9 +158,6 @@ class Constant(SCF):
 
     def evaluate_orders(self, orders):
         return self.winner
-
-    def range(self) -> frozenset[int]:
-        return frozenset((self.winner,))
 
     def describe(self) -> dict:
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
@@ -304,9 +286,6 @@ class TopHDictator(SCF):
                 return alt
         raise AssertionError("unreachable: H nonempty")
 
-    def range(self) -> frozenset[int]:
-        return self.H
-
     def describe(self) -> dict:
         return {
             "rule": "top-h-dictator",
@@ -333,9 +312,6 @@ class OneCoordinate(SCF):
 
     def evaluate_orders(self, orders):
         return self.outcomes[ranking_rank_of(self.k)[orders[self.i]]]
-
-    def range(self) -> frozenset[int]:
-        return frozenset(self.outcomes)
 
     def describe(self) -> dict:
         return {
@@ -376,9 +352,6 @@ class PairBooleanSCF(SCF):
                 if alt == b:
                     break
         return self.bool_table[mask]
-
-    def range(self) -> frozenset[int]:
-        return frozenset(self.bool_table)
 
     def describe(self) -> dict:
         a, b = self.pair

@@ -1,10 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here works on plain order tuples (a few take the package's
-``Ranking`` values and read their order tuples) with nested loops and stays
-away from the package's index tables, candidate caches, census engine, and
-min-cut solver, so a disagreement points at a real defect rather than a
-shared bug.
+Everything here works on plain order tuples with nested loops and stays away
+from the package's index tables, candidate caches, census engine, and min-cut
+solver, so a disagreement points at a real defect rather than a shared bug.
 """
 import random
 from fractions import Fraction
@@ -12,11 +10,14 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from votemanip.rankings import Ranking
-
 
 def all_profiles(n, k):
     return list(product(permutations(range(k)), repeat=n))
+
+
+def table_evaluator(f):
+    """Order-tuple evaluator of f's table, read in lexicographic profile order."""
+    return dict(zip(all_profiles(f.n, f.k), f.table())).__getitem__
 
 
 def plurality_tuple(prof):
@@ -199,16 +200,19 @@ def table_distance(f, g):
     return Fraction(sum(x != y for x, y in pairs), len(pairs))
 
 
-def first_manipulable_profile(evaluate, n, k):
-    """The first profile in lexicographic order some voter can manipulate."""
-    perms = list(permutations(range(k)))
+def first_manipulation_pair(evaluate, n, k):
+    """(profile, altered profile, voter) of the first manipulation, or None: the
+    first profile in lexicographic order some voter can manipulate, its first
+    such voter, and that voter's first gaining order in ``permutations`` order
+    of its own."""
     for prof in all_profiles(n, k):
         out = evaluate(prof)
         for i in range(n):
             pos = {a: p for p, a in enumerate(prof[i])}
-            for cand in perms:
-                if pos[evaluate(prof[:i] + (cand,) + prof[i + 1:])] < pos[out]:
-                    return prof
+            for cand in permutations(prof[i]):
+                altered = prof[:i] + (cand,) + prof[i + 1:]
+                if pos[evaluate(altered)] < pos[out]:
+                    return prof, altered, i
     return None
 
 
@@ -428,9 +432,9 @@ def monotone_two_valued(n, k, seed):
     return (a, b), tuple(table)
 
 
-def encode_ranking(r):
-    """Lehmer rank of the ranking r among all k! rankings (lexicographic order)."""
-    order = r.order
+def encode_ranking(order):
+    """Lehmer rank of the ranking listed as ``order`` among all k! rankings
+    (lexicographic order)."""
     k = len(order)
     index = 0
     for j in range(k):
@@ -442,9 +446,16 @@ def encode_ranking(r):
 def encode_profile(profile):
     """Mixed-radix pack of the voters' Lehmer ranks, voter 0 most significant."""
     index = 0
-    for r in profile:
-        index = index * factorial(r.k) + encode_ranking(r)
+    for order in profile:
+        index = index * factorial(len(order)) + encode_ranking(order)
     return index
+
+
+def window_permutations(order, start, width):
+    """Every order obtained by permuting positions ``start .. start+width-1`` of
+    ``order``, in ``permutations`` order, ``order`` itself first."""
+    head, window, tail = order[:start], order[start:start + width], order[start + width:]
+    return [head + perm + tail for perm in permutations(window)]
 
 
 def all_adjacent_transpositions(k):
@@ -452,30 +463,30 @@ def all_adjacent_transpositions(k):
     return [(a, b) for a in range(k) for b in range(a + 1, k)]
 
 
-def apply_adjacent_transposition(r, t):
-    """Swap the pair t = (a, b) if a and b occupy consecutive positions in r,
-    else return r."""
-    pa, pb = map(r.order.index, t)
+def apply_adjacent_transposition(order, t):
+    """Swap the pair t = (a, b) if a and b occupy consecutive positions in
+    ``order``, else return ``order``."""
+    pa, pb = map(order.index, t)
     if abs(pa - pb) != 1:
-        return r
-    order = list(r.order)
-    order[pa], order[pb] = order[pb], order[pa]
-    return Ranking(tuple(order))
+        return order
+    swapped = list(order)
+    swapped[pa], swapped[pb] = order[pb], order[pa]
+    return tuple(swapped)
 
 
-def is_manipulation_pair(f, pair):
+def is_manipulation_pair(evaluate, pair):
     """Whether ``pair`` (profile, altered, coordinate) differs in that coordinate
     only, and the altered profile's outcome is strictly better for it under its
     true ranking."""
     sigma, tau, i = pair.profile, pair.altered, pair.coordinate
     if len(sigma) != len(tau) or not 0 <= i < len(sigma):
         return False
-    if any(c != i and r.order != s.order for c, (r, s) in enumerate(zip(sigma, tau))):
+    if any(c != i and r != s for c, (r, s) in enumerate(zip(sigma, tau))):
         return False
-    if sigma[i].order == tau[i].order:
+    if sigma[i] == tau[i]:
         return False
-    truth = sigma[i].order
-    return truth.index(f.evaluate(tau)) < truth.index(f.evaluate(sigma))
+    truth = sigma[i]
+    return truth.index(evaluate(tau)) < truth.index(evaluate(sigma))
 
 
 def monotone_violation_fraction(table):

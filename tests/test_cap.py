@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from votemanip import manip, rankings, scf
+from votemanip import fibers, graphs, manip, rankings, scf
 from votemanip.errors import CapExceededError
 from votemanip.fibers import FiberVariant, fiber_sweep, local_dictator_sets
 from votemanip.graphs import (
@@ -131,6 +131,35 @@ def test_witnesses_and_derived_scfs_carry_the_cap():
         kinds |= {type(g).__name__ for g in derived}
     # Every kind of witness the distances and membership build.
     assert kinds == {"OneCoordinate", "TableSCF", "TopHDictator", "MonotoneTwoValued"}
+
+
+# Borda (1,5) has 120 table entries. Local dictators (36 profiles on pair 0, 1)
+# read window_moves(5, 3), 120 * 3 * 6 = 2160 entries; refined edges and refined
+# fibers read the swaps of window_moves(5, 2), 120 * 4 * 2 = 960 entries.
+MOVE_TABLE_CALLS = {
+    "local_dictator_sets": (2160, lambda f: local_dictator_sets(f, 0, (0, 1))),
+    "refined_edge_counts": (960, lambda f: refined_edge_counts(f, 0)),
+    "refined_fiber_sweep": (960, lambda f: fiber_sweep(f, 0, (0, 1), FiberVariant.REFINED,
+                                                       GAMMA)),
+}
+
+
+@pytest.mark.parametrize("name", MOVE_TABLE_CALLS)
+def test_move_tables_past_the_cap_are_refused_before_any_table(monkeypatch, name):
+    entries, call = MOVE_TABLE_CALLS[name]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    with monkeypatch.context() as patch:
+        for module in (rankings, fibers, graphs, manip):
+            for table in ("window_moves", "adjacent_swap_neighbors", "ranks_adjacent_above"):
+                if hasattr(module, table):
+                    patch.setattr(module, table, refuse)
+        patch.setattr(Borda, "_build_table", refuse)
+        with pytest.raises(CapExceededError):
+            call(Borda(1, 5, cap=entries - 1))
+    assert call(Borda(1, 5, cap=entries)) == call(Borda(1, 5))
 
 
 def test_the_sampler_builds_no_table_past_the_cap(monkeypatch):

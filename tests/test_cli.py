@@ -116,6 +116,40 @@ def test_local_dictators_report():
     assert len(doc["result"]["profiles"]) == 20
 
 
+def test_local_dictators_decode_only_the_profiles_listed(monkeypatch):
+    from votemanip import fibers
+
+    argv = ["local-dictators", "--rule", "borda", "-n", "3", "-k", "4",
+            "--pair", "1,2", "--coordinate", "1"]
+    full = run_json([*argv, "--max-list", "100000"])[1]["result"]
+    decoded = []
+    for module in (rankings, fibers):
+        if hasattr(module, "decode_profile"):
+            def counted(n, k, index, decode=module.decode_profile):
+                decoded.append(index)
+                return decode(n, k, index)
+            monkeypatch.setattr(module, "decode_profile", counted)
+    code, doc = run_json([*argv, "--max-list", "3"])
+    assert code == 0 and len(decoded) <= 3
+    assert doc["result"] == {"count": full["count"], "profiles": full["profiles"][:3]}
+    assert full["count"] > 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["local-dictators", "--pair", "1,2", "--coordinate", "1", "--cap", "2159"],
+    ["fibers", "--pair", "1,2", "--coordinate", "1", "--variant", "refined",
+     "--gamma", "1/3", "--cap", "959"],
+    ["influences", "--refined", "--cap", "959"],
+], ids=["local-dictators", "refined-fibers", "refined-influences"])
+def test_move_tables_past_the_cap_exit_2(argv, capsys):
+    # Borda (1,5): 120 table entries, under either cap; 2160 width-3 moves and
+    # 960 adjacent swaps, each one over its cap.
+    code, out = run_cli([*argv, "--rule", "borda", "-n", "1", "-k", "5"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "error: per-rank window table entries at k=5 exceed the cap")
+
+
 def test_local_dictators_rejects_negative_max_list():
     # A negative slice bound used to list all but the last profiles.
     code, out = run_cli([

@@ -38,6 +38,7 @@ from votemanip.manip import (
 from votemanip.metrics import distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.rankings import (
     class_tables,
+    decode_profile,
     fiber_outcome_counts,
     rank_outcome_counts,
 )
@@ -154,8 +155,9 @@ def test_nonmanip_bar_two_valued_witness_is_the_list_relabelling(n, k):
         assert witness.table() == bytes(_relabelled(f.table(), k))
 
 
-def _orders(profiles):
-    return {tuple(r.order for r in prof) for prof in profiles}
+def _decoded(f, indices):
+    """The order tuples of profile indices, in their order."""
+    return [decode_profile(f.n, f.k, index) for index in indices]
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,10 +175,10 @@ def test_census_and_classification_match_oracle(subject):
 def _classification_matches_oracle(f, evaluate):
     """Check the gs-classify verdict, its witness and membership; return the verdict."""
     verdict = gs_classify(f)
-    first = oracles.first_manipulable_profile(evaluate, f.n, f.k)
+    first = oracles.first_manipulation_pair(evaluate, f.n, f.k)
     assert verdict.manipulable == (first is not None)
     if first is not None:
-        assert tuple(r.order for r in verdict.witness_pair.profile) == first
+        assert verdict.witness_pair.profile == first[0]
     else:
         assert verdict.witness_member.table() == f.table()
     member = nonmanip_membership(f)
@@ -184,6 +186,23 @@ def _classification_matches_oracle(f, evaluate):
     if member is not None:
         assert member.table() == f.table()
     return verdict.manipulable
+
+
+@settings(max_examples=30, deadline=None)
+@given(subjects(SHAPES + EDGE_SHAPES))
+def test_gs_classify_witness_is_the_first_manipulation_pair(subject):
+    # The whole witness: the first manipulable profile, its first gaining
+    # voter, and that voter's first gaining order in permutations order.
+    f, evaluate = subject
+    first = oracles.first_manipulation_pair(evaluate, f.n, f.k)
+    witness = gs_classify(f).witness_pair
+    assert (None if witness is None
+            else (witness.profile, witness.altered, witness.coordinate)) == first
+    if first is not None:
+        profile, altered, i = first
+        assert witness.describe() == {"coordinate": i + 1,
+                                      "profile": [[x + 1 for x in o] for o in profile],
+                                      "altered": [[x + 1 for x in o] for o in altered]}
 
 
 @settings(max_examples=25, deadline=None)
@@ -406,8 +425,8 @@ def test_fiber_sets_match_oracle(subject, data):
     n, k = f.n, f.k
     a, b = data.draw(st.sampled_from(list(permutations(range(k), 2))))
     for i in range(n):
-        assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
-            evaluate, n, k, i, a, b)
+        assert _decoded(f, local_dictator_sets(f, i, (a, b))) == sorted(
+            oracles.local_dictator_profiles(evaluate, n, k, i, a, b))
 
 
 @settings(max_examples=15, deadline=None)
@@ -416,8 +435,8 @@ def test_local_dictators_match_oracle_at_edge_shapes(subject, data):
     f, evaluate = subject
     a, b = data.draw(st.sampled_from(list(permutations(range(f.k), 2))))
     for i in range(f.n):
-        assert _orders(local_dictator_sets(f, i, (a, b))) == oracles.local_dictator_profiles(
-            evaluate, f.n, f.k, i, a, b)
+        assert _decoded(f, local_dictator_sets(f, i, (a, b))) == sorted(
+            oracles.local_dictator_profiles(evaluate, f.n, f.k, i, a, b))
 
 
 @settings(max_examples=15, deadline=None)

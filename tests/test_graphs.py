@@ -170,7 +170,7 @@ def test_transposition_partition_of_refined_boundary():
     f = random_table_scf(2, 3, 77)
     for i in range(2):
         inf = CoordinateInfluences(f, i)
-        edges = oracles.refined_edge_counts(f.evaluate_orders, 2, 3, i)
+        edges = oracles.refined_edge_counts(oracles.table_evaluator(f), 2, 3, i)
         for a in range(3):
             for b in range(3):
                 if a == b:
@@ -232,6 +232,6 @@ def test_neighbor_degrees_small_shapes():
             size = factorial(k) ** n
             indices = range(size) if size <= 1296 else range(0, size, 97)
             for index in indices:
-                ranks = tuple(ranking_orders(k).index(r.order) for r in decode_profile(n, k, index))
+                ranks = tuple(map(ranking_orders(k).index, decode_profile(n, k, index)))
                 assert len(coarse_neighbors(ranks, k)) == n * (factorial(k) - 1)
                 assert len(refined_neighbors(ranks, k)) == n * (k - 1)

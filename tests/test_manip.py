@@ -15,13 +15,12 @@ from votemanip.manip import (
     census,
     exact_pair_probability,
     gs_classify,
-    is_r_manipulation_point,
     nonmanip_membership,
     sample_success,
 )
 from votemanip.metrics import distance_to_nonmanip
 from votemanip.verify import sweep_random_tables
-from votemanip.rankings import decode_profile, decode_ranking, profile_space_size
+from votemanip.rankings import decode_profile, rank_order
 from votemanip.scf import (
     Borda,
     Constant,
@@ -36,23 +35,21 @@ from votemanip.scf import (
 
 def test_top_dictator_has_no_witnesses():
     f = TopHDictator(2, 3, 0, {0, 2})
-    for index in range(profile_space_size(2, 3)):
-        assert is_r_manipulation_point(f, decode_profile(2, 3, index), 3) is None
+    assert census(f, (2, 3)).counts == oracles.census_counts(
+        f.evaluate_orders, 2, 3, (2, 3))[1] == {2: 0, 3: 0}
 
 
 def test_monotone_two_valued_has_no_witnesses():
     f = random_monotone_two_valued(2, 3, 21)
-    for index in range(profile_space_size(2, 3)):
-        assert is_r_manipulation_point(f, decode_profile(2, 3, index), 3) is None
+    assert census(f, (2, 3)).counts == oracles.census_counts(
+        f.evaluate_orders, 2, 3, (2, 3))[1] == {2: 0, 3: 0}
 
 
 def test_witness_set_matches_oracle_plurality():
+    # The profiles the width-k census flags, against a direct scan.
     f = Plurality(3, 3)
-    mine = {
-        index
-        for index in range(profile_space_size(3, 3))
-        if is_r_manipulation_point(f, decode_profile(3, 3, index), 3) is not None
-    }
+    flags = manip._manipulation_flags(f.table(), 3, 3, (3,))
+    mine = {index for index, flag in enumerate(flags.to_bytes(216, "little")) if flag}
     # Oracle: direct nested-loop detection at full width.
     direct = set()
     perms = list(permutations(range(3)))
@@ -74,14 +71,10 @@ def test_witness_set_matches_oracle_plurality():
 
 def test_witness_validates_and_r_precondition():
     f = Borda(2, 3)
-    found = None
-    for index in range(36):
-        found = is_r_manipulation_point(f, decode_profile(2, 3, index), 2)
-        if found:
-            break
-    assert found and oracles.is_manipulation_pair(f, found)
-    with pytest.raises(ValueError):
-        is_r_manipulation_point(f, decode_profile(2, 3, 0), 1)
+    found = gs_classify(f).witness_pair
+    assert found and oracles.is_manipulation_pair(f.evaluate_orders, found)
+    with pytest.raises(ValueError, match="r values must be >= 2"):
+        census(f, (1, 2))
 
 
 def test_census_pinned_regressions():
@@ -102,9 +95,7 @@ def test_census_matches_oracle_on_random_tables():
     for seed in (1, 2, 3):
         f = random_table_scf(2, 3, seed)
         cen = census(f, (2, 3))
-        total, counts = oracles.census_counts(
-            lambda prof: f.evaluate_orders(prof), 2, 3, (2, 3)
-        )
+        total, counts = oracles.census_counts(oracles.table_evaluator(f), 2, 3, (2, 3))
         assert cen.total_profiles == total
         assert {r: cen.count(r) for r in (2, 3)} == counts
 
@@ -133,7 +124,7 @@ def test_gs_classify_recovers_dictator():
 def test_gs_classify_borda_manipulable():
     res = gs_classify(Borda(2, 3))
     assert res.manipulable
-    assert oracles.is_manipulation_pair(Borda(2, 3), res.witness_pair)
+    assert oracles.is_manipulation_pair(oracles.borda_tuple, res.witness_pair)
 
 
 def test_gs_classify_two_valued_witness():
@@ -170,7 +161,7 @@ def _full_scan_witness(f):
     """The first manipulation pair from the width-k flags of the whole table."""
     flags = manip._manipulation_flags(f.table(), f.n, f.k, (f.k,))
     hit = ((flags & -flags).bit_length() - 1) // 8
-    return is_r_manipulation_point(f, decode_profile(f.n, f.k, hit), f.k)
+    return manip._first_manipulation(f.table(), f.n, f.k, hit)
 
 
 def test_gs_classify_first_hit_equals_the_full_scan():
@@ -193,8 +184,9 @@ def test_gs_classify_first_hit_equals_the_full_scan():
                     witness = gs_classify(f).witness_pair
                     assert witness == _full_scan_witness(f)
                     if n < 4:
-                        first = oracles.first_manipulable_profile(f.evaluate_orders, n, k)
-                        assert tuple(r.order for r in witness.profile) == first
+                        first = oracles.first_manipulation_pair(
+                            oracles.table_evaluator(f), n, k)
+                        assert (witness.profile, witness.altered, witness.coordinate) == first
     assert early and late
 
 
@@ -261,9 +253,8 @@ def test_sampler_draws_equal_the_order_tuple_oracle():
                     successes, (index, i, r2) = manip._draws(
                         random.Random(seed).getrandbits, 1, manip._draw_plan(f, width))
                     profile = decode_profile(n, k, index)
-                    altered = profile[:i] + (decode_ranking(k, r2),) + profile[i + 1:]
-                    assert ((tuple(r.order for r in profile), tuple(r.order for r in altered),
-                             i, successes == 1)
+                    altered = profile[:i] + (rank_order(k, r2),) + profile[i + 1:]
+                    assert ((profile, altered, i, successes == 1)
                             == oracles.sampler_draw(random.Random(seed), evaluate, n, k, width))
                 expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3,
                                                      engine.SAMPLE_BLOCK)
@@ -363,8 +354,7 @@ def test_exact_pair_probability_pinned_and_oracle():
 
     g = Plurality(2, 4)
     assert exact_pair_probability(g, width=4) == oracles.pair_probability(
-        lambda prof: g.evaluate_orders(prof), 2, 4, 4
-    )
+        g.evaluate_orders, 2, 4, 4)
 
 
 def test_sampler_three_window_variant():
@@ -432,24 +422,17 @@ def test_gs_classify_finds_a_late_first_hit():
     for n, k in ((2, 3), (3, 3), (2, 4)):
         table = bytearray(TopHDictator(n, k, 0, range(k)).table())
         table[-1] = (table[-1] + 1) % k
-        evaluate = dict(zip(oracles.all_profiles(n, k), table)).__getitem__
-        first = oracles.first_manipulable_profile(evaluate, n, k)
-        verdict = gs_classify(TableSCF(n, k, bytes(table)))
-        assert verdict.manipulable
-        assert tuple(r.order for r in verdict.witness_pair.profile) == first
+        f = TableSCF(n, k, bytes(table))
+        first = oracles.first_manipulation_pair(oracles.table_evaluator(f), n, k)
+        witness = gs_classify(f).witness_pair
+        assert (witness.profile, witness.altered, witness.coordinate) == first
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_witness_search_agrees_with_census(seed):
-    # The per-profile witness op and the table-driven census are independent
-    # code paths; their per-r membership counts must coincide.
+    # The direct per-profile window search and the table-driven census are
+    # independent code paths; their per-r membership counts must coincide.
     f = random_table_scf(2, 3, seed)
     cen = census(f, (2, 3))
-    for r in (2, 3):
-        via_op = sum(
-            1
-            for index in range(profile_space_size(2, 3))
-            if is_r_manipulation_point(f, decode_profile(2, 3, index), r) is not None
-        )
-        assert via_op == cen.count(r)
+    assert oracles.census_counts(oracles.table_evaluator(f), 2, 3, (2, 3))[1] == cen.counts

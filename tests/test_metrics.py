@@ -243,9 +243,7 @@ def test_an_alternative_must_lie_in_range(call, a):
 def test_influence_pair_matches_oracle():
     f = random_table_scf(2, 3, 60)
     got = CoordinateInfluences(f, 1).influence(0, 2)
-    want = oracles.influence_pair_fraction(
-        lambda prof: f.evaluate_orders(prof), 2, 3, 1, 0, 2
-    )
+    want = oracles.influence_pair_fraction(oracles.table_evaluator(f), 2, 3, 1, 0, 2)
     assert got == want
 
 
@@ -254,15 +252,16 @@ def test_influence_refined_against_direct_count():
     from votemanip.rankings import decode_profile, profile_space_size
 
     f = random_table_scf(2, 3, 91)
+    evaluate = oracles.table_evaluator(f)
     for a, b in ((0, 1), (1, 2)):
         for i in range(2):
             hits = 0
             for index in range(profile_space_size(2, 3)):
                 p = decode_profile(2, 3, index)
-                if f.evaluate(p) != a:
+                if evaluate(p) != a:
                     continue
                 q = p[:i] + (oracles.apply_adjacent_transposition(p[i], (a, b)),) + p[i + 1:]
-                if f.evaluate(q) == b:
+                if evaluate(q) == b:
                     hits += 1
             assert CoordinateInfluences(f, i).influence(a, b, GraphKind.SWAP) == Fraction(
                 hits, 2 * 36)
@@ -274,13 +273,14 @@ def test_influence_refined_sums_over_transpositions():
     from votemanip.rankings import decode_profile, profile_space_size
 
     f = random_table_scf(2, 3, 61)
+    evaluate = oracles.table_evaluator(f)
     hits = 0
     for index in range(profile_space_size(2, 3)):
         p = decode_profile(2, 3, index)
-        if f.evaluate(p) == 1:
+        if evaluate(p) == 1:
             for z in oracles.all_adjacent_transpositions(3):
                 q = (oracles.apply_adjacent_transposition(p[0], z), p[1])
-                hits += f.evaluate(q) == 2
+                hits += evaluate(q) == 2
     assert CoordinateInfluences(f, 0).influence(1, 2, GraphKind.REFINED) == Fraction(hits, 2 * 36)
 
 

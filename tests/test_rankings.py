@@ -12,14 +12,13 @@ from oracles import (
     apply_adjacent_transposition,
     encode_profile,
     encode_ranking,
+    window_permutations,
 )
 from votemanip.rankings import (
-    Ranking,
     adjacent_swap_neighbors,
+    check_window_moves,
     class_tables,
     decode_profile,
-    decode_ranking,
-    digits_index,
     index_digits,
     join_class_tables,
     outcome_counts,
@@ -30,34 +29,32 @@ from votemanip.rankings import (
     top_h_by_rank,
     window_destinations,
     window_moves,
-    window_permutations,
 )
+from votemanip.errors import CapExceededError
 from votemanip.scf import random_table_scf
 
 
 def rankings_st(k_min=2, k_max=6):
-    return st.integers(k_min, k_max).flatmap(
-        lambda k: st.permutations(list(range(k))).map(lambda o: Ranking(tuple(o)))
-    )
+    return st.integers(k_min, k_max).flatmap(lambda k: st.permutations(list(range(k))).map(tuple))
 
 
 def test_adjacent_swap_forced():
-    r = Ranking((0, 1, 2))
-    assert apply_adjacent_transposition(r, (0, 1)).order == (1, 0, 2)
+    assert apply_adjacent_transposition((0, 1, 2), (0, 1)) == (1, 0, 2)
 
 
 def test_non_adjacent_is_identity():
-    r = Ranking((0, 2, 1))
+    r = (0, 2, 1)
     assert apply_adjacent_transposition(r, (0, 1)) is r
 
 
 @given(rankings_st())
 def test_transposition_involution_and_support(r):
-    for t in all_adjacent_transpositions(r.k):
+    k = len(r)
+    for t in all_adjacent_transpositions(k):
         once = apply_adjacent_transposition(r, t)
-        assert apply_adjacent_transposition(once, t).order == r.order
-        moved = {p for p in range(r.k) if once.order[p] != r.order[p]}
-        assert moved in (set(), {r.inv[t[0]], r.inv[t[1]]})
+        assert apply_adjacent_transposition(once, t) == r
+        moved = {p for p in range(k) if once[p] != r[p]}
+        assert moved in (set(), {r.index(t[0]), r.index(t[1])})
 
 
 def test_transposition_count():
@@ -72,72 +69,59 @@ def test_top_restricted_examples():
 
 
 def test_window_singleton_and_full():
-    r = Ranking((2, 0, 3, 1))
-    assert window_permutations(r, 1, 1) == [r]
-    full = window_permutations(r, 0, 4)
-    assert len(full) == 24
-    assert len({w.order for w in full}) == 24
-    assert full[0] == r
+    # The draws of rank r: per window start, its permutations, r itself first.
+    r = encode_ranking((2, 0, 3, 1))
+    assert window_moves(4, 1)[r] == (r,) * 4
+    full = window_moves(4, 4)[r]
+    assert len(set(full)) == 24 and full[0] == r
     # width is clamped beyond k
-    assert len(window_permutations(r, 0, 99)) == 24
+    assert window_moves(4, 99) == window_moves(4, 4)
 
 
 def test_window_interior():
-    r = Ranking((4, 1, 0, 3, 2))
-    out = window_permutations(r, 1, 3)
-    assert len(out) == 6
+    # Start 1 of width 3 on k = 5: draws 6..11 keep positions 0 and 4.
+    out = [rank_order(5, d) for d in window_moves(5, 3)[encode_ranking((4, 1, 0, 3, 2))][6:12]]
+    assert len(set(out)) == 6
     for w in out:
-        assert w.order[0] == 4 and w.order[4] == 2
-        assert set(w.order[1:4]) == {1, 0, 3}
+        assert w[0] == 4 and w[4] == 2
+        assert set(w[1:4]) == {1, 0, 3}
 
 
 def test_window_closure():
-    r = Ranking((0, 1, 2, 3))
-    first = set(w.order for w in window_permutations(r, 1, 2))
-    again = {
-        v.order
-        for w in window_permutations(r, 1, 2)
-        for v in window_permutations(w, 1, 2)
-    }
-    assert again == first
-
-
-def test_window_start_out_of_range():
-    with pytest.raises(ValueError):
-        window_permutations(Ranking((0, 1, 2)), 2, 2)
+    # The draws of start 1 at width 2 from any of them give the same set.
+    first = set(window_moves(4, 2)[0][2:4])
+    assert {v for w in first for v in window_moves(4, 2)[w][2:4]} == first
 
 
 def test_identity_is_index_zero():
     for k in range(1, 6):
-        assert encode_ranking(Ranking(tuple(range(k)))) == 0
-        assert decode_ranking(k, 0).order == tuple(range(k))
+        assert encode_ranking(tuple(range(k))) == 0
+        assert rank_order(k, 0) == tuple(range(k))
 
 
 def test_round_trip_exhaustive():
     for k in range(1, 7):
         seen = set()
         for index in range(factorial(k)):
-            r = decode_ranking(k, index)
+            r = rank_order(k, index)
             assert encode_ranking(r) == index
-            seen.add(r.order)
+            seen.add(r)
         assert len(seen) == factorial(k)
 
 
 def test_bijection_k3():
-    indices = {encode_ranking(Ranking(p)) for p in permutations(range(3))}
+    indices = {encode_ranking(p) for p in permutations(range(3))}
     assert indices == set(range(6))
 
 
 def test_profile_index_mixed_radix():
-    r1, r2 = decode_ranking(3, 4), decode_ranking(3, 1)
+    r1, r2 = rank_order(3, 4), rank_order(3, 1)
     assert encode_profile((r1, r2)) == 6 * 4 + 1
-    assert decode_profile(2, 3, 25) == (decode_ranking(3, 4), decode_ranking(3, 1))
+    assert decode_profile(2, 3, 25) == (r1, r2) == ((2, 0, 1), (0, 2, 1))
     with pytest.raises(ValueError):
         decode_profile(2, 3, 36)
     with pytest.raises(ValueError):
-        decode_ranking(3, 6)
-    with pytest.raises(ValueError):
-        decode_ranking(3, -1)
+        decode_profile(2, 3, -1)
 
 
 @given(st.integers(0, factorial(4) ** 2 - 1))
@@ -148,7 +132,7 @@ def test_profile_round_trip(index):
 def test_window_destinations_cover_window_permutations():
     k = 4
     for rank in range(factorial(k)):
-        r = decode_ranking(k, rank)
+        r = rank_order(k, rank)
         expected = {
             encode_ranking(w)
             for s in range(k - 2)
@@ -157,18 +141,12 @@ def test_window_destinations_cover_window_permutations():
         assert set(window_destinations(k, 3)[rank]) == expected
 
 
-def test_ranking_validation():
-    with pytest.raises(ValueError):
-        Ranking((0, 0, 2))
-
-
 @pytest.mark.parametrize("n, k", [(1, 3), (3, 3), (2, 4)])
 def test_layout_helpers_agree_with_profile_decoding(n, k):
     size = profile_space_size(n, k)
     profiles = [decode_profile(n, k, p) for p in range(size)]
     ranks = [tuple(encode_ranking(r) for r in prof) for prof in profiles]
     assert [index_digits(n, k, p) for p in range(size)] == ranks
-    assert [digits_index(k, d) for d in ranks] == list(range(size))
     # Per voter, the table of that voter's rank in each profile.
     voter_tables = [bytes(d[v] for d in ranks) for v in range(n)]
     for i in range(n):
@@ -215,11 +193,19 @@ def test_top_h_by_rank_and_window_moves():
     for k in (3, 4, 5):
         for width in range(2, k + 1):
             for rank, moves in enumerate(window_moves(k, width)):
-                r = decode_ranking(k, rank)
-                assert [decode_ranking(k, d) for d in moves] == [
+                r = rank_order(k, rank)
+                assert [rank_order(k, d) for d in moves] == [
                     w for start in range(k - width + 1)
                     for w in window_permutations(r, start, width)
                 ]
+
+
+@pytest.mark.parametrize("k, width", [(1, 3), (3, 2), (3, 4), (5, 2), (5, 3)])
+def test_window_move_tables_are_refused_past_the_cap_on_their_entry_count(k, width):
+    entries = sum(map(len, window_moves(k, width)))
+    check_window_moves(k, width, entries)
+    with pytest.raises(CapExceededError):
+        check_window_moves(k, width, entries - 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -230,7 +216,7 @@ def test_adjacent_swap_neighbors_swap_each_position_pair_in_position_order(k):
             swapped = list(order)
             swapped[p], swapped[p + 1] = order[p + 1], order[p]
             pair = sorted(order[p:p + 2])
-            expected.append((encode_ranking(Ranking(tuple(swapped))), *pair))
+            expected.append((encode_ranking(tuple(swapped)), *pair))
         assert list(moves) == expected
 
 
