@@ -30,7 +30,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # n=9, k=3 (1.0e7 profiles) past it; then the seeded paths: random:0 at n=5,
 # k=4, whose table is drawn, local dictators on Borda there (190,800 found,
 # 20 decoded), and the sampler past the cap and at k = 9, where it fills
-# per-rank values only for the ranks it draws.
+# per-rank values only for the ranks it draws; then one voter, where the
+# per-rank tables, not the profile table, set the reach.
 SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]
 COMMANDS = [("census",), ("distance",), ("influences", "--refined"), ("gs-classify",)]
 SEEDED_CALLS = [
@@ -43,10 +44,11 @@ SEEDED_CALLS = [
     "sample borda 4 5 --samples 300000",
     "sample borda 2 9 --samples 10",
 ]
+ONE_VOTER_CALLS = ["gs-classify borda 1 7", "census borda 1 7", "influences borda 1 8"]
 DEFAULT_CALLS = [
     f"{' '.join(command)} borda {n} {k} {' '.join(extra)}".strip()
     for n, k, extra in SHAPES for command in COMMANDS
-] + SEEDED_CALLS
+] + SEEDED_CALLS + ONE_VOTER_CALLS
 
 
 def parse_call(text: str) -> list[str]:

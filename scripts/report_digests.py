@@ -46,9 +46,8 @@ STATEMENTS = [(("1.2", "3.1", "7.1", "2.1", "5.3", "1.5"), ((2, 3), (3, 3))),
 SAMPLE_SHAPES = [(2, 4), (3, 5)]
 SAMPLE_WIDTHS = ["3", "4"]
 # random:0 where k is 1 or its draws take 3 or 4 bits: census at k = 1; at
-# n = 1 distance lists every outcome (its one-coordinate witness is the
-# table), and census would refuse the window tables of k >= 7; at k = 8 the
-# sampler, as distance there takes seconds.
+# n = 1, k = 7 distance, which lists every outcome (its one-coordinate witness
+# is the table); at k = 8 the sampler, as distance there takes seconds.
 RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
                 ["distance", "--rule", "random:0", "-n", "1", "-k", "7"],
                 ["sample", "--rule", "random:0", "-n", "1", "-k", "8", "--samples", "5000"]]
@@ -92,15 +91,16 @@ def cap_edges() -> list[list[str]]:
     """Calls one entry either side of a cap, so a diff also covers refusals.
 
     Borda at (3,3) has 216 table entries: every exact call of the grid is
-    refused at ``--cap 215`` and runs at 216. The census window tables at
-    k = 3 have 30 entries: ``top:1`` at (1,3) is refused at 29 and runs at 30.
+    refused at ``--cap 215`` and runs at 216. On ``top:1`` at (1,3), `census`
+    reads the 24 entries of the width-2 window moves: refused at 23, runs at
+    24; `gs-classify` reads only the 6-entry table: refused at 5, runs at 6.
     ``table-b.json`` (216 entries) is refused at 215 as it is read.
     """
     borda = exact_calls("borda", 3, 3)
-    top = [[command, "--rule", "top:1", "-n", "1", "-k", "3"]
-           for command in ("census", "gs-classify")]
+    top = ["--rule", "top:1", "-n", "1", "-k", "3"]
     return ([[*call, "--cap", cap] for cap in ("215", "216") for call in borda]
-            + [[*call, "--cap", cap] for cap in ("29", "30") for call in top]
+            + [[command, *top, "--cap", cap] for command, caps in
+               (("census", ("23", "24")), ("gs-classify", ("5", "6"))) for cap in caps]
             + [["census", "--table", TABLES[1][0], "--cap", "215"]])
 
 

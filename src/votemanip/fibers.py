@@ -21,7 +21,6 @@ from operator import and_, or_
 from typing import Sequence
 
 from .rankings import (
-    adjacent_swap_neighbors,
     check_alternatives,
     check_coordinate,
     check_window_moves,
@@ -31,7 +30,6 @@ from .rankings import (
     lane_int,
     rank_classes,
     ranking_orders,
-    ranking_positions,
     ranks_preferring,
     window_moves,
 )
@@ -44,11 +42,11 @@ def key_string(key: Sequence[int]) -> str:
 
 @lru_cache(maxsize=None)
 def ranks_adjacent_above(k: int, a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """(rank, swapped rank) for rankings with a directly above b."""
-    pos = ranking_positions(k)
-    pair = (min(a, b), max(a, b))
-    return tuple((r, dest) for r, moves in enumerate(adjacent_swap_neighbors(k))
-                 for dest, x, y in moves if (x, y) == pair and pos[r][a] < pos[r][b])
+    """(rank, swapped rank) for rankings with a directly above b: the
+    width-2 :func:`rankings.window_moves` draw swapping a's position p and p + 1."""
+    return tuple((r, moves[2 * p + 1]) for r, (order, moves)
+                 in enumerate(zip(ranking_orders(k), window_moves(k, 2)))
+                 for p in range(k - 1) if order[p:p + 2] == (a, b))
 
 
 class FiberVariant(Enum):

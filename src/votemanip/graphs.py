@@ -24,7 +24,6 @@ from typing import Iterator, Optional
 
 from .errors import CapExceededError
 from .rankings import (
-    adjacent_swap_neighbors,
     check_alternatives,
     check_coordinate,
     check_window_moves,
@@ -34,6 +33,8 @@ from .rankings import (
     pair_lanes,
     profile_space_size,
     rank_classes,
+    ranking_orders,
+    window_moves,
 )
 from .scf import SCF
 
@@ -48,7 +49,8 @@ class GraphKind(Enum):
 
 
 # Headroom: transition_counts sums indicator lanes over at most this many rank
-# parts, so a lane stays below 256 (k! passes 255 from k = 6).
+# parts, so a byte lane stays below 256 (k! passes 255 from k = 6), then adds
+# the groups in lanes of ceil(bitlen(k!) / 8) bytes, which hold k!.
 LANE_GROUP = 255
 
 
@@ -57,28 +59,33 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
     moves the outcome from a to b.
 
     A line with outcome counts ``C`` holds ``C_a * C_b`` such pairs. Outcome a's
-    indicator lanes summed over a group of rank parts give ``C_a`` per line,
-    and over the bit planes of two groups' sums, ``sum C_a C_b`` is the sum of
-    ``2^(t+u) popcount(plane_{a,t} & plane_{b,u})``. Row a sums to k! times
+    indicator lanes summed over the rank parts (by ``LANE_GROUP``) give ``C_a``
+    per line, and over the bit planes of two such sums, ``sum C_a C_b`` is the
+    sum of ``2^(t+u) popcount(plane_{a,t} & plane_{b,u})``. Row a sums to k! times
     the profiles electing a, ``sum 2^t popcount(plane_{a,t})``, which gives
     the diagonal with no pass over the table.
     """
     k = f.k
     parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
-    ones = int.from_bytes(b"\x01" * len(parts[0]), "little")
-    planes = [[] for _ in range(k)]
-    for first in range(0, len(parts), LANE_GROUP):
+    fact, lanes = len(parts), len(parts[0])
+    width = (fact.bit_length() + 7) // 8
+    totals = [0] * k
+    for first in range(0, fact, LANE_GROUP):
         group = parts[first:first + LANE_GROUP]
-        for a, out in enumerate(planes):
-            total = sum(lane_int(part, indicator(a)) for part in group)
-            out += [(t, total >> t & ones) for t in range(len(group).bit_length())]
+        for a in range(k):
+            wide = bytearray(lanes * width)
+            wide[::width] = sum(lane_int(part, indicator(a)) for part in group).to_bytes(
+                lanes, "little")
+            totals[a] += int.from_bytes(wide, "little")
+    ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * lanes, "little")
+    planes = [[(t, total >> t & ones) for t in range(fact.bit_length())] for total in totals]
     moves = [[0] * k for _ in range(k)]
     for a, b in combinations(range(k), 2):
         moves[a][b] = moves[b][a] = sum(
             (x & y).bit_count() << (t + u) for t, x in planes[a] for u, y in planes[b])
     for a, row in enumerate(moves):
         mass = sum(x.bit_count() << t for t, x in planes[a])
-        row[a] = len(parts) * mass - sum(row)
+        row[a] = fact * mass - sum(row)
     return moves
 
 
@@ -99,11 +106,12 @@ def refined_edge_counts(f: SCF, i: int) -> tuple[list[list[int]], list[list[int]
     ints = [int.from_bytes(part, "little") for part in parts]
     every = [[0] * k for _ in range(k)]
     swap = [[0] * k for _ in range(k)]
-    # Every refined edge of a line once, as (rank, rank after the swap, swap),
-    # and counted in both directions.
-    for r, moves in enumerate(adjacent_swap_neighbors(k)):
-        for s, c, d in moves:
+    # Every refined edge of a line once, from rank r to the rank s its swap of
+    # positions p and p + 1 (the pair c, d) gives, and counted in both directions.
+    for r, (order, moves) in enumerate(zip(ranking_orders(k), window_moves(k, 2))):
+        for p, s in enumerate(moves[1::2]):
             if r < s:
+                c, d = order[p:p + 2]
                 pairs = pair_lanes(ints[r], ints[s], lanes)
                 for a, b in permutations(range(k), 2):
                     edges = pairs.count(a << 4 | b)

@@ -48,7 +48,6 @@ from .rankings import (
     ranking_rank_of,
     top_h_by_rank,
     window_blocks,
-    window_destinations,
     window_moves,
 )
 from .scf import (
@@ -121,11 +120,15 @@ def _check_lanes(k: int) -> None:
         raise ValueError(f"one-hot byte lanes hold k <= {MAX_LANE_K} alternatives, got k={k}")
 
 
-def check_window_tables(k: int, cap: int) -> None:
-    """Refuse, before any table is built, per-rank window tables (``k! (k! - 1)``
-    entries) over ``cap`` and k past the byte lanes."""
-    check_cap(cap, "per-rank window table entries", k,
-              count=lambda: factorial(k) * (factorial(k) - 1))
+def check_census(n: int, k: int, r_values, cap: int) -> None:
+    """Refuse, before anything is built, what a census at ``r_values`` builds:
+    the ``(k!)^n`` table and the :func:`rankings.window_moves` table of each
+    width w < k over ``cap`` (width k reads every rank and builds none), then
+    k past the byte lanes."""
+    check_cap(cap, "(k!)^n table entries", k, n)
+    for r in _census_rs(k, r_values):
+        if r < k:
+            check_window_moves(k, r, cap)
     _check_lanes(k)
 
 
@@ -171,8 +174,10 @@ def _manipulation_flags(table, n: int, k: int, widths: tuple[int, ...]) -> int:
         for r, gain in enumerate(U):
             flag = 0
             for w in widths:
+                # The row's distinct ranks: repeats would only OR a lane in
+                # again, and r itself is harmless, as U_r & V[r] is 0.
                 reach = every if w == k else reduce(
-                    or_, map(V.__getitem__, window_destinations(k, w)[r]))
+                    or_, map(V.__getitem__, set(window_moves(k, w)[r])))
                 x = gain & reach
                 flag |= ((x | ((x & low) + low)) & top) >> (9 - w)
             flags.append(flag.to_bytes(lanes, "little"))
@@ -200,9 +205,8 @@ def _first_block_flags(table, n: int, k: int) -> int:
 def census(f: SCF, r_values=None) -> ManipulationCensus:
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself:
     :func:`census_tables` on f's table alone."""
-    rs = _census_rs(f.k, r_values)
-    check_window_tables(f.k, f.cap)
-    [counted] = census_tables([f.table()], f.n, f.k, rs)
+    check_census(f.n, f.k, r_values, f.cap)
+    [counted] = census_tables([f.table()], f.n, f.k, r_values)
     return counted
 
 
@@ -226,10 +230,9 @@ def census_tables(tables, n: int, k: int, r_values=None) -> list[ManipulationCen
     a profile's byte, and |M_r| of a table is the number of its flag bytes
     with bit ``min(r, k) - 2`` set: that bit plane's popcount for one table,
     and per table a count over its span of the plane's bytes. The caller
-    checks the window tables' cap (:func:`check_window_tables`).
+    checks the cap and the lanes (:func:`check_census`).
     """
     rs = _census_rs(k, r_values)
-    _check_lanes(k)
     widths = [min(r, k) for r in rs]
     size = profile_space_size(n, k)
     if any(len(table) != size for table in tables):
@@ -437,7 +440,8 @@ def nonmanip_membership(f: SCF) -> Optional[SCF]:
     # Dictator branch: f must depend on coordinate i alone (each of its rank
     # parts one repeated byte, the line) and agree with the top_H rule for H =
     # its image. Moving another voter of profile 0 to rank 1 must then keep
-    # its outcome, which rules out most i before any part is sliced.
+    # its outcome, which rules out most i before any part is sliced. Only a
+    # constant f, which returns at once, passes for two i: one top_H table a call.
     strides = profile_strides(n, k)
     for i in range(n):
         if k > 1 and any(table[s] != table[0] for j, s in enumerate(strides) if j != i):
@@ -487,7 +491,7 @@ def gs_classify(f: SCF) -> GSClassification:
     first, and the whole table only when they hold no hit.
     """
     n, k = f.n, f.k
-    check_window_tables(k, f.cap)
+    check_census(n, k, (max(k, 2),), f.cap)
     member = nonmanip_membership(f)
     if member is not None:
         return GSClassification(False, None, member)

@@ -17,7 +17,7 @@ from operator import getitem
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import TOP_H_CACHE_K, fiber_outcome_counts, top_h_by_rank
+from .rankings import fiber_outcome_counts, top_h_by_rank
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -27,6 +27,10 @@ from .scf import (
 )
 
 MAX_HYPERCUBE_BITS = 20
+
+# Largest k whose top_H tables are cached: the 127 sets of k = 7 take 640 KB,
+# the 1023 sets of k = 10 would take 3.7 GB (a k = 10 table builds in ms).
+TOP_H_CACHE_K = 7
 
 
 def frac_str(x: Fraction) -> str:
@@ -102,8 +106,8 @@ def _dictator_plan(k: int):
 
 @lru_cache(maxsize=None)
 def _cached_dictator_plan(k: int) -> tuple:
-    """:func:`_dictator_plan` for k up to ``TOP_H_CACHE_K``, whose top_H tables
-    :func:`rankings.top_h_by_rank` caches anyway."""
+    """:func:`_dictator_plan` for k up to ``TOP_H_CACHE_K``: the one cache of
+    top_H tables."""
     return tuple(_dictator_plan(k))
 
 

@@ -313,7 +313,8 @@ def window_moves(k: int, width: int) -> tuple[tuple[int, ...], ...]:
     from :func:`window_blocks`.
 
     Entry ``r`` lists one destination rank per draw, ordered by window start
-    and then permutation index, the rank itself and repeats included.
+    and then permutation index, the rank itself and repeats included. At
+    width 2, entry ``2p + 1`` swaps positions p and p + 1: a refined-graph move.
     """
     blocks = window_blocks(k, width)
     return tuple(
@@ -323,55 +324,17 @@ def window_moves(k: int, width: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def window_destinations(k: int, width: int) -> tuple[tuple[int, ...], ...]:
-    """Per-rank targets reachable by permuting one width-``width`` window.
-
-    Entry ``r`` lists destination ranks (the rank itself excluded), ordered by
-    (window start, permutation index), first occurrence kept on duplicates.
-    """
-    return tuple(
-        tuple(d for d in dict.fromkeys(moves) if d != r)
-        for r, moves in enumerate(window_moves(k, width))
-    )
-
-
-@lru_cache(maxsize=None)
-def adjacent_swap_neighbors(k: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per-rank refined-graph moves as (destination rank, a, b) with a < b.
-
-    One entry per adjacent position pair p, p + 1, in position order, so each
-    ranking has k - 1 moves: the swap draws of :func:`window_moves` at width
-    2, each start's second draw (its first is the ranking itself).
-    """
-    return tuple(tuple((dest, *sorted(order[p:p + 2])) for p, dest in enumerate(moves[1::2]))
-                 for order, moves in zip(ranking_orders(k), window_moves(k, 2)))
-
-
-# Largest k whose top_H tables are cached: the 127 sets of k = 7 take 640 KB,
-# the 1023 sets of k = 10 would take 3.7 GB (a k = 10 table builds in ms).
-TOP_H_CACHE_K = 7
-
-
 def top_h_by_rank(k: int, H: frozenset) -> bytes:
     """Per ranking rank, the highest-ranked member of H: a top_H dictator's outcomes.
 
     Lexicographic rank splits the rankings of ``m`` remaining alternatives into
     ``m`` blocks of ``(m-1)!``, block j starting with the j-th smallest. A block
     whose first alternative is in H has it as every top; any other block is
-    the same question on the alternatives left, memoized by that set. Tables
-    up to ``TOP_H_CACHE_K`` alternatives are cached.
+    the same question on the alternatives left, memoized by that set.
     """
     if k > MAX_TABLE_K:
         raise ValueError(f"k={k} too large for materialized ranking tables")
-    return (_cached_top_h if k <= TOP_H_CACHE_K else _top_h)(k, H)
-
-
-def _top_h(k: int, H: frozenset) -> bytes:
     return _block_tops(tuple(range(k)), H, {})
-
-
-_cached_top_h = lru_cache(maxsize=None)(_top_h)
 
 
 def _block_tops(remaining: tuple[int, ...], H: frozenset, memo: dict) -> bytes:

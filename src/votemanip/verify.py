@@ -41,7 +41,7 @@ from .manip import (
     ManipulationCensus,
     census,
     census_tables,
-    check_window_tables,
+    check_census,
     nonmanip_membership,
 )
 from .metrics import distance_to_nonmanip, distance_to_nonmanip_bar, frac_str
@@ -463,12 +463,6 @@ class SweepReport:
         }
 
 
-def _check_instance_caps(n: int, k: int, cap: int) -> None:
-    """Refuse, before any sweep instance runs, tables or census window tables over ``cap``."""
-    check_cap(cap, "(k!)^n table entries", k, n)
-    check_window_tables(k, cap)
-
-
 def measured_instances(build, lo: int, hi: int, n: int, k: int, cap: int = DEFAULT_TABLE_CAP):
     """``(t, Measurements)`` of the (n, k) SCF ``build(t)`` for t = lo..hi-1, in
     order, each census taken in its block.
@@ -476,15 +470,16 @@ def measured_instances(build, lo: int, hi: int, n: int, k: int, cap: int = DEFAU
     A block joins as many tables as fit in ``SWEEP_BLOCK_BYTES`` (at least one)
     for one :func:`manip.census_tables` pass at every width from 2 to k (or
     2 alone below k = 2), which every statement reads; an SCF is dropped once
-    its measurements are. Census window tables over ``cap`` are refused, as
-    :func:`manip.census` refuses them, before the first SCF is built.
+    its measurements are. What that census builds is refused over ``cap``
+    (:func:`manip.check_census`) before the first SCF is built.
     """
-    check_window_tables(k, cap)
+    widths = range(2, max(k, 2) + 1)
+    check_census(n, k, widths, cap)
     per_block = max(1, SWEEP_BLOCK_BYTES // profile_space_size(n, k))
     for start in range(lo, hi, per_block):
         indices = range(start, min(hi, start + per_block))
         scfs = [build(t) for t in indices]
-        counted = census_tables([f.table() for f in scfs], n, k, range(2, max(k, 2) + 1))
+        counted = census_tables([f.table() for f in scfs], n, k, widths)
         scfs.reverse()
         for t, cen in zip(indices, counted):
             yield t, Measurements(scfs.pop(), cen)
@@ -544,7 +539,7 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> Swe
     is built with ``cap``, which is checked once before the first runs.
     """
     total = one_voter_function_count(k)
-    _check_instance_caps(1, k, cap)
+    check_census(1, k, range(2, k + 1), cap)
     chunks = [(k, lo, hi, cap) for lo, hi in engine.split_ranges(total, tasks)]
     parts = engine.map_chunks(_one_voter_chunk, chunks, tasks)
     nonmanip_count = sum(p[0] for p in parts)
@@ -588,7 +583,7 @@ def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
     engine.check_seed(seed)
     for statement in ("1.2", "2.1", "1.5"):
         _check_shape(n, k, statement)
-    _check_instance_caps(n, k, cap)
+    check_census(n, k, range(2, k + 1), cap)
     chunks = [(n, k, seed, lo, hi, cap) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)
     failures = [row for p in parts for row in p]

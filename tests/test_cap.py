@@ -135,8 +135,12 @@ def test_witnesses_and_derived_scfs_carry_the_cap():
 
 # Borda (1,5) has 120 table entries. Local dictators (36 profiles on pair 0, 1)
 # read window_moves(5, 3), 120 * 3 * 6 = 2160 entries; refined edges and refined
-# fibers read the swaps of window_moves(5, 2), 120 * 4 * 2 = 960 entries.
+# fibers read the swaps of window_moves(5, 2), 120 * 4 * 2 = 960 entries. The
+# default census reads window_moves(5, w) for w = 2, 3 and 4, the largest
+# 120 * 2 * 24 = 5760 entries; gs_classify reads no move table, only the table.
 MOVE_TABLE_CALLS = {
+    "census": (5760, census),
+    "gs_classify": (120, lambda f: gs_classify(f).describe()),
     "local_dictator_sets": (2160, lambda f: local_dictator_sets(f, 0, (0, 1))),
     "refined_edge_counts": (960, lambda f: refined_edge_counts(f, 0)),
     "refined_fiber_sweep": (960, lambda f: fiber_sweep(f, 0, (0, 1), FiberVariant.REFINED,
@@ -153,7 +157,7 @@ def test_move_tables_past_the_cap_are_refused_before_any_table(monkeypatch, name
 
     with monkeypatch.context() as patch:
         for module in (rankings, fibers, graphs, manip):
-            for table in ("window_moves", "adjacent_swap_neighbors", "ranks_adjacent_above"):
+            for table in ("window_moves", "ranks_adjacent_above"):
                 if hasattr(module, table):
                     patch.setattr(module, table, refuse)
         patch.setattr(Borda, "_build_table", refuse)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+
 from votemanip import cli, manip, rankings, scf, verify
 from votemanip.scf import Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
@@ -490,16 +492,46 @@ def test_exit_code_sweep_failure(monkeypatch, tmp_path, sweep, argv, label):
 
 @pytest.mark.parametrize("command", ["census", "gs-classify"])
 def test_window_tables_past_the_cap_are_refused_before_any_table(monkeypatch, command):
-    # At k = 8 the per-rank window tables hold 8! * (8! - 1) entries, far past the
-    # cap, although the one-voter table itself (8! entries) is within it.
+    # At n = 1, k = 8 the table holds 8! = 40,320 entries. The default census
+    # also reads window_moves(8, w) for w = 2, 3 and 4, the largest 8! * 5 * 24
+    # = 4,838,400 entries; gs-classify reads no move table, so only its table
+    # counts, and it runs at the table's size.
+    fits = {"census": 4838400, "gs-classify": 40320}[command]
+    argv = [command, "--rule", "plurality", "-n", "1", "-k", "8", "--cap"]
+
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(Plurality, "_build_table", refuse)
-    monkeypatch.setattr(manip, "window_destinations", refuse)
-    code, out = run_cli([command, "--rule", "plurality", "-n", "1", "-k", "8"])
+    monkeypatch.setattr(manip, "window_moves", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(Plurality, "_build_table", refuse)
+        code, out = run_cli([*argv, str(fits - 1)])
     assert code == 2
     assert out == ""
+    if command == "gs-classify":
+        code, doc = run_json([*argv, str(fits)])
+        assert code == 0 and doc["result"]["verdict"] == "nonmanipulable"
+
+
+@pytest.mark.parametrize("rule", ["borda", "random:0"])
+def test_gs_classify_at_k7_runs_at_the_default_cap_and_matches_the_oracle(rule):
+    # The one-voter table holds 7! = 5,040 entries and gs-classify builds no
+    # move table. Borda elects a lone voter's top, a top_H dictator, so the
+    # oracle's first manipulation pair is None, found only after 7!^2 reads;
+    # its membership oracle says the same at once.
+    code, doc = run_json(["gs-classify", "--rule", rule, "-n", "1", "-k", "7"])
+    assert code == 0
+    result = doc["result"]
+    if rule == "borda":
+        assert oracles.is_nonmanipulable_member(oracles.borda_tuple, 1, 7)
+        assert result["verdict"] == "nonmanipulable"
+        assert result["witness"] == scf.TopHDictator(1, 7, 0, range(7)).describe()
+    else:
+        evaluate = oracles.table_evaluator(scf.random_table_scf(1, 7, 0))
+        profile, altered, i = oracles.first_manipulation_pair(evaluate, 1, 7)
+        assert result == {"verdict": "manipulable", "witness": {
+            "coordinate": i + 1, "profile": [[x + 1 for x in o] for o in profile],
+            "altered": [[x + 1 for x in o] for o in altered]}}
 
 
 def test_tasks_env_override(monkeypatch):
@@ -562,8 +594,9 @@ def test_counts_below_one_are_refused(capsys, argv):
 @pytest.mark.parametrize("argv, fits", [
     # Three voters at k = 3 make a 216-entry table.
     (["verify", "--thm", "1.2", "--random", "1", "-n", "3", "-k", "3"], 216),
-    # One voter at k = 3 makes 6 * 5 = 30-entry census window tables.
-    (["verify", "--thm", "1.4", "--exhaustive", "-k", "3"], 30),
+    # One voter at k = 3: its census reads window_moves(3, 2), 6 * 2 * 2 = 24
+    # entries, past the 6-entry table.
+    (["verify", "--thm", "1.4", "--exhaustive", "-k", "3"], 24),
 ])
 def test_verify_sweeps_honour_the_cap(capsys, argv, fits):
     code, out = run_cli([*argv, "--cap", str(fits - 1)])

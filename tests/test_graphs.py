@@ -15,7 +15,6 @@ from votemanip.graphs import (
     verify_lindsey,
 )
 from votemanip.rankings import (
-    adjacent_swap_neighbors,
     decode_profile,
     ranking_orders,
 )
@@ -24,15 +23,17 @@ from votemanip.scf import Borda, Constant, Plurality, TopHDictator, random_table
 
 # The coarse graph on profiles is the product of n complete graphs on the k!
 # ranks (product_neighbors); the refined graph keeps the adjacent swaps
-# (adjacent_swap_neighbors) of one voter's rank.
+# (oracles.all_adjacent_transpositions) of one voter's ranking.
 def coarse_neighbors(ranks, k):
     return list(product_neighbors(tuple(ranks), (factorial(k),) * len(ranks)))
 
 
 def refined_neighbors(ranks, k):
-    moves = adjacent_swap_neighbors(k)
-    return [ranks[:i] + (dest,) + ranks[i + 1:]
-            for i, r in enumerate(ranks) for dest, _a, _b in moves[r]]
+    orders = ranking_orders(k)
+    swapped = [[oracles.apply_adjacent_transposition(orders[r], t)
+                for t in oracles.all_adjacent_transpositions(k)] for r in ranks]
+    return [ranks[:i] + (oracles.encode_ranking(order),) + ranks[i + 1:]
+            for i, r in enumerate(ranks) for order in swapped[i] if order != orders[r]]
 
 
 def test_neighbor_counts():

@@ -239,7 +239,8 @@ def test_one_voter_function_count_refuses_without_forming_the_count():
 
 
 def test_sweeps_refuse_a_cap_before_any_instance_runs(monkeypatch):
-    # A 216-entry table at n = 3, k = 3; 30-entry census window tables at k = 3.
+    # A 216-entry table at n = 3, k = 3; the census's 24-entry
+    # window_moves(3, 2) at k = 3.
     def refuse(*args, **kwargs):
         raise AssertionError("an instance ran")
 
@@ -247,14 +248,14 @@ def test_sweeps_refuse_a_cap_before_any_instance_runs(monkeypatch):
     with pytest.raises(CapExceededError):
         sweep_random_tables(3, 3, 1, seed=0, cap=215)
     with pytest.raises(CapExceededError):
-        sweep_one_voter(3, cap=29)
+        sweep_one_voter(3, cap=23)
 
 
 def test_instance_checks_refuse_census_window_tables_over_the_cap():
-    # 30 window-table entries at k = 3 against a 6-entry one-voter table.
+    # 24 window_moves(3, 2) entries at k = 3 against a 6-entry one-voter table.
     with pytest.raises(CapExceededError):
-        list(verify.one_voter_rows(3, 0, 1, cap=29))
-    [row] = verify.one_voter_rows(3, 0, 1, cap=30)
+        list(verify.one_voter_rows(3, 0, 1, cap=23))
+    [row] = verify.one_voter_rows(3, 0, 1, cap=24)
     assert row["holds"]
 
 
