@@ -30,7 +30,7 @@ def main() -> int:
                                            0, args.count):
         row = {
             "instance": t,
-            "epsilon_nonmanip": reports[0].witnesses["epsilon"],
+            "epsilon_nonmanip": frac_str(reports[0].witnesses["epsilon"]),
             "m4": frac_str(reports[0].lhs),
             "holds": all(r.holds for r in reports),
             "statements": {r.statement: r.holds for r in reports},

@@ -9,6 +9,12 @@ stdout, its exit code, the sha256 of its stderr, and the call:
     python scripts/report_digests.py --src /path/to/other/checkout/src > other.txt
     diff other.txt change.txt
 
+``scripts/report_digests.txt`` holds the default grid's lines, and CI diffs
+the script's output against it, so a change in any report's bytes fails CI
+until that file is regenerated on purpose:
+
+    python scripts/report_digests.py | diff scripts/report_digests.txt -
+
 The grid: `census`, `distance`, `influences --refined`, `gs-classify`, plain
 and refined `fibers` (pair 1,2 on the last voter) and, at k >= 3,
 `local-dictators` for pairs 1,2 and 2,1 on the last voter, for every rule and

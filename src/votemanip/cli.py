@@ -141,8 +141,15 @@ def _cmd_distance(args) -> int:
 
 def _cmd_influences(args) -> int:
     """One transition-count pass per coordinate, plus one refined-edge pass with
-    --refined: each is made on the first read of its kind."""
+    --refined: each is made on the first read of its kind. The refined pass's
+    swap table is refused over the cap before the SCF is built, or with
+    --table, whose file gives k, once it is read."""
+    k = None if args.table else args.alternatives
+    if args.refined and k is not None and k >= 1:  # a bad shape is the SCF's to refuse
+        rankings.check_window_moves(k, 2, args.cap)
     f = _build_scf(args)
+    if args.refined and args.table:
+        rankings.check_window_moves(f.k, 2, f.cap)
     table = {}
     for i in range(f.n):
         inf = graphs.CoordinateInfluences(f, i)

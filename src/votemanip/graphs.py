@@ -29,11 +29,14 @@ from .rankings import (
     check_window_moves,
     class_tables,
     indicator,
+    instance_sums,
+    join_tables,
     lane_int,
     pair_lanes,
     profile_space_size,
     rank_classes,
     ranking_orders,
+    sum_bytes,
     window_moves,
 )
 from .scf import SCF
@@ -50,12 +53,13 @@ class GraphKind(Enum):
 
 # Headroom: transition_counts sums indicator lanes over at most this many rank
 # parts, so a byte lane stays below 256 (k! passes 255 from k = 6), then adds
-# the groups in lanes of ceil(bitlen(k!) / 8) bytes, which hold k!.
+# the groups in wider lanes (see transition_counts).
 LANE_GROUP = 255
 
 
-def transition_counts(f: SCF, i: int) -> list[list[int]]:
-    """``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
+def transition_counts(tables, n: int, k: int, i: int) -> list[list[list[int]]]:
+    """Per table of a block of same-shape tables (:func:`rankings.join_tables`),
+    ``moves[a][b]``: (profile, ranking) pairs where giving voter i that ranking
     moves the outcome from a to b.
 
     A line with outcome counts ``C`` holds ``C_a * C_b`` such pairs. Outcome a's
@@ -63,12 +67,18 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
     per line, and over the bit planes of two such sums, ``sum C_a C_b`` is the
     sum of ``2^(t+u) popcount(plane_{a,t} & plane_{b,u})``. Row a sums to k! times
     the profiles electing a, ``sum 2^t popcount(plane_{a,t})``, which gives
-    the diagonal with no pass over the table.
+    the diagonal with no pass over the table. Each sum is one
+    :func:`rankings.instance_sums` over the lines of one split of the joined
+    tables, laid out as in :func:`rankings.rank_outcome_counts`.
+
+    Headroom: a lane holds ``C_a <= k!``; for more than one table it is as
+    wide as a table's sum over its ``(k!)^(n-1)`` lines needs, at most
+    ``(k!)^(n-1) * k!^2`` (:func:`rankings.sum_bytes`), so no sum widens it.
     """
-    k = f.k
-    parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
-    fact, lanes = len(parts), len(parts[0])
-    width = (fact.bit_length() + 7) // 8
+    parts = class_tables(join_tables(tables, n, k), k, rank_classes(n, k, i))
+    instances, fact, lanes = len(tables), len(parts), len(parts[0])
+    outer, span = fact ** (n - 1 - i), fact ** i
+    width = sum_bytes(fact if instances == 1 else outer * span * fact * fact)
     totals = [0] * k
     for first in range(0, fact, LANE_GROUP):
         group = parts[first:first + LANE_GROUP]
@@ -79,14 +89,23 @@ def transition_counts(f: SCF, i: int) -> list[list[int]]:
             totals[a] += int.from_bytes(wide, "little")
     ones = int.from_bytes(b"\x01".ljust(width, b"\x00") * lanes, "little")
     planes = [[(t, total >> t & ones) for t in range(fact.bit_length())] for total in totals]
-    moves = [[0] * k for _ in range(k)]
-    for a, b in combinations(range(k), 2):
-        moves[a][b] = moves[b][a] = sum(
-            (x & y).bit_count() << (t + u) for t, x in planes[a] for u, y in planes[b])
-    for a, row in enumerate(moves):
-        mass = sum(x.bit_count() << t for t, x in planes[a])
-        row[a] = fact * mass - sum(row)
-    return moves
+
+    def sums(terms, most):
+        return instance_sums(terms, instances, outer, span, width, most)
+
+    pairs = {(a, b): sums(((1 << t + u, x & y) for t, x in planes[a] for u, y in planes[b]),
+                          fact * fact // 4)
+             for a, b in combinations(range(k), 2)}
+    masses = [sums(((1 << t, x) for t, x in plane), fact) for plane in planes]
+    matrices = []
+    for place in range(instances):
+        moves = [[0] * k for _ in range(k)]
+        for (a, b), counts in pairs.items():
+            moves[a][b] = moves[b][a] = counts[place]
+        for a, row in enumerate(moves):
+            row[a] = fact * masses[a][place] - sum(row)
+        matrices.append(moves)
+    return matrices
 
 
 def refined_edge_counts(f: SCF, i: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -143,7 +162,7 @@ class CoordinateInfluences:
 
     @cached_property
     def moves(self) -> list[list[int]]:
-        return transition_counts(self.f, self.i)
+        return self.f.counted(transition_counts, self.i)
 
     @cached_property
     def edges(self) -> tuple[list[list[int]], list[list[int]]]:

@@ -459,7 +459,7 @@ def nonmanip_membership(f: SCF) -> Optional[SCF]:
     if len(image) == 2:
         a, b = image
         fiber = (factorial(k) // 2) ** n
-        count_a, _count_b = fiber_outcome_counts(table, n, k, a, b)
+        count_a, _count_b = f.counted(fiber_outcome_counts, a, b)
         if any(0 < c < fiber for c in count_a):
             return None
         labels = [a if c else b for c in count_a]

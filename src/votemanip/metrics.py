@@ -9,12 +9,12 @@ resolution, so no floating point is allowed anywhere in this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import factorial
 from operator import getitem
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError
 from .rankings import fiber_outcome_counts, top_h_by_rank
@@ -43,11 +43,17 @@ def frac_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class DistanceReport:
-    """Distance to a family plus the family member attaining it."""
+    """Distance to a family plus the family member attaining it, built by
+    ``build`` on the first read of :attr:`witness`: a check that reads only the
+    value builds no member."""
 
     family: str
     value: Fraction
-    witness: SCF
+    build: Callable[[], SCF] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> SCF:
+        return self.build()
 
     def describe(self) -> dict:
         return {
@@ -63,7 +69,7 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     One-coordinate branch: per coordinate, the modal completion (ties to the
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
     rest onto the lower of the pair. The minimum over all candidates is exact,
-    and only its witness is built. Both read the SCF's cached
+    and only its witness is built, when read. Both read the SCF's cached
     :meth:`SCF.rank_counts`; the masses are the column sums of coordinate 0's.
     """
     table = f.table()
@@ -86,14 +92,19 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     mass = [sum(column) for column in zip(*f.rank_counts(0))]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
     keep = ranked[:2] if k >= 2 else ranked[:1]
-    fallback = min(keep)
     agree = sum(mass[a] for a in keep)
     if agree > best_agree:
         best_agree = agree
-        best_witness = partial(TableSCF, n, k, table.translate(bytes.maketrans(
-            bytes(range(k)), bytes(a if a in keep else fallback for a in range(k)))), cap=f.cap)
+        best_witness = partial(_two_valued_witness, f, keep)
 
-    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness())
+    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
+
+
+def _two_valued_witness(f: SCF, keep) -> TableSCF:
+    """f with every outcome outside ``keep`` mapped to the lower of ``keep``."""
+    fallback = min(keep)
+    return TableSCF(f.n, f.k, f.table().translate(bytes.maketrans(
+        bytes(range(f.k)), bytes(a if a in keep else fallback for a in range(f.k)))), cap=f.cap)
 
 
 def _dictator_plan(k: int):
@@ -122,7 +133,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     :func:`rankings.class_tables`. A cut costs at least the sum over vertices
     of the cheaper label, so a pair whose agreement cannot pass the best so far
     skips its cut; a tie never replaces the best, so the value and witness are
-    those of the full search, and only that witness is built. A hypercube past
+    those of the full search, and only that witness is built, when read. A hypercube past
     ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
     """
     n, k = f.n, f.k
@@ -145,7 +156,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     fiber = (factorial(k) // 2) ** n
     for a in range(k):
         for b in range(a + 1, k):
-            count_a, count_b = fiber_outcome_counts(table, n, k, a, b)
+            count_a, count_b = f.counted(fiber_outcome_counts, a, b)
             cost_a = [fiber - c for c in count_a]
             cost_b = [fiber - c for c in count_b]
             if size - sum(map(min, cost_a, cost_b)) <= best_agree:
@@ -156,7 +167,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
                 best_witness = partial(MonotoneTwoValued, n, k, (a, b),
                                        [a if lab else b for lab in labels], cap=f.cap)
 
-    return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness())
+    return DistanceReport("nonmanip", Fraction(size - best_agree, size), best_witness)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,16 @@ the ``(k!)^n`` profile table through :func:`profile_strides`,
 inverse :func:`join_class_tables`, and :func:`swap_first_voters`. Every scan
 per line reads the parts of :func:`rank_classes`, each entry a byte lane on one
 coordinate line, as big ints (:func:`lane_int`, :func:`pair_lanes`).
-Outcomes are counted by one kernel over such ints, :func:`outcome_count` and
-:func:`outcome_counts`.
+Outcomes are counted by one kernel over such ints, :func:`instance_sums`, for
+a block of same-shape tables joined into one (:func:`join_tables`) or for one
+table, the block of one: :func:`outcome_count`, :func:`outcome_counts`,
+:func:`rank_outcome_counts` and :func:`fiber_outcome_counts` return one count
+per table.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -211,25 +216,108 @@ def indicator(x: int) -> bytes:
     return bytes(int(v == x) for v in range(256))
 
 
-def outcome_count(part, x: int) -> int:
-    """The entries of ``part`` equal to x: x's indicator lanes as one int,
-    popcounted. Unlike ``bytes.count``, whose per-byte branch runs at about
-    300 MB/s on a structureless table, its cost does not depend on the bytes."""
-    return lane_int(part, indicator(x)).bit_count()
+def join_tables(tables, n: int, k: int) -> bytes:
+    """Same-shape (n, k) tables as one table whose instance index is slower
+    than voter 0: table t is bytes ``t * (k!)^n`` onward. One table is itself."""
+    size = profile_space_size(n, k)
+    if set(map(len, tables)) != {size}:
+        raise ValueError(f"each table needs (k!)^n = {size} entries")
+    return b"".join(tables)
 
 
-def outcome_counts(part, k: int) -> list[int]:
-    """Per alternative x < k, the entries of ``part`` equal to x, for a part
-    holding outcomes below k only: :func:`outcome_count` for x < k - 1, and the
-    last alternative's count by subtraction."""
-    counts = [outcome_count(part, x) for x in range(k - 1)]
-    counts.append(len(part) - sum(counts))
-    return counts
+# Lane widths an instance sum is read in, by array item size.
+_SUM_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def rank_outcome_counts(table, n: int, k: int, i: int) -> list[list[int]]:
-    """Per ranking rank of voter i, the profiles electing each alternative."""
-    return [outcome_counts(part, k) for part in class_tables(table, k, rank_classes(n, k, i))]
+def sum_bytes(largest: int) -> int:
+    """The fewest bytes, 1, 2, 4 or 8, of a lane that holds ``largest``."""
+    for size in (1, 2, 4, 8):
+        if largest < 1 << 8 * size:
+            return size
+    raise ValueError(f"a lane sum of {largest} passes 64 bits")
+
+
+def instance_sums(terms, instances: int, outer: int, span: int, width: int = 1,
+                  most: int = 1) -> list[int]:
+    """Per instance, ``sum(weight * popcount)`` of its lanes in each
+    ``(weight, lanes)`` of ``terms``.
+
+    Each int of ``lanes`` holds 0 or 1 in every lane of ``width`` bytes, and
+    ``sum(weight * lane)`` over the terms is at most ``most`` in any lane. The
+    lanes run ``outer`` blocks, each of ``instances`` spans of ``span`` lanes,
+    slowest first: instance t's lanes are span t of every block. One instance
+    is a popcount per term, with no fold. More are summed lane by lane: the
+    weighted terms, then an outer fold that adds the upper half of the blocks
+    to the lower (shift-adds), then a product with ``span`` ones that puts the
+    sum of each span in its last lane, read as an array.
+
+    Headroom: an instance sum is at most ``outer * span * most``, and so is any
+    lane on the way to it. Lanes are widened first (0 or 1 in the low byte)
+    when ``width`` bytes cannot hold it, to :func:`sum_bytes` of it, which
+    must be at most 8 (asserted).
+    """
+    if instances == 1:
+        total = 0
+        for weight, lanes in terms:
+            total += weight * lanes.bit_count()
+        return [total]
+    wide = max(width, sum_bytes(outer * span * most))
+    assert outer * span * most < 1 << 8 * wide, "an instance sum must fit in its lane"
+    count = instances * outer * span
+    total = 0
+    for weight, lanes in terms:
+        if wide != width:
+            data = bytearray(count * wide)
+            data[::wide] = lanes.to_bytes(count * width, "little")[::width]
+            lanes = int.from_bytes(data, "little")
+        total += weight * lanes
+    bits = instances * span * wide * 8
+    while outer > 1:
+        keep = outer - outer // 2
+        total = (total & (1 << keep * bits) - 1) + (total >> keep * bits)
+        outer = keep
+    if span > 1:
+        total *= int.from_bytes(b"\x01".ljust(wide, b"\x00") * span, "little")
+    sums = array(_SUM_TYPECODES[wide])
+    sums.frombytes(total.to_bytes((instances + 1) * span * wide, "little"))
+    if sys.byteorder == "big":
+        sums.byteswap()
+    return sums[span - 1:instances * span:span].tolist()
+
+
+def outcome_count(part, x: int, instances: int = 1, outer: int = 1) -> list[int]:
+    """Per instance, the entries of ``part`` equal to x, its lanes laid out as
+    in :func:`instance_sums` with ``outer`` blocks: x's indicator lanes as one
+    int, summed per instance (one instance: popcounted). Unlike
+    ``bytes.count``, whose per-byte branch runs at about 300 MB/s on a
+    structureless table, its cost does not depend on the bytes."""
+    span = len(part) // (instances * outer)
+    return instance_sums(((1, lane_int(part, indicator(x))),), instances, outer, span)
+
+
+def outcome_counts(part, k: int, instances: int = 1, outer: int = 1) -> list[tuple[int, ...]]:
+    """Per instance, the entries of ``part`` equal to each alternative x < k,
+    for a part holding outcomes below k only: :func:`outcome_count` for
+    x < k - 1, and the last alternative's count by subtraction."""
+    lines = len(part) // instances
+    counts = [outcome_count(part, x, instances, outer) for x in range(k - 1)]
+    return list(zip(*counts, [lines - sum(column) for column in zip(*counts)] if counts
+                    else [lines] * instances))
+
+
+def rank_outcome_counts(tables, n: int, k: int, i: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Per table of a block of same-shape tables (:func:`join_tables`), per
+    ranking rank of voter i, the profiles electing each alternative.
+
+    One :func:`class_tables` split of the joined tables. Its lanes run from
+    slowest to fastest over the voters after i, then the table, then the
+    voters before i, so a table's lanes are one span only for i = n - 1; its
+    counts are :func:`outcome_counts` over ``(k!)^(n-1-i)`` outer blocks.
+    """
+    joined = join_tables(tables, n, k)
+    parts = class_tables(joined, k, rank_classes(n, k, i))
+    outer = factorial(k) ** (n - 1 - i)
+    return list(zip(*[outcome_counts(part, k, len(tables), outer) for part in parts]))
 
 
 @lru_cache(maxsize=None)
@@ -238,15 +326,26 @@ def ranks_preferring(k: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(r for r, pos in enumerate(ranking_positions(k)) if pos[a] < pos[b])
 
 
-def fiber_outcome_counts(table, n: int, k: int, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Per preference mask, the profiles electing a and b.
+def fiber_outcome_counts(tables, n: int, k: int, a: int,
+                         b: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Per table of a block of same-shape tables (:func:`join_tables`), per
+    preference mask, the profiles electing a and b.
 
     A mask has bit c set when voter c ranks a above b, so its fiber holds the
     ``(k!/2)^n`` profiles where voter c's class is b above a (bit c clear) or
-    a above b (set).
+    a above b (set). One :func:`class_tables` split of the joined tables, in
+    whose parts the table index is the fastest lane index: each table's count
+    is an :func:`outcome_count` over ``(k!/2)^n`` outer blocks of one lane.
     """
-    parts = class_tables(table, k, [(ranks_preferring(k, b, a), ranks_preferring(k, a, b))] * n)
-    return [outcome_count(part, a) for part in parts], [outcome_count(part, b) for part in parts]
+    joined = join_tables(tables, n, k)
+    parts = class_tables(joined, k, [(ranks_preferring(k, b, a), ranks_preferring(k, a, b))] * n)
+    instances = len(tables)
+    outer = len(parts[0]) // instances
+
+    def counts(x):
+        return zip(*[outcome_count(part, x, instances, outer) for part in parts])
+
+    return list(zip(counts(a), counts(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +406,25 @@ def check_window_moves(k: int, width: int, cap: int) -> None:
               count=lambda: factorial(k) * (k - w + 1) * factorial(w))
 
 
+# Headroom: a window_moves row holds ranks below k! as unsigned 4-byte items,
+# which hold them for k <= 12 (12! < 2^32); a larger rank raises OverflowError.
+assert array("I").itemsize == 4, "a rank must fit in an array('I') item"
+
+
 @lru_cache(maxsize=None)
-def window_moves(k: int, width: int) -> tuple[tuple[int, ...], ...]:
+def window_moves(k: int, width: int) -> tuple[array, ...]:
     """Per-rank destination of every (window start, window permutation) draw,
     from :func:`window_blocks`.
 
     Entry ``r`` lists one destination rank per draw, ordered by window start
     and then permutation index, the rank itself and repeats included. At
     width 2, entry ``2p + 1`` swaps positions p and p + 1: a refined-graph move.
+    Each entry is an ``array('I')``, 4 bytes a draw.
     """
     blocks = window_blocks(k, width)
     return tuple(
-        tuple(r + (dest - r % span // stride) * stride
-              for span, stride, moves in blocks for dest in moves[r % span // stride])
+        array("I", [r + (dest - r % span // stride) * stride
+                    for span, stride, moves in blocks for dest in moves[r % span // stride]])
         for r in range(factorial(k))
     )
 

@@ -58,7 +58,8 @@ class SCF:
         self.k = k
         self.cap = cap
         self._table_cache: bytes | None = None
-        self._rank_counts: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._block: Block | None = None
+        self._place = 0
 
     def evaluate_orders(self, orders: tuple[tuple[int, ...], ...]) -> int:
         raise NotImplementedError
@@ -93,14 +94,20 @@ class SCF:
         """Every profile's outcome in index order; rules with a faster build override this."""
         return bytes(map(self.evaluate_orders, product(ranking_orders(self.k), repeat=self.n)))
 
+    def counted(self, count, *args):
+        """This SCF's value of ``count(tables, n, k, *args)``, a count that
+        returns one value per table of a block (:func:`rankings.rank_outcome_counts`,
+        for one): made once, over the SCF's own table, the block of one, or
+        over all of its :class:`Block`'s tables when a sweep placed it in one."""
+        if self._block is None:
+            Block([self])
+        return self._block.read(self._place, count, args)
+
     def rank_counts(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Per ranking rank of voter i, the profiles electing each alternative
-        (:func:`rankings.rank_outcome_counts`). Counted once per coordinate, cached."""
+        (:func:`rankings.rank_outcome_counts`), counted once."""
         check_coordinate(self.n, i)
-        if i not in self._rank_counts:
-            self._rank_counts[i] = tuple(map(tuple, rank_outcome_counts(
-                self.table(), self.n, self.k, i)))
-        return self._rank_counts[i]
+        return self.counted(rank_outcome_counts, i)
 
     def range(self) -> frozenset[int]:
         """Exact image over all profiles: the alternatives with a byte in the
@@ -111,6 +118,25 @@ class SCF:
     def describe(self) -> dict:
         """JSON-friendly description (alternatives and voters 1-based)."""
         return {"rule": type(self).__name__.lower(), "n": self.n, "k": self.k}
+
+
+class Block:
+    """Same-shape SCFs whose counts are made together (:meth:`SCF.counted`):
+    each count runs once over the members' tables, joined, on its first read
+    by any member, and every member reads its own value from it."""
+
+    def __init__(self, scfs):
+        self.tables = [f.table() for f in scfs]
+        self.n, self.k = scfs[0].n, scfs[0].k
+        self._made: dict = {}
+        for place, f in enumerate(scfs):
+            f._block, f._place = self, place
+
+    def read(self, place: int, count, args: tuple):
+        made = self._made.get((count, args))
+        if made is None:
+            made = self._made[count, args] = count(self.tables, self.n, self.k, *args)
+        return made[place]
 
 
 class TableSCF(SCF):

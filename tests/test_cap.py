@@ -74,7 +74,7 @@ CONSUMERS = {
     "local_dictator_sets": (borda, lambda f: local_dictator_sets(f, 0, (0, 1))),
     "boundary_count": (borda, lambda f: CoordinateInfluences(f, 2).count(
         0, kind=GraphKind.REFINED)),
-    "transition_counts": (borda, lambda f: transition_counts(f, 0)),
+    "transition_counts": (borda, lambda f: f.counted(transition_counts, 0)),
     "refined_edge_counts": (borda, lambda f: refined_edge_counts(f, 1)),
     "census": (borda, lambda f: census(f)),
     "exact_pair_probability": (borda, lambda f: exact_pair_probability(f, 3)),

@@ -8,7 +8,7 @@ import pytest
 import oracles
 
 from votemanip import cli, manip, rankings, scf, verify
-from votemanip.scf import Plurality, dump_scf_table
+from votemanip.scf import SCF, Plurality, dump_scf_table
 from votemanip.verify import SweepReport, VerificationReport
 
 
@@ -359,10 +359,13 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         calls.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
         assert calls == [[sides, [(r,) for r in range(6)], sides]]
-    # (a, b, kind) of each boundary read on coordinate 2, from a fresh object.
+    # (a, b, kind) of each boundary read on coordinate 2, from a fresh SCF (the
+    # SCF keeps its transition counts, so a second coarse read makes no split).
     selections = [(0, None, GraphKind.COARSE), (0, 1, GraphKind.COARSE),
                   (0, None, GraphKind.REFINED), (0, 1, GraphKind.SWAP)]
     for selection in selections:
+        f = Plurality(3, 3)
+        f.table()
         calls.clear()
         CoordinateInfluences(f, 2).count(*selection)
         assert calls == [rank_classes(3, 3, 2)]
@@ -511,6 +514,34 @@ def test_window_tables_past_the_cap_are_refused_before_any_table(monkeypatch, co
     if command == "gs-classify":
         code, doc = run_json([*argv, str(fits)])
         assert code == 0 and doc["result"]["verdict"] == "nonmanipulable"
+
+
+@pytest.mark.parametrize("rule", ["borda", "random:0"])
+def test_refined_influences_refuse_the_swap_table_before_the_scf_is_built(monkeypatch, rule):
+    # At n = 1, k = 4 the table holds 24 entries and the refined pass's swaps,
+    # window_moves(4, 2), 24 * 3 * 2 = 144: a cap of 100 admits the one, not
+    # the other. A random rule draws its table as it is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    argv = ["influences", "--refined", "--rule", rule, "-n", "1", "-k", "4", "--cap"]
+    with monkeypatch.context() as patch:
+        patch.setattr(SCF, "table", refuse)
+        patch.setattr(cli.scf, "random_table_scf", refuse)
+        code, out = run_cli([*argv, "143"])
+    assert code == 2
+    assert out == ""
+    code, doc = run_json([*argv, "144"])
+    assert code == 0 and len(doc["result"]["coordinates"]["1"]["refined_same_pair"]) == 6
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--rule", "borda", "-n", "1", "-k", "-1"], "need at least one alternative"),
+    (["--table", "absent.json", "-k", "10"], "--table gives the SCF and its shape"),
+])
+def test_refined_influences_leave_a_bad_shape_to_its_own_error(capsys, argv, message):
+    code, out = run_cli(["influences", "--refined", *argv])
+    assert (code, out) == (1, "") and message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rule", ["borda", "random:0"])

@@ -258,8 +258,8 @@ def test_class_tables_and_rank_counts_match_oracle(subject, data):
     classes = [data.draw(st.lists(ranks, min_size=1, max_size=3)) for _ in range(m)]
     assert class_tables(f.table(), k, classes) == oracles.class_tables(evaluate, n, k, classes)
     for i in range(n):
-        assert rank_outcome_counts(f.table(), n, k, i) == oracles.rank_outcome_counts(
-            evaluate, n, k, i)
+        assert rank_outcome_counts([f.table()], n, k, i) == [tuple(map(
+            tuple, oracles.rank_outcome_counts(evaluate, n, k, i)))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -268,8 +268,8 @@ def test_fiber_outcome_counts_match_oracle(subject):
     f, evaluate = subject
     n, k = f.n, f.k
     for a, b in permutations(range(k), 2):
-        assert fiber_outcome_counts(f.table(), n, k, a, b) == oracles.fiber_outcome_counts(
-            evaluate, n, k, a, b)
+        assert fiber_outcome_counts([f.table()], n, k, a, b) == [tuple(map(
+            tuple, oracles.fiber_outcome_counts(evaluate, n, k, a, b)))]
 
 
 @settings(max_examples=20, deadline=None)
@@ -285,7 +285,7 @@ def test_influences_and_boundaries_match_oracle(subject):
         edges = oracles.refined_edge_counts(evaluate, n, k, i)
         matrices = {coarse: [[moves.get((a, b), 0) for b in range(k)] for a in range(k)]}
         matrices[refined], matrices[swap] = oracles.refined_edge_matrices(edges, k)
-        assert transition_counts(f, i) == matrices[coarse]
+        assert transition_counts([f.table()], n, k, i) == [matrices[coarse]]
         assert refined_edge_counts(f, i) == (matrices[refined], matrices[swap])
 
         inf = CoordinateInfluences(f, i)
@@ -362,8 +362,8 @@ def test_census_and_edge_counts_match_oracle_past_a_byte_of_ranks(subject):
     for i in range(n):
         moves = oracles.transition_counts(evaluate, n, k, i)
         edges = oracles.refined_edge_counts(evaluate, n, k, i)
-        assert transition_counts(f, i) == [
-            [moves.get((a, b), 0) for b in range(k)] for a in range(k)]
+        assert transition_counts([f.table()], n, k, i) == [
+            [[moves.get((a, b), 0) for b in range(k)] for a in range(k)]]
         assert refined_edge_counts(f, i) == oracles.refined_edge_matrices(edges, k)
 
 
@@ -508,6 +508,60 @@ def test_block_census_equals_the_census_of_each_table(n, k):
         assert m.census(widths) == alone(f, widths)
 
 
+def _oracle_counts(f):
+    """The oracle's rank counts per voter, fiber counts per ordered pair, and
+    transition matrices (diagonal included) per voter, of f's table."""
+    n, k = f.n, f.k
+    evaluate = oracles.table_evaluator(f)
+    ranks = [tuple(map(tuple, oracles.rank_outcome_counts(evaluate, n, k, i))) for i in range(n)]
+    fibers = {pair: tuple(map(tuple, oracles.fiber_outcome_counts(evaluate, n, k, *pair)))
+              for pair in permutations(range(k), 2)}
+    moves = []
+    for i in range(n):
+        counts = oracles.transition_counts(evaluate, n, k, i)
+        moves.append([[counts.get((a, b), 0) for b in range(k)] for a in range(k)])
+    return ranks, fibers, moves
+
+
+@pytest.mark.parametrize("n, k", SHAPES + EDGE_SHAPES)
+def test_block_counts_equal_the_oracle_per_instance(monkeypatch, n, k):
+    # Blocks of one, two and five tables; then sweep blocks of three over seven
+    # instances, so instances 2 and 3, and 5 and 6, lie on either side of a
+    # boundary, each reading its counts from its own block.
+    scfs = _rule_scfs(n, k, 7, seed=10 * n + k)
+    expected = [_oracle_counts(f) for f in scfs]
+    for count in (1, 2, 5):
+        tables, want = [f.table() for f in scfs[:count]], expected[:count]
+        for i in range(n):
+            assert rank_outcome_counts(tables, n, k, i) == [ranks[i] for ranks, _, _ in want]
+            assert transition_counts(tables, n, k, i) == [moves[i] for _, _, moves in want]
+        for pair in permutations(range(k), 2):
+            assert fiber_outcome_counts(tables, n, k, *pair) == [
+                fibers[pair] for _, fibers, _ in want]
+    monkeypatch.setattr(verify, "SWEEP_BLOCK_BYTES", 3 * factorial(k) ** n)
+    measured = list(verify.measured_instances(scfs.__getitem__, 0, len(scfs), n, k))
+    for (_t, m), (ranks, fibers, moves) in zip(measured, expected):
+        assert [m.f.rank_counts(i) for i in range(n)] == ranks
+        assert [CoordinateInfluences(m.f, i).moves for i in range(n)] == moves
+        assert {pair: m.f.counted(fiber_outcome_counts, *pair) for pair in fibers} == fibers
+
+
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 3), (2, 5), (1, 6)])
+def test_block_counts_past_a_byte_lane_equal_the_counts_of_each_table(n, k):
+    # A table's lines pass 255 at (5, 3), and its transition sums pass a byte
+    # lane at every shape here, so the block sums run in wider lanes.
+    scfs = _rule_scfs(n, k, 3, seed=n + k)
+    tables = [f.table() for f in scfs]
+    for i in range(n):
+        assert rank_outcome_counts(tables, n, k, i) == [
+            rank_outcome_counts([t], n, k, i)[0] for t in tables]
+        assert transition_counts(tables, n, k, i) == [
+            transition_counts([t], n, k, i)[0] for t in tables]
+    for pair in [(0, 1), (k - 1, 0)]:
+        assert fiber_outcome_counts(tables, n, k, *pair) == [
+            fiber_outcome_counts([t], n, k, *pair)[0] for t in tables]
+
+
 def _verify_report(argv, tasks):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -553,3 +607,61 @@ def test_sweep_instances_across_a_block_boundary_match_the_one_instance_checks()
                      for _t, reports in verify.random_table_reports(3, 3, 5, t, t + 1)]
     rows = list(verify.one_voter_rows(3, 0, 729))
     assert rows == [row for t in range(729) for row in verify.one_voter_rows(3, t, t + 1)]
+
+
+def _failing_verify_report(argv, tasks, bundle_dir):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert cli.main(["verify", *argv, "--tasks", str(tasks),
+                         "--bundle-dir", str(bundle_dir)]) == 3
+    return buf.getvalue()
+
+
+def _make_every_instance_fail(monkeypatch):
+    # No census fraction reaches a bound of 2, and no influence the 2.1
+    # threshold of 2; 1.5's distance branch fails against a cubed threshold of
+    # 0, and its manipulation branch reads the census (m3 >= alpha), so every
+    # census fraction reads 0.
+    bounds = dict(verify._BOUNDS)
+    for statement in ("1.2", "1.4", "2.1"):
+        bounds[statement] = (bounds[statement][0], lambda p: Fraction(2))
+    bounds["1.5"] = (bounds["1.5"][0], lambda p: Fraction(0))
+    monkeypatch.setattr(verify, "_BOUNDS", bounds)
+    monkeypatch.setattr(verify.ManipulationCensus, "fraction", lambda self, r: Fraction(0))
+
+
+def test_failure_rows_are_the_same_across_tasks_and_blocks(monkeypatch, tmp_path):
+    _make_every_instance_fail(monkeypatch)
+    random_argv = ["--thm", "1.2", "--random", "30", "--seed", "3", "-n", "2", "-k", "3"]
+    exhaustive_argv = ["--thm", "1.4", "--exhaustive", "-k", "3"]
+    for argv in (random_argv, exhaustive_argv):
+        report = _failing_verify_report(argv, 1, tmp_path)
+        assert _failing_verify_report(argv, 2, tmp_path) == report
+        with monkeypatch.context() as m:
+            m.setattr(verify, "SWEEP_BLOCK_BYTES", 1)
+            assert _failing_verify_report(argv, 1, tmp_path) == report
+            assert _failing_verify_report(argv, 2, tmp_path) == report
+        if argv is random_argv:
+            random_failures = json.loads(report)["result"]["failures"]
+        else:
+            one_voter_failures = json.loads(report)["result"]["failures"]
+
+    # The same rows, built one SCF at a time.
+    expected = []
+    for t in range(30):
+        seed = verify.engine.derive_stream_seed(3, t)
+        measured = verify.Measurements(random_table_scf(2, 3, seed))
+        reports = [*verify.verify_main_theorems(measured, ("1.2",)),
+                   verify.verify_lemma_influences(measured, statement="2.1"),
+                   verify.verify_thm_1_5(measured)]
+        assert not any(r.holds for r in reports)
+        expected.append({"instance": t, "seed": seed, "reports": [r.describe() for r in reports]})
+    assert random_failures == expected
+    assert len(one_voter_failures) == 729
+    for t, row in enumerate(one_voter_failures):
+        measured = verify.Measurements(verify.one_voter_function(3, t))
+        [report] = verify.verify_main_theorems(measured, ("1.4",))
+        described = report.describe()
+        assert not report.holds
+        assert (row["function_index"], row["m3"], row["bound"], row["epsilon"]) == (
+            t, described["lhs"], described["rhs"], described["witnesses"]["epsilon"])

@@ -138,7 +138,7 @@ def full_nonmanip_search(f):
     fiber = (factorial(k) // 2) ** n
     for a in range(k):
         for b in range(a + 1, k):
-            count_a, count_b = fiber_outcome_counts(table, n, k, a, b)
+            [(count_a, count_b)] = fiber_outcome_counts([table], n, k, a, b)
             labels, cost = nearest_monotone_boolean(
                 [fiber - c for c in count_a], [fiber - c for c in count_b])
             if len(table) - cost > best_agree:

@@ -68,7 +68,7 @@ def test_random_table_script_rows_agree_with_the_library_check():
     for row in rows:
         [(_t, reports)] = random_table_reports(2, 3, 0, row["instance"], row["instance"] + 1)
         assert row["statements"] == {r.statement: r.holds for r in reports}
-        assert row["epsilon_nonmanip"] == reports[0].witnesses["epsilon"]
+        assert row["epsilon_nonmanip"] == reports[0].describe()["witnesses"]["epsilon"]
 
 
 def test_report_digest_lines_match_the_reports():

@@ -113,9 +113,10 @@ def test_lemma_influences_witnesses_random():
     for statement in ("2.1", "5.3"):
         report = verify_lemma_influences(Measurements(f), statement=statement)
         assert report.holds
-        if "witness" in report.witnesses:
-            first = report.witnesses["witness"]["first"]
-            second = report.witnesses["witness"]["second"]
+        witnesses = report.describe()["witnesses"]
+        if "witness" in witnesses:
+            first = witnesses["witness"]["first"]
+            second = witnesses["witness"]["second"]
             assert first["coordinate"] != second["coordinate"]
             assert second["pair"][0] not in first["pair"]
 
@@ -138,7 +139,7 @@ def test_lemma_influences_qualifying_values(monkeypatch):
                     a, b, GraphKind.COARSE if statement == "2.1" else GraphKind.SWAP))}
             for i in range(f.n) for a in range(f.k) for b in range(a + 1, f.k)
         ]
-        assert report.witnesses["qualifying"] == expected
+        assert report.describe()["witnesses"]["qualifying"] == expected
 
 
 def test_lemma_influences_one_voter():
@@ -169,7 +170,7 @@ def test_thm_1_5_branches():
     one_coord = OneCoordinate(2, 3, 0, anti_orders)
     report = verify_thm_1_5(Measurements(one_coord))
     assert report.holds
-    assert report.witnesses["alpha"] == "0/1"
+    assert report.describe()["witnesses"]["alpha"] == "0/1"
     assert any("degenerate" in note for note in report.notes)
 
     # Perturbing a dictator at one profile: alpha = 1/36.
