@@ -25,7 +25,7 @@ single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
 carry the measured values that the sweeps list only on a failure, of 21
 calls at the edges of `--cap` (see :func:`cap_edges`), and of the seeded
 paths' calls (see :func:`seeded_calls`). The default rules and shapes give
-663 reports. The calls run in this process through
+667 reports. The calls run in this process through
 ``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
 """
 import argparse
@@ -61,12 +61,20 @@ RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
 # reads words until a 0 bit, and k = width leaves one window start; at (5,5)
 # (k!)^n > 2^32, so a profile index takes two words. Then Borda's packed
 # scores either side of one byte: n * top = 85 * 3 = 255 packs a score in one
-# byte, and 86 * 3 = 258 in two.
+# byte, and 86 * 3 = 258 in two. Then the move read's winner table, of
+# (n * top + 1)^(k-1) entries: at (3,5) one entry either side of its 13^4 =
+# 28,561 entries (packed vectors at --cap 28560, the table at 28561), and
+# tables of 173^2 entries at (86,3) and 257^2 at (128,3), whose packed
+# vectors take one byte and two.
 SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples", "5000"],
                 *[["sample", "--rule", "borda", "-n", "5", "-k", "5", "--width", width,
                    "--samples", "5000"] for width in SAMPLE_WIDTHS],
                 *[["sample", "--rule", "borda", "-n", n, "-k", "4", "--samples", "5000"]
-                  for n in ("85", "86")]]
+                  for n in ("85", "86")],
+                *[["sample", "--rule", "borda", "-n", "3", "-k", "5", "--samples", "5000",
+                   "--cap", cap] for cap in ("28560", "28561")],
+                *[["sample", "--rule", "borda", "-n", n, "-k", "3", "--width", "3",
+                   "--samples", "5000"] for n in ("86", "128")]]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 

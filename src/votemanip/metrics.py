@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import factorial
-from operator import getitem
+from operator import getitem, lt
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError
@@ -24,6 +24,7 @@ from .scf import (
     OneCoordinate,
     TableSCF,
     TopHDictator,
+    is_monotone_pair_table,
 )
 
 MAX_HYPERCUBE_BITS = 20
@@ -241,9 +242,14 @@ def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int]):
 
     ``cost_a[z]`` (resp. ``cost_b[z]``) is the price of labeling vertex z with
     the upper (resp. lower) value; the returned labeling is monotone upward
-    (label a is closed under setting bits). Solved exactly as a minimum cut:
-    source->z carries cost_b, z->sink carries cost_a, and each covering edge
-    z->z|bit is uncuttable. Returns (labels, total cost) with ``labels[z]``
+    (label a is closed under setting bits). Every labeling pays at least
+    ``base``, the sum of each vertex's cheaper label. When the vertices with
+    ``cost_a < cost_b`` already form an up-set, that labeling is returned with
+    no network. Otherwise the rest is an exact minimum cut on the residual
+    prices: source->z carries ``cost_b - cost_a`` where that is positive, z->sink
+    carries ``cost_a - cost_b`` where that is, and each covering edge
+    z->z|bit is uncuttable. Either way the labels are the optimum with the
+    fewest upper labels. Returns (labels, total cost) with ``labels[z]``
     true for the upper value.
     """
     m = len(cost_a)
@@ -254,12 +260,21 @@ def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int]):
         raise CapExceededError(f"hypercube with 2^{n} vertices exceeds the cap")
     if any(c < 0 for c in cost_a) or any(c < 0 for c in cost_b):
         raise ValueError("costs must be nonnegative")
+    base = sum(map(min, cost_a, cost_b))
+    # A labeling at cost base labels exactly these vertices upper among those
+    # not tied, so when they form an up-set no optimum has fewer upper labels.
+    cheaper = tuple(map(lt, cost_a, cost_b))
+    if is_monotone_pair_table(n, (1, 0), cheaper):
+        return cheaper, base
     source, sink = m, m + 1
     infinite = sum(cost_a) + sum(cost_b) + 1
     net = _Dinic(m + 2)
     for z in range(m):
-        net.add_edge(source, z, cost_b[z])
-        net.add_edge(z, sink, cost_a[z])
+        gap = cost_b[z] - cost_a[z]
+        if gap > 0:
+            net.add_edge(source, z, gap)
+        elif gap < 0:
+            net.add_edge(z, sink, -gap)
         for i in range(n):
             bit = 1 << i
             if not z & bit:
@@ -268,5 +283,5 @@ def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int]):
     reach = net.residual_reachable(source)
     labels = tuple(z in reach for z in range(m))
     total = sum(cost_a[z] if labels[z] else cost_b[z] for z in range(m))
-    assert total == flow, "min cut does not match its labeling cost"
+    assert total == base + flow, "min cut does not match its labeling cost"
     return labels, total

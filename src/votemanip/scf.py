@@ -208,8 +208,9 @@ class ScoreRule(SCF):
     with ``n * top < 256**c``, ``top`` the largest score. A digit of a sum of
     n packed vectors is at most ``n * top`` and never carries, so the sum is
     the profile's packed score vector, which :func:`packed_winner` reads. The
-    table and :meth:`move_reader` read these vectors; :meth:`evaluate_orders`
-    sums the scores over the profile's own orders, with no k!-sized table."""
+    table reads these vectors, as :meth:`move_reader` does past its table of
+    winners per score vector; :meth:`evaluate_orders` sums the scores over
+    the profile's own orders, with no k!-sized table."""
 
     scores: tuple[int, ...]
 
@@ -237,9 +238,53 @@ class ScoreRule(SCF):
         return totals.index(max(totals))
 
     def move_reader(self):
-        """The voters' packed vectors, filled per rank on first use, are
-        summed once; the moved profile's total swaps rank r's vector for r2's.
-        At c = 1 the winners are read as in :func:`packed_winner`, inline."""
+        """Both winners from one table of winners per score vector. Rank r's
+        code is ``sum(score_a * B**a)`` over the first k - 1 alternatives,
+        ``B = n * top + 1``, filled on first use; a profile's code, the sum of
+        its voters', names its score vector, and the moved profile's swaps
+        rank r's code for r2's. Each of the ``B**(k-1)`` entries is filled on
+        its first read (255 until then). Past ``cap`` entries, or at k > 255,
+        the packed vectors are read instead (:meth:`_packed_move_reader`)."""
+        k, n, scores = self.k, self.n, self.scores
+        top = max(scores)
+        base = n * top + 1
+        if k > 255 or base ** (k - 1) > self.cap:
+            return self._packed_move_reader()
+        fact, strides = factorial(k), profile_strides(n, k)
+        # Headroom: a digit is a sum of n scores, each in [0, top], so at most n * top < B.
+        assert all(type(x) is int and 0 <= x <= top for x in scores), \
+            "a score outside [0, top] would carry between digits"
+        points = n * sum(scores)
+        codes = RankTable(lambda r: sum(
+            x * base ** a for a, x in zip(rank_order(k, r), scores) if a < k - 1))
+        winners = bytearray(b"\xff") * base ** (k - 1)
+
+        def fill(code):
+            totals = []
+            rest = code
+            for _ in range(k - 1):
+                rest, digit = divmod(rest, base)
+                totals.append(digit)
+            totals.append(points - sum(totals))
+            winner = winners[code] = totals.index(max(totals))
+            return winner
+
+        def read(index, i, r, r2):
+            code = 0
+            for s in strides:
+                code += codes[index // s % fact]
+            moved = code - codes[r] + codes[r2]
+            before, after = winners[code], winners[moved]
+            if before == 255:
+                before = fill(code)
+            if after == 255:
+                after = fill(moved)
+            return before, after
+        return read
+
+    def _packed_move_reader(self):
+        """:meth:`move_reader` past the winner table's bound: the voters'
+        packed vectors, filled per rank on first use, summed once."""
         k, c = self.k, self.score_bytes
         fact, strides = factorial(k), profile_strides(self.n, k)
         packed = RankTable(lambda r: self.packed(rank_order(k, r)))

@@ -26,6 +26,7 @@ from votemanip.scf import (
     Constant,
     MonotoneTwoValued,
     Plurality,
+    ScoreRule,
     TableSCF,
     TopHDictator,
     random_monotone_two_valued,
@@ -260,6 +261,31 @@ def test_sampler_draws_equal_the_order_tuple_oracle():
                                                      engine.SAMPLE_BLOCK)
                 for tasks in (1, 2):
                     assert sample_success(f, samples, 3, width, tasks).successes == expected
+
+
+@pytest.mark.parametrize("rule, n, k, evaluate", [
+    (Borda, 3, 5, oracles.borda_tuple), (Plurality, 12, 5, oracles.plurality_tuple),
+    (Borda, 86, 3, oracles.borda_tuple), (Borda, 128, 3, oracles.borda_tuple)])
+def test_the_winner_table_and_the_packed_read_agree_either_side_of_its_bound(
+        monkeypatch, rule, n, k, evaluate):
+    # The move read keeps a table of (n * top + 1)^(k-1) winners up to the
+    # cap and reads packed vectors past it: 13^4 = 28,561 at Borda (3,5) and
+    # Plurality (12,5), 173^2 at Borda (86,3), whose sums pack in one byte,
+    # and 257^2 at Borda (128,3), in two. At one task the table path reads no
+    # packed vector; at both caps and task counts the successes are the oracle's.
+    packed, reads = ScoreRule.packed, []
+    monkeypatch.setattr(ScoreRule, "packed",
+                        lambda self, order: reads.append(order) or packed(self, order))
+    f = rule(n, k)
+    bound = (n * max(f.scores) + 1) ** (k - 1)
+    samples, width = engine.SAMPLE_BLOCK + 500, min(4, k)
+    expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3, engine.SAMPLE_BLOCK)
+    for cap, packs in ((bound - 1, True), (bound, False)):
+        f = rule(n, k, cap=cap)
+        reads.clear()
+        assert sample_success(f, samples, 3, width, 1).successes == expected
+        assert bool(reads) == packs
+        assert sample_success(f, samples, 3, width, 2).successes == expected
 
 
 READER_SEEDS = (0, 1, 7, 12345)

@@ -352,6 +352,30 @@ def test_nearest_monotone_versus_unconstrained_majority():
             assert cost == free_cost
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_the_min_cut_witness_is_the_optimum_with_the_fewest_upper_labels(n):
+    # Costs drawn from 0..1 or 0..2 tie often, as do equal tables at every
+    # vertex, so most shapes have several optima; the oracle's is the unique
+    # one with the fewest upper labels, which every other optimum contains.
+    import random as _random
+
+    family = oracles.monotone_family(n)
+    rng = _random.Random(80 + n)
+    for trial in range(60):
+        top = (1, 2, 9)[trial % 3]
+        cost_a = [rng.randrange(top + 1) for _ in range(1 << n)]
+        cost_b = list(cost_a) if trial % 5 == 0 else [rng.randrange(top + 1)
+                                                        for _ in range(1 << n)]
+        cost = {t: sum(cost_a[z] if t[z] else cost_b[z] for z in range(1 << n))
+                for t in family}
+        best = min(cost.values())
+        optima = [t for t in family if cost[t] == best]
+        fewest = [t for t in optima if sum(t) == min(map(sum, optima))]
+        assert len(fewest) == 1
+        assert all(all(u >= w for u, w in zip(t, fewest[0])) for t in optima)
+        assert nearest_monotone_boolean(cost_a, cost_b) == (tuple(map(bool, fewest[0])), best)
+
+
 def test_nearest_monotone_validation():
     with pytest.raises(ValueError):
         nearest_monotone_boolean([1, 2, 3], [1, 2, 3])

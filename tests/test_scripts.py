@@ -81,9 +81,9 @@ def test_report_digest_lines_match_the_reports():
     # two rules, the cap's edges: eight Borda calls at two caps, two top:1
     # calls at two caps and one table file; and the seeded calls: per rule,
     # two sampler shapes at two widths and two task counts, then three
-    # random:0 calls and five sampler edge calls.
+    # random:0 calls and nine sampler edge calls.
     assert len(lines) == (2 * 8 + 2 * 3 + 2 + 8 * 2 * 2 + (2 * 8 + 2 * 2 + 1)
-                          + (2 * 2 * 2 * 2 + 3 + 5))
+                          + (2 * 2 * 2 * 2 + 3 + 9))
     empty = hashlib.sha256(b"").hexdigest()[:16]
     refused = [line for line in lines if line.endswith(("--cap 215", "--cap 23", "--cap 5"))]
     assert len(refused) == 8 + 2 + 1
