@@ -29,8 +29,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The README grid: Borda at the largest shapes the default cap admits, and at
 # n=9, k=3 (1.0e7 profiles) past it; then the seeded paths: random:0 at n=5,
 # k=4, whose table is drawn, local dictators on Borda there (190,800 found,
-# 20 decoded), and the sampler past the cap, at n=13, k=5, whose winner
-# table of 53^4 entries is near the default cap, and at k = 9, where it fills
+# 20 decoded), and the sampler past the cap, at n=13, k=5, whose 53^4 score
+# vectors lie past the winner table's 2^20 bound, and at k = 9, where it fills
 # per-rank values only for the ranks it draws; then one voter, where the
 # per-rank tables, not the profile table, set the reach.
 SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]

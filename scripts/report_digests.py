@@ -62,17 +62,17 @@ RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
 # (k!)^n > 2^32, so a profile index takes two words. Then Borda's packed
 # scores either side of one byte: n * top = 85 * 3 = 255 packs a score in one
 # byte, and 86 * 3 = 258 in two. Then the move read's winner table, of
-# (n * top + 1)^(k-1) entries: at (3,5) one entry either side of its 13^4 =
-# 28,561 entries (packed vectors at --cap 28560, the table at 28561), and
-# tables of 173^2 entries at (86,3) and 257^2 at (128,3), whose packed
-# vectors take one byte and two.
+# (n * top + 1)^(k-1) entries, either side of its bound of 2^20 entries
+# (scf.WINNER_TABLE_ENTRIES): the table at (7,5), 29^4 entries, packed
+# vectors at (8,5), 33^4; and tables of 173^2 entries at (86,3) and 257^2 at
+# (128,3), whose packed vectors take one byte and two.
 SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples", "5000"],
                 *[["sample", "--rule", "borda", "-n", "5", "-k", "5", "--width", width,
                    "--samples", "5000"] for width in SAMPLE_WIDTHS],
                 *[["sample", "--rule", "borda", "-n", n, "-k", "4", "--samples", "5000"]
                   for n in ("85", "86")],
-                *[["sample", "--rule", "borda", "-n", "3", "-k", "5", "--samples", "5000",
-                   "--cap", cap] for cap in ("28560", "28561")],
+                *[["sample", "--rule", "borda", "-n", n, "-k", "5", "--samples", "5000"]
+                  for n in ("7", "8")],
                 *[["sample", "--rule", "borda", "-n", n, "-k", "3", "--width", "3",
                    "--samples", "5000"] for n in ("86", "128")]]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],

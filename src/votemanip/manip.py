@@ -347,8 +347,9 @@ def _check_draws(f: SCF, width: int) -> None:
     the sampler fills any. It fills them for the ranks it draws (positions and
     the move read's values, :class:`rankings.RankTable`), so each can grow to
     ``k!`` ranks of k entries: ``k * k!`` is refused past the cap. A score
-    rule's winner table is not refused: past ``cap`` entries its move read
-    keeps none (:meth:`scf.ScoreRule.move_reader`)."""
+    rule's winner table is not refused: its move read keeps one of at most
+    :data:`scf.WINNER_TABLE_ENTRIES` bytes, whatever the cap
+    (:meth:`scf.ScoreRule.move_reader`)."""
     k = f.k
     _check_window(k, width)
     check_cap(f.cap, "sampler per-ranking table entries", k, count=lambda: k * factorial(k))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import factorial
-from operator import getitem, lt
+from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError
@@ -24,7 +24,6 @@ from .scf import (
     OneCoordinate,
     TableSCF,
     TopHDictator,
-    is_monotone_pair_table,
 )
 
 MAX_HYPERCUBE_BITS = 20
@@ -160,9 +159,10 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
             count_a, count_b = f.counted(fiber_outcome_counts, a, b)
             cost_a = [fiber - c for c in count_a]
             cost_b = [fiber - c for c in count_b]
-            if size - sum(map(min, cost_a, cost_b)) <= best_agree:
+            base = sum(map(min, cost_a, cost_b))
+            if size - base <= best_agree:
                 continue
-            labels, cost = nearest_monotone_boolean(cost_a, cost_b)
+            labels, cost = nearest_monotone_boolean(cost_a, cost_b, base)
             if size - cost > best_agree:
                 best_agree = size - cost
                 best_witness = partial(MonotoneTwoValued, n, k, (a, b),
@@ -237,20 +237,20 @@ class _Dinic:
         return seen
 
 
-def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int]):
+def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int],
+                             base: Optional[int] = None):
     """Cheapest monotone labeling of the hypercube given per-vertex costs.
 
     ``cost_a[z]`` (resp. ``cost_b[z]``) is the price of labeling vertex z with
     the upper (resp. lower) value; the returned labeling is monotone upward
     (label a is closed under setting bits). Every labeling pays at least
-    ``base``, the sum of each vertex's cheaper label. When the vertices with
-    ``cost_a < cost_b`` already form an up-set, that labeling is returned with
-    no network. Otherwise the rest is an exact minimum cut on the residual
+    ``base``, the sum of each vertex's cheaper label, which a caller that has
+    summed it passes in. The rest is an exact minimum cut on the residual
     prices: source->z carries ``cost_b - cost_a`` where that is positive, z->sink
     carries ``cost_a - cost_b`` where that is, and each covering edge
-    z->z|bit is uncuttable. Either way the labels are the optimum with the
-    fewest upper labels. Returns (labels, total cost) with ``labels[z]``
-    true for the upper value.
+    z->z|bit is uncuttable. The labels are the optimum with the fewest upper
+    labels. Returns (labels, total cost) with ``labels[z]`` true for the upper
+    value.
     """
     m = len(cost_a)
     n = m.bit_length() - 1
@@ -260,12 +260,8 @@ def nearest_monotone_boolean(cost_a: Sequence[int], cost_b: Sequence[int]):
         raise CapExceededError(f"hypercube with 2^{n} vertices exceeds the cap")
     if any(c < 0 for c in cost_a) or any(c < 0 for c in cost_b):
         raise ValueError("costs must be nonnegative")
-    base = sum(map(min, cost_a, cost_b))
-    # A labeling at cost base labels exactly these vertices upper among those
-    # not tied, so when they form an up-set no optimum has fewer upper labels.
-    cheaper = tuple(map(lt, cost_a, cost_b))
-    if is_monotone_pair_table(n, (1, 0), cheaper):
-        return cheaper, base
+    if base is None:
+        base = sum(map(min, cost_a, cost_b))
     source, sink = m, m + 1
     infinite = sum(cost_a) + sum(cost_b) + 1
     net = _Dinic(m + 2)

@@ -35,6 +35,11 @@ from .rankings import (
 
 DEFAULT_TABLE_CAP = 10 ** 7
 
+# A score rule's move read keeps a table of winners per score vector only up
+# to this many entries (one byte each), whatever the SCF's cap; past it the
+# packed vectors are read (ScoreRule.move_reader).
+WINNER_TABLE_ENTRIES = 1 << 20
+
 SCF_TABLE_ENCODING = "lehmer-mixed-radix"
 
 # Headroom: a table holds each outcome in one byte. Built tables stop at
@@ -243,12 +248,13 @@ class ScoreRule(SCF):
         ``B = n * top + 1``, filled on first use; a profile's code, the sum of
         its voters', names its score vector, and the moved profile's swaps
         rank r's code for r2's. Each of the ``B**(k-1)`` entries is filled on
-        its first read (255 until then). Past ``cap`` entries, or at k > 255,
-        the packed vectors are read instead (:meth:`_packed_move_reader`)."""
+        its first read (255 until then). Past :data:`WINNER_TABLE_ENTRIES`
+        entries, or at k > 255, the packed vectors are read instead
+        (:meth:`_packed_move_reader`); the SCF's cap does not choose."""
         k, n, scores = self.k, self.n, self.scores
         top = max(scores)
         base = n * top + 1
-        if k > 255 or base ** (k - 1) > self.cap:
+        if k > 255 or base ** (k - 1) > WINNER_TABLE_ENTRIES:
             return self._packed_move_reader()
         fact, strides = factorial(k), profile_strides(n, k)
         # Headroom: a digit is a sum of n scores, each in [0, top], so at most n * top < B.

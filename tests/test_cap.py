@@ -31,7 +31,9 @@ from votemanip.metrics import distance_to_nonmanip, distance_to_nonmanip_bar
 from votemanip.scf import (
     DEFAULT_TABLE_CAP,
     Borda,
+    WINNER_TABLE_ENTRIES,
     MonotoneTwoValued,
+    Plurality,
     TopHDictator,
     dump_scf_table,
     is_anonymous,
@@ -219,3 +221,20 @@ def test_the_sampler_fills_per_rank_tables_only_for_the_ranks_it_draws(monkeypat
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def test_a_raised_cap_keeps_no_winner_table_past_its_bound():
+    # Sampling at k = 11 needs a cap of at least 11 * 11! = 439,084,800, which
+    # would admit Plurality (4,11)'s 5^10 = 9,765,625 winners per score
+    # vector; the move read's bound is WINNER_TABLE_ENTRIES whatever the cap,
+    # so a draw reads packed vectors. Plurality (2,11)'s 3^10 table is under
+    # the bound; drawing from it first fills the shared window-move caches,
+    # so the traced peak is the draws' own.
+    assert sample_success(Plurality(2, 11, cap=10 ** 10), 10, seed=0).samples == 10
+    tracemalloc.start()
+    try:
+        assert sample_success(Plurality(4, 11, cap=10 ** 10), 200, seed=0).samples == 200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WINNER_TABLE_ENTRIES

@@ -23,6 +23,8 @@ from votemanip.verify import sweep_random_tables
 from votemanip.rankings import decode_profile, rank_order
 from votemanip.scf import (
     Borda,
+    DEFAULT_TABLE_CAP,
+    WINNER_TABLE_ENTRIES,
     Constant,
     MonotoneTwoValued,
     Plurality,
@@ -263,28 +265,32 @@ def test_sampler_draws_equal_the_order_tuple_oracle():
                     assert sample_success(f, samples, 3, width, tasks).successes == expected
 
 
-@pytest.mark.parametrize("rule, n, k, evaluate", [
-    (Borda, 3, 5, oracles.borda_tuple), (Plurality, 12, 5, oracles.plurality_tuple),
-    (Borda, 86, 3, oracles.borda_tuple), (Borda, 128, 3, oracles.borda_tuple)])
+@pytest.mark.parametrize("rule, n, k, evaluate, table", [
+    (Borda, 7, 5, oracles.borda_tuple, True), (Borda, 8, 5, oracles.borda_tuple, False),
+    (Plurality, 31, 5, oracles.plurality_tuple, True),
+    (Plurality, 32, 5, oracles.plurality_tuple, False),
+    (Borda, 86, 3, oracles.borda_tuple, True), (Borda, 128, 3, oracles.borda_tuple, True),
+    (Borda, 86, 4, oracles.borda_tuple, False)])
 def test_the_winner_table_and_the_packed_read_agree_either_side_of_its_bound(
-        monkeypatch, rule, n, k, evaluate):
-    # The move read keeps a table of (n * top + 1)^(k-1) winners up to the
-    # cap and reads packed vectors past it: 13^4 = 28,561 at Borda (3,5) and
-    # Plurality (12,5), 173^2 at Borda (86,3), whose sums pack in one byte,
-    # and 257^2 at Borda (128,3), in two. At one task the table path reads no
-    # packed vector; at both caps and task counts the successes are the oracle's.
+        monkeypatch, rule, n, k, evaluate, table):
+    # The move read keeps a table of (n * top + 1)^(k-1) winners up to
+    # WINNER_TABLE_ENTRIES = 2^20 and reads packed vectors past it, whatever
+    # the cap: 29^4 and 33^4 at Borda (7,5) and (8,5), 32^4 and 33^4 at
+    # Plurality (31,5) and (32,5). Borda (86,3) sums in one byte and (128,3)
+    # and (86,4) in two. At one task only the packed side reads a packed
+    # vector; at both task counts and caps the successes are the oracle's.
     packed, reads = ScoreRule.packed, []
     monkeypatch.setattr(ScoreRule, "packed",
                         lambda self, order: reads.append(order) or packed(self, order))
-    f = rule(n, k)
-    bound = (n * max(f.scores) + 1) ** (k - 1)
+    bound = (n * max(rule(n, k).scores) + 1) ** (k - 1)
+    assert (bound <= WINNER_TABLE_ENTRIES) == table
     samples, width = engine.SAMPLE_BLOCK + 500, min(4, k)
     expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3, engine.SAMPLE_BLOCK)
-    for cap, packs in ((bound - 1, True), (bound, False)):
+    for cap in (DEFAULT_TABLE_CAP, 10 ** 12):
         f = rule(n, k, cap=cap)
         reads.clear()
         assert sample_success(f, samples, 3, width, 1).successes == expected
-        assert bool(reads) == packs
+        assert bool(reads) != table
         assert sample_success(f, samples, 3, width, 2).successes == expected
 
 

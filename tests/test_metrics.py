@@ -151,9 +151,9 @@ def full_nonmanip_search(f):
 def test_skipped_min_cuts_leave_values_and_witnesses_unchanged(monkeypatch, n, k, seeds):
     cuts = []
 
-    def counted(cost_a, cost_b):
+    def counted(*costs):
         cuts.append(1)
-        return nearest_monotone_boolean(cost_a, cost_b)
+        return nearest_monotone_boolean(*costs)
 
     monkeypatch.setattr(metrics, "nearest_monotone_boolean", counted)
     for seed in seeds:
