@@ -58,7 +58,7 @@ def map_chunks(worker, chunk_args: list, tasks: int = 1) -> list:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(worker, *args) for args in chunk_args]
             return [fut.result() for fut in futures]
-    except (OSError, PermissionError) as exc:  # no pool available in this env
+    except OSError as exc:  # no pool available in this env
         print(f"warning: process pool unavailable ({exc}); running chunks inline",
               file=sys.stderr)
         return [worker(*args) for args in chunk_args]

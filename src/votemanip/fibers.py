@@ -97,8 +97,12 @@ def fiber_sweep(f: SCF, i: int, pair: tuple[int, int], variant: FiberVariant,
     Read part r's outcomes a and b as the bits of ``A_r`` and ``B_r``. Plain,
     per side of voter i (the key's bit i): a rank r is on the boundary in
     ``A_r & (B_0 | B_1 | ...)``. Refined: r with a directly above b, swapped
-    to s, is on it in ``A_r & B_s``; its swaps are checked against f's cap first.
+    to s, is on it in ``A_r & B_s``; its swaps are checked against f's cap
+    first. A fiber is large when its boundary share is at least ``1 - gamma``,
+    for a gamma in [0, 1].
     """
+    if not 0 <= gamma <= 1:
+        raise ValueError("gamma must lie in [0, 1]")
     check_coordinate(f.n, i)
     check_alternatives(f.k, *pair)
     a, b = pair

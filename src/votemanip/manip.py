@@ -37,7 +37,9 @@ from .rankings import (
     decode_profile,
     fiber_outcome_counts,
     index_digits,
+    instance_sums,
     join_class_tables,
+    join_tables,
     lane_int,
     profile_space_size,
     profile_strides,
@@ -204,10 +206,10 @@ def _first_block_flags(table, n: int, k: int) -> int:
 
 def census(f: SCF, r_values=None) -> ManipulationCensus:
     """Exact |M_r| for each requested r; r = k (or above) gives |M| itself:
-    :func:`census_tables` on f's table alone."""
+    f's :func:`census_tables` count (:meth:`SCF.counted`), made over its
+    block when a sweep placed it in one. What it builds is refused first."""
     check_census(f.n, f.k, r_values, f.cap)
-    [counted] = census_tables([f.table()], f.n, f.k, r_values)
-    return counted
+    return f.counted(census_tables, tuple(_census_rs(f.k, r_values)), f.cap)
 
 
 def _census_rs(k: int, r_values) -> list[int]:
@@ -220,37 +222,30 @@ def _census_rs(k: int, r_values) -> list[int]:
     return rs
 
 
-def census_tables(tables, n: int, k: int, r_values=None) -> list[ManipulationCensus]:
-    """The census of each (n, k) table of ``tables``, from one lane pass.
+def census_tables(tables, n: int, k: int, r_values, cap: int) -> list[ManipulationCensus]:
+    """The census of each (n, k) table of ``tables``, from one lane pass,
+    refused first as :func:`check_census` refuses it.
 
-    Joined, the tables are one table with an instance index slower than voter
-    0; every voter split of :func:`_manipulation_flags` keeps that index whole
-    and its join restores profile order, so table t's flags are bytes
-    ``t * (k!)^n`` onward of the joined flags. Widths 2..k take bits 0..k-2 of
-    a profile's byte, and |M_r| of a table is the number of its flag bytes
-    with bit ``min(r, k) - 2`` set: that bit plane's popcount for one table,
-    and per table a count over its span of the plane's bytes. The caller
-    checks the cap and the lanes (:func:`check_census`).
+    Joined (:func:`rankings.join_tables`), the tables are one table with an
+    instance index slower than voter 0; every voter split of
+    :func:`_manipulation_flags` keeps that index whole and its join restores
+    profile order, so table t's flags are bytes ``t * (k!)^n`` onward of the
+    joined flags. Widths 2..k take bits 0..k-2 of a profile's byte, and |M_r|
+    of a table is the number of its flag bytes with bit ``min(r, k) - 2``
+    set: that bit plane's :func:`rankings.instance_sums`, one span per table.
     """
+    check_census(n, k, r_values, cap)
     rs = _census_rs(k, r_values)
     widths = [min(r, k) for r in rs]
-    size = profile_space_size(n, k)
-    if any(len(table) != size for table in tables):
-        raise ValueError(f"each table needs (k!)^n = {size} entries")
-    joined = b"".join(tables)
+    joined = join_tables(tables, n, k)
     flags = _manipulation_flags(joined, n, k, tuple(sorted({w for w in widths if w >= 2})))
     ones = int.from_bytes(b"\x01" * len(joined), "little")
-
-    def plane(w):
-        return flags >> (w - 2) & ones if w >= 2 else 0
-
-    if len(tables) == 1:
-        counts = [{r: plane(w).bit_count() for r, w in zip(rs, widths)}]
-    else:
-        planes = {w: plane(w).to_bytes(len(joined), "little") for w in set(widths)}
-        counts = [{r: planes[w].count(1, lo, lo + size) for r, w in zip(rs, widths)}
-                  for lo in range(0, len(joined), size)]
-    return [ManipulationCensus(n=n, k=k, total_profiles=size, counts=c) for c in counts]
+    size = profile_space_size(n, k)
+    counts = {w: instance_sums(((1, flags >> (w - 2) & ones if w >= 2 else 0),),
+                               len(tables), 1, size) for w in set(widths)}
+    return [ManipulationCensus(n=n, k=k, total_profiles=size,
+                               counts={r: counts[w][t] for r, w in zip(rs, widths)})
+            for t in range(len(tables))]
 
 
 # ---------------------------------------------------------------------------

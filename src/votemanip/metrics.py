@@ -17,7 +17,7 @@ from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import fiber_outcome_counts, top_h_by_rank
+from .rankings import fiber_outcome_counts, rank_outcome_counts, top_h_by_rank
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -69,8 +69,8 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     One-coordinate branch: per coordinate, the modal completion (ties to the
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
     rest onto the lower of the pair. The minimum over all candidates is exact,
-    and only its witness is built, when read. Both read the SCF's cached
-    :meth:`SCF.rank_counts`; the masses are the column sums of coordinate 0's.
+    and only its witness is built, when read. Both read the SCF's rank counts
+    (:meth:`SCF.counted`); the masses are the column sums of coordinate 0's.
     """
     table = f.table()
     n, k = f.n, f.k
@@ -81,7 +81,7 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     for i in range(n):
         completion = []
         agree = 0
-        for row in f.rank_counts(i):
+        for row in f.counted(rank_outcome_counts, i):
             most = max(row)
             completion.append(row.index(most))
             agree += most
@@ -89,7 +89,7 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
             best_agree = agree
             best_witness = partial(OneCoordinate, n, k, i, completion, cap=f.cap)
 
-    mass = [sum(column) for column in zip(*f.rank_counts(0))]
+    mass = [sum(column) for column in zip(*f.counted(rank_outcome_counts, 0))]
     ranked = sorted(range(k), key=lambda x: (-mass[x], x))
     keep = ranked[:2] if k >= 2 else ranked[:1]
     agree = sum(mass[a] for a in keep)
@@ -126,7 +126,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     """Distance to the nonmanipulable family.
 
     Minimizes over every top_H dictator (its agreement read from the SCF's
-    cached :meth:`SCF.rank_counts`: per rank, the count of its top_H outcome,
+    rank counts (:meth:`SCF.counted`): per rank, the count of its top_H outcome,
     the subsets and their outcomes listed once per k by :func:`_dictator_plan`)
     and, per alternative pair, the cost-optimal monotone two-valued function
     found by an exact minimum cut over the preference hypercube, counted over
@@ -145,7 +145,7 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     best_witness = None
 
     for i in range(n):
-        counts = f.rank_counts(i)
+        counts = f.counted(rank_outcome_counts, i)
         plan = _cached_dictator_plan(k) if k <= TOP_H_CACHE_K else _dictator_plan(k)
         for members, tops in plan:
             agree = sum(map(getitem, counts, tops))

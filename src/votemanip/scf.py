@@ -27,7 +27,6 @@ from .rankings import (
     profile_space_size,
     profile_strides,
     rank_order,
-    rank_outcome_counts,
     ranking_orders,
     ranking_rank_of,
     swap_first_voters,
@@ -101,18 +100,12 @@ class SCF:
 
     def counted(self, count, *args):
         """This SCF's value of ``count(tables, n, k, *args)``, a count that
-        returns one value per table of a block (:func:`rankings.rank_outcome_counts`,
-        for one): made once, over the SCF's own table, the block of one, or
-        over all of its :class:`Block`'s tables when a sweep placed it in one."""
+        returns one value per table of a block (the census, rank, fiber and
+        transition counts): made once, over the SCF's own table, the block of
+        one, or over all of its :class:`Block`'s tables when a sweep placed it in one."""
         if self._block is None:
             Block([self])
         return self._block.read(self._place, count, args)
-
-    def rank_counts(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Per ranking rank of voter i, the profiles electing each alternative
-        (:func:`rankings.rank_outcome_counts`), counted once."""
-        check_coordinate(self.n, i)
-        return self.counted(rank_outcome_counts, i)
 
     def range(self) -> frozenset[int]:
         """Exact image over all profiles: the alternatives with a byte in the

@@ -39,7 +39,6 @@ from .errors import CapExceededError
 from .graphs import CoordinateInfluences, GraphKind
 from .manip import (
     ManipulationCensus,
-    census,
     census_tables,
     check_census,
     nonmanip_membership,
@@ -54,7 +53,7 @@ MAX_CUBE_BITS = 10
 # Most one-voter SCFs the exhaustive sweep enumerates (3^6 = 729 at k = 3).
 MAX_ONE_VOTER_FUNCTIONS = 10 ** 6
 
-# Table bytes a sweep joins for one census lane pass: a block holds as many
+# Table bytes a sweep joins for one pass of each count: a block holds as many
 # instances as fit, and at least one. Past a few dozen tables a larger block
 # saves little time, and each SCF and census it holds takes about 0.6 KB.
 SWEEP_BLOCK_BYTES = 1 << 10
@@ -187,21 +186,23 @@ class Measurements:
     """An SCF and the quantities the statements compare, each measured at most
     once, on first use: the census and the distances to both families.
 
-    The census runs at every width from 2 up to the widest asked for, so a
-    narrower request later reads it; only a wider one measures again. A sweep
-    hands in the census its block took, and an SCF whose other counts its
-    block makes (:func:`measured_instances`).
+    The census is the SCF's :func:`manip.census_tables` count
+    (:meth:`SCF.counted`), at every width from 2 up to the widest asked for,
+    so a narrower request later reads it; only a wider one counts again. An
+    SCF that a sweep placed in a block reads the count its block made
+    (:func:`measured_instances`).
     """
 
-    def __init__(self, f: SCF, counted: Optional[ManipulationCensus] = None):
+    def __init__(self, f: SCF):
         self.f = f
-        self._census = counted
+        self._census: Optional[ManipulationCensus] = None
         self._distances: dict[str, Fraction] = {}
 
     def census(self, widths) -> ManipulationCensus:
         """The census counts at ``widths``, each from 2 to k."""
         if self._census is None or max(widths) > max(self._census.counts):
-            self._census = census(self.f, range(2, max(widths) + 1))
+            f = self.f
+            self._census = f.counted(census_tables, tuple(range(2, max(widths) + 1)), f.cap)
         return replace(self._census, counts={w: self._census.counts[w] for w in widths})
 
     def distance(self, family: str) -> Fraction:
@@ -495,16 +496,15 @@ class SweepReport:
 
 def measured_instances(build, lo: int, hi: int, n: int, k: int, cap: int = DEFAULT_TABLE_CAP):
     """``(t, Measurements)`` of the (n, k) SCF ``build(t)`` for t = lo..hi-1, in
-    order, each census and count taken in its block.
+    order, each count taken in its block.
 
     A block joins as many tables as fit in ``SWEEP_BLOCK_BYTES`` (at least one)
-    into a :class:`scf.Block`. One :func:`manip.census_tables` pass at every
-    width from 2 to k (or 2 alone below k = 2), which every statement reads,
-    gives each SCF its census, handed to its ``Measurements``. Every other
-    count the statements read goes through :meth:`SCF.counted`, which makes
-    it for the whole block on its first read: rank counts
-    (:func:`rankings.rank_outcome_counts`) for both distances, fiber counts
-    (:func:`rankings.fiber_outcome_counts`) for the min-cut branch, and
+    into a :class:`scf.Block`. Every count the statements read goes through
+    :meth:`SCF.counted`, which makes it for the whole block on the first read
+    by any member: the census (:func:`manip.census_tables`) at the widths
+    :class:`Measurements` asks for, 2 to k at the sweeps' first read, rank
+    counts (:func:`rankings.rank_outcome_counts`) for both distances, fiber
+    counts (:func:`rankings.fiber_outcome_counts`) for the min-cut branch, and
     transition counts (:func:`graphs.transition_counts`) for the coarse
     influences. Each is one split of the joined tables and one lane sum per
     quantity (:func:`rankings.instance_sums`), whatever the block holds. In
@@ -517,16 +517,15 @@ def measured_instances(build, lo: int, hi: int, n: int, k: int, cap: int = DEFAU
     once its measurements are. What the census builds is refused over
     ``cap`` (:func:`manip.check_census`) before the first SCF is built.
     """
-    widths = range(2, max(k, 2) + 1)
-    check_census(n, k, widths, cap)
+    check_census(n, k, range(2, max(k, 2) + 1), cap)
     per_block = max(1, SWEEP_BLOCK_BYTES // profile_space_size(n, k))
     for start in range(lo, hi, per_block):
         indices = range(start, min(hi, start + per_block))
         scfs = [build(t) for t in indices]
-        counted = census_tables(Block(scfs).tables, n, k, widths)
+        Block(scfs)
         scfs.reverse()
-        for t, cen in zip(indices, counted):
-            yield t, Measurements(scfs.pop(), cen)
+        for t in indices:
+            yield t, Measurements(scfs.pop())
 
 
 def one_voter_function(k: int, t: int, cap: int = DEFAULT_TABLE_CAP) -> TableSCF:

@@ -92,6 +92,19 @@ def test_fibers_report():
         assert row["member_count"] == 6
 
 
+@pytest.mark.parametrize("gamma, code", [("0", 0), ("1", 0), ("-1/100", 1), ("101/100", 1)])
+def test_fibers_refuse_a_gamma_outside_the_unit_interval(capsys, gamma, code):
+    argv = ["fibers", "--rule", "borda", "-n", "2", "-k", "3", "--pair", "1,2",
+            "--coordinate", "1", f"--gamma={gamma}"]
+    got, out = run_cli(argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert capsys.readouterr().err == "error: gamma must lie in [0, 1]\n"
+    else:
+        assert len(json.loads(out)["result"]["records"]) == 4
+
+
 def test_fibers_plain_variant_with_epsilon_preset():
     code, doc = run_json([
         "fibers", "--rule", "plurality", "-n", "2", "-k", "3",
@@ -514,6 +527,20 @@ def test_window_tables_past_the_cap_are_refused_before_any_table(monkeypatch, co
     if command == "gs-classify":
         code, doc = run_json([*argv, str(fits)])
         assert code == 0 and doc["result"]["verdict"] == "nonmanipulable"
+
+
+def test_verify_refuses_the_census_move_tables_past_the_cap(monkeypatch):
+    # At n = 1, k = 8 statement 1.4 takes the census at widths 2 to 8, whose
+    # window_moves(8, 4) holds 4,838,400 entries: refused one below, after the
+    # 40,320-entry table is built and before any move table is.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a move table was built")
+
+    monkeypatch.setattr(manip, "window_moves", refuse)
+    code, out = run_cli(["verify", "--thm", "1.4", "--rule", "plurality", "-n", "1", "-k", "8",
+                         "--cap", "4838399"])
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("rule", ["borda", "random:0"])

@@ -486,19 +486,21 @@ def _rule_scfs(n, k, count, seed=0):
 def test_block_census_equals_the_census_of_each_table(n, k):
     # A block of one table, a full sweep block, and a sweep's full block
     # followed by a partial one each give every table its own census.
+    # The census taken alone is that of a copy of the table in no block.
     full = max(1, verify.SWEEP_BLOCK_BYTES // factorial(k) ** n)
     scfs = _rule_scfs(n, k, full + 3)
     rs = [2, 3, 4, 5]
+    cap = scfs[0].cap
     memo = {}
 
     def alone(f, widths):
         key = (f.table(), tuple(widths))
         if key not in memo:
-            memo[key] = census(f, widths)
+            memo[key] = census(TableSCF(n, k, f.table()), widths)
         return memo[key]
 
-    assert census_tables([scfs[0].table()], n, k, rs) == [alone(scfs[0], rs)]
-    block = census_tables([f.table() for f in scfs[:full]], n, k, rs)
+    assert census_tables([scfs[0].table()], n, k, rs, cap) == [alone(scfs[0], rs)]
+    block = census_tables([f.table() for f in scfs[:full]], n, k, rs, cap)
     assert block == [alone(f, rs) for f in scfs[:full]]
     measured = list(verify.measured_instances(scfs.__getitem__, 0, len(scfs), n, k))
     widths = range(2, max(k, 2) + 1)
@@ -541,7 +543,7 @@ def test_block_counts_equal_the_oracle_per_instance(monkeypatch, n, k):
     monkeypatch.setattr(verify, "SWEEP_BLOCK_BYTES", 3 * factorial(k) ** n)
     measured = list(verify.measured_instances(scfs.__getitem__, 0, len(scfs), n, k))
     for (_t, m), (ranks, fibers, moves) in zip(measured, expected):
-        assert [m.f.rank_counts(i) for i in range(n)] == ranks
+        assert [m.f.counted(rank_outcome_counts, i) for i in range(n)] == ranks
         assert [CoordinateInfluences(m.f, i).moves for i in range(n)] == moves
         assert {pair: m.f.counted(fiber_outcome_counts, *pair) for pair in fibers} == fibers
 

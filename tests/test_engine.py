@@ -95,3 +95,17 @@ def test_map_chunks_caps_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert engine.map_chunks(abs, chunks, tasks=8) == list(range(5))
     assert _InlineExecutor.started == [2, 3]
+
+
+@pytest.mark.parametrize("error", [OSError, PermissionError])
+def test_map_chunks_runs_inline_when_no_pool_starts(monkeypatch, capsys, error):
+    def unavailable(*args, **kwargs):
+        raise error("no semaphores")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    chunks = [(x,) for x in (3, -1, 4, -1, -5)]
+    assert engine.map_chunks(abs, chunks, tasks=4) == [3, 1, 4, 1, 5]
+    err = capsys.readouterr().err
+    assert err.startswith("warning: process pool unavailable (no semaphores)")
+    assert err.count("\n") == 1 and err.count("warning:") == 1

@@ -183,6 +183,17 @@ def test_fiber_sweep_covers_all_keys():
     }
 
 
+@pytest.mark.parametrize("variant", list(FiberVariant))
+def test_fiber_sweep_refuses_a_gamma_outside_the_unit_interval(variant):
+    # gamma 2 would call every fiber large and gamma -1 none.
+    f = Plurality(2, 3)
+    for gamma in (Fraction(0), Fraction(1)):
+        assert len(fiber_sweep(f, 0, (0, 1), variant, gamma)) > 0
+    for gamma in (Fraction(-1, 100), Fraction(101, 100)):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\]"):
+            fiber_sweep(f, 0, (0, 1), variant, gamma)
+
+
 def test_local_dictator_on_top_dictatorship():
     # For the unrestricted top dictatorship the outcome is the coordinate top,
     # and at k = 3 the block is the whole ranking: every profile qualifies in

@@ -16,7 +16,7 @@ from votemanip.metrics import (
     nearest_monotone_boolean,
 )
 from votemanip import metrics
-from votemanip.rankings import fiber_outcome_counts, top_h_by_rank
+from votemanip.rankings import fiber_outcome_counts, rank_outcome_counts, top_h_by_rank
 from votemanip.scf import (
     Borda,
     Constant,
@@ -132,7 +132,8 @@ def full_nonmanip_search(f):
     for i in range(n):
         for mask in range(1, 1 << k):
             H = frozenset(x for x in range(k) if mask >> x & 1)
-            agree = sum(row[top] for row, top in zip(f.rank_counts(i), top_h_by_rank(k, H)))
+            counts = f.counted(rank_outcome_counts, i)
+            agree = sum(row[top] for row, top in zip(counts, top_h_by_rank(k, H)))
             if agree > best_agree:
                 best_agree, best = agree, TopHDictator(n, k, i, H)
     fiber = (factorial(k) // 2) ** n

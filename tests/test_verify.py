@@ -7,12 +7,13 @@ from math import factorial
 
 import pytest
 
-from votemanip import verify
+from votemanip import manip, verify
 from votemanip.errors import CapExceededError
 from votemanip.manip import census
 from votemanip.graphs import CoordinateInfluences, GraphKind
 from votemanip.metrics import frac_str
 from votemanip.scf import (
+    Block,
     OneCoordinate,
     Plurality,
     TableSCF,
@@ -279,7 +280,7 @@ def test_sweep_random_tables_small():
     assert report.holds
 
 
-MEASURES = ("census", "distance_to_nonmanip", "distance_to_nonmanip_bar")
+MEASURES = ("distance_to_nonmanip", "distance_to_nonmanip_bar")
 
 
 def count_calls(monkeypatch, names=MEASURES) -> Counter:
@@ -294,49 +295,86 @@ def count_calls(monkeypatch, names=MEASURES) -> Counter:
     return calls
 
 
+def census_passes(monkeypatch) -> list:
+    """Record the tables and widths of each ``census_tables`` pass. One
+    wrapper stands for both bindings, ``manip.census``'s and
+    ``Measurements``', so the two still read one memo."""
+    passes = []
+    real = manip.census_tables
+
+    def recorded(tables, n, k, r_values, cap):
+        passes.append((list(tables), r_values))
+        return real(tables, n, k, r_values, cap)
+
+    monkeypatch.setattr(manip, "census_tables", recorded)
+    monkeypatch.setattr(verify, "census_tables", recorded)
+    return passes
+
+
 def test_sweeps_measure_each_quantity_once_per_scf(monkeypatch):
     # Each instance's census is taken once, in its block's census_tables pass
     # (no per-SCF census), and each distance once per instance.
     calls = count_calls(monkeypatch)
-    blocks = []
-    census_tables = verify.census_tables
-
-    def recorded(tables, *args):
-        blocks.append(list(tables))
-        return census_tables(tables, *args)
-
-    monkeypatch.setattr(verify, "census_tables", recorded)
+    passes = census_passes(monkeypatch)
     assert sweep_random_tables(2, 3, 5, seed=0).holds
     assert calls == {"distance_to_nonmanip": 5, "distance_to_nonmanip_bar": 5}
-    assert blocks == [[random_table_scf(2, 3, verify.engine.derive_stream_seed(0, t)).table()
-                       for t in range(5)]]
+    assert passes == [([random_table_scf(2, 3, verify.engine.derive_stream_seed(0, t)).table()
+                        for t in range(5)], (2, 3))]
     calls.clear()
-    blocks.clear()
+    passes.clear()
     assert sweep_one_voter(3).holds
     assert calls == {"distance_to_nonmanip": 729}
     # 170 six-entry tables fill a block.
-    assert [len(block) for block in blocks] == [170] * 4 + [49]
-    assert sum(blocks, []) == [one_voter_function(3, t).table() for t in range(729)]
+    assert [(len(tables), widths) for tables, widths in passes] == [(170, (2, 3))] * 4 + [
+        (49, (2, 3))]
+    assert sum((tables for tables, _ in passes), []) == [
+        one_voter_function(3, t).table() for t in range(729)]
 
 
 def test_measurements_read_a_narrower_census_from_the_wider_one(monkeypatch):
-    f = random_table_scf(2, 4, 5)
-    fresh = [verify_main_theorems(Measurements(f), ("1.2",))[0].describe(),
-             verify_thm_1_5(Measurements(f)).describe()]
+    # Each SCF here is a fresh copy, in no block, so what one measured is not
+    # read by another.
+    def fresh():
+        return random_table_scf(2, 4, 5)
+
+    alone = [verify_main_theorems(Measurements(fresh()), ("1.2",))[0].describe(),
+             verify_thm_1_5(Measurements(fresh())).describe()]
+    narrow, wide = census(fresh(), (2, 3)), census(fresh(), (4,))
     calls = count_calls(monkeypatch)
+    passes = census_passes(monkeypatch)
+    f = fresh()
     measured = Measurements(f)
     # 1.2 takes the width-4 census at k = 4 and 1.5 the width-3 one.
     shared = [verify_main_theorems(measured, ("1.2",))[0].describe(),
               verify_thm_1_5(measured).describe()]
-    assert shared == fresh
+    assert shared == alone
     assert list(shared[0]["witnesses"]["census"]["counts"]) == ["4"]
-    assert measured.census((2, 3)) == census(f, (2, 3))
+    assert measured.census((2, 3)) == narrow
     assert calls == {name: 1 for name in MEASURES}
-    # Only a wider census than the one taken measures again.
-    measured = Measurements(f)
+    assert [widths for _tables, widths in passes] == [(2, 3, 4)]
+    # Another Measurements of the same SCF reads the count already made.
+    assert Measurements(f).census((4,)) == wide
+    assert len(passes) == 1
+    # Only a wider census than the one taken counts again.
+    measured = Measurements(fresh())
     measured.census((3,))
-    assert measured.census((4,)) == census(f, (4,))
-    assert calls["census"] == 3
+    assert measured.census((4,)) == wide
+    assert [widths for _tables, widths in passes] == [(2, 3, 4), (2, 3), (2, 3, 4)]
+
+
+def test_a_block_census_is_one_pass_for_its_members(monkeypatch):
+    # manip.census of each member of one Block makes one census_tables pass,
+    # each member's result that of its table alone; Measurements of the same
+    # SCFs read that pass.
+    scfs = [random_table_scf(1, 4, seed) for seed in range(5)] + [Plurality(1, 4)]
+    alone = [census(TableSCF(1, 4, f.table())) for f in scfs]
+    passes = census_passes(monkeypatch)
+    Block(scfs)
+    assert [manip.census(f) for f in scfs] == alone
+    assert passes == [([f.table() for f in scfs], (2, 3, 4))]
+    assert [Measurements(f).census((2, 3, 4)) for f in scfs] == alone
+    assert verify_main_theorems(Measurements(scfs[0]), ("1.4",))[0].holds
+    assert len(passes) == 1
 
 
 def test_one_voter_functions_are_distinct():
