@@ -64,10 +64,8 @@ from .verify import (
     bound_value,
     sweep_one_voter,
     sweep_random_tables,
-    verify_lemma_influences,
-    verify_main_theorems,
     verify_reverse_hypercontractivity,
-    verify_thm_1_5,
+    verify_statement,
     write_counterexample,
 )
 

@@ -280,9 +280,10 @@ def _check_verify_options(args) -> None:
         raise ConfigError("the sweeps build their own SCFs: drop --rule and --table")
     if args.exhaustive and args.voters is not None:
         raise ConfigError("--exhaustive sweeps one-voter SCFs: drop -n")
-    if args.epsilon is not None and (sweep or args.thm not in ("2.1", "5.3", "6.1")):
+    override = verify.STATEMENTS.get(args.thm, (None, None, None))[2]
+    if args.epsilon is not None and (sweep or override != "epsilon"):
         raise ConfigError("--epsilon applies only to --thm 2.1, 5.3 or 6.1 on one SCF")
-    if args.alpha is not None and (sweep or args.thm != "1.5"):
+    if args.alpha is not None and (sweep or override != "alpha"):
         raise ConfigError("--alpha applies only to --thm 1.5 on one SCF")
     if args.seed is not None and args.random is None:
         raise ConfigError("--seed applies only to --random")
@@ -310,23 +311,16 @@ def _verify_run(args, tasks: int):
         )
         name = "random-sweep"
     else:
-        statement = args.thm
-        if statement not in (*verify.MAIN_THEOREMS, "2.1", "5.3", "6.1", "1.5"):
-            raise ConfigError(f"unknown statement {statement!r}")
+        if args.thm not in verify.STATEMENTS:
+            raise ConfigError(f"unknown statement {args.thm!r}")
         if args.rule and not args.table and None not in (args.voters, args.alternatives):
-            verify._check_shape(args.voters, args.alternatives, statement)
-        eps = None if args.epsilon is None else _fraction(args.epsilon, "--epsilon")
-        alpha = None if args.alpha is None else _fraction(args.alpha, "--alpha")
+            verify.check_statement(args.thm, args.voters, args.alternatives)
+        option = verify.STATEMENTS[args.thm][2]  # _check_verify_options refused any other
+        text = option and getattr(args, option)
+        value = None if text is None else _fraction(text, f"--{option}")
         f = _build_scf(args)
-        measured = verify.Measurements(f)
-        if statement in verify.MAIN_THEOREMS:
-            reports = verify.verify_main_theorems(measured, (statement,))
-        elif statement in ("2.1", "5.3", "6.1"):
-            reports = [verify.verify_lemma_influences(measured, eps, statement)]
-        else:
-            reports = [verify.verify_thm_1_5(measured, alpha)]
-        return ({"reports": [r.describe() for r in reports]},
-                [r for r in reports if not r.holds], f)
+        report = verify.verify_statement(verify.Measurements(f), args.thm, value)
+        return {"reports": [report.describe()]}, [] if report.holds else [report], f
     failed = [] if sweep.holds else [verify.VerificationReport(
         name, None, None, False, witnesses={"failures": sweep.failures})]
     return sweep.describe(), failed, None
@@ -399,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a statement id against brute force")
     _add_common(p)
     p.add_argument("--thm", required=True,
-                   help="statement id: 1.2, 1.4, 3.1, 7.1, 1.5, 2.1, 5.3, 6.1")
+                   help="statement id: " + ", ".join(verify.STATEMENTS))
     p.add_argument("--exhaustive", action="store_true",
                    help="sweep every one-voter SCF (with --thm 1.4)")
     p.add_argument("--random", type=int, default=None, metavar="COUNT",

@@ -543,6 +543,8 @@ def random_monotone_two_valued(n: int, k: int, seed: int,
     the n steps, lane m is 1 exactly when some submask of m is labeled a.
     """
     check_seed(seed)
+    if k < 2:
+        raise ValueError(f"a monotone two-valued SCF needs k >= 2, got k={k}")
     if n >= cap.bit_length() or 1 << n > cap:
         raise CapExceededError(f"2^n fiber labels at n={n} exceed the cap {cap}")
     rng = random.Random(seed)

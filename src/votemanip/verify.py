@@ -1,10 +1,10 @@
 """Bound evaluation and empirical verification of the manipulability theorems.
 
 Each verifiable statement gets an id. The registry maps ids to exact rational
-bound formulas; the verifiers compare those bounds against brute-force
-quantities (census fractions, influences, distances) with zero tolerance. A
-holds=False report is a build-breaking finding and is preserved as a
-counterexample bundle.
+bound formulas; the checks in :data:`STATEMENTS`, which the CLI and the sweeps
+run, compare those bounds against brute-force quantities (census fractions,
+influences, distances) with zero tolerance. A holds=False report is a
+build-breaking finding and is preserved as a counterexample bundle.
 
 Statement ids:
   1.2   profile-manipulation bound for n voters: P(M_4) >= eps^15/(10^39 n^67 k^166),
@@ -45,7 +45,7 @@ from .manip import (
 )
 from .metrics import distance_to_nonmanip, distance_to_nonmanip_bar, frac_str
 from .rankings import check_cap, profile_space_size
-from .scf import DEFAULT_TABLE_CAP, SCF, Block, TableSCF, random_table_scf
+from .scf import DEFAULT_TABLE_CAP, SCF, Block, TableSCF, dump_scf_table, random_table_scf
 
 # Largest cube dimension the reverse hypercontractivity check enumerates.
 MAX_CUBE_BITS = 10
@@ -171,17 +171,6 @@ class VerificationReport:
         }
 
 
-MAIN_THEOREMS = ("1.2", "1.4", "3.1", "7.1")
-
-# Which census width and distance family feeds each main statement.
-_MAIN_PLAN = {
-    "1.2": (4, "nonmanip"),
-    "1.4": (3, "nonmanip"),
-    "3.1": (None, "nonmanip-bar"),
-    "7.1": (4, "nonmanip-bar"),
-}
-
-
 class Measurements:
     """An SCF and the quantities the statements compare, each measured at most
     once, on first use: the census and the distances to both families.
@@ -213,37 +202,20 @@ class Measurements:
         return self._distances[family]
 
 
-def _check_shape(n: int, k: int, statement: str) -> None:
-    """Refuse, before anything is built or measured, a statement that the shape does not fit."""
-    if statement in ("1.4", "6.1") and n != 1:
-        raise ValueError(f"statement {statement} applies to one-voter functions only")
-    if statement in ("3.1", "7.1", "2.1", "5.3") and n < 2:
-        raise ValueError(f"statement {statement} needs n >= 2")
-    BoundParams(n=n, k=k).require("n", "k")
-
-
-def verify_main_theorems(measured: Measurements,
-                         which=MAIN_THEOREMS) -> list[VerificationReport]:
-    """Compare census fractions against the headline lower bounds.
-
-    Statement 1.4 needs n = 1; statements 3.1 and 7.1 need n >= 2.
-    """
+def _main_theorem(statement: str, width: Optional[int], family: str,
+                  measured: Measurements, value: None) -> VerificationReport:
+    """Compare the census fraction at ``width`` (any width when None) against a
+    headline lower bound at the distance to ``family``, which no value overrides."""
     f = measured.f
-    for statement in which:
-        _check_shape(f.n, f.k, statement)
     # A statement without a width (3.1) reads the census at k, which is always taken.
-    cen = measured.census(sorted({min(_MAIN_PLAN[s][0] or f.k, f.k) for s in which} | {f.k}))
-    reports = []
-    for statement in which:
-        width, family = _MAIN_PLAN[statement]
-        eps = measured.distance(family)
-        rhs = bound_value(statement, BoundParams(n=f.n, k=f.k, epsilon=eps))
-        lhs = cen.fraction(min(width, f.k)) if width is not None else cen.manipulable_fraction()
-        reports.append(VerificationReport(
-            statement=statement, lhs=lhs, rhs=rhs, holds=lhs >= rhs,
-            witnesses={"epsilon": eps, "distance_family": family, "census": cen},
-        ))
-    return reports
+    cen = measured.census(sorted({min(width or f.k, f.k), f.k}))
+    eps = measured.distance(family)
+    rhs = bound_value(statement, BoundParams(n=f.n, k=f.k, epsilon=eps))
+    lhs = cen.fraction(min(width, f.k)) if width is not None else cen.manipulable_fraction()
+    return VerificationReport(
+        statement=statement, lhs=lhs, rhs=rhs, holds=lhs >= rhs,
+        witnesses={"epsilon": eps, "distance_family": family, "census": cen},
+    )
 
 
 class _Influence(NamedTuple):
@@ -303,18 +275,15 @@ def _two_coordinate_witness(qualifying, witnesses: dict) -> bool:
     return False
 
 
-def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] = None,
-                            statement: str = "2.1") -> VerificationReport:
-    """Find the large-influence witnesses the influence lemmas promise.
+def _lemma_influences(statement: str, measured: Measurements,
+                      epsilon: Optional[Fraction]) -> VerificationReport:
+    """Find the large-influence witnesses influence lemma 2.1, 5.3 or 6.1 promises.
 
     epsilon defaults to the measured distance (to the one-coordinate-or-two-
     valued family for 2.1 and 5.3, to the nonmanipulable family for 6.1). A
     zero distance leaves the lemma vacuous, reported as precondition-not-met.
     """
-    if statement not in ("2.1", "5.3", "6.1"):
-        raise ValueError(f"unknown influence lemma {statement!r}")
     f = measured.f
-    _check_shape(f.n, f.k, statement)
     distance = measured.distance("nonmanip" if statement == "6.1" else "nonmanip-bar")
     if epsilon is None:
         epsilon = distance
@@ -342,9 +311,7 @@ def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] 
             witnesses=witnesses,
         )
 
-    manip_id = "5.3-manip" if statement == "5.3" else "6.1-manip"
-    inf_id = "5.3-influence" if statement == "5.3" else "6.1-influence"
-    manip_threshold = bound_value(manip_id, params)
+    manip_threshold = bound_value(f"{statement}-manip", params)
     m2 = measured.census((2,)).fraction(2)
     witnesses["m2"] = m2
     witnesses["m2_threshold"] = manip_threshold
@@ -354,7 +321,7 @@ def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] 
             comparison="2-manipulation branch", witnesses=witnesses,
         )
 
-    threshold = bound_value(inf_id, params)
+    threshold = bound_value(f"{statement}-influence", params)
     qualifying = _qualifying_influences(measured, threshold, witnesses, refined=True)
     if statement == "6.1":
         holds = bool(qualifying)
@@ -368,8 +335,7 @@ def verify_lemma_influences(measured: Measurements, epsilon: Optional[Fraction] 
     )
 
 
-def verify_thm_1_5(measured: Measurements,
-                   alpha: Optional[Fraction] = None) -> VerificationReport:
+def _thm_1_5(measured: Measurements, alpha: Optional[Fraction]) -> VerificationReport:
     """Check the reduction disjunction at a measured (or supplied) alpha.
 
     Either the distance to the nonmanipulable family stays below the cubed
@@ -377,7 +343,6 @@ def verify_thm_1_5(measured: Measurements,
     avoids irrational arithmetic.
     """
     f = measured.f
-    _check_shape(f.n, f.k, "1.5")
     distance = measured.distance("nonmanip-bar")
     if alpha is None:
         alpha = distance
@@ -410,6 +375,42 @@ def verify_thm_1_5(measured: Measurements,
     )
 
 
+# Statement id -> (check, voters, override), in the CLI's order. ``check(measured,
+# value)`` reports on the statement, ``value`` replacing the measured ``override``
+# ("epsilon" or "alpha") unless None; ``voters`` is 1 (exactly), 2 (at least) or None.
+STATEMENTS = {
+    "1.2": (partial(_main_theorem, "1.2", 4, "nonmanip"), None, None),
+    "1.4": (partial(_main_theorem, "1.4", 3, "nonmanip"), 1, None),
+    "3.1": (partial(_main_theorem, "3.1", None, "nonmanip-bar"), 2, None),
+    "7.1": (partial(_main_theorem, "7.1", 4, "nonmanip-bar"), 2, None),
+    "1.5": (_thm_1_5, None, "alpha"),
+    "2.1": (partial(_lemma_influences, "2.1"), 2, "epsilon"),
+    "5.3": (partial(_lemma_influences, "5.3"), 2, "epsilon"),
+    "6.1": (partial(_lemma_influences, "6.1"), 1, "epsilon"),
+}
+
+
+def check_statement(statement: str, n: int, k: int) -> None:
+    """Refuse, before anything is built or measured, an unknown statement id
+    or one that the (n, k) shape does not fit."""
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
+    voters = STATEMENTS[statement][1]
+    if voters == 1 and n != 1:
+        raise ValueError(f"statement {statement} applies to one-voter functions only")
+    if voters == 2 and n < 2:
+        raise ValueError(f"statement {statement} needs n >= 2")
+    BoundParams(n=n, k=k).require("n", "k")
+
+
+def verify_statement(measured: Measurements, statement: str,
+                     value: Optional[Fraction] = None) -> VerificationReport:
+    """Check one statement of :data:`STATEMENTS` on a measured SCF; a ``value``
+    other than None replaces the measured value its entry's override names."""
+    check_statement(statement, measured.f.n, measured.f.k)
+    return STATEMENTS[statement][0](measured, value)
+
+
 # ---------------------------------------------------------------------------
 # Reverse hypercontractivity.
 
@@ -418,15 +419,15 @@ def verify_reverse_hypercontractivity(n: int, rho: Fraction, B1, B2) -> Verifica
     """Exact check that correlated cubes overlap: P(x in B1, y in B2) >= eps^(2/(1-rho)).
 
     Coordinates are independent with uniform +-1 marginals and correlation
-    rho; eps is the smaller marginal. The exponent 2/(1-rho) is rational for
-    rational rho; both sides are raised to its denominator so the comparison
-    stays exact.
+    0 <= rho < 1, where the inequality holds; eps is the smaller marginal.
+    The exponent 2/(1-rho) is rational for rational rho; both sides are raised
+    to its denominator so the comparison stays exact.
     """
     if n < 1 or n > MAX_CUBE_BITS:
         raise CapExceededError(f"n={n} outside the supported range [1, {MAX_CUBE_BITS}]")
     rho = Fraction(rho)
-    if not abs(rho) < 1:
-        raise ValueError("|rho| must be < 1")
+    if not 0 <= rho < 1:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
     size = 1 << n
     set1 = sorted(set(B1))
     set2 = sorted(set(B2))
@@ -539,10 +540,11 @@ def one_voter_rows(k: int, lo: int, hi: int, cap: int = DEFAULT_TABLE_CAP):
     1.4 on each, the dichotomy (manipulable exactly when no member of the
     nonmanipulable family equals it) and a zero distance exactly when it is not
     manipulable."""
+    check_statement("1.4", 1, k)
     build = partial(one_voter_function, k, cap=cap)
     for t, measured in measured_instances(build, lo, hi, 1, k, cap):
         f = measured.f
-        (report,) = verify_main_theorems(measured, ("1.4",))
+        report = STATEMENTS["1.4"][0](measured, None)
         eps = measured.distance("nonmanip")
         manipulable = measured.census((k,)).manipulable_count() > 0
         checks = {
@@ -594,16 +596,21 @@ def sweep_one_voter(k: int, tasks: int = 1, cap: int = DEFAULT_TABLE_CAP) -> Swe
     )
 
 
+_RANDOM_SWEEP = ("1.2", "2.1", "1.5")
+
+
 def random_table_reports(n: int, k: int, seed: int, lo: int, hi: int,
                          cap: int = DEFAULT_TABLE_CAP):
     """``(t, reports)`` of statements 1.2, 2.1 and 1.5 on random tables t =
     lo..hi-1 of the sweep seeded ``seed``, in order."""
+    for statement in _RANDOM_SWEEP:
+        check_statement(statement, n, k)
+
     def build(t):
         return random_table_scf(n, k, engine.derive_stream_seed(seed, t), cap)
 
     for t, measured in measured_instances(build, lo, hi, n, k, cap):
-        yield t, [*verify_main_theorems(measured, ("1.2",)),
-                  verify_lemma_influences(measured, statement="2.1"), verify_thm_1_5(measured)]
+        yield t, [STATEMENTS[statement][0](measured, None) for statement in _RANDOM_SWEEP]
 
 
 def _random_tables_chunk(n: int, k: int, seed: int, lo: int, hi: int, cap: int):
@@ -624,8 +631,8 @@ def sweep_random_tables(n: int, k: int, count: int, seed: int, tasks: int = 1,
     if count < 1:
         raise ValueError(f"the random sweep needs a count of at least 1, got {count}")
     engine.check_seed(seed)
-    for statement in ("1.2", "2.1", "1.5"):
-        _check_shape(n, k, statement)
+    for statement in _RANDOM_SWEEP:
+        check_statement(statement, n, k)
     check_census(n, k, range(2, k + 1), cap)
     chunks = [(n, k, seed, lo, hi, cap) for lo, hi in engine.split_ranges(count, tasks)]
     parts = engine.map_chunks(_random_tables_chunk, chunks, tasks)
@@ -647,8 +654,6 @@ def write_counterexample(report: VerificationReport, f: Optional[SCF],
     os.makedirs(directory, exist_ok=True)
     manifest = {"report": report.describe()}
     if f is not None:
-        from .scf import dump_scf_table
-
         table_path = os.path.join(directory, "scf_table.json")
         dump_scf_table(f, table_path)
         manifest["scf_table"] = "scf_table.json"

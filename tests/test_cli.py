@@ -333,6 +333,20 @@ def test_isoperimetry_and_hypercontractivity():
     assert code == 0 and doc["result"]["holds"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    # At rho = -1/2 the joint of {+1} and {-1} is 3/8 < (1/2)^(4/3): the
+    # inequality holds only for 0 <= rho < 1.
+    (["hypercontractivity", "--bits", "1", "--rho=-1/2", "--b1", "1", "--b2", "0"],
+     "rho must lie in [0, 1), got -1/2"),
+    (["gs-classify", "--rule", "monotone-random:1", "-n", "2", "-k", "1"],
+     "a monotone two-valued SCF needs k >= 2, got k=1"),
+], ids=["negative-rho", "monotone-one-alternative"])
+def test_an_input_a_check_or_rule_does_not_cover_is_refused(capsys, argv, message):
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _count_passes(monkeypatch) -> list:
     """The classes of every ``rankings.class_tables`` split of the table, under any import."""
     from votemanip import fibers, graphs, manip, rankings
@@ -477,8 +491,7 @@ def test_exit_code_cap_exceeded():
 def test_exit_code_verification_failure(monkeypatch, tmp_path):
     # A true statement cannot honestly fail, so fake one to test the plumbing.
     fake = VerificationReport("1.5", Fraction(1), Fraction(0), False)
-    monkeypatch.setattr(cli.verify, "verify_thm_1_5",
-                        lambda *a, **kw: fake)
+    monkeypatch.setattr(cli.verify, "verify_statement", lambda *a, **kw: fake)
     code, _ = run_cli([
         "verify", "--thm", "1.5", "--rule", "plurality", "-n", "2", "-k", "3",
         "--bundle-dir", str(tmp_path / "bundle"),
@@ -687,6 +700,27 @@ def test_verify_refuses_an_option_it_would_not_use(capsys, argv):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("statement", list(verify.STATEMENTS))
+@pytest.mark.parametrize("option, value", [("--epsilon", "0"), ("--alpha", "1")])
+def test_verify_takes_an_override_exactly_where_the_statement_names_it(capsys, statement,
+                                                                        option, value):
+    takes = {"1.5": "--alpha", "2.1": "--epsilon", "5.3": "--epsilon", "6.1": "--epsilon"}
+    n = "1" if statement in ("1.4", "6.1") else "2"
+    code, out = run_cli(["verify", "--thm", statement, "--rule", "random:5", "-n", n, "-k", "3",
+                         option, value])
+    if takes.get(statement) != option:
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith(f"error: {option} applies only to --thm ")
+        return
+    assert code == 0
+    [report] = json.loads(out)["result"]["reports"]
+    assert report["statement"] == statement and report["holds"]
+    if option == "--alpha":
+        assert report["witnesses"]["alpha"] == "1/1"
+    else:  # a zero epsilon leaves the lemma vacuous
+        assert report["comparison"] == "vacuous"
 
 
 FIBERS = ["fibers", "--rule", "borda", "-n", "2", "-k", "3", "--pair", "1,2", "--coordinate", "1"]

@@ -653,16 +653,15 @@ def test_failure_rows_are_the_same_across_tasks_and_blocks(monkeypatch, tmp_path
     for t in range(30):
         seed = verify.engine.derive_stream_seed(3, t)
         measured = verify.Measurements(random_table_scf(2, 3, seed))
-        reports = [*verify.verify_main_theorems(measured, ("1.2",)),
-                   verify.verify_lemma_influences(measured, statement="2.1"),
-                   verify.verify_thm_1_5(measured)]
+        reports = [verify.verify_statement(measured, statement)
+                   for statement in ("1.2", "2.1", "1.5")]
         assert not any(r.holds for r in reports)
         expected.append({"instance": t, "seed": seed, "reports": [r.describe() for r in reports]})
     assert random_failures == expected
     assert len(one_voter_failures) == 729
     for t, row in enumerate(one_voter_failures):
         measured = verify.Measurements(verify.one_voter_function(3, t))
-        [report] = verify.verify_main_theorems(measured, ("1.4",))
+        report = verify.verify_statement(measured, "1.4")
         described = report.describe()
         assert not report.holds
         assert (row["function_index"], row["m3"], row["bound"], row["epsilon"]) == (

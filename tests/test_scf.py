@@ -93,6 +93,15 @@ def test_monotone_table_validation():
     MonotoneTwoValued(2, 3, (0, 1), (1, 0, 1, 0))
 
 
+@pytest.mark.parametrize("k", [1, 0])
+def test_random_monotone_two_valued_refuses_fewer_than_two_alternatives(k):
+    # Its two labels are a pair of distinct alternatives.
+    with pytest.raises(ValueError) as refused:
+        random_monotone_two_valued(2, k, 1)
+    assert str(refused.value) == f"a monotone two-valued SCF needs k >= 2, got k={k}"
+    assert random_monotone_two_valued(2, 2, 1).range() <= {0, 1}
+
+
 def test_random_generators_reproducible():
     assert random_table_scf(2, 3, 42).table() == random_table_scf(2, 3, 42).table()
     a = random_monotone_two_valued(3, 4, 7)

@@ -21,16 +21,16 @@ from votemanip.scf import (
     random_table_scf,
 )
 from votemanip.verify import (
+    STATEMENTS,
     BoundParams,
     Measurements,
     bound_value,
+    check_statement,
     one_voter_function,
     sweep_one_voter,
     sweep_random_tables,
-    verify_lemma_influences,
-    verify_main_theorems,
     verify_reverse_hypercontractivity,
-    verify_thm_1_5,
+    verify_statement,
     write_counterexample,
     VerificationReport,
 )
@@ -81,30 +81,65 @@ def test_bound_monotonicity_grid():
         assert bound_value(statement, BoundParams(n=2, k=4, epsilon=Fraction(1, 2))) <= small
 
 
+# Per statement: a shape it fits, and one it refuses with the message it gives.
+SHAPES = {
+    "1.2": ((2, 3), (2, 2), "bounds require k >= 3"),
+    "1.4": ((1, 3), (2, 3), "statement 1.4 applies to one-voter functions only"),
+    "3.1": ((2, 3), (1, 3), "statement 3.1 needs n >= 2"),
+    "7.1": ((2, 3), (1, 3), "statement 7.1 needs n >= 2"),
+    "1.5": ((1, 3), (1, 2), "bounds require k >= 3"),
+    "2.1": ((2, 3), (1, 3), "statement 2.1 needs n >= 2"),
+    "5.3": ((2, 3), (1, 3), "statement 5.3 needs n >= 2"),
+    "6.1": ((1, 3), (2, 3), "statement 6.1 applies to one-voter functions only"),
+}
+
+
+def test_the_statement_table_lists_the_ids_in_help_order():
+    assert list(STATEMENTS) == list(SHAPES)
+    with pytest.raises(ValueError, match=r"^unknown statement '9\.9'$"):
+        check_statement("9.9", 2, 3)
+    with pytest.raises(ValueError, match=r"^unknown statement '9\.9'$"):
+        verify_statement(Measurements(random_table_scf(2, 3, 5)), "9.9")
+
+
+@pytest.mark.parametrize("statement", list(SHAPES))
+def test_each_statement_runs_on_a_shape_it_fits_and_refuses_one_it_does_not(statement):
+    fits, misfit, message = SHAPES[statement]
+    check_statement(statement, *fits)
+    report = verify_statement(Measurements(random_table_scf(*fits, 5)), statement)
+    assert report.statement == statement and report.holds
+    with pytest.raises(ValueError) as refused:
+        check_statement(statement, *misfit)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        verify_statement(Measurements(random_table_scf(*misfit, 5)), statement)
+    assert str(refused.value) == message
+
+
 def test_main_theorems_on_members_and_random():
     member = TopHDictator(2, 3, 0, range(3))
-    for report in verify_main_theorems(Measurements(member), ("1.2", "3.1", "7.1")):
+    for statement in ("1.2", "3.1", "7.1"):
+        report = verify_statement(Measurements(member), statement)
         assert report.holds
         assert report.rhs == 0  # epsilon is 0
     f = random_table_scf(2, 3, 2024)
-    for report in verify_main_theorems(Measurements(f), ("1.2", "3.1", "7.1")):
-        assert report.holds
+    for statement in ("1.2", "3.1", "7.1"):
+        assert verify_statement(Measurements(f), statement).holds
 
 
 def test_main_theorem_one_voter():
     anti = TableSCF(1, 3, [o[-1] for o in permutations(range(3))])
-    (report,) = verify_main_theorems(Measurements(anti), ("1.4",))
+    report = verify_statement(Measurements(anti), "1.4")
     assert report.holds
     assert report.lhs > 0
     with pytest.raises(ValueError):
-        verify_main_theorems(Measurements(Plurality(2, 3)), ("1.4",))
+        verify_statement(Measurements(Plurality(2, 3)), "1.4")
     with pytest.raises(ValueError):
-        verify_main_theorems(Measurements(anti), ("3.1",))
+        verify_statement(Measurements(anti), "3.1")
 
 
 def test_lemma_influences_vacuous_on_members():
-    report = verify_lemma_influences(Measurements(TopHDictator(2, 3, 0, range(3))),
-                                     statement="2.1")
+    report = verify_statement(Measurements(TopHDictator(2, 3, 0, range(3))), "2.1")
     assert report.holds
     assert any("precondition-not-met" in note for note in report.notes)
 
@@ -112,7 +147,7 @@ def test_lemma_influences_vacuous_on_members():
 def test_lemma_influences_witnesses_random():
     f = random_table_scf(2, 3, 4242)
     for statement in ("2.1", "5.3"):
-        report = verify_lemma_influences(Measurements(f), statement=statement)
+        report = verify_statement(Measurements(f), statement)
         assert report.holds
         witnesses = report.describe()["witnesses"]
         if "witness" in witnesses:
@@ -133,7 +168,7 @@ def test_lemma_influences_qualifying_values(monkeypatch):
              (random_table_scf(2, 3, 4242), "5.3"), (random_table_scf(2, 4, 7), "5.3"),
              (random_table_scf(1, 4, 3), "6.1")]
     for f, statement in cases:
-        report = verify_lemma_influences(Measurements(f), statement=statement)
+        report = verify_statement(Measurements(f), statement)
         expected = [
             {"coordinate": i + 1, "pair": [a + 1, b + 1], "influence": frac_str(
                 CoordinateInfluences(f, i).influence(
@@ -145,31 +180,31 @@ def test_lemma_influences_qualifying_values(monkeypatch):
 
 def test_lemma_influences_one_voter():
     anti = TableSCF(1, 3, [o[-1] for o in permutations(range(3))])
-    report = verify_lemma_influences(Measurements(anti), statement="6.1")
+    report = verify_statement(Measurements(anti), "6.1")
     assert report.holds
     with pytest.raises(ValueError):
-        verify_lemma_influences(Measurements(anti), statement="2.1")
+        verify_statement(Measurements(anti), "2.1")
     with pytest.raises(ValueError):
-        verify_lemma_influences(Measurements(Plurality(2, 3)), statement="6.1")
+        verify_statement(Measurements(Plurality(2, 3)), "6.1")
 
 
 def test_lemma_influences_precondition_violation():
     f = Plurality(2, 3)
     with pytest.raises(ValueError):
-        verify_lemma_influences(Measurements(f), epsilon=Fraction(99, 100), statement="2.1")
+        verify_statement(Measurements(f), "2.1", Fraction(99, 100))
 
 
 def test_thm_1_5_branches():
     # A nonmanipulable member satisfies the distance branch for any alpha > 0.
     member = TopHDictator(2, 3, 0, range(3))
-    report = verify_thm_1_5(Measurements(member), alpha=Fraction(1, 100))
+    report = verify_statement(Measurements(member), "1.5", Fraction(1, 100))
     assert report.holds and report.witnesses["distance_branch"]
 
     # One-coordinate but manipulable: alpha measures 0, the manipulation
     # branch holds trivially and the report flags the degeneracy.
     anti_orders = [o[-1] for o in permutations(range(3))]
     one_coord = OneCoordinate(2, 3, 0, anti_orders)
-    report = verify_thm_1_5(Measurements(one_coord))
+    report = verify_statement(Measurements(one_coord), "1.5")
     assert report.holds
     assert report.describe()["witnesses"]["alpha"] == "0/1"
     assert any("degenerate" in note for note in report.notes)
@@ -179,11 +214,11 @@ def test_thm_1_5_branches():
     table = list(table)
     table[7] = (table[7] + 1) % 3
     bumped = TableSCF(2, 3, table)
-    report = verify_thm_1_5(Measurements(bumped))
+    report = verify_statement(Measurements(bumped), "1.5")
     assert report.holds
 
     with pytest.raises(ValueError):
-        verify_thm_1_5(Measurements(bumped), alpha=Fraction(0))
+        verify_statement(Measurements(bumped), "1.5", Fraction(0))
 
 
 def test_reverse_hypercontractivity_cases():
@@ -209,6 +244,10 @@ def test_reverse_hypercontractivity_cases():
 
     with pytest.raises(ValueError):
         verify_reverse_hypercontractivity(2, Fraction(1), [0], [1])
+    # The inequality holds only for 0 <= rho < 1: at rho = -1/2 the joint of
+    # {+1} and {-1} on one bit is 3/8 < (1/2)^(4/3).
+    with pytest.raises(ValueError):
+        verify_reverse_hypercontractivity(1, Fraction(-1, 2), [1], [0])
     with pytest.raises(CapExceededError):
         verify_reverse_hypercontractivity(64, Fraction(1, 3), [0], [1])
 
@@ -337,16 +376,16 @@ def test_measurements_read_a_narrower_census_from_the_wider_one(monkeypatch):
     def fresh():
         return random_table_scf(2, 4, 5)
 
-    alone = [verify_main_theorems(Measurements(fresh()), ("1.2",))[0].describe(),
-             verify_thm_1_5(Measurements(fresh())).describe()]
+    alone = [verify_statement(Measurements(fresh()), "1.2").describe(),
+             verify_statement(Measurements(fresh()), "1.5").describe()]
     narrow, wide = census(fresh(), (2, 3)), census(fresh(), (4,))
     calls = count_calls(monkeypatch)
     passes = census_passes(monkeypatch)
     f = fresh()
     measured = Measurements(f)
     # 1.2 takes the width-4 census at k = 4 and 1.5 the width-3 one.
-    shared = [verify_main_theorems(measured, ("1.2",))[0].describe(),
-              verify_thm_1_5(measured).describe()]
+    shared = [verify_statement(measured, "1.2").describe(),
+              verify_statement(measured, "1.5").describe()]
     assert shared == alone
     assert list(shared[0]["witnesses"]["census"]["counts"]) == ["4"]
     assert measured.census((2, 3)) == narrow
@@ -373,7 +412,7 @@ def test_a_block_census_is_one_pass_for_its_members(monkeypatch):
     assert [manip.census(f) for f in scfs] == alone
     assert passes == [([f.table() for f in scfs], (2, 3, 4))]
     assert [Measurements(f).census((2, 3, 4)) for f in scfs] == alone
-    assert verify_main_theorems(Measurements(scfs[0]), ("1.4",))[0].holds
+    assert verify_statement(Measurements(scfs[0]), "1.4").holds
     assert len(passes) == 1
 
 
@@ -386,7 +425,8 @@ def test_write_counterexample(tmp_path):
     f = random_table_scf(2, 3, 1)
     report = VerificationReport("demo", Fraction(0), Fraction(1), False)
     path = write_counterexample(report, f, str(tmp_path / "bundle"))
-    doc = json.loads(open(path).read())
+    with open(path) as fh:
+        doc = json.load(fh)
     assert doc["report"]["statement"] == "demo"
     assert doc["shape"] == {"n": 2, "k": 3}
     assert (tmp_path / "bundle" / "scf_table.json").exists()
