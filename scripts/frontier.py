@@ -29,10 +29,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The README grid: Borda at the largest shapes the default cap admits, and at
 # n=9, k=3 (1.0e7 profiles) past it; then the seeded paths: random:0 at n=5,
 # k=4, whose table is drawn, local dictators on Borda there (190,800 found,
-# 20 decoded), and the sampler past the cap, at n=13, k=5, whose 53^4 score
-# vectors lie past the winner table's 2^20 bound, and at k = 9, where it fills
-# per-rank values only for the ranks it draws; then one voter, where the
-# per-rank tables, not the profile table, set the reach.
+# 20 decoded), and the sampler: at n=4, k=5, under the winner table's 2^20
+# bound; past the cap at n=13, k=5, whose 53^4 score codes lie past that
+# bound; at n=86, k=4, past it too (259^3), where a score sum reaches 258 and
+# takes more than one byte; and at k = 9, where it fills per-rank values only
+# for the ranks it draws; then one voter, where the per-rank tables, not the
+# profile table, set the reach.
 SHAPES = [(5, 4, ()), (3, 5, ()), (8, 3, ()), (9, 3, ("--cap", "20000000"))]
 COMMANDS = [("census",), ("distance",), ("influences", "--refined"), ("gs-classify",)]
 SEEDED_CALLS = [
@@ -44,6 +46,7 @@ SEEDED_CALLS = [
     "local-dictators borda 5 4 --pair 1,2 --coordinate 1",
     "sample borda 4 5 --samples 300000",
     "sample borda 13 5 --samples 300000",
+    "sample borda 86 4 --samples 100000",
     "sample borda 2 9 --samples 10",
 ]
 ONE_VOTER_CALLS = ["gs-classify borda 1 7", "census borda 1 7", "influences borda 1 8"]

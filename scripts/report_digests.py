@@ -59,13 +59,13 @@ RANDOM_CALLS = [["census", "--rule", "random:0", "-n", "2", "-k", "1"],
                 ["sample", "--rule", "random:0", "-n", "1", "-k", "8", "--samples", "5000"]]
 # The sampler's edge reads: at n = 1 the voter read is randrange(1), which
 # reads words until a 0 bit, and k = width leaves one window start; at (5,5)
-# (k!)^n > 2^32, so a profile index takes two words. Then Borda's packed
-# scores either side of one byte: n * top = 85 * 3 = 255 packs a score in one
-# byte, and 86 * 3 = 258 in two. Then the move read's winner table, of
+# (k!)^n > 2^32, so a profile index takes two words. Then Borda's score sums
+# either side of one byte: n * top = 85 * 3 = 255 fits in one, and
+# 86 * 3 = 258 does not. Then the move read's winner table, of
 # (n * top + 1)^(k-1) entries, either side of its bound of 2^20 entries
-# (scf.WINNER_TABLE_ENTRIES): the table at (7,5), 29^4 entries, packed
-# vectors at (8,5), 33^4; and tables of 173^2 entries at (86,3) and 257^2 at
-# (128,3), whose packed vectors take one byte and two.
+# (scf.WINNER_TABLE_ENTRIES): the table at (7,5), 29^4 entries, decoded codes
+# at (8,5), 33^4; and tables of 173^2 entries at (86,3) and 257^2 at
+# (128,3), whose largest score sums are 172 and 256.
 SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples", "5000"],
                 *[["sample", "--rule", "borda", "-n", "5", "-k", "5", "--width", width,
                    "--samples", "5000"] for width in SAMPLE_WIDTHS],

@@ -114,8 +114,12 @@ def _emit(args, result: dict) -> None:
 
 
 def _cmd_census(args) -> int:
+    try:
+        requested = sorted({int(x) for x in args.r_values.split(",")})
+    except ValueError:
+        raise ConfigError(
+            f"--r-values wants comma-separated integers, got {args.r_values!r}") from None
     f = _build_scf(args)
-    requested = sorted({int(x) for x in args.r_values.split(",")})
     rs = sorted(set(requested) | {max(f.k, 2)})
     cen = manip.census(f, rs)
     fractions = {f"M_{r}": frac_str(cen.fraction(r)) for r in requested}

@@ -34,9 +34,9 @@ from .rankings import (
 
 DEFAULT_TABLE_CAP = 10 ** 7
 
-# A score rule's move read keeps a table of winners per score vector only up
-# to this many entries (one byte each), whatever the SCF's cap; past it the
-# packed vectors are read (ScoreRule.move_reader).
+# A score rule's move read keeps a table of winners per score code only up to
+# this many entries (one byte each), whatever the SCF's cap; past it each
+# code is decoded (ScoreRule.move_reader).
 WINNER_TABLE_ENTRIES = 1 << 20
 
 SCF_TABLE_ENCODING = "lehmer-mixed-radix"
@@ -187,130 +187,106 @@ class Constant(SCF):
         return {"rule": "constant", "n": self.n, "k": self.k, "winner": self.winner + 1}
 
 
-def packed_winner(total: int, k: int, c: int) -> int:
-    """The alternative with the largest score in a packed score vector of
-    :class:`ScoreRule`, ties to the lowest id: at c = 1 the scores are the
-    bytes of ``total``, and ``index`` finds the first largest."""
-    scores = total.to_bytes(k * c, "little")
-    if c > 1:
-        scores = [int.from_bytes(scores[a * c:a * c + c], "little") for a in range(k)]
-    return scores.index(max(scores))
-
-
 class ScoreRule(SCF):
     """A positional score rule: a voter gives ``scores[p]`` points to the
     alternative they rank at position p; ties go to the lowest id.
 
-    A ranking's points pack into one int (:meth:`packed`), alternative a's in
-    bytes ``a*c .. a*c+c-1``, for the fewest bytes c (:attr:`score_bytes`)
-    with ``n * top < 256**c``, ``top`` the largest score. A digit of a sum of
-    n packed vectors is at most ``n * top`` and never carries, so the sum is
-    the profile's packed score vector, which :func:`packed_winner` reads. The
-    table reads these vectors, as :meth:`move_reader` does past its table of
-    winners per score vector; :meth:`evaluate_orders` sums the scores over
-    the profile's own orders, with no k!-sized table."""
+    A score vector is read as one int, its code (:meth:`code`): alternative
+    a's total is digit a in base ``B = n * top + 1`` (:attr:`base`), ``top``
+    the largest score, for the first k - 1 alternatives. A digit of a sum of
+    at most n rankings' codes is at most ``n * top < B`` and never carries, so
+    the sum is the code of those rankings' score vector, and the last total is
+    the scores' sum less the others. One decoder reads every code
+    (:meth:`winner_of`): the table build, :meth:`evaluate_orders` and both
+    branches of :meth:`move_reader`."""
 
     scores: tuple[int, ...]
 
     @cached_property
-    def score_bytes(self) -> int:
+    def base(self) -> int:
         top = max(self.scores)
-        c = max(1, -(-(self.n * top).bit_length() // 8))
-        # Headroom: a digit of a sum of n packed vectors is at most n * top.
-        assert self.n * top < 256 ** c, "a score sum must fit in its bytes"
-        return c
-
-    def packed(self, order) -> int:
-        """The points of the ranking listed as ``order``, packed: its scores,
-        each checked to lie in ``[0, top]``, one per alternative."""
-        c, top = self.score_bytes, max(self.scores)
+        # Headroom: a digit is a sum of n scores, each in [0, top], so at most n * top < B.
         assert all(type(x) is int and 0 <= x <= top for x in self.scores), \
             "a score outside [0, top] would carry between digits"
-        return sum(x << 8 * c * a for a, x in zip(order, self.scores))
+        return self.n * top + 1
+
+    def code(self, order) -> int:
+        """``sum(score_a * B**a)`` over the first k - 1 alternatives of the
+        ranking listed as ``order``."""
+        base, last = self.base, self.k - 1
+        return sum(x * base ** a for a, x in zip(order, self.scores) if a < last)
+
+    def winner_of(self):
+        """``winner(code)``: the alternative with the largest total in the
+        code of a sum of n rankings' codes, ties to the lowest id. It is made
+        per call, not kept, so the SCF stays picklable for the pool."""
+        base, points, last = self.base, self.n * sum(self.scores), self.k - 1
+        alternatives = range(last)
+
+        def winner(code):
+            best = high = 0
+            left = points
+            for a in alternatives:
+                total = code % base
+                code //= base
+                left -= total
+                if total > high:
+                    best, high = a, total
+            return last if left > high else best
+        return winner
 
     def evaluate_orders(self, orders):
-        totals = [0] * self.k
-        for order in orders:
-            for a, x in zip(order, self.scores):
-                totals[a] += x
-        return totals.index(max(totals))
+        return self.winner_of()(sum(map(self.code, orders)))
 
     def move_reader(self):
-        """Both winners from one table of winners per score vector. Rank r's
-        code is ``sum(score_a * B**a)`` over the first k - 1 alternatives,
-        ``B = n * top + 1``, filled on first use; a profile's code, the sum of
-        its voters', names its score vector, and the moved profile's swaps
-        rank r's code for r2's. Each of the ``B**(k-1)`` entries is filled on
-        its first read (255 until then). Past :data:`WINNER_TABLE_ENTRIES`
-        entries, or at k > 255, the packed vectors are read instead
-        (:meth:`_packed_move_reader`); the SCF's cap does not choose."""
-        k, n, scores = self.k, self.n, self.scores
-        top = max(scores)
-        base = n * top + 1
-        if k > 255 or base ** (k - 1) > WINNER_TABLE_ENTRIES:
-            return self._packed_move_reader()
+        """Both winners from one sum of codes per draw: a profile's code is
+        the sum of its voters' ranks' codes, filled per rank on first use, and
+        the moved profile's swaps rank r's code for r2's. Up to
+        :data:`WINNER_TABLE_ENTRIES` codes, ``B**(k-1)``, the winners are kept
+        in a table, each filled on its first read (255 until then); past it
+        each is decoded. The shape chooses, not the SCF's cap."""
+        k, n = self.k, self.n
         fact, strides = factorial(k), profile_strides(n, k)
-        # Headroom: a digit is a sum of n scores, each in [0, top], so at most n * top < B.
-        assert all(type(x) is int and 0 <= x <= top for x in scores), \
-            "a score outside [0, top] would carry between digits"
-        points = n * sum(scores)
-        codes = RankTable(lambda r: sum(
-            x * base ** a for a, x in zip(rank_order(k, r), scores) if a < k - 1))
-        winners = bytearray(b"\xff") * base ** (k - 1)
-
-        def fill(code):
-            totals = []
-            rest = code
-            for _ in range(k - 1):
-                rest, digit = divmod(rest, base)
-                totals.append(digit)
-            totals.append(points - sum(totals))
-            winner = winners[code] = totals.index(max(totals))
-            return winner
+        codes = RankTable(lambda r: self.code(rank_order(k, r)))
+        winner = self.winner_of()
+        size = self.base ** (k - 1)
+        if size > WINNER_TABLE_ENTRIES:
+            def read(index, i, r, r2):
+                code = 0
+                for s in strides:
+                    code += codes[index // s % fact]
+                return winner(code), winner(code - codes[r] + codes[r2])
+            return read
+        # Headroom: B >= 2 at k >= 2, so the bound leaves k <= 21 and no winner is the sentinel.
+        assert k <= 255, "a winner must not be the sentinel 255"
+        winners = bytearray(b"\xff") * size
 
         def read(index, i, r, r2):
             code = 0
             for s in strides:
                 code += codes[index // s % fact]
             moved = code - codes[r] + codes[r2]
-            before, after = winners[code], winners[moved]
+            before = winners[code]
             if before == 255:
-                before = fill(code)
+                before = winners[code] = winner(code)
+            after = winners[moved]
             if after == 255:
-                after = fill(moved)
+                after = winners[moved] = winner(moved)
             return before, after
         return read
 
-    def _packed_move_reader(self):
-        """:meth:`move_reader` past the winner table's bound: the voters'
-        packed vectors, filled per rank on first use, summed once."""
-        k, c = self.k, self.score_bytes
-        fact, strides = factorial(k), profile_strides(self.n, k)
-        packed = RankTable(lambda r: self.packed(rank_order(k, r)))
-
-        def read(index, i, r, r2):
-            total = 0
-            for s in strides:
-                total += packed[index // s % fact]
-            moved = total - packed[r] + packed[r2]
-            if c > 1:
-                return packed_winner(total, k, c), packed_winner(moved, k, c)
-            total, moved = total.to_bytes(k, "little"), moved.to_bytes(k, "little")
-            return total.index(max(total)), moved.index(max(moved))
-        return read
-
     def _build_table(self) -> bytes:
-        """The first n - 1 voters' sums of packed vectors are listed in
-        profile-index order; the last voter's row of outcomes is built once
-        per distinct sum from a winner per distinct total."""
-        k, c = self.k, self.score_bytes
-        packed = list(map(self.packed, ranking_orders(k)))
+        """The first n - 1 voters' sums of codes are listed in profile-index
+        order; the last voter's row of outcomes is built once per distinct sum
+        from a winner per distinct total."""
+        codes = list(map(self.code, ranking_orders(self.k)))
         prefixes = [0]
         for _ in range(self.n - 1):
-            prefixes = [s + v for s in prefixes for v in packed]
+            prefixes = [s + v for s in prefixes for v in codes]
         distinct = dict.fromkeys(prefixes)
-        winner = {t: packed_winner(t, k, c) for t in {s + v for s in distinct for v in packed}}
-        rows = {s: bytes([winner[s + v] for v in packed]) for s in distinct}
+        winner = self.winner_of()
+        winners = {t: winner(t) for t in {s + v for s in distinct for v in codes}}
+        rows = {s: bytes([winners[s + v] for v in codes]) for s in distinct}
         # Appending the rows keeps the peak near the table's size; b"".join of
         # (k!)^(n-1) rows takes a buffer view of each at once.
         table = bytearray()

@@ -406,9 +406,13 @@ def check_statement(statement: str, n: int, k: int) -> None:
 def verify_statement(measured: Measurements, statement: str,
                      value: Optional[Fraction] = None) -> VerificationReport:
     """Check one statement of :data:`STATEMENTS` on a measured SCF; a ``value``
-    other than None replaces the measured value its entry's override names."""
+    other than None replaces the measured value its entry's override names,
+    and is refused, before anything is measured, where the entry names none."""
     check_statement(statement, measured.f.n, measured.f.k)
-    return STATEMENTS[statement][0](measured, value)
+    check, _, override = STATEMENTS[statement]
+    if value is not None and override is None:
+        raise ValueError(f"statement {statement} takes no value")
+    return check(measured, value)
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def test_a_raised_cap_keeps_no_winner_table_past_its_bound():
     # Sampling at k = 11 needs a cap of at least 11 * 11! = 439,084,800, which
     # would admit Plurality (4,11)'s 5^10 = 9,765,625 winners per score
     # vector; the move read's bound is WINNER_TABLE_ENTRIES whatever the cap,
-    # so a draw reads packed vectors. Plurality (2,11)'s 3^10 table is under
+    # so a draw decodes its score codes. Plurality (2,11)'s 3^10 table is under
     # the bound; drawing from it first fills the shared window-move caches,
     # so the traced peak is the draws' own.
     assert sample_success(Plurality(2, 11, cap=10 ** 10), 10, seed=0).samples == 10

@@ -340,7 +340,11 @@ def test_isoperimetry_and_hypercontractivity():
      "rho must lie in [0, 1), got -1/2"),
     (["gs-classify", "--rule", "monotone-random:1", "-n", "2", "-k", "1"],
      "a monotone two-valued SCF needs k >= 2, got k=1"),
-], ids=["negative-rho", "monotone-one-alternative"])
+    (["census", "--rule", "borda", "-n", "2", "-k", "3", "--r-values", "2,x"],
+     "--r-values wants comma-separated integers, got '2,x'"),
+    (["census", "--rule", "borda", "-n", "2", "-k", "3", "--r-values", ",2"],
+     "--r-values wants comma-separated integers, got ',2'"),
+], ids=["negative-rho", "monotone-one-alternative", "r-values-word", "r-values-empty-item"])
 def test_an_input_a_check_or_rule_does_not_cover_is_refused(capsys, argv, message):
     code, out = run_cli(argv)
     assert code == 1 and out == ""

@@ -274,23 +274,27 @@ def test_sampler_draws_equal_the_order_tuple_oracle():
 def test_the_winner_table_and_the_packed_read_agree_either_side_of_its_bound(
         monkeypatch, rule, n, k, evaluate, table):
     # The move read keeps a table of (n * top + 1)^(k-1) winners up to
-    # WINNER_TABLE_ENTRIES = 2^20 and reads packed vectors past it, whatever
-    # the cap: 29^4 and 33^4 at Borda (7,5) and (8,5), 32^4 and 33^4 at
-    # Plurality (31,5) and (32,5). Borda (86,3) sums in one byte and (128,3)
-    # and (86,4) in two. At one task only the packed side reads a packed
-    # vector; at both task counts and caps the successes are the oracle's.
-    packed, reads = ScoreRule.packed, []
-    monkeypatch.setattr(ScoreRule, "packed",
-                        lambda self, order: reads.append(order) or packed(self, order))
+    # WINNER_TABLE_ENTRIES = 2^20, each decoded on its first read, and decodes
+    # every code past it, whatever the cap: 29^4 and 33^4 at Borda (7,5) and
+    # (8,5), 32^4 and 33^4 at Plurality (31,5) and (32,5). Borda (86,3) sums
+    # scores up to 172 and (128,3) and (86,4) past 255. At one task no code
+    # is decoded twice under the bound and some code is past it; at both task
+    # counts and caps the successes are the oracle's.
+    winner_of, decoded = ScoreRule.winner_of, []
+
+    def recorded(self):
+        winner = winner_of(self)
+        return lambda code: decoded.append(code) or winner(code)
+    monkeypatch.setattr(ScoreRule, "winner_of", recorded)
     bound = (n * max(rule(n, k).scores) + 1) ** (k - 1)
     assert (bound <= WINNER_TABLE_ENTRIES) == table
     samples, width = engine.SAMPLE_BLOCK + 500, min(4, k)
     expected = oracles.sampler_successes(evaluate, n, k, width, samples, 3, engine.SAMPLE_BLOCK)
     for cap in (DEFAULT_TABLE_CAP, 10 ** 12):
         f = rule(n, k, cap=cap)
-        reads.clear()
+        decoded.clear()
         assert sample_success(f, samples, 3, width, 1).successes == expected
-        assert bool(reads) != table
+        assert decoded and (len(set(decoded)) == len(decoded)) == table
         assert sample_success(f, samples, 3, width, 2).successes == expected
 
 

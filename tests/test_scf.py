@@ -164,11 +164,10 @@ def test_monotone_pair_table_check_equals_the_dedekind_family():
 @pytest.mark.parametrize("rule, n, k", [(Plurality, 255, 2), (Plurality, 256, 2),
                                         (Borda, 255, 2), (Borda, 256, 2),
                                         (Borda, 127, 3), (Borda, 128, 3)])
-def test_packed_scores_pick_the_winner_on_both_sides_of_the_byte_headroom(rule, n, k):
-    # n * top < 256 packs a score in one byte, and n * top = 256 needs two.
+def test_score_codes_pick_the_winner_either_side_of_a_one_byte_sum(rule, n, k):
+    # The shapes where the largest score sum n * top reaches 256: one byte
+    # holds it on the first of each pair and not on the second.
     f = rule(n, k)
-    top = max(f.scores)
-    assert f.score_bytes == (1 if n * top < 256 else 2)
     oracle = oracles.plurality_tuple if rule is Plurality else oracles.borda_tuple
     for prof, moved in _profiles_and_moves(n, k, random.Random(n)):
         assert f.evaluate_orders(prof) == oracle(prof)

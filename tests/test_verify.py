@@ -108,6 +108,10 @@ def test_each_statement_runs_on_a_shape_it_fits_and_refuses_one_it_does_not(stat
     check_statement(statement, *fits)
     report = verify_statement(Measurements(random_table_scf(*fits, 5)), statement)
     assert report.statement == statement and report.holds
+    if STATEMENTS[statement][2] is None:
+        with pytest.raises(ValueError, match=rf"^statement {statement} takes no value$"):
+            verify_statement(Measurements(random_table_scf(*fits, 5)), statement,
+                             Fraction(1, 2))
     with pytest.raises(ValueError) as refused:
         check_statement(statement, *misfit)
     assert str(refused.value) == message
