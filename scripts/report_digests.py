@@ -24,9 +24,11 @@ directory, so the reports echo the same relative path) through `census`,
 single-SCF `verify --thm` calls (see :func:`statement_calls`), whose reports
 carry the measured values that the sweeps list only on a failure, of 21
 calls at the edges of `--cap` (see :func:`cap_edges`), and of the seeded
-paths' calls (see :func:`seeded_calls`). The default rules and shapes give
-667 reports. The calls run in this process through
-``votemanip.cli.main``, imported from ``--src`` (default: this checkout's).
+paths' calls (see :func:`seeded_calls`). The default grid, and only it, ends
+with :data:`SCORE_CALLS`, `distance` and `influences --refined` on Plurality
+and Borda at (5,4). The default rules and shapes give 671 reports. The calls
+run in this process through ``votemanip.cli.main``, imported from ``--src``
+(default: this checkout's).
 """
 import argparse
 import hashlib
@@ -75,6 +77,12 @@ SAMPLE_EDGES = [["sample", "--rule", "borda", "-n", "1", "-k", "4", "--samples",
                   for n in ("7", "8")],
                 *[["sample", "--rule", "borda", "-n", n, "-k", "3", "--width", "3",
                    "--samples", "5000"] for n in ("86", "128")]]
+# Score rules where they have many lines: at (5,4), the most voters the
+# default cap admits at k = 4, Borda has 1,289 distinct totals of four voters'
+# codes, and every count is read on five coordinates and six popcounts.
+SCORE_CALLS = [[*command, "--rule", rule, "-n", "5", "-k", "4"]
+               for rule in ("plurality", "borda")
+               for command in (["distance"], ["influences", "--refined"])]
 SWEEPS = [["verify", "--thm", "1.4", "--exhaustive", "-k", "3"],
           ["verify", "--thm", "1.2", "--random", "300", "-n", "2", "-k", "3"]]
 
@@ -173,6 +181,8 @@ def main() -> int:
     from votemanip import cli
 
     calls = grid(args.rule or RULES, args.shape or SHAPES)
+    if args.rule is None and args.shape is None:
+        calls += SCORE_CALLS
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         write_tables()

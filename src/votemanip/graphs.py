@@ -7,9 +7,11 @@ sizes and influences are not enumerated: they are reads of a coordinate's
 edge counts, k x k matrices indexed by outcome pair:
 :func:`transition_counts` for the coarse graph, and :func:`refined_edge_counts`
 for the refined one, summed over all adjacent swaps and for the swap of the
-pair itself. Each is counted over the byte lanes of voter i's rank parts
-(:func:`rankings.rank_classes`). :class:`CoordinateInfluences` makes each
-count on its first read and holds the one checked read of all of them,
+pair itself. Both are read through :meth:`scf.SCF.counted`: over the byte
+lanes of voter i's rank parts (:func:`rankings.rank_classes`) of a table, or
+folded from a score rule's weighted lines (:mod:`lines`), once for every
+coordinate. :class:`CoordinateInfluences` makes each count on its first read
+and holds the one checked read of all of them,
 :meth:`CoordinateInfluences.count`.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from math import factorial
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import CapExceededError
 from .rankings import (
@@ -39,7 +41,9 @@ from .rankings import (
     sum_bytes,
     window_moves,
 )
-from .scf import SCF
+
+if TYPE_CHECKING:
+    from .scf import SCF
 
 
 class GraphKind(Enum):
@@ -108,39 +112,55 @@ def transition_counts(tables, n: int, k: int, i: int) -> list[list[list[int]]]:
     return matrices
 
 
+def adjacent_swaps(k: int) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """Every refined edge of a coordinate line once: ``(r, s, (c, d))`` from
+    rank r to the rank s > r that swapping r's positions p and p + 1, which
+    hold c and d, gives (:func:`rankings.window_moves` at width 2)."""
+    for r, (order, moves) in enumerate(zip(ranking_orders(k), window_moves(k, 2))):
+        for p, s in enumerate(moves[1::2]):
+            if r < s:
+                yield r, s, order[p:p + 2]
+
+
+def refined_edge_lanes(tables, n: int, k: int, i: int) -> list:
+    """Per table of a block of same-shape tables, its :func:`refined_edge_counts`.
+
+    Per edge between ranks r and s (:func:`adjacent_swaps`), counted in both
+    directions, parts r and s paired by :func:`rankings.pair_lanes` hold
+    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``.
+    """
+    counts = []
+    for table in tables:
+        parts = class_tables(table, k, rank_classes(n, k, i))
+        lanes = len(parts[0])
+        ints = [int.from_bytes(part, "little") for part in parts]
+        every = [[0] * k for _ in range(k)]
+        swap = [[0] * k for _ in range(k)]
+        for r, s, (c, d) in adjacent_swaps(k):
+            pairs = pair_lanes(ints[r], ints[s], lanes)
+            for a, b in permutations(range(k), 2):
+                edges = pairs.count(a << 4 | b)
+                if edges:
+                    every[a][b] += edges
+                    every[b][a] += edges
+                    if a == c and b == d or a == d and b == c:
+                        swap[a][b] += edges
+                        swap[b][a] += edges
+        counts.append((every, swap))
+    return counts
+
+
 def refined_edge_counts(f: SCF, i: int) -> tuple[list[list[int]], list[list[int]]]:
     """``(every, swap)``: refined-graph edges of coordinate i that change the outcome.
 
     ``every[a][b]`` counts the profiles with outcome a where swapping some
     adjacent pair in voter i's ranking gives outcome b != a, and ``swap[a][b]``
-    those where the swapped pair is a and b themselves. Per edge between ranks
-    r and s, parts r and s paired by :func:`rankings.pair_lanes` hold
-    ``a << 4 | b`` where r elects a and s elects b, for ``bytes.count``. The
-    swaps are checked against f's cap (:func:`rankings.check_window_moves`) first.
+    those where the swapped pair is a and b themselves. The swaps are checked
+    against f's cap (:func:`rankings.check_window_moves`) first; the counts are
+    f's :func:`refined_edge_lanes` (:meth:`SCF.counted`).
     """
-    k = f.k
-    check_window_moves(k, 2, f.cap)
-    parts = class_tables(f.table(), k, rank_classes(f.n, k, i))
-    lanes = len(parts[0])
-    ints = [int.from_bytes(part, "little") for part in parts]
-    every = [[0] * k for _ in range(k)]
-    swap = [[0] * k for _ in range(k)]
-    # Every refined edge of a line once, from rank r to the rank s its swap of
-    # positions p and p + 1 (the pair c, d) gives, and counted in both directions.
-    for r, (order, moves) in enumerate(zip(ranking_orders(k), window_moves(k, 2))):
-        for p, s in enumerate(moves[1::2]):
-            if r < s:
-                c, d = order[p:p + 2]
-                pairs = pair_lanes(ints[r], ints[s], lanes)
-                for a, b in permutations(range(k), 2):
-                    edges = pairs.count(a << 4 | b)
-                    if edges:
-                        every[a][b] += edges
-                        every[b][a] += edges
-                        if a == c and b == d or a == d and b == c:
-                            swap[a][b] += edges
-                            swap[b][a] += edges
-    return every, swap
+    check_window_moves(f.k, 2, f.cap)
+    return f.counted(refined_edge_lanes, i)
 
 
 class CoordinateInfluences:
@@ -148,7 +168,9 @@ class CoordinateInfluences:
 
     Each count is made on its first read: ``moves``, :func:`transition_counts`,
     for a coarse read, and ``edges``, both matrices of
-    :func:`refined_edge_counts`, for a refined or a swap one. :meth:`count` is
+    :func:`refined_edge_counts`, for a refined or a swap one. Both are the
+    SCF's counts (:meth:`SCF.counted`), which a score rule folds from its
+    lines with no table, once for all its coordinates. :meth:`count` is
     the one checked read of all three. A coarse influence is a count of
     (profile, ranking) pairs over ``size * k!``; a refined or swap one is a
     count of directed refined edges over ``2 * size``. These denominators are

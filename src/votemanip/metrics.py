@@ -17,7 +17,12 @@ from operator import getitem
 from typing import Callable, Optional, Sequence
 
 from .errors import CapExceededError
-from .rankings import fiber_outcome_counts, rank_outcome_counts, top_h_by_rank
+from .rankings import (
+    fiber_outcome_counts,
+    profile_space_size,
+    rank_outcome_counts,
+    top_h_by_rank,
+)
 from .scf import (
     SCF,
     MonotoneTwoValued,
@@ -45,11 +50,13 @@ def frac_str(x: Fraction) -> str:
 class DistanceReport:
     """Distance to a family plus the family member attaining it, built by
     ``build`` on the first read of :attr:`witness`: a check that reads only the
-    value builds no member."""
+    value builds no member. ``shown``, when set, is the witness's description,
+    known without building it, which :meth:`describe` prints instead."""
 
     family: str
     value: Fraction
     build: Callable[[], SCF] = field(repr=False, compare=False)
+    shown: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def witness(self) -> SCF:
@@ -59,7 +66,7 @@ class DistanceReport:
         return {
             "family": self.family,
             "value": frac_str(self.value),
-            "witness": self.witness.describe(),
+            "witness": self.witness.describe() if self.shown is None else self.shown,
         }
 
 
@@ -70,13 +77,16 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     lowest id). Two-valued branch: keep the two heaviest outcomes, map the
     rest onto the lower of the pair. The minimum over all candidates is exact,
     and only its witness is built, when read. Both read the SCF's rank counts
-    (:meth:`SCF.counted`); the masses are the column sums of coordinate 0's.
+    (:meth:`SCF.counted`), which a score rule folds from its lines with no
+    table; the masses are the column sums of coordinate 0's. The two-valued
+    witness is a relabelled copy of f's table, built only when read; its
+    description (:meth:`TableSCF.description`) needs no table.
     """
-    table = f.table()
     n, k = f.n, f.k
-    size = len(table)
+    size = profile_space_size(n, k)
     best_agree = -1
     best_witness = None
+    shown = None
 
     for i in range(n):
         completion = []
@@ -96,8 +106,9 @@ def distance_to_nonmanip_bar(f: SCF) -> DistanceReport:
     if agree > best_agree:
         best_agree = agree
         best_witness = partial(_two_valued_witness, f, keep)
+        shown = TableSCF.description(n, k)
 
-    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness)
+    return DistanceReport("nonmanip-bar", Fraction(size - best_agree, size), best_witness, shown)
 
 
 def _two_valued_witness(f: SCF, keep) -> TableSCF:
@@ -129,18 +140,20 @@ def distance_to_nonmanip(f: SCF) -> DistanceReport:
     rank counts (:meth:`SCF.counted`): per rank, the count of its top_H outcome,
     the subsets and their outcomes listed once per k by :func:`_dictator_plan`)
     and, per alternative pair, the cost-optimal monotone two-valued function
-    found by an exact minimum cut over the preference hypercube, counted over
-    :func:`rankings.class_tables`. A cut costs at least the sum over vertices
-    of the cheaper label, so a pair whose agreement cannot pass the best so far
-    skips its cut; a tie never replaces the best, so the value and witness are
-    those of the full search, and only that witness is built, when read. A hypercube past
-    ``MAX_HYPERCUBE_BITS`` is refused before the table is built.
+    found by an exact minimum cut over the preference hypercube, whose costs
+    are the SCF's fiber counts. A score rule folds both counts from its lines
+    with no table (:mod:`lines`); any other SCF counts them over its table. A
+    cut costs at least the sum over vertices of the cheaper label, so a pair
+    whose agreement cannot pass the best so far skips its cut; a tie never
+    replaces the best, so the value and witness are those of the full search,
+    and only that witness is built, when read. The size is ``(k!)^n``, not
+    read from a table. A hypercube past ``MAX_HYPERCUBE_BITS`` is refused
+    before any count is made.
     """
     n, k = f.n, f.k
     if k >= 2 and n > MAX_HYPERCUBE_BITS:
         raise CapExceededError(f"hypercube with 2^{n} vertices exceeds the cap")
-    table = f.table()
-    size = len(table)
+    size = profile_space_size(n, k)
     best_agree = -1
     best_witness = None
 

@@ -15,6 +15,7 @@ from math import factorial
 
 from .engine import check_seed
 from .errors import CapExceededError
+from .lines import FOLDS, ScoreLines, power_counts
 from .rankings import (
     MAX_TABLE_K,
     RankTable,
@@ -100,9 +101,18 @@ class SCF:
 
     def counted(self, count, *args):
         """This SCF's value of ``count(tables, n, k, *args)``, a count that
-        returns one value per table of a block (the census, rank, fiber and
-        transition counts): made once, over the SCF's own table, the block of
-        one, or over all of its :class:`Block`'s tables when a sweep placed it in one."""
+        returns one value per table of a block (the census, rank, fiber,
+        transition and refined-edge counts): made once, over the SCF's own
+        table, the block of one, or over all of its :class:`Block`'s tables
+        when a sweep placed it in one.
+
+        This is the one place that chooses a count's path. A
+        :class:`ScoreRule` reads the counts that :data:`lines.FOLDS` lists
+        from its weighted lines (:attr:`ScoreRule.lines`), with no table;
+        every other count, and every count of any other SCF, runs over the
+        table."""
+        if isinstance(self, ScoreRule) and count in FOLDS:
+            return self.lines.read(count, args)
         if self._block is None:
             Block([self])
         return self._block.read(self._place, count, args)
@@ -167,8 +177,14 @@ class TableSCF(SCF):
             return table[index], table[index + (r2 - r) * strides[i]]
         return read
 
+    @staticmethod
+    def description(n: int, k: int) -> dict:
+        """What :meth:`describe` returns for any (n, k) table, known before
+        the table is built: the outcomes are not listed."""
+        return {"rule": "table", "n": n, "k": k}
+
     def describe(self) -> dict:
-        return {"rule": "table", "n": self.n, "k": self.k}
+        return self.description(self.n, self.k)
 
 
 class Constant(SCF):
@@ -197,8 +213,13 @@ class ScoreRule(SCF):
     at most n rankings' codes is at most ``n * top < B`` and never carries, so
     the sum is the code of those rankings' score vector, and the last total is
     the scores' sum less the others. One decoder reads every code
-    (:meth:`winner_of`): the table build, :meth:`evaluate_orders` and both
-    branches of :meth:`move_reader`."""
+    (:meth:`winner_of`): the rows of :meth:`rows`, :meth:`evaluate_orders`
+    and both branches of :meth:`move_reader`.
+
+    A profile's outcome depends only on the sum of its voters' codes, so the
+    rule is anonymous. Its rank, fiber, transition and refined-edge counts
+    are folds over its weighted lines (:attr:`lines`), the same for every
+    coordinate, and build no table (:meth:`SCF.counted`)."""
 
     scores: tuple[int, ...]
 
@@ -275,18 +296,44 @@ class ScoreRule(SCF):
             return before, after
         return read
 
+    @cached_property
+    def codes(self) -> list[int]:
+        """Per ranking rank, the ranking's code."""
+        return list(map(self.code, ranking_orders(self.k)))
+
+    def rows(self, totals) -> dict[int, bytes]:
+        """Per total s in ``totals`` of n - 1 voters' codes, its row: the
+        outcomes ``winner(s + codes[r])`` the last voter sees at each rank r,
+        as bytes. One winner is decoded per distinct sum; the table build and
+        :attr:`lines` read every row here."""
+        codes = self.codes
+        winner = self.winner_of()
+        winners = {t: winner(t) for t in {s + c for s in totals for c in codes}}
+        return {s: bytes([winners[s + c] for c in codes]) for s in totals}
+
+    @cached_property
+    def lines(self) -> ScoreLines:
+        """The rule's weighted lines (:class:`lines.ScoreLines`): per distinct
+        total s of n - 1 voters' codes, its weight, the ordered (n-1)-tuples
+        of ranks that sum to s, and its :meth:`rows` row over every rank.
+        Refused over the cap exactly as :meth:`table` is, before anything is
+        built. The rows hold one byte per (total, rank), at most the table's
+        ``(k!)^n``, as no more totals than tuples are distinct."""
+        check_cap(self.cap, "(k!)^n table entries", self.k, self.n)
+        weights = power_counts(self.codes, self.n - 1)[-1]
+        assert sum(weights.values()) == factorial(self.k) ** (self.n - 1), \
+            "every (n-1)-tuple of ranks sums to one total"
+        return ScoreLines(self.n, self.k, self.codes, weights, self.rows(weights))
+
     def _build_table(self) -> bytes:
         """The first n - 1 voters' sums of codes are listed in profile-index
         order; the last voter's row of outcomes is built once per distinct sum
-        from a winner per distinct total."""
-        codes = list(map(self.code, ranking_orders(self.k)))
+        (:meth:`rows`)."""
+        codes = self.codes
         prefixes = [0]
         for _ in range(self.n - 1):
             prefixes = [s + v for s in prefixes for v in codes]
-        distinct = dict.fromkeys(prefixes)
-        winner = self.winner_of()
-        winners = {t: winner(t) for t in {s + v for s in distinct for v in codes}}
-        rows = {s: bytes([winners[s + v] for v in codes]) for s in distinct}
+        rows = self.rows(dict.fromkeys(prefixes))
         # Appending the rows keeps the peak near the table's size; b"".join of
         # (k!)^(n-1) rows takes a buffer view of each at once.
         table = bytearray()

@@ -368,14 +368,20 @@ def _count_passes(monkeypatch) -> list:
 
 
 def test_influences_makes_at_most_two_passes_per_coordinate(monkeypatch):
-    # One transition-count split and one refined-edge split of the table by
-    # each coordinate's rank.
+    # On a table SCF, one transition-count split and one refined-edge split of
+    # the table by each coordinate's rank. A score rule folds those counts and
+    # the distances' from its lines, with no split at all.
     from votemanip.rankings import rank_classes
 
     calls = _count_passes(monkeypatch)
-    code, _ = run_cli(["influences", "--refined", "--rule", "borda", "-n", "3", "-k", "3"])
+    code, _ = run_cli(["influences", "--refined", "--rule", "random:0", "-n", "3", "-k", "3"])
     assert code == 0
     assert calls == [rank_classes(3, 3, i) for i in range(3) for _count in ("coarse", "refined")]
+    for rule in ("plurality", "borda"):
+        for command in (["influences", "--refined"], ["distance"]):
+            calls.clear()
+            code, _ = run_cli([*command, "--rule", rule, "-n", "3", "-k", "3"])
+            assert code == 0 and calls == []
 
 
 def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
@@ -390,27 +396,28 @@ def test_fiber_sweep_and_boundary_count_make_one_pass(monkeypatch):
         calls.clear()
         fibers.fiber_sweep(f, 1, (0, 1), variant, Fraction(1, 3))
         assert calls == [[sides, [(r,) for r in range(6)], sides]]
-    # (a, b, kind) of each boundary read on coordinate 2, from a fresh SCF (the
-    # SCF keeps its transition counts, so a second coarse read makes no split).
+    # (a, b, kind) of each boundary read on coordinate 2, from a fresh table
+    # SCF (the SCF keeps its transition counts, so a second coarse read makes
+    # no split; a score rule's counts make none).
     selections = [(0, None, GraphKind.COARSE), (0, 1, GraphKind.COARSE),
                   (0, None, GraphKind.REFINED), (0, 1, GraphKind.SWAP)]
     for selection in selections:
-        f = Plurality(3, 3)
-        f.table()
+        f = scf.TableSCF(3, 3, Plurality(3, 3).table())
         calls.clear()
         CoordinateInfluences(f, 2).count(*selection)
         assert calls == [rank_classes(3, 3, 2)]
 
 
 def test_coordinate_influences_count_each_kind_on_its_first_read(monkeypatch):
-    # No split on construction; the coarse reads share one split by the
-    # coordinate's rank, and the first swap read adds the one split that
-    # every refined and swap read then shares.
+    # On a table SCF: no split on construction; the coarse reads share one
+    # split by the coordinate's rank, and the first swap read adds the one
+    # split that every refined and swap read then shares.
     from votemanip.graphs import CoordinateInfluences, GraphKind
     from votemanip.rankings import rank_classes
 
+    table = scf.Borda(3, 3).table()
     calls = _count_passes(monkeypatch)
-    inf = CoordinateInfluences(scf.Borda(3, 3), 1)
+    inf = CoordinateInfluences(scf.TableSCF(3, 3, table), 1)
     assert calls == []
     for _ in range(2):
         inf.influence(0, 1), inf.influence(2), inf.count(1, 0)

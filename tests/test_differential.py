@@ -155,6 +155,28 @@ def test_nonmanip_bar_two_valued_witness_is_the_list_relabelling(n, k):
         assert witness.table() == bytes(_relabelled(f.table(), k))
 
 
+@pytest.mark.parametrize("n, k", SHAPES + EDGE_SHAPES + WIDE_SHAPES + [(4, 4), (3, 5)])
+@pytest.mark.parametrize("rule", [Plurality, Borda])
+def test_score_rule_counts_from_lines_equal_the_table_counts(monkeypatch, rule, n, k):
+    # Every coordinate and every ordered pair; the rule itself builds no table.
+    g = TableSCF(n, k, rule(n, k).table())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(rule, "_build_table", refuse)
+    f = rule(n, k)
+    for i in range(n):
+        for count in (rank_outcome_counts, transition_counts):
+            assert f.counted(count, i) == g.counted(count, i)
+        assert refined_edge_counts(f, i) == refined_edge_counts(g, i)
+    for a, b in permutations(range(k), 2):
+        assert f.counted(fiber_outcome_counts, a, b) == g.counted(fiber_outcome_counts, a, b)
+    monkeypatch.undo()
+    # The premise of the folds: the rule is anonymous.
+    assert is_anonymous(f)
+
+
 def _decoded(f, indices):
     """The order tuples of profile indices, in their order."""
     return [decode_profile(f.n, f.k, index) for index in indices]
